@@ -21,10 +21,9 @@
 //!    hot path (`analyze_ap_streaming_10pkt_t1`: a persistent warmed
 //!    stream replayed in steady state, with warm-start hit / re-anchor /
 //!    tracker-fallback rates published in the report meta).
-//! 4. **Fleet** — 1k+ concurrent moving targets through the sharded fleet
-//!    engine (`fleet_1024tgt_per_packet_t1`), with aggregate packets/sec,
-//!    per-update p99 latency, queue-depth stats, and the warm-start hit
-//!    rate published in the report meta and gated by `--baseline`.
+//!
+//! Serving throughput and latency are measured end to end by the
+//! `spotfi-e2e` benchmark (`e2ebench/`), not here.
 //!
 //! On hosts with fewer hardware threads than a bench's requested budget,
 //! the `*_t8` benches are skipped and recorded in the JSON as
@@ -32,9 +31,9 @@
 //! the clamped (duplicate) configuration.
 //!
 //! `--baseline PATH` compares this run's key medians (serial MUSIC sweep,
-//! SIMD quadforms, batched eigensolve, batch and streaming `analyze_ap`,
-//! end-to-end localize) against a committed report and exits nonzero on
-//! any >25% regression (the CI smoke check).
+//! batched eigensolve, batch and streaming `analyze_ap`, end-to-end
+//! localize) against a committed report and exits nonzero on any >25%
+//! regression (the CI smoke check).
 
 use spotfi_bench::{
     bench, json_string, median_from_report, to_json_with_skipped, BenchConfig, BenchResult,
@@ -45,15 +44,14 @@ use spotfi_core::music::{music_paths_coarse_to_fine, noise_projector_with, noise
 use spotfi_core::steering::{omega_powers, phi};
 use spotfi_core::{
     find_peaks_filtered, hardware_parallelism, music_spectrum_cached, sanitize_csi, smoothed_csi,
-    smoothed_csi_into, ApPackets, ApStream, MusicScratch, MusicSpectrum, RuntimeConfig, SpotFi,
-    SpotFiConfig, SteeringCache, SweepStrategy,
+    smoothed_csi_into, ApPackets, MusicScratch, MusicSpectrum, RuntimeConfig, SpotFi, SpotFiConfig,
+    SteeringCache, StreamState,
 };
 use spotfi_math::eigen::hermitian_eigen;
 use spotfi_math::eigen_tridiag::{
     hermitian_eigen_partial_batch_into, hermitian_eigen_partial_into, BatchTridiagWorkspace,
     TridiagWorkspace, BATCH_LANES,
 };
-use spotfi_math::simd::{block_quadform_soa, padded_len, split_complex};
 use spotfi_math::{c64, CMat};
 
 /// The seed implementation's spectrum evaluation, reproduced for an honest
@@ -339,86 +337,6 @@ fn main() {
         );
     });
 
-    // The sweep's stage-1 inner loop in isolation: for every ToF grid point,
-    // the packed-projector pair-block quadratic forms ωᴴ·G_p·ω through the
-    // SoA kernel. `spotfi_math::simd` compiles unconditionally (the `simd`
-    // feature only switches whether spotfi-core routes through it), so this
-    // bench tracks the kernel's cost on every build.
-    {
-        let ms_q = spotfi_cfg.smoothing.sub_antennas;
-        let ns_q = spotfi_cfg.smoothing.sub_subcarriers;
-        let pad_q = padded_len(ns_q);
-        let eig_full = hermitian_eigen(&cov);
-        let dim = eig_full.values.len();
-        let threshold = spotfi_cfg.music.noise_threshold_ratio * eig_full.values[0].max(0.0);
-        let by_threshold = eig_full.values.iter().filter(|&&l| l >= threshold).count();
-        let sigdim = by_threshold.min(spotfi_cfg.music.max_paths).max(1);
-        let mut g = CMat::zeros(dim, dim);
-        for k in sigdim..dim {
-            let v = eig_full.vectors.col(k);
-            for j in 0..dim {
-                let vj = v[j].conj();
-                for i in 0..dim {
-                    g[(i, j)] += v[i] * vj;
-                }
-            }
-        }
-        let pairs: Vec<(usize, usize)> = (0..ms_q)
-            .flat_map(|a| (a..ms_q).map(move |b| (a, b)))
-            .collect();
-        let npairs = pairs.len();
-        let mut gq_re = vec![0.0; npairs * ns_q * pad_q];
-        let mut gq_im = vec![0.0; npairs * ns_q * pad_q];
-        for (p, &(ma, mb)) in pairs.iter().enumerate() {
-            for j in 0..ns_q {
-                let off = (p * ns_q + j) * pad_q;
-                let col: Vec<c64> = (0..ns_q)
-                    .map(|i| g[(ma * ns_q + i, mb * ns_q + j)])
-                    .collect();
-                split_complex(
-                    &col,
-                    &mut gq_re[off..off + pad_q],
-                    &mut gq_im[off..off + pad_q],
-                );
-            }
-        }
-        let n_tof = spotfi_cfg.music.tof_grid_ns.len();
-        let mut om_re = vec![0.0; n_tof * pad_q];
-        let mut om_im = vec![0.0; n_tof * pad_q];
-        for it in 0..n_tof {
-            let tau = spotfi_cfg.music.tof_grid_ns.value(it) * 1e-9;
-            let w = omega_powers(tau, ns_q, spotfi_cfg.ofdm.subcarrier_spacing_hz);
-            split_complex(
-                &w,
-                &mut om_re[it * pad_q..(it + 1) * pad_q],
-                &mut om_im[it * pad_q..(it + 1) * pad_q],
-            );
-        }
-        let (mut cq_re, mut cq_im) = (vec![0.0; pad_q], vec![0.0; pad_q]);
-        run("quadform_columns_simd_t1", &cfg, &mut || {
-            let mut acc = 0.0;
-            for it in 0..n_tof {
-                let wr = &om_re[it * pad_q..(it + 1) * pad_q];
-                let wi = &om_im[it * pad_q..(it + 1) * pad_q];
-                for p in 0..npairs {
-                    let base = p * ns_q * pad_q;
-                    let (re, _) = block_quadform_soa(
-                        &gq_re[base..base + ns_q * pad_q],
-                        &gq_im[base..base + ns_q * pad_q],
-                        wr,
-                        wi,
-                        ns_q,
-                        pad_q,
-                        &mut cq_re,
-                        &mut cq_im,
-                    );
-                    acc += re;
-                }
-            }
-            std::hint::black_box(acc);
-        });
-    }
-
     let mut scratch = MusicScratch::new(&spotfi_cfg);
     run("music_spectrum_cached_t1", &cfg, &mut || {
         std::hint::black_box(
@@ -457,7 +375,7 @@ fn main() {
     // rolling covariance updates, tracked subspace, warm-started sweeps,
     // with exact re-anchors amortized across `reanchor_period` packets. One
     // unmeasured warm-up replay seeds the tracker and the peak basins.
-    let mut bench_stream = ApStream::new(serial.config());
+    let mut bench_stream = StreamState::new(serial.config());
     std::hint::black_box(
         serial
             .analyze_ap_streaming_with(&aps[0], &mut bench_stream)
@@ -469,19 +387,6 @@ fn main() {
                 .analyze_ap_streaming_with(&aps[0], &mut bench_stream)
                 .unwrap(),
         );
-    });
-    // Same AP with the dense reference sweep, to keep the strategy
-    // comparison visible in every report.
-    let dense_serial = SpotFi::new(SpotFiConfig {
-        runtime: RuntimeConfig::with_threads(1),
-        music: spotfi_core::MusicConfig {
-            sweep: SweepStrategy::Dense,
-            ..SpotFiConfig::default().music
-        },
-        ..SpotFiConfig::default()
-    });
-    run("analyze_ap_10pkt_dense_t1", &e2e_cfg, &mut || {
-        std::hint::black_box(dense_serial.analyze_ap(&aps[0]).unwrap());
     });
     run("localize_4ap_10pkt_t1", &e2e_cfg, &mut || {
         std::hint::black_box(serial.localize(&aps).unwrap());
@@ -528,105 +433,6 @@ fn main() {
          tracker fallback rate {:.3} over {} packets",
         stream_hit_rate, stream_anchor_rate, stream_fallback_rate, stream_packets
     );
-
-    // --- Fleet throughput ---------------------------------------------------
-    // The fleet-scale contract: 1k+ concurrent moving targets, their per-AP
-    // packet streams interleaved into one arrival schedule, pushed through
-    // the sharded engine at full speed on this host's worker pool. One
-    // continuous saturated replay (the producer blocks when queues fill, so
-    // every packet is processed — throughput is worker-bound, which is the
-    // number under test). Runs at the coarse serving grids
-    // (`SpotFiConfig::fast_test`), the fleet CLI's configuration.
-    // 30 packets per link in both profiles: the warm-start hit-rate
-    // contract needs stream length to amortize the unavoidable first-packet
-    // anchor (1/packets_per_link of all packets) well below the 10% miss
-    // budget — shorter --fast streams would spend it all on anchors — while
-    // staying under the default 32-packet re-anchor period so the periodic
-    // exact re-anchor never fires mid-stream.
-    let fleet_targets = 1024usize;
-    let fleet_packets_per_link = 30;
-    eprintln!(
-        "generating fleet scenario ({} targets × 3 APs × {} packets/link) …",
-        fleet_targets, fleet_packets_per_link
-    );
-    let fleet_scenario =
-        spotfi_testbed::FleetScenario::generate(&spotfi_testbed::fleet::FleetScenarioConfig {
-            packets_per_link: fleet_packets_per_link,
-            ..spotfi_testbed::fleet::FleetScenarioConfig::apartment(fleet_targets)
-        });
-    let fleet_schedule_len = fleet_scenario.schedule.len();
-    assert!(
-        fleet_scenario.targets.len() >= 1000,
-        "fleet scenario audibility collapsed: only {} of {} targets heard by ≥ 2 APs",
-        fleet_scenario.targets.len(),
-        fleet_targets
-    );
-    eprintln!(
-        "benchmarking fleet engine over {} packets from {} audible targets …",
-        fleet_schedule_len,
-        fleet_scenario.targets.len()
-    );
-    spotfi_obs::reset();
-    spotfi_obs::set_enabled(true);
-    let fleet_cfg = spotfi_core::FleetConfig {
-        workers: hw_threads,
-        ..spotfi_core::FleetConfig::default()
-    };
-    let fleet_start = std::time::Instant::now();
-    let fleet_report = {
-        let _total = spotfi_obs::span("total");
-        let engine =
-            spotfi_core::FleetEngine::new(SpotFi::new(SpotFiConfig::fast_test()), fleet_cfg);
-        for pkt in &fleet_scenario.schedule {
-            engine.ingest(pkt.clone());
-        }
-        engine.shutdown()
-    };
-    let fleet_wall_s = fleet_start.elapsed().as_secs_f64();
-    spotfi_obs::set_enabled(false);
-    let fleet_snap = spotfi_obs::snapshot();
-    let fs = fleet_report.stats;
-    assert_eq!(fs.ingested, fs.accepted + fs.dropped, "fleet accounting");
-    assert_eq!(fs.accepted, fs.processed, "fleet queues must drain");
-    assert_eq!(fs.dropped, 0, "blocking ingest must not shed");
-    let fleet_pps = fs.processed as f64 / fleet_wall_s.max(1e-9);
-    let fleet_packets = fleet_snap.counter_total("stream.packets").max(1) as f64;
-    let fleet_hit_rate = fleet_snap.counter_total("stream.warmstart_hit") as f64 / fleet_packets;
-    let queue_depth = fleet_snap.get("runtime.fleet_queue_depth");
-    let (fleet_qd_mean, fleet_qd_max) =
-        queue_depth.map_or((0.0, 0.0), |m| (m.mean(), m.max.max(0.0)));
-    eprintln!(
-        "fleet: {} packets in {:.2} s — {:.0} packets/s on {} worker{}; warm-start hit rate \
-         {:.3}; {} updates (p99 {:.1} ms); queue depth mean {:.0} / max {:.0}",
-        fs.processed,
-        fleet_wall_s,
-        fleet_pps,
-        fleet_cfg.workers,
-        if fleet_cfg.workers == 1 { "" } else { "s" },
-        fleet_hit_rate,
-        fs.updates,
-        fleet_report.update_latency.p99_ns as f64 / 1e6,
-        fleet_qd_mean,
-        fleet_qd_max,
-    );
-    // The hot path must stay amortization-dominated even with every target
-    // moving (channel re-traces every ~0.7 m force re-anchors): the fleet
-    // throughput contract is specified in the warm regime.
-    assert!(
-        fleet_hit_rate >= 0.90,
-        "fleet warm-start hit rate {:.3} fell below the 0.90 contract",
-        fleet_hit_rate
-    );
-    // Publish the per-packet cost as a regular benchmark entry so the
-    // --baseline ratio gate covers it like every other hot path.
-    results.push(BenchResult {
-        name: "fleet_1024tgt_per_packet_t1".to_string(),
-        median_ns: fleet_wall_s * 1e9 / fs.processed.max(1) as f64,
-        min_ns: fleet_wall_s * 1e9 / fs.processed.max(1) as f64,
-        mean_ns: fleet_wall_s * 1e9 / fs.processed.max(1) as f64,
-        trimmed_mean_ns: fleet_wall_s * 1e9 / fs.processed.max(1) as f64,
-        iterations: fs.processed,
-    });
 
     // --- Observability -----------------------------------------------------
     // One recorder-enabled analyze_ap run, folded into the report meta so
@@ -737,10 +543,6 @@ fn main() {
             "tof_grid_points",
             spotfi_cfg.music.tof_grid_ns.len().to_string(),
         ),
-        (
-            "sweep_strategy",
-            json_string(&format!("{:?}", spotfi_cfg.music.sweep)),
-        ),
         ("aps", "4".to_string()),
         ("packets_per_ap", "10".to_string()),
         (
@@ -765,22 +567,6 @@ fn main() {
             "stream_tracker_fallback_rate",
             format!("{:.4}", stream_fallback_rate),
         ),
-        ("fleet_targets", fleet_scenario.targets.len().to_string()),
-        ("fleet_schedule_packets", fleet_schedule_len.to_string()),
-        ("fleet_workers", fleet_cfg.workers.to_string()),
-        ("fleet_packets_per_s", format!("{:.1}", fleet_pps)),
-        ("fleet_warmstart_hit_rate", format!("{:.4}", fleet_hit_rate)),
-        ("fleet_updates", fs.updates.to_string()),
-        (
-            "fleet_packet_p99_us",
-            format!("{:.1}", fleet_report.packet_latency.p99_ns as f64 / 1e3),
-        ),
-        (
-            "fleet_update_p99_us",
-            format!("{:.1}", fleet_report.update_latency.p99_ns as f64 / 1e3),
-        ),
-        ("fleet_queue_depth_mean", format!("{:.1}", fleet_qd_mean)),
-        ("fleet_queue_depth_max", format!("{:.0}", fleet_qd_max)),
         ("stage_breakdown_ns", stage_breakdown),
         ("obs_updates_per_analyze", obs_updates.to_string()),
         (
@@ -816,12 +602,10 @@ fn main() {
         let mut failed = false;
         for name in [
             "music_spectrum_cached_t1",
-            "quadform_columns_simd_t1",
             "eigen_batch4_t1",
             "analyze_ap_10pkt_t1",
             "analyze_ap_streaming_10pkt_t1",
             "localize_4ap_10pkt_t1",
-            "fleet_1024tgt_per_packet_t1",
         ] {
             let Some(base) = median_from_report(&committed, name) else {
                 eprintln!("smoke check: baseline report lacks {}; skipping", name);
@@ -840,10 +624,7 @@ fn main() {
         }
         // Throughput metas gate in the other direction: fail when this run
         // delivers < 80% of the committed packets/sec.
-        for (key, now) in [
-            ("stream_packets_per_s", 1e9 * 10.0 / stream_t1),
-            ("fleet_packets_per_s", fleet_pps),
-        ] {
+        for (key, now) in [("stream_packets_per_s", 1e9 * 10.0 / stream_t1)] {
             let Some(base) = spotfi_bench::meta_number_from_report(&committed, key) else {
                 eprintln!("smoke check: baseline report lacks meta {}; skipping", key);
                 continue;

@@ -60,47 +60,6 @@ pub enum Estimator {
     Esprit,
 }
 
-/// How the MUSIC pseudospectrum is searched for path peaks.
-///
-/// The pipeline only ever consumes the *peaks* of `P(θ, τ)`, so evaluating
-/// all `n_aoa × n_tof` grid cells per packet is mostly wasted work. The
-/// hierarchical strategy samples a decimated grid, zooms into each local
-/// maximum's basin through successively finer levels (all evaluations stay
-/// aligned to the fine grid, so values are bit-identical to the dense
-/// sweep's), and polishes each surviving peak off-grid with Newton
-/// iterations on a 2-D log-power paraboloid fit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SweepStrategy {
-    /// Evaluate every cell of the configured grid, then scan for local
-    /// maxima. The reference implementation — kept for cross-checking and
-    /// for consumers that want the full spectrum (diagnostics, plots).
-    Dense,
-    /// Coarse-to-fine hierarchical search (the default).
-    CoarseToFine {
-        /// Decimation of the coarse level relative to the configured grid
-        /// step (both axes). Must be ≥ 2; the default is 4.
-        coarse_factor: usize,
-        /// Number of refinement levels between the coarse level and the
-        /// fine grid. Each level shrinks the step geometrically until it
-        /// reaches the fine step (with `coarse_factor = 4`, `levels = 2`
-        /// gives steps of 2 then 1 fine cells).
-        levels: usize,
-        /// Half-width of each refinement patch, in units of that level's
-        /// step (a patch spans `2·basin_radius + 1` points per axis).
-        basin_radius: usize,
-    },
-}
-
-impl Default for SweepStrategy {
-    fn default() -> Self {
-        SweepStrategy::CoarseToFine {
-            coarse_factor: 4,
-            levels: 2,
-            basin_radius: 2,
-        }
-    }
-}
-
 /// MUSIC spectrum configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct MusicConfig {
@@ -121,9 +80,6 @@ pub struct MusicConfig {
     /// Relative-ToF grid, nanoseconds. STO shifts measured ToFs, so the grid
     /// must extend well past the plausible physical range on both sides.
     pub tof_grid_ns: GridSpec,
-    /// How the grid is searched for peaks (dense reference sweep vs.
-    /// hierarchical coarse-to-fine).
-    pub sweep: SweepStrategy,
 }
 
 impl Default for MusicConfig {
@@ -134,7 +90,6 @@ impl Default for MusicConfig {
             min_relative_peak_power: 0.05,
             aoa_grid_deg: GridSpec::new(-90.0, 90.0, 1.0),
             tof_grid_ns: GridSpec::new(-100.0, 400.0, 2.0),
-            sweep: SweepStrategy::default(),
         }
     }
 }
@@ -443,7 +398,11 @@ impl Default for SpotFiConfig {
 }
 
 impl SpotFiConfig {
-    /// A faster configuration for unit tests: coarser grids, same structure.
+    /// The coarse serving profile: 2° AoA and 5 ns ToF grids (default 1° /
+    /// 2 ns), a 0.5 m localize step (default 0.25 m) and a capped tracker
+    /// rank, same structure otherwise. Besides the unit tests, the `fleet`,
+    /// `serve` and `ingest` commands and the `walk` / `ring16` benchmark
+    /// workloads run this profile.
     pub fn fast_test() -> Self {
         let mut c = SpotFiConfig::default();
         c.music.aoa_grid_deg = GridSpec::new(-90.0, 90.0, 2.0);
@@ -505,21 +464,5 @@ mod tests {
     #[should_panic(expected = "invalid grid")]
     fn bad_grid_panics() {
         GridSpec::new(10.0, -10.0, 1.0);
-    }
-
-    #[test]
-    fn coarse_to_fine_is_the_default_sweep() {
-        let c = SpotFiConfig::default();
-        assert_eq!(
-            c.music.sweep,
-            SweepStrategy::CoarseToFine {
-                coarse_factor: 4,
-                levels: 2,
-                basin_radius: 2
-            }
-        );
-        // The test profile keeps the default strategy so unit tests
-        // exercise the production path.
-        assert_eq!(SpotFiConfig::fast_test().music.sweep, c.music.sweep);
     }
 }

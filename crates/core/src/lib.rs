@@ -69,7 +69,7 @@ pub mod tracking;
 pub use cluster::{cluster_estimates, Clustering, PathCluster};
 pub use config::{
     Estimator, FleetConfig, GridSpec, LikelihoodWeights, MusicConfig, OverflowPolicy, SpotFiConfig,
-    StreamConfig, SweepStrategy,
+    StreamConfig,
 };
 pub use error::{Result, SpotFiError};
 pub use esprit::esprit_paths;
@@ -87,7 +87,7 @@ pub use music::{
 };
 pub use pathloss::PathLossModel;
 pub use peaks::{find_peaks, find_peaks_filtered, paraboloid_offset, PathEstimate};
-pub use pipeline::{ApAnalysis, ApPackets, ApStream, PacketScratch, SpotFi, StreamState};
+pub use pipeline::{ApAnalysis, ApPackets, PacketScratch, SpotFi, StreamState};
 pub use runtime::{hardware_parallelism, parallel_map, parallel_map_with, RuntimeConfig};
 pub use sanitize::{sanitize_csi, SanitizedCsi};
 pub use smoothing::{smoothed_csi, smoothed_csi_into};

@@ -16,6 +16,11 @@
 //!
 //! ### Execution model
 //!
+//! Every packet, batch or streamed, runs one engine: *stage* (sanitize →
+//! smooth → covariance, plus the anchor decision), then the *exact tail*
+//! (projector from an exact eigendecomposition → coarse-to-fine sweep) or,
+//! for streams, the *warm tail* (tracked subspace → warm-started sweep).
+//!
 //! Construction precomputes a [`SteeringCache`] (the MUSIC grid's steering
 //! factors) once per configuration. Analysis fans out on the scoped-thread
 //! engine in [`crate::runtime`]: the whole (AP, packet) cross product is
@@ -24,8 +29,7 @@
 //! batch stages its packets' covariances and eigendecomposes all of them in
 //! one lane-parallel batched solve (`spotfi_math::eigen_tridiag`'s
 //! structure-of-arrays Householder + QL driver, bit-identical per lane to
-//! the scalar solver) before running the per-packet sweeps. Any leftover
-//! per-branch budget goes to the MUSIC ToF-tile sweep inside a packet. The
+//! the scalar solver) before running each packet's exact tail. The
 //! budget itself is capped at the host's
 //! [`crate::runtime::hardware_parallelism`]. Batch composition depends only
 //! on the input order — never on the thread count — and every per-batch
@@ -39,8 +43,8 @@
 //!
 //! The batch path re-derives everything per packet. When packets arrive as
 //! a live stream from one (target, AP) pair, consecutive channels are
-//! heavily correlated, and [`SpotFi::analyze_packet_streaming`] amortizes
-//! across them with persistent [`ApStream`] state: a rolling
+//! heavily correlated, and [`SpotFi::analyze_packet_streaming_with`]
+//! amortizes across them with persistent [`StreamState`]: a rolling
 //! exponentially-forgotten covariance, an online-tracked signal subspace
 //! (block power step + Rayleigh–Ritz) replacing the exact eigensolve, and
 //! a warm-started sweep seeded from the previous packet's peak basins. The
@@ -58,20 +62,19 @@ use spotfi_math::{
 };
 
 use crate::cluster::{cluster_estimates, Clustering};
-use crate::config::SpotFiConfig;
-use crate::config::SweepStrategy;
+use crate::config::{Estimator, SpotFiConfig};
 use crate::error::{Result, SpotFiError};
+use crate::esprit::esprit_paths;
 use crate::likelihood::{select_direct_path, DirectPath};
 use crate::localize::{
     localize, localize_in_bounds, ApMeasurement, LocationEstimate, SearchBounds,
 };
 use crate::music::{
-    covariance_into, music_paths_coarse_to_fine, music_paths_coarse_to_fine_from_eigen,
-    music_paths_warm_prepared, music_spectrum_cached, music_spectrum_from_eigen,
-    prepare_music_evaluation_from_subspace, MusicScratch,
+    covariance_into, music_paths_coarse_to_fine_from_eigen, music_paths_warm_prepared,
+    prepare_music_evaluation_from_subspace, CoarseFinePaths, MusicScratch,
 };
-use crate::peaks::{find_peaks_filtered, PathEstimate};
-use crate::runtime::{parallel_map_with, RuntimeConfig};
+use crate::peaks::PathEstimate;
+use crate::runtime::parallel_map_with;
 use crate::sanitize::sanitize_csi;
 use crate::smoothing::smoothed_csi_into;
 use crate::steering::SteeringCache;
@@ -140,12 +143,18 @@ impl PacketScratch {
 /// the exact solver, the previous packet's fine-grid peak cells that seed
 /// the warm-started sweep, and the re-anchor bookkeeping.
 ///
-/// Split out from [`ApStream`] so callers that keep *many* concurrent
-/// streams (the fleet engine shards thousands of per-(target, AP)
-/// sessions across a handful of workers) pay only for this state per
-/// stream — roughly the covariance plus the tracked basis — while one
-/// per-worker [`PacketScratch`] serves every stream, since the scratch is
-/// fully overwritten on each packet.
+/// Kept apart from the transient [`PacketScratch`] so callers that keep
+/// *many* concurrent streams (the fleet engine shards thousands of
+/// per-(target, AP) sessions across a handful of workers) pay only for
+/// this state per stream — roughly the covariance plus the tracked basis —
+/// while one per-worker [`PacketScratch`] serves every stream, since the
+/// scratch is fully overwritten on each packet.
+///
+/// One `StreamState` belongs to one packet stream; feeding it packets from
+/// different APs (or different targets) mixes unrelated covariances.
+/// State survives per-packet errors: a sanitize/smooth failure leaves the
+/// covariance and tracker untouched, while an empty sweep or a non-finite
+/// covariance forces an exact re-anchor on the next packet.
 #[derive(Clone, Debug)]
 pub struct StreamState {
     cov: CMat,
@@ -182,49 +191,22 @@ impl StreamState {
     }
 }
 
-/// Persistent per-(target, AP) state for the amortized streaming hot path
-/// ([`SpotFi::analyze_packet_streaming`]): a [`StreamState`] bundled with
-/// its own [`PacketScratch`], for callers that run one (or a few) streams
-/// and don't need to share scratch buffers.
-///
-/// One `ApStream` belongs to one packet stream; feeding it packets from
-/// different APs (or different targets) mixes unrelated covariances.
-/// State survives per-packet errors: a sanitize/smooth failure leaves the
-/// covariance and tracker untouched, while an empty sweep or a non-finite
-/// covariance forces an exact re-anchor on the next packet.
-#[derive(Clone, Debug)]
-pub struct ApStream {
-    state: StreamState,
-    scratch: PacketScratch,
+/// Where a staged packet's covariance lands: a batch lane's slot (always
+/// fresh) or a stream's rolling covariance.
+enum Covariance<'a> {
+    Lane(&'a mut CMat),
+    Stream(&'a mut StreamState),
 }
 
-impl ApStream {
-    /// Allocates stream state sized for `cfg`.
-    pub fn new(cfg: &SpotFiConfig) -> Self {
-        ApStream {
-            state: StreamState::new(cfg),
-            scratch: PacketScratch::new(cfg),
-        }
-    }
-
-    /// Drops all accumulated state: the next packet rebuilds the
-    /// covariance from scratch and anchors on the exact solver, exactly
-    /// like the first packet of a fresh stream.
-    pub fn reset(&mut self) {
-        self.state.reset();
-    }
-}
-
-/// Per-worker buffers for one *batch* of packets on the batched MUSIC
-/// path: the shared per-packet scratch plus [`BATCH_LANES`] covariance
-/// slots and eigensolver output workspaces, and the structure-of-arrays
-/// workspace the lane-parallel tridiagonalization runs in.
+/// Per-worker buffers for one *batch* of packets: the shared per-packet
+/// scratch plus [`BATCH_LANES`] covariance slots and eigensolver output
+/// workspaces, and the structure-of-arrays workspace the lane-parallel
+/// tridiagonalization runs in.
 ///
-/// All 10 packets of an AP eigendecompose independently, so the pipeline
-/// stages up to [`BATCH_LANES`] covariances and solves them in one
+/// Batch packets eigendecompose independently, so the pipeline stages up
+/// to [`BATCH_LANES`] covariances and solves them in one
 /// [`hermitian_eigen_partial_batch_into`] call — lane-parallel arithmetic,
-/// bit-identical per lane to the scalar solver — instead of looping
-/// `noise_projector_with` per packet.
+/// bit-identical per lane to the scalar solver.
 struct BatchScratch {
     packet: PacketScratch,
     covs: Vec<CMat>,
@@ -244,6 +226,16 @@ impl BatchScratch {
             bws: BatchTridiagWorkspace::default(),
         }
     }
+}
+
+/// Drops a packet whose sweep found no peaks, and counts the outcome.
+fn check_paths(paths: &[PathEstimate]) -> Result<()> {
+    if paths.is_empty() {
+        spotfi_obs::counter("pipeline.packets_no_paths", 1);
+        return Err(SpotFiError::NoPaths);
+    }
+    spotfi_obs::counter("pipeline.packets_analyzed", 1);
+    Ok(())
 }
 
 /// The SpotFi estimator.
@@ -279,63 +271,155 @@ impl SpotFi {
 
     /// Estimates the multipath parameters of a single packet: sanitize →
     /// smooth → estimator (Algorithm 2 steps 3–7). The estimator is MUSIC
-    /// by default; [`crate::config::Estimator::Esprit`] swaps in the
-    /// grid-free shift-invariance algorithm.
+    /// by default, run as a one-packet batch; [`Estimator::Esprit`] swaps
+    /// in the grid-free shift-invariance algorithm.
     pub fn analyze_packet(&self, packet: &CsiPacket) -> Result<Vec<PathEstimate>> {
-        self.analyze_packet_with(packet, 1, &mut PacketScratch::new(&self.config))
+        if self.config.estimator == Estimator::Esprit {
+            return self.esprit_packet(packet, &mut CMat::default());
+        }
+        let mut scratch = BatchScratch::new(&self.config);
+        self.analyze_packet_batch(&[packet], &mut scratch)
+            .pop()
+            .expect("a one-packet batch yields one result")
     }
 
-    /// [`analyze_packet`](Self::analyze_packet) with an explicit MUSIC
-    /// thread budget and caller-owned scratch buffers — the form the
-    /// pipeline's workers use.
-    pub fn analyze_packet_with(
-        &self,
-        packet: &CsiPacket,
-        music_threads: usize,
-        scratch: &mut PacketScratch,
-    ) -> Result<Vec<PathEstimate>> {
+    /// Sanitize → smooth into `smoothed`: the front of every packet's chain.
+    fn smooth(&self, packet: &CsiPacket, smoothed: &mut CMat) -> Result<()> {
         let sanitized = sanitize_csi(&packet.csi, self.config.ofdm.subcarrier_spacing_hz)?;
-        smoothed_csi_into(&sanitized.csi, &self.config, &mut scratch.smoothed)?;
-        let peaks = match self.config.estimator {
-            crate::config::Estimator::Music => match self.config.music.sweep {
-                SweepStrategy::CoarseToFine { .. } => {
-                    music_paths_coarse_to_fine(
-                        &scratch.smoothed,
-                        &self.config,
-                        &self.cache,
-                        &mut scratch.music,
-                    )?
-                    .paths
-                }
-                SweepStrategy::Dense => {
-                    let spec = music_spectrum_cached(
-                        &scratch.smoothed,
-                        &self.config,
-                        &self.cache,
-                        music_threads,
-                        &mut scratch.music,
-                    )?;
-                    find_peaks_filtered(
-                        &spec,
-                        self.config.music.max_paths,
-                        self.config.music.min_relative_peak_power,
-                    )
-                }
-            },
-            crate::config::Estimator::Esprit => {
-                crate::esprit::esprit_paths(&scratch.smoothed, &self.config)?
+        smoothed_csi_into(&sanitized.csi, &self.config, smoothed)
+    }
+
+    /// The ESPRIT estimator's per-packet chain. It has no covariance or
+    /// eigensolve stage to batch or amortize.
+    fn esprit_packet(&self, packet: &CsiPacket, smoothed: &mut CMat) -> Result<Vec<PathEstimate>> {
+        self.smooth(packet, smoothed)?;
+        let paths = esprit_paths(smoothed, &self.config)?;
+        check_paths(&paths)?;
+        Ok(paths)
+    }
+
+    /// Stage: sanitize → smooth → covariance, returning whether the packet
+    /// anchors on the exact solver. A batch lane's covariance is always
+    /// fresh and every lane anchors; a stream's is a rolling sum.
+    fn stage(&self, packet: &CsiPacket, smoothed: &mut CMat, into: Covariance) -> Result<bool> {
+        self.smooth(packet, smoothed)?;
+        let state = match into {
+            Covariance::Lane(cov) => {
+                let _span = spotfi_obs::span("stage.eigen_batch");
+                covariance_into(smoothed, cov)?;
+                return Ok(true);
             }
+            Covariance::Stream(state) => state,
         };
-        if peaks.is_empty() {
-            spotfi_obs::counter("pipeline.packets_no_paths", 1);
-            return Err(SpotFiError::NoPaths);
+        let stream_cfg = self.config.stream;
+        let first = !state.initialized;
+        {
+            let _track = spotfi_obs::span("stage.track");
+            if first || stream_cfg.forgetting == 0.0 {
+                // Fresh product: with λ = 0 this keeps the streaming
+                // covariance bitwise-equal to the batch path's, which the
+                // exactness contract (DESIGN.md §9) relies on.
+                covariance_into(smoothed, &mut state.cov)?;
+            } else {
+                state
+                    .cov
+                    .hermitian_decay_accumulate(stream_cfg.forgetting, smoothed);
+                if !state.cov.as_slice().iter().all(|z| z.is_finite()) {
+                    // Poisoned accumulator: drop everything so the next
+                    // packet rebuilds from scratch.
+                    state.reset();
+                    return Err(SpotFiError::DegenerateCsi);
+                }
+            }
+            state.initialized = true;
         }
-        spotfi_obs::counter("pipeline.packets_analyzed", 1);
-        Ok(peaks)
+        let period = stream_cfg.reanchor_period.max(1);
+        Ok(first
+            || state.force_anchor
+            || state.packets_since_anchor + 1 >= period
+            || state.last_peaks.is_empty()
+            || !state.tracker.is_seeded())
+    }
+
+    /// Exact tail: noise projector from the eigendecomposition sitting in
+    /// `music`'s eigensolver workspace → coarse-to-fine sweep → empty-peaks
+    /// check.
+    fn exact_tail(&self, music: &mut MusicScratch) -> Result<CoarseFinePaths> {
+        let swept = music_paths_coarse_to_fine_from_eigen(&self.config, &self.cache, music)?;
+        check_paths(&swept.paths)?;
+        Ok(swept)
+    }
+
+    /// Warm tail: one [`SubspaceTracker::refine`] step against the rolling
+    /// covariance, then the warm-started sweep from the previous packet's
+    /// peak basins. Returns `None` — the caller falls back to the exact
+    /// path — when the tracker's drift exceeds
+    /// [`crate::config::StreamConfig::drift_threshold`] (or is NaN).
+    fn warm_tail(
+        &self,
+        state: &mut StreamState,
+        music: &mut MusicScratch,
+    ) -> Option<Result<CoarseFinePaths>> {
+        let prepared = {
+            let _track = spotfi_obs::span("stage.track");
+            let drift = state.tracker.refine(&state.cov);
+            spotfi_obs::value("stream.drift", drift);
+            // NaN checked explicitly so a poisoned drift metric also falls
+            // back to the exact path.
+            if drift.is_nan() || drift > self.config.stream.drift_threshold {
+                return None;
+            }
+            spotfi_obs::counter("stream.warmstart_hit", 1);
+            prepare_music_evaluation_from_subspace(
+                &self.config,
+                music,
+                state.tracker.values(),
+                state.tracker.vectors(),
+            )
+        };
+        Some(prepared.and_then(|signal_dimension| {
+            let swept = music_paths_warm_prepared(
+                &self.config,
+                &self.cache,
+                music,
+                signal_dimension,
+                &state.last_peaks,
+            )?;
+            check_paths(&swept.paths)?;
+            Ok(swept)
+        }))
+    }
+
+    /// Re-primes the tracker from the exact decomposition in `music` so the
+    /// following packets refine a fresh basis. With `tracker_rank_margin`
+    /// set, the tracked rank is capped at the anchor packet's signal
+    /// dimension (Algorithm 2's noise-threshold rule) plus the guard band —
+    /// the warm path's projector only ever consumes the signal vectors, and
+    /// refine's cost grows as k³ in the Ritz eigensolve, so serving profiles
+    /// avoid carrying all `max_paths` vectors through every packet.
+    /// Subspace growth past the guard band shows up as drift and falls back
+    /// to the exact path.
+    fn seed_tracker(&self, tracker: &mut SubspaceTracker, music: &mut MusicScratch) {
+        let ws = music.eig_mut();
+        let k = ws.vectors().cols();
+        let vals = &ws.values()[..k];
+        let rank = match self.config.stream.tracker_rank_margin {
+            Some(margin) => {
+                let lmax = vals.first().copied().unwrap_or(0.0).max(0.0);
+                let threshold = self.config.music.noise_threshold_ratio * lmax;
+                let d = vals.iter().filter(|&&l| l >= threshold).count().clamp(1, k);
+                (d + margin).min(k)
+            }
+            None => k,
+        };
+        tracker.seed(&vals[..rank], ws.vectors());
     }
 
     /// Amortized streaming analysis of one packet against persistent
     /// per-stream state — the steady-state hot path for live captures.
+    /// `scratch` carries no information across packets (it is fully
+    /// overwritten), so one per-worker [`PacketScratch`] can serve every
+    /// [`StreamState`] on a shard.
     ///
     /// Instead of re-deriving everything per packet like
     /// [`analyze_packet`](Self::analyze_packet), this path:
@@ -349,8 +433,8 @@ impl SpotFi {
     /// 3. warm-starts the sweep from the previous packet's fine-grid peak
     ///    basins, skipping the coarse detection level entirely.
     ///
-    /// The exact batch eigensolver and the full detection sweep run only
-    /// on *anchor* packets: the first packet of a stream, every
+    /// The exact eigensolver and the full detection sweep run only on
+    /// *anchor* packets: the first packet of a stream, every
     /// [`crate::config::StreamConfig::reanchor_period`]-th packet, any
     /// packet where the tracker's residual drift exceeds
     /// [`crate::config::StreamConfig::drift_threshold`], and the packet
@@ -368,88 +452,26 @@ impl SpotFi {
     /// `spotfi_obs::validate_diagnostics`).
     ///
     /// The ESPRIT estimator has no covariance/eigensolve stage to
-    /// amortize, so it falls through to the per-packet path.
-    pub fn analyze_packet_streaming(
-        &self,
-        packet: &CsiPacket,
-        stream: &mut ApStream,
-    ) -> Result<Vec<PathEstimate>> {
-        self.analyze_packet_streaming_with(packet, &mut stream.state, &mut stream.scratch)
-    }
-
-    /// [`analyze_packet_streaming`](Self::analyze_packet_streaming) with
-    /// the persistent state and the transient scratch passed separately —
-    /// the form the fleet engine's workers use, where one per-worker
-    /// [`PacketScratch`] serves every [`StreamState`] on the shard. The
-    /// scratch carries no information across packets (it is fully
-    /// overwritten), so results are identical to the bundled form.
+    /// amortize, so it runs its per-packet chain.
     pub fn analyze_packet_streaming_with(
         &self,
         packet: &CsiPacket,
         state: &mut StreamState,
         scratch: &mut PacketScratch,
     ) -> Result<Vec<PathEstimate>> {
-        if !matches!(self.config.estimator, crate::config::Estimator::Music) {
-            return self.analyze_packet_with(packet, 1, scratch);
+        if self.config.estimator == Estimator::Esprit {
+            return self.esprit_packet(packet, &mut scratch.smoothed);
         }
         let _packet_span = spotfi_obs::span("stream.packet");
-        let StreamState {
-            cov,
-            tracker,
-            last_peaks,
-            packets_since_anchor,
-            initialized,
-            force_anchor,
-        } = state;
-
-        let sanitized = sanitize_csi(&packet.csi, self.config.ofdm.subcarrier_spacing_hz)?;
-        smoothed_csi_into(&sanitized.csi, &self.config, &mut scratch.smoothed)?;
-
-        let stream_cfg = self.config.stream;
-        let first = !*initialized;
-        {
-            let _track = spotfi_obs::span("stage.track");
-            if first || stream_cfg.forgetting == 0.0 {
-                // Fresh product: with λ = 0 this keeps the streaming
-                // covariance bitwise-equal to the batch path's, which the
-                // exactness contract (DESIGN.md §9) relies on.
-                covariance_into(&scratch.smoothed, cov)?;
-            } else {
-                cov.hermitian_decay_accumulate(stream_cfg.forgetting, &scratch.smoothed);
-                if !cov.as_slice().iter().all(|z| z.is_finite()) {
-                    // Poisoned accumulator: drop everything so the next
-                    // packet rebuilds from scratch.
-                    tracker.reset();
-                    last_peaks.clear();
-                    *packets_since_anchor = 0;
-                    *initialized = false;
-                    *force_anchor = false;
-                    return Err(SpotFiError::DegenerateCsi);
-                }
-            }
-            *initialized = true;
-        }
-
-        let period = stream_cfg.reanchor_period.max(1);
-        let anchor = first
-            || *force_anchor
-            || *packets_since_anchor + 1 >= period
-            || last_peaks.is_empty()
-            || !tracker.is_seeded();
-        let mut fallback = false;
-        if !anchor {
-            let _track = spotfi_obs::span("stage.track");
-            let drift = tracker.refine(cov);
-            spotfi_obs::value("stream.drift", drift);
-            // NaN checked explicitly so a poisoned drift metric also falls
-            // back to the exact path.
-            if drift.is_nan() || drift > stream_cfg.drift_threshold {
-                fallback = true;
-            }
-        }
-
+        let anchor = self.stage(packet, &mut scratch.smoothed, Covariance::Stream(state))?;
+        let warm = if anchor {
+            None
+        } else {
+            self.warm_tail(state, &mut scratch.music)
+        };
         spotfi_obs::counter("stream.packets", 1);
-        let swept = if anchor || fallback {
+        let exact = warm.is_none();
+        let swept = warm.unwrap_or_else(|| {
             spotfi_obs::counter("stream.warmstart_miss", 1);
             spotfi_obs::counter(
                 if anchor {
@@ -462,95 +484,39 @@ impl SpotFi {
             {
                 let _span = spotfi_obs::span("stage.eigen");
                 hermitian_eigen_partial_into(
-                    cov,
+                    &state.cov,
                     self.config.music.max_paths,
                     scratch.music.eig_mut(),
                 );
             }
-            {
-                // Re-prime the tracker from the exact decomposition so the
-                // following packets refine a fresh basis. With
-                // `tracker_rank_margin` set, the tracked rank is capped at
-                // the anchor packet's signal dimension (Algorithm 2's
-                // noise-threshold rule) plus the guard band — the warm
-                // path's projector only ever consumes the signal vectors,
-                // and refine's cost grows as k³ in the Ritz eigensolve, so
-                // serving profiles avoid carrying all max_paths vectors
-                // through every packet. Subspace growth past the guard
-                // band shows up as drift and falls back to this exact path.
-                let ws = scratch.music.eig_mut();
-                let k = ws.vectors().cols();
-                let vals = &ws.values()[..k];
-                let rank = match stream_cfg.tracker_rank_margin {
-                    Some(margin) => {
-                        let lmax = vals.first().copied().unwrap_or(0.0).max(0.0);
-                        let threshold = self.config.music.noise_threshold_ratio * lmax;
-                        let d = vals.iter().filter(|&&l| l >= threshold).count().clamp(1, k);
-                        (d + margin).min(k)
-                    }
-                    None => k,
-                };
-                if rank == k {
-                    tracker.seed(vals, ws.vectors());
+            self.seed_tracker(&mut state.tracker, &mut scratch.music);
+            self.exact_tail(&mut scratch.music)
+        });
+        match swept {
+            Ok(swept) => {
+                state.packets_since_anchor = if exact {
+                    0
                 } else {
-                    tracker.seed(&vals[..rank], &ws.vectors().leading_cols(rank));
-                }
+                    state.packets_since_anchor + 1
+                };
+                state.force_anchor = false;
+                state.last_peaks = swept.grid_peaks;
+                Ok(swept.paths)
             }
-            music_paths_coarse_to_fine_from_eigen(&self.config, &self.cache, &mut scratch.music)
-        } else {
-            spotfi_obs::counter("stream.warmstart_hit", 1);
-            let prepared = {
-                let _track = spotfi_obs::span("stage.track");
-                prepare_music_evaluation_from_subspace(
-                    &self.config,
-                    &mut scratch.music,
-                    tracker.values(),
-                    tracker.vectors(),
-                )
-            };
-            prepared.and_then(|signal_dimension| {
-                music_paths_warm_prepared(
-                    &self.config,
-                    &self.cache,
-                    &mut scratch.music,
-                    signal_dimension,
-                    last_peaks,
-                )
-            })
-        };
-        let swept = match swept {
-            Ok(s) => s,
             Err(e) => {
-                *force_anchor = true;
-                return Err(e);
+                state.force_anchor = true;
+                Err(e)
             }
-        };
-
-        *packets_since_anchor = if anchor || fallback {
-            0
-        } else {
-            *packets_since_anchor + 1
-        };
-        *force_anchor = false;
-        *last_peaks = swept.grid_peaks;
-        if swept.paths.is_empty() {
-            // Without seeds the warm path cannot search, so make the next
-            // packet run a full detection sweep.
-            *force_anchor = true;
-            spotfi_obs::counter("pipeline.packets_no_paths", 1);
-            return Err(SpotFiError::NoPaths);
         }
-        spotfi_obs::counter("pipeline.packets_analyzed", 1);
-        Ok(swept.paths)
     }
 
     /// Per-AP analysis over the amortized streaming path
-    /// ([`analyze_packet_streaming`](Self::analyze_packet_streaming)) with
-    /// a fresh [`ApStream`]: packets are replayed *serially in capture
-    /// order* (the rolling covariance is order-dependent), then clustered
-    /// and scored exactly like [`analyze_ap`](Self::analyze_ap).
+    /// ([`analyze_packet_streaming_with`](Self::analyze_packet_streaming_with))
+    /// with a fresh [`StreamState`]: packets are replayed *serially in
+    /// capture order* (the rolling covariance is order-dependent), then
+    /// clustered and scored exactly like [`analyze_ap`](Self::analyze_ap).
     pub fn analyze_ap_streaming(&self, ap: &ApPackets) -> Result<ApAnalysis> {
-        self.analyze_ap_streaming_with(ap, &mut ApStream::new(&self.config))
+        self.analyze_ap_streaming_with(ap, &mut StreamState::new(&self.config))
     }
 
     /// [`analyze_ap_streaming`](Self::analyze_ap_streaming) against
@@ -561,102 +527,44 @@ impl SpotFi {
     pub fn analyze_ap_streaming_with(
         &self,
         ap: &ApPackets,
-        stream: &mut ApStream,
+        stream: &mut StreamState,
     ) -> Result<ApAnalysis> {
         if ap.packets.is_empty() {
             return Err(SpotFiError::NoPackets);
         }
+        let mut scratch = PacketScratch::new(&self.config);
         let per_packet: Vec<Result<Vec<PathEstimate>>> = ap
             .packets
             .iter()
-            .map(|p| self.analyze_packet_streaming(p, stream))
+            .map(|p| self.analyze_packet_streaming_with(p, stream, &mut scratch))
             .collect();
         self.assemble_ap(ap, per_packet)
     }
 
-    /// Stage one packet of a batch up to its covariance: sanitize → smooth
-    /// → `X·Xᴴ` into the caller's lane slot. The smoothed matrix is a
-    /// transient (the batched path never revisits it), so one per-worker
-    /// buffer serves every lane.
-    fn stage_packet_covariance(
-        &self,
-        packet: &CsiPacket,
-        scratch: &mut PacketScratch,
-        cov: &mut CMat,
-    ) -> Result<()> {
-        let sanitized = sanitize_csi(&packet.csi, self.config.ofdm.subcarrier_spacing_hz)?;
-        smoothed_csi_into(&sanitized.csi, &self.config, &mut scratch.smoothed)?;
-        let _span = spotfi_obs::span("stage.eigen_batch");
-        covariance_into(&scratch.smoothed, cov)
-    }
-
-    /// The post-eigensolve tail of one packet's MUSIC analysis: projector
-    /// build + packed sweep + peak bookkeeping, reading the packet's
-    /// eigendecomposition already sitting in `scratch`'s eigensolver
-    /// workspace. Mirrors [`analyze_packet_with`](Self::analyze_packet_with)
-    /// exactly from that point on.
-    fn finish_packet_music(
-        &self,
-        music_threads: usize,
-        scratch: &mut MusicScratch,
-    ) -> Result<Vec<PathEstimate>> {
-        let peaks = match self.config.music.sweep {
-            SweepStrategy::CoarseToFine { .. } => {
-                music_paths_coarse_to_fine_from_eigen(&self.config, &self.cache, scratch)?.paths
-            }
-            SweepStrategy::Dense => {
-                let spec =
-                    music_spectrum_from_eigen(&self.config, &self.cache, music_threads, scratch)?;
-                find_peaks_filtered(
-                    &spec,
-                    self.config.music.max_paths,
-                    self.config.music.min_relative_peak_power,
-                )
-            }
-        };
-        if peaks.is_empty() {
-            spotfi_obs::counter("pipeline.packets_no_paths", 1);
-            return Err(SpotFiError::NoPaths);
-        }
-        spotfi_obs::counter("pipeline.packets_analyzed", 1);
-        Ok(peaks)
-    }
-
-    /// Analyzes one batch of up to [`BATCH_LANES`] packets: stage all
-    /// covariances, eigendecompose them in one lane-parallel batched solve,
-    /// then run each packet's projector/sweep tail serially. Per-packet
-    /// results (order preserved) are identical to
-    /// [`analyze_packet_with`](Self::analyze_packet_with) — the batched
-    /// solver is bit-identical to the scalar one per lane, and everything
-    /// around it is the same code.
+    /// Analyzes one batch of up to [`BATCH_LANES`] packets: stage each
+    /// packet's fresh covariance into the next free lane, eigendecompose
+    /// the staged lanes in one lane-parallel batched solve, then run each
+    /// staged packet's exact tail. Results come back in packet order; a
+    /// packet that failed staging holds no lane, so the `k`-th staged
+    /// packet reads lane `k`.
     fn analyze_packet_batch(
         &self,
         packets: &[&CsiPacket],
-        music_threads: usize,
         scratch: &mut BatchScratch,
     ) -> Vec<Result<Vec<PathEstimate>>> {
         debug_assert!(!packets.is_empty() && packets.len() <= BATCH_LANES);
-        let mut lane_of: Vec<Option<usize>> = Vec::with_capacity(packets.len());
         let mut results: Vec<Result<Vec<PathEstimate>>> = Vec::with_capacity(packets.len());
         let mut staged = 0usize;
         for packet in packets {
-            match self.stage_packet_covariance(
-                packet,
-                &mut scratch.packet,
-                &mut scratch.covs[staged],
-            ) {
-                Ok(()) => {
-                    lane_of.push(Some(staged));
-                    staged += 1;
-                    results.push(Ok(Vec::new()));
-                }
-                Err(e) => {
-                    lane_of.push(None);
-                    results.push(Err(e));
-                }
-            }
+            let cov = Covariance::Lane(&mut scratch.covs[staged]);
+            let result = self.stage(packet, &mut scratch.packet.smoothed, cov);
+            staged += usize::from(result.is_ok());
+            results.push(result.map(|_| Vec::new()));
         }
-        if staged > 0 {
+        if staged == 0 {
+            return results;
+        }
+        {
             let _span = spotfi_obs::span("stage.eigen_batch");
             let mats: Vec<&CMat> = scratch.covs[..staged].iter().collect();
             let mut lanes: Vec<&mut TridiagWorkspace> =
@@ -668,39 +576,30 @@ impl SpotFi {
                 &mut lanes,
             );
         }
-        for (i, lane) in lane_of.into_iter().enumerate() {
-            if let Some(l) = lane {
-                // O(1) buffer swap: the sweep reads `eig` from the music
-                // scratch; next batch overwrites the lane workspace anyway.
-                std::mem::swap(scratch.packet.music.eig_mut(), &mut scratch.lanes[l]);
-                results[i] = self.finish_packet_music(music_threads, &mut scratch.packet.music);
-            }
+        let music = &mut scratch.packet.music;
+        let staged_results = results.iter_mut().filter(|r| r.is_ok());
+        for (result, lane) in staged_results.zip(&mut scratch.lanes) {
+            // O(1) buffer swap: the sweep reads `eig` from the music
+            // scratch; the next batch overwrites the lane workspace anyway.
+            std::mem::swap(music.eig_mut(), lane);
+            *result = self.exact_tail(music).map(|swept| swept.paths);
         }
         results
     }
 
     /// Runs a flattened packet work-list, returning per-unit results in
-    /// input order. The MUSIC estimator takes the batched path: units are
-    /// grouped into consecutive chunks of [`BATCH_LANES`] (deterministic
-    /// and thread-count independent, so results stay bit-identical at every
-    /// budget) and each chunk shares one batched eigensolve. ESPRIT has no
-    /// batched eigensolve stage and keeps the per-packet path.
-    fn analyze_units(
-        &self,
-        units: &[&CsiPacket],
-        budget: RuntimeConfig,
-    ) -> Vec<Result<Vec<PathEstimate>>> {
-        if !matches!(self.config.estimator, crate::config::Estimator::Music) {
-            let (workers, inner) = budget.split(units.len());
-            return parallel_map_with(
-                units.len(),
-                workers,
-                || PacketScratch::new(&self.config),
-                |scratch, i| self.analyze_packet_with(units[i], inner.threads(), scratch),
-            );
+    /// input order. MUSIC units are grouped into consecutive chunks of
+    /// [`BATCH_LANES`] (deterministic and thread-count independent, so
+    /// results stay bit-identical at every budget) and each chunk shares
+    /// one batched eigensolve.
+    fn analyze_units(&self, units: &[&CsiPacket]) -> Vec<Result<Vec<PathEstimate>>> {
+        let workers = self.config.runtime.effective_threads();
+        if self.config.estimator == Estimator::Esprit {
+            return parallel_map_with(units.len(), workers, CMat::default, |smoothed, i| {
+                self.esprit_packet(units[i], smoothed)
+            });
         }
         let n_batches = units.len().div_ceil(BATCH_LANES);
-        let (workers, inner) = budget.split(n_batches);
         let batches: Vec<Vec<Result<Vec<PathEstimate>>>> = parallel_map_with(
             n_batches,
             workers,
@@ -708,7 +607,7 @@ impl SpotFi {
             |scratch, b| {
                 let b0 = b * BATCH_LANES;
                 let bl = BATCH_LANES.min(units.len() - b0);
-                self.analyze_packet_batch(&units[b0..b0 + bl], inner.threads(), scratch)
+                self.analyze_packet_batch(&units[b0..b0 + bl], scratch)
             },
         );
         batches.into_iter().flatten().collect()
@@ -718,19 +617,11 @@ impl SpotFi {
     /// clustering across packets, direct-path selection. Packets are
     /// analyzed in parallel within the configured thread budget.
     pub fn analyze_ap(&self, ap: &ApPackets) -> Result<ApAnalysis> {
-        self.analyze_ap_budgeted(ap, self.config.runtime)
-    }
-
-    /// Per-AP analysis under an explicit thread budget (used by the
-    /// standalone [`analyze_ap`](Self::analyze_ap) entry point; the batch
-    /// path [`analyze_all`](Self::analyze_all) flattens its fan-out
-    /// instead).
-    fn analyze_ap_budgeted(&self, ap: &ApPackets, budget: RuntimeConfig) -> Result<ApAnalysis> {
         if ap.packets.is_empty() {
             return Err(SpotFiError::NoPackets);
         }
         let units: Vec<&CsiPacket> = ap.packets.iter().collect();
-        let per_packet = self.analyze_units(&units, budget);
+        let per_packet = self.analyze_units(&units);
         self.assemble_ap(ap, per_packet)
     }
 
@@ -802,14 +693,14 @@ impl SpotFi {
     /// analysis dominates the cost, so the widest pool of independent units
     /// feeds the *outermost* parallel map instead of nesting AP-level
     /// workers over packet-level workers. The flattened list is grouped
-    /// into consecutive batches of up to 4 packets sharing one batched
-    /// eigensolve (see the module docs); batches may span AP boundaries —
-    /// the lanes are fully independent, so AP membership is irrelevant to
-    /// the solve. Results regroup by AP in packet order afterwards, so the
-    /// output is identical to the nested fan-out at every thread count.
+    /// into consecutive batches of up to [`BATCH_LANES`] packets sharing
+    /// one batched eigensolve (see the module docs); batches may span AP
+    /// boundaries — the lanes are fully independent, so AP membership is
+    /// irrelevant to the solve. Results regroup by AP in packet order
+    /// afterwards, so the output is identical at every thread count.
     pub fn analyze_all(&self, aps: &[ApPackets]) -> Result<Vec<ApAnalysis>> {
         let units: Vec<&CsiPacket> = aps.iter().flat_map(|ap| ap.packets.iter()).collect();
-        let per_packet = self.analyze_units(&units, self.config.runtime);
+        let per_packet = self.analyze_units(&units);
         let mut results = per_packet.into_iter();
         let analyses: Vec<ApAnalysis> = aps
             .iter()
@@ -828,9 +719,11 @@ impl SpotFi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::RuntimeConfig;
     use spotfi_channel::constants::DEFAULT_CARRIER_HZ;
     use spotfi_channel::Rng;
     use spotfi_channel::{Floorplan, OfdmConfig, PacketTrace, Point, TraceConfig};
+    use spotfi_math::c64;
 
     fn ap_array(x: f64, y: f64, toward: Point) -> AntennaArray {
         let angle = (toward - Point::new(x, y)).angle();
@@ -954,6 +847,68 @@ mod tests {
     }
 
     #[test]
+    fn batch_lanes_skip_failed_packets_bit_exactly() {
+        // Batches of BATCH_LANES packets run over the flattened (AP, packet)
+        // list, and a packet that fails staging holds no lane. Put a NaN
+        // packet at every lane position of the first batch and an all-zero
+        // packet at the same position of the second, which straddles the
+        // AP0/AP1 boundary: every survivor must still match its own
+        // one-packet analysis bit for bit, and the drop counts must be exact.
+        let plan = Floorplan::empty();
+        let center = Point::new(5.0, 5.0);
+        let target = Point::new(4.0, 6.0);
+        let clean = [
+            gen_packets(
+                &plan,
+                target,
+                ap_array(0.0, 0.0, center),
+                &TraceConfig::commodity(),
+                6,
+                61,
+            ),
+            gen_packets(
+                &plan,
+                target,
+                ap_array(10.0, 0.0, center),
+                &TraceConfig::commodity(),
+                7,
+                62,
+            ),
+        ];
+        let n0 = clean[0].packets.len();
+        for lane in 0..BATCH_LANES {
+            let mut aps = clean.clone();
+            for (unit, value) in [(lane, f64::NAN), (BATCH_LANES + lane, 0.0)] {
+                let (ap, idx) = if unit < n0 { (0, unit) } else { (1, unit - n0) };
+                aps[ap].packets[idx].csi = CMat::from_fn(3, 30, |_, _| c64::new(value, 0.0));
+            }
+            for threads in [1usize, 2] {
+                let mut cfg = SpotFiConfig::fast_test();
+                cfg.runtime = RuntimeConfig::with_threads(threads);
+                let s = SpotFi::new(cfg);
+                let analyses = s.analyze_all(&aps).unwrap();
+                assert_eq!(analyses.len(), aps.len());
+                for (ap, analysis) in aps.iter().zip(&analyses) {
+                    let alone: Vec<_> = ap.packets.iter().map(|p| s.analyze_packet(p)).collect();
+                    let dropped = alone.iter().filter(|r| r.is_err()).count();
+                    let expected: Vec<PathEstimate> =
+                        alone.into_iter().flatten().flatten().collect();
+                    let ctx = format!("lane {lane}, threads {threads}");
+                    assert_eq!(analysis.dropped_packets, dropped, "{ctx}");
+                    assert_eq!(analysis.path_estimates.len(), expected.len(), "{ctx}");
+                    for (a, b) in analysis.path_estimates.iter().zip(&expected) {
+                        assert_eq!(a.aoa_deg.to_bits(), b.aoa_deg.to_bits(), "{ctx}");
+                        assert_eq!(a.tof_ns.to_bits(), b.tof_ns.to_bits(), "{ctx}");
+                        assert_eq!(a.power.to_bits(), b.power.to_bits(), "{ctx}");
+                    }
+                }
+                let dropped: usize = analyses.iter().map(|a| a.dropped_packets).sum();
+                assert_eq!(dropped, 2, "lane {lane}, threads {threads}");
+            }
+        }
+    }
+
+    #[test]
     fn streaming_exact_mode_is_bit_identical_to_batch() {
         let plan = Floorplan::empty();
         let array = ap_array(0.0, 0.0, Point::new(0.0, 5.0));
@@ -1005,7 +960,7 @@ mod tests {
         );
         assert_eq!(streamed.dropped_packets, 0);
         // A warmed stream keeps amortizing across call boundaries.
-        let mut stream = ApStream::new(s.config());
+        let mut stream = StreamState::new(s.config());
         let first = s.analyze_ap_streaming_with(&ap, &mut stream).unwrap();
         let second = s.analyze_ap_streaming_with(&ap, &mut stream).unwrap();
         assert_eq!(first.direct.unwrap().aoa_deg, sd.aoa_deg);

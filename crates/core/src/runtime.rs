@@ -13,11 +13,6 @@
 //! pipeline's purely-functional per-item closures this makes `threads > 1`
 //! bit-identical to the serial path (`threads == 1`), which short-circuits
 //! to a plain loop with no thread machinery at all.
-//!
-//! **Thread budgeting:** nested fan-out levels split one global budget with
-//! [`RuntimeConfig::split`] instead of spawning `threads × threads`
-//! workers: the outer level takes `min(threads, branches)` workers and each
-//! branch runs its inner levels with the per-branch remainder.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -78,24 +73,6 @@ impl RuntimeConfig {
     /// threads on a 1-core host).
     pub fn effective_threads(&self) -> usize {
         self.threads().min(hardware_parallelism())
-    }
-
-    /// Splits this budget across `branches` parallel branches: returns
-    /// `(outer_workers, per_branch_budget)`. The outer level runs
-    /// `outer_workers` branches concurrently and each branch's nested
-    /// levels get `per_branch_budget` threads. The budget is first capped
-    /// at [`hardware_parallelism`] so an oversubscribed config degrades to
-    /// what the host can actually run.
-    pub fn split(&self, branches: usize) -> (usize, RuntimeConfig) {
-        Self::split_budget(self.effective_threads(), branches)
-    }
-
-    /// Pure arithmetic core of [`split`](Self::split), taking the budget
-    /// explicitly (unit-testable independent of the host's core count).
-    pub fn split_budget(threads: usize, branches: usize) -> (usize, RuntimeConfig) {
-        let t = threads.max(1);
-        let outer = t.min(branches.max(1));
-        (outer, RuntimeConfig::with_threads(t / outer))
     }
 }
 
@@ -231,28 +208,13 @@ mod tests {
     }
 
     #[test]
-    fn budget_split() {
-        // Pure arithmetic, independent of the host core count.
-        let split = RuntimeConfig::split_budget;
-        assert_eq!(split(8, 4), (4, RuntimeConfig::with_threads(2)));
-        assert_eq!(split(8, 16), (8, RuntimeConfig::with_threads(1)));
-        assert_eq!(split(8, 1), (1, RuntimeConfig::with_threads(8)));
-        assert_eq!(split(1, 4), (1, RuntimeConfig::serial()));
-        assert_eq!(split(0, 4), (1, RuntimeConfig::serial()));
-        // Zero-thread configs normalize to serial.
-        assert_eq!(RuntimeConfig { threads: 0 }.threads(), 1);
-    }
-
-    #[test]
-    fn split_caps_at_hardware_parallelism() {
+    fn effective_threads_cap_at_hardware_parallelism() {
         // Requesting far more threads than the host has must degrade to the
         // host's actual core count, not oversubscribe.
         let hw = hardware_parallelism();
-        let rt = RuntimeConfig::with_threads(hw * 64);
-        assert_eq!(rt.effective_threads(), hw);
-        let (outer, inner) = rt.split(1);
-        assert_eq!(outer, 1);
-        assert_eq!(inner.threads(), hw);
+        assert_eq!(RuntimeConfig::with_threads(hw * 64).effective_threads(), hw);
+        // Zero-thread configs normalize to serial.
+        assert_eq!(RuntimeConfig { threads: 0 }.threads(), 1);
     }
 
     #[test]

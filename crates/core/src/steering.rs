@@ -83,23 +83,13 @@ pub fn phi_powers_into(sin_theta: f64, spacing_m: f64, carrier_hz: f64, out: &mu
     step_powers_into(step, out);
 }
 
-/// `step^0 .. step^{n−1}`: the sequential repeated-multiplication chain on
-/// the scalar (bit-pinned reference) path; under `--features simd` the
-/// latency-hiding interleaved chains of
-/// [`spotfi_math::simd::phasor_powers_into`], which fall back to the exact
-/// scalar chain for short outputs (every Φ row) and stay within 1e-12 of it
-/// for long ones (Ω rows).
+/// `step^0 .. step^{n−1}` by the sequential repeated-multiplication chain.
 #[inline]
 fn step_powers_into(step: c64, out: &mut [c64]) {
-    #[cfg(feature = "simd")]
-    spotfi_math::simd::phasor_powers_into(step, out);
-    #[cfg(not(feature = "simd"))]
-    {
-        let mut cur = c64::ONE;
-        for o in out.iter_mut() {
-            *o = cur;
-            cur *= step;
-        }
+    let mut cur = c64::ONE;
+    for o in out.iter_mut() {
+        *o = cur;
+        cur *= step;
     }
 }
 
@@ -303,11 +293,8 @@ mod tests {
         let cache = SteeringCache::new(&cfg);
         assert!(cache.matches(&cfg));
         let spacing = half_wavelength_spacing(cfg.ofdm.carrier_hz);
-        // Every Ω row must equal omega_powers() exactly (same code path).
-        // On the scalar path that pins the sequential recurrence bit for
-        // bit; under `--features simd` both sides run the interleaved
-        // chains, so the cache/no-cache identity still holds exactly while
-        // the sequential reference is only a 1e-12 cross-check.
+        // Every Ω row must equal omega_powers() and the sequential
+        // recurrence exactly (same code path).
         for it in [0usize, 1, cache.n_tof() / 2, cache.n_tof() - 1] {
             let tau = cfg.music.tof_grid_ns.value(it) * 1e-9;
             let expect = omega_powers(
@@ -319,15 +306,11 @@ mod tests {
             let step = omega(tau, cfg.ofdm.subcarrier_spacing_hz);
             let mut cur = c64::ONE;
             for (n, got) in cache.omega_row(it).iter().enumerate() {
-                #[cfg(not(feature = "simd"))]
                 assert_eq!(*got, cur, "tof row {} power {}", it, n);
-                #[cfg(feature = "simd")]
-                assert!((*got - cur).abs() < 1e-12, "tof row {} power {}", it, n);
                 cur *= step;
             }
         }
-        // Every Φ row must equal the repeated-multiplication powers exactly
-        // (Φ rows are short, so even the simd path is the scalar chain).
+        // Every Φ row must equal the repeated-multiplication powers exactly.
         for ia in [0usize, 7, cache.n_aoa() / 2, cache.n_aoa() - 1] {
             let theta = cfg.music.aoa_grid_deg.value(ia).to_radians();
             let step = phi(theta.sin(), spacing, cfg.ofdm.carrier_hz);

@@ -18,9 +18,6 @@
 //! * [`eigen_tridiag`] — Householder tridiagonalization + implicit-shift QL
 //!   with partial eigenvector extraction (the MUSIC hot path), plus a
 //!   4-lane batched driver that solves whole-AP packet batches at once.
-//! * [`simd`] — portable f64×4 structure-of-arrays complex kernels for the
-//!   MUSIC quadforms and steering recurrences (opt-in via the `simd`
-//!   feature in `spotfi-core`; the scalar path stays the bit-pinned oracle).
 //! * [`subspace`] — online dominant-subspace tracking (block power step +
 //!   Rayleigh–Ritz) for streaming covariances, with a drift metric that
 //!   tells callers when to re-anchor on the exact solver.
@@ -42,7 +39,6 @@ pub mod linsolve;
 pub mod matrix;
 pub mod optimize;
 pub mod realmat;
-pub mod simd;
 pub mod stats;
 pub mod subspace;
 pub mod unwrap;

@@ -137,15 +137,25 @@ impl CMat {
         }
     }
 
-    /// A copy of the first `r` columns (column-major prefix). `r` may be at
-    /// most [`cols`](Self::cols).
-    pub fn leading_cols(&self, r: usize) -> CMat {
-        assert!(r <= self.cols, "leading_cols out of range");
-        CMat {
-            rows: self.rows,
-            cols: r,
-            data: self.data[..r * self.rows].to_vec(),
-        }
+    /// Overwrites `self` with the first `r` columns of `src` (a
+    /// column-major prefix). The storage is resized to exactly fit, so an
+    /// assignment of the same shape reuses the allocation and a smaller
+    /// one releases the excess. `r` may be at most `src.cols()`.
+    pub fn assign_leading_cols(&mut self, src: &CMat, r: usize) {
+        assert!(r <= src.cols, "leading columns out of range");
+        let len = r * src.rows;
+        self.rows = src.rows;
+        self.cols = r;
+        self.data.clear();
+        self.data.reserve_exact(len);
+        self.data.shrink_to(len);
+        self.data.extend_from_slice(&src.data[..len]);
+    }
+
+    /// Capacity of the backing storage, in elements.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
     }
 
     /// Copies a row out (rows are strided).

@@ -95,21 +95,25 @@ impl SubspaceTracker {
         self.basis.cols() > 0
     }
 
-    /// Installs an exact eigenbasis (descending `values`, matching n×k
-    /// `vectors` with orthonormal columns) from the batch solver. This is
-    /// both the initial seed and the periodic re-anchor.
+    /// Installs an exact eigenbasis from the batch solver: the `k =
+    /// values.len()` descending `values` and the leading `k` columns of
+    /// `vectors` (orthonormal, n×(≥ k)). This is both the initial seed and
+    /// the periodic re-anchor. The basis buffers are sized to exactly `k`
+    /// columns, reusing their allocations, so re-seeding at an unchanged
+    /// shape allocates nothing.
     ///
     /// # Panics
-    /// Panics if `values.len()` ≠ `vectors.cols()`.
+    /// Panics if `vectors` has fewer than `values.len()` columns.
     pub fn seed(&mut self, values: &[f64], vectors: &CMat) {
-        assert_eq!(
-            values.len(),
-            vectors.cols(),
-            "subspace seed value/vector count mismatch"
+        let k = values.len();
+        assert!(
+            k <= vectors.cols(),
+            "subspace seed has more values than vectors"
         );
-        self.basis = vectors.clone();
-        self.ritz_vectors = vectors.clone();
-        self.values = values.to_vec();
+        self.basis.assign_leading_cols(vectors, k);
+        self.ritz_vectors.assign_leading_cols(vectors, k);
+        self.values.clear();
+        self.values.extend_from_slice(values);
     }
 
     /// Forgets the tracked basis; the next [`refine`](Self::refine) reports
@@ -394,6 +398,33 @@ mod tests {
         t.reset();
         assert!(!t.is_seeded());
         assert!(t.values().is_empty());
+    }
+
+    #[test]
+    fn reseeding_at_the_same_shape_reuses_every_buffer() {
+        let r = covariance(0.0);
+        let eig = hermitian_eigen(&r);
+        let mut t = SubspaceTracker::new();
+        // Seed from the leading 3 of all 12 eigenvectors, as the pipeline
+        // does when it caps the tracked rank.
+        t.seed(&eig.values[..3], &eig.vectors);
+        let buffers = |t: &SubspaceTracker| {
+            (
+                (t.basis.as_slice().as_ptr(), t.basis.capacity()),
+                (
+                    t.ritz_vectors.as_slice().as_ptr(),
+                    t.ritz_vectors.capacity(),
+                ),
+                (t.values.as_ptr(), t.values.capacity()),
+            )
+        };
+        let before = buffers(&t);
+        let (vals, vecs) = exact_seed(&covariance(0.2), 3);
+        t.seed(&vals, &vecs);
+        assert_eq!(buffers(&t), before, "re-seed reallocated a buffer");
+        assert_eq!(t.values(), &vals[..]);
+        assert_eq!(t.vectors(), &vecs);
+        assert_eq!(t.basis, vecs);
     }
 
     #[test]

@@ -218,16 +218,16 @@ fn golden_streaming_reanchor_packets_match_exact_solver() {
     cfg.stream.drift_threshold = f64::INFINITY;
     let spotfi = SpotFi::new(cfg);
 
-    let mut stream = spotfi::core::ApStream::new(spotfi.config());
+    let mut stream = spotfi::core::StreamState::new(spotfi.config());
     let mut scratch = spotfi::core::PacketScratch::new(spotfi.config());
     for (i, packet) in aps[0].packets.iter().enumerate() {
         let streamed = spotfi
-            .analyze_packet_streaming(packet, &mut stream)
+            .analyze_packet_streaming_with(packet, &mut stream, &mut scratch)
             .unwrap();
         if i % 3 != 0 {
             continue; // warm-started packet: tolerance-pinned, not bit-pinned
         }
-        let batch = spotfi.analyze_packet_with(packet, 1, &mut scratch).unwrap();
+        let batch = spotfi.analyze_packet(packet).unwrap();
         assert_eq!(
             batch.len(),
             streamed.len(),

@@ -1,13 +1,19 @@
 //! End-to-end localization smoke test on the apartment scenario at the
 //! `fast_test` profile: the full pipeline (sanitize → smooth → MUSIC →
 //! cluster → likelihood → localize) must produce fixes of sane accuracy
-//! with the default coarse-to-fine sweep, and the dense reference sweep
-//! must land on essentially the same positions. CI runs this as its own
-//! job so a pipeline-level regression is caught even when every unit test
-//! still passes.
+//! with the coarse-to-fine sweep, and a reference chain built on the dense
+//! sweep must land on essentially the same positions. CI runs this as its
+//! own job so a pipeline-level regression is caught even when every unit
+//! test still passes.
 
 use spotfi::channel::{PacketTrace, Point, Rng, TraceConfig};
-use spotfi::core::{ApPackets, SpotFi, SpotFiConfig, SweepStrategy};
+use spotfi::core::{
+    cluster_estimates, find_peaks_filtered, localize, music_spectrum_cached, sanitize_csi,
+    select_direct_path, smoothed_csi_into, ApMeasurement, ApPackets, LocationEstimate,
+    MusicScratch, SpotFi, SpotFiConfig,
+};
+use spotfi::math::stats::mean;
+use spotfi::math::CMat;
 use spotfi::testbed::apartment::Apartment;
 use spotfi::testbed::scenario::Scenario;
 
@@ -52,12 +58,7 @@ fn apartment_scenario() -> Scenario {
 #[test]
 fn apartment_localization_end_to_end() {
     let scenario = apartment_scenario();
-    let cfg = SpotFiConfig::fast_test();
-    assert!(
-        matches!(cfg.music.sweep, SweepStrategy::CoarseToFine { .. }),
-        "smoke test should exercise the shipping default sweep strategy"
-    );
-    let spotfi = SpotFi::new(cfg);
+    let spotfi = SpotFi::new(SpotFiConfig::fast_test());
 
     let mut errors: Vec<f64> = Vec::new();
     for t_idx in 0..scenario.targets.len() {
@@ -95,28 +96,65 @@ fn apartment_localization_end_to_end() {
     );
 }
 
+/// Algorithm 2 assembled from the public stages on the dense reference
+/// sweep: per packet sanitize → smooth → full-grid MUSIC spectrum → peak
+/// scan, then per AP cluster → direct path, then Eq. 9.
+fn dense_reference_fix(spotfi: &SpotFi, packs: &[ApPackets]) -> LocationEstimate {
+    let cfg = spotfi.config();
+    let cache = spotfi.steering_cache();
+    let mut smoothed = CMat::default();
+    let mut scratch = MusicScratch::new(cfg);
+    let mut measurements = Vec::new();
+    for ap in packs {
+        let mut estimates = Vec::new();
+        for packet in &ap.packets {
+            let Ok(sanitized) = sanitize_csi(&packet.csi, cfg.ofdm.subcarrier_spacing_hz) else {
+                continue;
+            };
+            if smoothed_csi_into(&sanitized.csi, cfg, &mut smoothed).is_err() {
+                continue;
+            }
+            let Ok(spec) = music_spectrum_cached(&smoothed, cfg, cache, 1, &mut scratch) else {
+                continue;
+            };
+            estimates.extend(find_peaks_filtered(
+                &spec,
+                cfg.music.max_paths,
+                cfg.music.min_relative_peak_power,
+            ));
+        }
+        let clustering = cluster_estimates(
+            &estimates,
+            cfg.cluster.num_clusters,
+            cfg.cluster.max_iterations,
+        );
+        if let Some(direct) = select_direct_path(&clustering, &cfg.likelihood) {
+            let rssi: Vec<f64> = ap.packets.iter().map(|p| p.rssi_dbm).collect();
+            measurements.push(ApMeasurement {
+                array: ap.array,
+                direct_aoa_deg: direct.aoa_deg,
+                likelihood: direct.likelihood,
+                rssi_dbm: mean(&rssi),
+            });
+        }
+    }
+    localize(&measurements, &cfg.localize).expect("dense reference fix")
+}
+
 #[test]
 fn dense_and_coarse_to_fine_agree_end_to_end() {
-    // The sweep-strategy property tests pin per-packet peak agreement; this
-    // checks the whole pipeline: with identical packets, the dense
-    // reference sweep and the default hierarchical sweep must localize a
-    // target to nearly the same point (they may differ by the off-grid
-    // polish, which moves peaks by less than one grid cell).
+    // The sweep-equivalence property tests pin per-packet peak agreement;
+    // this checks the whole pipeline: with identical packets, a reference
+    // chain on the dense sweep and the pipeline's hierarchical sweep must
+    // localize a target to nearly the same point (they may differ by the
+    // off-grid polish, which moves peaks by less than one grid cell).
     let scenario = apartment_scenario();
     let packs = packets_for(&scenario, 4); // center living-room target
     let truth = scenario.targets[4].position;
 
-    let sparse = SpotFi::new(SpotFiConfig::fast_test())
-        .localize(&packs)
-        .expect("coarse-to-fine fix");
-    let dense_cfg = SpotFiConfig {
-        music: spotfi::core::MusicConfig {
-            sweep: SweepStrategy::Dense,
-            ..SpotFiConfig::fast_test().music
-        },
-        ..SpotFiConfig::fast_test()
-    };
-    let dense = SpotFi::new(dense_cfg).localize(&packs).expect("dense fix");
+    let spotfi = SpotFi::new(SpotFiConfig::fast_test());
+    let sparse = spotfi.localize(&packs).expect("coarse-to-fine fix");
+    let dense = dense_reference_fix(&spotfi, &packs);
 
     let gap = sparse.position.distance(dense.position);
     assert!(
