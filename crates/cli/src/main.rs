@@ -398,22 +398,8 @@ fn cmd_fleet(args: &Args) -> Result<(), ArgError> {
         scenario_cfg.clock_drift_ppm = d.max(0.0);
     }
 
-    let mut fleet_cfg = spotfi_core::FleetConfig::default();
-    if let Some(w) = args.parsed::<usize>("workers")? {
-        fleet_cfg.workers = w;
-    }
-    if let Some(q) = args.parsed::<usize>("queue")? {
-        fleet_cfg.queue_capacity = q.max(1);
-    }
-    if args.flag("shed") {
-        fleet_cfg.overflow = spotfi_core::OverflowPolicy::DropNewest;
-    }
-    let workers = if fleet_cfg.workers == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        fleet_cfg.workers
-    };
-    fleet_cfg.workers = workers;
+    let fleet_cfg = fleet_engine_config(args)?;
+    let workers = fleet_cfg.workers;
 
     println!(
         "generating fleet scenario: {} targets × {} APs × {} packets/link …",
@@ -500,6 +486,26 @@ fn cmd_fleet(args: &Args) -> Result<(), ArgError> {
         println!("no position updates emitted (increase --packets or --targets)");
     }
     Ok(())
+}
+
+/// The engine settings `fleet` and `serve` share: `--workers` (0, the
+/// default, resolves to one worker per hardware thread), `--queue` and
+/// `--shed`.
+fn fleet_engine_config(args: &Args) -> Result<spotfi_core::FleetConfig, ArgError> {
+    let mut cfg = spotfi_core::FleetConfig::default();
+    if let Some(w) = args.parsed::<usize>("workers")? {
+        cfg.workers = w;
+    }
+    if cfg.workers == 0 {
+        cfg.workers = spotfi_core::hardware_parallelism();
+    }
+    if let Some(q) = args.parsed::<usize>("queue")? {
+        cfg.queue_capacity = q.max(1);
+    }
+    if args.flag("shed") {
+        cfg.overflow = spotfi_core::OverflowPolicy::DropNewest;
+    }
+    Ok(cfg)
 }
 
 /// Serializes a fleet schedule as concatenated `spotfi-wire-v1` frames —
@@ -635,22 +641,8 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     args.reject_unknown_flags(&["shed"])?;
     let sock = args.value("listen").expect("dispatch checked --listen");
     let aps = args.parsed::<usize>("aps")?.unwrap_or(4).clamp(2, 32);
-    let mut fleet_cfg = spotfi_core::FleetConfig::default();
-    if let Some(w) = args.parsed::<usize>("workers")? {
-        fleet_cfg.workers = w;
-    }
-    if let Some(q) = args.parsed::<usize>("queue")? {
-        fleet_cfg.queue_capacity = q.max(1);
-    }
-    if args.flag("shed") {
-        fleet_cfg.overflow = spotfi_core::OverflowPolicy::DropNewest;
-    }
-    let workers = if fleet_cfg.workers == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        fleet_cfg.workers
-    };
-    fleet_cfg.workers = workers;
+    let fleet_cfg = fleet_engine_config(args)?;
+    let workers = fleet_cfg.workers;
 
     // Replace any stale socket from a previous run.
     let _ = std::fs::remove_file(sock);
@@ -669,7 +661,6 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
             .accept()
             .map_err(|e| ArgError(format!("accepting on {}: {}", sock, e)))?;
         let mut buf = [0u8; 65536];
-        let mut updates = Vec::new();
         loop {
             let n = conn
                 .read(&mut buf)
@@ -685,13 +676,12 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
                     }
                 }
             });
-            updates.extend(engine.try_updates());
+            // Only the counters are reported: drain the updates so the
+            // channel stays bounded, but keep none of them.
+            drop(engine.try_updates());
         }
         dec.finish(&mut |_| {});
-        let mut report = engine.shutdown();
-        updates.append(&mut report.updates);
-        report.updates = updates;
-        (report, dec.stats())
+        (engine.shutdown(), dec.stats())
     };
     diagnostics_end(diagnostics, "serve", workers + 1)?;
     let _ = std::fs::remove_file(sock);

@@ -48,18 +48,6 @@ impl GridSpec {
     }
 }
 
-/// Which super-resolution estimator drives step 1 of the pipeline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Estimator {
-    /// Spectral MUSIC over the (AoA, ToF) grid — the paper's Algorithm 2.
-    #[default]
-    Music,
-    /// Shift-invariance ESPRIT — grid-free, ~20× faster per packet, but
-    /// noticeably less robust on dense/diffuse channels (see the
-    /// estimator ablation).
-    Esprit,
-}
-
 /// MUSIC spectrum configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct MusicConfig {
@@ -361,8 +349,6 @@ pub struct SpotFiConfig {
     pub ofdm: OfdmConfig,
     /// Number of receive antennas.
     pub num_antennas: usize,
-    /// Which super-resolution estimator to run per packet.
-    pub estimator: Estimator,
     /// Smoothing subarray shape.
     pub smoothing: SmoothingConfig,
     /// MUSIC parameters.
@@ -385,7 +371,6 @@ impl Default for SpotFiConfig {
         SpotFiConfig {
             ofdm: OfdmConfig::intel5300_40mhz(),
             num_antennas: 3,
-            estimator: Estimator::Music,
             smoothing: SmoothingConfig::default(),
             music: MusicConfig::default(),
             cluster: ClusterConfig::default(),

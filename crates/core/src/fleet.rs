@@ -9,7 +9,7 @@
 //! ### Sharding
 //!
 //! Per-(target, AP) [`StreamState`] is owned by exactly one worker, chosen
-//! by a splitmix64 hash of the target id ([`shard_of`]). All of a target's
+//! by a splitmix64 hash of the target id (`shard_of`). All of a target's
 //! state — every AP's rolling covariance and subspace tracker, the fusion
 //! window, the track filter — lives on that one shard, so nothing is ever
 //! locked or migrated, and the warm streaming path runs exactly as it does
@@ -48,10 +48,9 @@ use std::time::Instant;
 use spotfi_channel::{AntennaArray, CsiPacket, Point};
 use spotfi_math::stats::mean;
 
-use crate::cluster::cluster_estimates;
 use crate::config::{FleetConfig, OverflowPolicy};
-use crate::likelihood::select_direct_path;
-use crate::localize::{localize, localize_in_bounds, ApMeasurement, LocationEstimate};
+use crate::localize::{ApMeasurement, LocationEstimate};
+use crate::peaks::PathEstimate;
 use crate::pipeline::{PacketScratch, SpotFi, StreamState};
 use crate::runtime::hardware_parallelism;
 use crate::tracking::{Tracker, UpdateOutcome};
@@ -345,7 +344,7 @@ impl StatsInner {
 // ── Per-shard processing ────────────────────────────────────────────────
 
 struct WindowEntry {
-    estimates: Vec<crate::peaks::PathEstimate>,
+    estimates: Vec<PathEstimate>,
     rssi_dbm: f64,
     time_s: f64,
 }
@@ -555,9 +554,8 @@ impl ShardWorker {
 
         // Per AP: cluster the window's estimates and pick the direct path,
         // exactly the Algorithm 2 tail the batch pipeline runs per AP.
-        let pcfg = spotfi.config();
         let mut measurements: Vec<ApMeasurement> = Vec::with_capacity(target.aps.len());
-        let mut flat: Vec<crate::peaks::PathEstimate> = Vec::new();
+        let mut flat: Vec<PathEstimate> = Vec::new();
         let mut rssi: Vec<f64> = Vec::new();
         for slot in &target.aps {
             flat.clear();
@@ -569,12 +567,7 @@ impl ShardWorker {
             if flat.is_empty() {
                 continue;
             }
-            let clustering = cluster_estimates(
-                &flat,
-                pcfg.cluster.num_clusters,
-                pcfg.cluster.max_iterations,
-            );
-            if let Some(direct) = select_direct_path(&clustering, &pcfg.likelihood) {
+            if let (_, Some(direct)) = spotfi.cluster_and_select(&flat) {
                 measurements.push(ApMeasurement {
                     array: slot.array,
                     direct_aoa_deg: direct.aoa_deg,
@@ -606,11 +599,7 @@ impl ShardWorker {
         } else {
             None
         };
-        let fix = match cfg.bounds {
-            Some(b) => localize_in_bounds(&measurements, b, &pcfg.localize),
-            None => localize(&measurements, &pcfg.localize),
-        };
-        match fix {
+        match spotfi.fuse(&measurements, cfg.bounds) {
             Ok(est) => {
                 let time_s = pkt.packet.timestamp_s;
                 let outcome = target.tracker.update(time_s, est.position, std_override);

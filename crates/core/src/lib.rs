@@ -51,7 +51,6 @@
 pub mod cluster;
 pub mod config;
 pub mod error;
-pub mod esprit;
 pub mod fleet;
 pub mod ingest;
 pub mod likelihood;
@@ -68,11 +67,10 @@ pub mod tracking;
 
 pub use cluster::{cluster_estimates, Clustering, PathCluster};
 pub use config::{
-    Estimator, FleetConfig, GridSpec, LikelihoodWeights, MusicConfig, OverflowPolicy, SpotFiConfig,
+    FleetConfig, GridSpec, LikelihoodWeights, MusicConfig, OverflowPolicy, SpotFiConfig,
     StreamConfig,
 };
 pub use error::{Result, SpotFiError};
-pub use esprit::esprit_paths;
 pub use fleet::{
     run_fleet_serial, FleetEngine, FleetPacket, FleetReport, FleetStats, FleetUpdate,
     LatencySummary, PushResult,

@@ -62,9 +62,8 @@ use spotfi_math::{
 };
 
 use crate::cluster::{cluster_estimates, Clustering};
-use crate::config::{Estimator, SpotFiConfig};
+use crate::config::SpotFiConfig;
 use crate::error::{Result, SpotFiError};
-use crate::esprit::esprit_paths;
 use crate::likelihood::{select_direct_path, DirectPath};
 use crate::localize::{
     localize, localize_in_bounds, ApMeasurement, LocationEstimate, SearchBounds,
@@ -270,39 +269,20 @@ impl SpotFi {
     }
 
     /// Estimates the multipath parameters of a single packet: sanitize →
-    /// smooth → estimator (Algorithm 2 steps 3–7). The estimator is MUSIC
-    /// by default, run as a one-packet batch; [`Estimator::Esprit`] swaps
-    /// in the grid-free shift-invariance algorithm.
+    /// smooth → MUSIC (Algorithm 2 steps 3–7), run as a one-packet batch.
     pub fn analyze_packet(&self, packet: &CsiPacket) -> Result<Vec<PathEstimate>> {
-        if self.config.estimator == Estimator::Esprit {
-            return self.esprit_packet(packet, &mut CMat::default());
-        }
         let mut scratch = BatchScratch::new(&self.config);
         self.analyze_packet_batch(&[packet], &mut scratch)
             .pop()
             .expect("a one-packet batch yields one result")
     }
 
-    /// Sanitize → smooth into `smoothed`: the front of every packet's chain.
-    fn smooth(&self, packet: &CsiPacket, smoothed: &mut CMat) -> Result<()> {
-        let sanitized = sanitize_csi(&packet.csi, self.config.ofdm.subcarrier_spacing_hz)?;
-        smoothed_csi_into(&sanitized.csi, &self.config, smoothed)
-    }
-
-    /// The ESPRIT estimator's per-packet chain. It has no covariance or
-    /// eigensolve stage to batch or amortize.
-    fn esprit_packet(&self, packet: &CsiPacket, smoothed: &mut CMat) -> Result<Vec<PathEstimate>> {
-        self.smooth(packet, smoothed)?;
-        let paths = esprit_paths(smoothed, &self.config)?;
-        check_paths(&paths)?;
-        Ok(paths)
-    }
-
     /// Stage: sanitize → smooth → covariance, returning whether the packet
     /// anchors on the exact solver. A batch lane's covariance is always
     /// fresh and every lane anchors; a stream's is a rolling sum.
     fn stage(&self, packet: &CsiPacket, smoothed: &mut CMat, into: Covariance) -> Result<bool> {
-        self.smooth(packet, smoothed)?;
+        let sanitized = sanitize_csi(&packet.csi, self.config.ofdm.subcarrier_spacing_hz)?;
+        smoothed_csi_into(&sanitized.csi, &self.config, smoothed)?;
         let state = match into {
             Covariance::Lane(cov) => {
                 let _span = spotfi_obs::span("stage.eigen_batch");
@@ -450,18 +430,12 @@ impl SpotFi {
     /// and `stream.warmstart_miss = stream.anchor +
     /// stream.tracker_fallback` (identities checked by
     /// `spotfi_obs::validate_diagnostics`).
-    ///
-    /// The ESPRIT estimator has no covariance/eigensolve stage to
-    /// amortize, so it runs its per-packet chain.
     pub fn analyze_packet_streaming_with(
         &self,
         packet: &CsiPacket,
         state: &mut StreamState,
         scratch: &mut PacketScratch,
     ) -> Result<Vec<PathEstimate>> {
-        if self.config.estimator == Estimator::Esprit {
-            return self.esprit_packet(packet, &mut scratch.smoothed);
-        }
         let _packet_span = spotfi_obs::span("stream.packet");
         let anchor = self.stage(packet, &mut scratch.smoothed, Covariance::Stream(state))?;
         let warm = if anchor {
@@ -588,17 +562,12 @@ impl SpotFi {
     }
 
     /// Runs a flattened packet work-list, returning per-unit results in
-    /// input order. MUSIC units are grouped into consecutive chunks of
+    /// input order. Units are grouped into consecutive chunks of
     /// [`BATCH_LANES`] (deterministic and thread-count independent, so
     /// results stay bit-identical at every budget) and each chunk shares
     /// one batched eigensolve.
     fn analyze_units(&self, units: &[&CsiPacket]) -> Vec<Result<Vec<PathEstimate>>> {
         let workers = self.config.runtime.effective_threads();
-        if self.config.estimator == Estimator::Esprit {
-            return parallel_map_with(units.len(), workers, CMat::default, |smoothed, i| {
-                self.esprit_packet(units[i], smoothed)
-            });
-        }
         let n_batches = units.len().div_ceil(BATCH_LANES);
         let batches: Vec<Vec<Result<Vec<PathEstimate>>>> = parallel_map_with(
             n_batches,
@@ -643,12 +612,7 @@ impl SpotFi {
                 Err(_) => dropped += 1,
             }
         }
-        let clustering = cluster_estimates(
-            &estimates,
-            self.config.cluster.num_clusters,
-            self.config.cluster.max_iterations,
-        );
-        let direct = select_direct_path(&clustering, &self.config.likelihood);
+        let (clustering, direct) = self.cluster_and_select(&estimates);
         if spotfi_obs::enabled() {
             spotfi_obs::counter("pipeline.aps_assembled", 1);
             spotfi_obs::counter("pipeline.packets_dropped", dropped as u64);
@@ -664,14 +628,40 @@ impl SpotFi {
         })
     }
 
+    /// One AP's direct-path selection (Algorithm 2 steps 8–10): cluster the
+    /// path estimates pooled across its packets, then score the clusters
+    /// with Eq. 8. The batch assembly and the fleet's fusion stage share it.
+    pub(crate) fn cluster_and_select(
+        &self,
+        estimates: &[PathEstimate],
+    ) -> (Clustering, Option<DirectPath>) {
+        let clustering = cluster_estimates(
+            estimates,
+            self.config.cluster.num_clusters,
+            self.config.cluster.max_iterations,
+        );
+        let direct = select_direct_path(&clustering, &self.config.likelihood);
+        (clustering, direct)
+    }
+
+    /// Eq. 9 fusion of per-AP direct paths, constrained to `bounds` when
+    /// given. The batch entry points and the fleet's fusion stage share it.
+    pub(crate) fn fuse(
+        &self,
+        measurements: &[ApMeasurement],
+        bounds: Option<SearchBounds>,
+    ) -> Result<LocationEstimate> {
+        match bounds {
+            Some(b) => localize_in_bounds(measurements, b, &self.config.localize),
+            None => localize(measurements, &self.config.localize),
+        }
+    }
+
     /// Localizes a target from the packets heard at every AP (Algorithm 2,
     /// complete). APs with no usable direct path are skipped; at least two
     /// must survive.
     pub fn localize(&self, aps: &[ApPackets]) -> Result<LocationEstimate> {
-        let analyses = self.analyze_all(aps)?;
-        let measurements: Vec<ApMeasurement> =
-            analyses.iter().filter_map(|a| a.to_measurement()).collect();
-        localize(&measurements, &self.config.localize)
+        self.fuse(&self.measure_all(aps)?, None)
     }
 
     /// Like [`localize`](Self::localize) but constrained to explicit bounds
@@ -681,10 +671,16 @@ impl SpotFi {
         aps: &[ApPackets],
         bounds: SearchBounds,
     ) -> Result<LocationEstimate> {
+        self.fuse(&self.measure_all(aps)?, Some(bounds))
+    }
+
+    /// Every AP's fusion input: the direct paths of the APs that have one.
+    fn measure_all(&self, aps: &[ApPackets]) -> Result<Vec<ApMeasurement>> {
         let analyses = self.analyze_all(aps)?;
-        let measurements: Vec<ApMeasurement> =
-            analyses.iter().filter_map(|a| a.to_measurement()).collect();
-        localize_in_bounds(&measurements, bounds, &self.config.localize)
+        Ok(analyses
+            .iter()
+            .filter_map(ApAnalysis::to_measurement)
+            .collect())
     }
 
     /// Runs per-AP analysis on every AP, keeping successes.

@@ -33,9 +33,7 @@
 pub mod angles;
 pub mod complex;
 pub mod eigen;
-pub mod eigen_general;
 pub mod eigen_tridiag;
-pub mod linsolve;
 pub mod matrix;
 pub mod optimize;
 pub mod realmat;
@@ -46,13 +44,11 @@ pub mod unwrap;
 pub use angles::{deg_to_rad, rad_to_deg, wrap_pi};
 pub use complex::c64;
 pub use eigen::{hermitian_eigen, HermitianEigen};
-pub use eigen_general::{general_eigen, general_eigenvalues};
 pub use eigen_tridiag::{
     hermitian_eigen_partial, hermitian_eigen_partial_batch_into, hermitian_eigen_partial_into,
     hermitian_eigen_partial_with, BatchTridiagWorkspace, PartialHermitianEigen, TridiagWorkspace,
     BATCH_LANES,
 };
-pub use linsolve::{lstsq as complex_lstsq, solve as complex_solve};
 pub use matrix::CMat;
 pub use realmat::RMat;
 pub use subspace::SubspaceTracker;

@@ -8,9 +8,9 @@
 //!   noise. This quantifies which impairments drive the gap between the
 //!   estimators.
 //! * [`run_algorithm_ablation`] — SpotFi localization error as pipeline
-//!   pieces are weakened: ToF sanitization off (Algorithm 1), RSSI-trust
-//!   weighting off, single-cluster (k=1) clustering, and ToF estimation
-//!   disabled in the likelihood (AoA-only scores).
+//!   pieces are weakened: RSSI-trust weighting off, single-cluster (k=1)
+//!   clustering, ToF terms disabled in the likelihood (AoA-only scores),
+//!   and a loose peak filter.
 
 use spotfi_channel::Rng;
 
@@ -215,11 +215,6 @@ pub fn run_algorithm_ablation(opts: &ExperimentOptions) -> AlgorithmAblation {
             c.music.min_relative_peak_power = 0.01;
             c
         }),
-        ("ESPRIT estimator (grid-free)", {
-            let mut c = opts.runner.spotfi.clone();
-            c.estimator = spotfi_core::Estimator::Esprit;
-            c
-        }),
     ];
 
     let rows = variants
@@ -317,7 +312,7 @@ mod tests {
     #[test]
     fn algorithm_ablation_produces_all_variants() {
         let a = run_algorithm_ablation(&tiny_opts());
-        assert_eq!(a.rows.len(), 6);
+        assert_eq!(a.rows.len(), 5);
         for r in &a.rows {
             assert!(!r.errors.is_empty(), "{}: no fixes", r.variant);
         }

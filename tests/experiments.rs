@@ -96,7 +96,7 @@ fn ablations_quantify_design_choices() {
     let chan = ablation::run_channel_ablation(&o);
     assert_eq!(chan.rows.len(), 5);
     let alg = ablation::run_algorithm_ablation(&o);
-    assert_eq!(alg.rows.len(), 6);
+    assert_eq!(alg.rows.len(), 5);
     // The full pipeline should not be beaten badly by its own crippled
     // variants on the office scenario.
     let full = alg.rows[0].errors.median();

@@ -3,7 +3,7 @@
 //! produce: corrupted packets, dead antennas, silent APs, absurd
 //! configurations.
 
-use spotfi::core::{ApPackets, Estimator, SpotFi, SpotFiConfig, SpotFiError};
+use spotfi::core::{ApPackets, SpotFi, SpotFiConfig, SpotFiError};
 use spotfi::math::{c64, CMat};
 use spotfi::{AntennaArray, Floorplan, PacketTrace, Point, TraceConfig};
 use spotfi_channel::Rng;
@@ -108,20 +108,6 @@ fn single_packet_still_produces_a_fix() {
     let spotfi = SpotFi::new(SpotFiConfig::fast_test());
     let est = spotfi.localize(&aps).expect("single-packet fix");
     assert!(est.position.distance(target) < 3.0);
-}
-
-#[test]
-fn esprit_estimator_runs_end_to_end() {
-    let target = Point::new(4.5, 6.5);
-    let aps = healthy_aps(target, 35, 10);
-    let mut cfg = SpotFiConfig::fast_test();
-    cfg.estimator = Estimator::Esprit;
-    let est = SpotFi::new(cfg).localize(&aps).expect("ESPRIT fix");
-    assert!(
-        est.position.distance(target) < 2.5,
-        "ESPRIT error {} m",
-        est.position.distance(target)
-    );
 }
 
 #[test]

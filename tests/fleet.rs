@@ -12,12 +12,14 @@
 //!    converge.
 //! 3. **Moving targets** — the Kalman smoother wired into the fusion
 //!    stage beats the raw per-update fixes at walking speed.
+//! 4. **Fusion ≡ batch** — with exact streaming, one fusion over a full
+//!    window reproduces `SpotFi::localize` bit for bit.
 
 use std::collections::BTreeMap;
 
 use spotfi::channel::{AntennaArray, Floorplan, PacketTrace, Point, Rng, TraceConfig};
 use spotfi::core::fleet::{run_fleet_serial, FleetEngine, FleetPacket, FleetUpdate, PushResult};
-use spotfi::core::{FleetConfig, OverflowPolicy, SpotFi, SpotFiConfig};
+use spotfi::core::{ApPackets, FleetConfig, OverflowPolicy, SpotFi, SpotFiConfig};
 use spotfi::testbed::fleet::{FleetScenario, FleetScenarioConfig};
 
 fn fast_spotfi() -> SpotFi {
@@ -186,6 +188,68 @@ fn open_area_schedule(targets: &[Point], packets_per_link: usize, seed: u64) -> 
             .then(x.target_id.cmp(&y.target_id))
     });
     schedule
+}
+
+#[test]
+fn fleet_fusion_is_bit_identical_to_batch_localize() {
+    // One target heard by three APs, interleaved by packet index. With
+    // exact streaming (no forgetting, anchor every packet), one fusion over
+    // the whole window and no stale eviction, the fleet's fusion stage sees
+    // exactly the batch pipeline's per-AP estimates, so its raw fix must
+    // equal `SpotFi::localize` bit for bit.
+    let plan = Floorplan::empty();
+    let target = Point::new(5.0, 4.0);
+    let packets = 6;
+    let aps: Vec<ApPackets> = open_area_aps()[..3]
+        .iter()
+        .enumerate()
+        .map(|(a, &array)| {
+            let mut rng = Rng::seed_from_u64(0x5107 + a as u64);
+            let trace = PacketTrace::generate(
+                &plan,
+                target,
+                &array,
+                &TraceConfig::commodity(),
+                packets,
+                &mut rng,
+            )
+            .expect("free space is always audible");
+            ApPackets {
+                array,
+                packets: trace.packets,
+            }
+        })
+        .collect();
+    let schedule: Vec<FleetPacket> = (0..packets)
+        .flat_map(|i| {
+            aps.iter().enumerate().map(move |(a, ap)| FleetPacket {
+                target_id: 0,
+                ap_id: a as u32,
+                array: ap.array,
+                packet: ap.packets[i].clone(),
+            })
+        })
+        .collect();
+
+    let mut spotfi_cfg = SpotFiConfig::fast_test();
+    spotfi_cfg.stream.forgetting = 0.0;
+    spotfi_cfg.stream.reanchor_period = 1;
+    let spotfi = SpotFi::new(spotfi_cfg);
+    let cfg = FleetConfig {
+        fusion_interval: schedule.len(),
+        window_packets: packets,
+        ap_stale_s: f64::INFINITY,
+        ..FleetConfig::default()
+    };
+    let (updates, stats) = run_fleet_serial(&spotfi, &cfg, &schedule);
+    assert_eq!(stats.stream_errors, 0);
+    assert_eq!(updates.len(), 1, "one fusion over the whole schedule");
+    let fused = updates[0].raw;
+    let batch = spotfi.localize(&aps).expect("batch fix");
+    assert_eq!(updates[0].aps_used, aps.len());
+    assert_eq!(fused.position.x.to_bits(), batch.position.x.to_bits());
+    assert_eq!(fused.position.y.to_bits(), batch.position.y.to_bits());
+    assert_eq!(fused.cost.to_bits(), batch.cost.to_bits());
 }
 
 #[test]
