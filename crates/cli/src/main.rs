@@ -415,7 +415,11 @@ fn cmd_fleet(args: &Args) -> Result<(), ArgError> {
         return export_wire(path, &scenario);
     }
 
+    // The latency lines read the recorder's histograms, so the recorder runs
+    // even without --diagnostics (which only adds the JSON export).
     let diagnostics = diagnostics_begin(args);
+    spotfi_obs::reset();
+    spotfi_obs::set_enabled(true);
     let spotfi = SpotFi::new(SpotFiConfig::fast_test());
     let start = std::time::Instant::now();
     let report = {
@@ -435,6 +439,8 @@ fn cmd_fleet(args: &Args) -> Result<(), ArgError> {
     // The producer thread plus the worker pool all record spans, so the
     // serial stage-sum/total ratio check does not apply.
     diagnostics_end(diagnostics, "fleet", workers + 1)?;
+    spotfi_obs::set_enabled(false);
+    let snap = spotfi_obs::snapshot();
 
     let s = report.stats;
     println!(
@@ -453,18 +459,19 @@ fn cmd_fleet(args: &Args) -> Result<(), ArgError> {
          {} stream errors",
         s.fusions, s.updates, s.fusion_degraded, s.fusion_no_fix, s.stream_errors
     );
-    let lat = |l: &spotfi_core::LatencySummary| {
-        format!(
+    let lat = |name: &str| match snap.get(name) {
+        Some(m) => format!(
             "p50 {:.1} µs, p90 {:.1} µs, p99 {:.1} µs, max {:.1} µs ({} samples)",
-            l.p50_ns as f64 / 1e3,
-            l.p90_ns as f64 / 1e3,
-            l.p99_ns as f64 / 1e3,
-            l.max_ns as f64 / 1e3,
-            l.count
-        )
+            m.quantile(0.50),
+            m.quantile(0.90),
+            m.quantile(0.99),
+            m.max,
+            m.updates
+        ),
+        None => "no samples".to_string(),
     };
-    println!("packet latency: {}", lat(&report.packet_latency));
-    println!("update latency: {}", lat(&report.update_latency));
+    println!("packet latency: {}", lat("runtime.fleet_packet_latency_us"));
+    println!("update latency: {}", lat("runtime.fleet_update_latency_us"));
 
     let mut raw_errs = Vec::new();
     let mut tracked_errs = Vec::new();

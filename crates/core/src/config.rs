@@ -281,9 +281,6 @@ pub struct FleetConfig {
     pub workers: usize,
     /// Bounded depth of each worker's ingest queue, packets.
     pub queue_capacity: usize,
-    /// Maximum packets a worker drains per wake-up. Batching amortizes the
-    /// queue lock and condvar wake across many packets.
-    pub batch_size: usize,
     /// What ingest does when a queue is full.
     pub overflow: OverflowPolicy,
     /// Run the fusion stage (cluster → likelihood → localize → smoother)
@@ -328,7 +325,6 @@ impl Default for FleetConfig {
         FleetConfig {
             workers: 0,
             queue_capacity: 1024,
-            batch_size: 32,
             overflow: OverflowPolicy::default(),
             fusion_interval: 32,
             window_packets: 8,

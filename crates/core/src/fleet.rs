@@ -24,8 +24,8 @@
 //! with `fleet.deferred` counting full-queue encounters — so overload is
 //! never silent: [`OverflowPolicy::Block`] stalls the producer until the
 //! worker drains space, [`OverflowPolicy::DropNewest`] sheds the incoming
-//! packet and says so. Workers drain up to [`FleetConfig::batch_size`]
-//! packets per wake-up, amortizing the queue lock and condvar wake.
+//! packet and says so. Workers drain up to `BATCH_SIZE` (32) packets per
+//! wake-up, amortizing the queue lock and condvar wake.
 //!
 //! ### Determinism contract
 //!
@@ -37,6 +37,14 @@
 //! `workers` setting (pinned by `tests/fleet.rs`). Queue-depth and latency
 //! observations are scheduling-dependent by nature and are published under
 //! `runtime.fleet_*`, outside the deterministic-metrics contract.
+//!
+//! ### Accounting
+//!
+//! Each event is counted once, where it happens, in the run's one ledger
+//! ([`FleetStats`] behind shared atomics). A finished run publishes that
+//! ledger as the `fleet.*` counters exactly once; per-packet latency goes
+//! only to the recorder's histograms, and the clock is read for it only
+//! while the recorder is on.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,7 +114,9 @@ pub struct FleetUpdate {
     pub degraded: bool,
 }
 
-/// Backpressure and throughput accounting, aggregated across the run.
+/// Backpressure and throughput accounting, aggregated across the run and
+/// published once, at the run's end, as the `fleet.<field>` counters
+/// (all fields but `max_queue_depth`).
 ///
 /// Invariants (also enforced as counter identities by
 /// `spotfi_obs::validate_diagnostics` on fleet diagnostics):
@@ -147,50 +157,14 @@ pub struct FleetStats {
     pub max_queue_depth: u64,
 }
 
-/// Order statistics of a latency population, nanoseconds.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LatencySummary {
-    /// Number of samples.
-    pub count: usize,
-    /// Median.
-    pub p50_ns: u64,
-    /// 90th percentile.
-    pub p90_ns: u64,
-    /// 99th percentile.
-    pub p99_ns: u64,
-    /// Worst observed.
-    pub max_ns: u64,
-}
-
-impl LatencySummary {
-    /// Summarizes a sample population (sorted in place).
-    pub fn from_samples(samples: &mut [u64]) -> Self {
-        if samples.is_empty() {
-            return LatencySummary::default();
-        }
-        samples.sort_unstable();
-        let q = |f: f64| samples[((samples.len() - 1) as f64 * f).round() as usize];
-        LatencySummary {
-            count: samples.len(),
-            p50_ns: q(0.50),
-            p90_ns: q(0.90),
-            p99_ns: q(0.99),
-            max_ns: *samples.last().expect("non-empty"),
-        }
-    }
-}
-
-/// Everything a finished fleet run reports: the final counters, the
-/// enqueue→processed and enqueue→update latency distributions, and any
-/// updates not yet drained through [`FleetEngine::try_updates`].
+/// Everything a finished fleet run reports: the final counters and any
+/// updates not yet drained through [`FleetEngine::try_updates`]. Latency
+/// distributions live in the recorder's `runtime.fleet_packet_latency_us`
+/// and `runtime.fleet_update_latency_us` histograms.
 #[derive(Clone, Debug)]
 pub struct FleetReport {
     /// Final aggregate counters.
     pub stats: FleetStats,
-    /// Enqueue-to-processed latency per packet.
-    pub packet_latency: LatencySummary,
-    /// Enqueue-to-emitted latency per position update.
-    pub update_latency: LatencySummary,
     /// Updates emitted after the last [`FleetEngine::try_updates`] drain.
     pub updates: Vec<FleetUpdate>,
 }
@@ -208,9 +182,15 @@ pub(crate) fn shard_of(target_id: u64, shards: usize) -> usize {
 
 // ── Bounded shard queue ─────────────────────────────────────────────────
 
+/// Packets a worker drains per wake-up.
+const BATCH_SIZE: usize = 32;
+
+/// A packet on its way through a shard. `enqueued` is stamped at ingest
+/// only while the recorder is on (it feeds the latency histograms), and
+/// is always `None` on the serial reference path.
 struct Job {
     pkt: FleetPacket,
-    enqueued: Instant,
+    enqueued: Option<Instant>,
 }
 
 struct QueueState {
@@ -341,6 +321,27 @@ impl StatsInner {
     }
 }
 
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Publishes a finished run's ledger as the `fleet.*` counters — the only
+/// place they are recorded, once per run (DESIGN §7: accumulate locally,
+/// emit once).
+fn publish(s: &FleetStats) {
+    spotfi_obs::counter("fleet.ingested", s.ingested);
+    spotfi_obs::counter("fleet.accepted", s.accepted);
+    spotfi_obs::counter("fleet.deferred", s.deferred);
+    spotfi_obs::counter("fleet.dropped", s.dropped);
+    spotfi_obs::counter("fleet.processed", s.processed);
+    spotfi_obs::counter("fleet.stream_errors", s.stream_errors);
+    spotfi_obs::counter("fleet.fusions", s.fusions);
+    spotfi_obs::counter("fleet.updates", s.updates);
+    spotfi_obs::counter("fleet.fusion_no_fix", s.fusion_no_fix);
+    spotfi_obs::counter("fleet.fusion_degraded", s.fusion_degraded);
+    spotfi_obs::counter("fleet.late_packets", s.late_packets);
+}
+
 // ── Per-shard processing ────────────────────────────────────────────────
 
 struct WindowEntry {
@@ -368,66 +369,49 @@ struct TargetState {
     tracker: Tracker,
 }
 
-/// What one processed packet did, for the engine's atomic accounting.
-#[derive(Default)]
-struct ProcessDelta {
-    error: bool,
-    fused: bool,
-    emitted: bool,
-    no_fix: bool,
-    degraded: bool,
-}
-
-/// A packet admitted to a shard but possibly still held in the reorder
-/// window. `enqueued` is `None` on the serial reference path (no latency
-/// accounting there).
-struct PendingJob {
-    pkt: FleetPacket,
-    enqueued: Option<Instant>,
-}
-
 /// Per-target bounded reorder buffer: network delivery across receivers
 /// is unsynchronized, so packets are admitted here and released in
 /// timestamp order once the buffer holds `reorder_window` packets.
 struct TargetReorder {
     /// Held packets, sorted ascending by timestamp (ties keep arrival
     /// order).
-    buf: Vec<PendingJob>,
+    buf: Vec<Job>,
     /// Timestamp of the last released packet; arrivals older than this are
     /// late (counted, still processed).
     last_released_s: f64,
 }
 
 /// One worker's entire world: the shard's target map, the per-target
-/// reorder windows, and the single shared scratch. Also runs inline as
-/// the serial determinism reference ([`run_fleet_serial`]).
+/// reorder windows, the single shared scratch, and the run's ledger. Also
+/// runs inline as the serial determinism reference ([`run_fleet_serial`]).
 struct ShardWorker {
     cfg: FleetConfig,
     scratch: PacketScratch,
     targets: HashMap<u64, TargetState>,
     reorder: HashMap<u64, TargetReorder>,
+    stats: Arc<StatsInner>,
 }
 
 impl ShardWorker {
-    fn new(spotfi: &SpotFi, cfg: FleetConfig) -> Self {
+    fn new(spotfi: &SpotFi, cfg: FleetConfig, stats: Arc<StatsInner>) -> Self {
         ShardWorker {
             cfg,
             scratch: PacketScratch::new(spotfi.config()),
             targets: HashMap::new(),
             reorder: HashMap::new(),
+            stats,
         }
     }
 
     /// Admits one packet: with `reorder_window ≤ 1` it is released
     /// immediately (the legacy bit-exact path); otherwise it is buffered
     /// and the oldest packet is released once the target's window is full.
-    /// Returns how many admitted packets were late (older than an already
-    /// released timestamp).
-    fn admit(&mut self, job: PendingJob, released: &mut Vec<PendingJob>) -> u64 {
+    /// Counts packets older than an already released timestamp as late.
+    fn admit(&mut self, job: Job, released: &mut Vec<Job>) {
         let window = self.cfg.reorder_window;
         if window <= 1 {
             released.push(job);
-            return 0;
+            return;
         }
         let entry = self
             .reorder
@@ -437,9 +421,8 @@ impl ShardWorker {
                 last_released_s: f64::NEG_INFINITY,
             });
         let ts = job.pkt.packet.timestamp_s;
-        let late = (ts < entry.last_released_s) as u64;
-        if late > 0 {
-            spotfi_obs::counter("fleet.late_packets", 1);
+        if ts < entry.last_released_s {
+            bump(&self.stats.late_packets);
         }
         // Insert after any equal timestamps so arrival order breaks ties.
         let at = entry
@@ -451,13 +434,12 @@ impl ShardWorker {
             entry.last_released_s = next.pkt.packet.timestamp_s;
             released.push(next);
         }
-        late
     }
 
     /// Drains every reorder buffer (stream end / shutdown). Release order
     /// is `(target_id, timestamp, arrival)` — independent of the hash
     /// map's iteration order, so serial and engine flushes agree.
-    fn flush_reorder(&mut self, released: &mut Vec<PendingJob>) {
+    fn flush_reorder(&mut self, released: &mut Vec<Job>) {
         let mut targets: Vec<u64> = self
             .reorder
             .iter()
@@ -475,16 +457,12 @@ impl ShardWorker {
     }
 
     /// Runs one packet through the streaming path and, on the target's
-    /// fusion cadence, the fusion stage. Emitted updates are appended to
-    /// `out`.
-    fn process(
-        &mut self,
-        spotfi: &SpotFi,
-        pkt: &FleetPacket,
-        out: &mut Vec<FleetUpdate>,
-    ) -> ProcessDelta {
-        let mut delta = ProcessDelta::default();
+    /// fusion cadence, the fusion stage, counting each outcome in the
+    /// ledger; the packet counts as processed once all of that is done.
+    /// Emitted updates are appended to `out`.
+    fn process(&mut self, spotfi: &SpotFi, pkt: &FleetPacket, out: &mut Vec<FleetUpdate>) {
         let cfg = self.cfg;
+        let stats = &*self.stats;
         let scratch = &mut self.scratch;
         let target = self
             .targets
@@ -507,7 +485,6 @@ impl ShardWorker {
             }
         };
 
-        spotfi_obs::counter("fleet.processed", 1);
         let slot = &mut target.aps[idx];
         match spotfi.analyze_packet_streaming_with(&pkt.packet, &mut slot.stream, scratch) {
             Ok(estimates) => {
@@ -522,18 +499,32 @@ impl ShardWorker {
             }
             Err(_) => {
                 // Stream state survives; the next packet re-anchors.
-                spotfi_obs::counter("fleet.stream_errors", 1);
-                delta.error = true;
+                bump(&stats.stream_errors);
             }
         }
 
         target.packets_since_fusion += 1;
-        if target.packets_since_fusion < cfg.fusion_interval.max(1) {
-            return delta;
+        if target.packets_since_fusion >= cfg.fusion_interval.max(1) {
+            target.packets_since_fusion = 0;
+            target.fuse(spotfi, &cfg, stats, pkt, out);
         }
-        target.packets_since_fusion = 0;
-        delta.fused = true;
-        spotfi_obs::counter("fleet.fusions", 1);
+        bump(&stats.processed);
+    }
+}
+
+impl TargetState {
+    /// The fusion stage for the target `pkt` belongs to: Algorithm 2's tail
+    /// (cluster → likelihood → Eq. 9 localize) over every AP's window, then
+    /// the Kalman smoother. A fix is appended to `out`.
+    fn fuse(
+        &mut self,
+        spotfi: &SpotFi,
+        cfg: &FleetConfig,
+        stats: &StatsInner,
+        pkt: &FleetPacket,
+        out: &mut Vec<FleetUpdate>,
+    ) {
+        bump(&stats.fusions);
         let _fuse = spotfi_obs::span("stage.fuse");
 
         // Evict stale window entries first: an AP that went silent (late,
@@ -541,7 +532,7 @@ impl ShardWorker {
         // to its last heard bearing forever.
         let now = pkt.packet.timestamp_s;
         if cfg.ap_stale_s.is_finite() && cfg.ap_stale_s > 0.0 {
-            for slot in &mut target.aps {
+            for slot in &mut self.aps {
                 while let Some(front) = slot.window.front() {
                     if now - front.time_s > cfg.ap_stale_s {
                         slot.window.pop_front();
@@ -554,10 +545,10 @@ impl ShardWorker {
 
         // Per AP: cluster the window's estimates and pick the direct path,
         // exactly the Algorithm 2 tail the batch pipeline runs per AP.
-        let mut measurements: Vec<ApMeasurement> = Vec::with_capacity(target.aps.len());
+        let mut measurements: Vec<ApMeasurement> = Vec::with_capacity(self.aps.len());
         let mut flat: Vec<PathEstimate> = Vec::new();
         let mut rssi: Vec<f64> = Vec::new();
-        for slot in &target.aps {
+        for slot in &self.aps {
             flat.clear();
             rssi.clear();
             for entry in &slot.window {
@@ -578,16 +569,15 @@ impl ShardWorker {
         }
 
         if measurements.len() < cfg.min_fusion_aps.max(2) {
-            spotfi_obs::counter("fleet.fusion_no_fix", 1);
-            delta.no_fix = true;
-            return delta;
+            bump(&stats.fusion_no_fix);
+            return;
         }
         // Degraded coverage: fewer APs contributed than this target has
         // ever seen (missing, late, or stale-evicted). Still localize —
         // ≥ min_fusion_aps bearings fix a position — but widen the
         // smoother's measurement covariance in proportion to the missing
         // information, so a depleted fix pulls the track more gently.
-        let deployed = target.aps.len();
+        let deployed = self.aps.len();
         let usable = measurements.len();
         let degraded = usable < deployed;
         let std_override = if degraded && cfg.degraded_std_scale > 0.0 {
@@ -602,13 +592,12 @@ impl ShardWorker {
         match spotfi.fuse(&measurements, cfg.bounds) {
             Ok(est) => {
                 let time_s = pkt.packet.timestamp_s;
-                let outcome = target.tracker.update(time_s, est.position, std_override);
-                let tracked = target.tracker.position().unwrap_or(est.position);
-                let tracked_velocity = target.tracker.velocity().unwrap_or((0.0, 0.0));
-                spotfi_obs::counter("fleet.updates", 1);
+                let outcome = self.tracker.update(time_s, est.position, std_override);
+                let tracked = self.tracker.position().unwrap_or(est.position);
+                let tracked_velocity = self.tracker.velocity().unwrap_or((0.0, 0.0));
+                bump(&stats.updates);
                 if degraded {
-                    spotfi_obs::counter("fleet.fusion_degraded", 1);
-                    delta.degraded = true;
+                    bump(&stats.fusion_degraded);
                 }
                 out.push(FleetUpdate {
                     target_id: pkt.target_id,
@@ -620,23 +609,13 @@ impl ShardWorker {
                     aps_used: measurements.len(),
                     degraded,
                 });
-                delta.emitted = true;
             }
-            Err(_) => {
-                spotfi_obs::counter("fleet.fusion_no_fix", 1);
-                delta.no_fix = true;
-            }
+            Err(_) => bump(&stats.fusion_no_fix),
         }
-        delta
     }
 }
 
 // ── The engine ──────────────────────────────────────────────────────────
-
-struct WorkerReport {
-    packet_lat_ns: Vec<u64>,
-    update_lat_ns: Vec<u64>,
-}
 
 /// The persistent worker pool: ingest interleaved [`FleetPacket`]s, drain
 /// continuous [`FleetUpdate`]s, shut down for a [`FleetReport`].
@@ -651,7 +630,7 @@ struct WorkerReport {
 /// ```
 pub struct FleetEngine {
     queues: Vec<Arc<ShardQueue>>,
-    handles: Vec<JoinHandle<WorkerReport>>,
+    handles: Vec<JoinHandle<()>>,
     updates_rx: Receiver<FleetUpdate>,
     stats: Arc<StatsInner>,
     policy: OverflowPolicy,
@@ -675,12 +654,12 @@ impl FleetEngine {
             let queue = Arc::new(ShardQueue::new(cfg.queue_capacity));
             queues.push(Arc::clone(&queue));
             let spotfi = Arc::clone(&spotfi);
-            let stats = Arc::clone(&stats);
+            let worker = ShardWorker::new(&spotfi, cfg, Arc::clone(&stats));
             let tx = tx.clone();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("fleet-{}", w))
-                    .spawn(move || worker_loop(&spotfi, cfg, &queue, &tx, &stats))
+                    .spawn(move || worker_loop(&spotfi, worker, &queue, &tx))
                     .expect("spawn fleet worker"),
             );
         }
@@ -694,36 +673,23 @@ impl FleetEngine {
     }
 
     /// Routes one packet to its target's shard. Every call is accounted:
-    /// the result (and the `fleet.ingested/accepted/deferred/dropped`
-    /// counters) say exactly what happened — packets are never lost
-    /// silently.
+    /// the result (and the ledger's `ingested/accepted/deferred/dropped`)
+    /// say exactly what happened — packets are never lost silently.
     pub fn ingest(&self, pkt: FleetPacket) -> PushResult {
-        spotfi_obs::counter("fleet.ingested", 1);
-        self.stats.ingested.fetch_add(1, Ordering::Relaxed);
+        let stats = &*self.stats;
+        bump(&stats.ingested);
         let shard = shard_of(pkt.target_id, self.queues.len());
-        let result = self.queues[shard].push(
-            Job {
-                pkt,
-                enqueued: Instant::now(),
-            },
-            self.policy,
-        );
+        let enqueued = spotfi_obs::enabled().then(Instant::now);
+        let result = self.queues[shard].push(Job { pkt, enqueued }, self.policy);
         match result {
-            PushResult::Accepted => {
-                spotfi_obs::counter("fleet.accepted", 1);
-                self.stats.accepted.fetch_add(1, Ordering::Relaxed);
-            }
+            PushResult::Accepted => bump(&stats.accepted),
             PushResult::AcceptedAfterWait => {
-                spotfi_obs::counter("fleet.accepted", 1);
-                spotfi_obs::counter("fleet.deferred", 1);
-                self.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                self.stats.deferred.fetch_add(1, Ordering::Relaxed);
+                bump(&stats.accepted);
+                bump(&stats.deferred);
             }
             PushResult::Dropped => {
-                spotfi_obs::counter("fleet.dropped", 1);
-                spotfi_obs::counter("fleet.deferred", 1);
-                self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                self.stats.deferred.fetch_add(1, Ordering::Relaxed);
+                bump(&stats.dropped);
+                bump(&stats.deferred);
             }
         }
         result
@@ -744,8 +710,9 @@ impl FleetEngine {
     }
 
     /// Closes the queues, lets the workers drain everything already
-    /// accepted, joins them, and reports. After this, every accepted
-    /// packet has been processed (`accepted = processed`).
+    /// accepted, joins them, publishes the `fleet.*` counters, and reports.
+    /// After this, every accepted packet has been processed
+    /// (`accepted = processed`).
     pub fn shutdown(mut self) -> FleetReport {
         self.shutdown_inner()
     }
@@ -754,23 +721,14 @@ impl FleetEngine {
         for q in &self.queues {
             q.close();
         }
-        let mut packet_lat: Vec<u64> = Vec::new();
-        let mut update_lat: Vec<u64> = Vec::new();
         for handle in self.handles.drain(..) {
-            if let Ok(report) = handle.join() {
-                packet_lat.extend(report.packet_lat_ns);
-                update_lat.extend(report.update_lat_ns);
-            }
+            let _ = handle.join();
         }
-        let mut updates = Vec::new();
-        while let Ok(u) = self.updates_rx.try_recv() {
-            updates.push(u);
-        }
+        let stats = self.stats.snapshot();
+        publish(&stats);
         FleetReport {
-            stats: self.stats.snapshot(),
-            packet_latency: LatencySummary::from_samples(&mut packet_lat),
-            update_latency: LatencySummary::from_samples(&mut update_lat),
-            updates,
+            stats,
+            updates: self.try_updates(),
         }
     }
 }
@@ -783,123 +741,63 @@ impl Drop for FleetEngine {
     }
 }
 
-/// Runs one released packet through the worker and does all engine-side
-/// accounting (atomics, latency samples, update forwarding).
-#[allow(clippy::too_many_arguments)]
+/// Runs one released packet through the worker, records its latency while
+/// the recorder is on, and forwards its updates — after `process` has
+/// counted them, so a reader that sees an update also sees its counters.
 fn run_released(
     worker: &mut ShardWorker,
     spotfi: &SpotFi,
-    job: PendingJob,
+    job: Job,
     tx: &Sender<FleetUpdate>,
-    stats: &StatsInner,
     out: &mut Vec<FleetUpdate>,
-    packet_lat_ns: &mut Vec<u64>,
-    update_lat_ns: &mut Vec<u64>,
 ) {
-    out.clear();
-    let delta = worker.process(spotfi, &job.pkt, out);
+    worker.process(spotfi, &job.pkt, out);
     if let Some(enqueued) = job.enqueued {
-        let lat = enqueued.elapsed().as_nanos() as u64;
-        packet_lat_ns.push(lat);
-        spotfi_obs::value("runtime.fleet_packet_latency_us", lat as f64 / 1e3);
-    }
-    stats.processed.fetch_add(1, Ordering::Relaxed);
-    if delta.error {
-        stats.stream_errors.fetch_add(1, Ordering::Relaxed);
-    }
-    if delta.fused {
-        stats.fusions.fetch_add(1, Ordering::Relaxed);
-    }
-    if delta.no_fix {
-        stats.fusion_no_fix.fetch_add(1, Ordering::Relaxed);
-    }
-    if delta.degraded {
-        stats.fusion_degraded.fetch_add(1, Ordering::Relaxed);
-    }
-    if delta.emitted {
-        if let Some(enqueued) = job.enqueued {
-            let ulat = enqueued.elapsed().as_nanos() as u64;
-            update_lat_ns.push(ulat);
-            spotfi_obs::value("runtime.fleet_update_latency_us", ulat as f64 / 1e3);
+        let us = |t: Instant| t.elapsed().as_nanos() as f64 / 1e3;
+        spotfi_obs::value("runtime.fleet_packet_latency_us", us(enqueued));
+        if !out.is_empty() {
+            spotfi_obs::value("runtime.fleet_update_latency_us", us(enqueued));
         }
-        stats.updates.fetch_add(1, Ordering::Relaxed);
-        for u in out.drain(..) {
-            // The receiver only disappears mid-run if the engine was
-            // leaked; dropping the update is the only sane option.
-            let _ = tx.send(u);
-        }
+    }
+    for u in out.drain(..) {
+        // The receiver only disappears mid-run if the engine was leaked;
+        // dropping the update is the only sane option.
+        let _ = tx.send(u);
     }
 }
 
 fn worker_loop(
     spotfi: &SpotFi,
-    cfg: FleetConfig,
+    mut worker: ShardWorker,
     queue: &ShardQueue,
     tx: &Sender<FleetUpdate>,
-    stats: &StatsInner,
-) -> WorkerReport {
-    let mut worker = ShardWorker::new(spotfi, cfg);
-    let batch_size = cfg.batch_size.max(1);
-    let mut batch: Vec<Job> = Vec::with_capacity(batch_size);
-    let mut released: Vec<PendingJob> = Vec::new();
+) {
+    let mut batch: Vec<Job> = Vec::with_capacity(BATCH_SIZE);
+    let mut released: Vec<Job> = Vec::new();
     let mut out: Vec<FleetUpdate> = Vec::new();
-    let mut packet_lat_ns: Vec<u64> = Vec::new();
-    let mut update_lat_ns: Vec<u64> = Vec::new();
-    while let Some(depth) = queue.pop_batch(&mut batch, batch_size) {
-        stats
+    while let Some(depth) = queue.pop_batch(&mut batch, BATCH_SIZE) {
+        worker
+            .stats
             .max_queue_depth
             .fetch_max(depth as u64, Ordering::Relaxed);
         spotfi_obs::value("runtime.fleet_queue_depth", depth as f64);
         spotfi_obs::value("runtime.fleet_batch_packets", batch.len() as f64);
         for job in batch.drain(..) {
-            released.clear();
-            let late = worker.admit(
-                PendingJob {
-                    pkt: job.pkt,
-                    enqueued: Some(job.enqueued),
-                },
-                &mut released,
-            );
-            if late > 0 {
-                stats.late_packets.fetch_add(late, Ordering::Relaxed);
-            }
-            for pj in released.drain(..) {
-                run_released(
-                    &mut worker,
-                    spotfi,
-                    pj,
-                    tx,
-                    stats,
-                    &mut out,
-                    &mut packet_lat_ns,
-                    &mut update_lat_ns,
-                );
+            worker.admit(job, &mut released);
+            for job in released.drain(..) {
+                run_released(&mut worker, spotfi, job, tx, &mut out);
             }
         }
     }
     // Queue closed: drain the reorder windows so every accepted packet is
     // processed (`accepted = processed` after shutdown).
-    released.clear();
     worker.flush_reorder(&mut released);
-    for pj in released.drain(..) {
-        run_released(
-            &mut worker,
-            spotfi,
-            pj,
-            tx,
-            stats,
-            &mut out,
-            &mut packet_lat_ns,
-            &mut update_lat_ns,
-        );
+    for job in released.drain(..) {
+        run_released(&mut worker, spotfi, job, tx, &mut out);
     }
     // Merge this worker's per-thread observability shard before the thread
     // exits — scoped joins don't run thread-local destructors.
     spotfi_obs::flush_thread();
-    WorkerReport {
-        packet_lat_ns,
-        update_lat_ns,
-    }
 }
 
 /// The single-threaded determinism reference: runs the exact per-packet
@@ -911,42 +809,27 @@ pub fn run_fleet_serial(
     cfg: &FleetConfig,
     schedule: &[FleetPacket],
 ) -> (Vec<FleetUpdate>, FleetStats) {
-    let mut worker = ShardWorker::new(spotfi, *cfg);
+    let mut worker = ShardWorker::new(spotfi, *cfg, Arc::default());
     let mut updates = Vec::new();
-    let mut stats = FleetStats::default();
-    let mut released: Vec<PendingJob> = Vec::new();
-    let run = |worker: &mut ShardWorker,
-               released: &mut Vec<PendingJob>,
-               stats: &mut FleetStats,
-               updates: &mut Vec<FleetUpdate>| {
-        for pj in released.drain(..) {
-            stats.processed += 1;
-            let delta = worker.process(spotfi, &pj.pkt, updates);
-            stats.stream_errors += delta.error as u64;
-            stats.fusions += delta.fused as u64;
-            stats.updates += delta.emitted as u64;
-            stats.fusion_no_fix += delta.no_fix as u64;
-            stats.fusion_degraded += delta.degraded as u64;
-        }
-    };
+    let mut released: Vec<Job> = Vec::new();
     for pkt in schedule {
-        spotfi_obs::counter("fleet.ingested", 1);
-        spotfi_obs::counter("fleet.accepted", 1);
-        stats.ingested += 1;
-        stats.accepted += 1;
-        released.clear();
-        stats.late_packets += worker.admit(
-            PendingJob {
-                pkt: pkt.clone(),
-                enqueued: None,
-            },
-            &mut released,
-        );
-        run(&mut worker, &mut released, &mut stats, &mut updates);
+        bump(&worker.stats.ingested);
+        bump(&worker.stats.accepted);
+        let job = Job {
+            pkt: pkt.clone(),
+            enqueued: None,
+        };
+        worker.admit(job, &mut released);
+        for job in released.drain(..) {
+            worker.process(spotfi, &job.pkt, &mut updates);
+        }
     }
-    released.clear();
     worker.flush_reorder(&mut released);
-    run(&mut worker, &mut released, &mut stats, &mut updates);
+    for job in released.drain(..) {
+        worker.process(spotfi, &job.pkt, &mut updates);
+    }
+    let stats = worker.stats.snapshot();
+    publish(&stats);
     (updates, stats)
 }
 
@@ -975,17 +858,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_summary_orders_quantiles() {
-        let mut samples: Vec<u64> = (1..=1000).rev().collect();
-        let s = LatencySummary::from_samples(&mut samples);
-        assert_eq!(s.count, 1000);
-        assert!(s.p50_ns <= s.p90_ns && s.p90_ns <= s.p99_ns && s.p99_ns <= s.max_ns);
-        assert_eq!(s.max_ns, 1000);
-        let mut empty = Vec::new();
-        assert_eq!(LatencySummary::from_samples(&mut empty).count, 0);
-    }
-
-    #[test]
     fn queue_drop_newest_sheds_when_full() {
         let q = ShardQueue::new(2);
         let job = || Job {
@@ -1004,7 +876,7 @@ mod tests {
                     injected_sto_s: 0.0,
                 },
             },
-            enqueued: Instant::now(),
+            enqueued: None,
         };
         assert_eq!(
             q.push(job(), OverflowPolicy::DropNewest),

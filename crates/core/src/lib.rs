@@ -72,8 +72,7 @@ pub use config::{
 };
 pub use error::{Result, SpotFiError};
 pub use fleet::{
-    run_fleet_serial, FleetEngine, FleetPacket, FleetReport, FleetStats, FleetUpdate,
-    LatencySummary, PushResult,
+    run_fleet_serial, FleetEngine, FleetPacket, FleetReport, FleetStats, FleetUpdate, PushResult,
 };
 pub use ingest::{ReceiverCalibration, ReceiverEntry, ReceiverRegistry};
 pub use likelihood::{score_clusters, select_direct_path, DirectPath};

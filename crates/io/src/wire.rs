@@ -343,7 +343,9 @@ fn scan(bytes: &[u8], stats: &mut WireStats, on: &mut dyn FnMut(WireEvent)) -> u
                 stats.decoded += 1;
                 spotfi_obs::counter("ingest.received", 1);
                 spotfi_obs::counter("ingest.decoded", 1);
-                spotfi_obs::counter(rx_decoded_counter(receiver_id), 1);
+                if spotfi_obs::enabled() {
+                    spotfi_obs::counter(rx_decoded_counter(receiver_id), 1);
+                }
                 on(WireEvent::Frame(Box::new(WireFrame {
                     receiver_id,
                     source_id,

@@ -14,7 +14,7 @@
 //! at exit, but `std::thread::scope` does not wait for thread-local
 //! destructors, only for the closure itself — so runtimes must not rely on
 //! the destructor alone.) Merging only ever *adds* integers
-//! (event counts, fixed-point sums, log-scale bucket tallies) and takes
+//! (event counts, fixed-point sums, log-linear bucket tallies) and takes
 //! commutative `min`/`max` of floats, so the merged totals are independent
 //! of how work was partitioned across workers: the same input produces
 //! bit-identical [`Counter`](Kind::Counter) and [`Value`](Kind::Value)
@@ -48,14 +48,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Number of log-scale magnitude buckets kept per histogram metric.
-///
-/// Bucket `i` counts updates whose integer magnitude has bit length `i`
-/// (bucket 0 is exactly zero), saturating at the last bucket. For time
-/// metrics the magnitude is nanoseconds, so the range spans 1 ns to
-/// ~2.3 minutes before saturation; for value metrics it is the ×2³²
-/// fixed-point encoding, spanning ~2⁻³² to ~2¹⁶ in the recorded unit.
-pub const BUCKETS: usize = 48;
+/// Log-linear (HDR-style) histogram layout: magnitudes below 32 get one
+/// bucket each; above that, every power of two splits into 16 equal
+/// sub-buckets, so a bucket is never wider than 1/16 of its lower bound.
+/// Magnitudes saturate at `u64::MAX` (bucket 975): 584 years of
+/// nanoseconds, or 2³² recorded units (71 minutes of µs) for value
+/// metrics.
+const SUB_BITS: u32 = 4;
+const SUB: u64 = 1 << SUB_BITS;
 
 /// Fixed-point scale (2³²) used to accumulate [`Kind::Value`] sums in
 /// integer arithmetic so that merges are exact and order-independent.
@@ -100,8 +100,9 @@ pub struct Metric {
     pub min: f64,
     /// Largest recorded observation (`-inf` when none; unused for counters).
     pub max: f64,
-    /// Log-scale magnitude buckets (see [`BUCKETS`]); unused for counters.
-    pub buckets: [u64; BUCKETS],
+    /// Touched histogram buckets as `(key, count)`, ascending by key, so
+    /// ascending by observation; empty for counters. See [`bucket_key`].
+    buckets: Vec<(i16, u64)>,
 }
 
 impl Metric {
@@ -112,7 +113,7 @@ impl Metric {
             total: 0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            buckets: [0; BUCKETS],
+            buckets: Vec::new(),
         }
     }
 
@@ -122,7 +123,14 @@ impl Metric {
         self.total += fixed;
         self.min = self.min.min(observed);
         self.max = self.max.max(observed);
-        self.buckets[bucket_index(fixed.unsigned_abs())] += 1;
+        self.add_to_bucket(bucket_key(fixed), 1);
+    }
+
+    fn add_to_bucket(&mut self, key: i16, n: u64) {
+        match self.buckets.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => self.buckets[i].1 += n,
+            Err(i) => self.buckets.insert(i, (key, n)),
+        }
     }
 
     fn merge_from(&mut self, other: &Metric) {
@@ -134,8 +142,8 @@ impl Metric {
         self.total += other.total;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += *o;
+        for &(key, n) in &other.buckets {
+            self.add_to_bucket(key, n);
         }
     }
 
@@ -156,12 +164,55 @@ impl Metric {
             self.sum() / self.updates as f64
         }
     }
+
+    /// The `q`-quantile (`0 ≤ q ≤ 1`) of the recorded observations, in the
+    /// recorded unit: the nearest-rank observation's bucket midpoint,
+    /// clamped to `[min, max]`, so within 1/32 relative error of the exact
+    /// order statistic. 0 for counters and metrics with no updates.
+    pub fn quantile(&self, q: f64) -> f64 {
+        let rank = ((q.clamp(0.0, 1.0) * self.updates as f64).ceil() as u64).max(1);
+        let mut seen = 0;
+        let Some(&(key, _)) = self.buckets.iter().find(|&&(_, n)| {
+            seen += n;
+            seen >= rank
+        }) else {
+            return 0.0;
+        };
+        let (lo, width) = bucket_bounds(key.unsigned_abs() as u32);
+        let mid = (lo + width / 2) as f64 * f64::from(key.signum());
+        let mid = match self.kind {
+            Kind::Value => mid / VALUE_FP_SCALE,
+            Kind::Counter | Kind::Time => mid,
+        };
+        mid.max(self.min).min(self.max)
+    }
 }
 
-/// Magnitude bucket for an unsigned integer: bit length, saturating.
-#[inline]
-fn bucket_index(magnitude: u128) -> usize {
-    (u128::BITS - magnitude.leading_zeros()).min(BUCKETS as u32 - 1) as usize
+/// Histogram key of an integer-domain observation: the log-linear bucket
+/// index of its magnitude (see [`SUB_BITS`]), negated for negative
+/// observations so that keys sort in observation order.
+fn bucket_key(fixed: i128) -> i16 {
+    let m = fixed.unsigned_abs().min(u64::MAX as u128) as u64;
+    let index = if m < 2 * SUB {
+        m
+    } else {
+        let shift = 63 - m.leading_zeros() - SUB_BITS;
+        u64::from(shift) * SUB + (m >> shift)
+    };
+    if fixed < 0 {
+        -(index as i16)
+    } else {
+        index as i16
+    }
+}
+
+/// Lower bound and width of the magnitudes in bucket `index`.
+fn bucket_bounds(index: u32) -> (u64, u64) {
+    if u64::from(index) < 2 * SUB {
+        return (u64::from(index), 1);
+    }
+    let shift = index / SUB as u32 - 1;
+    ((SUB + u64::from(index) % SUB) << shift, 1 << shift)
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -406,7 +457,8 @@ impl Snapshot {
     /// `meta` entries are `(key, already-rendered JSON value)` pairs
     /// spliced into the top level (same convention as `spotfi-bench`).
     /// Spans, counters, and values are emitted one per line so the
-    /// document stays friendly to line-oriented tooling.
+    /// document stays friendly to line-oriented tooling; span and value
+    /// lines carry p50/p90/p99 from [`Metric::quantile`].
     pub fn to_diagnostics_json(&self, meta: &[(&str, String)]) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n  \"schema\": \"spotfi-diagnostics-v1\"");
@@ -424,18 +476,20 @@ impl Snapshot {
                 out.push_str("\n    ");
                 out.push_str(&match kind {
                     Kind::Time => format!(
-                        "{{\"name\": \"{}\", \"count\": {}, \"total_ns\": {}, \"mean_ns\": {:.1}, \"min_ns\": {}, \"max_ns\": {}}}",
-                        json_escape(name), m.updates, m.total, m.mean(),
-                        m.min as i128, m.max as i128,
+                        "{{\"name\": \"{}\", \"count\": {}, \"total_ns\": {}, \"mean_ns\": {:.1}, \"min_ns\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
+                        json_escape(name), m.updates, m.total, m.mean(), m.min as i128,
+                        m.quantile(0.5) as i128, m.quantile(0.9) as i128, m.quantile(0.99) as i128,
+                        m.max as i128,
                     ),
                     Kind::Counter => format!(
                         "{{\"name\": \"{}\", \"updates\": {}, \"total\": {}}}",
                         json_escape(name), m.updates, m.total,
                     ),
                     Kind::Value => format!(
-                        "{{\"name\": \"{}\", \"count\": {}, \"mean\": {}, \"min\": {}, \"max\": {}}}",
-                        json_escape(name), m.updates,
-                        json_f64(m.mean()), json_f64(m.min), json_f64(m.max),
+                        "{{\"name\": \"{}\", \"count\": {}, \"mean\": {}, \"min\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}",
+                        json_escape(name), m.updates, json_f64(m.mean()), json_f64(m.min),
+                        json_f64(m.quantile(0.5)), json_f64(m.quantile(0.9)),
+                        json_f64(m.quantile(0.99)), json_f64(m.max),
                     ),
                 });
             }
@@ -816,6 +870,10 @@ mod tests {
         let one = run(1);
         let three = run(3);
         assert!(one.deterministic_eq(&three));
+        let (a, b) = (one.get("t.part").unwrap(), three.get("t.part").unwrap());
+        for q in [0.1, 0.5, 0.9, 0.99] {
+            assert_eq!(a.quantile(q).to_bits(), b.quantile(q).to_bits());
+        }
     }
 
     #[test]
@@ -1030,12 +1088,64 @@ mod tests {
     }
 
     #[test]
-    fn bucket_index_is_bit_length() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(1 << 40), 41);
-        assert_eq!(bucket_index(u128::MAX), BUCKETS - 1);
+    fn histogram_quantiles_are_within_a_sixteenth() {
+        let _g = lock();
+        // Nearest-rank order statistic of a sorted population.
+        let exact = |sorted: &[f64], q: f64| {
+            sorted[((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1]
+        };
+        let check = |m: &Metric, sorted: &[f64]| {
+            for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+                let (got, want) = (m.quantile(q), exact(sorted, q));
+                assert!(
+                    (got - want).abs() <= want.abs() / 16.0,
+                    "q{q}: histogram {got} vs exact {want}"
+                );
+            }
+        };
+
+        // Uniform 1..=100 000 ns through the time path.
+        reset();
+        set_enabled(true);
+        for ns in (1..=100_000u64).rev() {
+            time_ns("t.uniform", ns);
+        }
+        set_enabled(false);
+        let uniform: Vec<f64> = (1..=100_000).map(|ns| ns as f64).collect();
+        check(snapshot().get("t.uniform").unwrap(), &uniform);
+
+        // Two modes (a fast path near 80 µs, a slow tail near 9 ms) plus a
+        // few negatives, through the fixed-point value path.
+        reset();
+        set_enabled(true);
+        let mut mix: Vec<f64> = (0..10_000u32)
+            .map(|i| match i % 10 {
+                0 => 9_000.0 + f64::from(i % 997) * 1.5,
+                1 if i % 1000 == 1 => -f64::from(i % 7 + 1),
+                _ => 80.0 + f64::from(i % 101) * 0.25,
+            })
+            .collect();
+        for &v in &mix {
+            value("t.mix", v);
+        }
+        set_enabled(false);
+        mix.sort_by(f64::total_cmp);
+        let m = snapshot().get("t.mix").unwrap().clone();
+        check(&m, &mix);
+        assert!(m.quantile(0.5) < 100.0 && m.quantile(0.95) > 8_000.0);
+
+        // µs values up to ten minutes stay resolved (a saturated bucket
+        // would report the max for both); counters have no quantiles.
+        reset();
+        set_enabled(true);
+        let long = [300e6, 599e6];
+        for v in long {
+            value("t.long", v);
+        }
+        counter("t.count", 3);
+        set_enabled(false);
+        let snap = snapshot();
+        check(snap.get("t.long").unwrap(), &long);
+        assert_eq!(snap.get("t.count").unwrap().quantile(0.5), 0.0);
     }
 }

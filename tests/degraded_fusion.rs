@@ -105,7 +105,6 @@ fn fleet_keeps_fixing_through_ap_dropouts_and_recovers() {
     let cfg = FleetConfig {
         workers: 1,
         queue_capacity: 4096,
-        batch_size: 16,
         fusion_interval: 8,
         window_packets: 4,
         // Evict a dark AP's stale window after half a second — five packet
@@ -204,7 +203,6 @@ fn single_ap_phase_yields_no_fix_not_garbage() {
     let cfg = FleetConfig {
         workers: 1,
         queue_capacity: 4096,
-        batch_size: 16,
         fusion_interval: 8,
         window_packets: 4,
         ap_stale_s: 0.4,

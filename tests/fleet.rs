@@ -14,11 +14,16 @@
 //!    stage beats the raw per-update fixes at walking speed.
 //! 4. **Fusion ≡ batch** — with exact streaming, one fusion over a full
 //!    window reproduces `SpotFi::localize` bit for bit.
+//! 5. **One ledger** — the `fleet.*` counters a run publishes equal its
+//!    `FleetStats`, and the engine's latency histogram holds one sample
+//!    per processed packet.
 
 use std::collections::BTreeMap;
 
 use spotfi::channel::{AntennaArray, Floorplan, PacketTrace, Point, Rng, TraceConfig};
-use spotfi::core::fleet::{run_fleet_serial, FleetEngine, FleetPacket, FleetUpdate, PushResult};
+use spotfi::core::fleet::{
+    run_fleet_serial, FleetEngine, FleetPacket, FleetStats, FleetUpdate, PushResult,
+};
 use spotfi::core::{ApPackets, FleetConfig, OverflowPolicy, SpotFi, SpotFiConfig};
 use spotfi::testbed::fleet::{FleetScenario, FleetScenarioConfig};
 
@@ -32,7 +37,6 @@ fn test_fleet_cfg() -> FleetConfig {
     FleetConfig {
         workers: 1,
         queue_capacity: 4096,
-        batch_size: 16,
         fusion_interval: 8,
         window_packets: 4,
         ..FleetConfig::default()
@@ -263,7 +267,6 @@ fn overloaded_queues_shed_loudly_and_recover() {
     let cfg = FleetConfig {
         workers: 2,
         queue_capacity: 4, // deliberately undersized
-        batch_size: 4,
         overflow: OverflowPolicy::DropNewest,
         fusion_interval: 8,
         window_packets: 4,
@@ -372,4 +375,136 @@ fn smoother_beats_raw_fixes_at_walking_speed() {
     // And the track itself must be genuinely useful, not just relatively
     // better, at the coarse fast-test fidelity.
     assert!(tracked < 3.0, "tracked mean error {tracked:.2} m");
+}
+
+/// Asserts that a run's ledger balances and was published exactly once as
+/// the `fleet.*` counters, and that the packet-latency histogram holds
+/// `latency_samples` samples with ordered quantiles.
+fn assert_published_once(label: &str, stats: &FleetStats, latency_samples: u64) {
+    assert_eq!(stats.ingested, stats.accepted + stats.dropped, "{label}");
+    assert_eq!(stats.accepted, stats.processed, "{label}");
+    assert_eq!(
+        stats.fusions,
+        stats.updates + stats.fusion_no_fix,
+        "{label}"
+    );
+    let snap = spotfi::obs::snapshot();
+    let fields = [
+        ("fleet.ingested", stats.ingested),
+        ("fleet.accepted", stats.accepted),
+        ("fleet.deferred", stats.deferred),
+        ("fleet.dropped", stats.dropped),
+        ("fleet.processed", stats.processed),
+        ("fleet.stream_errors", stats.stream_errors),
+        ("fleet.fusions", stats.fusions),
+        ("fleet.updates", stats.updates),
+        ("fleet.fusion_no_fix", stats.fusion_no_fix),
+        ("fleet.fusion_degraded", stats.fusion_degraded),
+        ("fleet.late_packets", stats.late_packets),
+    ];
+    for (name, want) in fields {
+        let m = snap
+            .get(name)
+            .unwrap_or_else(|| panic!("{label}: {name} not published"));
+        assert_eq!(m.updates, 1, "{label}: {name} published more than once");
+        assert_eq!(snap.counter_total(name), want, "{label}: {name}");
+    }
+    let lat = snap.get("runtime.fleet_packet_latency_us");
+    assert_eq!(lat.map_or(0, |m| m.updates), latency_samples, "{label}");
+    if let Some(m) = lat {
+        let q = [m.quantile(0.5), m.quantile(0.9), m.quantile(0.99), m.max];
+        assert!(q.windows(2).all(|w| w[0] <= w[1]), "{label}: {q:?}");
+    }
+}
+
+#[test]
+fn published_fleet_counters_equal_the_ledger() {
+    // The recorder is process-global and the other tests in this binary
+    // run fleets concurrently, so the check re-runs alone in a child
+    // process of this test binary.
+    const CHILD: &str = "SPOTFI_FLEET_LEDGER_CHILD";
+    if std::env::var_os(CHILD).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args([
+                "published_fleet_counters_equal_the_ledger",
+                "--exact",
+                "--test-threads=1",
+            ])
+            .env(CHILD, "1")
+            .output()
+            .expect("run the ledger check in a child process");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "{stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
+
+    let scenario = FleetScenario::generate(&FleetScenarioConfig {
+        targets: 4,
+        packets_per_link: 8,
+        ..FleetScenarioConfig::apartment(4)
+    });
+    let cfg = FleetConfig {
+        reorder_window: 4,
+        ..test_fleet_cfg()
+    };
+    let obs = |on: bool| {
+        if on {
+            spotfi::obs::reset();
+        }
+        spotfi::obs::set_enabled(on);
+    };
+
+    // One worker blocking, three shedding from a two-deep queue, so the
+    // backpressure counters are exercised too.
+    for (workers, overflow, queue_capacity) in [
+        (1, OverflowPolicy::Block, 4096),
+        (3, OverflowPolicy::DropNewest, 2),
+    ] {
+        obs(true);
+        let engine = FleetEngine::new(
+            fast_spotfi(),
+            FleetConfig {
+                workers,
+                overflow,
+                queue_capacity,
+                ..cfg
+            },
+        );
+        for pkt in &scenario.schedule {
+            engine.ingest(pkt.clone());
+        }
+        let stats = engine.shutdown().stats;
+        obs(false);
+        assert!(stats.processed > 0, "{stats:?}");
+        assert_published_once(&format!("workers={workers}"), &stats, stats.processed);
+    }
+
+    obs(true);
+    let (_, stats) = run_fleet_serial(&fast_spotfi(), &cfg, &scenario.schedule);
+    obs(false);
+    assert!(stats.updates > 0, "{stats:?}");
+    assert_published_once("serial", &stats, 0);
+
+    // An engine dropped without `shutdown` still drains and publishes once.
+    obs(true);
+    let engine = FleetEngine::new(fast_spotfi(), cfg);
+    for pkt in &scenario.schedule {
+        engine.ingest(pkt.clone());
+    }
+    drop(engine);
+    obs(false);
+    let snap = spotfi::obs::snapshot();
+    assert_eq!(snap.get("fleet.ingested").map(|m| m.updates), Some(1));
+    assert_eq!(
+        snap.counter_total("fleet.ingested"),
+        scenario.schedule.len() as u64
+    );
+    assert_eq!(
+        snap.counter_total("fleet.processed"),
+        snap.counter_total("fleet.accepted")
+    );
 }

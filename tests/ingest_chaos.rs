@@ -124,7 +124,6 @@ fn chaos_fleet_cfg() -> FleetConfig {
     FleetConfig {
         workers: 1,
         queue_capacity: 4096,
-        batch_size: 16,
         fusion_interval: 8,
         window_packets: 4,
         // Network chaos reorders frames within a bounded window; admission

@@ -162,7 +162,6 @@ fn socket_delivery_is_bit_identical_to_in_process_injection() {
     let cfg = FleetConfig {
         workers: 1,
         queue_capacity: 4096,
-        batch_size: 16,
         fusion_interval: 8,
         window_packets: 4,
         ..FleetConfig::default()
