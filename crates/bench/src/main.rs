@@ -5,18 +5,14 @@
 //! spotfi-bench [--fast] [--out PATH] [--baseline PATH]
 //! ```
 //!
-//! Three groups of measurements:
+//! Two groups of measurements:
 //!
-//! 1. **Kernels** — Hermitian eigendecomposition (30×30; the pipeline's
-//!    tridiagonal partial solver plus the Jacobi oracle for reference),
-//!    CSI sanitization, smoothed-matrix construction, noise-subspace
-//!    projection (one-shot and scratch-routed), one MUSIC sweep
-//!    (cached/serial and with an 8-thread budget).
-//! 2. **Baseline** — a faithful re-implementation of the seed's
-//!    `music_spectrum` (noise-eigenvector-sum projector, steering factors
-//!    rebuilt per call, full block matrix) to quantify the serial
-//!    algorithmic speedup.
-//! 3. **End-to-end** — 4-AP × 10-packet localize at `threads = 1` and
+//! 1. **Kernels** — the pipeline's 30×30 tridiagonal partial
+//!    eigensolver (one matrix and a 4-lane batch), CSI sanitization,
+//!    smoothed-matrix construction, the scratch-routed noise projector,
+//!    the coarse-to-fine path search, and the dense reference sweep it is
+//!    checked against.
+//! 2. **End-to-end** — 4-AP × 10-packet localize at `threads = 1` and
 //!    `threads = 8`, per-AP batch analysis, and the amortized streaming
 //!    hot path (`analyze_ap_streaming_10pkt_t1`: a persistent warmed
 //!    stream replayed in steady state, with warm-start hit / re-anchor /
@@ -40,100 +36,17 @@ use spotfi_bench::{
 };
 use spotfi_channel::constants::DEFAULT_CARRIER_HZ;
 use spotfi_channel::{AntennaArray, CsiPacket, Floorplan, PacketTrace, Point, Rng, TraceConfig};
-use spotfi_core::music::{music_paths_coarse_to_fine, noise_projector_with, noise_subspace};
-use spotfi_core::steering::{omega_powers, phi};
+use spotfi_core::music::{music_paths_coarse_to_fine, noise_projector_with};
 use spotfi_core::{
     find_peaks_filtered, hardware_parallelism, music_spectrum_cached, sanitize_csi, smoothed_csi,
-    smoothed_csi_into, ApPackets, MusicScratch, MusicSpectrum, RuntimeConfig, SpotFi, SpotFiConfig,
-    SteeringCache, StreamState,
+    smoothed_csi_into, ApPackets, MusicScratch, RuntimeConfig, SpotFi, SpotFiConfig, SteeringCache,
+    StreamState,
 };
-use spotfi_math::eigen::hermitian_eigen;
 use spotfi_math::eigen_tridiag::{
     hermitian_eigen_partial_batch_into, hermitian_eigen_partial_into, BatchTridiagWorkspace,
     TridiagWorkspace, BATCH_LANES,
 };
-use spotfi_math::{c64, CMat};
-
-/// The seed implementation's spectrum evaluation, reproduced for an honest
-/// like-for-like baseline: noise projector summed from ~25 noise
-/// eigenvectors, Φ/Ω steering powers rebuilt inside the call, and the full
-/// (non-Hermitian-halved) block matrix per ToF.
-fn seed_equivalent_music_spectrum(smoothed: &CMat, cfg: &SpotFiConfig) -> MusicSpectrum {
-    let ns = cfg.smoothing.sub_subcarriers;
-    let ms = cfg.smoothing.sub_antennas;
-
-    let r = smoothed.mul_hermitian_self();
-    let eig = hermitian_eigen(&r);
-    let dim = eig.values.len();
-    let lmax = eig.values[0].max(0.0);
-    let threshold = cfg.music.noise_threshold_ratio * lmax;
-    let by_threshold = eig.values.iter().filter(|&&l| l >= threshold).count();
-    let signal_dimension = by_threshold.min(cfg.music.max_paths).max(1);
-    let mut g = CMat::zeros(dim, dim);
-    for k in signal_dimension..dim {
-        let v = eig.vectors.col(k);
-        for j in 0..dim {
-            let vj = v[j].conj();
-            for i in 0..dim {
-                g[(i, j)] += v[i] * vj;
-            }
-        }
-    }
-
-    let aoa_grid = cfg.music.aoa_grid_deg;
-    let tof_grid = cfg.music.tof_grid_ns;
-    let n_aoa = aoa_grid.len();
-    let n_tof = tof_grid.len();
-    let mut values = vec![0.0f64; n_aoa * n_tof];
-
-    let spacing = spotfi_channel::constants::half_wavelength_spacing(cfg.ofdm.carrier_hz);
-    let phi_pows: Vec<Vec<c64>> = (0..n_aoa)
-        .map(|ia| {
-            let theta = aoa_grid.value(ia).to_radians();
-            let step = phi(theta.sin(), spacing, cfg.ofdm.carrier_hz);
-            let mut pows = Vec::with_capacity(ms);
-            let mut cur = c64::ONE;
-            for _ in 0..ms {
-                pows.push(cur);
-                cur *= step;
-            }
-            pows
-        })
-        .collect();
-
-    let mut blocks = vec![c64::ZERO; ms * ms];
-    for it in 0..n_tof {
-        let tau = tof_grid.value(it) * 1e-9;
-        let w = omega_powers(tau, ns, cfg.ofdm.subcarrier_spacing_hz);
-        for ma in 0..ms {
-            for mb in 0..ms {
-                let mut acc = c64::ZERO;
-                for j in 0..ns {
-                    let wj = w[j];
-                    let col_base = mb * ns + j;
-                    let mut inner = c64::ZERO;
-                    for i in 0..ns {
-                        inner += w[i].conj() * g[(ma * ns + i, col_base)];
-                    }
-                    acc += inner * wj;
-                }
-                blocks[ma * ms + mb] = acc;
-            }
-        }
-        for ia in 0..n_aoa {
-            let p = &phi_pows[ia];
-            let mut denom = c64::ZERO;
-            for ma in 0..ms {
-                for mb in 0..ms {
-                    denom += p[ma].conj() * blocks[ma * ms + mb] * p[mb];
-                }
-            }
-            values[ia * n_tof + it] = 1.0 / denom.re.max(1e-12);
-        }
-    }
-
-    MusicSpectrum::new(aoa_grid, tof_grid, values, signal_dimension)
-}
+use spotfi_math::CMat;
 
 fn ap_array(x: f64, y: f64, toward: Point) -> AntennaArray {
     let angle = (toward - Point::new(x, y)).angle();
@@ -211,33 +124,14 @@ fn main() {
     let cov = smoothed.mul_hermitian_self();
     let cache = SteeringCache::new(&spotfi_cfg);
 
-    // Sanity: the optimized spectrum must agree with the seed-equivalent
-    // baseline before we publish a speedup over it.
+    // Sanity: the coarse-to-fine search must find the dense sweep's peaks
+    // (same count, identical powers) before we publish its timing.
     {
         let mut scratch = MusicScratch::new(&spotfi_cfg);
-        let opt = music_spectrum_cached(&smoothed, &spotfi_cfg, &cache, 1, &mut scratch)
-            .expect("spectrum");
-        let base = seed_equivalent_music_spectrum(&smoothed, &spotfi_cfg);
-        let (ao, to, _) = opt.argmax();
-        let (ab, tb, _) = base.argmax();
-        assert_eq!(
-            (ao, to),
-            (ab, tb),
-            "optimized spectrum diverged from seed baseline"
-        );
-        let max_rel = opt
-            .values
-            .iter()
-            .zip(&base.values)
-            .map(|(a, b)| (a - b).abs() / b.abs().max(1e-30))
-            .fold(0.0f64, f64::max);
-        assert!(max_rel < 1e-6, "spectrum mismatch vs baseline: {}", max_rel);
-        eprintln!("baseline agreement: max relative deviation {:.2e}", max_rel);
-
-        // And the coarse-to-fine search must find the dense sweep's peaks
-        // (same count, identical powers) before we publish its timing.
+        let spec =
+            music_spectrum_cached(&smoothed, &spotfi_cfg, &cache, &mut scratch).expect("spectrum");
         let dense = find_peaks_filtered(
-            &opt,
+            &spec,
             spotfi_cfg.music.max_paths,
             spotfi_cfg.music.min_relative_peak_power,
         );
@@ -279,15 +173,11 @@ fn main() {
     // --- Kernels -----------------------------------------------------------
     // `hermitian_eigen_30x30` times the decomposition the pipeline actually
     // runs: the tridiagonal partial solver extracting the top `max_paths`
-    // eigenvectors into a reused workspace. The full-Jacobi oracle is kept
-    // alongside for reference.
+    // eigenvectors into a reused workspace.
     let mut eig_ws = TridiagWorkspace::default();
     run("hermitian_eigen_30x30", &cfg, &mut || {
         hermitian_eigen_partial_into(&cov, spotfi_cfg.music.max_paths, &mut eig_ws);
         std::hint::black_box(eig_ws.values().len());
-    });
-    run("hermitian_eigen_jacobi_30x30", &cfg, &mut || {
-        std::hint::black_box(hermitian_eigen(&cov));
     });
     // Batched eigensolve: four independent 30×30 covariances through the
     // lane-parallel Householder + QL driver — the unit of work the pipeline
@@ -327,9 +217,6 @@ fn main() {
     run("smoothed_csi_into", &cfg, &mut || {
         smoothed_csi_into(&sanitized.csi, &spotfi_cfg, &mut smooth_buf).unwrap();
     });
-    run("noise_subspace", &cfg, &mut || {
-        std::hint::black_box(noise_subspace(&smoothed, &spotfi_cfg).unwrap());
-    });
     let mut proj_scratch = MusicScratch::new(&spotfi_cfg);
     run("noise_projector_scratch", &cfg, &mut || {
         std::hint::black_box(
@@ -340,29 +227,13 @@ fn main() {
     let mut scratch = MusicScratch::new(&spotfi_cfg);
     run("music_spectrum_cached_t1", &cfg, &mut || {
         std::hint::black_box(
-            music_spectrum_cached(&smoothed, &spotfi_cfg, &cache, 1, &mut scratch).unwrap(),
+            music_spectrum_cached(&smoothed, &spotfi_cfg, &cache, &mut scratch).unwrap(),
         );
     });
-    if oversubscribed {
-        eprintln!(
-            "skipping music_spectrum_cached_t8 ({} hardware threads < {} requested)",
-            hw_threads, requested_threads
-        );
-        skipped.push(("music_spectrum_cached_t8", "skipped_oversubscribed"));
-    } else {
-        run("music_spectrum_cached_t8", &cfg, &mut || {
-            std::hint::black_box(
-                music_spectrum_cached(&smoothed, &spotfi_cfg, &cache, 8, &mut scratch).unwrap(),
-            );
-        });
-    }
     run("music_paths_coarse_to_fine_t1", &cfg, &mut || {
         std::hint::black_box(
             music_paths_coarse_to_fine(&smoothed, &spotfi_cfg, &cache, &mut scratch).unwrap(),
         );
-    });
-    run("music_spectrum_seed_equivalent", &cfg, &mut || {
-        std::hint::black_box(seed_equivalent_music_spectrum(&smoothed, &spotfi_cfg));
     });
 
     // --- End-to-end --------------------------------------------------------
@@ -503,8 +374,6 @@ fn main() {
     // --- Report ------------------------------------------------------------
     let t1 = median_of(&results, "localize_4ap_10pkt_t1");
     let t8 = median_of(&results, "localize_4ap_10pkt_t8");
-    let music_opt = median_of(&results, "music_spectrum_cached_t1");
-    let music_seed = median_of(&results, "music_spectrum_seed_equivalent");
     let stream_t1 = median_of(&results, "analyze_ap_streaming_10pkt_t1");
     let warning = if oversubscribed {
         json_string(&format!(
@@ -545,10 +414,6 @@ fn main() {
         ),
         ("aps", "4".to_string()),
         ("packets_per_ap", "10".to_string()),
-        (
-            "serial_music_speedup_vs_seed",
-            format!("{:.3}", music_seed / music_opt),
-        ),
         ("e2e_speedup_t8_vs_t1", e2e_speedup),
         (
             "stream_packets_per_s",
@@ -582,9 +447,8 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write benchmark report");
     eprintln!("\nwrote {}", out_path);
     eprintln!(
-        "serial MUSIC speedup vs seed-equivalent: {:.2}×; streaming vs batch analyze_ap: \
-         {:.2}×; end-to-end t8/t1 speedup: {} (on {} hardware thread{})",
-        music_seed / music_opt,
+        "streaming vs batch analyze_ap: {:.2}×; end-to-end t8/t1 speedup: {} \
+         (on {} hardware thread{})",
         analyze_t1 / stream_t1,
         if oversubscribed {
             "skipped (oversubscribed)".to_string()

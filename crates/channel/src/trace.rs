@@ -8,14 +8,14 @@
 use crate::rng::Rng;
 
 use crate::array::AntennaArray;
-use crate::csi::synthesize_csi;
 use crate::diffuse::DiffuseConfig;
 use crate::floorplan::Floorplan;
 use crate::geometry::Point;
 use crate::impairments::Impairments;
 use crate::ofdm::OfdmConfig;
-use crate::raytrace::{trace_paths, Path, RaytraceConfig};
+use crate::raytrace::{Path, RaytraceConfig};
 use crate::rssi::RssiModel;
+use crate::trajectory::{generate_moving, MovingTraceConfig, Waypath};
 use spotfi_math::CMat;
 
 /// One received packet's measurements, exactly what commodity firmware
@@ -121,41 +121,19 @@ impl PacketTrace {
         num_packets: usize,
         rng: &mut Rng,
     ) -> Option<PacketTrace> {
-        let paths = trace_paths(plan, target, ap, &cfg.raytrace);
-        if paths.is_empty() {
-            return None;
-        }
-        // The full channel is specular rays + an optional diffuse tail.
-        let mut all_paths = paths.clone();
-        if let Some(diffuse) = &cfg.diffuse {
-            all_paths.extend(diffuse.generate(&paths, rng));
-        }
-        // With a static channel the clean CSI is shared; with path jitter
-        // each packet sees a slowly drifting multipath geometry.
-        let clean = synthesize_csi(&all_paths, ap, &cfg.ofdm);
-        let mut process = cfg
-            .impairments
-            .path_jitter
-            .map(|jitter| crate::impairments::JitterProcess::new(all_paths.clone(), jitter));
-        let mut packets = Vec::with_capacity(num_packets);
-        for p in 0..num_packets {
-            let mut csi = match &mut process {
-                Some(process) => synthesize_csi(&process.advance(rng), ap, &cfg.ofdm),
-                None => clean.clone(),
-            };
-            let sto = cfg.impairments.apply(&mut csi, &cfg.ofdm, p, rng);
-            let rssi = cfg.rssi.rssi_dbm(&all_paths, rng)?;
-            packets.push(CsiPacket {
-                csi,
-                rssi_dbm: rssi,
-                timestamp_s: p as f64 * cfg.packet_interval_s,
-                injected_sto_s: sto,
-            });
-        }
-        Some(PacketTrace {
-            packets,
-            ground_truth_paths: paths,
-        })
+        // A target that never moves and is never re-traced.
+        let frozen = MovingTraceConfig {
+            trace: cfg.clone(),
+            regen_distance_m: f64::INFINITY,
+        };
+        generate_moving(
+            plan,
+            &Waypath::stationary(target),
+            ap,
+            &frozen,
+            num_packets,
+            rng,
+        )
     }
 
     /// Ground-truth direct path, if the ray tracer kept one.

@@ -6,8 +6,9 @@
 //! [`Waypath`] describes the motion (constant speed along a polyline) and
 //! [`generate_moving`] re-runs the ray tracer every
 //! [`MovingTraceConfig::regen_distance_m`] meters of travel, so the
-//! multipath geometry (AoAs, ToFs, gains) shifts with the target while the
-//! per-packet impairment chain stays identical to the static generator.
+//! multipath geometry (AoAs, ToFs, gains) shifts with the target. The
+//! static generator is this one on a [`Waypath::stationary`] target that is
+//! never re-traced, so both share one per-packet impairment chain.
 
 use crate::array::AntennaArray;
 use crate::csi::synthesize_csi;

@@ -1,12 +1,18 @@
 //! `spotfi` — command-line interface to the SpotFi reproduction.
 //!
 //! ```text
-//! spotfi figures [fig5|fig7|fig8|fig9|ablation|all] [--fast]
+//! spotfi figures [fig5|fig7|fig8|fig9|ablation|through-wall|tracking|all] [--fast]
 //! spotfi simulate --out capture.dat [--target x,y] [--packets N] [--seed S]
 //! spotfi analyze capture.dat [--ap x,y] [--normal deg] [--stream]
 //! spotfi scenario [office|nlos|corridor] [--targets N] [--packets N]
+//! spotfi fleet [--targets N] [--packets N] [--aps N] [--workers N] [--export-wire F]
+//! spotfi ingest <frames.bin> [--aps N] [--connect sock.path]
+//! spotfi serve --listen <sock.path> [--aps N] [--workers N]
+//! spotfi check-diagnostics <diagnostics.json>
 //! spotfi help
 //! ```
+//!
+//! `spotfi help` lists every option of each command.
 
 mod args;
 
@@ -539,6 +545,32 @@ fn export_wire(path: &str, scenario: &spotfi_testbed::FleetScenario) -> Result<(
     Ok(())
 }
 
+/// Maps one decoded wire event to a fleet packet: frames from registered
+/// receivers pass through their calibration, everything else (corrupt or
+/// incomplete frames, unknown receivers) yields `None`.
+fn frame_packet(
+    registry: &spotfi_core::ReceiverRegistry,
+    event: spotfi_io::WireEvent,
+) -> Option<spotfi_core::FleetPacket> {
+    let spotfi_io::WireEvent::Frame(f) = event else {
+        return None;
+    };
+    let p = spotfi_io::packet_from_record(&f.record, f.timestamp_s);
+    registry.fleet_packet(f.receiver_id as u32, f.source_id, p)
+}
+
+/// The `wire:` and `fleet:` report lines `ingest` and `serve` end with.
+fn print_wire_and_fleet(wire: &spotfi_io::WireStats, s: &spotfi_core::FleetStats) {
+    println!(
+        "wire: received {} = decoded {} + corrupt {} + incomplete {} ({} resync bytes)",
+        wire.received, wire.decoded, wire.corrupt, wire.incomplete, wire.resync_bytes
+    );
+    println!(
+        "fleet: {} packets processed, {} fusions → {} updates ({} degraded, {} no fix)",
+        s.processed, s.fusions, s.updates, s.fusion_degraded, s.fusion_no_fix
+    );
+}
+
 /// The deployment map an ingest endpoint assumes: receiver `i` is AP `i`
 /// of the `n`-AP apartment deployment, identity calibration.
 fn wire_registry(n: usize) -> spotfi_core::ReceiverRegistry {
@@ -571,14 +603,7 @@ fn cmd_ingest(args: &Args) -> Result<(), ArgError> {
         let registry = wire_registry(aps);
         let mut dec = spotfi_io::WireDecoder::new();
         let mut packets = Vec::new();
-        let mut sink = |e: spotfi_io::WireEvent| {
-            if let spotfi_io::WireEvent::Frame(f) = e {
-                let p = spotfi_io::packet_from_record(&f.record, f.timestamp_s);
-                if let Some(fp) = registry.fleet_packet(f.receiver_id as u32, f.source_id, p) {
-                    packets.push(fp);
-                }
-            }
-        };
+        let mut sink = |e| packets.extend(frame_packet(&registry, e));
         for chunk in bytes.chunks(64 * 1024) {
             dec.feed(chunk, &mut sink);
         }
@@ -589,14 +614,7 @@ fn cmd_ingest(args: &Args) -> Result<(), ArgError> {
     // Wire decoding happens outside the instrumented pipeline stages, so
     // the serial stage-sum/total ratio check does not apply.
     diagnostics_end(diagnostics, "ingest", 2)?;
-    println!(
-        "wire: received {} = decoded {} + corrupt {} + incomplete {} ({} resync bytes)",
-        wire.received, wire.decoded, wire.corrupt, wire.incomplete, wire.resync_bytes
-    );
-    println!(
-        "fleet: {} packets processed, {} fusions → {} updates ({} degraded, {} no fix)",
-        stats.processed, stats.fusions, stats.updates, stats.fusion_degraded, stats.fusion_no_fix
-    );
+    print_wire_and_fleet(&wire, &stats);
     if updates.is_empty() {
         println!("no position updates emitted");
     } else {
@@ -676,11 +694,8 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
                 break;
             }
             dec.feed(&buf[..n], &mut |e| {
-                if let spotfi_io::WireEvent::Frame(f) = e {
-                    let p = spotfi_io::packet_from_record(&f.record, f.timestamp_s);
-                    if let Some(fp) = registry.fleet_packet(f.receiver_id as u32, f.source_id, p) {
-                        engine.ingest(fp);
-                    }
+                if let Some(fp) = frame_packet(&registry, e) {
+                    engine.ingest(fp);
                 }
             });
             // Only the counters are reported: drain the updates so the
@@ -693,15 +708,7 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     diagnostics_end(diagnostics, "serve", workers + 1)?;
     let _ = std::fs::remove_file(sock);
 
-    let s = report.stats;
-    println!(
-        "wire: received {} = decoded {} + corrupt {} + incomplete {} ({} resync bytes)",
-        wire.received, wire.decoded, wire.corrupt, wire.incomplete, wire.resync_bytes
-    );
-    println!(
-        "fleet: {} packets processed, {} fusions → {} updates ({} degraded, {} no fix)",
-        s.processed, s.fusions, s.updates, s.fusion_degraded, s.fusion_no_fix
-    );
+    print_wire_and_fleet(&wire, &report.stats);
     Ok(())
 }
 

@@ -79,13 +79,12 @@ pub use likelihood::{score_clusters, select_direct_path, DirectPath};
 pub use localize::{localize, ApMeasurement, LocationEstimate, SearchBounds};
 pub use music::{
     music_paths_coarse_to_fine, music_spectrum, music_spectrum_cached, noise_projector_with,
-    noise_subspace, noise_subspace_with, prepare_music_evaluation, pseudospectrum_at,
-    CoarseFinePaths, MusicScratch, MusicSpectrum, NoiseSubspace,
+    prepare_music_evaluation, pseudospectrum_at, CoarseFinePaths, MusicScratch, MusicSpectrum,
 };
 pub use pathloss::PathLossModel;
 pub use peaks::{find_peaks, find_peaks_filtered, paraboloid_offset, PathEstimate};
 pub use pipeline::{ApAnalysis, ApPackets, PacketScratch, SpotFi, StreamState};
-pub use runtime::{hardware_parallelism, parallel_map, parallel_map_with, RuntimeConfig};
+pub use runtime::{hardware_parallelism, parallel_map_with, RuntimeConfig};
 pub use sanitize::{sanitize_csi, SanitizedCsi};
 pub use smoothing::{smoothed_csi, smoothed_csi_into};
 pub use steering::SteeringCache;

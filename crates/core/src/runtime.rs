@@ -148,23 +148,14 @@ where
         .collect()
 }
 
-/// [`parallel_map_with`] without per-worker scratch.
-pub fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_with(n, threads, || (), |_, i| f(i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn serial_and_parallel_agree() {
-        let serial = parallel_map(100, 1, |i| i * i);
-        let parallel = parallel_map(100, 8, |i| i * i);
+        let serial = parallel_map_with(100, 1, || (), |_, i| i * i);
+        let parallel = parallel_map_with(100, 8, || (), |_, i| i * i);
         assert_eq!(serial, parallel);
         assert_eq!(serial[7], 49);
     }
@@ -172,13 +163,18 @@ mod tests {
     #[test]
     fn order_preserved_under_contention() {
         // Uneven work per item stresses the work-stealing order.
-        let out = parallel_map(64, 4, |i| {
-            let mut acc = i as u64;
-            for k in 0..(i % 7) * 10_000 {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k as u64);
-            }
-            (i, acc)
-        });
+        let out = parallel_map_with(
+            64,
+            4,
+            || (),
+            |_, i| {
+                let mut acc = i as u64;
+                for k in 0..(i % 7) * 10_000 {
+                    acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k as u64);
+                }
+                (i, acc)
+            },
+        );
         for (i, (idx, _)) in out.iter().enumerate() {
             assert_eq!(i, *idx);
         }
@@ -186,8 +182,11 @@ mod tests {
 
     #[test]
     fn empty_and_single() {
-        assert_eq!(parallel_map(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(parallel_map(1, 4, |i| i + 1), vec![1]);
+        assert_eq!(
+            parallel_map_with(0, 4, || (), |_, i| i),
+            Vec::<usize>::new()
+        );
+        assert_eq!(parallel_map_with(1, 4, || (), |_, i| i + 1), vec![1]);
     }
 
     #[test]

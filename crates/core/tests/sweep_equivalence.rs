@@ -90,7 +90,7 @@ fn csi_for(paths: &[TruthPath], cfg: &SpotFiConfig) -> CMat {
 fn assert_sweeps_agree(cfg: &SpotFiConfig, cache: &SteeringCache, csi: &CMat, label: &str) {
     let x = smoothed_csi(csi, cfg).expect("smoothing");
     let mut scratch = MusicScratch::new(cfg);
-    let spec = music_spectrum_cached(&x, cfg, cache, 1, &mut scratch).expect("dense sweep");
+    let spec = music_spectrum_cached(&x, cfg, cache, &mut scratch).expect("dense sweep");
     let dense: Vec<PathEstimate> = find_peaks_filtered(
         &spec,
         cfg.music.max_paths,

@@ -1088,7 +1088,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantiles_are_within_a_sixteenth() {
+    fn histogram_quantiles_are_within_a_thirty_second() {
         let _g = lock();
         // Nearest-rank order statistic of a sorted population.
         let exact = |sorted: &[f64], q: f64| {
@@ -1098,7 +1098,7 @@ mod tests {
             for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
                 let (got, want) = (m.quantile(q), exact(sorted, q));
                 assert!(
-                    (got - want).abs() <= want.abs() / 16.0,
+                    (got - want).abs() <= want.abs() / 32.0,
                     "q{q}: histogram {got} vs exact {want}"
                 );
             }

@@ -114,7 +114,7 @@ fn dense_reference_fix(spotfi: &SpotFi, packs: &[ApPackets]) -> LocationEstimate
             if smoothed_csi_into(&sanitized.csi, cfg, &mut smoothed).is_err() {
                 continue;
             }
-            let Ok(spec) = music_spectrum_cached(&smoothed, cfg, cache, 1, &mut scratch) else {
+            let Ok(spec) = music_spectrum_cached(&smoothed, cfg, cache, &mut scratch) else {
                 continue;
             };
             estimates.extend(find_peaks_filtered(
