@@ -11,14 +11,14 @@
 //! Here — as in the paper's comparison — each `P_i` comes from the
 //! 3-antenna [`crate::music_aoa`] estimator, averaged over packets, making
 //! this the "practical implementation of ArrayTrack" used throughout the
-//! SpotFi evaluation.
+//! SpotFi evaluation. The argmax is found with SpotFi's own Eq. 9 search,
+//! [`grid_then_polish`], so both systems get the same optimizer.
 
 use spotfi_channel::{AntennaArray, CsiPacket, Point};
 use spotfi_core::error::{Result, SpotFiError};
-use spotfi_core::localize::SearchBounds;
-use spotfi_math::optimize::nelder_mead_2d;
+use spotfi_core::localize::{grid_then_polish, SearchBounds};
 
-use crate::music_aoa::{music_aoa_spectrum, MusicAoaConfig, MusicAoaSpectrum};
+use crate::music_aoa::{averaged_spectrum, MusicAoaConfig, MusicAoaSpectrum};
 
 /// ArrayTrack localization configuration.
 #[derive(Clone, Copy, Debug)]
@@ -62,39 +62,8 @@ pub fn ap_spectrum(
     if packets.is_empty() {
         return Err(SpotFiError::NoPackets);
     }
-    let mut sum: Option<Vec<f64>> = None;
-    let mut used = 0usize;
-    for p in packets {
-        let Ok(spec) = music_aoa_spectrum(&p.csi, cfg) else {
-            continue;
-        };
-        // Normalize per packet so one high-SNR packet doesn't dominate.
-        let max = spec
-            .values
-            .iter()
-            .cloned()
-            .fold(f64::MIN, f64::max)
-            .max(1e-12);
-        match &mut sum {
-            None => {
-                sum = Some(spec.values.iter().map(|v| v / max).collect());
-            }
-            Some(s) => {
-                for (acc, v) in s.iter_mut().zip(&spec.values) {
-                    *acc += v / max;
-                }
-            }
-        }
-        used += 1;
-    }
-    let values = sum.ok_or(SpotFiError::NoPaths)?;
-    Ok(ApSpectrum {
-        array,
-        spectrum: MusicAoaSpectrum {
-            aoa_grid_deg: cfg.aoa_grid_deg,
-            values: values.iter().map(|v| v / used as f64).collect(),
-        },
-    })
+    let spectrum = averaged_spectrum(packets, cfg).ok_or(SpotFiError::NoPaths)?;
+    Ok(ApSpectrum { array, spectrum })
 }
 
 /// Joint log-likelihood of a candidate location under all AP spectra.
@@ -146,46 +115,11 @@ pub fn arraytrack_localize_in_bounds(
         });
     }
 
-    // Coarse grid maximization.
-    let nx = (((bounds.max_x - bounds.min_x) / cfg.grid_step_m).ceil() as usize).max(1) + 1;
-    let ny = (((bounds.max_y - bounds.min_y) / cfg.grid_step_m).ceil() as usize).max(1) + 1;
-    let mut best = (Point::new(bounds.min_x, bounds.min_y), f64::NEG_INFINITY);
-    for ix in 0..nx {
-        for iy in 0..ny {
-            let p = Point::new(
-                (bounds.min_x + ix as f64 * cfg.grid_step_m).min(bounds.max_x),
-                (bounds.min_y + iy as f64 * cfg.grid_step_m).min(bounds.max_y),
-            );
-            let ll = log_likelihood(&spectra, p);
-            if ll > best.1 {
-                best = (p, ll);
-            }
-        }
-    }
-
-    // Polish (minimize negative log-likelihood).
-    let clamp = |p: [f64; 2]| {
-        [
-            p[0].clamp(bounds.min_x, bounds.max_x),
-            p[1].clamp(bounds.min_y, bounds.max_y),
-        ]
-    };
-    let ([x, y], neg_ll) = nelder_mead_2d(
-        |p| {
-            let q = clamp(p);
-            -log_likelihood(&spectra, Point::new(q[0], q[1]))
-        },
-        [best.0.x, best.0.y],
-        cfg.grid_step_m,
-        cfg.polish_iterations,
-        1e-10,
-    );
-    let refined = clamp([x, y]);
-    Ok(if -neg_ll >= best.1 {
-        Point::new(refined[0], refined[1])
-    } else {
-        best.0
-    })
+    // Maximize the joint log-likelihood with Eq. 9's search.
+    let (position, ..) = grid_then_polish(bounds, cfg.grid_step_m, cfg.polish_iterations, |p| {
+        -log_likelihood(&spectra, p)
+    });
+    Ok(position)
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 //! ArrayTrack's trick [Paulraj et al.]) trades one more antenna of aperture
 //! for robustness to coherent paths.
 
+use spotfi_channel::CsiPacket;
 use spotfi_core::config::GridSpec;
 use spotfi_core::error::{Result, SpotFiError};
 use spotfi_core::steering::phi;
@@ -176,6 +177,50 @@ pub fn music_aoa_spectrum(csi: &CMat, cfg: &MusicAoaConfig) -> Result<MusicAoaSp
     Ok(MusicAoaSpectrum {
         aoa_grid_deg: grid,
         values,
+    })
+}
+
+/// The packet-averaged spectrum: the mean of the per-packet spectra, each
+/// normalized to its own maximum so one high-SNR packet doesn't dominate.
+/// Packets whose spectrum can't be estimated are skipped; `None` if none
+/// is left.
+pub fn averaged_spectrum(packets: &[CsiPacket], cfg: &MusicAoaConfig) -> Option<MusicAoaSpectrum> {
+    let mut sum: Option<Vec<f64>> = None;
+    let mut used = 0usize;
+    for p in packets {
+        let Ok(spec) = music_aoa_spectrum(&p.csi, cfg) else {
+            continue;
+        };
+        let max = spec
+            .values
+            .iter()
+            .cloned()
+            .fold(f64::MIN, f64::max)
+            .max(1e-12);
+        match &mut sum {
+            None => sum = Some(spec.values.iter().map(|v| v / max).collect()),
+            Some(s) => {
+                for (acc, v) in s.iter_mut().zip(&spec.values) {
+                    *acc += v / max;
+                }
+            }
+        }
+        used += 1;
+    }
+    Some(MusicAoaSpectrum {
+        aoa_grid_deg: cfg.aoa_grid_deg,
+        values: sum?.iter().map(|v| v / used as f64).collect(),
+    })
+}
+
+/// AoAs of the [`averaged_spectrum`]'s peaks, strongest first, up to
+/// `cfg.max_paths`; empty if no packet yields a spectrum.
+pub fn averaged_peaks(packets: &[CsiPacket], cfg: &MusicAoaConfig) -> Vec<f64> {
+    averaged_spectrum(packets, cfg).map_or_else(Vec::new, |spec| {
+        spec.peaks(cfg.max_paths)
+            .into_iter()
+            .map(|(aoa, _)| aoa)
+            .collect()
     })
 }
 

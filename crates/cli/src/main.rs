@@ -90,6 +90,8 @@ USAGE:
 
   --threads N selects the worker-thread budget (default: all cores;
   1 = serial reference path; results are identical at any setting).
+  For scenario it is one budget spread across targets, each analyzed
+  serially.
   --diagnostics PATH enables the observability recorder for the run and
   writes per-stage span timings and pipeline counters as JSON; estimates
   are bit-identical with the recorder on or off.
@@ -332,18 +334,13 @@ fn cmd_scenario(args: &Args) -> Result<(), ArgError> {
     );
     let mut runner_cfg = RunnerConfig::default();
     if let Some(t) = args.parsed::<usize>("threads")? {
-        runner_cfg.threads = t.max(1);
         runner_cfg.spotfi.runtime = spotfi_core::RuntimeConfig::with_threads(t);
     }
     let diagnostics = diagnostics_begin(args);
-    // Report the runner's target-level worker count, not the inner
-    // pipeline budget: the validator's stage-sum/total ratio check is only
-    // meaningful when one thread did all the instrumented work.
-    let threads = if runner_cfg.threads > 0 {
-        runner_cfg.threads
-    } else {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    };
+    // The runner spends this one budget across targets (the pipeline inside
+    // each is serial); the validator's stage-sum/total ratio check applies
+    // only when it is 1.
+    let threads = runner_cfg.spotfi.runtime.effective_threads();
     let runner = Runner::new(scenario, runner_cfg);
     let records = {
         let _total = spotfi_obs::span("total");

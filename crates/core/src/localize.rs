@@ -172,58 +172,71 @@ pub fn localize_in_bounds(
         })
         .collect();
 
-    // Coarse grid.
-    let nx = (((bounds.max_x - bounds.min_x) / cfg.grid_step_m).ceil() as usize).max(1) + 1;
-    let ny = (((bounds.max_y - bounds.min_y) / cfg.grid_step_m).ceil() as usize).max(1) + 1;
+    let (position, cost, grid_evals, polish_evals) =
+        grid_then_polish(bounds, cfg.grid_step_m, cfg.polish_iterations, |p| {
+            objective_at(&aps_norm, p, cfg).0
+        });
+    if spotfi_obs::enabled() {
+        spotfi_obs::counter("localize.grid_evals", grid_evals);
+        spotfi_obs::counter("localize.polish_evals", polish_evals);
+    }
+    let (_, path_loss) = objective_at(&aps_norm, position, cfg);
+    spotfi_obs::value("localize.cost", cost);
+
+    Ok(LocationEstimate {
+        position,
+        cost,
+        path_loss,
+    })
+}
+
+/// The 2-D search behind Eq. 9 (steps 2–3 of the module doc), shared with
+/// the ArrayTrack baseline: `cost` is minimized over a grid of pitch `step`
+/// covering `bounds`, then Nelder–Mead (`iterations` steps, scaled by
+/// `step`, clamped to `bounds`) polishes the best grid point. A polish
+/// that ends uphill of that grid point is discarded.
+///
+/// Returns `(point, cost, grid_evals, polish_evals)`: the grid's and the
+/// polish's calls of `cost`. One more call scores the polished point.
+pub fn grid_then_polish(
+    bounds: SearchBounds,
+    step: f64,
+    iterations: usize,
+    mut cost: impl FnMut(Point) -> f64,
+) -> (Point, f64, u64, u64) {
+    let nx = (((bounds.max_x - bounds.min_x) / step).ceil() as usize).max(1) + 1;
+    let ny = (((bounds.max_y - bounds.min_y) / step).ceil() as usize).max(1) + 1;
     let mut best = (Point::new(bounds.min_x, bounds.min_y), f64::INFINITY);
     for ix in 0..nx {
         for iy in 0..ny {
             let p = Point::new(
-                (bounds.min_x + ix as f64 * cfg.grid_step_m).min(bounds.max_x),
-                (bounds.min_y + iy as f64 * cfg.grid_step_m).min(bounds.max_y),
+                (bounds.min_x + ix as f64 * step).min(bounds.max_x),
+                (bounds.min_y + iy as f64 * step).min(bounds.max_y),
             );
-            let (c, _) = objective_at(&aps_norm, p, cfg);
+            let c = cost(p);
             if c < best.1 {
                 best = (p, c);
             }
         }
     }
 
-    // Local polish (bounded by clamping inside the objective).
-    let polish_evals = std::cell::Cell::new(0u64);
+    let mut polish_evals = 0u64;
     let ([x, y], _) = nelder_mead_2d(
         |p| {
-            polish_evals.set(polish_evals.get() + 1);
+            polish_evals += 1;
             let q = bounds.clamp(p);
-            objective_at(&aps_norm, Point::new(q[0], q[1]), cfg).0
+            cost(Point::new(q[0], q[1]))
         },
         [best.0.x, best.0.y],
-        cfg.grid_step_m,
-        cfg.polish_iterations,
+        step,
+        iterations,
         1e-10,
     );
-    if spotfi_obs::enabled() {
-        spotfi_obs::counter("localize.grid_evals", (nx * ny) as u64);
-        spotfi_obs::counter("localize.polish_evals", polish_evals.get());
-    }
     let refined = bounds.clamp([x, y]);
     let pos = Point::new(refined[0], refined[1]);
-    let (cost, model) = objective_at(&aps_norm, pos, cfg);
-    // Guard against a polish that wandered uphill.
-    let (final_pos, final_cost, final_model) = if cost <= best.1 {
-        (pos, cost, model)
-    } else {
-        let (c, m) = objective_at(&aps_norm, best.0, cfg);
-        (best.0, c, m)
-    };
-
-    spotfi_obs::value("localize.cost", final_cost);
-
-    Ok(LocationEstimate {
-        position: final_pos,
-        cost: final_cost,
-        path_loss: final_model,
-    })
+    let c = cost(pos);
+    let (point, c) = if c <= best.1 { (pos, c) } else { best };
+    (point, c, (nx * ny) as u64, polish_evals)
 }
 
 /// Localizes using bounds derived from the AP bounding box plus the
@@ -381,6 +394,35 @@ mod tests {
         let b = SearchBounds::around_aps(&aps, cfg.search_margin_m);
         assert!(est.position.x >= b.min_x && est.position.x <= b.max_x);
         assert!(est.position.y >= b.min_y && est.position.y <= b.max_y);
+    }
+
+    #[test]
+    fn grid_then_polish_lands_on_the_boundary_nearest_an_outside_minimum() {
+        // A bowl centred at (20, 3.3), right of the 10 m × 10 m box: the
+        // constrained minimum is (10, 3.3) on the east edge, between grid
+        // rows, so the polish has to move off the grid point (10, 3).
+        let bounds = SearchBounds {
+            min_x: 0.0,
+            max_x: 10.0,
+            min_y: 0.0,
+            max_y: 10.0,
+        };
+        let mut calls = 0u64;
+        let (p, c, grid_evals, polish_evals) = grid_then_polish(bounds, 1.0, 200, |p| {
+            calls += 1;
+            (p.x - 20.0).powi(2) + (p.y - 3.3).powi(2)
+        });
+        assert_eq!(p.x, 10.0);
+        assert!((p.y - 3.3).abs() < 1e-3, "y = {}", p.y);
+        assert!(
+            c <= 100.0 + 0.3f64.powi(2),
+            "cost {} above the grid's best",
+            c
+        );
+        assert_eq!(grid_evals, 11 * 11);
+        assert!(polish_evals > 0);
+        // The grid, the polish, and one call scoring the polished point.
+        assert_eq!(calls, grid_evals + polish_evals + 1);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   tells callers when to re-anchor on the exact solver.
 //! * [`realmat`] — small real matrices, linear solves, least squares.
 //! * [`unwrap`] — 1-D phase unwrapping.
-//! * [`optimize`] — golden section, Nelder–Mead, damped Gauss–Newton.
+//! * [`optimize`] — Nelder–Mead, damped Gauss–Newton.
 //! * [`stats`] — means, variances, percentiles, empirical CDFs.
 //! * [`angles`] — degree/radian conversions and angular wrapping.
 //!

@@ -6,42 +6,11 @@
 //! global structure followed by a local polish. This module supplies the
 //! local methods:
 //!
-//! * [`golden_section`] — derivative-free 1-D minimization.
 //! * [`nelder_mead_2d`] — derivative-free 2-D simplex minimization.
 //! * [`gauss_newton`] — damped Gauss–Newton for small least-squares systems
 //!   with numerical Jacobians (Levenberg-style damping for robustness).
 
 use crate::realmat::RMat;
-
-/// Minimizes a unimodal 1-D function on `[lo, hi]` by golden-section search.
-/// Returns `(x_min, f_min)` after the bracket shrinks below `tol`.
-pub fn golden_section(mut f: impl FnMut(f64) -> f64, lo: f64, hi: f64, tol: f64) -> (f64, f64) {
-    assert!(hi > lo, "invalid bracket");
-    const INV_PHI: f64 = 0.618_033_988_749_894_9;
-    let (mut a, mut b) = (lo, hi);
-    let mut c = b - (b - a) * INV_PHI;
-    let mut d = a + (b - a) * INV_PHI;
-    let mut fc = f(c);
-    let mut fd = f(d);
-    while (b - a).abs() > tol {
-        if fc < fd {
-            b = d;
-            d = c;
-            fd = fc;
-            c = b - (b - a) * INV_PHI;
-            fc = f(c);
-        } else {
-            a = c;
-            c = d;
-            fc = fd;
-            d = a + (b - a) * INV_PHI;
-            fd = f(d);
-        }
-    }
-    let x = 0.5 * (a + b);
-    let fx = f(x);
-    (x, fx)
-}
 
 /// Minimizes a 2-D function with the Nelder–Mead simplex method starting
 /// from `x0` with initial simplex scale `scale`. Returns `(x_min, f_min)`.
@@ -198,19 +167,6 @@ pub fn gauss_newton(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn golden_section_parabola() {
-        let (x, fx) = golden_section(|x| (x - 2.5) * (x - 2.5) + 1.0, 0.0, 10.0, 1e-9);
-        assert!((x - 2.5).abs() < 1e-6);
-        assert!((fx - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn golden_section_asymmetric() {
-        let (x, _) = golden_section(|x| x.exp() - 2.0 * x, -2.0, 3.0, 1e-10);
-        assert!((x - (2.0f64).ln()).abs() < 1e-6);
-    }
 
     #[test]
     fn nelder_mead_quadratic_bowl() {

@@ -14,7 +14,7 @@
 
 use spotfi_channel::Rng;
 
-use spotfi_baselines::music_aoa::{music_aoa_spectrum, MusicAoaConfig, MusicAoaSpectrum};
+use spotfi_baselines::music_aoa::averaged_peaks;
 use spotfi_channel::{PacketTrace, TraceConfig};
 use spotfi_core::{ApPackets, SpotFi, SpotFiConfig};
 
@@ -114,7 +114,7 @@ pub fn run_channel_ablation(opts: &ExperimentOptions) -> ChannelAblation {
                             se.push(e);
                         }
                     }
-                    if let Some(e) = averaged_peaks(&trace, &mcfg)
+                    if let Some(e) = averaged_peaks(&trace.packets, &mcfg)
                         .into_iter()
                         .map(|aoa| (aoa - truth).abs())
                         .min_by(|x, y| x.partial_cmp(y).unwrap())
@@ -131,40 +131,6 @@ pub fn run_channel_ablation(opts: &ExperimentOptions) -> ChannelAblation {
         })
         .collect();
     ChannelAblation { rows }
-}
-
-fn averaged_peaks(trace: &PacketTrace, cfg: &MusicAoaConfig) -> Vec<f64> {
-    let mut sum: Option<Vec<f64>> = None;
-    for p in &trace.packets {
-        let Ok(spec) = music_aoa_spectrum(&p.csi, cfg) else {
-            continue;
-        };
-        let max = spec
-            .values
-            .iter()
-            .cloned()
-            .fold(f64::MIN, f64::max)
-            .max(1e-12);
-        match &mut sum {
-            None => sum = Some(spec.values.iter().map(|v| v / max).collect()),
-            Some(s) => {
-                for (acc, v) in s.iter_mut().zip(&spec.values) {
-                    *acc += v / max;
-                }
-            }
-        }
-    }
-    let Some(values) = sum else {
-        return Vec::new();
-    };
-    MusicAoaSpectrum {
-        aoa_grid_deg: cfg.aoa_grid_deg,
-        values,
-    }
-    .peaks(cfg.max_paths)
-    .into_iter()
-    .map(|(aoa, _)| aoa)
-    .collect()
 }
 
 /// One algorithm-ablation variant's outcome.

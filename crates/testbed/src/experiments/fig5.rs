@@ -10,7 +10,6 @@
 use spotfi_channel::Rng;
 
 use spotfi_channel::{PacketTrace, Point};
-use spotfi_core::cluster::cluster_estimates;
 use spotfi_core::likelihood::score_clusters;
 use spotfi_core::sanitize::sanitize_csi;
 use spotfi_core::{ApPackets, SpotFi};
@@ -118,12 +117,8 @@ pub fn run(opts: &ExperimentOptions) -> Fig5Result {
             packets: trace.packets.clone(),
         })
         .expect("analysis");
-    let clustering = cluster_estimates(
-        &analysis.path_estimates,
-        opts.runner.spotfi.cluster.num_clusters,
-        opts.runner.spotfi.cluster.max_iterations,
-    );
-    let scored = score_clusters(&clustering, &opts.runner.spotfi.likelihood);
+    let clustering = &analysis.clustering;
+    let scored = score_clusters(clustering, &opts.runner.spotfi.likelihood);
     let direct_cluster = scored.first().map(|s| s.cluster_index).unwrap_or(0);
 
     let mut points = Vec::new();

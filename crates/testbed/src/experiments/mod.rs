@@ -1,9 +1,8 @@
 //! One module per paper figure.
 //!
 //! Each experiment exposes `run(&ExperimentOptions) -> …Result` and a
-//! `render(&…Result) -> String` so the Criterion benches, the
-//! `examples/reproduce_*` binaries, and the integration tests all share one
-//! implementation.
+//! `render(&…Result) -> String` so `spotfi figures` and the integration
+//! tests share one implementation.
 
 pub mod ablation;
 pub mod fig5;
@@ -15,8 +14,8 @@ pub mod tracking;
 
 use crate::runner::RunnerConfig;
 
-/// Shared experiment knobs: full fidelity for the benches/examples, trimmed
-/// for tests.
+/// Shared experiment knobs: full fidelity for `spotfi figures`, trimmed for
+/// tests and `--fast`.
 #[derive(Clone, Debug, Default)]
 pub struct ExperimentOptions {
     /// Estimator/baseline configuration.

@@ -12,12 +12,12 @@
 //!   impairment configuration.
 //! * [`runner`] — generates traces and runs SpotFi, ArrayTrack, and the
 //!   selection baselines over every (target, AP) pair, in parallel across
-//!   targets.
+//!   targets under the pipeline's one thread budget.
 //! * [`report`] — CDFs, medians/percentiles, and aligned text tables in the
 //!   shape the paper's figures report.
-//! * [`experiments`] — one module per paper figure (5, 7, 8, 9), each with a
-//!   `run` entry point shared by the benches and the
-//!   `examples/reproduce_*` binaries.
+//! * [`experiments`] — one module per paper figure (5, 7, 8, 9) plus the
+//!   ablations, each with a `run` entry point shared by `spotfi figures`
+//!   and the integration tests.
 
 pub mod apartment;
 pub mod deployment;

@@ -11,19 +11,18 @@
 //! * per link: AoA estimation and direct-path-selection errors for SpotFi,
 //!   MUSIC-AoA, LTEye, CUPID, and Oracle → [`LinkRecord`] (Fig. 8).
 //!
-//! Targets are processed in parallel with scoped OS threads (the work is
-//! CPU-bound signal processing, so threads — not async — are the right
-//! tool).
-
-use std::sync::Mutex;
+//! A run builds one [`SpotFi`] and maps targets through the pipeline's
+//! [`parallel_map_with`] under the one thread budget
+//! `spotfi.runtime`; the pipeline inside each target runs serially, so the
+//! budget is never spent twice over.
 
 use spotfi_channel::Rng;
 
 use spotfi_baselines::arraytrack::{arraytrack_localize_in_bounds, ArrayTrackConfig};
-use spotfi_baselines::music_aoa::{music_aoa_spectrum, MusicAoaConfig};
+use spotfi_baselines::music_aoa::averaged_peaks;
 use spotfi_baselines::selection::{select_cupid, select_lteye, select_oracle};
 use spotfi_channel::{AntennaArray, CsiPacket, PacketTrace, Point};
-use spotfi_core::{ApPackets, SpotFi, SpotFiConfig};
+use spotfi_core::{parallel_map_with, ApPackets, RuntimeConfig, SpotFi, SpotFiConfig};
 
 use crate::deployment::NamedAp;
 use crate::scenario::Scenario;
@@ -31,15 +30,14 @@ use crate::scenario::Scenario;
 /// Runner configuration.
 #[derive(Clone, Debug)]
 pub struct RunnerConfig {
-    /// SpotFi estimator configuration.
+    /// SpotFi estimator configuration. Its `runtime` is the run's thread
+    /// budget, spent across targets.
     pub spotfi: SpotFiConfig,
     /// ArrayTrack baseline configuration.
     pub arraytrack: ArrayTrackConfig,
     /// Sensitivity floor: APs with mean RSSI below this don't hear the
     /// target, dBm.
     pub min_rssi_dbm: f64,
-    /// Worker threads (0 ⇒ available parallelism).
-    pub threads: usize,
 }
 
 impl Default for RunnerConfig {
@@ -48,7 +46,6 @@ impl Default for RunnerConfig {
             spotfi: SpotFiConfig::default(),
             arraytrack: ArrayTrackConfig::intel5300(),
             min_rssi_dbm: -85.0,
-            threads: 0,
         }
     }
 }
@@ -155,13 +152,35 @@ impl Runner {
     /// Runs localization for every target (SpotFi + ArrayTrack on identical
     /// packets). Records are returned in target order.
     pub fn run_localization(&self) -> Vec<LocalizationRecord> {
-        self.parallel_over_targets(|t_idx| self.localize_target(t_idx))
+        let spotfi = self.serial_spotfi();
+        self.map_targets(|t_idx| self.localize_target(&spotfi, t_idx))
     }
 
     /// Runs the per-link AoA experiments for every (audible) link.
     pub fn run_links(&self) -> Vec<LinkRecord> {
-        let nested = self.parallel_over_targets(|t_idx| self.link_records(t_idx));
+        let spotfi = self.serial_spotfi();
+        let nested = self.map_targets(|t_idx| self.link_records(&spotfi, t_idx));
         nested.into_iter().flatten().collect()
+    }
+
+    /// The run's one estimator: the configured pipeline, serial inside,
+    /// because the thread budget goes to [`map_targets`](Self::map_targets).
+    fn serial_spotfi(&self) -> SpotFi {
+        SpotFi::new(SpotFiConfig {
+            runtime: RuntimeConfig::serial(),
+            ..self.config.spotfi.clone()
+        })
+    }
+
+    /// Maps `f` over target indices under the configured thread budget,
+    /// preserving order.
+    fn map_targets<T: Send>(&self, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        parallel_map_with(
+            self.scenario.targets.len(),
+            self.config.spotfi.runtime.effective_threads(),
+            || (),
+            |_, t_idx| f(t_idx),
+        )
     }
 
     /// Search bounds: AP bounding box + margin, clamped to the building
@@ -179,7 +198,7 @@ impl Runner {
         b
     }
 
-    fn localize_target(&self, t_idx: usize) -> LocalizationRecord {
+    fn localize_target(&self, spotfi: &SpotFi, t_idx: usize) -> LocalizationRecord {
         let target = &self.scenario.targets[t_idx];
         let traces = {
             let _span = spotfi_obs::span("stage.simulate");
@@ -187,7 +206,6 @@ impl Runner {
         };
         let heard_by = traces.len();
 
-        let spotfi = SpotFi::new(self.config.spotfi.clone());
         let ap_packets: Vec<ApPackets> = traces
             .iter()
             .map(|(_, ap, tr)| ApPackets {
@@ -195,14 +213,14 @@ impl Runner {
                 packets: tr.packets.clone(),
             })
             .collect();
+        // `SearchBounds::around_aps` reads only the arrays.
         let placeholder: Vec<spotfi_core::ApMeasurement> = traces
             .iter()
-            .map(|(_, ap, tr)| spotfi_core::ApMeasurement {
+            .map(|(_, ap, _)| spotfi_core::ApMeasurement {
                 array: ap.array,
                 direct_aoa_deg: 0.0,
                 likelihood: 1.0,
-                rssi_dbm: tr.packets.iter().map(|p| p.rssi_dbm).sum::<f64>()
-                    / tr.packets.len().max(1) as f64,
+                rssi_dbm: 0.0,
             })
             .collect();
         let bounds = self.search_bounds(&placeholder);
@@ -231,13 +249,12 @@ impl Runner {
         }
     }
 
-    fn link_records(&self, t_idx: usize) -> Vec<LinkRecord> {
+    fn link_records(&self, spotfi: &SpotFi, t_idx: usize) -> Vec<LinkRecord> {
         let target = &self.scenario.targets[t_idx];
         let traces = {
             let _span = spotfi_obs::span("stage.simulate");
             audible_traces(&self.scenario, &self.config, t_idx)
         };
-        let spotfi = SpotFi::new(self.config.spotfi.clone());
 
         traces
             .iter()
@@ -267,7 +284,7 @@ impl Runner {
                 // Fig. 8a: MUSIC-AoA averaged spectrum, closest peak.
                 let music_aoa_estimation_error_deg = {
                     let _span = spotfi_obs::span("stage.baseline");
-                    averaged_music_aoa_peaks(&trace.packets, &self.config.arraytrack.music)
+                    averaged_peaks(&trace.packets, &self.config.arraytrack.music)
                         .into_iter()
                         .map(|aoa| (aoa - truth_aoa).abs())
                         .min_by(|x, y| x.partial_cmp(y).unwrap())
@@ -301,87 +318,6 @@ impl Runner {
             })
             .collect()
     }
-
-    /// Maps `f` over target indices in parallel, preserving order.
-    fn parallel_over_targets<T: Send>(&self, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-        let n = self.scenario.targets.len();
-        let threads = if self.config.threads > 0 {
-            self.config.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4)
-        }
-        .min(n.max(1));
-
-        let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-        let next: Mutex<usize> = Mutex::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    loop {
-                        let idx = {
-                            let mut guard = next.lock().unwrap();
-                            let idx = *guard;
-                            if idx >= n {
-                                break;
-                            }
-                            *guard += 1;
-                            idx
-                        };
-                        let value = f(idx);
-                        results.lock().unwrap()[idx] = Some(value);
-                    }
-                    // The scope's implicit join only waits for this closure,
-                    // not for thread-local destructors, so merge this
-                    // worker's observability shard before returning.
-                    spotfi_obs::flush_thread();
-                });
-            }
-        });
-        results
-            .into_inner()
-            .unwrap()
-            .into_iter()
-            .map(|o| o.expect("worker missed an index"))
-            .collect()
-    }
-}
-
-/// Packet-averaged MUSIC-AoA spectrum peaks (up to the configured signal
-/// dimension).
-fn averaged_music_aoa_peaks(packets: &[CsiPacket], cfg: &MusicAoaConfig) -> Vec<f64> {
-    let mut sum: Option<Vec<f64>> = None;
-    for p in packets {
-        let Ok(spec) = music_aoa_spectrum(&p.csi, cfg) else {
-            continue;
-        };
-        let max = spec
-            .values
-            .iter()
-            .cloned()
-            .fold(f64::MIN, f64::max)
-            .max(1e-12);
-        match &mut sum {
-            None => sum = Some(spec.values.iter().map(|v| v / max).collect()),
-            Some(s) => {
-                for (acc, v) in s.iter_mut().zip(&spec.values) {
-                    *acc += v / max;
-                }
-            }
-        }
-    }
-    let Some(values) = sum else {
-        return Vec::new();
-    };
-    let spec = spotfi_baselines::music_aoa::MusicAoaSpectrum {
-        aoa_grid_deg: cfg.aoa_grid_deg,
-        values,
-    };
-    spec.peaks(cfg.max_paths)
-        .into_iter()
-        .map(|(aoa, _)| aoa)
-        .collect()
 }
 
 #[cfg(test)]
@@ -440,12 +376,38 @@ mod tests {
 
     #[test]
     fn single_thread_matches_parallel() {
-        let mut cfg = RunnerConfig::fast_test();
-        cfg.threads = 1;
-        let serial = Runner::new(mini_scenario(), cfg).run_localization();
-        let parallel = Runner::new(mini_scenario(), RunnerConfig::fast_test()).run_localization();
-        for (x, y) in serial.iter().zip(&parallel) {
-            assert_eq!(x.spotfi_error_m, y.spotfi_error_m);
+        let runner = |runtime| {
+            let mut cfg = RunnerConfig::fast_test();
+            cfg.spotfi.runtime = runtime;
+            Runner::new(mini_scenario(), cfg)
+        };
+        let serial = runner(RuntimeConfig::serial());
+        let parallel = runner(RuntimeConfig::with_threads(2));
+        let bits = |v: Option<f64>| v.map(f64::to_bits);
+
+        let (a, b) = (serial.run_localization(), parallel.run_localization());
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(bits(x.spotfi_error_m), bits(y.spotfi_error_m));
+            assert_eq!(bits(x.arraytrack_error_m), bits(y.arraytrack_error_m));
+        }
+
+        let (a, b) = (serial.run_links(), parallel.run_links());
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!((&x.target_name, &x.ap_name), (&y.target_name, &y.ap_name));
+            let fields = |l: &LinkRecord| {
+                [
+                    l.spotfi_estimation_error_deg,
+                    l.music_aoa_estimation_error_deg,
+                    l.sel_spotfi_deg,
+                    l.sel_lteye_deg,
+                    l.sel_cupid_deg,
+                    l.sel_oracle_deg,
+                ]
+                .map(bits)
+            };
+            assert_eq!(fields(x), fields(y), "{} @ {}", x.target_name, x.ap_name);
         }
     }
 }

@@ -129,24 +129,21 @@ fn disabled_recorder_records_nothing() {
 
 #[test]
 fn testbed_runner_workers_flush_into_snapshot() {
-    // Regression test: the testbed runner's fire-and-forget scoped workers
-    // once relied on thread-local destructors to merge their shards, which
+    // Regression test: the testbed runner's scoped workers once relied on
+    // thread-local destructors to merge their shards, which
     // `std::thread::scope` does not wait for — a snapshot taken right after
-    // `run_localization` came back empty. Workers now flush at the end of
-    // their closure, so everything recorded inside the run must be visible.
+    // `run_localization` came back empty. The runner now maps targets
+    // through `parallel_map_with`, whose workers flush at the end of their
+    // closure, so everything recorded inside the run must be visible.
     let _guard = lock();
     let deployment = Deployment::standard();
     let mut scenario = Scenario::office(&deployment);
     scenario.targets.truncate(2);
     scenario.packets_per_fix = 4;
     for threads in [1, 2] {
-        let runner = Runner::new(
-            scenario.clone(),
-            RunnerConfig {
-                threads,
-                ..RunnerConfig::default()
-            },
-        );
+        let mut cfg = RunnerConfig::default();
+        cfg.spotfi.runtime = RuntimeConfig::with_threads(threads);
+        let runner = Runner::new(scenario.clone(), cfg);
         spotfi::obs::reset();
         spotfi::obs::set_enabled(true);
         let records = runner.run_localization();
