@@ -57,8 +57,8 @@
 use spotfi_channel::{AntennaArray, CsiPacket};
 use spotfi_math::stats::mean;
 use spotfi_math::{
-    hermitian_eigen_partial_batch_into, hermitian_eigen_partial_into, BatchTridiagWorkspace, CMat,
-    SubspaceTracker, TridiagWorkspace, BATCH_LANES,
+    hermitian_eigen_partial_batch_into, BatchTridiagWorkspace, CMat, PackedHermitian,
+    RitzWorkspace, SubspaceTracker, TridiagWorkspace, BATCH_LANES,
 };
 
 use crate::cluster::{cluster_estimates, Clustering};
@@ -117,13 +117,18 @@ impl ApAnalysis {
 }
 
 /// Reusable per-worker buffers for one packet's analysis chain: the
-/// smoothed measurement matrix plus the MUSIC covariance/projector
-/// scratch. Fully overwritten on every packet, so one scratch serves a
-/// worker for the lifetime of a run.
+/// smoothed measurement matrix, the MUSIC covariance/projector scratch
+/// (whose covariance buffer also holds a stream's unpacked covariance
+/// while its packet runs), and the subspace tracker's per-step
+/// [`RitzWorkspace`]. Fully overwritten on every packet, so one scratch
+/// serves a worker — and every stream on it — for the lifetime of a run.
+/// The Ritz workspace is sized by the first warm packet, so a scratch that
+/// only ever runs batch packets never allocates it.
 #[derive(Clone, Debug)]
 pub struct PacketScratch {
     smoothed: CMat,
     music: MusicScratch,
+    ritz: RitzWorkspace,
 }
 
 impl PacketScratch {
@@ -132,6 +137,7 @@ impl PacketScratch {
         PacketScratch {
             smoothed: CMat::zeros(cfg.smoothed_rows(), cfg.smoothed_cols()),
             music: MusicScratch::new(cfg),
+            ritz: RitzWorkspace::default(),
         }
     }
 }
@@ -145,9 +151,14 @@ impl PacketScratch {
 /// Kept apart from the transient [`PacketScratch`] so callers that keep
 /// *many* concurrent streams (the fleet engine shards thousands of
 /// per-(target, AP) sessions across a handful of workers) pay only for
-/// this state per stream — roughly the covariance plus the tracked basis —
-/// while one per-worker [`PacketScratch`] serves every stream, since the
-/// scratch is fully overwritten on each packet.
+/// this state per stream, while one per-worker [`PacketScratch`] serves
+/// every stream, since the scratch is fully overwritten on each packet.
+/// A stream holds only what its next packet reads: the covariance as a
+/// [`PackedHermitian`] lower triangle (`n(n+1)/2` entries, 7.4 KB at the
+/// default n = 30) and the tracked `n×k` basis (≤ 3.8 KB at
+/// `max_paths` = 8), plus the previous peak cells. Each packet unpacks the
+/// covariance into the worker's scratch; the tracker's per-step products
+/// live in the scratch's [`RitzWorkspace`].
 ///
 /// One `StreamState` belongs to one packet stream; feeding it packets from
 /// different APs (or different targets) mixes unrelated covariances.
@@ -156,7 +167,7 @@ impl PacketScratch {
 /// covariance forces an exact re-anchor on the next packet.
 #[derive(Clone, Debug)]
 pub struct StreamState {
-    cov: CMat,
+    cov: PackedHermitian,
     tracker: SubspaceTracker,
     last_peaks: Vec<(usize, usize)>,
     packets_since_anchor: usize,
@@ -169,7 +180,7 @@ impl StreamState {
     pub fn new(cfg: &SpotFiConfig) -> Self {
         let n = cfg.smoothed_rows();
         StreamState {
-            cov: CMat::zeros(n, n),
+            cov: PackedHermitian::zeros(n),
             tracker: SubspaceTracker::new(),
             last_peaks: Vec::new(),
             packets_since_anchor: 0,
@@ -191,10 +202,14 @@ impl StreamState {
 }
 
 /// Where a staged packet's covariance lands: a batch lane's slot (always
-/// fresh) or a stream's rolling covariance.
+/// fresh), or a stream's rolling covariance plus the dense buffer the
+/// stream's packet reads it from.
 enum Covariance<'a> {
     Lane(&'a mut CMat),
-    Stream(&'a mut StreamState),
+    Stream {
+        state: &'a mut StreamState,
+        unpacked: &'a mut CMat,
+    },
 }
 
 /// Per-worker buffers for one *batch* of packets: the shared per-packet
@@ -279,17 +294,18 @@ impl SpotFi {
 
     /// Stage: sanitize → smooth → covariance, returning whether the packet
     /// anchors on the exact solver. A batch lane's covariance is always
-    /// fresh and every lane anchors; a stream's is a rolling sum.
+    /// fresh and every lane anchors; a stream's is a rolling sum, kept
+    /// packed and left unpacked in `unpacked` for the packet's tail.
     fn stage(&self, packet: &CsiPacket, smoothed: &mut CMat, into: Covariance) -> Result<bool> {
         let sanitized = sanitize_csi(&packet.csi, self.config.ofdm.subcarrier_spacing_hz)?;
         smoothed_csi_into(&sanitized.csi, &self.config, smoothed)?;
-        let state = match into {
+        let (state, unpacked) = match into {
             Covariance::Lane(cov) => {
                 let _span = spotfi_obs::span("stage.eigen_batch");
                 covariance_into(smoothed, cov)?;
                 return Ok(true);
             }
-            Covariance::Stream(state) => state,
+            Covariance::Stream { state, unpacked } => (state, unpacked),
         };
         let stream_cfg = self.config.stream;
         let first = !state.initialized;
@@ -299,17 +315,17 @@ impl SpotFi {
                 // Fresh product: with λ = 0 this keeps the streaming
                 // covariance bitwise-equal to the batch path's, which the
                 // exactness contract (DESIGN.md §9) relies on.
-                covariance_into(smoothed, &mut state.cov)?;
+                covariance_into(smoothed, unpacked)?;
+                state.cov.assign_lower(unpacked);
             } else {
-                state
-                    .cov
-                    .hermitian_decay_accumulate(stream_cfg.forgetting, smoothed);
-                if !state.cov.as_slice().iter().all(|z| z.is_finite()) {
+                state.cov.decay_accumulate(stream_cfg.forgetting, smoothed);
+                if !state.cov.is_finite() {
                     // Poisoned accumulator: drop everything so the next
                     // packet rebuilds from scratch.
                     state.reset();
                     return Err(SpotFiError::DegenerateCsi);
                 }
+                state.cov.unpack_into(unpacked);
             }
             state.initialized = true;
         }
@@ -331,18 +347,20 @@ impl SpotFi {
     }
 
     /// Warm tail: one [`SubspaceTracker::refine`] step against the rolling
-    /// covariance, then the warm-started sweep from the previous packet's
-    /// peak basins. Returns `None` — the caller falls back to the exact
-    /// path — when the tracker's drift exceeds
+    /// covariance (unpacked in `music`'s covariance buffer), then the
+    /// warm-started sweep from the previous packet's peak basins. Returns
+    /// `None` — the caller falls back to the exact path — when the
+    /// tracker's drift exceeds
     /// [`crate::config::StreamConfig::drift_threshold`] (or is NaN).
     fn warm_tail(
         &self,
         state: &mut StreamState,
         music: &mut MusicScratch,
+        ritz: &mut RitzWorkspace,
     ) -> Option<Result<CoarseFinePaths>> {
         let prepared = {
             let _track = spotfi_obs::span("stage.track");
-            let drift = state.tracker.refine(&state.cov);
+            let drift = state.tracker.refine(music.cov(), ritz);
             spotfi_obs::value("stream.drift", drift);
             // NaN checked explicitly so a poisoned drift metric also falls
             // back to the exact path.
@@ -353,8 +371,8 @@ impl SpotFi {
             prepare_music_evaluation_from_subspace(
                 &self.config,
                 music,
-                state.tracker.values(),
-                state.tracker.vectors(),
+                ritz.values(),
+                ritz.vectors(),
             )
         };
         Some(prepared.and_then(|signal_dimension| {
@@ -392,7 +410,7 @@ impl SpotFi {
             }
             None => k,
         };
-        tracker.seed(&vals[..rank], ws.vectors());
+        tracker.seed(ws.vectors(), rank);
     }
 
     /// Amortized streaming analysis of one packet against persistent
@@ -404,8 +422,8 @@ impl SpotFi {
     /// Instead of re-deriving everything per packet like
     /// [`analyze_packet`](Self::analyze_packet), this path:
     ///
-    /// 1. updates a rolling covariance `R ← λ·R + X·Xᴴ` in place
-    ///    ([`crate::config::StreamConfig::forgetting`]),
+    /// 1. updates a rolling covariance `R ← λ·R + X·Xᴴ` in place, stored
+    ///    packed ([`crate::config::StreamConfig::forgetting`]),
     /// 2. *tracks* the signal subspace — one block power step plus a
     ///    `k×k` Rayleigh–Ritz solve refining the previous eigenbasis
     ///    ([`spotfi_math::SubspaceTracker`]) — instead of running the
@@ -437,11 +455,20 @@ impl SpotFi {
         scratch: &mut PacketScratch,
     ) -> Result<Vec<PathEstimate>> {
         let _packet_span = spotfi_obs::span("stream.packet");
-        let anchor = self.stage(packet, &mut scratch.smoothed, Covariance::Stream(state))?;
+        let PacketScratch {
+            smoothed,
+            music,
+            ritz,
+        } = scratch;
+        let into = Covariance::Stream {
+            state: &mut *state,
+            unpacked: music.cov_mut(),
+        };
+        let anchor = self.stage(packet, smoothed, into)?;
         let warm = if anchor {
             None
         } else {
-            self.warm_tail(state, &mut scratch.music)
+            self.warm_tail(state, music, ritz)
         };
         spotfi_obs::counter("stream.packets", 1);
         let exact = warm.is_none();
@@ -457,14 +484,10 @@ impl SpotFi {
             );
             {
                 let _span = spotfi_obs::span("stage.eigen");
-                hermitian_eigen_partial_into(
-                    &state.cov,
-                    self.config.music.max_paths,
-                    scratch.music.eig_mut(),
-                );
+                music.eigen_of_cov(self.config.music.max_paths);
             }
-            self.seed_tracker(&mut state.tracker, &mut scratch.music);
-            self.exact_tail(&mut scratch.music)
+            self.seed_tracker(&mut state.tracker, music);
+            self.exact_tail(music)
         });
         match swept {
             Ok(swept) => {

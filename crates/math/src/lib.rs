@@ -12,7 +12,9 @@
 //! external linear-algebra dependencies:
 //!
 //! * [`c64`] — a complex double with full arithmetic ([`complex`]).
-//! * [`CMat`] — dense column-major complex matrices ([`matrix`]).
+//! * [`CMat`] — dense column-major complex matrices, and
+//!   [`PackedHermitian`], a Hermitian matrix stored as its lower triangle
+//!   ([`matrix`]).
 //! * [`eigen`] — complex Hermitian eigendecomposition via cyclic Jacobi
 //!   (the cross-validation oracle).
 //! * [`eigen_tridiag`] — Householder tridiagonalization + implicit-shift QL
@@ -49,6 +51,6 @@ pub use eigen_tridiag::{
     hermitian_eigen_partial_with, BatchTridiagWorkspace, PartialHermitianEigen, TridiagWorkspace,
     BATCH_LANES,
 };
-pub use matrix::CMat;
+pub use matrix::{CMat, PackedHermitian};
 pub use realmat::RMat;
-pub use subspace::SubspaceTracker;
+pub use subspace::{RitzWorkspace, SubspaceTracker};

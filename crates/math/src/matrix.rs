@@ -191,72 +191,6 @@ impl CMat {
         }
     }
 
-    /// Scales every element in place by a real factor — the decay step of
-    /// an exponentially forgotten covariance (`R ← λ·R`). Unlike
-    /// [`scale`](Self::scale) this reuses the allocation and cannot change
-    /// Hermitian symmetry (a real factor preserves it exactly).
-    pub fn scale_in_place(&mut self, s: f64) {
-        for z in &mut self.data {
-            *z *= s;
-        }
-    }
-
-    /// Rank-1 Hermitian update `A ← A + α·v·vᴴ` with a real (signed) `α`:
-    /// `α > 0` is an update, `α < 0` a downdate (e.g. expiring a column out
-    /// of a sliding-window covariance). The lower triangle accumulates and
-    /// is then mirrored, so the result is exactly Hermitian with a real
-    /// diagonal — the invariant every consumer of the covariance assumes.
-    ///
-    /// # Panics
-    /// Panics if `self` is not square or `v.len()` ≠ `self.rows()`.
-    pub fn rank1_hermitian_update(&mut self, v: &[c64], alpha: f64) {
-        let n = self.rows;
-        assert_eq!(
-            self.cols, n,
-            "rank-1 Hermitian update needs a square matrix"
-        );
-        assert_eq!(v.len(), n, "rank-1 Hermitian update vector length mismatch");
-        for j in 0..n {
-            let cj = v[j].conj() * alpha;
-            for i in j..n {
-                self[(i, j)] += v[i] * cj;
-            }
-        }
-        self.mirror_lower_triangle();
-    }
-
-    /// `A ← λ·A + X·Xᴴ` — one step of an exponentially forgotten covariance.
-    /// Equivalent to [`scale_in_place`](Self::scale_in_place) followed by a
-    /// [`rank1_hermitian_update`](Self::rank1_hermitian_update) per column of
-    /// `X`, but mirrors the lower triangle once at the end instead of per
-    /// column. The per-column accumulation order matches
-    /// [`mul_hermitian_self_into`](Self::mul_hermitian_self_into), so
-    /// `λ = 0` reproduces that product's rounding exactly.
-    ///
-    /// # Panics
-    /// Panics if `self` is not square or `X.rows()` ≠ `self.rows()`.
-    pub fn hermitian_decay_accumulate(&mut self, lambda: f64, x: &CMat) {
-        let n = self.rows;
-        assert_eq!(self.cols, n, "covariance update needs a square matrix");
-        assert_eq!(x.rows, n, "covariance update row-count mismatch");
-        self.scale_in_place(lambda);
-        for c in 0..x.cols {
-            let col = x.col(c);
-            for j in 0..n {
-                let cj = col[j].conj();
-                // Slice the destination column tail once: the accumulation
-                // order (column-by-column, top-down the lower triangle) is
-                // unchanged, so results stay bitwise identical to the
-                // element-indexed form.
-                let dst = &mut self.data[j * n + j..(j + 1) * n];
-                for (d, &s) in dst.iter_mut().zip(&col[j..]) {
-                    *d += s * cj;
-                }
-            }
-        }
-        self.mirror_lower_triangle();
-    }
-
     /// Copies the lower triangle's conjugate into the upper triangle and
     /// forces the diagonal real — restores exact Hermitian symmetry after a
     /// lower-triangle accumulation.
@@ -480,6 +414,124 @@ impl fmt::Debug for CMat {
     }
 }
 
+/// An `n×n` Hermitian matrix stored as its lower triangle: column-major,
+/// column `j` holding rows `j..n`, so `n(n+1)/2` entries instead of `n²`.
+/// The diagonal is kept exactly real.
+///
+/// This is the at-rest form of a streaming covariance: a server holding
+/// thousands of them keeps only the half it cannot re-derive, and
+/// [`unpack_into`](Self::unpack_into) restores the dense matrix into a
+/// per-worker buffer once per packet. The arithmetic matches the dense
+/// kernels entry for entry, so the unpacked matrix is bitwise the one
+/// [`CMat::mul_hermitian_self_into`] (plus λ-decayed accumulation) would
+/// have produced.
+///
+/// ```
+/// use spotfi_math::{c64, CMat, PackedHermitian};
+///
+/// let x0 = CMat::from_fn(3, 4, |r, c| c64::cis(r as f64 * 0.4 + c as f64));
+/// let x1 = CMat::from_fn(3, 4, |r, c| c64::cis(r as f64 * 1.3 - c as f64));
+/// let mut r = PackedHermitian::zeros(3);
+/// r.assign_lower(&x0.mul_hermitian_self());
+/// r.decay_accumulate(0.5, &x1); // R ← 0.5·R + X₁·X₁ᴴ
+///
+/// let mut dense = CMat::default();
+/// r.unpack_into(&mut dense);
+/// assert_eq!(dense.shape(), (3, 3));
+/// assert!(dense.is_hermitian(0.0));
+/// ```
+#[derive(Clone, Debug)]
+pub struct PackedHermitian {
+    n: usize,
+    /// Lower triangle, column by column: `(i, j)` with `i ≥ j` lives at
+    /// `j·n − j(j−1)/2 + (i − j)`.
+    data: Vec<c64>,
+}
+
+impl PackedHermitian {
+    /// The `n×n` zero matrix.
+    pub fn zeros(n: usize) -> Self {
+        PackedHermitian {
+            n,
+            data: vec![c64::ZERO; n * (n + 1) / 2],
+        }
+    }
+
+    /// Overwrites `self` with the lower triangle of the Hermitian `a` (a
+    /// fresh [`CMat::mul_hermitian_self`] product), its diagonal forced
+    /// real. The upper triangle of `a` is not read.
+    ///
+    /// # Panics
+    /// Panics if `a` is not `n×n`.
+    pub fn assign_lower(&mut self, a: &CMat) {
+        let n = self.n;
+        assert_eq!(a.shape(), (n, n), "packed assign shape mismatch");
+        let mut off = 0;
+        for j in 0..n {
+            let len = n - j;
+            self.data[off..off + len].copy_from_slice(&a.col(j)[j..]);
+            self.data[off] = c64::real(self.data[off].re);
+            off += len;
+        }
+    }
+
+    /// `R ← λ·R + X·Xᴴ` — one step of an exponentially forgotten
+    /// covariance. Decays every entry, accumulates column by column of
+    /// `X` down each lower-triangle column (the order of
+    /// [`CMat::mul_hermitian_self_into`]), then forces the diagonal real.
+    ///
+    /// # Panics
+    /// Panics if `x.rows()` ≠ `n`.
+    pub fn decay_accumulate(&mut self, lambda: f64, x: &CMat) {
+        let n = self.n;
+        assert_eq!(x.rows(), n, "covariance update row-count mismatch");
+        for z in &mut self.data {
+            *z *= lambda;
+        }
+        for c in 0..x.cols() {
+            let col = x.col(c);
+            let mut off = 0;
+            for j in 0..n {
+                let cj = col[j].conj();
+                let dst = &mut self.data[off..off + n - j];
+                for (d, &s) in dst.iter_mut().zip(&col[j..]) {
+                    *d += s * cj;
+                }
+                off += n - j;
+            }
+        }
+        let mut off = 0;
+        for j in 0..n {
+            self.data[off] = c64::real(self.data[off].re);
+            off += n - j;
+        }
+    }
+
+    /// `true` if every entry is finite.
+    pub fn is_finite(&self) -> bool {
+        self.data.iter().all(|z| z.is_finite())
+    }
+
+    /// Writes the dense Hermitian matrix into `out` (resized to `n×n`,
+    /// reusing its allocation): the lower triangle as stored, the upper
+    /// triangle as its conjugate.
+    pub fn unpack_into(&self, out: &mut CMat) {
+        let n = self.n;
+        if out.shape() != (n, n) {
+            out.reset_zeros(n, n);
+        }
+        let mut off = 0;
+        for j in 0..n {
+            let lower = &self.data[off..off + n - j];
+            out.data[j * n + j..(j + 1) * n].copy_from_slice(lower);
+            for (k, z) in lower.iter().enumerate().skip(1) {
+                out.data[(j + k) * n + j] = z.conj();
+            }
+            off += n - j;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -598,74 +650,97 @@ mod tests {
         assert_eq!(out, x.mul_hermitian_self());
     }
 
-    #[test]
-    fn rank1_update_matches_explicit_outer_product() {
-        let x = CMat::from_fn(4, 3, |r, c| {
-            c64::new(r as f64 * 0.4 - c as f64, 0.3 * c as f64)
-        });
-        let mut a = x.mul_hermitian_self();
-        let v: Vec<c64> = (0..4)
-            .map(|i| c64::new(1.0 - i as f64, 0.5 * i as f64))
-            .collect();
-        a.rank1_hermitian_update(&v, 2.0);
-        let mut expect = x.mul_hermitian_self();
-        for j in 0..4 {
-            for i in 0..4 {
-                expect[(i, j)] += v[i] * v[j].conj() * 2.0;
+    /// The dense kernel [`PackedHermitian::decay_accumulate`] replaced:
+    /// decay every entry, accumulate the lower triangle column by column,
+    /// then mirror it and force the diagonal real.
+    fn dense_decay_accumulate(a: &mut CMat, lambda: f64, x: &CMat) {
+        let n = a.rows();
+        for z in &mut a.data {
+            *z *= lambda;
+        }
+        for c in 0..x.cols() {
+            let col = x.col(c);
+            for j in 0..n {
+                let cj = col[j].conj();
+                for i in j..n {
+                    a[(i, j)] += col[i] * cj;
+                }
             }
         }
-        assert!((&a - &expect).max_abs() < 1e-12);
-        assert!(a.is_hermitian(0.0), "update must preserve exact symmetry");
+        a.mirror_lower_triangle();
+    }
+
+    fn bits(m: &CMat) -> Vec<(u64, u64)> {
+        m.as_slice()
+            .iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
     }
 
     #[test]
-    fn rank1_downdate_reverses_update() {
-        let x = CMat::from_fn(4, 6, |r, c| c64::cis(r as f64 * 0.9 - c as f64 * 0.4));
-        let orig = x.mul_hermitian_self();
-        let mut a = orig.clone();
-        let v: Vec<c64> = (0..4)
-            .map(|i| c64::new(0.2 * i as f64 + 1.0, -0.7))
-            .collect();
-        a.rank1_hermitian_update(&v, 1.0);
-        a.rank1_hermitian_update(&v, -1.0);
-        assert!((&a - &orig).max_abs() < 1e-10);
-        assert!(a.is_hermitian(0.0));
-    }
-
-    #[test]
-    fn decay_accumulate_with_zero_lambda_is_bitwise_covariance() {
-        let x = CMat::from_fn(5, 9, |r, c| {
-            c64::new((r * c) as f64 * 0.13 - 1.0, r as f64 - c as f64)
-        });
-        // Dirty starting state: λ = 0 must wipe it exactly.
-        let mut a = CMat::from_fn(5, 5, |_, _| c64::new(7.0, -3.0));
-        a.hermitian_decay_accumulate(0.0, &x);
-        let expect = x.mul_hermitian_self();
-        // Bit-exact: same accumulation order as mul_hermitian_self_into.
-        assert_eq!(a, expect);
-    }
-
-    #[test]
-    fn decay_accumulate_matches_scale_plus_product() {
-        let x0 = CMat::from_fn(4, 7, |r, c| c64::cis(r as f64 * 0.3 + c as f64 * 1.1));
-        let x1 = CMat::from_fn(4, 7, |r, c| c64::cis(r as f64 * 1.7 - c as f64 * 0.2));
-        let lambda = 0.85;
-        let mut a = x0.mul_hermitian_self();
-        a.hermitian_decay_accumulate(lambda, &x1);
-        let expect = &x0.mul_hermitian_self().scale(c64::real(lambda)) + &x1.mul_hermitian_self();
-        assert!((&a - &expect).max_abs() < 1e-10);
+    fn packed_decay_accumulate_is_bitwise_the_dense_kernel() {
+        let snapshot = |r: f64| {
+            CMat::from_fn(5, 9, move |row, c| {
+                c64::new((row * c) as f64 * 0.13 - r, row as f64 - c as f64 * r)
+                    + c64::cis(row as f64 * r + c as f64 * 1.1)
+            })
+        };
+        let mut dense = snapshot(0.3).mul_hermitian_self();
+        let mut packed = PackedHermitian::zeros(5);
+        packed.assign_lower(&dense);
+        let mut out = CMat::default();
+        for (lambda, r) in [(0.85, 1.7), (0.7, -0.4), (0.0, 2.2), (0.5, 0.9)] {
+            let x = snapshot(r);
+            dense_decay_accumulate(&mut dense, lambda, &x);
+            packed.decay_accumulate(lambda, &x);
+            packed.unpack_into(&mut out);
+            assert_eq!(bits(&out), bits(&dense), "unpacked update at λ = {lambda}");
+            let mut repacked = PackedHermitian::zeros(5);
+            repacked.assign_lower(&dense);
+            let packed_bits = |p: &PackedHermitian| {
+                p.data
+                    .iter()
+                    .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(packed_bits(&packed), packed_bits(&repacked));
+        }
         assert!(
-            a.is_hermitian(0.0),
-            "decay + accumulate must stay Hermitian"
+            out.is_hermitian(0.0),
+            "unpacked covariance must be Hermitian"
         );
     }
 
     #[test]
-    fn scale_in_place_matches_scale() {
-        let a = CMat::from_fn(3, 4, |r, c| c64::new(r as f64, c as f64 - 2.0));
-        let mut b = a.clone();
-        b.scale_in_place(0.25);
-        assert_eq!(b, a.scale(c64::real(0.25)));
+    fn packed_decay_with_zero_lambda_is_the_fresh_covariance() {
+        let x = CMat::from_fn(5, 9, |r, c| {
+            c64::new((r * c) as f64 * 0.13 - 1.0, r as f64 - c as f64)
+        });
+        let mut packed = PackedHermitian::zeros(5);
+        // Dirty starting state: λ = 0 must wipe it.
+        packed.assign_lower(&CMat::from_fn(5, 5, |_, _| c64::new(7.0, -3.0)));
+        packed.decay_accumulate(0.0, &x);
+        let mut out = CMat::default();
+        packed.unpack_into(&mut out);
+        assert_eq!(out, x.mul_hermitian_self());
+    }
+
+    #[test]
+    fn packed_unpack_roundtrips_into_a_dirty_buffer() {
+        let x = CMat::from_fn(4, 7, |r, c| c64::cis(r as f64 * 0.3 + c as f64 * 1.1));
+        let fresh = x.mul_hermitian_self();
+        let mut packed = PackedHermitian::zeros(4);
+        packed.assign_lower(&fresh);
+        assert_eq!(packed.data.len(), 10);
+        assert!(packed.is_finite());
+        let mut out = CMat::from_fn(7, 2, |_, _| c64::new(9.0, -9.0));
+        packed.unpack_into(&mut out);
+        assert_eq!(bits(&out), bits(&fresh));
+
+        let mut poisoned = x.clone();
+        poisoned[(2, 3)] = c64::new(f64::NAN, 0.0);
+        packed.decay_accumulate(0.9, &poisoned);
+        assert!(!packed.is_finite());
     }
 
     #[test]

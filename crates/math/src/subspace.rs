@@ -27,6 +27,10 @@
 //! 6. `E ← orth(Y·W)` — the power step (re-orthonormalized by modified
 //!    Gram–Schmidt) primes the basis for the next packet.
 //!
+//! Only `E` persists between steps ([`SubspaceTracker`]); `Y`, `B` and the
+//! Ritz pairs are per-step products held in a caller-owned
+//! [`RitzWorkspace`].
+//!
 //! The tracker is an *estimator with a safety net*, not a replacement for
 //! the exact solver: callers re-seed from the batch eigendecomposition
 //! whenever drift trips a threshold or on a periodic re-anchor schedule.
@@ -48,8 +52,15 @@ const RITZ_EIG_TOL: f64 = 1e-8;
 
 /// Tracks the dominant eigenspace of a slowly varying Hermitian matrix.
 ///
+/// The tracker holds only the persistent state one step hands the next:
+/// the orthonormal n×k basis. Everything a step computes along the way —
+/// `R·E`, the Rayleigh quotient, the Ritz pairs — lives in a
+/// [`RitzWorkspace`] the caller passes to [`refine`](Self::refine), so a
+/// server tracking thousands of streams keeps one workspace per worker,
+/// not one per stream.
+///
 /// ```
-/// use spotfi_math::{c64, CMat, SubspaceTracker};
+/// use spotfi_math::{c64, CMat, RitzWorkspace, SubspaceTracker};
 /// use spotfi_math::eigen::hermitian_eigen;
 ///
 /// // A fixed covariance: tracking it is power iteration from the exact
@@ -62,25 +73,47 @@ const RITZ_EIG_TOL: f64 = 1e-8;
 /// let eig = hermitian_eigen(&r);
 ///
 /// let mut t = SubspaceTracker::new();
-/// t.seed(&eig.values[..2], &eig.vectors.select(&[0, 1, 2, 3, 4, 5], &[0, 1]));
-/// let drift = t.refine(&r);
+/// let mut ws = RitzWorkspace::default();
+/// t.seed(&eig.vectors, 2);
+/// let drift = t.refine(&r, &mut ws);
 /// assert!(drift < 1e-8);
-/// assert!((t.values()[0] - eig.values[0]).abs() < 1e-8 * eig.values[0]);
+/// assert!((ws.values()[0] - eig.values[0]).abs() < 1e-8 * eig.values[0]);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SubspaceTracker {
     /// Orthonormal n×k basis primed for the *next* refine (post power step).
     basis: CMat,
+}
+
+/// Per-step buffers and outputs of [`SubspaceTracker::refine`]: this
+/// step's Ritz pairs plus the products that produce them. Carries nothing
+/// from one step to the next, so one workspace serves any number of
+/// trackers. Sized lazily by the first refine; empty until then.
+#[derive(Clone, Debug, Default)]
+pub struct RitzWorkspace {
     /// This step's Ritz vectors (n×k, orthonormal, by descending value).
     ritz_vectors: CMat,
     /// This step's Ritz values, descending.
     values: Vec<f64>,
-    /// Scratch: `Y = R·E` (n×k).
+    /// `Y = R·E` (n×k).
     y: CMat,
-    /// Scratch: the k×k Rayleigh quotient.
+    /// The k×k Rayleigh quotient.
     quotient: CMat,
-    /// Scratch: staging for `E·W` / `Y·W` products.
+    /// Staging for `E·W` / `Y·W` products.
     stage: CMat,
+}
+
+impl RitzWorkspace {
+    /// The last successful refine's Ritz values (descending).
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// The last successful refine's Ritz vectors (n×k, orthonormal
+    /// columns, ordered by descending value).
+    pub fn vectors(&self) -> &CMat {
+        &self.ritz_vectors
+    }
 }
 
 impl SubspaceTracker {
@@ -95,57 +128,41 @@ impl SubspaceTracker {
         self.basis.cols() > 0
     }
 
-    /// Installs an exact eigenbasis from the batch solver: the `k =
-    /// values.len()` descending `values` and the leading `k` columns of
-    /// `vectors` (orthonormal, n×(≥ k)). This is both the initial seed and
-    /// the periodic re-anchor. The basis buffers are sized to exactly `k`
-    /// columns, reusing their allocations, so re-seeding at an unchanged
-    /// shape allocates nothing.
+    /// Installs the leading `k` columns of an exact eigenbasis from the
+    /// batch solver (`vectors`: orthonormal, n×(≥ k), by descending
+    /// eigenvalue). This is both the initial seed and the periodic
+    /// re-anchor. The basis is sized to exactly `k` columns, reusing its
+    /// allocation, so re-seeding at an unchanged shape allocates nothing.
     ///
     /// # Panics
-    /// Panics if `vectors` has fewer than `values.len()` columns.
-    pub fn seed(&mut self, values: &[f64], vectors: &CMat) {
-        let k = values.len();
-        assert!(
-            k <= vectors.cols(),
-            "subspace seed has more values than vectors"
-        );
+    /// Panics if `vectors` has fewer than `k` columns.
+    pub fn seed(&mut self, vectors: &CMat, k: usize) {
+        assert!(k <= vectors.cols(), "subspace seed has too few vectors");
         self.basis.assign_leading_cols(vectors, k);
-        self.ritz_vectors.assign_leading_cols(vectors, k);
-        self.values.clear();
-        self.values.extend_from_slice(values);
     }
 
     /// Forgets the tracked basis; the next [`refine`](Self::refine) reports
     /// infinite drift.
     pub fn reset(&mut self) {
         self.basis = CMat::default();
-        self.ritz_vectors = CMat::default();
-        self.values.clear();
     }
 
-    /// This step's Ritz values (descending). Empty until seeded.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// This step's Ritz vectors (n×k, orthonormal columns, ordered by
-    /// descending value). Empty until seeded.
-    pub fn vectors(&self) -> &CMat {
-        &self.ritz_vectors
-    }
-
-    /// One tracking step against the Hermitian matrix `r`. Updates the Ritz
-    /// pairs to this step's estimate, primes the basis for the next step,
-    /// and returns the relative subspace drift (see module docs). Returns
-    /// `f64::INFINITY` — leaving the previous estimate in place — when the
-    /// tracker is unseeded, the input is degenerate, or orthonormalization
-    /// breaks down; callers must treat a drift above their threshold as
-    /// "re-anchor with the exact solver".
+    /// One tracking step against the Hermitian matrix `r`. Writes this
+    /// step's Ritz pairs to `ws` ([`RitzWorkspace::values`] /
+    /// [`RitzWorkspace::vectors`]), primes the basis for the next step,
+    /// and returns the relative subspace drift (see module docs).
+    ///
+    /// Returns `f64::INFINITY` when the tracker is unseeded, the input is
+    /// degenerate, or orthonormalization breaks down (a rank-deficient
+    /// update). On every infinite return the persistent basis is left
+    /// exactly as it was, so a later refine starts from the last good
+    /// basis; the workspace's contents are unspecified. Callers must
+    /// treat a drift above their threshold as "re-anchor with the exact
+    /// solver" and not read `ws`.
     ///
     /// # Panics
     /// Panics if `r` is not square or its size disagrees with the seed.
-    pub fn refine(&mut self, r: &CMat) -> f64 {
+    pub fn refine(&mut self, r: &CMat, ws: &mut RitzWorkspace) -> f64 {
         if !self.is_seeded() {
             return f64::INFINITY;
         }
@@ -154,26 +171,26 @@ impl SubspaceTracker {
         assert_eq!(r.shape(), (n, n), "covariance shape disagrees with seed");
 
         // 1. Y = R·E.
-        mul_into(r, &self.basis, &mut self.y);
+        mul_into(r, &self.basis, &mut ws.y);
 
         // 2. B = Eᴴ·Y (k×k).
-        self.quotient.reset_zeros(k, k);
+        ws.quotient.reset_zeros(k, k);
         for j in 0..k {
-            let ycol = self.y.col(j);
+            let ycol = ws.y.col(j);
             for i in 0..k {
                 let ecol = self.basis.col(i);
                 let mut acc = c64::ZERO;
                 for row in 0..n {
                     acc += ecol[row].conj() * ycol[row];
                 }
-                self.quotient[(i, j)] = acc;
+                ws.quotient[(i, j)] = acc;
             }
         }
 
         // 3. Relative drift from the norm identity ‖Y − E·B‖² = ‖Y‖² − ‖B‖²
         //    (exact because Eᴴ(Y − E·B) = 0 for orthonormal E).
-        let y_sq: f64 = self.y.as_slice().iter().map(|z| z.norm_sqr()).sum();
-        let b_sq: f64 = self.quotient.as_slice().iter().map(|z| z.norm_sqr()).sum();
+        let y_sq: f64 = ws.y.as_slice().iter().map(|z| z.norm_sqr()).sum();
+        let b_sq: f64 = ws.quotient.as_slice().iter().map(|z| z.norm_sqr()).sum();
         if !y_sq.is_finite() || y_sq <= 0.0 {
             return f64::INFINITY;
         }
@@ -181,24 +198,26 @@ impl SubspaceTracker {
 
         // 4. Tiny k×k eigensolve of the Rayleigh quotient (relaxed
         //    tolerance: see RITZ_EIG_TOL).
-        let eig = hermitian_eigen_with_tol(&self.quotient, RITZ_EIG_TOL);
+        let eig = hermitian_eigen_with_tol(&ws.quotient, RITZ_EIG_TOL);
 
         // 5. Ritz vectors V = E·W become this step's estimate.
-        mul_into(&self.basis, &eig.vectors, &mut self.stage);
-        std::mem::swap(&mut self.ritz_vectors, &mut self.stage);
-        self.values.clear();
-        self.values.extend_from_slice(&eig.values);
+        mul_into(&self.basis, &eig.vectors, &mut ws.stage);
+        std::mem::swap(&mut ws.ritz_vectors, &mut ws.stage);
+        ws.values.clear();
+        ws.values.extend_from_slice(&eig.values);
 
         // 6. Power step: E ← orth(Y·W). Reuses the Ritz rotation so the
         //    columns arrive roughly sorted by eigenvalue, which keeps
         //    Gram–Schmidt well conditioned.
-        mul_into(&self.y, &eig.vectors, &mut self.stage);
-        if !orthonormalize_columns(&mut self.stage) {
+        mul_into(&ws.y, &eig.vectors, &mut ws.stage);
+        if !orthonormalize_columns(&mut ws.stage) {
             // Breakdown (rank-deficient update): keep the previous basis and
             // force the caller to re-anchor.
             return f64::INFINITY;
         }
-        std::mem::swap(&mut self.basis, &mut self.stage);
+        // Copy rather than swap, so the basis keeps its own exactly sized
+        // allocation instead of adopting the workspace's.
+        self.basis.assign_leading_cols(&ws.stage, k);
 
         drift
     }
@@ -270,12 +289,25 @@ mod tests {
 
     /// n×k leading eigenvector block of a Hermitian matrix via the Jacobi
     /// oracle.
-    fn exact_seed(r: &CMat, k: usize) -> (Vec<f64>, CMat) {
+    fn exact_seed(r: &CMat, k: usize) -> CMat {
         let eig = hermitian_eigen(r);
         let n = r.rows();
         let rows: Vec<usize> = (0..n).collect();
         let cols: Vec<usize> = (0..k).collect();
-        (eig.values[..k].to_vec(), eig.vectors.select(&rows, &cols))
+        eig.vectors.select(&rows, &cols)
+    }
+
+    fn seeded(r: &CMat, k: usize) -> SubspaceTracker {
+        let mut t = SubspaceTracker::new();
+        t.seed(&exact_seed(r, k), k);
+        t
+    }
+
+    fn bits(m: &CMat) -> Vec<(u64, u64)> {
+        m.as_slice()
+            .iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
     }
 
     /// A multipath-style covariance: six rank-1 "paths" with distinct
@@ -304,15 +336,14 @@ mod tests {
     #[test]
     fn static_matrix_tracks_exact_spectrum() {
         let r = covariance(0.0);
-        let (vals, vecs) = exact_seed(&r, 4);
-        let mut t = SubspaceTracker::new();
-        t.seed(&vals, &vecs);
+        let mut t = seeded(&r, 4);
+        let mut ws = RitzWorkspace::default();
         for _ in 0..5 {
-            let drift = t.refine(&r);
+            let drift = t.refine(&r, &mut ws);
             assert!(drift < 1e-9, "static matrix must not drift: {}", drift);
         }
         let eig = hermitian_eigen(&r);
-        for (got, want) in t.values().iter().zip(top_k(&eig.values, 4)) {
+        for (got, want) in ws.values().iter().zip(top_k(&eig.values, 4)) {
             assert!(
                 (got - want).abs() < 1e-8 * want.abs().max(1.0),
                 "Ritz value {} vs exact {}",
@@ -324,13 +355,11 @@ mod tests {
 
     #[test]
     fn ritz_vectors_stay_orthonormal() {
-        let r = covariance(0.3);
-        let (vals, vecs) = exact_seed(&r, 5);
-        let mut t = SubspaceTracker::new();
-        t.seed(&vals, &vecs);
+        let mut t = seeded(&covariance(0.3), 5);
+        let mut ws = RitzWorkspace::default();
         for step in 0..4 {
-            t.refine(&covariance(0.3 + 0.01 * step as f64));
-            let v = t.vectors();
+            t.refine(&covariance(0.3 + 0.01 * step as f64), &mut ws);
+            let v = ws.vectors();
             for i in 0..5 {
                 for j in 0..5 {
                     let mut dot = c64::ZERO;
@@ -352,29 +381,25 @@ mod tests {
 
     #[test]
     fn slow_drift_stays_below_threshold_and_tracks_values() {
-        let mut t = SubspaceTracker::new();
-        let r0 = covariance(0.0);
-        let (vals, vecs) = exact_seed(&r0, 4);
-        t.seed(&vals, &vecs);
+        let mut t = seeded(&covariance(0.0), 4);
+        let mut ws = RitzWorkspace::default();
         for step in 1..=8 {
             let r = covariance(0.002 * step as f64);
-            let drift = t.refine(&r);
+            let drift = t.refine(&r, &mut ws);
             assert!(drift < 0.1, "slow drift tripped the threshold: {}", drift);
             let oracle = hermitian_eigen(&r);
-            let rel = (t.values()[0] - oracle.values[0]).abs() / oracle.values[0];
+            let rel = (ws.values()[0] - oracle.values[0]).abs() / oracle.values[0];
             assert!(rel < 1e-2, "top Ritz value off by {:.2e}", rel);
         }
     }
 
     #[test]
     fn large_jump_reports_large_drift() {
-        let r0 = covariance(0.0);
-        let (vals, vecs) = exact_seed(&r0, 4);
-        let mut t = SubspaceTracker::new();
-        t.seed(&vals, &vecs);
+        let mut t = seeded(&covariance(0.0), 4);
+        let mut ws = RitzWorkspace::default();
         // A completely different channel: most of R·E leaves the old span.
         let jumped = covariance(1.4);
-        let drift = t.refine(&jumped);
+        let drift = t.refine(&jumped, &mut ws);
         assert!(
             drift > 0.1,
             "jump must trip the fallback threshold: {}",
@@ -384,47 +409,89 @@ mod tests {
 
     #[test]
     fn unseeded_and_degenerate_inputs_force_fallback() {
+        let mut ws = RitzWorkspace::default();
         let mut t = SubspaceTracker::new();
         assert!(!t.is_seeded());
-        assert_eq!(t.refine(&covariance(0.0)), f64::INFINITY);
+        assert_eq!(t.refine(&covariance(0.0), &mut ws), f64::INFINITY);
 
-        let r = covariance(0.0);
-        let (vals, vecs) = exact_seed(&r, 3);
-        t.seed(&vals, &vecs);
+        let mut t = seeded(&covariance(0.0), 3);
         assert!(t.is_seeded());
+        let before = bits(&t.basis);
         let zero = CMat::zeros(12, 12);
-        assert_eq!(t.refine(&zero), f64::INFINITY);
+        assert_eq!(t.refine(&zero, &mut ws), f64::INFINITY);
+        assert_eq!(bits(&t.basis), before, "degenerate input moved the basis");
 
         t.reset();
         assert!(!t.is_seeded());
-        assert!(t.values().is_empty());
     }
 
     #[test]
-    fn reseeding_at_the_same_shape_reuses_every_buffer() {
+    fn breakdown_leaves_the_basis_bit_unchanged_and_recovers() {
+        // A rank-1 covariance against a 3-column basis: Y = R·E has rank 1,
+        // so Gram–Schmidt of Y·W breaks down on its second column — after
+        // the workspace's Ritz pairs were already overwritten.
+        let r = covariance(0.0);
+        let mut t = seeded(&r, 3);
+        let mut ws = RitzWorkspace::default();
+        let before = bits(&t.basis);
+        let v: Vec<c64> = (0..12).map(|i| c64::cis(i as f64 * 0.8)).collect();
+        let rank1 = CMat::col_vector(&v).mul_hermitian_self();
+        assert_eq!(t.refine(&rank1, &mut ws), f64::INFINITY);
+        assert_eq!(ws.values().len(), 3, "the breakdown must come after step 5");
+        assert_eq!(bits(&t.basis), before, "breakdown moved the basis");
+
+        // The next refine starts from the untouched basis and behaves
+        // exactly like a tracker that never saw the rank-deficient input.
+        let mut fresh = seeded(&r, 3);
+        let mut fresh_ws = RitzWorkspace::default();
+        let drift = t.refine(&r, &mut ws);
+        assert!(drift < 1e-9, "post-breakdown refine drifted: {}", drift);
+        assert_eq!(drift.to_bits(), fresh.refine(&r, &mut fresh_ws).to_bits());
+        assert_eq!(bits(ws.vectors()), bits(fresh_ws.vectors()));
+        assert_eq!(bits(&t.basis), bits(&fresh.basis));
+    }
+
+    #[test]
+    fn one_workspace_serves_many_trackers() {
+        // Interleaving two trackers through one workspace gives each the
+        // bits it gets with a private workspace: nothing carries over.
+        let mut shared = RitzWorkspace::default();
+        let mut a = seeded(&covariance(0.0), 4);
+        let mut b = seeded(&covariance(0.7), 2);
+        let (mut a_ref, mut b_ref) = (a.clone(), b.clone());
+        let (mut a_ws, mut b_ws) = (RitzWorkspace::default(), RitzWorkspace::default());
+        for step in 1..=4 {
+            let ra = covariance(0.003 * step as f64);
+            let rb = covariance(0.7 - 0.003 * step as f64);
+            let da = a.refine(&ra, &mut shared);
+            assert_eq!(da.to_bits(), a_ref.refine(&ra, &mut a_ws).to_bits());
+            assert_eq!(bits(shared.vectors()), bits(a_ws.vectors()));
+            let db = b.refine(&rb, &mut shared);
+            assert_eq!(db.to_bits(), b_ref.refine(&rb, &mut b_ws).to_bits());
+            assert_eq!(shared.values(), b_ws.values());
+        }
+        assert_eq!(bits(&a.basis), bits(&a_ref.basis));
+        assert_eq!(bits(&b.basis), bits(&b_ref.basis));
+    }
+
+    #[test]
+    fn reseeding_and_refining_keep_the_basis_allocation() {
         let r = covariance(0.0);
         let eig = hermitian_eigen(&r);
         let mut t = SubspaceTracker::new();
         // Seed from the leading 3 of all 12 eigenvectors, as the pipeline
         // does when it caps the tracked rank.
-        t.seed(&eig.values[..3], &eig.vectors);
-        let buffers = |t: &SubspaceTracker| {
-            (
-                (t.basis.as_slice().as_ptr(), t.basis.capacity()),
-                (
-                    t.ritz_vectors.as_slice().as_ptr(),
-                    t.ritz_vectors.capacity(),
-                ),
-                (t.values.as_ptr(), t.values.capacity()),
-            )
-        };
-        let before = buffers(&t);
-        let (vals, vecs) = exact_seed(&covariance(0.2), 3);
-        t.seed(&vals, &vecs);
-        assert_eq!(buffers(&t), before, "re-seed reallocated a buffer");
-        assert_eq!(t.values(), &vals[..]);
-        assert_eq!(t.vectors(), &vecs);
+        t.seed(&eig.vectors, 3);
+        let buffer = |t: &SubspaceTracker| (t.basis.as_slice().as_ptr(), t.basis.capacity());
+        let before = buffer(&t);
+        assert_eq!(before.1, 12 * 3, "basis must be sized exactly");
+        let vecs = exact_seed(&covariance(0.2), 3);
+        t.seed(&vecs, 3);
+        assert_eq!(buffer(&t), before, "re-seed reallocated the basis");
         assert_eq!(t.basis, vecs);
+        let mut ws = RitzWorkspace::default();
+        t.refine(&covariance(0.2), &mut ws);
+        assert_eq!(buffer(&t), before, "refine swapped in another buffer");
     }
 
     #[test]
@@ -434,10 +501,11 @@ mod tests {
         // quotient energy captured by tracked vs. frozen bases.
         let r0 = covariance(0.0);
         let r1 = covariance(0.05);
-        let (vals, vecs) = exact_seed(&r0, 4);
+        let vecs = exact_seed(&r0, 4);
         let mut t = SubspaceTracker::new();
-        t.seed(&vals, &vecs);
-        t.refine(&r1);
+        let mut ws = RitzWorkspace::default();
+        t.seed(&vecs, 4);
+        t.refine(&r1, &mut ws);
         let captured = |basis: &CMat| -> f64 {
             let mut total = 0.0;
             for j in 0..basis.cols() {
@@ -445,7 +513,7 @@ mod tests {
             }
             total
         };
-        let tracked = captured(t.vectors());
+        let tracked = captured(ws.vectors());
         let stale = captured(&vecs);
         assert!(
             tracked >= stale - 1e-9,

@@ -261,3 +261,102 @@ fn golden_trace_is_bit_stable_across_runs() {
     };
     assert_eq!(run(), run(), "golden trace not bit-reproducible");
 }
+
+/// FNV-1a over 64-bit words: a compact fold of many `to_bits` values.
+fn fold_bits(digest: &mut u64, words: impl IntoIterator<Item = u64>) {
+    for w in words {
+        for byte in w.to_le_bytes() {
+            *digest ^= u64::from(byte);
+            *digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Digest of every AP's default-config streaming analysis of the golden
+/// capture: each packet's path estimates, the clustering's direct path and
+/// the drop count.
+fn streaming_digest(cfg: SpotFiConfig) -> u64 {
+    let (aps, _) = golden_capture();
+    let spotfi = SpotFi::new(cfg);
+    let mut digest = FNV_OFFSET;
+    for ap in &aps {
+        let a = spotfi.analyze_ap_streaming(ap).unwrap();
+        for p in &a.path_estimates {
+            fold_bits(
+                &mut digest,
+                [p.aoa_deg.to_bits(), p.tof_ns.to_bits(), p.power.to_bits()],
+            );
+        }
+        let d = a.direct.expect("streaming direct path");
+        fold_bits(
+            &mut digest,
+            [
+                d.aoa_deg.to_bits(),
+                d.tof_ns.to_bits(),
+                d.likelihood.to_bits(),
+                a.dropped_packets as u64,
+            ],
+        );
+    }
+    digest
+}
+
+/// Digest of a small serial fleet run: every update the serving path
+/// emits, in emission order.
+fn fleet_digest() -> u64 {
+    use spotfi::core::fleet::run_fleet_serial;
+    use spotfi::core::FleetConfig;
+    use spotfi::testbed::fleet::{FleetScenario, FleetScenarioConfig};
+
+    let scenario = FleetScenario::generate(&FleetScenarioConfig::apartment(8));
+    let spotfi = SpotFi::new(SpotFiConfig::fast_test());
+    let (updates, stats) = run_fleet_serial(&spotfi, &FleetConfig::default(), &scenario.schedule);
+    assert!(!updates.is_empty(), "fleet run emitted no updates");
+    let mut digest = FNV_OFFSET;
+    for u in &updates {
+        fold_bits(
+            &mut digest,
+            [
+                u.target_id,
+                u.time_s.to_bits(),
+                u.raw.position.x.to_bits(),
+                u.raw.position.y.to_bits(),
+                u.raw.cost.to_bits(),
+                u.tracked.x.to_bits(),
+                u.tracked.y.to_bits(),
+                u.aps_used as u64,
+            ],
+        );
+    }
+    fold_bits(&mut digest, [stats.processed, stats.updates]);
+    digest
+}
+
+#[test]
+fn golden_warm_streaming_path_is_bit_pinned() {
+    // The default streaming config runs most packets on the warm path
+    // (tracked subspace + warm-started sweep), which the tolerance test
+    // above only bounds. Pin its output to the bit: a reordered covariance
+    // update or a changed Ritz step moves these digests. Re-derive with
+    // `-- --nocapture` after an intentional algorithm change.
+    const PIN_STREAMING: u64 = 0xbb9c_3ccc_e70d_e776;
+    const PIN_FLEET: u64 = 0x3dd7_9fea_d270_7d14;
+
+    let streaming = streaming_digest(SpotFiConfig::default());
+    let fleet = fleet_digest();
+    println!("streaming digest {streaming:#018x}, fleet digest {fleet:#018x}");
+
+    // The pin covers warm packets: forcing every packet to anchor on the
+    // exact solver changes the digest.
+    let mut all_anchor = SpotFiConfig::default();
+    all_anchor.stream.reanchor_period = 1;
+    assert_ne!(
+        streaming,
+        streaming_digest(all_anchor),
+        "the default stream never left the exact path"
+    );
+    assert_eq!(streaming, PIN_STREAMING, "warm streaming digest drifted");
+    assert_eq!(fleet, PIN_FLEET, "fleet serving digest drifted");
+}
