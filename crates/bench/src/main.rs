@@ -9,9 +9,8 @@
 //!
 //! 1. **Kernels** — the pipeline's 30×30 tridiagonal partial
 //!    eigensolver (one matrix and a 4-lane batch), CSI sanitization,
-//!    smoothed-matrix construction, the scratch-routed noise projector,
-//!    the coarse-to-fine path search, and the dense reference sweep it is
-//!    checked against.
+//!    smoothed-matrix construction, the coarse-to-fine path search, and
+//!    the dense reference sweep it is checked against.
 //! 2. **End-to-end** — 4-AP × 10-packet localize at `threads = 1` and
 //!    `threads = 8`, per-AP batch analysis, and the amortized streaming
 //!    hot path (`analyze_ap_streaming_10pkt_t1`: a persistent warmed
@@ -36,7 +35,7 @@ use spotfi_bench::{
 };
 use spotfi_channel::constants::DEFAULT_CARRIER_HZ;
 use spotfi_channel::{AntennaArray, CsiPacket, Floorplan, PacketTrace, Point, Rng, TraceConfig};
-use spotfi_core::music::{music_paths_coarse_to_fine, noise_projector_with};
+use spotfi_core::music::music_paths_coarse_to_fine;
 use spotfi_core::{
     find_peaks_filtered, hardware_parallelism, music_spectrum_cached, sanitize_csi, smoothed_csi,
     smoothed_csi_into, ApPackets, MusicScratch, RuntimeConfig, SpotFi, SpotFiConfig, SteeringCache,
@@ -217,13 +216,6 @@ fn main() {
     run("smoothed_csi_into", &cfg, &mut || {
         smoothed_csi_into(&sanitized.csi, &spotfi_cfg, &mut smooth_buf).unwrap();
     });
-    let mut proj_scratch = MusicScratch::new(&spotfi_cfg);
-    run("noise_projector_scratch", &cfg, &mut || {
-        std::hint::black_box(
-            noise_projector_with(&smoothed, &spotfi_cfg, &mut proj_scratch).unwrap(),
-        );
-    });
-
     let mut scratch = MusicScratch::new(&spotfi_cfg);
     run("music_spectrum_cached_t1", &cfg, &mut || {
         std::hint::black_box(

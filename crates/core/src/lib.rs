@@ -78,8 +78,8 @@ pub use ingest::{ReceiverCalibration, ReceiverEntry, ReceiverRegistry};
 pub use likelihood::{score_clusters, select_direct_path, DirectPath};
 pub use localize::{localize, ApMeasurement, LocationEstimate, SearchBounds};
 pub use music::{
-    music_paths_coarse_to_fine, music_spectrum, music_spectrum_cached, noise_projector_with,
-    prepare_music_evaluation, pseudospectrum_at, CoarseFinePaths, MusicScratch, MusicSpectrum,
+    music_paths_coarse_to_fine, music_spectrum, music_spectrum_cached, CoarseFinePaths,
+    MusicScratch, MusicSpectrum,
 };
 pub use pathloss::PathLossModel;
 pub use peaks::{find_peaks, find_peaks_filtered, paraboloid_offset, PathEstimate};

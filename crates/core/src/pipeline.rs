@@ -18,8 +18,9 @@
 //!
 //! Every packet, batch or streamed, runs one engine: *stage* (sanitize →
 //! smooth → covariance, plus the anchor decision), then the *exact tail*
-//! (projector from an exact eigendecomposition → coarse-to-fine sweep) or,
-//! for streams, the *warm tail* (tracked subspace → warm-started sweep).
+//! (exact eigendecomposition → coarse-to-fine sweep) or, for streams, the
+//! *warm tail* (tracked subspace → warm-started sweep). Both tails hand
+//! their signal basis to one preparer, `music::prepare_from_basis`.
 //!
 //! Construction precomputes a [`SteeringCache`] (the MUSIC grid's steering
 //! factors) once per configuration. Analysis fans out on the scoped-thread
@@ -36,8 +37,8 @@
 //! computation is pure, so results are bit-identical for every thread
 //! count; `threads = 1` runs the plain serial path. Each worker owns its
 //! batch scratch, so per-packet buffers (smoothed matrix, eigensolver
-//! workspaces, noise projector, packed projector blocks) are allocated once
-//! per worker, not once per packet.
+//! workspaces, packed projector blocks) are allocated once per worker, not
+//! once per packet.
 //!
 //! ### Streaming model
 //!
@@ -69,8 +70,8 @@ use crate::localize::{
     localize, localize_in_bounds, ApMeasurement, LocationEstimate, SearchBounds,
 };
 use crate::music::{
-    covariance_into, music_paths_coarse_to_fine_from_eigen, music_paths_warm_prepared,
-    prepare_music_evaluation_from_subspace, CoarseFinePaths, MusicScratch,
+    coarse_to_fine_prepared, covariance_into, music_paths_warm_prepared, prepare_from_basis,
+    signal_dimension, CoarseFinePaths, MusicScratch,
 };
 use crate::peaks::PathEstimate;
 use crate::runtime::parallel_map_with;
@@ -337,11 +338,14 @@ impl SpotFi {
             || !state.tracker.is_seeded())
     }
 
-    /// Exact tail: noise projector from the eigendecomposition sitting in
+    /// Exact tail: prepare the sweep from the eigendecomposition sitting in
     /// `music`'s eigensolver workspace → coarse-to-fine sweep → empty-peaks
     /// check.
     fn exact_tail(&self, music: &mut MusicScratch) -> Result<CoarseFinePaths> {
-        let swept = music_paths_coarse_to_fine_from_eigen(&self.config, &self.cache, music)?;
+        let eig = &music.eig;
+        let signal_dimension =
+            prepare_from_basis(&self.config, &mut music.sweep, eig.values(), eig.vectors())?;
+        let swept = coarse_to_fine_prepared(&self.config, &self.cache, music, signal_dimension)?;
         check_paths(&swept.paths)?;
         Ok(swept)
     }
@@ -360,7 +364,7 @@ impl SpotFi {
     ) -> Option<Result<CoarseFinePaths>> {
         let prepared = {
             let _track = spotfi_obs::span("stage.track");
-            let drift = state.tracker.refine(music.cov(), ritz);
+            let drift = state.tracker.refine(&music.cov, ritz);
             spotfi_obs::value("stream.drift", drift);
             // NaN checked explicitly so a poisoned drift metric also falls
             // back to the exact path.
@@ -368,9 +372,9 @@ impl SpotFi {
                 return None;
             }
             spotfi_obs::counter("stream.warmstart_hit", 1);
-            prepare_music_evaluation_from_subspace(
+            prepare_from_basis(
                 &self.config,
-                music,
+                &mut music.sweep,
                 ritz.values(),
                 ritz.vectors(),
             )
@@ -396,17 +400,14 @@ impl SpotFi {
     /// refine's cost grows as k³ in the Ritz eigensolve, so serving profiles
     /// avoid carrying all `max_paths` vectors through every packet.
     /// Subspace growth past the guard band shows up as drift and falls back
-    /// to the exact path.
-    fn seed_tracker(&self, tracker: &mut SubspaceTracker, music: &mut MusicScratch) {
-        let ws = music.eig_mut();
+    /// to the exact path. A signal-free covariance seeds all `k` vectors;
+    /// its exact tail fails right after, which forces the next anchor.
+    fn seed_tracker(&self, tracker: &mut SubspaceTracker, music: &MusicScratch) {
+        let ws = &music.eig;
         let k = ws.vectors().cols();
-        let vals = &ws.values()[..k];
         let rank = match self.config.stream.tracker_rank_margin {
             Some(margin) => {
-                let lmax = vals.first().copied().unwrap_or(0.0).max(0.0);
-                let threshold = self.config.music.noise_threshold_ratio * lmax;
-                let d = vals.iter().filter(|&&l| l >= threshold).count().clamp(1, k);
-                (d + margin).min(k)
+                signal_dimension(&self.config.music, ws.values()).map_or(k, |d| (d + margin).min(k))
             }
             None => k,
         };
@@ -462,7 +463,7 @@ impl SpotFi {
         } = scratch;
         let into = Covariance::Stream {
             state: &mut *state,
-            unpacked: music.cov_mut(),
+            unpacked: &mut music.cov,
         };
         let anchor = self.stage(packet, smoothed, into)?;
         let warm = if anchor {
@@ -578,7 +579,7 @@ impl SpotFi {
         for (result, lane) in staged_results.zip(&mut scratch.lanes) {
             // O(1) buffer swap: the sweep reads `eig` from the music
             // scratch; the next batch overwrites the lane workspace anyway.
-            std::mem::swap(music.eig_mut(), lane);
+            std::mem::swap(&mut music.eig, lane);
             *result = self.exact_tail(music).map(|swept| swept.paths);
         }
         results
