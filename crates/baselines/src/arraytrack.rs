@@ -27,8 +27,6 @@ pub struct ArrayTrackConfig {
     pub music: MusicAoaConfig,
     /// Location grid step, meters.
     pub grid_step_m: f64,
-    /// Margin around the AP bounding box, meters.
-    pub search_margin_m: f64,
     /// Nelder–Mead polish iterations.
     pub polish_iterations: usize,
 }
@@ -39,7 +37,6 @@ impl ArrayTrackConfig {
         ArrayTrackConfig {
             music: MusicAoaConfig::intel5300(),
             grid_step_m: 0.25,
-            search_margin_m: 3.0,
             polish_iterations: 200,
         }
     }
@@ -75,24 +72,6 @@ fn log_likelihood(spectra: &[ApSpectrum], pos: Point) -> f64 {
             s.spectrum.value_at_deg(bearing).max(1e-12).ln()
         })
         .sum()
-}
-
-/// Localizes a target ArrayTrack-style from per-AP packet captures, with
-/// search bounds derived from the AP bounding box plus the configured
-/// margin.
-pub fn arraytrack_localize(
-    aps: &[(AntennaArray, &[CsiPacket])],
-    cfg: &ArrayTrackConfig,
-) -> Result<Point> {
-    let xs: Vec<f64> = aps.iter().map(|(a, _)| a.position.x).collect();
-    let ys: Vec<f64> = aps.iter().map(|(a, _)| a.position.y).collect();
-    let bounds = SearchBounds {
-        min_x: xs.iter().cloned().fold(f64::INFINITY, f64::min) - cfg.search_margin_m,
-        max_x: xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max) + cfg.search_margin_m,
-        min_y: ys.iter().cloned().fold(f64::INFINITY, f64::min) - cfg.search_margin_m,
-        max_y: ys.iter().cloned().fold(f64::NEG_INFINITY, f64::max) + cfg.search_margin_m,
-    };
-    arraytrack_localize_in_bounds(aps, bounds, cfg)
 }
 
 /// Localizes a target ArrayTrack-style within explicit search bounds (e.g.
@@ -137,6 +116,16 @@ mod tests {
         )
     }
 
+    /// The AP bounding box `[0, 10]²` plus a 3 m margin.
+    fn bounds() -> SearchBounds {
+        SearchBounds {
+            min_x: -3.0,
+            max_x: 13.0,
+            min_y: -3.0,
+            max_y: 13.0,
+        }
+    }
+
     fn fast_cfg() -> ArrayTrackConfig {
         let mut c = ArrayTrackConfig::intel5300();
         c.music.aoa_grid_deg = spotfi_core::GridSpec::new(-90.0, 90.0, 2.0);
@@ -167,7 +156,7 @@ mod tests {
             .zip(&traces)
             .map(|(a, t)| (*a, t.packets.as_slice()))
             .collect();
-        let est = arraytrack_localize(&aps, &fast_cfg()).unwrap();
+        let est = arraytrack_localize_in_bounds(&aps, bounds(), &fast_cfg()).unwrap();
         let err = est.distance(target);
         assert!(err < 1.5, "error {} m at {:?}", err, est);
     }
@@ -181,7 +170,7 @@ mod tests {
         let t = PacketTrace::generate(&plan, Point::new(3.0, 3.0), &a, &tc, 4, &mut rng).unwrap();
         let aps: Vec<(AntennaArray, &[CsiPacket])> = vec![(a, t.packets.as_slice())];
         assert!(matches!(
-            arraytrack_localize(&aps, &fast_cfg()),
+            arraytrack_localize_in_bounds(&aps, bounds(), &fast_cfg()),
             Err(SpotFiError::InsufficientAps { usable: 1 })
         ));
     }

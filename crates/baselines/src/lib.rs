@@ -14,15 +14,11 @@
 //!   LTEye's smallest-ToF rule, CUPID's strongest-peak rule, and an Oracle
 //!   upper bound. All operate on SpotFi's own super-resolution estimates so
 //!   the comparison isolates the selection step.
-//! * [`mod@rssi_localize`] — RADAR-style RSSI-only trilateration, the
-//!   deployable-but-inaccurate class from the related-work discussion.
 
 pub mod arraytrack;
 pub mod music_aoa;
-pub mod rssi_localize;
 pub mod selection;
 
-pub use arraytrack::{arraytrack_localize, arraytrack_localize_in_bounds, ArrayTrackConfig};
+pub use arraytrack::{arraytrack_localize_in_bounds, ArrayTrackConfig};
 pub use music_aoa::{music_aoa_spectrum, MusicAoaConfig, MusicAoaSpectrum};
-pub use rssi_localize::rssi_localize;
 pub use selection::{select_cupid, select_lteye, select_oracle};

@@ -29,13 +29,6 @@ pub struct BenchResult {
     pub iterations: u64,
 }
 
-impl BenchResult {
-    /// Median time in milliseconds.
-    pub fn median_ms(&self) -> f64 {
-        self.median_ns / 1e6
-    }
-}
-
 /// Harness configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct BenchConfig {

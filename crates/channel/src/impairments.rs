@@ -252,14 +252,6 @@ impl Impairments {
         }
     }
 
-    /// Commodity impairments at a specific SNR.
-    pub fn commodity_with_snr(snr_db: f64) -> Self {
-        Impairments {
-            snr_db: Some(snr_db),
-            ..Impairments::commodity()
-        }
-    }
-
     /// Applies all enabled impairments to an ideal CSI matrix, in place,
     /// returning the STO that was injected (for tests / oracles).
     pub fn apply(

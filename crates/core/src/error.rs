@@ -16,8 +16,6 @@ pub enum SpotFiError {
     DegenerateCsi,
     /// The MUSIC spectrum produced no peaks (e.g. noise-only input).
     NoPaths,
-    /// Clustering produced no usable clusters.
-    NoClusters,
     /// Fewer than two APs produced a direct-path estimate; the target
     /// cannot be triangulated.
     InsufficientAps {
@@ -40,7 +38,6 @@ impl fmt::Display for SpotFiError {
                 write!(f, "CSI matrix is degenerate (non-finite or zero)")
             }
             SpotFiError::NoPaths => write!(f, "MUSIC spectrum produced no path estimates"),
-            SpotFiError::NoClusters => write!(f, "clustering produced no usable clusters"),
             SpotFiError::InsufficientAps { usable } => write!(
                 f,
                 "only {} AP(s) produced usable direct-path estimates; at least 2 required",
@@ -75,6 +72,6 @@ mod tests {
     #[test]
     fn errors_are_comparable() {
         assert_eq!(SpotFiError::NoPaths, SpotFiError::NoPaths);
-        assert_ne!(SpotFiError::NoPaths, SpotFiError::NoClusters);
+        assert_ne!(SpotFiError::NoPaths, SpotFiError::NoPackets);
     }
 }

@@ -27,11 +27,6 @@ impl PathLossModel {
         self.p0_dbm - 10.0 * self.exponent * distance_m.max(0.1).log10()
     }
 
-    /// Inverts the model: distance (meters) that would produce `rssi_dbm`.
-    pub fn invert_distance(&self, rssi_dbm: f64) -> f64 {
-        10f64.powf((self.p0_dbm - rssi_dbm) / (10.0 * self.exponent))
-    }
-
     /// Weighted least-squares fit of `(p₀, η)` to `(distance, rssi)` pairs
     /// with weights `w_i ≥ 0`:
     /// minimizes `Σ w_i·(p₀ − 10·η·log10(d_i) − rssi_i)²`.
@@ -95,18 +90,6 @@ mod tests {
         // Free-space: −20 dB per decade.
         assert!((m.predict_dbm(10.0) - -60.0).abs() < 1e-12);
         assert!((m.predict_dbm(100.0) - -80.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn invert_roundtrips() {
-        let m = PathLossModel {
-            p0_dbm: -38.0,
-            exponent: 3.1,
-        };
-        for d in [0.5, 1.0, 3.0, 12.0, 40.0] {
-            let r = m.predict_dbm(d);
-            assert!((m.invert_distance(r) - d.max(0.1)).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! estimates become comparable across packets — which is all SpotFi needs,
 //! since it never uses absolute ToF for ranging.
 
-use spotfi_math::realmat::linear_fit;
+use spotfi_math::stats::linear_fit;
 use spotfi_math::unwrap::unwrapped;
 use spotfi_math::{c64, CMat};
 

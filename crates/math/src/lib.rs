@@ -23,10 +23,9 @@
 //! * [`subspace`] — online dominant-subspace tracking (block power step +
 //!   Rayleigh–Ritz) for streaming covariances, with a drift metric that
 //!   tells callers when to re-anchor on the exact solver.
-//! * [`realmat`] — small real matrices, linear solves, least squares.
 //! * [`unwrap`] — 1-D phase unwrapping.
-//! * [`optimize`] — Nelder–Mead, damped Gauss–Newton.
-//! * [`stats`] — means, variances, percentiles, empirical CDFs.
+//! * [`optimize`] — Nelder–Mead simplex minimization.
+//! * [`stats`] — means, variances, percentiles, empirical CDFs, linear fit.
 //! * [`angles`] — degree/radian conversions and angular wrapping.
 //!
 //! Everything is deterministic and allocation-light; matrices the size SpotFi
@@ -38,7 +37,6 @@ pub mod eigen;
 pub mod eigen_tridiag;
 pub mod matrix;
 pub mod optimize;
-pub mod realmat;
 pub mod stats;
 pub mod subspace;
 pub mod unwrap;
@@ -52,5 +50,4 @@ pub use eigen_tridiag::{
     BATCH_LANES,
 };
 pub use matrix::{CMat, PackedHermitian};
-pub use realmat::RMat;
 pub use subspace::{RitzWorkspace, SubspaceTracker};

@@ -1,8 +1,10 @@
-//! Statistics utilities: means, variances, percentiles, and empirical CDFs.
+//! Statistics utilities: means, variances, percentiles, empirical CDFs, and
+//! a least-squares line fit.
 //!
-//! The SpotFi evaluation reports everything as CDFs of error (Figs. 7–9) and
+//! The SpotFi evaluation reports everything as CDFs of error (Figs. 7–9),
 //! the likelihood metric (Eq. 8) consumes population variances of clustered
-//! AoA/ToF estimates — these helpers serve both.
+//! AoA/ToF estimates, and ToF sanitization (Algorithm 1) fits one line to
+//! unwrapped phase — these helpers serve all three.
 
 /// Arithmetic mean; 0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -118,11 +120,31 @@ impl Ecdf {
             })
             .collect()
     }
+}
 
-    /// Underlying sorted samples.
-    pub fn sorted_samples(&self) -> &[f64] {
-        &self.sorted
+/// Fits `y ≈ slope·x + intercept`; returns `(slope, intercept)`.
+///
+/// This is the core of SpotFi's ToF sanitization (Algorithm 1): the common
+/// linear-in-subcarrier phase slope *is* the sampling-time offset.
+///
+/// Returns `None` if fewer than 2 points or all `x` identical.
+pub fn linear_fit(x: &[f64], y: &[f64]) -> Option<(f64, f64)> {
+    assert_eq!(x.len(), y.len(), "linear_fit length mismatch");
+    let n = x.len() as f64;
+    if x.len() < 2 {
+        return None;
     }
+    let sx: f64 = x.iter().sum();
+    let sy: f64 = y.iter().sum();
+    let sxx: f64 = x.iter().map(|v| v * v).sum();
+    let sxy: f64 = x.iter().zip(y).map(|(a, b)| a * b).sum();
+    let denom = n * sxx - sx * sx;
+    if denom.abs() < 1e-12 * (n * sxx).abs().max(1.0) {
+        return None;
+    }
+    let slope = (n * sxy - sx * sy) / denom;
+    let intercept = (sy - slope * sx) / n;
+    Some((slope, intercept))
 }
 
 /// Histogram with fixed-width bins over `[lo, hi)`; out-of-range samples are
@@ -197,6 +219,21 @@ mod tests {
             assert!(w[1].0 >= w[0].0);
             assert!(w[1].1 >= w[0].1);
         }
+    }
+
+    #[test]
+    fn linear_fit_exact() {
+        let x = [1.0, 2.0, 3.0, 4.0];
+        let y: Vec<f64> = x.iter().map(|v| -3.0 * v + 0.5).collect();
+        let (m, b) = linear_fit(&x, &y).unwrap();
+        assert!((m + 3.0).abs() < 1e-12);
+        assert!((b - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn linear_fit_degenerate() {
+        assert!(linear_fit(&[1.0], &[2.0]).is_none());
+        assert!(linear_fit(&[2.0, 2.0, 2.0], &[1.0, 2.0, 3.0]).is_none());
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   CSI synthesis, clock impairments, RSSI).
 //! * [`core`] — the SpotFi algorithms (Algorithm 1, Fig. 4 smoothing, joint
 //!   MUSIC, clustering, Eq. 8 likelihoods, Eq. 9 localization).
-//! * [`baselines`] — MUSIC-AoA / practical ArrayTrack, LTEye & CUPID
-//!   selection rules, RSSI trilateration.
+//! * [`baselines`] — MUSIC-AoA / practical ArrayTrack, and the LTEye,
+//!   CUPID and Oracle selection rules.
 //! * [`testbed`] — the Fig. 6 deployment and every evaluation experiment
 //!   (Figs. 5, 7, 8, 9).
 //! * [`io`] — the Linux 802.11n CSI Tool `.dat` format: run the pipeline
