@@ -25,6 +25,10 @@ pub fn synthesize_csi(paths: &[Path], array: &AntennaArray, ofdm: &OfdmConfig) -
     let m_ant = array.num_antennas;
     let n_sub = ofdm.num_subcarriers;
     let mut h = CMat::zeros(m_ant, n_sub);
+    // Φ(θ_k)^m depends on the path and the antenna, not the subcarrier:
+    // evaluate it once per path. Every product keeps the operands of the
+    // per-entry formula, so the output is bit-identical to it.
+    let mut antenna_phasors = vec![c64::ZERO; m_ant];
 
     for path in paths {
         // Per-antenna spatial phase increment at the carrier:
@@ -32,14 +36,17 @@ pub fn synthesize_csi(paths: &[Path], array: &AntennaArray, ofdm: &OfdmConfig) -
         let spatial_step =
             -2.0 * std::f64::consts::PI * array.spacing * path.sin_aoa * ofdm.carrier_hz
                 / SPEED_OF_LIGHT;
+        for (m, phasor) in antenna_phasors.iter_mut().enumerate() {
+            *phasor = c64::cis(spatial_step * m as f64);
+        }
         let gain = c64::from_polar(path.amplitude, path.phase);
         for n in 0..n_sub {
             // Full ToF phase at the absolute subcarrier frequency; the f_1
             // part lands in γ_k, the n·f_δ part is the paper's Ω(τ)^n.
             let tof_phase = -2.0 * std::f64::consts::PI * ofdm.subcarrier_freq(n) * path.tof_s;
             let per_subcarrier = gain * c64::cis(tof_phase);
-            for m in 0..m_ant {
-                h[(m, n)] += per_subcarrier * c64::cis(spatial_step * m as f64);
+            for (m, phasor) in antenna_phasors.iter().enumerate() {
+                h[(m, n)] += per_subcarrier * *phasor;
             }
         }
     }
@@ -71,6 +78,56 @@ mod tests {
             amplitude,
             phase: 0.0,
             vertices: vec![],
+        }
+    }
+
+    /// Eq. 1 evaluated entry by entry, phasors recomputed per `(m, n)`:
+    /// the reference the hoisted kernel must reproduce to the bit.
+    fn naive_synthesis(paths: &[Path], array: &AntennaArray, ofdm: &OfdmConfig) -> CMat {
+        let mut h = CMat::zeros(array.num_antennas, ofdm.num_subcarriers);
+        for path in paths {
+            let spatial_step =
+                -2.0 * std::f64::consts::PI * array.spacing * path.sin_aoa * ofdm.carrier_hz
+                    / SPEED_OF_LIGHT;
+            let gain = c64::from_polar(path.amplitude, path.phase);
+            for n in 0..ofdm.num_subcarriers {
+                let tof_phase = -2.0 * std::f64::consts::PI * ofdm.subcarrier_freq(n) * path.tof_s;
+                let per_subcarrier = gain * c64::cis(tof_phase);
+                for m in 0..array.num_antennas {
+                    h[(m, n)] += per_subcarrier * c64::cis(spatial_step * m as f64);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn hoisted_phasors_match_naive_synthesis_bit_for_bit() {
+        let ofdm = OfdmConfig::intel5300_40mhz();
+        let mut paths = vec![
+            make_path(18.0, 12.0, 1.0),
+            make_path(31.5, -47.0, 0.45),
+            make_path(52.25, 63.0, 0.2),
+            make_path(77.0, -8.5, 0.07),
+        ];
+        for (k, p) in paths.iter_mut().enumerate() {
+            p.phase = 0.9 * k as f64 - 1.3;
+        }
+        for m_ant in [1, 3, 4] {
+            let array = AntennaArray {
+                num_antennas: m_ant,
+                ..test_array()
+            };
+            let fast = synthesize_csi(&paths, &array, &ofdm);
+            let slow = naive_synthesis(&paths, &array, &ofdm);
+            assert_eq!(fast.shape(), slow.shape());
+            for (i, (a, b)) in fast.as_slice().iter().zip(slow.as_slice()).enumerate() {
+                assert_eq!(
+                    (a.re.to_bits(), a.im.to_bits()),
+                    (b.re.to_bits(), b.im.to_bits()),
+                    "{m_ant} antennas, entry {i}: {a:?} vs {b:?}"
+                );
+            }
         }
     }
 

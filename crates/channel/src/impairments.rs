@@ -123,6 +123,18 @@ impl PathJitter {
         }
     }
 
+    /// Stationary sigmas of one path's `[tof_s, aoa_rad, phase_rad,
+    /// amp_frac]` deviations: they grow with its reflection order.
+    fn sigmas(&self, path: &Path) -> [f64; 4] {
+        let order = path.kind.order() as f64;
+        [
+            (self.direct_tof_std_ns + self.per_order_tof_std_ns * order) * 1e-9,
+            (self.direct_aoa_std_deg + self.per_order_aoa_std_deg * order).to_radians(),
+            self.per_order_phase_std_rad * (order + 0.1),
+            self.per_order_amplitude_std * order.max(0.1),
+        ]
+    }
+
     /// Perturbs one packet's view of the multipath with independent draws
     /// (the `correlation == 0` special case; see [`JitterProcess`] for the
     /// temporally correlated evolution used by trace generation).
@@ -148,6 +160,8 @@ impl PathJitter {
 pub struct JitterProcess {
     paths: Vec<Path>,
     jitter: PathJitter,
+    /// Per-path stationary sigmas, in `state`'s layout.
+    sigmas: Vec<[f64; 4]>,
     /// Per-path deviations `[tof_s, aoa_rad, phase_rad, amp_frac]`.
     state: Vec<[f64; 4]>,
     started: bool,
@@ -156,33 +170,22 @@ pub struct JitterProcess {
 impl JitterProcess {
     /// Creates the process around the nominal `paths`.
     pub fn new(paths: Vec<Path>, jitter: PathJitter) -> Self {
+        let sigmas = paths.iter().map(|p| jitter.sigmas(p)).collect();
         let n = paths.len();
         JitterProcess {
             paths,
             jitter,
+            sigmas,
             state: vec![[0.0; 4]; n],
             started: false,
         }
-    }
-
-    /// Stationary sigmas for one path.
-    fn sigmas(&self, path: &Path) -> [f64; 4] {
-        let order = path.kind.order() as f64;
-        [
-            (self.jitter.direct_tof_std_ns + self.jitter.per_order_tof_std_ns * order) * 1e-9,
-            (self.jitter.direct_aoa_std_deg + self.jitter.per_order_aoa_std_deg * order)
-                .to_radians(),
-            self.jitter.per_order_phase_std_rad * (order + 0.1),
-            self.jitter.per_order_amplitude_std * order.max(0.1),
-        ]
     }
 
     /// Advances one packet and returns that packet's perturbed paths.
     pub fn advance(&mut self, rng: &mut Rng) -> Vec<Path> {
         let rho = self.jitter.correlation.clamp(0.0, 0.999_999);
         let innov = (1.0 - rho * rho).sqrt();
-        let sigmas: Vec<[f64; 4]> = self.paths.iter().map(|p| self.sigmas(p)).collect();
-        for (sig, state) in sigmas.iter().zip(self.state.iter_mut()) {
+        for (sig, state) in self.sigmas.iter().zip(self.state.iter_mut()) {
             for (x, s) in state.iter_mut().zip(sig.iter()) {
                 if !self.started {
                     // Start from the stationary distribution: the window's

@@ -18,6 +18,7 @@ use crate::impairments::JitterProcess;
 use crate::raytrace::{trace_paths, Path};
 use crate::rng::Rng;
 use crate::trace::{CsiPacket, PacketTrace, TraceConfig};
+use spotfi_math::CMat;
 
 /// A constant-speed walk along a polyline of waypoints.
 ///
@@ -139,8 +140,7 @@ pub fn generate_moving(
     let ground_truth_paths: Vec<Path> = paths.clone();
 
     let mut all_paths = with_diffuse(&paths, tcfg, rng);
-    let mut clean = synthesize_csi(&all_paths, ap, &tcfg.ofdm);
-    let mut process = jitter_for(&all_paths, tcfg);
+    let mut channel = LinkChannel::new(&all_paths, ap, tcfg);
 
     let mut packets = Vec::with_capacity(num_packets);
     for p in 0..num_packets {
@@ -151,17 +151,13 @@ pub fn generate_moving(
             if !fresh.is_empty() {
                 paths = fresh;
                 all_paths = with_diffuse(&paths, tcfg, rng);
-                clean = synthesize_csi(&all_paths, ap, &tcfg.ofdm);
-                process = jitter_for(&all_paths, tcfg);
+                channel = LinkChannel::new(&all_paths, ap, tcfg);
             }
             // A dead zone keeps the previous geometry: the link fades but
             // the trace keeps its packet cadence.
             traced_at = pos;
         }
-        let mut csi = match &mut process {
-            Some(process) => synthesize_csi(&process.advance(rng), ap, &tcfg.ofdm),
-            None => clean.clone(),
-        };
+        let mut csi = channel.packet_csi(ap, tcfg, rng);
         let sto = tcfg.impairments.apply(&mut csi, &tcfg.ofdm, p, rng);
         let rssi = tcfg.rssi.rssi_dbm(&all_paths, rng)?;
         packets.push(CsiPacket {
@@ -185,10 +181,28 @@ fn with_diffuse(paths: &[Path], tcfg: &TraceConfig, rng: &mut Rng) -> Vec<Path> 
     all
 }
 
-fn jitter_for(all_paths: &[Path], tcfg: &TraceConfig) -> Option<JitterProcess> {
-    tcfg.impairments
-        .path_jitter
-        .map(|jitter| JitterProcess::new(all_paths.to_vec(), jitter))
+/// Where a link's per-packet ideal CSI comes from between re-traces: a
+/// drifting jitter process, or — without path jitter — one matrix
+/// synthesized once. Only the jittered channel draws randomness.
+enum LinkChannel {
+    Jittered(JitterProcess),
+    Static(CMat),
+}
+
+impl LinkChannel {
+    fn new(all_paths: &[Path], ap: &AntennaArray, tcfg: &TraceConfig) -> Self {
+        match tcfg.impairments.path_jitter {
+            Some(jitter) => LinkChannel::Jittered(JitterProcess::new(all_paths.to_vec(), jitter)),
+            None => LinkChannel::Static(synthesize_csi(all_paths, ap, &tcfg.ofdm)),
+        }
+    }
+
+    fn packet_csi(&mut self, ap: &AntennaArray, tcfg: &TraceConfig, rng: &mut Rng) -> CMat {
+        match self {
+            LinkChannel::Jittered(process) => synthesize_csi(&process.advance(rng), ap, &tcfg.ofdm),
+            LinkChannel::Static(csi) => csi.clone(),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@
 use spotfi_channel::trajectory::{generate_moving, MovingTraceConfig, Waypath};
 use spotfi_channel::{Floorplan, Point, Rng, TraceConfig};
 use spotfi_core::fleet::FleetPacket;
+use spotfi_core::{parallel_map_with, RuntimeConfig};
 
 use crate::apartment::Apartment;
 use crate::deployment::NamedAp;
@@ -123,14 +124,97 @@ fn mix(seed: u64, a: u64, b: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Seeds target `t`'s walk and traces its links: the target and its
+/// packets in link order with global arrival times, or `None` when fewer
+/// than two APs hear its start position. Draws only from `t`'s own seeded
+/// streams, so targets trace independently.
+fn trace_target(
+    cfg: &FleetScenarioConfig,
+    t: usize,
+    plan: &Floorplan,
+    aps: &[NamedAp],
+    drifts: &[f64],
+    mcfg: &MovingTraceConfig,
+) -> Option<(FleetTarget, Vec<FleetPacket>)> {
+    let interval = cfg.trace.packet_interval_s;
+    let mut trng = Rng::seed_from_u64(mix(cfg.seed, t as u64, 0));
+    // A straight leg between two random interior points, clear of the
+    // outer walls.
+    let pt = |rng: &mut Rng| Point::new(rng.gen_range(0.8..13.2), rng.gen_range(0.8..7.2));
+    let (start, end) = (pt(&mut trng), pt(&mut trng));
+    let path = if cfg.speed_mps > 0.0 {
+        Waypath::new(vec![start, end], cfg.speed_mps)
+    } else {
+        Waypath::stationary(start)
+    };
+    let start_offset_s = trng.gen_range(0.0..interval);
+
+    // Trace each link; a link whose start position the AP cannot hear
+    // contributes nothing.
+    let mut links: Vec<(u32, Vec<spotfi_channel::CsiPacket>)> = Vec::new();
+    for (a, ap) in aps.iter().enumerate() {
+        let mut lrng = Rng::seed_from_u64(mix(cfg.seed, 1 + t as u64, 1 + a as u64));
+        if let Some(trace) = generate_moving(
+            plan,
+            &path,
+            &ap.array,
+            mcfg,
+            cfg.packets_per_link,
+            &mut lrng,
+        ) {
+            links.push((a as u32, trace.packets));
+        }
+    }
+    if links.len() < 2 {
+        return None;
+    }
+    let target_id = t as u64;
+    let mut packets_out = Vec::new();
+    for (ap_id, packets) in links {
+        // A sub-interval per-AP skew keeps same-instant arrivals from
+        // different APs deterministically ordered without perturbing the
+        // motion model measurably.
+        let skew = ap_id as f64 * 1e-4;
+        let drift = drifts[ap_id as usize];
+        let mut loss_rng = Rng::seed_from_u64(mix(cfg.seed, 0x1055 ^ (t as u64), ap_id as u64));
+        for mut packet in packets {
+            if cfg.loss_rate > 0.0 && loss_rng.gen::<f64>() < cfg.loss_rate {
+                continue;
+            }
+            packet.timestamp_s += start_offset_s + skew;
+            packet.timestamp_s *= 1.0 + drift;
+            packets_out.push(FleetPacket {
+                target_id,
+                ap_id,
+                array: aps[ap_id as usize].array,
+                packet,
+            });
+        }
+    }
+    let target = FleetTarget {
+        target_id,
+        path,
+        start_offset_s,
+    };
+    Some((target, packets_out))
+}
+
 impl FleetScenario {
     /// Generates the scenario: seeds each target's walk, traces every
     /// (target, AP) link with the moving-target generator, stamps global
     /// arrival times, and sorts the interleaved schedule.
     ///
-    /// Deterministic in `cfg` — the same config always produces the same
-    /// schedule, byte for byte.
+    /// Targets are traced in parallel on the host's default thread budget
+    /// ([`RuntimeConfig::default`]'s effective threads). Deterministic in
+    /// `cfg` at any thread count — the same config always produces the
+    /// same schedule, byte for byte: every target draws only from its own
+    /// seeded streams, and per-target packets are concatenated in target
+    /// order before the stable arrival sort.
     pub fn generate(cfg: &FleetScenarioConfig) -> FleetScenario {
+        Self::generate_with_threads(cfg, RuntimeConfig::default().effective_threads())
+    }
+
+    fn generate_with_threads(cfg: &FleetScenarioConfig, threads: usize) -> FleetScenario {
         assert!(cfg.aps >= 2, "a fleet scenario needs ≥ 2 APs");
         let apartment = Apartment::standard();
         let aps = deployed_aps(cfg.aps);
@@ -151,68 +235,17 @@ impl FleetScenario {
             regen_distance_m: cfg.regen_distance_m,
         };
 
-        let mut targets = Vec::with_capacity(cfg.targets);
+        let traced = parallel_map_with(
+            cfg.targets,
+            threads,
+            || (),
+            |_, t| trace_target(cfg, t, &plan, &aps, &drifts, &mcfg),
+        );
+        let mut targets = Vec::with_capacity(traced.len());
         let mut schedule: Vec<FleetPacket> = Vec::new();
-        for t in 0..cfg.targets {
-            let mut trng = Rng::seed_from_u64(mix(cfg.seed, t as u64, 0));
-            // A straight leg between two random interior points, clear of
-            // the outer walls.
-            let pt = |rng: &mut Rng| Point::new(rng.gen_range(0.8..13.2), rng.gen_range(0.8..7.2));
-            let (start, end) = (pt(&mut trng), pt(&mut trng));
-            let path = if cfg.speed_mps > 0.0 {
-                Waypath::new(vec![start, end], cfg.speed_mps)
-            } else {
-                Waypath::stationary(start)
-            };
-            let start_offset_s = trng.gen_range(0.0..interval);
-
-            // Trace each link; a link whose start position the AP cannot
-            // hear contributes nothing.
-            let mut links: Vec<(u32, Vec<spotfi_channel::CsiPacket>)> = Vec::new();
-            for (a, ap) in aps.iter().enumerate() {
-                let mut lrng = Rng::seed_from_u64(mix(cfg.seed, 1 + t as u64, 1 + a as u64));
-                if let Some(trace) = generate_moving(
-                    &plan,
-                    &path,
-                    &ap.array,
-                    &mcfg,
-                    cfg.packets_per_link,
-                    &mut lrng,
-                ) {
-                    links.push((a as u32, trace.packets));
-                }
-            }
-            if links.len() < 2 {
-                continue;
-            }
-            let target_id = t as u64;
-            for (ap_id, packets) in links {
-                // A sub-interval per-AP skew keeps same-instant arrivals
-                // from different APs deterministically ordered without
-                // perturbing the motion model measurably.
-                let skew = ap_id as f64 * 1e-4;
-                let drift = drifts[ap_id as usize];
-                let mut loss_rng =
-                    Rng::seed_from_u64(mix(cfg.seed, 0x1055 ^ (t as u64), ap_id as u64));
-                for mut packet in packets {
-                    if cfg.loss_rate > 0.0 && loss_rng.gen::<f64>() < cfg.loss_rate {
-                        continue;
-                    }
-                    packet.timestamp_s += start_offset_s + skew;
-                    packet.timestamp_s *= 1.0 + drift;
-                    schedule.push(FleetPacket {
-                        target_id,
-                        ap_id,
-                        array: aps[ap_id as usize].array,
-                        packet,
-                    });
-                }
-            }
-            targets.push(FleetTarget {
-                target_id,
-                path,
-                start_offset_s,
-            });
+        for (target, packets) in traced.into_iter().flatten() {
+            targets.push(target);
+            schedule.extend(packets);
         }
         schedule.sort_by(|x, y| {
             x.packet
@@ -270,22 +303,52 @@ mod tests {
         }
     }
 
-    #[test]
-    fn generation_is_deterministic() {
-        let cfg = FleetScenarioConfig {
-            targets: 3,
-            packets_per_link: 4,
-            ..FleetScenarioConfig::apartment(3)
-        };
-        let a = FleetScenario::generate(&cfg);
-        let b = FleetScenario::generate(&cfg);
-        assert_eq!(a.schedule.len(), b.schedule.len());
-        for (x, y) in a.schedule.iter().zip(&b.schedule) {
-            assert_eq!(x.target_id, y.target_id);
-            assert_eq!(x.ap_id, y.ap_id);
-            assert_eq!(x.packet.timestamp_s, y.packet.timestamp_s);
-            assert_eq!(x.packet.rssi_dbm, y.packet.rssi_dbm);
+    /// Every bit of a scenario's targets and schedule, in order.
+    fn scenario_bits(s: &FleetScenario) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for t in &s.targets {
+            bits.extend([t.target_id, t.start_offset_s.to_bits()]);
         }
+        for p in &s.schedule {
+            bits.extend([p.target_id, u64::from(p.ap_id)]);
+            let c = &p.packet;
+            bits.extend(
+                c.csi
+                    .as_slice()
+                    .iter()
+                    .flat_map(|z| [z.re.to_bits(), z.im.to_bits()]),
+            );
+            bits.extend([
+                c.rssi_dbm.to_bits(),
+                c.timestamp_s.to_bits(),
+                c.injected_sto_s.to_bits(),
+            ]);
+        }
+        bits
+    }
+
+    #[test]
+    fn generation_is_bit_identical_at_any_thread_count() {
+        // Re-traces (24 packets at 0.35 m/s), loss and clock drift all draw
+        // from per-target streams, so the pooled schedule equals the serial
+        // one to the bit however targets land on workers.
+        let cfg = FleetScenarioConfig {
+            targets: 6,
+            loss_rate: 0.2,
+            clock_drift_ppm: 50.0,
+            ..FleetScenarioConfig::apartment(6)
+        };
+        let serial = FleetScenario::generate_with_threads(&cfg, 1);
+        assert!(serial.targets.len() > 1 && !serial.schedule.is_empty());
+        let serial_bits = scenario_bits(&serial);
+        for threads in [2, 4] {
+            let pooled = FleetScenario::generate_with_threads(&cfg, threads);
+            assert!(
+                scenario_bits(&pooled) == serial_bits,
+                "{threads}-thread schedule differs from the serial one"
+            );
+        }
+        assert!(scenario_bits(&FleetScenario::generate(&cfg)) == serial_bits);
     }
 
     #[test]

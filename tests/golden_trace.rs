@@ -360,3 +360,78 @@ fn golden_warm_streaming_path_is_bit_pinned() {
     assert_eq!(streaming, PIN_STREAMING, "warm streaming digest drifted");
     assert_eq!(fleet, PIN_FLEET, "fleet serving digest drifted");
 }
+
+/// Folds one simulated packet into `digest`: every CSI entry, the RSSI,
+/// the timestamp and the injected STO, all as raw bits.
+fn fold_packet(digest: &mut u64, p: &spotfi::channel::CsiPacket) {
+    fold_bits(
+        digest,
+        p.csi
+            .as_slice()
+            .iter()
+            .flat_map(|z| [z.re.to_bits(), z.im.to_bits()]),
+    );
+    fold_bits(
+        digest,
+        [
+            p.rssi_dbm.to_bits(),
+            p.timestamp_s.to_bits(),
+            p.injected_sto_s.to_bits(),
+        ],
+    );
+}
+
+/// Digest of a generated fleet's whole arrival schedule, in order.
+fn schedule_digest(cfg: &spotfi::testbed::FleetScenarioConfig) -> u64 {
+    let scenario = spotfi::testbed::FleetScenario::generate(cfg);
+    assert!(!scenario.schedule.is_empty(), "fleet generated no packets");
+    let mut digest = FNV_OFFSET;
+    for p in &scenario.schedule {
+        fold_bits(&mut digest, [p.target_id, u64::from(p.ap_id)]);
+        fold_packet(&mut digest, &p.packet);
+    }
+    digest
+}
+
+#[test]
+fn synthesis_is_bit_pinned() {
+    // Every figure, fleet run and benchmark workload starts from the
+    // simulator's CSI synthesis (Eq. 1 plus impairments). Pin its output
+    // to the bit on three inputs: a moving 3-AP apartment fleet (re-traces
+    // every ~20 packets), a lossy, drifting 16-AP perimeter ring, and the
+    // static per-link traces the experiment runner hears. Re-derive with
+    // `-- --nocapture` only after an intentional channel-model change.
+    use spotfi::testbed::runner::{audible_traces, RunnerConfig};
+    use spotfi::testbed::{Deployment, FleetScenarioConfig, Scenario};
+
+    const PIN_APARTMENT: u64 = 0xfcd5_01f7_1619_52d7;
+    const PIN_RING16: u64 = 0x4086_25df_1055_65e3;
+    const PIN_OFFICE: u64 = 0x81d8_b0f1_ab72_747d;
+
+    let apartment = schedule_digest(&FleetScenarioConfig::apartment(4));
+    let ring16 = schedule_digest(&FleetScenarioConfig {
+        aps: 16,
+        loss_rate: 0.1,
+        clock_drift_ppm: 20.0,
+        ..FleetScenarioConfig::apartment(3)
+    });
+    let scenario = Scenario::office(&Deployment::standard());
+    let mut office = FNV_OFFSET;
+    for t in 0..3 {
+        for (ap_idx, _, trace) in audible_traces(&scenario, &RunnerConfig::default(), t) {
+            fold_bits(&mut office, [t as u64, ap_idx as u64]);
+            for p in &trace.packets {
+                fold_packet(&mut office, p);
+            }
+        }
+    }
+    println!(
+        "apartment digest {apartment:#018x}, ring16 digest {ring16:#018x}, office digest {office:#018x}"
+    );
+    assert_eq!(
+        apartment, PIN_APARTMENT,
+        "apartment fleet synthesis drifted"
+    );
+    assert_eq!(ring16, PIN_RING16, "16-AP ring synthesis drifted");
+    assert_eq!(office, PIN_OFFICE, "office trace synthesis drifted");
+}
