@@ -9,16 +9,13 @@
 //! With M antennas the signal subspace can hold at most M − 1 paths, so in
 //! a 6–8-path indoor channel this estimator is fundamentally
 //! under-resolved — exactly the deficiency SpotFi's joint AoA/ToF estimator
-//! fixes. Optional forward spatial smoothing ([`MusicAoaConfig::spatial_smoothing`],
-//! ArrayTrack's trick [Paulraj et al.]) trades one more antenna of aperture
-//! for robustness to coherent paths.
+//! fixes.
 
 use spotfi_channel::CsiPacket;
 use spotfi_core::config::GridSpec;
 use spotfi_core::error::{Result, SpotFiError};
 use spotfi_core::steering::phi;
-use spotfi_math::eigen::hermitian_eigen;
-use spotfi_math::{c64, CMat};
+use spotfi_math::{c64, hermitian_eigen_partial, CMat};
 
 /// Configuration of the MUSIC-AoA baseline.
 #[derive(Clone, Copy, Debug)]
@@ -29,8 +26,6 @@ pub struct MusicAoaConfig {
     pub max_paths: usize,
     /// Eigenvalue threshold ratio for the noise subspace.
     pub noise_threshold_ratio: f64,
-    /// Forward spatial smoothing over 2-antenna subarrays.
-    pub spatial_smoothing: bool,
     /// Carrier frequency, Hz (for the steering phase).
     pub carrier_hz: f64,
     /// Antenna spacing, meters.
@@ -38,15 +33,14 @@ pub struct MusicAoaConfig {
 }
 
 impl MusicAoaConfig {
-    /// Defaults matching the paper's comparison: 1° grid, smoothing on,
-    /// Intel 5300 geometry.
+    /// Defaults matching the paper's comparison: 1° grid, Intel 5300
+    /// geometry.
     pub fn intel5300() -> Self {
         let carrier = spotfi_channel::constants::DEFAULT_CARRIER_HZ;
         MusicAoaConfig {
             aoa_grid_deg: GridSpec::new(-90.0, 90.0, 1.0),
             max_paths: 2,
             noise_threshold_ratio: 0.03,
-            spatial_smoothing: false,
             carrier_hz: carrier,
             spacing_m: spotfi_channel::constants::half_wavelength_spacing(carrier),
         }
@@ -121,40 +115,30 @@ pub fn music_aoa_spectrum(csi: &CMat, cfg: &MusicAoaConfig) -> Result<MusicAoaSp
         return Err(SpotFiError::DegenerateCsi);
     }
 
-    // Covariance across subcarrier snapshots; optionally forward-smoothed
-    // over 2-antenna subarrays.
-    let (r, dim) = if cfg.spatial_smoothing && m_ant >= 2 {
-        let sub = m_ant - 1; // subarray size
-        let mut r = CMat::zeros(sub, sub);
-        for shift in 0..=(m_ant - sub) {
-            let rows: Vec<usize> = (shift..shift + sub).collect();
-            let cols: Vec<usize> = (0..n_sub).collect();
-            let x = csi.select(&rows, &cols);
-            r = &r + &x.mul_hermitian_self();
-        }
-        (r, sub)
-    } else {
-        (csi.mul_hermitian_self(), m_ant)
-    };
+    // Covariance across subcarrier snapshots.
+    let dim = m_ant;
+    let r = csi.mul_hermitian_self();
 
-    let eig = hermitian_eigen(&r);
+    // Keep at least one noise vector: the signal subspace never exceeds
+    // dim − 1, so only that many eigenvectors are needed.
+    let max_signal = cfg.max_paths.min(dim - 1).max(1);
+    let eig = hermitian_eigen_partial(&r, max_signal);
     let lmax = eig.values[0].max(0.0);
     if lmax <= 0.0 {
         return Err(SpotFiError::DegenerateCsi);
     }
     let threshold = cfg.noise_threshold_ratio * lmax;
     let by_threshold = eig.values.iter().filter(|&&l| l >= threshold).count();
-    // Keep at least one noise vector.
-    let signal = by_threshold.min(cfg.max_paths).min(dim - 1).max(1);
+    let signal = by_threshold.min(max_signal).max(1);
 
-    // Noise projector G = Σ_{k ≥ signal} v_k v_kᴴ.
-    let mut g = CMat::zeros(dim, dim);
-    for k in signal..dim {
+    // Noise projector as the signal-subspace complement G = I − E_S·E_Sᴴ.
+    let mut g = CMat::identity(dim);
+    for k in 0..signal {
         let v = eig.vectors.col(k);
         for j in 0..dim {
             let vj = v[j].conj();
             for i in 0..dim {
-                g[(i, j)] += v[i] * vj;
+                g[(i, j)] -= v[i] * vj;
             }
         }
     }
@@ -258,6 +242,72 @@ mod tests {
         csi
     }
 
+    /// The spectrum built the textbook way: the full eigenbasis, the same
+    /// signal-count rule, and `G = Σ v_k·v_kᴴ` over the noise vectors.
+    fn textbook_spectrum(csi: &CMat, c: &MusicAoaConfig) -> Vec<f64> {
+        let r = csi.mul_hermitian_self();
+        let dim = r.rows();
+        let eig = hermitian_eigen_partial(&r, dim);
+        let threshold = c.noise_threshold_ratio * eig.values[0];
+        let by_threshold = eig.values.iter().filter(|&&l| l >= threshold).count();
+        let signal = by_threshold.min(c.max_paths).min(dim - 1).max(1);
+        let mut g = CMat::zeros(dim, dim);
+        for k in signal..dim {
+            let v = eig.vectors.col(k);
+            for j in 0..dim {
+                for i in 0..dim {
+                    g[(i, j)] += v[i] * v[j].conj();
+                }
+            }
+        }
+        let grid = c.aoa_grid_deg;
+        (0..grid.len())
+            .map(|i| {
+                let a = steering_vector(
+                    grid.value(i).to_radians().sin(),
+                    0.0,
+                    dim,
+                    1,
+                    c.spacing_m,
+                    c.carrier_hz,
+                    INTEL5300_SUBCARRIER_SPACING_HZ,
+                );
+                1.0 / g.quadratic_form(&a).re.max(1e-12)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn spectrum_matches_the_textbook_noise_projector() {
+        let fixtures: [&[(f64, f64, c64)]; 3] = [
+            &[(25.0, 40.0, c64::ONE)],
+            &[(-40.0, 20.0, c64::ONE), (35.0, 150.0, c64::ONE)],
+            &[
+                (-60.0, 15.0, c64::ONE),
+                (-25.0, 60.0, c64::new(0.8, 0.2)),
+                (5.0, 110.0, c64::new(0.0, 0.9)),
+                (35.0, 170.0, c64::new(-0.6, 0.3)),
+                (65.0, 230.0, c64::new(0.5, -0.5)),
+            ],
+        ];
+        for paths in fixtures {
+            let csi = csi_for_paths(paths);
+            let spec = music_aoa_spectrum(&csi, &cfg()).unwrap();
+            let want = textbook_spectrum(&csi, &cfg());
+            assert_eq!(spec.values.len(), want.len());
+            for (i, (got, want)) in spec.values.iter().zip(&want).enumerate() {
+                assert!(
+                    (got - want).abs() <= 1e-9 * want.abs(),
+                    "{} paths, {}°: {} vs textbook {}",
+                    paths.len(),
+                    spec.aoa_grid_deg.value(i),
+                    got,
+                    want
+                );
+            }
+        }
+    }
+
     #[test]
     fn single_path_peak_at_truth() {
         let csi = csi_for_paths(&[(25.0, 40.0, c64::ONE)]);
@@ -271,8 +321,7 @@ mod tests {
 
     #[test]
     fn works_without_smoothing_for_incoherent_paths() {
-        let mut c = cfg();
-        c.spatial_smoothing = false;
+        let c = cfg();
         // Two paths with very different ToFs decorrelate across subcarrier
         // snapshots, so even unsmoothed 3-antenna MUSIC sees them.
         let csi = csi_for_paths(&[(-40.0, 20.0, c64::ONE), (35.0, 150.0, c64::ONE)]);
@@ -332,8 +381,8 @@ mod tests {
     #[test]
     fn coherent_paths_defeat_three_antenna_music() {
         // Two paths with the *same* ToF are fully coherent across
-        // subcarriers. Even with forward smoothing, a 3-antenna array only
-        // offers 2-element subarrays — one signal dimension — so the two
+        // subcarriers: every snapshot is the same antenna vector up to a
+        // scale, so the covariance has one signal dimension and the two
         // paths cannot both be resolved. The estimator must still return a
         // finite spectrum whose peak lies in the angular span between the
         // two paths (a blended bearing), not crash or return garbage.

@@ -68,8 +68,7 @@ mod tests {
     use super::*;
     use crate::steering::steering_vector;
     use spotfi_channel::constants::{DEFAULT_CARRIER_HZ, INTEL5300_SUBCARRIER_SPACING_HZ};
-    use spotfi_math::c64;
-    use spotfi_math::eigen::hermitian_eigen;
+    use spotfi_math::{c64, hermitian_eigen_partial};
 
     fn cfg() -> SpotFiConfig {
         SpotFiConfig::default()
@@ -166,7 +165,7 @@ mod tests {
         ]);
         let x = smoothed_csi(&csi, &cfg()).unwrap();
         let r = x.mul_hermitian_self();
-        let e = hermitian_eigen(&r);
+        let e = hermitian_eigen_partial(&r, r.rows());
         let lmax = e.values[0];
         assert!(e.values[2] > 1e-6 * lmax, "third eigenvalue too small");
         assert!(
@@ -181,7 +180,8 @@ mod tests {
     fn single_path_gives_rank_one() {
         let csi = csi_for_paths(&[(0.2, 55e-9, c64::ONE)]);
         let x = smoothed_csi(&csi, &cfg()).unwrap();
-        let e = hermitian_eigen(&x.mul_hermitian_self());
+        let r = x.mul_hermitian_self();
+        let e = hermitian_eigen_partial(&r, r.rows());
         assert!(e.values[1] < 1e-9 * e.values[0]);
     }
 
@@ -193,7 +193,8 @@ mod tests {
         let tau = 120e-9;
         let csi = csi_for_paths(&[(sin_t, tau, c64::ONE)]);
         let x = smoothed_csi(&csi, &cfg()).unwrap();
-        let e = hermitian_eigen(&x.mul_hermitian_self());
+        let r = x.mul_hermitian_self();
+        let e = hermitian_eigen_partial(&r, r.rows());
         let a = steering_vector(
             sin_t,
             tau,

@@ -1,13 +1,15 @@
-//! Complex Hermitian eigendecomposition.
+//! Complex Hermitian eigendecomposition by cyclic Jacobi — the test-only
+//! oracle.
 //!
-//! MUSIC needs the full eigendecomposition of the smoothed-CSI covariance
-//! `X·Xᴴ` (30×30 Hermitian positive semi-definite). We implement the classic
-//! **cyclic Jacobi method for Hermitian matrices**: repeatedly zero
-//! off-diagonal entries with complex plane rotations until the matrix is
-//! diagonal to machine precision. Jacobi is unconditionally stable, converges
-//! quadratically once the off-diagonal mass is small, and at n = 30 runs in
-//! tens of microseconds — ideal for this workload and free of any external
-//! LAPACK dependency.
+//! Production code solves every Hermitian eigenproblem with the
+//! tridiagonal solver in [`crate::eigen_tridiag`]. This module keeps the
+//! classic **cyclic Jacobi method for Hermitian matrices** as an
+//! independently derived reference for that solver's tests: it repeatedly
+//! zeroes off-diagonal entries with complex plane rotations until the
+//! matrix is diagonal to machine precision, accumulating every rotation
+//! into the full unitary. Jacobi is unconditionally stable and converges
+//! quadratically once the off-diagonal mass is small, which makes it slow
+//! but trustworthy. The module is compiled only under `cfg(test)`.
 //!
 //! The returned eigenvalues are sorted **descending** (signal subspace first,
 //! as MUSIC consumes them) with matching eigenvector columns.
@@ -50,20 +52,9 @@ impl HermitianEigen {
 /// NaNs in the input.
 const MAX_SWEEPS: usize = 64;
 
-/// Computes the eigendecomposition of a Hermitian matrix.
-///
-/// ```
-/// use spotfi_math::{c64, CMat, hermitian_eigen};
-///
-/// // [[2, i], [-i, 2]] has eigenvalues 3 and 1.
-/// let a = CMat::from_rows(&[
-///     &[c64::real(2.0), c64::I],
-///     &[-c64::I, c64::real(2.0)],
-/// ]);
-/// let e = hermitian_eigen(&a);
-/// assert!((e.values[0] - 3.0).abs() < 1e-12);
-/// assert!((e.values[1] - 1.0).abs() < 1e-12);
-/// ```
+/// Computes the eigendecomposition of a Hermitian matrix, resolving every
+/// eigenpair to machine precision: sweeps stop once the off-diagonal norm
+/// falls below `1e-14 · max|a| · n`.
 ///
 /// The strict upper triangle is ignored; the matrix is treated as the
 /// Hermitian completion of its lower triangle, so tiny asymmetries from
@@ -72,20 +63,6 @@ const MAX_SWEEPS: usize = 64;
 /// # Panics
 /// Panics if the matrix is not square or contains non-finite values.
 pub fn hermitian_eigen(a: &CMat) -> HermitianEigen {
-    hermitian_eigen_with_tol(a, 1e-14)
-}
-
-/// [`hermitian_eigen`] with a caller-chosen relative convergence tolerance:
-/// sweeps stop once the off-diagonal norm falls below
-/// `rel_tol · max|a| · n`. The default (`1e-14`) resolves eigenpairs to
-/// machine precision; approximate consumers — the subspace tracker's
-/// Rayleigh–Ritz step, whose output is re-orthonormalized and safety-netted
-/// by a drift threshold anyway — can pass a looser tolerance and save most
-/// of the Jacobi sweeps.
-///
-/// # Panics
-/// Panics if the matrix is not square or contains non-finite values.
-pub fn hermitian_eigen_with_tol(a: &CMat, rel_tol: f64) -> HermitianEigen {
     let n = a.rows();
     assert_eq!(n, a.cols(), "hermitian_eigen requires a square matrix");
     assert!(
@@ -111,7 +88,7 @@ pub fn hermitian_eigen_with_tol(a: &CMat, rel_tol: f64) -> HermitianEigen {
     let mut v = CMat::identity(n);
 
     let scale = h.max_abs().max(1.0);
-    let tol = scale * rel_tol;
+    let tol = scale * 1e-14;
 
     for _sweep in 0..MAX_SWEEPS {
         let off = off_diagonal_norm(&h);

@@ -1,12 +1,12 @@
 //! Partial Hermitian eigendecomposition via Householder tridiagonalization.
 //!
-//! The cyclic Jacobi solver in [`crate::eigen`] computes *all* `n`
-//! eigenpairs by accumulating every plane rotation into a full `n × n`
-//! unitary — robust, but O(n³ · sweeps) with a large constant. MUSIC does
-//! not need that: the noise projector is the signal-subspace complement
-//! `G = I − E_S·E_Sᴴ`, so only the top `k ≤ max_paths` eigenvectors (≈ 8 of
-//! 30) are ever consumed. This module implements the classic dense-solver
-//! path with a **partial eigenvector mode**:
+//! This is the workspace's one production eigensolver. Every consumer
+//! needs only the top eigenvectors: MUSIC's noise projector is the
+//! signal-subspace complement `G = I − E_S·E_Sᴴ`, so only the top
+//! `k ≤ max_paths` eigenvectors (≈ 8 of 30) are ever consumed. Accumulating
+//! every plane rotation into a full `n × n` unitary, as cyclic Jacobi does,
+//! costs O(n³ · sweeps) for vectors nobody reads. This module implements
+//! the classic dense-solver path with a **partial eigenvector mode**:
 //!
 //! 1. **Householder tridiagonalization** `A = U·H·Uᴴ` — `n − 2` rank-2
 //!    updates reduce the Hermitian matrix to complex tridiagonal `H`
@@ -19,12 +19,14 @@
 //! 4. **Inverse iteration** on `T` for the `k` requested (largest)
 //!    eigenvalues, with Gram–Schmidt reorthogonalization inside eigenvalue
 //!    clusters, then back-transformation through `D` and the Householder
-//!    reflectors — O(k·n²) instead of Jacobi's O(n³·sweeps) accumulation.
+//!    reflectors — O(k·n²) instead of O(n³·sweeps) accumulation.
 //!
-//! Jacobi stays in the tree as the cross-validation oracle (see
-//! `tests/eigen_crossvalidate.rs`); the pipeline's hot path uses this
-//! solver through [`hermitian_eigen_partial_with`] with a reusable
-//! [`TridiagWorkspace`] so a per-packet call performs no allocations.
+//! The per-packet 30×30 MUSIC solves and the subspace tracker's k×k
+//! Rayleigh–Ritz step call [`hermitian_eigen_partial_into`] with a
+//! reusable [`TridiagWorkspace`], so a warm call performs no allocations;
+//! MUSIC-AoA's 3×3 solve uses the one-shot [`hermitian_eigen_partial`]. A
+//! cyclic-Jacobi solver is compiled under `cfg(test)` only, as the oracle
+//! these results are cross-validated against.
 
 use crate::complex::c64;
 use crate::matrix::CMat;
@@ -33,14 +35,13 @@ use crate::matrix::CMat;
 /// eigenvectors.
 #[derive(Clone, Debug)]
 pub struct PartialHermitianEigen {
-    /// All `n` eigenvalues, sorted descending (same convention as
-    /// [`crate::eigen::hermitian_eigen`]).
+    /// All `n` eigenvalues, sorted descending.
     pub values: Vec<f64>,
     /// `n × k` matrix whose column `j` is the eigenvector of `values[j]`.
     pub vectors: CMat,
 }
 
-/// Reusable buffers for [`hermitian_eigen_partial_with`]. One workspace
+/// Reusable buffers for [`hermitian_eigen_partial_into`]. One workspace
 /// serves any number of decompositions of matrices up to its size; it grows
 /// on demand and never shrinks.
 #[derive(Clone, Debug, Default)]
@@ -112,36 +113,24 @@ impl TridiagWorkspace {
 /// assert_eq!(e.vectors.shape(), (2, 1));
 /// ```
 ///
-/// Like the Jacobi solver, the strict upper triangle is ignored: the input
-/// is treated as the Hermitian completion of its lower triangle. `k` is
-/// clamped to `n`.
+/// The strict upper triangle is ignored: the input is treated as the
+/// Hermitian completion of its lower triangle. `k` is clamped to `n`.
 ///
 /// # Panics
 /// Panics if the matrix is not square or contains non-finite values.
 pub fn hermitian_eigen_partial(a: &CMat, k: usize) -> PartialHermitianEigen {
     let mut ws = TridiagWorkspace::default();
-    hermitian_eigen_partial_with(a, k, &mut ws)
-}
-
-/// [`hermitian_eigen_partial`] with caller-owned workspace. Only the
-/// returned `values`/`vectors` are fresh allocations; use
-/// [`hermitian_eigen_partial_into`] to avoid even those.
-pub fn hermitian_eigen_partial_with(
-    a: &CMat,
-    k: usize,
-    ws: &mut TridiagWorkspace,
-) -> PartialHermitianEigen {
-    hermitian_eigen_partial_into(a, k, ws);
+    hermitian_eigen_partial_into(a, k, &mut ws);
     PartialHermitianEigen {
-        values: ws.out_values.clone(),
-        vectors: ws.out_vectors.clone(),
+        values: ws.out_values,
+        vectors: ws.out_vectors,
     }
 }
 
 /// Fully allocation-free form of [`hermitian_eigen_partial`]: results land
 /// in the workspace, readable through [`TridiagWorkspace::values`] and
 /// [`TridiagWorkspace::vectors`] until the next decomposition. This is what
-/// the MUSIC hot path calls once per packet.
+/// the per-packet MUSIC path and the subspace tracker's Ritz step call.
 ///
 /// # Panics
 /// Panics if the matrix is not square or contains non-finite values.
@@ -189,7 +178,7 @@ fn finish_from_tridiag(k: usize, ws: &mut TridiagWorkspace) {
     // Top-k eigenvectors of T by inverse iteration, then back-transform.
     let mut vectors = std::mem::take(&mut ws.out_vectors);
     vectors.reset_zeros(n, k);
-    let reorth_events = inverse_iteration(&values[..k], ws);
+    let (reorth_events, inverse_steps) = inverse_iteration(&values[..k], ws);
     for j in 0..k {
         back_transform(j, ws);
         vectors.col_mut(j).copy_from_slice(&ws.z);
@@ -199,6 +188,7 @@ fn finish_from_tridiag(k: usize, ws: &mut TridiagWorkspace) {
         spotfi_obs::counter("eigen.calls", 1);
         spotfi_obs::counter("eigen.ql_sweeps", ql_sweeps);
         spotfi_obs::counter("eigen.reorth_events", reorth_events);
+        spotfi_obs::counter("eigen.inverse_iteration_steps", inverse_steps);
     }
 
     ws.out_values = values;
@@ -214,7 +204,7 @@ fn finish_from_tridiag(k: usize, ws: &mut TridiagWorkspace) {
 fn tridiagonalize(a: &CMat, ws: &mut TridiagWorkspace) {
     let n = a.rows();
     // Working copy, forced exactly Hermitian from the lower triangle (same
-    // normalization as the Jacobi solver, so both see the same matrix).
+    // normalization as the Jacobi oracle, so both see the same matrix).
     ws.h.reset_zeros(n, n);
     for c in 0..n {
         for r in 0..n {
@@ -535,15 +525,17 @@ fn solve_shifted_tridiag(lambda: f64, ws: &mut TridiagWorkspace, b: &mut [f64]) 
 /// previous vectors of the same eigenvalue cluster. Results land in
 /// `ws.tvecs` (column-major `n × k`, unit norm). Returns the number of
 /// Gram–Schmidt reorthogonalization projections performed inside
-/// eigenvalue clusters (0 when every eigenvalue is well separated).
-fn inverse_iteration(lambdas: &[f64], ws: &mut TridiagWorkspace) -> u64 {
+/// eigenvalue clusters (0 when every eigenvalue is well separated) and the
+/// number of shifted solves (passes) over all `k` eigenvalues.
+fn inverse_iteration(lambdas: &[f64], ws: &mut TridiagWorkspace) -> (u64, u64) {
     let n = ws.diag.len();
     let k = lambdas.len();
     let mut reorth_events = 0u64;
+    let mut steps = 0u64;
     ws.tvecs.clear();
     ws.tvecs.resize(n * k, 0.0);
     if k == 0 {
-        return reorth_events;
+        return (reorth_events, steps);
     }
     let norm = ws
         .diag
@@ -580,8 +572,8 @@ fn inverse_iteration(lambdas: &[f64], ws: &mut TridiagWorkspace) -> u64 {
         }
         normalize(&mut ws.y);
 
-        let mut converged = false;
         for _pass in 0..5 {
+            steps += 1;
             let mut y = std::mem::take(&mut ws.y);
             solve_shifted_tridiag(lambda, ws, &mut y);
             ws.y = y;
@@ -603,16 +595,14 @@ fn inverse_iteration(lambdas: &[f64], ws: &mut TridiagWorkspace) -> u64 {
             // ‖(T−λ)⁻¹y‖ ≥ 1/(ε·‖T‖) signals convergence onto the
             // eigenvector (residual ≲ ε·‖T‖).
             if growth >= 1.0 / (f64::EPSILON * norm * 1e3) {
-                converged = true;
                 break;
             }
         }
         // Even without the growth certificate the iterate is the best
         // available direction; clusters are protected by orthogonalization.
-        let _ = converged;
         ws.tvecs[j * n..(j + 1) * n].copy_from_slice(&ws.y);
     }
-    reorth_events
+    (reorth_events, steps)
 }
 
 /// Normalizes `v` to unit Euclidean norm, returning the pre-normalization
@@ -1173,17 +1163,18 @@ mod tests {
         let mut ws = TridiagWorkspace::default();
         let a = random_hermitian(10, 4);
         let b = random_hermitian(10, 77);
-        let first = hermitian_eigen_partial_with(&a, 3, &mut ws);
-        let _other = hermitian_eigen_partial_with(&b, 3, &mut ws);
-        let again = hermitian_eigen_partial_with(&a, 3, &mut ws);
-        assert_eq!(first.values, again.values);
-        assert_eq!(first.vectors, again.vectors);
+        hermitian_eigen_partial_into(&a, 3, &mut ws);
+        let (first_values, first_vectors) = (ws.values().to_vec(), ws.vectors().clone());
+        hermitian_eigen_partial_into(&b, 3, &mut ws);
+        hermitian_eigen_partial_into(&a, 3, &mut ws);
+        assert_eq!(first_values, ws.values());
+        assert_eq!(&first_vectors, ws.vectors());
         // Differently-sized matrix through the same workspace.
         let c = random_hermitian(4, 9);
-        let small = hermitian_eigen_partial_with(&c, 2, &mut ws);
+        hermitian_eigen_partial_into(&c, 2, &mut ws);
         let fresh = hermitian_eigen_partial(&c, 2);
-        assert_eq!(small.values, fresh.values);
-        assert_eq!(small.vectors, fresh.vectors);
+        assert_eq!(fresh.values, ws.values());
+        assert_eq!(&fresh.vectors, ws.vectors());
     }
 
     #[test]

@@ -15,11 +15,12 @@
 //! * [`CMat`] — dense column-major complex matrices, and
 //!   [`PackedHermitian`], a Hermitian matrix stored as its lower triangle
 //!   ([`matrix`]).
-//! * [`eigen`] — complex Hermitian eigendecomposition via cyclic Jacobi
-//!   (the cross-validation oracle).
-//! * [`eigen_tridiag`] — Householder tridiagonalization + implicit-shift QL
-//!   with partial eigenvector extraction (the MUSIC hot path), plus a
+//! * [`eigen_tridiag`] — the one Hermitian eigensolver: Householder
+//!   tridiagonalization + implicit-shift QL with partial eigenvector
+//!   extraction (MUSIC, the Rayleigh–Ritz step and MUSIC-AoA), plus a
 //!   4-lane batched driver that solves whole-AP packet batches at once.
+//!   A cyclic-Jacobi solver is compiled only under `cfg(test)`, as the
+//!   oracle it is cross-validated against.
 //! * [`subspace`] — online dominant-subspace tracking (block power step +
 //!   Rayleigh–Ritz) for streaming covariances, with a drift metric that
 //!   tells callers when to re-anchor on the exact solver.
@@ -33,7 +34,10 @@
 
 pub mod angles;
 pub mod complex;
-pub mod eigen;
+#[cfg(test)]
+mod eigen;
+#[cfg(test)]
+mod eigen_crossvalidate;
 pub mod eigen_tridiag;
 pub mod matrix;
 pub mod optimize;
@@ -43,11 +47,9 @@ pub mod unwrap;
 
 pub use angles::{deg_to_rad, rad_to_deg, wrap_pi};
 pub use complex::c64;
-pub use eigen::{hermitian_eigen, HermitianEigen};
 pub use eigen_tridiag::{
     hermitian_eigen_partial, hermitian_eigen_partial_batch_into, hermitian_eigen_partial_into,
-    hermitian_eigen_partial_with, BatchTridiagWorkspace, PartialHermitianEigen, TridiagWorkspace,
-    BATCH_LANES,
+    BatchTridiagWorkspace, PartialHermitianEigen, TridiagWorkspace, BATCH_LANES,
 };
 pub use matrix::{CMat, PackedHermitian};
 pub use subspace::{RitzWorkspace, SubspaceTracker};

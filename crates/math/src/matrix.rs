@@ -118,12 +118,13 @@ impl CMat {
         &mut self.data[c * self.rows..(c + 1) * self.rows]
     }
 
-    /// Two distinct columns borrowed mutably at once — the shape a plane
-    /// rotation (Jacobi / Givens) updates in lockstep.
+    /// Two distinct columns borrowed mutably at once — the shape the
+    /// test-only Jacobi oracle's plane rotations update in lockstep.
     ///
     /// # Panics
     /// Panics if `a == b` or either index is out of range.
-    pub fn two_cols_mut(&mut self, a: usize, b: usize) -> (&mut [c64], &mut [c64]) {
+    #[cfg(test)]
+    pub(crate) fn two_cols_mut(&mut self, a: usize, b: usize) -> (&mut [c64], &mut [c64]) {
         assert_ne!(a, b, "two_cols_mut needs distinct columns");
         let n = self.rows;
         let (lo, hi) = (a.min(b), a.max(b));

@@ -4,7 +4,7 @@
 //! eigenspace of a slowly varying Hermitian matrix (the smoothed-CSI
 //! covariance of a packet stream) without re-running the full
 //! tridiagonalization every step. One [`refine`](SubspaceTracker::refine)
-//! costs a single `n×n · n×k` product plus an `k×k` Jacobi eigensolve —
+//! costs a single `n×n · n×k` product plus a `k×k` tridiagonal eigensolve —
 //! roughly `n²k` complex MACs against the `O(n³)` Householder + QL batch
 //! solver — which is what makes a sub-millisecond per-packet hot path
 //! possible.
@@ -21,7 +21,8 @@
 //!    as `√(‖Y‖² − ‖B‖²)/‖Y‖` with no extra product. A converged subspace
 //!    gives ≈ 0; a target that moved gives a large value, and the caller
 //!    falls back to the exact solver.
-//! 4. `B = W·Λ·Wᴴ` — tiny k×k Jacobi eigensolve, `Λ` descending.
+//! 4. `B = W·Λ·Wᴴ` — tiny k×k eigensolve on the workspace's own
+//!    [`TridiagWorkspace`], `Λ` descending.
 //! 5. Ritz pairs `(Λ, V = E·W)` become this step's eigen-estimate — `V`
 //!    is exactly orthonormal because `E` is and `W` is unitary.
 //! 6. `E ← orth(Y·W)` — the power step (re-orthonormalized by modified
@@ -36,19 +37,11 @@
 //! whenever drift trips a threshold or on a periodic re-anchor schedule.
 
 use crate::complex::c64;
-use crate::eigen::hermitian_eigen_with_tol;
+use crate::eigen_tridiag::{hermitian_eigen_partial_into, TridiagWorkspace};
 use crate::matrix::CMat;
 
 /// Relative column-norm floor below which Gram–Schmidt declares breakdown.
 const ORTH_BREAKDOWN_REL: f64 = 1e-12;
-
-/// Jacobi convergence tolerance for the k×k Rayleigh-quotient eigensolve.
-/// The Ritz rotation feeds a basis that is re-orthonormalized every step
-/// and safety-netted by the drift threshold, so resolving it to machine
-/// precision (1e-14) buys nothing — 1e-8 keeps the subspace estimate far
-/// below the drift thresholds callers act on while saving most of the
-/// Jacobi sweeps on the per-packet hot path.
-const RITZ_EIG_TOL: f64 = 1e-8;
 
 /// Tracks the dominant eigenspace of a slowly varying Hermitian matrix.
 ///
@@ -60,8 +53,7 @@ const RITZ_EIG_TOL: f64 = 1e-8;
 /// not one per stream.
 ///
 /// ```
-/// use spotfi_math::{c64, CMat, RitzWorkspace, SubspaceTracker};
-/// use spotfi_math::eigen::hermitian_eigen;
+/// use spotfi_math::{c64, hermitian_eigen_partial, CMat, RitzWorkspace, SubspaceTracker};
 ///
 /// // A fixed covariance: tracking it is power iteration from the exact
 /// // answer, so drift is ~0 and the Ritz values match the spectrum. Two
@@ -70,7 +62,7 @@ const RITZ_EIG_TOL: f64 = 1e-8;
 ///     c64::cis(r as f64 * 0.7 + c as f64 * 0.3) + c64::cis(r as f64 * 1.9 + c as f64 * 1.2) * 0.5
 /// });
 /// let r = x.mul_hermitian_self();
-/// let eig = hermitian_eigen(&r);
+/// let eig = hermitian_eigen_partial(&r, 2);
 ///
 /// let mut t = SubspaceTracker::new();
 /// let mut ws = RitzWorkspace::default();
@@ -93,8 +85,9 @@ pub struct SubspaceTracker {
 pub struct RitzWorkspace {
     /// This step's Ritz vectors (n×k, orthonormal, by descending value).
     ritz_vectors: CMat,
-    /// This step's Ritz values, descending.
-    values: Vec<f64>,
+    /// The k×k eigensolve's buffers; its values are this step's Ritz
+    /// values and its vectors the rotation `W`.
+    eig: TridiagWorkspace,
     /// `Y = R·E` (n×k).
     y: CMat,
     /// The k×k Rayleigh quotient.
@@ -106,7 +99,7 @@ pub struct RitzWorkspace {
 impl RitzWorkspace {
     /// The last successful refine's Ritz values (descending).
     pub fn values(&self) -> &[f64] {
-        &self.values
+        self.eig.values()
     }
 
     /// The last successful refine's Ritz vectors (n×k, orthonormal
@@ -196,20 +189,17 @@ impl SubspaceTracker {
         }
         let drift = ((y_sq - b_sq).max(0.0) / y_sq).sqrt();
 
-        // 4. Tiny k×k eigensolve of the Rayleigh quotient (relaxed
-        //    tolerance: see RITZ_EIG_TOL).
-        let eig = hermitian_eigen_with_tol(&ws.quotient, RITZ_EIG_TOL);
+        // 4. Tiny k×k eigensolve of the Rayleigh quotient.
+        hermitian_eigen_partial_into(&ws.quotient, k, &mut ws.eig);
 
         // 5. Ritz vectors V = E·W become this step's estimate.
-        mul_into(&self.basis, &eig.vectors, &mut ws.stage);
+        mul_into(&self.basis, ws.eig.vectors(), &mut ws.stage);
         std::mem::swap(&mut ws.ritz_vectors, &mut ws.stage);
-        ws.values.clear();
-        ws.values.extend_from_slice(&eig.values);
 
         // 6. Power step: E ← orth(Y·W). Reuses the Ritz rotation so the
         //    columns arrive roughly sorted by eigenvalue, which keeps
         //    Gram–Schmidt well conditioned.
-        mul_into(&ws.y, &eig.vectors, &mut ws.stage);
+        mul_into(&ws.y, ws.eig.vectors(), &mut ws.stage);
         if !orthonormalize_columns(&mut ws.stage) {
             // Breakdown (rank-deficient update): keep the previous basis and
             // force the caller to re-anchor.
@@ -347,6 +337,34 @@ mod tests {
             assert!(
                 (got - want).abs() < 1e-8 * want.abs().max(1.0),
                 "Ritz value {} vs exact {}",
+                got,
+                want
+            );
+        }
+    }
+
+    #[test]
+    fn ritz_values_match_the_oracle_on_a_non_diagonal_quotient() {
+        // Seeded from another covariance's eigenbasis, the Rayleigh
+        // quotient is far from diagonal, so the k×k solve does real work.
+        let mut t = seeded(&covariance(0.0), 4);
+        let mut ws = RitzWorkspace::default();
+        t.refine(&covariance(0.3), &mut ws);
+        let off_diagonal = (0..4)
+            .flat_map(|i| (0..i).map(move |j| (i, j)))
+            .map(|(i, j)| ws.quotient[(i, j)].abs())
+            .fold(0.0f64, f64::max);
+        assert!(
+            off_diagonal > 1e-3 * ws.quotient[(0, 0)].abs(),
+            "quotient is nearly diagonal: {}",
+            off_diagonal
+        );
+        let oracle = hermitian_eigen(&ws.quotient);
+        assert_eq!(ws.values().len(), oracle.values.len());
+        for (got, want) in ws.values().iter().zip(&oracle.values) {
+            assert!(
+                (got - want).abs() <= 1e-12 * want.abs(),
+                "Ritz value {} vs oracle {}",
                 got,
                 want
             );

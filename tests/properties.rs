@@ -11,7 +11,7 @@ use spotfi::channel::{synthesize_csi, OfdmConfig, Rng};
 use spotfi::core::sanitize::sanitize_csi;
 use spotfi::core::steering::steering_vector;
 use spotfi::core::{find_peaks, music_spectrum, smoothed_csi, SpotFiConfig};
-use spotfi::math::CMat;
+use spotfi::math::{hermitian_eigen_partial, CMat};
 use spotfi::{AntennaArray, Floorplan, PacketTrace, Point, TraceConfig};
 
 fn test_array() -> AntennaArray {
@@ -255,7 +255,8 @@ fn eigen_invariants_on_random_covariances() {
         let s = sanitize_csi(&trace.packets[0].csi, scfg.ofdm.subcarrier_spacing_hz).unwrap();
         let x = smoothed_csi(&s.csi, &scfg).unwrap();
         let r = x.mul_hermitian_self();
-        let e = spotfi::math::hermitian_eigen(&r);
+        let n = r.rows();
+        let e = hermitian_eigen_partial(&r, n);
         // PSD: eigenvalues ≥ 0; sorted; reconstruction accurate.
         for w in e.values.windows(2) {
             assert!(w[0] >= w[1] - 1e-9, "case {}: not sorted", case);
@@ -265,7 +266,13 @@ fn eigen_invariants_on_random_covariances() {
             "case {}: negative eigenvalue",
             case
         );
-        let recon_err = (&e.reconstruct() - &r).frobenius_norm() / r.frobenius_norm().max(1e-12);
+        // V·diag(λ)·Vᴴ.
+        let recon = CMat::from_fn(n, n, |i, j| {
+            (0..n)
+                .map(|k| e.vectors[(i, k)] * e.vectors[(j, k)].conj() * e.values[k])
+                .sum()
+        });
+        let recon_err = (&recon - &r).frobenius_norm() / r.frobenius_norm().max(1e-12);
         assert!(
             recon_err < 1e-7,
             "case {}: reconstruction error {}",
