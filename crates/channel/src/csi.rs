@@ -8,10 +8,15 @@
 //! ```
 //!
 //! where `f_n` is the absolute subcarrier frequency. Expanding
-//! `f_n = f_1 + n·f_δ` shows this is exactly the paper's model: a per-path
-//! complex gain `γ_k = g_k·e^{jφ_k}·e^{−j2π f_1 τ_k}` times
-//! `Ω(τ_k)^n · Φ(θ_k)^m` (Eqs. 1, 6, 7). The estimator is given only the
-//! resulting matrix — it shares no code or hidden state with this synthesis.
+//! `f_n = f_0 + n·f_δ` shows this is exactly the paper's model: a per-path
+//! complex gain `γ_k = g_k·e^{jφ_k}·e^{−j2π f_0 τ_k}` times
+//! `Ω(τ_k)^n · Φ(θ_k)^m` (Eqs. 1, 6, 7). [`synthesize_csi`] evaluates it in
+//! that form: `γ_k` and `Ω(τ_k)` once per path, then one multiply by
+//! `Ω(τ_k)` per subcarrier. It agrees with the per-entry formula within a
+//! derived rounding bound (the argument rounding of `2π·f_n·τ_k` plus the
+//! recurrence depth; see the tests), not bit for bit. The estimator is
+//! given only the resulting matrix — it shares no code or hidden state
+//! with this synthesis.
 
 use crate::array::AntennaArray;
 use crate::constants::SPEED_OF_LIGHT;
@@ -26,8 +31,7 @@ pub fn synthesize_csi(paths: &[Path], array: &AntennaArray, ofdm: &OfdmConfig) -
     let n_sub = ofdm.num_subcarriers;
     let mut h = CMat::zeros(m_ant, n_sub);
     // Φ(θ_k)^m depends on the path and the antenna, not the subcarrier:
-    // evaluate it once per path. Every product keeps the operands of the
-    // per-entry formula, so the output is bit-identical to it.
+    // evaluate it once per path.
     let mut antenna_phasors = vec![c64::ZERO; m_ant];
 
     for path in paths {
@@ -39,18 +43,29 @@ pub fn synthesize_csi(paths: &[Path], array: &AntennaArray, ofdm: &OfdmConfig) -
         for (m, phasor) in antenna_phasors.iter_mut().enumerate() {
             *phasor = c64::cis(spatial_step * m as f64);
         }
-        let gain = c64::from_polar(path.amplitude, path.phase);
+        // γ_k at the first subcarrier, then one Ω(τ_k) step per
+        // subcarrier: three `cis` per path instead of one per subcarrier,
+        // whose ~10⁴ rad arguments each need a fresh range reduction.
+        let tof_phase_0 = -2.0 * std::f64::consts::PI * ofdm.subcarrier_freq(0) * path.tof_s;
+        let omega = c64::cis(-2.0 * std::f64::consts::PI * ofdm.subcarrier_spacing_hz * path.tof_s);
+        let mut per_subcarrier =
+            c64::from_polar(path.amplitude, path.phase) * c64::cis(tof_phase_0);
         for n in 0..n_sub {
-            // Full ToF phase at the absolute subcarrier frequency; the f_1
-            // part lands in γ_k, the n·f_δ part is the paper's Ω(τ)^n.
-            let tof_phase = -2.0 * std::f64::consts::PI * ofdm.subcarrier_freq(n) * path.tof_s;
-            let per_subcarrier = gain * c64::cis(tof_phase);
             for (m, phasor) in antenna_phasors.iter().enumerate() {
                 h[(m, n)] += per_subcarrier * *phasor;
             }
+            per_subcarrier *= omega;
         }
     }
     h
+}
+
+/// The gap between `|x|` and the next larger `f64`: the unit the
+/// synthesis oracles state their argument-rounding bounds in.
+#[cfg(test)]
+pub(crate) fn ulp(x: f64) -> f64 {
+    let x = x.abs();
+    f64::from_bits(x.to_bits() + 1) - x
 }
 
 #[cfg(test)]
@@ -81,8 +96,8 @@ mod tests {
         }
     }
 
-    /// Eq. 1 evaluated entry by entry, phasors recomputed per `(m, n)`:
-    /// the reference the hoisted kernel must reproduce to the bit.
+    /// Eq. 1 evaluated entry by entry, every phasor from its own `cis`:
+    /// the reference the recurrence is checked against.
     fn naive_synthesis(paths: &[Path], array: &AntennaArray, ofdm: &OfdmConfig) -> CMat {
         let mut h = CMat::zeros(array.num_antennas, ofdm.num_subcarriers);
         for path in paths {
@@ -101,16 +116,53 @@ mod tests {
         h
     }
 
+    /// Per-entry bound on `|recurrence − naive|`:
+    /// `Σ_k |γ_k|·(4·ulp(2π·f_max·τ_k) + 8·N·ε)`.
+    ///
+    /// The first term is the argument rounding: each side rounds
+    /// `2π·f·τ_k` (~10⁴ rad) about 1.5 ulp away from the exact phase before
+    /// `cis` reduces it; the recurrence's `Ω` argument spans only `f_δ`, so
+    /// its error, multiplied by `n`, stays far below one ulp of the full
+    /// phase. The second is the recurrence depth: each of the `N − 1` steps
+    /// adds one complex product (≤ √5·ε/2 relative) and `Ω`'s own `cis`
+    /// error (≤ ε), about 2.2·ε per step. The remaining constant-depth
+    /// products and the path accumulation (≤ ε·Σ|γ| per added path on each
+    /// side) fit in the slack while the path count stays below ~3·N.
+    fn synthesis_bound(paths: &[Path], ofdm: &OfdmConfig) -> f64 {
+        let f_max = ofdm.subcarrier_freq(ofdm.num_subcarriers - 1);
+        let depth = 8.0 * ofdm.num_subcarriers as f64 * f64::EPSILON;
+        paths
+            .iter()
+            .map(|p| {
+                let phase = 2.0 * std::f64::consts::PI * f_max * p.tof_s;
+                p.amplitude * (4.0 * ulp(phase) + depth)
+            })
+            .sum()
+    }
+
+    /// Worst `|recurrence − naive| / bound` over the matrix.
+    fn worst_bound_ratio(paths: &[Path], array: &AntennaArray, ofdm: &OfdmConfig) -> f64 {
+        let fast = synthesize_csi(paths, array, ofdm);
+        let slow = naive_synthesis(paths, array, ofdm);
+        assert_eq!(fast.shape(), slow.shape());
+        let bound = synthesis_bound(paths, ofdm);
+        fast.as_slice()
+            .iter()
+            .zip(slow.as_slice())
+            .map(|(a, b)| (*a - *b).abs() / bound)
+            .fold(0.0, f64::max)
+    }
+
     #[test]
-    fn hoisted_phasors_match_naive_synthesis_bit_for_bit() {
+    fn recurrence_matches_naive_synthesis_within_rounding_bound() {
         let ofdm = OfdmConfig::intel5300_40mhz();
-        let mut paths = vec![
+        let mut fixture = vec![
             make_path(18.0, 12.0, 1.0),
             make_path(31.5, -47.0, 0.45),
             make_path(52.25, 63.0, 0.2),
             make_path(77.0, -8.5, 0.07),
         ];
-        for (k, p) in paths.iter_mut().enumerate() {
+        for (k, p) in fixture.iter_mut().enumerate() {
             p.phase = 0.9 * k as f64 - 1.3;
         }
         for m_ant in [1, 3, 4] {
@@ -118,16 +170,26 @@ mod tests {
                 num_antennas: m_ant,
                 ..test_array()
             };
-            let fast = synthesize_csi(&paths, &array, &ofdm);
-            let slow = naive_synthesis(&paths, &array, &ofdm);
-            assert_eq!(fast.shape(), slow.shape());
-            for (i, (a, b)) in fast.as_slice().iter().zip(slow.as_slice()).enumerate() {
-                assert_eq!(
-                    (a.re.to_bits(), a.im.to_bits()),
-                    (b.re.to_bits(), b.im.to_bits()),
-                    "{m_ant} antennas, entry {i}: {a:?} vs {b:?}"
-                );
-            }
+            let ratio = worst_bound_ratio(&fixture, &array, &ofdm);
+            assert!(ratio <= 1.0, "{m_ant} antennas: {ratio} × bound");
+        }
+        // Random 32-path channels out to the 400 ns the ray tracer reaches.
+        let mut rng = crate::rng::Rng::seed_from_u64(0x5EED_0C51);
+        let array = test_array();
+        for set in 0..200 {
+            let paths: Vec<Path> = (0..32)
+                .map(|_| {
+                    let mut p = make_path(
+                        rng.gen_range(0.0..400.0),
+                        rng.gen_range(-90.0..90.0),
+                        rng.gen_range(0.01..1.0),
+                    );
+                    p.phase = crate::rng::uniform_phase(&mut rng);
+                    p
+                })
+                .collect();
+            let ratio = worst_bound_ratio(&paths, &array, &ofdm);
+            assert!(ratio <= 1.0, "path set {set}: {ratio} × bound");
         }
     }
 

@@ -134,20 +134,6 @@ impl PathJitter {
             self.per_order_amplitude_std * order.max(0.1),
         ]
     }
-
-    /// Perturbs one packet's view of the multipath with independent draws
-    /// (the `correlation == 0` special case; see [`JitterProcess`] for the
-    /// temporally correlated evolution used by trace generation).
-    pub fn apply(&self, paths: &[Path], rng: &mut Rng) -> Vec<Path> {
-        let mut process = JitterProcess::new(
-            paths.to_vec(),
-            PathJitter {
-                correlation: 0.0,
-                ..*self
-            },
-        );
-        process.advance(rng)
-    }
 }
 
 /// Temporally correlated per-packet channel evolution.
@@ -164,6 +150,9 @@ pub struct JitterProcess {
     sigmas: Vec<[f64; 4]>,
     /// Per-path deviations `[tof_s, aoa_rad, phase_rad, amp_frac]`.
     state: Vec<[f64; 4]>,
+    /// The latest packet's perturbed paths: `paths` with the deviations
+    /// applied, rewritten in place by every [`JitterProcess::advance`].
+    perturbed: Vec<Path>,
     started: bool,
 }
 
@@ -173,6 +162,7 @@ impl JitterProcess {
         let sigmas = paths.iter().map(|p| jitter.sigmas(p)).collect();
         let n = paths.len();
         JitterProcess {
+            perturbed: paths.clone(),
             paths,
             jitter,
             sigmas,
@@ -182,7 +172,7 @@ impl JitterProcess {
     }
 
     /// Advances one packet and returns that packet's perturbed paths.
-    pub fn advance(&mut self, rng: &mut Rng) -> Vec<Path> {
+    pub fn advance(&mut self, rng: &mut Rng) -> &[Path] {
         let rho = self.jitter.correlation.clamp(0.0, 0.999_999);
         let innov = (1.0 - rho * rho).sqrt();
         for (sig, state) in self.sigmas.iter().zip(self.state.iter_mut()) {
@@ -198,20 +188,15 @@ impl JitterProcess {
         }
         self.started = true;
 
-        self.paths
-            .iter()
-            .zip(self.state.iter())
-            .map(|(p, st)| {
-                let mut q = p.clone();
-                q.tof_s = (p.tof_s + st[0]).max(0.0);
-                q.aoa_rad = (p.aoa_rad + st[1])
-                    .clamp(-std::f64::consts::FRAC_PI_2, std::f64::consts::FRAC_PI_2);
-                q.sin_aoa = q.aoa_rad.sin();
-                q.phase = p.phase + st[2];
-                q.amplitude = p.amplitude * (1.0 + st[3]).max(0.05);
-                q
-            })
-            .collect()
+        for ((q, p), st) in self.perturbed.iter_mut().zip(&self.paths).zip(&self.state) {
+            q.tof_s = (p.tof_s + st[0]).max(0.0);
+            q.aoa_rad = (p.aoa_rad + st[1])
+                .clamp(-std::f64::consts::FRAC_PI_2, std::f64::consts::FRAC_PI_2);
+            q.sin_aoa = q.aoa_rad.sin();
+            q.phase = p.phase + st[2];
+            q.amplitude = p.amplitude * (1.0 + st[3]).max(0.05);
+        }
+        &self.perturbed
     }
 }
 
@@ -288,14 +273,17 @@ impl Impairments {
 }
 
 /// Adds the STO phase ramp `e^{−j·2π·f_δ·(n−1)·τ_s}` — identical across
-/// antennas, linear across subcarriers (paper Sec. 3.2.2).
+/// antennas, linear across subcarriers (paper Sec. 3.2.2). The ramp is
+/// built by one phasor step per subcarrier, like `Ω(τ)^n` in
+/// [`crate::synthesize_csi`].
 pub fn apply_sto(csi: &mut CMat, ofdm: &OfdmConfig, sto_s: f64) {
+    let step = c64::cis(-2.0 * std::f64::consts::PI * ofdm.subcarrier_spacing_hz * sto_s);
+    let mut ramp = c64::ONE;
     for n in 0..csi.cols() {
-        let ramp =
-            c64::cis(-2.0 * std::f64::consts::PI * ofdm.subcarrier_spacing_hz * n as f64 * sto_s);
         for m in 0..csi.rows() {
             csi[(m, n)] *= ramp;
         }
+        ramp *= step;
     }
 }
 
@@ -383,6 +371,153 @@ mod tests {
                 );
                 // Magnitude untouched.
                 assert!((csi[(m, n)].abs() - orig[(m, n)].abs()).abs() < 1e-12);
+            }
+        }
+    }
+
+    /// The per-subcarrier ramp `apply_sto` replaced: one `cis` per
+    /// subcarrier, the reference the recurrence is checked against.
+    fn naive_sto(csi: &mut CMat, ofdm: &OfdmConfig, sto_s: f64) {
+        for n in 0..csi.cols() {
+            let ramp = c64::cis(
+                -2.0 * std::f64::consts::PI * ofdm.subcarrier_spacing_hz * n as f64 * sto_s,
+            );
+            for m in 0..csi.rows() {
+                csi[(m, n)] *= ramp;
+            }
+        }
+    }
+
+    /// Per entry, `|recurrence − naive| ≤ |h|·(4·ulp(φ_max) + 8·N·ε)` with
+    /// `φ_max = 2π·f_δ·(N−1)·|τ_s|`: the naive argument rounds about
+    /// 2 ulp away from the exact phase and the step's rounding, multiplied
+    /// by `n`, about 1 ulp; each of the `N − 1` steps adds one complex
+    /// product and the step's own `cis` error, about 2.2·ε.
+    #[test]
+    fn sto_recurrence_matches_per_subcarrier_ramp_within_rounding_bound() {
+        let ofdm = OfdmConfig::intel5300_40mhz();
+        let mut rng = Rng::seed_from_u64(0x5707);
+        for trial in 0..200 {
+            let sto = rng.gen_range(-1e-6..1e-6);
+            let orig = CMat::from_fn(3, 30, |_, _| {
+                c64::from_polar(rng.gen_range(0.01..2.0), uniform_phase(&mut rng))
+            });
+            let mut fast = orig.clone();
+            apply_sto(&mut fast, &ofdm, sto);
+            let mut slow = orig.clone();
+            naive_sto(&mut slow, &ofdm, sto);
+            let n_sub = ofdm.num_subcarriers as f64;
+            let phase_max =
+                2.0 * std::f64::consts::PI * ofdm.subcarrier_spacing_hz * (n_sub - 1.0) * sto;
+            let rel = 4.0 * crate::csi::ulp(phase_max) + 8.0 * n_sub * f64::EPSILON;
+            for ((a, b), h) in fast
+                .as_slice()
+                .iter()
+                .zip(slow.as_slice())
+                .zip(orig.as_slice())
+            {
+                assert!(
+                    (*a - *b).abs() <= h.abs() * rel,
+                    "trial {trial}, sto {sto:e}: {a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+
+    /// The clone-per-packet evolution `JitterProcess::advance` replaced:
+    /// the reference its in-place buffer must reproduce to the bit.
+    fn cloning_advance(
+        paths: &[Path],
+        jitter: PathJitter,
+        packets: usize,
+        rng: &mut Rng,
+    ) -> Vec<Vec<Path>> {
+        let rho = jitter.correlation.clamp(0.0, 0.999_999);
+        let innov = (1.0 - rho * rho).sqrt();
+        let mut state = vec![[0.0; 4]; paths.len()];
+        (0..packets)
+            .map(|packet| {
+                for (path, st) in paths.iter().zip(state.iter_mut()) {
+                    for (x, s) in st.iter_mut().zip(jitter.sigmas(path)) {
+                        *x = if packet == 0 {
+                            normal(rng, 0.0, s)
+                        } else {
+                            rho * *x + innov * normal(rng, 0.0, s)
+                        };
+                    }
+                }
+                paths
+                    .iter()
+                    .zip(&state)
+                    .map(|(p, st)| {
+                        let mut q = p.clone();
+                        q.tof_s = (p.tof_s + st[0]).max(0.0);
+                        q.aoa_rad = (p.aoa_rad + st[1])
+                            .clamp(-std::f64::consts::FRAC_PI_2, std::f64::consts::FRAC_PI_2);
+                        q.sin_aoa = q.aoa_rad.sin();
+                        q.phase = p.phase + st[2];
+                        q.amplitude = p.amplitude * (1.0 + st[3]).max(0.05);
+                        q
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn path_bits(p: &Path) -> [u64; 6] {
+        [
+            p.length_m.to_bits(),
+            p.tof_s.to_bits(),
+            p.sin_aoa.to_bits(),
+            p.aoa_rad.to_bits(),
+            p.amplitude.to_bits(),
+            p.phase.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn in_place_advance_matches_cloning_reference_bit_for_bit() {
+        use crate::geometry::Point;
+        use crate::raytrace::PathKind;
+        let path = |kind: PathKind, tof_ns: f64, aoa_deg: f64, amplitude: f64| {
+            let aoa = f64::to_radians(aoa_deg);
+            Path {
+                kind,
+                length_m: tof_ns * 0.3,
+                tof_s: tof_ns * 1e-9,
+                sin_aoa: aoa.sin(),
+                aoa_rad: aoa,
+                amplitude,
+                phase: 0.1 * tof_ns,
+                vertices: vec![Point::new(0.0, 0.0), Point::new(1.0, tof_ns)],
+            }
+        };
+        // Specular and diffuse paths, two of them at the ToF and AoA
+        // clamps.
+        let paths = vec![
+            path(PathKind::Direct, 0.05, 89.9, 1.0),
+            path(PathKind::Reflected { walls: vec![2] }, 31.0, -40.0, 0.4),
+            path(PathKind::Reflected { walls: vec![0, 3] }, 58.0, 17.0, 0.2),
+            path(PathKind::Diffuse, 44.0, -89.5, 0.05),
+            path(PathKind::Diffuse, 120.0, 5.0, 0.02),
+        ];
+        let wild = PathJitter {
+            per_order_amplitude_std: 0.8,
+            correlation: 0.5,
+            ..PathJitter::typical()
+        };
+        for jitter in [PathJitter::typical(), wild] {
+            let mut process = JitterProcess::new(paths.clone(), jitter);
+            let mut rng = Rng::seed_from_u64(0xADCE);
+            let reference = cloning_advance(&paths, jitter, 64, &mut Rng::seed_from_u64(0xADCE));
+            for (packet, expected) in reference.iter().enumerate() {
+                let got = process.advance(&mut rng);
+                assert_eq!(got.len(), expected.len());
+                for (k, (g, e)) in got.iter().zip(expected).enumerate() {
+                    assert_eq!(path_bits(g), path_bits(e), "packet {packet}, path {k}");
+                    assert_eq!(g.kind, e.kind);
+                    assert_eq!(g.vertices, e.vertices);
+                }
             }
         }
     }

@@ -199,7 +199,7 @@ impl LinkChannel {
 
     fn packet_csi(&mut self, ap: &AntennaArray, tcfg: &TraceConfig, rng: &mut Rng) -> CMat {
         match self {
-            LinkChannel::Jittered(process) => synthesize_csi(&process.advance(rng), ap, &tcfg.ofdm),
+            LinkChannel::Jittered(process) => synthesize_csi(process.advance(rng), ap, &tcfg.ofdm),
             LinkChannel::Static(csi) => csi.clone(),
         }
     }

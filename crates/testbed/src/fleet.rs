@@ -94,8 +94,8 @@ pub struct FleetScenario {
     pub floorplan: Floorplan,
     /// Deployed APs (`ap_id` = index into this list).
     pub aps: Vec<NamedAp>,
-    /// The fleet. Targets inaudible at ≥ 2 APs from their start position
-    /// are not included.
+    /// The fleet, in ascending `target_id` order. Targets inaudible at
+    /// ≥ 2 APs from their start position are not included.
     pub targets: Vec<FleetTarget>,
     /// Every packet of every audible link, sorted by arrival time.
     pub schedule: Vec<FleetPacket>,
@@ -268,9 +268,12 @@ impl FleetScenario {
     /// (the walk, offset by the target's transmit phase).
     pub fn truth_at(&self, target_id: u64, time_s: f64) -> Option<Point> {
         self.targets
-            .iter()
-            .find(|t| t.target_id == target_id)
-            .map(|t| t.path.position_at(time_s - t.start_offset_s))
+            .binary_search_by_key(&target_id, |t| t.target_id)
+            .ok()
+            .map(|i| {
+                let t = &self.targets[i];
+                t.path.position_at(time_s - t.start_offset_s)
+            })
     }
 }
 
@@ -423,5 +426,32 @@ mod tests {
         let p0 = s.truth_at(t.target_id, t.start_offset_s).unwrap();
         assert!(p0.distance(t.path.position_at(0.0)) < 1e-9);
         assert!(s.truth_at(u64::MAX, 0.0).is_none());
+    }
+
+    #[test]
+    fn truth_finds_every_present_target_and_no_missing_one() {
+        // Ids 0, 2, 5: the gaps are targets dropped as inaudible.
+        let targets: Vec<FleetTarget> = [0u64, 2, 5]
+            .iter()
+            .map(|&id| FleetTarget {
+                target_id: id,
+                path: Waypath::stationary(Point::new(id as f64, 1.0)),
+                start_offset_s: 0.0,
+            })
+            .collect();
+        let s = FleetScenario {
+            name: "gaps".into(),
+            floorplan: Floorplan::empty(),
+            aps: Vec::new(),
+            targets,
+            schedule: Vec::new(),
+            packet_interval_s: 0.1,
+        };
+        for id in [0u64, 2, 5] {
+            assert_eq!(s.truth_at(id, 3.0).map(|p| p.x), Some(id as f64));
+        }
+        for id in [1u64, 3, 4, 6] {
+            assert!(s.truth_at(id, 3.0).is_none(), "id {id}");
+        }
     }
 }
