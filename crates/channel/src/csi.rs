@@ -11,12 +11,16 @@
 //! `f_n = f_0 + n·f_δ` shows this is exactly the paper's model: a per-path
 //! complex gain `γ_k = g_k·e^{jφ_k}·e^{−j2π f_0 τ_k}` times
 //! `Ω(τ_k)^n · Φ(θ_k)^m` (Eqs. 1, 6, 7). [`synthesize_csi`] evaluates it in
-//! that form: `γ_k` and `Ω(τ_k)` once per path, then one multiply by
-//! `Ω(τ_k)` per subcarrier. It agrees with the per-entry formula within a
-//! derived rounding bound (the argument rounding of `2π·f_n·τ_k` plus the
-//! recurrence depth; see the tests), not bit for bit. The estimator is
-//! given only the resulting matrix — it shares no code or hidden state
-//! with this synthesis.
+//! that form: `γ_k` (one `cis` of `φ_k − 2π f_0 τ_k`), `Ω(τ_k)` and
+//! `Φ(θ_k)` once per path, then one multiply by `Ω(τ_k)` per subcarrier and
+//! by `Φ(θ_k)` per antenna. Four paths' `Ω` recurrences run interleaved,
+//! and each antenna's row of subcarriers accumulates in separate real and
+//! imaginary arrays, so the innermost loop runs across subcarriers in SIMD
+//! lanes; every entry still sums its paths in order. It agrees with the
+//! per-entry formula within a derived rounding bound (the argument
+//! rounding of `2π·f_n·τ_k` plus the recurrence depth; see the tests), not
+//! bit for bit. The estimator is given only the resulting matrix — it
+//! shares no code or hidden state with this synthesis.
 
 use crate::array::AntennaArray;
 use crate::constants::SPEED_OF_LIGHT;
@@ -24,40 +28,69 @@ use crate::ofdm::OfdmConfig;
 use crate::raytrace::Path;
 use spotfi_math::{c64, CMat};
 
+/// Paths whose `Ω(τ_k)ⁿ` recurrences run side by side: independent
+/// chains of complex products that overlap instead of each waiting out the
+/// previous product's latency.
+const PATH_LANES: usize = 4;
+
 /// Synthesizes the ideal (impairment-free) CSI matrix
 /// (`num_antennas × num_subcarriers`) for the given paths.
 pub fn synthesize_csi(paths: &[Path], array: &AntennaArray, ofdm: &OfdmConfig) -> CMat {
     let m_ant = array.num_antennas;
     let n_sub = ofdm.num_subcarriers;
-    let mut h = CMat::zeros(m_ant, n_sub);
-    // Φ(θ_k)^m depends on the path and the antenna, not the subcarrier:
-    // evaluate it once per path.
-    let mut antenna_phasors = vec![c64::ZERO; m_ant];
+    // h's real and imaginary parts, one row of subcarriers per antenna, so
+    // the innermost loop runs along a row.
+    let mut re = vec![0.0; m_ant * n_sub];
+    let mut im = vec![0.0; m_ant * n_sub];
+    // γ_k·Ω(τ_k)^n, one row of subcarriers per path of the current group.
+    let mut g_re = vec![0.0; PATH_LANES * n_sub];
+    let mut g_im = vec![0.0; PATH_LANES * n_sub];
 
-    for path in paths {
-        // Per-antenna spatial phase increment at the carrier:
-        // −2π·d·sinθ·f_c/c per antenna step (paper Eq. 1).
-        let spatial_step =
-            -2.0 * std::f64::consts::PI * array.spacing * path.sin_aoa * ofdm.carrier_hz
-                / SPEED_OF_LIGHT;
-        for (m, phasor) in antenna_phasors.iter_mut().enumerate() {
-            *phasor = c64::cis(spatial_step * m as f64);
+    for group in paths.chunks(PATH_LANES) {
+        // γ_k at the first subcarrier (path phase and ToF phase in one
+        // `cis`), then one Ω(τ_k) step per subcarrier.
+        let mut gamma = [c64::ZERO; PATH_LANES];
+        let mut omega = [c64::ZERO; PATH_LANES];
+        for ((g, w), path) in gamma.iter_mut().zip(&mut omega).zip(group) {
+            let tof_phase_0 = -2.0 * std::f64::consts::PI * ofdm.subcarrier_freq(0) * path.tof_s;
+            *g = c64::from_polar(path.amplitude, path.phase + tof_phase_0);
+            *w = c64::cis(-2.0 * std::f64::consts::PI * ofdm.subcarrier_spacing_hz * path.tof_s);
         }
-        // γ_k at the first subcarrier, then one Ω(τ_k) step per
-        // subcarrier: three `cis` per path instead of one per subcarrier,
-        // whose ~10⁴ rad arguments each need a fresh range reduction.
-        let tof_phase_0 = -2.0 * std::f64::consts::PI * ofdm.subcarrier_freq(0) * path.tof_s;
-        let omega = c64::cis(-2.0 * std::f64::consts::PI * ofdm.subcarrier_spacing_hz * path.tof_s);
-        let mut per_subcarrier =
-            c64::from_polar(path.amplitude, path.phase) * c64::cis(tof_phase_0);
         for n in 0..n_sub {
-            for (m, phasor) in antenna_phasors.iter().enumerate() {
-                h[(m, n)] += per_subcarrier * *phasor;
+            for (lane, (g, w)) in gamma.iter_mut().zip(&omega).enumerate() {
+                g_re[lane * n_sub + n] = g.re;
+                g_im[lane * n_sub + n] = g.im;
+                *g *= *w;
             }
-            per_subcarrier *= omega;
+        }
+        // Each path's rows enter h in path order, stepping Φ(θ_k)^m by one
+        // Φ per antenna: three `cis` per path in all, none per subcarrier
+        // or antenna.
+        for (lane, path) in group.iter().enumerate() {
+            // Per-antenna spatial phase increment at the carrier:
+            // −2π·d·sinθ·f_c/c per antenna step (paper Eq. 1).
+            let spatial_step =
+                -2.0 * std::f64::consts::PI * array.spacing * path.sin_aoa * ofdm.carrier_hz
+                    / SPEED_OF_LIGHT;
+            let phi = c64::cis(spatial_step);
+            let lane = lane * n_sub..(lane + 1) * n_sub;
+            let (lane_re, lane_im) = (&g_re[lane.clone()], &g_im[lane]);
+            let mut phasor = c64::ONE;
+            for m in 0..m_ant {
+                let row = m * n_sub..(m + 1) * n_sub;
+                let h_row = re[row.clone()].iter_mut().zip(&mut im[row]);
+                for ((r, i), (a, b)) in h_row.zip(lane_re.iter().zip(lane_im)) {
+                    // The real and imaginary parts of `γ_k·Ω(τ_k)^n · Φ(θ_k)^m`.
+                    *r += a * phasor.re - b * phasor.im;
+                    *i += a * phasor.im + b * phasor.re;
+                }
+                phasor *= phi;
+            }
         }
     }
-    h
+    CMat::from_fn(m_ant, n_sub, |m, n| {
+        c64::new(re[m * n_sub + n], im[m * n_sub + n])
+    })
 }
 
 /// The gap between `|x|` and the next larger `f64`: the unit the
@@ -123,11 +156,19 @@ mod tests {
     /// `2π·f·τ_k` (~10⁴ rad) about 1.5 ulp away from the exact phase before
     /// `cis` reduces it; the recurrence's `Ω` argument spans only `f_δ`, so
     /// its error, multiplied by `n`, stays far below one ulp of the full
-    /// phase. The second is the recurrence depth: each of the `N − 1` steps
-    /// adds one complex product (≤ √5·ε/2 relative) and `Ω`'s own `cis`
-    /// error (≤ ε), about 2.2·ε per step. The remaining constant-depth
-    /// products and the path accumulation (≤ ε·Σ|γ| per added path on each
-    /// side) fit in the slack while the path count stays below ~3·N.
+    /// phase. Folding the path phase `φ_k` into γ_k's argument adds one
+    /// more rounding of the sum: half an ulp of the ToF phase when that
+    /// phase dominates (1.5 + 0.5 + 1.5 ≤ 4 ulp), else at most half an ulp
+    /// of `φ_k` (≤ 2ε), which the second term absorbs. The second is the
+    /// recurrence depth: each of the `N − 1` steps adds one complex product
+    /// (≤ √5·ε/2 relative) and `Ω`'s own `cis` error (≤ ε), about 2.2·ε per
+    /// step. The antenna phasors `Φ(θ_k)^m` are a recurrence too: `M − 1`
+    /// steps of the same 2.2·ε, against an oracle that rounds its argument
+    /// `m·(spatial step)` (below `M·π` rad, so within 4·ε for `M ≤ 4`)
+    /// before its `cis`; together under 12·ε, well inside `8·N·ε`.
+    /// The remaining constant-depth products and the path accumulation
+    /// (≤ ε·Σ|γ| per added path on each side) fit in the slack while the
+    /// path count stays below ~3·N.
     fn synthesis_bound(paths: &[Path], ofdm: &OfdmConfig) -> f64 {
         let f_max = ofdm.subcarrier_freq(ofdm.num_subcarriers - 1);
         let depth = 8.0 * ofdm.num_subcarriers as f64 * f64::EPSILON;

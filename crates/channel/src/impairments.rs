@@ -24,7 +24,7 @@ use spotfi_math::{c64, CMat};
 
 use crate::ofdm::OfdmConfig;
 use crate::raytrace::Path;
-use crate::rng::{normal, standard_normal, uniform_phase};
+use crate::rng::{fill_standard_normal, normal, uniform_phase};
 
 /// Clock model: how the effective sampling time offset evolves per packet.
 #[derive(Clone, Copy, Debug)]
@@ -153,6 +153,9 @@ pub struct JitterProcess {
     /// The latest packet's perturbed paths: `paths` with the deviations
     /// applied, rewritten in place by every [`JitterProcess::advance`].
     perturbed: Vec<Path>,
+    /// One packet's standard normal draws, four per path in `state`'s
+    /// layout.
+    draws: Vec<f64>,
     started: bool,
 }
 
@@ -167,6 +170,7 @@ impl JitterProcess {
             jitter,
             sigmas,
             state: vec![[0.0; 4]; n],
+            draws: vec![0.0; 4 * n],
             started: false,
         }
     }
@@ -175,14 +179,18 @@ impl JitterProcess {
     pub fn advance(&mut self, rng: &mut Rng) -> &[Path] {
         let rho = self.jitter.correlation.clamp(0.0, 0.999_999);
         let innov = (1.0 - rho * rho).sqrt();
-        for (sig, state) in self.sigmas.iter().zip(self.state.iter_mut()) {
-            for (x, s) in state.iter_mut().zip(sig.iter()) {
+        fill_standard_normal(rng, &mut self.draws);
+        let draws = self.draws.chunks_exact(4);
+        for ((sig, state), z) in self.sigmas.iter().zip(self.state.iter_mut()).zip(draws) {
+            for ((x, s), z) in state.iter_mut().zip(sig).zip(z) {
+                // `0.0 + σ·z` is `normal(rng, 0.0, σ)` to the bit.
+                let d = 0.0 + s * z;
                 if !self.started {
                     // Start from the stationary distribution: the window's
                     // systematic offset.
-                    *x = normal(rng, 0.0, *s);
+                    *x = d;
                 } else {
-                    *x = rho * *x + innov * normal(rng, 0.0, *s);
+                    *x = rho * *x + innov * d;
                 }
             }
         }
@@ -296,9 +304,13 @@ pub fn apply_awgn(csi: &mut CMat, snr_db: f64, rng: &mut Rng) {
     }
     let noise_power = signal_power / 10f64.powf(snr_db / 10.0);
     let sigma = (noise_power / 2.0).sqrt(); // per real component
+                                            // One (re, im) pair of draws per entry, in column-major order.
+    let mut z = vec![0.0; 2 * csi.rows() * csi.cols()];
+    fill_standard_normal(rng, &mut z);
+    let mut pairs = z.chunks_exact(2);
     for n in 0..csi.cols() {
-        for m in 0..csi.rows() {
-            csi[(m, n)] += c64::new(sigma * standard_normal(rng), sigma * standard_normal(rng));
+        for (h, pair) in csi.col_mut(n).iter_mut().zip(&mut pairs) {
+            *h += c64::new(sigma * pair[0], sigma * pair[1]);
         }
     }
 }
