@@ -90,8 +90,8 @@ USAGE:
 
   --threads N selects the worker-thread budget (default: all cores;
   1 = serial reference path; results are identical at any setting).
-  For scenario it is one budget spread across targets, each analyzed
-  serially.
+  For scenario it is one budget spread across targets and their links,
+  each target analyzed serially.
   --diagnostics PATH enables the observability recorder for the run and
   writes per-stage span timings and pipeline counters as JSON; estimates
   are bit-identical with the recorder on or off.
@@ -337,9 +337,9 @@ fn cmd_scenario(args: &Args) -> Result<(), ArgError> {
         runner_cfg.spotfi.runtime = spotfi_core::RuntimeConfig::with_threads(t);
     }
     let diagnostics = diagnostics_begin(args);
-    // The runner spends this one budget across targets (the pipeline inside
-    // each is serial); the validator's stage-sum/total ratio check applies
-    // only when it is 1.
+    // The runner spends this one budget across targets and their links
+    // (the pipeline inside each target is serial); the validator's
+    // stage-sum/total ratio check applies only when it is 1.
     let threads = runner_cfg.spotfi.runtime.effective_threads();
     let runner = Runner::new(scenario, runner_cfg);
     let records = {

@@ -13,9 +13,22 @@
 //! pipeline's purely-functional per-item closures this makes `threads > 1`
 //! bit-identical to the serial path (`threads == 1`), which short-circuits
 //! to a plain loop with no thread machinery at all.
+//!
+//! **Nesting:** one budget is never spent twice over. A call made on one of
+//! a section's worker threads runs as the plain serial loop, whatever its
+//! `threads` argument says, so a parallel map over targets whose items
+//! reach another parallel map (over a target's links, say) keeps one level
+//! of workers. Results are still returned in index order, so running inline
+//! changes no output bit.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+
+thread_local! {
+    /// Set on every worker thread [`parallel_map_with`] spawns.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// The host's available parallelism, queried once and cached.
 ///
@@ -78,15 +91,16 @@ impl RuntimeConfig {
 
 /// Maps `f` over `0..n` with up to `threads` scoped workers, each carrying
 /// scratch state built once per worker by `init`. Results come back in
-/// index order. With `threads <= 1` (or `n <= 1`) this degenerates to a
-/// plain serial loop — no threads, no atomics.
+/// index order. With `threads <= 1` (or `n <= 1`), or when called on a
+/// worker of an enclosing section, this degenerates to a plain serial loop —
+/// no threads, no atomics.
 pub fn parallel_map_with<T, S, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<T>
 where
     T: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    if threads <= 1 || n <= 1 {
+    if threads <= 1 || n <= 1 || IN_WORKER.get() {
         if spotfi_obs::enabled() {
             spotfi_obs::counter("runtime.serial_sections", 1);
             spotfi_obs::value("runtime.section_items", n as f64);
@@ -111,6 +125,7 @@ where
             let f = &f;
             let init = &init;
             handles.push(scope.spawn(move || {
+                IN_WORKER.set(true);
                 let mut scratch = init();
                 let mut out: Vec<(usize, T)> = Vec::new();
                 loop {
@@ -204,6 +219,44 @@ mod tests {
         // Per-item values are each worker's running count — all ≥ 1.
         assert!(counts.iter().all(|&c| c >= 1));
         assert_eq!(counts.len(), 50);
+    }
+
+    #[test]
+    fn nested_sections_run_inline_on_the_callers_thread() {
+        use std::thread::{current, ThreadId};
+        let inner = |i: usize| {
+            let outer_id = current().id();
+            let items = parallel_map_with(8, 2, || (), |_, j| (current().id(), i * 100 + j));
+            assert!(
+                items.iter().all(|(id, _)| *id == outer_id),
+                "a nested item left its caller's thread"
+            );
+            items.into_iter().map(|(_, v)| v).collect::<Vec<_>>()
+        };
+        let nested = parallel_map_with(6, 2, || (), |_, i| inner(i));
+        let serial: Vec<Vec<usize>> = (0..6)
+            .map(|i| (0..8).map(|j| i * 100 + j).collect())
+            .collect();
+        assert_eq!(nested, serial);
+
+        // A top-level section still spreads over its workers: each item
+        // waits (up to a deadline) until both have started, so one worker
+        // cannot take both.
+        let arrived = AtomicUsize::new(0);
+        let ids: Vec<ThreadId> = parallel_map_with(
+            2,
+            2,
+            || (),
+            |_, _| {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while arrived.load(Ordering::SeqCst) < 2 && std::time::Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                current().id()
+            },
+        );
+        assert_ne!(ids[0], ids[1], "a 2-thread section ran on one thread");
     }
 
     #[test]

@@ -54,7 +54,8 @@ pub fn packet_from_record(record: &BfeeRecord, timestamp_s: f64) -> CsiPacket {
 
 /// Converts a (typically simulated) packet into a beamforming record whose
 /// raw CSI occupies the NIC's 8-bit range. RSSI is encoded into `rssi_a`
-/// with the reference −44 dB offset and the given AGC.
+/// with the reference −44 dB offset and the given AGC. The timestamp is
+/// written in µs modulo 2³², as the NIC's 32-bit counter wraps.
 pub fn from_csi_packet(packet: &CsiPacket, bfee_count: u16, agc: u8) -> BfeeRecord {
     // Map CSI into the i8 range like the firmware's AGC would.
     let max = packet
@@ -73,7 +74,7 @@ pub fn from_csi_packet(packet: &CsiPacket, bfee_count: u16, agc: u8) -> BfeeReco
         .clamp(1.0, 255.0) as u8;
 
     BfeeRecord {
-        timestamp_low: (packet.timestamp_s * 1e6) as u32,
+        timestamp_low: (packet.timestamp_s * 1e6) as u64 as u32,
         bfee_count,
         nrx: csi.rows() as u8,
         ntx: 1,
@@ -181,6 +182,34 @@ mod tests {
             packets[1].timestamp_s,
             packets[2].timestamp_s
         );
+    }
+
+    #[test]
+    fn export_wraps_timestamps_past_the_32_bit_counter() {
+        // 2³² µs is 4294.97 s: the second and third packets wrap, and must
+        // read back 1 s and 2 s after the first, not pinned at `u32::MAX`.
+        let packet = simulated_packets(1).remove(0);
+        let records: Vec<BfeeRecord> = [4294.0, 4295.0, 4296.0]
+            .iter()
+            .map(|&timestamp_s| {
+                let p = CsiPacket {
+                    timestamp_s,
+                    ..packet.clone()
+                };
+                from_csi_packet(&p, 0, 30)
+            })
+            .collect();
+        let (back, _) = crate::dat::read_dat(&crate::dat::write_dat(&records));
+        let restored = to_csi_packets(&back);
+        for (p, want) in restored.iter().zip([0.0, 1.0, 2.0]) {
+            assert!(
+                (p.timestamp_s - want).abs() <= 1e-6,
+                "read back {} s, want {} s",
+                p.timestamp_s,
+                want
+            );
+        }
+        assert_eq!(restored.len(), 3);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!
 //! A run builds one [`SpotFi`] and maps targets through the pipeline's
 //! [`parallel_map_with`] under the one thread budget
-//! `spotfi.runtime`; the pipeline inside each target runs serially, so the
-//! budget is never spent twice over.
+//! `spotfi.runtime`; the pipeline inside each target runs serially, and a
+//! target's link tracing ([`audible_traces`]) runs inline on the target's
+//! worker, so the budget is never spent twice over.
 
 use spotfi_channel::Rng;
 
@@ -31,7 +32,7 @@ use crate::scenario::Scenario;
 #[derive(Clone, Debug)]
 pub struct RunnerConfig {
     /// SpotFi estimator configuration. Its `runtime` is the run's thread
-    /// budget, spent across targets.
+    /// budget, spent across targets and their links.
     pub spotfi: SpotFiConfig,
     /// ArrayTrack baseline configuration.
     pub arraytrack: ArrayTrackConfig,
@@ -114,33 +115,56 @@ pub struct Runner {
 /// Traces one target against every AP; returns the audible subset with
 /// each AP's index in the scenario's AP list (so callers can form subsets
 /// of the *same* data, as the paper's Fig. 9a does).
+///
+/// Links are traced on the runtime pool at `cfg.spotfi.runtime`'s
+/// effective threads. Each link draws only from its own
+/// [`Scenario::link_seed`] stream and the audible links come back in AP
+/// order, so the result is the same to the bit at any thread count. Called
+/// from a runner's per-target worker, the map runs inline on that worker.
 pub fn audible_traces(
     scenario: &Scenario,
     cfg: &RunnerConfig,
     target_idx: usize,
 ) -> Vec<(usize, NamedAp, PacketTrace)> {
+    audible_traces_with_threads(
+        scenario,
+        cfg,
+        target_idx,
+        cfg.spotfi.runtime.effective_threads(),
+    )
+}
+
+fn audible_traces_with_threads(
+    scenario: &Scenario,
+    cfg: &RunnerConfig,
+    target_idx: usize,
+    threads: usize,
+) -> Vec<(usize, NamedAp, PacketTrace)> {
     let target = &scenario.targets[target_idx];
-    let mut out = Vec::new();
-    for (ap_idx, ap) in scenario.aps.iter().enumerate() {
-        let mut rng = Rng::seed_from_u64(scenario.link_seed(target_idx, ap_idx));
-        let Some(trace) = PacketTrace::generate(
-            &scenario.floorplan,
-            target.position,
-            &ap.array,
-            &scenario.trace,
-            scenario.packets_per_fix,
-            &mut rng,
-        ) else {
-            continue;
-        };
-        let mean_rssi =
-            trace.packets.iter().map(|p| p.rssi_dbm).sum::<f64>() / trace.packets.len() as f64;
-        if mean_rssi < cfg.min_rssi_dbm {
-            continue;
-        }
-        out.push((ap_idx, ap.clone(), trace));
-    }
-    out
+    let links = parallel_map_with(
+        scenario.aps.len(),
+        threads,
+        || (),
+        |_, ap_idx| {
+            let ap = &scenario.aps[ap_idx];
+            let mut rng = Rng::seed_from_u64(scenario.link_seed(target_idx, ap_idx));
+            let trace = PacketTrace::generate(
+                &scenario.floorplan,
+                target.position,
+                &ap.array,
+                &scenario.trace,
+                scenario.packets_per_fix,
+                &mut rng,
+            )?;
+            let mean_rssi =
+                trace.packets.iter().map(|p| p.rssi_dbm).sum::<f64>() / trace.packets.len() as f64;
+            if mean_rssi < cfg.min_rssi_dbm {
+                return None;
+            }
+            Some((ap_idx, ap.clone(), trace))
+        },
+    );
+    links.into_iter().flatten().collect()
 }
 
 impl Runner {
@@ -372,6 +396,68 @@ mod tests {
             assert_eq!(x.spotfi_error_m, y.spotfi_error_m);
             assert_eq!(x.arraytrack_error_m, y.arraytrack_error_m);
         }
+    }
+
+    /// Every packet's CSI, RSSI and timestamp bits.
+    fn trace_bits(trace: &PacketTrace) -> Vec<u64> {
+        trace
+            .packets
+            .iter()
+            .flat_map(|p| {
+                let csi = p.csi.as_slice().iter();
+                csi.flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+                    .chain([p.rssi_dbm.to_bits(), p.timestamp_s.to_bits()])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn audible_traces_is_bit_identical_at_any_thread_count() {
+        // Each link draws only from its own `link_seed(t, ap_idx)` stream,
+        // so the pooled links equal the serial ones to the bit, and each
+        // equals the trace its own stream generates. NLoS target 22 misses
+        // APs 0 and 6, so a stream keyed by position in the audible list
+        // would not match.
+        let d = Deployment::standard();
+        let cfg = RunnerConfig::default();
+        let bits = |links: &[(usize, NamedAp, PacketTrace)]| -> Vec<(usize, Vec<u64>)> {
+            links
+                .iter()
+                .map(|(a, _, tr)| (*a, trace_bits(tr)))
+                .collect()
+        };
+        let mut missed_an_ap = false;
+        for (mut scenario, t) in [(Scenario::office(&d), 0), (Scenario::nlos(&d), 22)] {
+            scenario.packets_per_fix = 4;
+            let serial = audible_traces_with_threads(&scenario, &cfg, t, 1);
+            assert!(!serial.is_empty());
+            missed_an_ap |= serial.iter().enumerate().any(|(pos, l)| l.0 != pos);
+            for (ap_idx, ap, trace) in &serial {
+                let mut rng = Rng::seed_from_u64(scenario.link_seed(t, *ap_idx));
+                let own = PacketTrace::generate(
+                    &scenario.floorplan,
+                    scenario.targets[t].position,
+                    &ap.array,
+                    &scenario.trace,
+                    scenario.packets_per_fix,
+                    &mut rng,
+                )
+                .expect("an audible link traces");
+                assert!(
+                    trace_bits(&own) == trace_bits(trace),
+                    "AP {ap_idx}'s link is not its own stream's trace"
+                );
+            }
+            let expected = bits(&serial);
+            for threads in [2, 4] {
+                let pooled = audible_traces_with_threads(&scenario, &cfg, t, threads);
+                assert!(
+                    bits(&pooled) == expected,
+                    "{threads}-thread links differ from the serial ones"
+                );
+            }
+        }
+        assert!(missed_an_ap, "no target misses an AP before an audible one");
     }
 
     #[test]
