@@ -8,9 +8,9 @@
 //! Two groups of measurements:
 //!
 //! 1. **Kernels** — the pipeline's 30×30 tridiagonal partial
-//!    eigensolver (one matrix and a 4-lane batch), CSI sanitization,
-//!    smoothed-matrix construction, the coarse-to-fine path search, and
-//!    the dense reference sweep it is checked against.
+//!    eigensolver (one matrix, and four through the batch entry point), CSI
+//!    sanitization, smoothed-matrix construction, the coarse-to-fine path
+//!    search, and the dense reference sweep it is checked against.
 //! 2. **End-to-end** — 4-AP × 10-packet localize at `threads = 1` and
 //!    `threads = 8`, per-AP batch analysis, and the amortized streaming
 //!    hot path (`analyze_ap_streaming_10pkt_t1`: a persistent warmed
@@ -26,7 +26,7 @@
 //! the clamped (duplicate) configuration.
 //!
 //! `--baseline PATH` compares this run's key medians (serial MUSIC sweep,
-//! batched eigensolve, batch and streaming `analyze_ap`, end-to-end
+//! four per-matrix eigensolves, batch and streaming `analyze_ap`, end-to-end
 //! localize) against a committed report and exits nonzero on any >25%
 //! regression (the CI smoke check).
 
@@ -178,10 +178,10 @@ fn main() {
         hermitian_eigen_partial_into(&cov, spotfi_cfg.music.max_paths, &mut eig_ws);
         std::hint::black_box(eig_ws.values().len());
     });
-    // Batched eigensolve: four independent 30×30 covariances through the
-    // lane-parallel Householder + QL driver — the unit of work the pipeline
-    // dispatches per packet batch. Compare 4× `hermitian_eigen_30x30`
-    // against one `eigen_batch4_t1` for the batching win.
+    // Four per-matrix solves of independent 30×30 covariances through
+    // `hermitian_eigen_partial_batch_into`, the entry point the end-to-end
+    // benchmark's `math.eigen_tridiag.batch4` probe times. It loops over
+    // `hermitian_eigen_partial_into`, so expect ≈ 4× `hermitian_eigen_30x30`.
     let batch_covs: Vec<CMat> = aps[0].packets[..BATCH_LANES]
         .iter()
         .map(|p| {

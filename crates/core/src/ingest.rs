@@ -107,8 +107,11 @@ impl ReceiverRegistry {
 
     /// Turns one decoded capture into a fleet packet: looks up the
     /// receiver, applies its calibration, and stamps the AP identity.
-    /// Returns `None` (and counts `ingest.unknown_receiver`) for
-    /// unregistered receivers.
+    /// Returns `None` for unregistered receivers (counting
+    /// `ingest.unknown_receiver`) and for a non-finite calibrated
+    /// timestamp (counting `ingest.rejected.non_finite_timestamp`): the
+    /// fleet's stale-AP ageing and reorder window compare timestamps, and a
+    /// NaN or infinite stamp would pin or evict a target's fusion window.
     pub fn fleet_packet(
         &self,
         receiver_id: u32,
@@ -120,6 +123,10 @@ impl ReceiverRegistry {
             return None;
         };
         entry.calibration.apply(&mut packet);
+        if !packet.timestamp_s.is_finite() {
+            spotfi_obs::counter("ingest.rejected.non_finite_timestamp", 1);
+            return None;
+        }
         Some(FleetPacket {
             target_id,
             ap_id: receiver_id,
@@ -210,6 +217,31 @@ mod tests {
         assert_eq!(fp.ap_id, 7);
         assert_eq!(fp.target_id, 1);
         assert!(reg.fleet_packet(8, 1, packet()).is_none());
+    }
+
+    #[test]
+    fn registry_rejects_non_finite_timestamps() {
+        let mut reg = ReceiverRegistry::new();
+        reg.register(7, array(), ReceiverCalibration::default());
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut p = packet();
+            p.timestamp_s = t;
+            assert!(reg.fleet_packet(7, 1, p).is_none(), "stamp {t}");
+        }
+        // A finite stamp that the calibration offset overflows is rejected
+        // too: the check runs on the calibrated time.
+        reg.register(
+            8,
+            array(),
+            ReceiverCalibration {
+                time_offset_s: f64::MAX,
+                ..Default::default()
+            },
+        );
+        let mut p = packet();
+        p.timestamp_s = f64::MAX;
+        assert!(reg.fleet_packet(8, 1, p).is_none());
+        assert!(reg.fleet_packet(7, 1, packet()).is_some());
     }
 
     #[test]

@@ -25,20 +25,16 @@
 //! Construction precomputes a [`SteeringCache`] (the MUSIC grid's steering
 //! factors) once per configuration. Analysis fans out on the scoped-thread
 //! engine in [`crate::runtime`]: the whole (AP, packet) cross product is
-//! flattened into one work list, grouped into consecutive *batches* of up
-//! to 4 packets, and the batches feed the outermost parallel map — each
-//! batch stages its packets' covariances and eigendecomposes all of them in
-//! one lane-parallel batched solve (`spotfi_math::eigen_tridiag`'s
-//! structure-of-arrays Householder + QL driver, bit-identical per lane to
-//! the scalar solver) before running each packet's exact tail. The
-//! budget itself is capped at the host's
-//! [`crate::runtime::hardware_parallelism`]. Batch composition depends only
-//! on the input order — never on the thread count — and every per-batch
-//! computation is pure, so results are bit-identical for every thread
-//! count; `threads = 1` runs the plain serial path. Each worker owns its
-//! batch scratch, so per-packet buffers (smoothed matrix, eigensolver
-//! workspaces, packed projector blocks) are allocated once per worker, not
-//! once per packet.
+//! flattened into one work list of packets that feeds the outermost
+//! parallel map, and each packet runs stage → exact eigendecomposition →
+//! exact tail, the sequence a stream's anchor packet runs. The budget
+//! itself is capped at the host's
+//! [`crate::runtime::hardware_parallelism`]. Every per-packet computation
+//! is pure and results come back in input order, so they are bit-identical
+//! for every thread count; `threads = 1` runs the plain serial path. Each
+//! worker owns one [`PacketScratch`], so per-packet buffers (smoothed
+//! matrix, covariance, eigensolver workspace, packed projector blocks) are
+//! allocated once per worker, not once per packet.
 //!
 //! ### Streaming model
 //!
@@ -57,10 +53,7 @@
 
 use spotfi_channel::{AntennaArray, CsiPacket};
 use spotfi_math::stats::mean;
-use spotfi_math::{
-    hermitian_eigen_partial_batch_into, BatchTridiagWorkspace, CMat, PackedHermitian,
-    RitzWorkspace, SubspaceTracker, TridiagWorkspace, BATCH_LANES,
-};
+use spotfi_math::{CMat, PackedHermitian, RitzWorkspace, SubspaceTracker};
 
 use crate::cluster::{cluster_estimates, Clustering};
 use crate::config::SpotFiConfig;
@@ -202,45 +195,16 @@ impl StreamState {
     }
 }
 
-/// Where a staged packet's covariance lands: a batch lane's slot (always
-/// fresh), or a stream's rolling covariance plus the dense buffer the
-/// stream's packet reads it from.
+/// Where a staged packet's covariance lands: a fresh product in the
+/// scratch's covariance buffer, decomposed right away, or a stream's
+/// rolling covariance plus the dense buffer the stream's packet reads it
+/// from.
 enum Covariance<'a> {
-    Lane(&'a mut CMat),
+    Fresh(&'a mut MusicScratch),
     Stream {
         state: &'a mut StreamState,
         unpacked: &'a mut CMat,
     },
-}
-
-/// Per-worker buffers for one *batch* of packets: the shared per-packet
-/// scratch plus [`BATCH_LANES`] covariance slots and eigensolver output
-/// workspaces, and the structure-of-arrays workspace the lane-parallel
-/// tridiagonalization runs in.
-///
-/// Batch packets eigendecompose independently, so the pipeline stages up
-/// to [`BATCH_LANES`] covariances and solves them in one
-/// [`hermitian_eigen_partial_batch_into`] call — lane-parallel arithmetic,
-/// bit-identical per lane to the scalar solver.
-struct BatchScratch {
-    packet: PacketScratch,
-    covs: Vec<CMat>,
-    lanes: Vec<TridiagWorkspace>,
-    bws: BatchTridiagWorkspace,
-}
-
-impl BatchScratch {
-    fn new(cfg: &SpotFiConfig) -> Self {
-        let n = cfg.smoothed_rows();
-        BatchScratch {
-            packet: PacketScratch::new(cfg),
-            covs: (0..BATCH_LANES).map(|_| CMat::zeros(n, n)).collect(),
-            lanes: (0..BATCH_LANES)
-                .map(|_| TridiagWorkspace::default())
-                .collect(),
-            bws: BatchTridiagWorkspace::default(),
-        }
-    }
 }
 
 /// Drops a packet whose sweep found no peaks, and counts the outcome.
@@ -285,25 +249,38 @@ impl SpotFi {
     }
 
     /// Estimates the multipath parameters of a single packet: sanitize →
-    /// smooth → MUSIC (Algorithm 2 steps 3–7), run as a one-packet batch.
+    /// smooth → MUSIC (Algorithm 2 steps 3–7).
     pub fn analyze_packet(&self, packet: &CsiPacket) -> Result<Vec<PathEstimate>> {
-        let mut scratch = BatchScratch::new(&self.config);
-        self.analyze_packet_batch(&[packet], &mut scratch)
-            .pop()
-            .expect("a one-packet batch yields one result")
+        self.analyze_packet_exact(packet, &mut PacketScratch::new(&self.config))
+    }
+
+    /// The batch path's per-packet engine: stage and eigendecompose a
+    /// fresh covariance, then run the exact tail.
+    fn analyze_packet_exact(
+        &self,
+        packet: &CsiPacket,
+        scratch: &mut PacketScratch,
+    ) -> Result<Vec<PathEstimate>> {
+        let PacketScratch {
+            smoothed, music, ..
+        } = scratch;
+        self.stage(packet, smoothed, Covariance::Fresh(music))?;
+        self.exact_tail(music).map(|swept| swept.paths)
     }
 
     /// Stage: sanitize → smooth → covariance, returning whether the packet
-    /// anchors on the exact solver. A batch lane's covariance is always
-    /// fresh and every lane anchors; a stream's is a rolling sum, kept
-    /// packed and left unpacked in `unpacked` for the packet's tail.
+    /// anchors on the exact solver. A fresh covariance always anchors, so
+    /// it is eigendecomposed here, under one `stage.eigen` span with its
+    /// product; a stream's is a rolling sum, kept packed and left unpacked
+    /// in `unpacked` for the packet's tail.
     fn stage(&self, packet: &CsiPacket, smoothed: &mut CMat, into: Covariance) -> Result<bool> {
         let sanitized = sanitize_csi(&packet.csi, self.config.ofdm.subcarrier_spacing_hz)?;
         smoothed_csi_into(&sanitized.csi, &self.config, smoothed)?;
         let (state, unpacked) = match into {
-            Covariance::Lane(cov) => {
-                let _span = spotfi_obs::span("stage.eigen_batch");
-                covariance_into(smoothed, cov)?;
+            Covariance::Fresh(music) => {
+                let _span = spotfi_obs::span("stage.eigen");
+                covariance_into(smoothed, &mut music.cov)?;
+                music.eigen_of_cov(self.config.music.max_paths);
                 return Ok(true);
             }
             Covariance::Stream { state, unpacked } => (state, unpacked),
@@ -539,71 +516,16 @@ impl SpotFi {
         self.assemble_ap(ap, per_packet)
     }
 
-    /// Analyzes one batch of up to [`BATCH_LANES`] packets: stage each
-    /// packet's fresh covariance into the next free lane, eigendecompose
-    /// the staged lanes in one lane-parallel batched solve, then run each
-    /// staged packet's exact tail. Results come back in packet order; a
-    /// packet that failed staging holds no lane, so the `k`-th staged
-    /// packet reads lane `k`.
-    fn analyze_packet_batch(
-        &self,
-        packets: &[&CsiPacket],
-        scratch: &mut BatchScratch,
-    ) -> Vec<Result<Vec<PathEstimate>>> {
-        debug_assert!(!packets.is_empty() && packets.len() <= BATCH_LANES);
-        let mut results: Vec<Result<Vec<PathEstimate>>> = Vec::with_capacity(packets.len());
-        let mut staged = 0usize;
-        for packet in packets {
-            let cov = Covariance::Lane(&mut scratch.covs[staged]);
-            let result = self.stage(packet, &mut scratch.packet.smoothed, cov);
-            staged += usize::from(result.is_ok());
-            results.push(result.map(|_| Vec::new()));
-        }
-        if staged == 0 {
-            return results;
-        }
-        {
-            let _span = spotfi_obs::span("stage.eigen_batch");
-            let mats: Vec<&CMat> = scratch.covs[..staged].iter().collect();
-            let mut lanes: Vec<&mut TridiagWorkspace> =
-                scratch.lanes[..staged].iter_mut().collect();
-            hermitian_eigen_partial_batch_into(
-                &mats,
-                self.config.music.max_paths,
-                &mut scratch.bws,
-                &mut lanes,
-            );
-        }
-        let music = &mut scratch.packet.music;
-        let staged_results = results.iter_mut().filter(|r| r.is_ok());
-        for (result, lane) in staged_results.zip(&mut scratch.lanes) {
-            // O(1) buffer swap: the sweep reads `eig` from the music
-            // scratch; the next batch overwrites the lane workspace anyway.
-            std::mem::swap(&mut music.eig, lane);
-            *result = self.exact_tail(music).map(|swept| swept.paths);
-        }
-        results
-    }
-
-    /// Runs a flattened packet work-list, returning per-unit results in
-    /// input order. Units are grouped into consecutive chunks of
-    /// [`BATCH_LANES`] (deterministic and thread-count independent, so
-    /// results stay bit-identical at every budget) and each chunk shares
-    /// one batched eigensolve.
+    /// Runs a flattened packet work-list, one packet per work item,
+    /// returning per-unit results in input order (so results are
+    /// bit-identical at every budget).
     fn analyze_units(&self, units: &[&CsiPacket]) -> Vec<Result<Vec<PathEstimate>>> {
-        let workers = self.config.runtime.effective_threads();
-        let n_batches = units.len().div_ceil(BATCH_LANES);
-        let batches: Vec<Vec<Result<Vec<PathEstimate>>>> = parallel_map_with(
-            n_batches,
-            workers,
-            || BatchScratch::new(&self.config),
-            |scratch, b| {
-                let b0 = b * BATCH_LANES;
-                let bl = BATCH_LANES.min(units.len() - b0);
-                self.analyze_packet_batch(&units[b0..b0 + bl], scratch)
-            },
-        );
-        batches.into_iter().flatten().collect()
+        parallel_map_with(
+            units.len(),
+            self.config.runtime.effective_threads(),
+            || PacketScratch::new(&self.config),
+            |scratch, i| self.analyze_packet_exact(units[i], scratch),
+        )
     }
 
     /// Full per-AP analysis (Algorithm 2 steps 2–10): per-packet estimation,
@@ -712,12 +634,8 @@ impl SpotFi {
     /// The (AP, packet) fan-out is flattened into one work list: per-packet
     /// analysis dominates the cost, so the widest pool of independent units
     /// feeds the *outermost* parallel map instead of nesting AP-level
-    /// workers over packet-level workers. The flattened list is grouped
-    /// into consecutive batches of up to [`BATCH_LANES`] packets sharing
-    /// one batched eigensolve (see the module docs); batches may span AP
-    /// boundaries — the lanes are fully independent, so AP membership is
-    /// irrelevant to the solve. Results regroup by AP in packet order
-    /// afterwards, so the output is identical at every thread count.
+    /// workers over packet-level workers. Results regroup by AP in packet
+    /// order afterwards, so the output is identical at every thread count.
     pub fn analyze_all(&self, aps: &[ApPackets]) -> Result<Vec<ApAnalysis>> {
         let units: Vec<&CsiPacket> = aps.iter().flat_map(|ap| ap.packets.iter()).collect();
         let per_packet = self.analyze_units(&units);
@@ -867,12 +785,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_lanes_skip_failed_packets_bit_exactly() {
-        // Batches of BATCH_LANES packets run over the flattened (AP, packet)
-        // list, and a packet that fails staging holds no lane. Put a NaN
-        // packet at every lane position of the first batch and an all-zero
-        // packet at the same position of the second, which straddles the
-        // AP0/AP1 boundary: every survivor must still match its own
+    fn failed_packets_do_not_perturb_neighbours() {
+        // Packets run over the flattened (AP, packet) list on per-worker
+        // scratch, so a packet that fails staging must leave nothing behind
+        // for the next one. Put a NaN packet at each of units 0–3 and an
+        // all-zero packet four units later (units 4–7, straddling the
+        // AP0/AP1 boundary): every survivor must still match its own
         // one-packet analysis bit for bit, and the drop counts must be exact.
         let plan = Floorplan::empty();
         let center = Point::new(5.0, 5.0);
@@ -896,9 +814,9 @@ mod tests {
             ),
         ];
         let n0 = clean[0].packets.len();
-        for lane in 0..BATCH_LANES {
+        for pos in 0..4 {
             let mut aps = clean.clone();
-            for (unit, value) in [(lane, f64::NAN), (BATCH_LANES + lane, 0.0)] {
+            for (unit, value) in [(pos, f64::NAN), (4 + pos, 0.0)] {
                 let (ap, idx) = if unit < n0 { (0, unit) } else { (1, unit - n0) };
                 aps[ap].packets[idx].csi = CMat::from_fn(3, 30, |_, _| c64::new(value, 0.0));
             }
@@ -913,7 +831,7 @@ mod tests {
                     let dropped = alone.iter().filter(|r| r.is_err()).count();
                     let expected: Vec<PathEstimate> =
                         alone.into_iter().flatten().flatten().collect();
-                    let ctx = format!("lane {lane}, threads {threads}");
+                    let ctx = format!("unit {pos}, threads {threads}");
                     assert_eq!(analysis.dropped_packets, dropped, "{ctx}");
                     assert_eq!(analysis.path_estimates.len(), expected.len(), "{ctx}");
                     for (a, b) in analysis.path_estimates.iter().zip(&expected) {
@@ -923,7 +841,7 @@ mod tests {
                     }
                 }
                 let dropped: usize = analyses.iter().map(|a| a.dropped_packets).sum();
-                assert_eq!(dropped, 2, "lane {lane}, threads {threads}");
+                assert_eq!(dropped, 2, "unit {pos}, threads {threads}");
             }
         }
     }

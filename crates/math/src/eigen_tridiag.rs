@@ -24,9 +24,11 @@
 //! The per-packet 30×30 MUSIC solves and the subspace tracker's k×k
 //! Rayleigh–Ritz step call [`hermitian_eigen_partial_into`] with a
 //! reusable [`TridiagWorkspace`], so a warm call performs no allocations;
-//! MUSIC-AoA's 3×3 solve uses the one-shot [`hermitian_eigen_partial`]. A
-//! cyclic-Jacobi solver is compiled under `cfg(test)` only, as the oracle
-//! these results are cross-validated against.
+//! MUSIC-AoA's 3×3 solve uses the one-shot [`hermitian_eigen_partial`].
+//! [`hermitian_eigen_partial_batch_into`] is a loop of per-matrix calls
+//! kept for the benchmarks, so one Householder reduction serves every
+//! caller. A cyclic-Jacobi solver is compiled under `cfg(test)` only, as
+//! the oracle these results are cross-validated against.
 
 use crate::complex::c64;
 use crate::matrix::CMat;
@@ -153,16 +155,6 @@ pub fn hermitian_eigen_partial_into(a: &CMat, k: usize, ws: &mut TridiagWorkspac
     }
 
     tridiagonalize(a, ws);
-    finish_from_tridiag(k, ws);
-}
-
-/// Everything downstream of tridiagonalization: QL eigenvalues, descending
-/// sort, inverse iteration for the top `k`, back-transformation, and obs
-/// counters. Shared verbatim by the scalar path and (per lane, after
-/// [`BatchTridiagWorkspace::export_lane`]) the batched path, so the two are
-/// bit-identical by construction from the tridiagonal form onward.
-fn finish_from_tridiag(k: usize, ws: &mut TridiagWorkspace) {
-    let n = ws.diag.len();
     // Eigenvalues of T by implicit-shift QL (no vector accumulation).
     ws.d_work.clear();
     ws.d_work.extend_from_slice(&ws.diag);
@@ -320,8 +312,7 @@ fn tridiagonalize(a: &CMat, ws: &mut TridiagWorkspace) {
 /// Extracts the complex tridiagonal from `ws.h`, then phase-scales the
 /// subdiagonal real non-negative: with `u_0 = 1`,
 /// `u_{i+1} = u_i·f_i/|f_i|` the matrix `Dᴴ·H·D` (`D = diag(u)`) has
-/// subdiagonal `|f_i|`. Fills `ws.diag`, `ws.sub`, `ws.phase`. Shared by
-/// the scalar tridiagonalization and the batched lane export.
+/// subdiagonal `|f_i|`. Fills `ws.diag`, `ws.sub`, `ws.phase`.
 fn extract_tridiag(ws: &mut TridiagWorkspace) {
     let n = ws.h.rows();
     ws.diag.clear();
@@ -652,74 +643,26 @@ fn back_transform(j: usize, ws: &mut TridiagWorkspace) {
     }
 }
 
-/// Number of matrices a [`BatchTridiagWorkspace`] tridiagonalizes
-/// lane-parallel (sized for one 4-wide f64 vector register per operand).
+/// Largest batch [`hermitian_eigen_partial_batch_into`] accepts.
 pub const BATCH_LANES: usize = 4;
 
-/// Reusable structure-of-arrays buffers for
-/// [`hermitian_eigen_partial_batch_into`].
-///
-/// Holds [`BATCH_LANES`] working copies in lane-interleaved split re/im
-/// layout — entry `(r, c)` of lane `l` lives at
-/// `(c·n + r)·BATCH_LANES + l` — so every scalar operation of the
-/// Householder reduction becomes one 4-wide vector operation across
-/// independent matrices. Grows on demand and never shrinks.
+/// Workspace argument of [`hermitian_eigen_partial_batch_into`]. It holds
+/// no buffers: every matrix of a batch decomposes in its own
+/// [`TridiagWorkspace`].
 #[derive(Clone, Debug, Default)]
 pub struct BatchTridiagWorkspace {
-    /// Lane-interleaved working copies (column-major, lanes contiguous).
-    h_re: Vec<f64>,
-    h_im: Vec<f64>,
-    /// Householder scale factors, `j·BATCH_LANES + lane`.
-    beta: Vec<f64>,
-    /// Rank-2 update scratch (the `p`/`w` vector), `r·BATCH_LANES + lane`.
-    z_re: Vec<f64>,
-    z_im: Vec<f64>,
+    // Not a unit struct, so callers' `BatchTridiagWorkspace::default()`
+    // stays clear of clippy's `default_constructed_unit_structs`.
+    _private: (),
 }
 
-impl BatchTridiagWorkspace {
-    /// Copies lane `lane`'s reduced matrix and reflector scales into a
-    /// scalar workspace, in the exact state scalar `tridiagonalize` leaves
-    /// behind (reflectors below the subdiagonal, `v₀` stashed in the strict
-    /// upper triangle, `α` on the subdiagonal).
-    fn export_lane(&self, lane: usize, n: usize, ws: &mut TridiagWorkspace) {
-        const L: usize = BATCH_LANES;
-        ws.h.reset_zeros(n, n);
-        for c in 0..n {
-            let col = ws.h.col_mut(c);
-            for (r, slot) in col.iter_mut().enumerate() {
-                let idx = (c * n + r) * L + lane;
-                *slot = c64::new(self.h_re[idx], self.h_im[idx]);
-            }
-        }
-        ws.beta.clear();
-        ws.beta.resize(n, 0.0);
-        for j in 0..n.saturating_sub(2) {
-            ws.beta[j] = self.beta[j * L + lane];
-        }
-    }
-}
-
-/// Batched [`hermitian_eigen_partial_into`]: decomposes up to
-/// [`BATCH_LANES`] equal-sized Hermitian matrices at once, landing each
-/// result in its own scalar workspace (`lanes[i]` ↔ `mats[i]`, readable
+/// Decomposes up to [`BATCH_LANES`] equal-sized Hermitian matrices, landing
+/// each result in its own workspace (`lanes[i]` ↔ `mats[i]`, readable
 /// through [`TridiagWorkspace::values`]/[`TridiagWorkspace::vectors`] as
-/// usual).
-///
-/// The O(n³) Householder reduction — the dominant cost — runs lane-parallel
-/// across the batch in split re/im structure-of-arrays form; each lane
-/// performs the scalar algorithm's operations in the scalar algorithm's
-/// order, so results are **bit-identical** to per-matrix
-/// [`hermitian_eigen_partial_into`] calls (no FMA contraction, no
-/// reassociation — only independent lanes advancing in lockstep, which is
-/// what lets the loops autovectorize without changing per-lane semantics).
-/// The O(n²) tail (QL eigenvalues, inverse iteration, back-transformation)
-/// runs per lane through literally the same code as the scalar path.
-///
-/// Fewer than [`BATCH_LANES`] matrices are accepted; the spare lanes
-/// replicate the first matrix and are discarded. If any lane hits a
-/// zero-norm reflector column (σ = 0 — possible for structurally sparse
-/// inputs, never for dense covariances), the whole batch reruns through the
-/// scalar path, which handles those with data-dependent branches.
+/// usual). Each matrix runs through [`hermitian_eigen_partial_into`], so the
+/// results are those of per-matrix calls, bit for bit. Kept as the entry
+/// point the benchmarks time four per-matrix solves through; the pipeline
+/// solves one packet at a time.
 ///
 /// # Panics
 /// Panics if `mats` is empty or longer than [`BATCH_LANES`], if
@@ -728,7 +671,7 @@ impl BatchTridiagWorkspace {
 pub fn hermitian_eigen_partial_batch_into(
     mats: &[&CMat],
     k: usize,
-    bws: &mut BatchTridiagWorkspace,
+    _bws: &mut BatchTridiagWorkspace,
     lanes: &mut [&mut TridiagWorkspace],
 ) {
     assert!(
@@ -742,277 +685,13 @@ pub fn hermitian_eigen_partial_batch_into(
         "batched eigensolve needs one output workspace per matrix"
     );
     let n = mats[0].rows();
-    for a in mats {
-        assert_eq!(
-            a.rows(),
-            a.cols(),
-            "hermitian_eigen_partial requires a square matrix"
-        );
-        assert_eq!(
-            a.rows(),
-            n,
-            "batched eigensolve requires equal-sized matrices"
-        );
-        assert!(
-            a.as_slice().iter().all(|z| z.is_finite()),
-            "hermitian_eigen_partial requires finite entries"
-        );
+    assert!(
+        mats.iter().all(|a| a.rows() == n),
+        "batched eigensolve requires equal-sized matrices"
+    );
+    for (a, ws) in mats.iter().zip(lanes.iter_mut()) {
+        hermitian_eigen_partial_into(a, k, ws);
     }
-    let k = k.min(n);
-    if n == 0 {
-        for ws in lanes.iter_mut() {
-            ws.out_values.clear();
-            ws.out_vectors.reset_zeros(0, 0);
-        }
-        return;
-    }
-
-    if spotfi_obs::enabled() {
-        spotfi_obs::counter("eigen.batch_solves", 1);
-    }
-    batch_load(mats, n, bws);
-    if !batch_householder(n, bws) {
-        if spotfi_obs::enabled() {
-            spotfi_obs::counter("eigen.batch_fallbacks", 1);
-        }
-        for (a, ws) in mats.iter().zip(lanes.iter_mut()) {
-            hermitian_eigen_partial_into(a, k, ws);
-        }
-        return;
-    }
-    for (lane, ws) in lanes.iter_mut().enumerate() {
-        bws.export_lane(lane, n, ws);
-        extract_tridiag(ws);
-        finish_from_tridiag(k, ws);
-    }
-}
-
-/// Loads the Hermitian completions of the batch into lane-interleaved SoA
-/// form (same normalization as scalar `tridiagonalize`: lower triangle
-/// wins, diagonal forced real). Spare lanes replicate the first matrix.
-fn batch_load(mats: &[&CMat], n: usize, bws: &mut BatchTridiagWorkspace) {
-    const L: usize = BATCH_LANES;
-    bws.h_re.clear();
-    bws.h_re.resize(n * n * L, 0.0);
-    bws.h_im.clear();
-    bws.h_im.resize(n * n * L, 0.0);
-    bws.beta.clear();
-    bws.beta.resize(n * L, 0.0);
-    bws.z_re.clear();
-    bws.z_re.resize(n * L, 0.0);
-    bws.z_im.clear();
-    bws.z_im.resize(n * L, 0.0);
-    for l in 0..L {
-        let a = mats[l.min(mats.len() - 1)];
-        for c in 0..n {
-            for r in 0..n {
-                let z = if r >= c { a[(r, c)] } else { a[(c, r)].conj() };
-                let idx = (c * n + r) * L + l;
-                bws.h_re[idx] = z.re;
-                bws.h_im[idx] = z.im;
-            }
-        }
-        for i in 0..n {
-            bws.h_im[(i * n + i) * L + l] = 0.0;
-        }
-    }
-}
-
-/// Lane-parallel Householder reduction: the scalar `tridiagonalize` loop
-/// with the lane index innermost, every arithmetic expression expanded to
-/// the exact component form the `c64` operators produce (complex multiply
-/// `(a·b).re = a.re·b.re − a.im·b.im` etc., no `mul_add`), so each lane's
-/// floating-point op sequence is identical to the scalar solver's.
-///
-/// Returns `false` (batch abandoned, scalar rerun required) if any lane
-/// hits the σ = 0 or ‖v‖ = 0 degenerate branches the scalar code handles
-/// with early `continue`s — masking those per lane would risk ±0 bit flips
-/// in dead slots, and they never occur for the pipeline's dense
-/// covariances.
-fn batch_householder(n: usize, bws: &mut BatchTridiagWorkspace) -> bool {
-    const L: usize = BATCH_LANES;
-    let h_re = bws.h_re.as_mut_slice();
-    let h_im = bws.h_im.as_mut_slice();
-    let z_re = bws.z_re.as_mut_slice();
-    let z_im = bws.z_im.as_mut_slice();
-
-    for j in 0..n.saturating_sub(2) {
-        let m0 = j + 1;
-        let colj = j * n * L;
-
-        // σ² = Σ |h[r, j]|² over the column below the diagonal, all lanes.
-        let mut sigma2 = [0.0f64; L];
-        for r in m0..n {
-            let b = colj + r * L;
-            for l in 0..L {
-                let (re, im) = (h_re[b + l], h_im[b + l]);
-                sigma2[l] += re * re + im * im;
-            }
-        }
-        if sigma2.contains(&0.0) {
-            return false;
-        }
-
-        // Reflector head: phase = x₀/|x₀|, α = −σ·phase, v₀ = x₀ − α.
-        let mut alpha_re = [0.0f64; L];
-        let mut alpha_im = [0.0f64; L];
-        let b0 = colj + m0 * L;
-        for l in 0..L {
-            let sigma = sigma2[l].sqrt();
-            let (x0re, x0im) = (h_re[b0 + l], h_im[b0 + l]);
-            let (p_re, p_im) = if x0re == 0.0 && x0im == 0.0 {
-                (1.0, 0.0)
-            } else {
-                let inv = 1.0 / x0re.hypot(x0im);
-                (x0re * inv, x0im * inv)
-            };
-            let s = -sigma;
-            alpha_re[l] = p_re * s;
-            alpha_im[l] = p_im * s;
-            h_re[b0 + l] = x0re - alpha_re[l];
-            h_im[b0 + l] = x0im - alpha_im[l];
-        }
-
-        let mut vnorm2 = [0.0f64; L];
-        for r in m0..n {
-            let b = colj + r * L;
-            for l in 0..L {
-                let (re, im) = (h_re[b + l], h_im[b + l]);
-                vnorm2[l] += re * re + im * im;
-            }
-        }
-        if vnorm2.contains(&0.0) {
-            return false;
-        }
-        let mut beta_l = [0.0f64; L];
-        for l in 0..L {
-            beta_l[l] = 2.0 / vnorm2[l];
-            bws.beta[j * L + l] = beta_l[l];
-        }
-
-        // p = β·H·v over the trailing block, walking stored columns and
-        // exploiting Hermitian symmetry exactly like the scalar walk.
-        for i in (m0 * L)..(n * L) {
-            z_re[i] = 0.0;
-            z_im[i] = 0.0;
-        }
-        for c in m0..n {
-            let bvc = colj + c * L;
-            let bcc = (c * n + c) * L;
-            let mut vc_re = [0.0f64; L];
-            let mut vc_im = [0.0f64; L];
-            // z[c] accumulates in registers, in the scalar order: prior
-            // columns' contributions (already in z[c]), the diagonal term,
-            // then the r-ascending conj terms.
-            let mut acc_re = [0.0f64; L];
-            let mut acc_im = [0.0f64; L];
-            for l in 0..L {
-                vc_re[l] = h_re[bvc + l];
-                vc_im[l] = h_im[bvc + l];
-                let (dre, dim) = (h_re[bcc + l], h_im[bcc + l]);
-                acc_re[l] = z_re[c * L + l] + (dre * vc_re[l] - dim * vc_im[l]);
-                acc_im[l] = z_im[c * L + l] + (dre * vc_im[l] + dim * vc_re[l]);
-            }
-            for r in (c + 1)..n {
-                let brc = (c * n + r) * L;
-                let brj = colj + r * L;
-                let bzr = r * L;
-                for l in 0..L {
-                    let (hrc_re, hrc_im) = (h_re[brc + l], h_im[brc + l]);
-                    let (vr_re, vr_im) = (h_re[brj + l], h_im[brj + l]);
-                    // z[r] += h_rc·v_c
-                    z_re[bzr + l] += hrc_re * vc_re[l] - hrc_im * vc_im[l];
-                    z_im[bzr + l] += hrc_re * vc_im[l] + hrc_im * vc_re[l];
-                    // z[c] += conj(h_rc)·v_r
-                    acc_re[l] += hrc_re * vr_re + hrc_im * vr_im;
-                    acc_im[l] += hrc_re * vr_im - hrc_im * vr_re;
-                }
-            }
-            for l in 0..L {
-                z_re[c * L + l] = acc_re[l];
-                z_im[c * L + l] = acc_im[l];
-            }
-        }
-        for r in m0..n {
-            let b = r * L;
-            for l in 0..L {
-                z_re[b + l] *= beta_l[l];
-                z_im[b + l] *= beta_l[l];
-            }
-        }
-        // K = (β/2)·(vᴴ·p); w = p − K·v (stored back into z).
-        let mut vhp_re = [0.0f64; L];
-        let mut vhp_im = [0.0f64; L];
-        for r in m0..n {
-            let brj = colj + r * L;
-            let bz = r * L;
-            for l in 0..L {
-                let (vr, vi) = (h_re[brj + l], h_im[brj + l]);
-                let (zr, zi) = (z_re[bz + l], z_im[bz + l]);
-                vhp_re[l] += vr * zr + vi * zi;
-                vhp_im[l] += vr * zi - vi * zr;
-            }
-        }
-        let mut k_re = [0.0f64; L];
-        let mut k_im = [0.0f64; L];
-        for l in 0..L {
-            let s = beta_l[l] * 0.5;
-            k_re[l] = vhp_re[l] * s;
-            k_im[l] = vhp_im[l] * s;
-        }
-        for r in m0..n {
-            let brj = colj + r * L;
-            let bz = r * L;
-            for l in 0..L {
-                let (vr, vi) = (h_re[brj + l], h_im[brj + l]);
-                z_re[bz + l] -= k_re[l] * vr - k_im[l] * vi;
-                z_im[bz + l] -= k_re[l] * vi + k_im[l] * vr;
-            }
-        }
-        // H ← H − v·wᴴ − w·vᴴ on the lower triangle of the trailing block.
-        for c in m0..n {
-            let bvc = colj + c * L;
-            let bzc = c * L;
-            let mut vc_re = [0.0f64; L];
-            let mut vc_im = [0.0f64; L];
-            let mut wc_re = [0.0f64; L];
-            let mut wc_im = [0.0f64; L];
-            vc_re.copy_from_slice(&h_re[bvc..bvc + L]);
-            vc_im.copy_from_slice(&h_im[bvc..bvc + L]);
-            wc_re.copy_from_slice(&z_re[bzc..bzc + L]);
-            wc_im.copy_from_slice(&z_im[bzc..bzc + L]);
-            for r in c..n {
-                let brc = (c * n + r) * L;
-                let brj = colj + r * L;
-                let bzr = r * L;
-                for l in 0..L {
-                    let (vr_re, vr_im) = (h_re[brj + l], h_im[brj + l]);
-                    let (wr_re, wr_im) = (z_re[bzr + l], z_im[bzr + l]);
-                    // δ = v_r·conj(w_c) + w_r·conj(v_c)
-                    let d_re = (vr_re * wc_re[l] + vr_im * wc_im[l])
-                        + (wr_re * vc_re[l] + wr_im * vc_im[l]);
-                    let d_im = (vr_im * wc_re[l] - vr_re * wc_im[l])
-                        + (wr_im * vc_re[l] - wr_re * vc_im[l]);
-                    h_re[brc + l] -= d_re;
-                    h_im[brc + l] -= d_im;
-                }
-            }
-            let bcc = (c * n + c) * L;
-            for l in 0..L {
-                h_im[bcc + l] = 0.0;
-            }
-        }
-        // Stash v₀ in the dead strict-upper slot; α becomes the subdiagonal.
-        for l in 0..L {
-            let sub = (j * n + m0) * L + l;
-            let stash = (m0 * n + j) * L + l;
-            h_re[stash] = h_re[sub];
-            h_im[stash] = h_im[sub];
-            h_re[sub] = alpha_re[l];
-            h_im[sub] = alpha_im[l];
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -1238,8 +917,8 @@ mod tests {
 
     #[test]
     fn batch_rank_deficient_is_bit_identical_to_scalar() {
-        // Rank-2 covariances (zero noise eigenvalues) stay on the batch
-        // path — the reflector columns are dense — and must match exactly.
+        // Rank-2 covariances (zero noise eigenvalues) must match per-matrix
+        // solves exactly.
         let mats: Vec<CMat> = (0..4)
             .map(|s| {
                 let x = CMat::from_fn(10, 2, |r, c| {
@@ -1253,9 +932,9 @@ mod tests {
 
     #[test]
     fn batch_degenerate_lane_falls_back_to_scalar() {
-        // A diagonal matrix hits σ = 0 at the first step, forcing the
-        // whole batch through the scalar fallback; every lane (including
-        // the dense ones) must still match the scalar solver exactly.
+        // A diagonal matrix hits σ = 0 at the first step (the reduction's
+        // identity-reflector branch); every matrix of the batch, dense or
+        // not, must still match its per-matrix solve exactly.
         let mut diag = CMat::zeros(8, 8);
         for i in 0..8 {
             diag[(i, i)] = c64::real(i as f64 - 3.0);

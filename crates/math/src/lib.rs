@@ -17,9 +17,8 @@
 //!   ([`matrix`]).
 //! * [`eigen_tridiag`] — the one Hermitian eigensolver: Householder
 //!   tridiagonalization + implicit-shift QL with partial eigenvector
-//!   extraction (MUSIC, the Rayleigh–Ritz step and MUSIC-AoA), plus a
-//!   4-lane batched driver that solves whole-AP packet batches at once.
-//!   A cyclic-Jacobi solver is compiled only under `cfg(test)`, as the
+//!   extraction (MUSIC, the Rayleigh–Ritz step and MUSIC-AoA), one
+//!   Householder reduction for every caller. A cyclic-Jacobi solver is compiled only under `cfg(test)`, as the
 //!   oracle it is cross-validated against.
 //! * [`subspace`] — online dominant-subspace tracking (block power step +
 //!   Rayleigh–Ritz) for streaming covariances, with a drift metric that

@@ -1,14 +1,14 @@
 //! Batched-vs-scalar eigensolver equivalence: seeded property tests.
 //!
-//! The SoA batched Householder reduction
-//! ([`spotfi::math::hermitian_eigen_partial_batch_into`]) is constructed to
-//! execute, per lane, *exactly* the scalar reduction's floating-point
-//! operations in the same order, so its results are bit-identical to
-//! [`spotfi::math::hermitian_eigen_partial_into`] — not merely close. These
-//! tests pin that contract with exact (`to_bits`) comparisons across the
+//! The batched entry point
+//! ([`spotfi::math::hermitian_eigen_partial_batch_into`]) decomposes each
+//! matrix of a batch in its own workspace, so its results must be
+//! bit-identical to [`spotfi::math::hermitian_eigen_partial_into`] — not
+//! merely close — whatever the batch size, order or contents. These tests
+//! pin that contract with exact (`to_bits`) comparisons across the
 //! covariance families the pipeline actually produces, plus the documented
 //! numerical tolerances (eigenvalues ≤ 1e-12 relative, noise projectors
-//! ≤ 1e-10 Frobenius) that would become the acceptance bound if the batch
+//! ≤ 1e-10 Frobenius) that would become the acceptance bound if a batched
 //! kernel ever legitimately diverged (e.g. by adopting fused multiply-add).
 //!
 //! Each test draws its cases from a seeded [`Rng`] loop, so runs are fully
@@ -128,7 +128,7 @@ fn assert_batch_matches_scalar(mats: &[&CMat], k: usize, ctx: &str) {
 }
 
 /// Full lanes of simulator-generated multipath covariances (the exact
-/// input family the pipeline's batched hot path sees).
+/// input family the pipeline's per-packet eigensolve sees).
 #[test]
 fn batch_matches_scalar_on_simulated_channels() {
     let plan = Floorplan::empty();
@@ -158,8 +158,8 @@ fn batch_matches_scalar_on_simulated_channels() {
 }
 
 /// Rank-deficient covariances: single-path (rank ≈ 1), two-path, an exact
-/// rank-1 outer product, and the all-zero matrix (the batched reduction's
-/// `σ² = 0` scalar-fallback branch must stay lane-exact too).
+/// rank-1 outer product, and the all-zero matrix (the reduction's `σ² = 0`
+/// identity-reflector branch must stay lane-exact too).
 #[test]
 fn batch_matches_scalar_on_rank_deficient_covariances() {
     let one = c64::new(1.0, 0.0);

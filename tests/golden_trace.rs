@@ -436,3 +436,74 @@ fn synthesis_is_bit_pinned() {
     assert_eq!(ring16, PIN_RING16, "16-AP ring synthesis drifted");
     assert_eq!(office, PIN_OFFICE, "office trace synthesis drifted");
 }
+
+/// Digest of `analyze_all` over a 3-AP capture of 7, 6 and 9 packets with
+/// one NaN packet (AP0 packet 5) and one all-zero packet (AP2 packet 2):
+/// every AP's path estimates in order and its drop count, as raw bits.
+fn batch_path_digest(threads: usize) -> u64 {
+    use spotfi::core::RuntimeConfig;
+    use spotfi::math::{c64, CMat};
+
+    let home = Apartment::standard();
+    let target = home.rooms[1][2].position;
+    let trace_cfg = TraceConfig::commodity();
+    let mut rng = Rng::seed_from_u64(SEED + 1);
+    let mut aps: Vec<ApPackets> = home
+        .aps
+        .iter()
+        .zip([7usize, 6, 9])
+        .map(|(ap, n)| ApPackets {
+            array: ap.array,
+            packets: PacketTrace::generate(
+                &home.floorplan,
+                target,
+                &ap.array,
+                &trace_cfg,
+                n,
+                &mut rng,
+            )
+            .expect("every home AP hears the target")
+            .packets,
+        })
+        .collect();
+    for (ap, idx, value) in [(0usize, 5usize, f64::NAN), (2, 2, 0.0)] {
+        let csi = &mut aps[ap].packets[idx].csi;
+        *csi = CMat::from_fn(csi.rows(), csi.cols(), |_, _| c64::new(value, 0.0));
+    }
+    let cfg = SpotFiConfig {
+        runtime: RuntimeConfig::with_threads(threads),
+        ..SpotFiConfig::default()
+    };
+    let analyses = SpotFi::new(cfg).analyze_all(&aps).unwrap();
+    assert_eq!(analyses.len(), 3, "every AP must assemble");
+    let dropped: Vec<usize> = analyses.iter().map(|a| a.dropped_packets).collect();
+    assert_eq!(dropped, [1, 0, 1], "exactly the two poisoned packets drop");
+    let mut digest = FNV_OFFSET;
+    for a in &analyses {
+        for p in &a.path_estimates {
+            fold_bits(
+                &mut digest,
+                [p.aoa_deg.to_bits(), p.tof_ns.to_bits(), p.power.to_bits()],
+            );
+        }
+        fold_bits(&mut digest, [a.dropped_packets as u64]);
+    }
+    digest
+}
+
+#[test]
+fn batch_path_is_bit_pinned() {
+    // The exact per-packet path that every batch entry point runs, pinned
+    // to the bit over the flattened (AP, packet) work list: AP sizes that
+    // are not multiples of four, a NaN packet and an all-zero packet (both
+    // dropped). Scheduling, packet grouping and the thread budget must not
+    // move a bit. Re-derive with `-- --nocapture` only after an intentional
+    // change to the exact path's arithmetic.
+    const PIN_BATCH: u64 = 0x6972_c72d_f99f_46e3;
+
+    let serial = batch_path_digest(1);
+    let pooled = batch_path_digest(2);
+    println!("batch-path digest {serial:#018x}");
+    assert_eq!(serial, pooled, "batch path depends on the thread budget");
+    assert_eq!(serial, PIN_BATCH, "batch-path digest drifted");
+}

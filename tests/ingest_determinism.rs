@@ -2,7 +2,8 @@
 //! stream delivered over a unix socketpair — with arbitrary kernel
 //! re-chunking — must produce `to_bits`-identical per-target updates to
 //! decoding the same bytes directly in process. Transport must be
-//! invisible to the pipeline.
+//! invisible to the pipeline. Likewise, frames that ingest rejects must be
+//! invisible to every target's updates.
 #![cfg(unix)]
 
 use std::collections::BTreeMap;
@@ -25,8 +26,9 @@ fn open_area_aps() -> Vec<AntennaArray> {
 }
 
 /// The wire capture: every (target, AP) link of two static targets,
-/// interleaved in arrival order and serialized as spotfi-wire-v1 frames.
-fn wire_capture(targets: &[Point], packets_per_link: usize, seed: u64) -> Vec<u8> {
+/// interleaved in arrival order and serialized as spotfi-wire-v1 frames,
+/// one byte vector per frame.
+fn wire_capture(targets: &[Point], packets_per_link: usize, seed: u64) -> Vec<Vec<u8>> {
     let plan = Floorplan::empty();
     let aps = open_area_aps();
     let mut schedule = Vec::new();
@@ -53,12 +55,14 @@ fn wire_capture(targets: &[Point], packets_per_link: usize, seed: u64) -> Vec<u8
             .total_cmp(&y.2.timestamp_s)
             .then(x.0.cmp(&y.0))
     });
-    let mut bytes = Vec::new();
-    for (i, (target, ap, packet)) in schedule.iter().enumerate() {
-        let record = from_csi_packet(packet, i as u16, 30);
-        bytes.extend_from_slice(&encode_frame(*ap, *target, packet.timestamp_s, &record));
-    }
-    bytes
+    schedule
+        .iter()
+        .enumerate()
+        .map(|(i, (target, ap, packet))| {
+            let record = from_csi_packet(packet, i as u16, 30);
+            encode_frame(*ap, *target, packet.timestamp_s, &record)
+        })
+        .collect()
 }
 
 fn registry() -> ReceiverRegistry {
@@ -103,7 +107,7 @@ fn by_target(updates: &[FleetUpdate]) -> BTreeMap<u64, Vec<FleetUpdate>> {
 #[test]
 fn socket_delivery_is_bit_identical_to_in_process_injection() {
     let targets = [Point::new(4.0, 4.0), Point::new(8.0, 6.0)];
-    let bytes = wire_capture(&targets, 12, 0xDE7);
+    let bytes = wire_capture(&targets, 12, 0xDE7).concat();
 
     // Arm 1: the whole capture decoded in process, one shot.
     let direct = decode_chunks(&mut std::iter::once(bytes.as_slice()));
@@ -173,7 +177,13 @@ fn socket_delivery_is_bit_identical_to_in_process_injection() {
     assert_eq!(direct_stats.processed, streamed_stats.processed);
     assert_eq!(direct_stats.updates, streamed_stats.updates);
 
-    let (reference, got) = (by_target(&direct_updates), by_target(&streamed_updates));
+    assert_same_updates(&direct_updates, &streamed_updates);
+}
+
+/// Asserts two fleet runs emitted the same updates for every target, in
+/// order and bit for bit.
+fn assert_same_updates(reference: &[FleetUpdate], got: &[FleetUpdate]) {
+    let (reference, got) = (by_target(reference), by_target(got));
     assert_eq!(
         reference.keys().collect::<Vec<_>>(),
         got.keys().collect::<Vec<_>>()
@@ -207,4 +217,60 @@ fn socket_delivery_is_bit_identical_to_in_process_injection() {
             assert_eq!(a.aps_used, b.aps_used);
         }
     }
+}
+
+#[test]
+fn non_finite_timestamps_are_rejected_at_ingest() {
+    // spotfi-wire-v1 carries the timestamp as raw f64 bits under the CRC,
+    // so a well-framed frame can stamp NaN or +Inf. Such a frame never
+    // ages out of fusion (or evicts every other AP at +Inf); ingest must
+    // drop it, count it, and leave every target's updates untouched.
+    let targets = [Point::new(4.0, 4.0), Point::new(8.0, 6.0)];
+    let clean = wire_capture(&targets, 12, 0xDE7);
+    let aps = open_area_aps();
+    let mut rng = Rng::seed_from_u64(0x1F);
+    let stray = PacketTrace::generate(
+        &Floorplan::empty(),
+        targets[0],
+        &aps[1],
+        &TraceConfig::commodity(),
+        1,
+        &mut rng,
+    )
+    .expect("free space is always audible")
+    .packets
+    .remove(0);
+    let record = from_csi_packet(&stray, 0, 30);
+    let mut dirty = clean.clone();
+    dirty.insert(
+        2 * clean.len() / 3,
+        encode_frame(2, 0, f64::INFINITY, &record),
+    );
+    dirty.insert(clean.len() / 3, encode_frame(1, 0, f64::NAN, &record));
+
+    let reference = decode_chunks(&mut std::iter::once(clean.concat().as_slice()));
+    spotfi::obs::reset();
+    spotfi::obs::set_enabled(true);
+    let filtered = decode_chunks(&mut std::iter::once(dirty.concat().as_slice()));
+    spotfi::obs::set_enabled(false);
+    let rejected = spotfi::obs::snapshot().counter_total("ingest.rejected.non_finite_timestamp");
+
+    let cfg = FleetConfig {
+        workers: 1,
+        queue_capacity: 4096,
+        fusion_interval: 8,
+        window_packets: 4,
+        ..FleetConfig::default()
+    };
+    let spotfi = SpotFi::new(SpotFiConfig::fast_test());
+    let (reference_updates, _) = run_fleet_serial(&spotfi, &cfg, &reference);
+    let (filtered_updates, _) = run_fleet_serial(&spotfi, &cfg, &filtered);
+    assert!(
+        !reference_updates.is_empty(),
+        "reference emitted no updates"
+    );
+    assert!(filtered_updates.iter().all(|u| u.time_s.is_finite()));
+    assert_same_updates(&reference_updates, &filtered_updates);
+    assert_eq!(filtered.len(), reference.len());
+    assert_eq!(rejected, 2, "both stamped frames must be counted");
 }
