@@ -13,84 +13,191 @@
 //! `Ω(τ_k)^n · Φ(θ_k)^m` (Eqs. 1, 6, 7). [`synthesize_csi`] evaluates it in
 //! that form: `γ_k` (one `cis` of `φ_k − 2π f_0 τ_k`), `Ω(τ_k)` and
 //! `Φ(θ_k)` once per path, then one multiply by `Ω(τ_k)` per subcarrier and
-//! by `Φ(θ_k)` per antenna. Four paths' `Ω` recurrences run interleaved,
-//! and each antenna's row of subcarriers accumulates in separate real and
-//! imaginary arrays, so the innermost loop runs across subcarriers in SIMD
-//! lanes; every entry still sums its paths in order. It agrees with the
-//! per-entry formula within a derived rounding bound (the argument
-//! rounding of `2π·f_n·τ_k` plus the recurrence depth; see the tests), not
-//! bit for bit. The estimator is given only the resulting matrix — it
-//! shares no code or hidden state with this synthesis.
+//! by `Φ(θ_k)` per antenna.
+//!
+//! One allocation-free kernel does this for [`synthesize_csi`] and for
+//! every packet the simulator generates. It fills tiles of up to 4 antennas
+//! × 32 subcarriers held in fixed-size stack arrays; the Intel 5300's 3 × 30
+//! grid is one tile, its rows padded to 32 so that the row loops have no
+//! vector remainder. Four paths' `Ω` recurrences run interleaved into a
+//! block of rows, then each antenna's accumulator row takes all four paths'
+//! terms, in path order, in one pass. A packet's STO ramp and carrier phase
+//! ([`crate::impairments`]) are applied as the tile is written into the
+//! output matrix. Every entry's sum and rotation are the same operations,
+//! in the same order, as adding the paths one at a time and then rotating
+//! the finished matrix, so the output does not depend on the tiling. It
+//! agrees with the per-entry formula within a derived rounding bound (the
+//! argument rounding of `2π·f_n·τ_k` plus the recurrence depth; see the
+//! tests), not bit for bit. The estimator is given only the resulting
+//! matrix — it shares no code or hidden state with this synthesis.
 
 use crate::array::AntennaArray;
 use crate::constants::SPEED_OF_LIGHT;
+use crate::impairments::Rotation;
 use crate::ofdm::OfdmConfig;
 use crate::raytrace::Path;
 use spotfi_math::{c64, CMat};
 
-/// Paths whose `Ω(τ_k)ⁿ` recurrences run side by side: independent
-/// chains of complex products that overlap instead of each waiting out the
-/// previous product's latency.
+/// Subcarriers per accumulator row: the Intel 5300's 30 padded to a whole
+/// number of SIMD vectors. A wider grid is synthesized in blocks of this
+/// many subcarriers.
+pub(crate) const ROW: usize = 32;
+
+/// Antenna rows one tile accumulates; a larger array is synthesized in
+/// tiles of this many rows.
+const TILE_ANTENNAS: usize = 4;
+
+/// Paths whose `Ω(τ_k)ⁿ` recurrences run side by side (independent chains
+/// of complex products that overlap instead of each waiting out the
+/// previous product's latency), and whose terms one pass over an
+/// accumulator row adds.
 const PATH_LANES: usize = 4;
 
 /// Synthesizes the ideal (impairment-free) CSI matrix
 /// (`num_antennas × num_subcarriers`) for the given paths.
 pub fn synthesize_csi(paths: &[Path], array: &AntennaArray, ofdm: &OfdmConfig) -> CMat {
-    let m_ant = array.num_antennas;
-    let n_sub = ofdm.num_subcarriers;
-    // h's real and imaginary parts, one row of subcarriers per antenna, so
-    // the innermost loop runs along a row.
-    let mut re = vec![0.0; m_ant * n_sub];
-    let mut im = vec![0.0; m_ant * n_sub];
-    // γ_k·Ω(τ_k)^n, one row of subcarriers per path of the current group.
-    let mut g_re = vec![0.0; PATH_LANES * n_sub];
-    let mut g_im = vec![0.0; PATH_LANES * n_sub];
+    let mut h = CMat::zeros(array.num_antennas, ofdm.num_subcarriers);
+    synthesize_into(paths, array, ofdm, &Rotation::default(), &mut h);
+    h
+}
 
-    for group in paths.chunks(PATH_LANES) {
-        // γ_k at the first subcarrier (path phase and ToF phase in one
-        // `cis`), then one Ω(τ_k) step per subcarrier.
-        let mut gamma = [c64::ZERO; PATH_LANES];
-        let mut omega = [c64::ZERO; PATH_LANES];
-        for ((g, w), path) in gamma.iter_mut().zip(&mut omega).zip(group) {
-            let tof_phase_0 = -2.0 * std::f64::consts::PI * ofdm.subcarrier_freq(0) * path.tof_s;
-            *g = c64::from_polar(path.amplitude, path.phase + tof_phase_0);
-            *w = c64::cis(-2.0 * std::f64::consts::PI * ofdm.subcarrier_spacing_hz * path.tof_s);
-        }
-        for n in 0..n_sub {
-            for (lane, (g, w)) in gamma.iter_mut().zip(&omega).enumerate() {
-                g_re[lane * n_sub + n] = g.re;
-                g_im[lane * n_sub + n] = g.im;
-                *g *= *w;
-            }
-        }
-        // Each path's rows enter h in path order, stepping Φ(θ_k)^m by one
-        // Φ per antenna: three `cis` per path in all, none per subcarrier
-        // or antenna.
-        for (lane, path) in group.iter().enumerate() {
-            // Per-antenna spatial phase increment at the carrier:
-            // −2π·d·sinθ·f_c/c per antenna step (paper Eq. 1).
-            let spatial_step =
-                -2.0 * std::f64::consts::PI * array.spacing * path.sin_aoa * ofdm.carrier_hz
-                    / SPEED_OF_LIGHT;
-            let phi = c64::cis(spatial_step);
-            let lane = lane * n_sub..(lane + 1) * n_sub;
-            let (lane_re, lane_im) = (&g_re[lane.clone()], &g_im[lane]);
-            let mut phasor = c64::ONE;
-            for m in 0..m_ant {
-                let row = m * n_sub..(m + 1) * n_sub;
-                let h_row = re[row.clone()].iter_mut().zip(&mut im[row]);
-                for ((r, i), (a, b)) in h_row.zip(lane_re.iter().zip(lane_im)) {
-                    // The real and imaginary parts of `γ_k·Ω(τ_k)^n · Φ(θ_k)^m`.
-                    *r += a * phasor.re - b * phasor.im;
-                    *i += a * phasor.im + b * phasor.re;
+/// The synthesis kernel: writes the CSI of `paths`, each entry rotated by
+/// `rotation`, into `out` (`num_antennas × num_subcarriers`).
+pub(crate) fn synthesize_into(
+    paths: &[Path],
+    array: &AntennaArray,
+    ofdm: &OfdmConfig,
+    rotation: &Rotation,
+    out: &mut CMat,
+) {
+    let (m_ant, n_sub) = (array.num_antennas, ofdm.num_subcarriers);
+    assert_eq!(out.shape(), (m_ant, n_sub), "CSI matrix shape");
+    let mut rows = GroupRows {
+        re: [[0.0; ROW]; PATH_LANES],
+        im: [[0.0; ROW]; PATH_LANES],
+    };
+    let mut ramp = rotation.ramp();
+    for n0 in (0..n_sub).step_by(ROW) {
+        let width = ROW.min(n_sub - n0);
+        let ramp = ramp.next_block();
+        for m0 in (0..m_ant).step_by(TILE_ANTENNAS) {
+            let height = TILE_ANTENNAS.min(m_ant - m0);
+            let mut tile = Tile {
+                re: [[0.0; ROW]; TILE_ANTENNAS],
+                im: [[0.0; ROW]; TILE_ANTENNAS],
+            };
+            let at = TileOrigin {
+                n0,
+                width,
+                m0,
+                height,
+            };
+            for group in paths.chunks(PATH_LANES) {
+                match group.len() {
+                    4 => add_group::<4>(group, array, ofdm, &at, &mut rows, &mut tile),
+                    3 => add_group::<3>(group, array, ofdm, &at, &mut rows, &mut tile),
+                    2 => add_group::<2>(group, array, ofdm, &at, &mut rows, &mut tile),
+                    _ => add_group::<1>(group, array, ofdm, &at, &mut rows, &mut tile),
                 }
-                phasor *= phi;
+            }
+            for n in 0..width {
+                for m in 0..height {
+                    let h = c64::new(tile.re[m][n], tile.im[m][n]);
+                    out[(m0 + m, n0 + n)] = rotation.apply(h, ramp[n]);
+                }
             }
         }
     }
-    CMat::from_fn(m_ant, n_sub, |m, n| {
-        c64::new(re[m * n_sub + n], im[m * n_sub + n])
-    })
+}
+
+/// `γ_k·Ω(τ_k)^n` of one group of paths over one block of subcarriers, one
+/// row per path. Columns past the grid's last subcarrier hold stale values
+/// that only reach the tile's padding.
+struct GroupRows {
+    re: [[f64; ROW]; PATH_LANES],
+    im: [[f64; ROW]; PATH_LANES],
+}
+
+/// The real and imaginary parts of one tile of `h`, one row of
+/// subcarriers per antenna.
+struct Tile {
+    re: [[f64; ROW]; TILE_ANTENNAS],
+    im: [[f64; ROW]; TILE_ANTENNAS],
+}
+
+/// Where a tile sits in the matrix: subcarriers `n0..n0 + width`, antennas
+/// `m0..m0 + height`.
+struct TileOrigin {
+    n0: usize,
+    width: usize,
+    m0: usize,
+    height: usize,
+}
+
+/// Adds the terms of the `L ≤ PATH_LANES` paths in `group` to `tile`, in
+/// path order. Three `cis` per path, none per subcarrier or antenna; a tile
+/// away from the matrix's origin first steps each recurrence to its corner.
+#[inline(always)]
+fn add_group<const L: usize>(
+    group: &[Path],
+    array: &AntennaArray,
+    ofdm: &OfdmConfig,
+    at: &TileOrigin,
+    rows: &mut GroupRows,
+    tile: &mut Tile,
+) {
+    debug_assert_eq!(group.len(), L);
+    // γ_k at the first subcarrier (path phase and ToF phase in one `cis`),
+    // the Ω(τ_k) step per subcarrier, and the Φ(θ_k) step per antenna:
+    // −2π·d·sinθ·f_c/c, evaluated at the carrier (paper Eq. 1).
+    let mut gamma = [c64::ZERO; L];
+    let mut omega = [c64::ZERO; L];
+    let mut phi = [c64::ZERO; L];
+    for (((g, w), f), path) in gamma.iter_mut().zip(&mut omega).zip(&mut phi).zip(group) {
+        let tof_phase_0 = -2.0 * std::f64::consts::PI * ofdm.subcarrier_freq(0) * path.tof_s;
+        *g = c64::from_polar(path.amplitude, path.phase + tof_phase_0);
+        *w = c64::cis(-2.0 * std::f64::consts::PI * ofdm.subcarrier_spacing_hz * path.tof_s);
+        *f = c64::cis(
+            -2.0 * std::f64::consts::PI * array.spacing * path.sin_aoa * ofdm.carrier_hz
+                / SPEED_OF_LIGHT,
+        );
+    }
+    for _ in 0..at.n0 {
+        step(&mut gamma, &omega);
+    }
+    for n in 0..at.width {
+        for ((g, re), im) in gamma.iter().zip(&mut rows.re).zip(&mut rows.im) {
+            re[n] = g.re;
+            im[n] = g.im;
+        }
+        step(&mut gamma, &omega);
+    }
+    let mut phasor = [c64::ONE; L];
+    for _ in 0..at.m0 {
+        step(&mut phasor, &phi);
+    }
+    for (acc_re, acc_im) in tile.re.iter_mut().zip(&mut tile.im).take(at.height) {
+        for n in 0..ROW {
+            let (mut r, mut i) = (acc_re[n], acc_im[n]);
+            for ((re, im), p) in rows.re.iter().zip(&rows.im).zip(&phasor) {
+                // The real and imaginary parts of `γ_k·Ω(τ_k)^n · Φ(θ_k)^m`.
+                let (a, b) = (re[n], im[n]);
+                r += a * p.re - b * p.im;
+                i += a * p.im + b * p.re;
+            }
+            acc_re[n] = r;
+            acc_im[n] = i;
+        }
+        step(&mut phasor, &phi);
+    }
+}
+
+/// One recurrence step of every lane: `x_k ← x_k·s_k`.
+#[inline(always)]
+fn step<const L: usize>(x: &mut [c64; L], s: &[c64; L]) {
+    for (x, s) in x.iter_mut().zip(s) {
+        *x *= *s;
+    }
 }
 
 /// The gap between `|x|` and the next larger `f64`: the unit the

@@ -208,7 +208,13 @@ impl Segment {
     /// segment — the core operation of the image method for specular
     /// reflections.
     pub fn mirror(self, p: Point) -> Point {
-        let d = match self.direction() {
+        self.mirror_along(self.direction(), p)
+    }
+
+    /// [`Segment::mirror`] given the segment's [`Segment::direction`], for
+    /// callers that mirror many points across one wall.
+    pub(crate) fn mirror_along(self, direction: Option<Vec2>, p: Point) -> Point {
+        let d = match direction {
             Some(d) => d,
             None => return p, // Degenerate wall: mirroring is identity.
         };

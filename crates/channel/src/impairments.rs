@@ -22,6 +22,7 @@
 use crate::rng::Rng;
 use spotfi_math::{c64, CMat};
 
+use crate::csi::ROW;
 use crate::ofdm::OfdmConfig;
 use crate::raytrace::Path;
 use crate::rng::{fill_standard_normal, normal, uniform_phase};
@@ -257,27 +258,138 @@ impl Impairments {
         packet_idx: usize,
         rng: &mut Rng,
     ) -> f64 {
-        let mut sto = 0.0;
-        if let Some(clock) = &self.clock {
-            sto = clock.sto_for_packet(packet_idx, rng);
-            apply_sto(csi, ofdm, sto);
+        let link = LinkImpairments::new(*self, ofdm);
+        let (sto, rotation) = link.draw_rotation(packet_idx, rng);
+        rotation.rotate(csi);
+        link.finish(csi, rng);
+        sto
+    }
+}
+
+/// [`Impairments`] with one link's constants computed once: the STO
+/// ramp's phase scale and the linear SNR. A packet draws its STO and
+/// carrier phase ([`LinkImpairments::draw_rotation`]), is rotated as it is
+/// written, then gets noise and quantization ([`LinkImpairments::finish`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LinkImpairments {
+    impairments: Impairments,
+    /// `−2π·f_δ`: the STO ramp's per-subcarrier phase per second of offset.
+    sto_phase_per_s: f64,
+    /// The linear SNR `10^(SNR/10)`, or `None` for noiseless CSI.
+    snr: Option<f64>,
+}
+
+impl LinkImpairments {
+    pub(crate) fn new(impairments: Impairments, ofdm: &OfdmConfig) -> Self {
+        LinkImpairments {
+            impairments,
+            sto_phase_per_s: sto_phase_per_s(ofdm),
+            snr: impairments.snr_db.map(linear_snr),
         }
-        if self.random_carrier_phase {
-            let phi = c64::cis(uniform_phase(rng));
-            for n in 0..csi.cols() {
-                for m in 0..csi.rows() {
-                    csi[(m, n)] *= phi;
+    }
+
+    /// Draws one packet's STO (0 with synchronized clocks), then its
+    /// carrier phase, and returns the STO with the rotation they make.
+    pub(crate) fn draw_rotation(&self, packet_idx: usize, rng: &mut Rng) -> (f64, Rotation) {
+        let mut sto = 0.0;
+        let mut rotation = Rotation::default();
+        if let Some(clock) = &self.impairments.clock {
+            sto = clock.sto_for_packet(packet_idx, rng);
+            rotation.sto_step = Some(c64::cis(self.sto_phase_per_s * sto));
+        }
+        if self.impairments.random_carrier_phase {
+            rotation.carrier = Some(c64::cis(uniform_phase(rng)));
+        }
+        (sto, rotation)
+    }
+
+    /// Adds the noise, then quantizes, each if enabled.
+    pub(crate) fn finish(&self, csi: &mut CMat, rng: &mut Rng) {
+        if let Some(snr) = self.snr {
+            add_awgn(csi, snr, rng);
+        }
+        if self.impairments.quantize {
+            quantize_intel5300(csi);
+        }
+    }
+}
+
+/// A packet's phase rotations of every CSI entry: the STO ramp
+/// `e^{−j·2π·f_δ·n·τ_s}` across subcarriers, then the common carrier
+/// phase. A disabled one is `None` and skips its multiply: multiplying by
+/// 1 is not a no-op on an infinity or a signed zero.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Rotation {
+    /// The STO ramp's step from one subcarrier to the next.
+    pub(crate) sto_step: Option<c64>,
+    /// The carrier phase `e^{jψ}`.
+    pub(crate) carrier: Option<c64>,
+}
+
+impl Rotation {
+    /// Rotates an entry whose subcarrier's STO ramp value is `ramp`.
+    #[inline(always)]
+    pub(crate) fn apply(&self, h: c64, ramp: c64) -> c64 {
+        let h = if self.sto_step.is_some() { h * ramp } else { h };
+        match self.carrier {
+            Some(phi) => h * phi,
+            None => h,
+        }
+    }
+
+    /// The STO ramp from the first subcarrier on.
+    pub(crate) fn ramp(&self) -> Ramp {
+        Ramp {
+            step: self.sto_step,
+            next: c64::ONE,
+        }
+    }
+
+    /// Rotates every entry of `csi` in place.
+    pub(crate) fn rotate(&self, csi: &mut CMat) {
+        let (rows, cols) = csi.shape();
+        let mut ramp = self.ramp();
+        for n0 in (0..cols).step_by(ROW) {
+            let block = ramp.next_block();
+            for (n, r) in (n0..cols.min(n0 + ROW)).zip(block) {
+                for m in 0..rows {
+                    csi[(m, n)] = self.apply(csi[(m, n)], r);
                 }
             }
         }
-        if let Some(snr_db) = self.snr_db {
-            apply_awgn(csi, snr_db, rng);
-        }
-        if self.quantize {
-            quantize_intel5300(csi);
-        }
-        sto
     }
+}
+
+/// The STO ramp, walked one block of subcarriers at a time by one phasor
+/// step per subcarrier, like `Ω(τ)^n` in [`crate::synthesize_csi`].
+pub(crate) struct Ramp {
+    step: Option<c64>,
+    next: c64,
+}
+
+impl Ramp {
+    /// The ramp over the next [`ROW`] subcarriers (unused 1s without an
+    /// STO).
+    pub(crate) fn next_block(&mut self) -> [c64; ROW] {
+        let mut block = [c64::ONE; ROW];
+        if let Some(step) = self.step {
+            for r in &mut block {
+                *r = self.next;
+                self.next *= step;
+            }
+        }
+        block
+    }
+}
+
+/// `−2π·f_δ`: the STO ramp's per-subcarrier phase per second of offset.
+fn sto_phase_per_s(ofdm: &OfdmConfig) -> f64 {
+    -2.0 * std::f64::consts::PI * ofdm.subcarrier_spacing_hz
+}
+
+/// `10^(SNR/10)`.
+fn linear_snr(snr_db: f64) -> f64 {
+    10f64.powf(snr_db / 10.0)
 }
 
 /// Adds the STO phase ramp `e^{−j·2π·f_δ·(n−1)·τ_s}` — identical across
@@ -285,31 +397,35 @@ impl Impairments {
 /// built by one phasor step per subcarrier, like `Ω(τ)^n` in
 /// [`crate::synthesize_csi`].
 pub fn apply_sto(csi: &mut CMat, ofdm: &OfdmConfig, sto_s: f64) {
-    let step = c64::cis(-2.0 * std::f64::consts::PI * ofdm.subcarrier_spacing_hz * sto_s);
-    let mut ramp = c64::ONE;
-    for n in 0..csi.cols() {
-        for m in 0..csi.rows() {
-            csi[(m, n)] *= ramp;
-        }
-        ramp *= step;
-    }
+    let rotation = Rotation {
+        sto_step: Some(c64::cis(sto_phase_per_s(ofdm) * sto_s)),
+        carrier: None,
+    };
+    rotation.rotate(csi);
 }
 
 /// Adds complex AWGN such that mean signal power / noise power = SNR.
 pub fn apply_awgn(csi: &mut CMat, snr_db: f64, rng: &mut Rng) {
+    add_awgn(csi, linear_snr(snr_db), rng);
+}
+
+/// [`apply_awgn`] at the linear SNR `snr`. One (re, im) pair of draws per
+/// entry, in column-major order, drawn into a stack buffer.
+fn add_awgn(csi: &mut CMat, snr: f64, rng: &mut Rng) {
+    /// Entries per buffer of draws: a 4-antenna tile.
+    const ENTRIES: usize = 4 * ROW;
     let n_elem = (csi.rows() * csi.cols()) as f64;
     let signal_power = csi.as_slice().iter().map(|z| z.norm_sqr()).sum::<f64>() / n_elem;
     if signal_power <= 0.0 {
         return;
     }
-    let noise_power = signal_power / 10f64.powf(snr_db / 10.0);
+    let noise_power = signal_power / snr;
     let sigma = (noise_power / 2.0).sqrt(); // per real component
-                                            // One (re, im) pair of draws per entry, in column-major order.
-    let mut z = vec![0.0; 2 * csi.rows() * csi.cols()];
-    fill_standard_normal(rng, &mut z);
-    let mut pairs = z.chunks_exact(2);
-    for n in 0..csi.cols() {
-        for (h, pair) in csi.col_mut(n).iter_mut().zip(&mut pairs) {
+    let mut z = [0.0; 2 * ENTRIES];
+    for chunk in csi.as_mut_slice().chunks_mut(ENTRIES) {
+        let z = &mut z[..2 * chunk.len()];
+        fill_standard_normal(rng, z);
+        for (h, pair) in chunk.iter_mut().zip(z.chunks_exact(2)) {
             *h += c64::new(sigma * pair[0], sigma * pair[1]);
         }
     }

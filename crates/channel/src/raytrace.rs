@@ -17,8 +17,8 @@
 
 use crate::array::AntennaArray;
 use crate::constants::SPEED_OF_LIGHT;
-use crate::floorplan::Floorplan;
-use crate::geometry::{Point, Segment};
+use crate::floorplan::{Floorplan, Wall};
+use crate::geometry::{Point, Segment, Vec2};
 use crate::propagation::friis_amplitude;
 
 /// How a path got from the target to the AP.
@@ -127,25 +127,30 @@ pub fn trace_paths(
     ap: &AntennaArray,
     cfg: &RaytraceConfig,
 ) -> Vec<Path> {
+    let walls: Vec<TraceWall> = plan
+        .walls()
+        .iter()
+        .map(|w| TraceWall::new(w, target))
+        .collect();
     let mut paths = Vec::new();
 
-    if let Some(p) = direct_path(plan, target, ap, cfg) {
+    if let Some(p) = direct_path(&walls, target, ap, cfg) {
         paths.push(p);
     }
     if cfg.max_reflection_order >= 1 {
-        for i in 0..plan.len() {
-            if let Some(p) = first_order_path(plan, target, ap, i, cfg) {
+        for i in 0..walls.len() {
+            if let Some(p) = first_order_path(&walls, target, ap, i, cfg) {
                 paths.push(p);
             }
         }
     }
     if cfg.max_reflection_order >= 2 {
-        for i in 0..plan.len() {
-            for j in 0..plan.len() {
+        for i in 0..walls.len() {
+            for j in 0..walls.len() {
                 if i == j {
                     continue;
                 }
-                if let Some(p) = second_order_path(plan, target, ap, i, j, cfg) {
+                if let Some(p) = second_order_path(&walls, target, ap, i, j, cfg) {
                     paths.push(p);
                 }
             }
@@ -159,6 +164,52 @@ pub fn trace_paths(
     }
     paths.truncate(cfg.max_paths);
     paths
+}
+
+/// One wall's constants for one trace, computed once instead of for every
+/// wall pair and every crossing: its unit direction, its amplitude
+/// reflection and transmission factors, and the target's image across it.
+struct TraceWall {
+    segment: Segment,
+    /// Unit direction `a → b`, `None` for a degenerate wall.
+    direction: Option<Vec2>,
+    /// [`crate::materials::Material::amplitude_reflection`].
+    reflection: f64,
+    /// [`crate::materials::Material::amplitude_transmission`].
+    transmission: f64,
+    /// The target mirrored across the wall's line.
+    target_image: Point,
+}
+
+impl TraceWall {
+    fn new(wall: &Wall, target: Point) -> Self {
+        let direction = wall.segment.direction();
+        TraceWall {
+            segment: wall.segment,
+            direction,
+            reflection: wall.material.amplitude_reflection(),
+            transmission: wall.material.amplitude_transmission(),
+            target_image: wall.segment.mirror_along(direction, target),
+        }
+    }
+
+    /// Mirror image of `p` across the wall's line.
+    fn mirror(&self, p: Point) -> Point {
+        self.segment.mirror_along(self.direction, p)
+    }
+}
+
+/// Combined one-way amplitude transmission factor of the walls the open
+/// segment `from → to` crosses, skipping the walls it bounces between:
+/// [`Floorplan::transmission_factor`] over the per-trace factors.
+fn transmission(walls: &[TraceWall], from: Point, to: Point, skip: [Option<usize>; 2]) -> f64 {
+    let ray = Segment::new(from, to);
+    walls
+        .iter()
+        .enumerate()
+        .filter(|(i, w)| !skip.contains(&Some(*i)) && ray.crosses_interior(w.segment))
+        .map(|(_, w)| w.transmission)
+        .product()
 }
 
 fn finish_path(
@@ -193,12 +244,12 @@ fn finish_path(
 }
 
 fn direct_path(
-    plan: &Floorplan,
+    walls: &[TraceWall],
     target: Point,
     ap: &AntennaArray,
     cfg: &RaytraceConfig,
 ) -> Option<Path> {
-    let trans = plan.transmission_factor(target, ap.position, None);
+    let trans = transmission(walls, target, ap.position, [None; 2]);
     finish_path(
         ap,
         PathKind::Direct,
@@ -210,14 +261,14 @@ fn direct_path(
 }
 
 fn first_order_path(
-    plan: &Floorplan,
+    walls: &[TraceWall],
     target: Point,
     ap: &AntennaArray,
     wall_idx: usize,
     cfg: &RaytraceConfig,
 ) -> Option<Path> {
-    let wall = plan.walls()[wall_idx];
-    let image = wall.segment.mirror(target);
+    let wall = &walls[wall_idx];
+    let image = wall.target_image;
     // The mirror ray from the image to the AP must hit the wall segment.
     let ray = Segment::new(image, ap.position);
     let (_, u) = ray.intersect_params(wall.segment)?;
@@ -230,9 +281,10 @@ fn first_order_path(
     if bounce.distance(target) < 1e-9 {
         return None;
     }
-    let amp = wall.material.amplitude_reflection()
-        * plan.transmission_factor(target, bounce, Some(wall_idx))
-        * plan.transmission_factor(bounce, ap.position, Some(wall_idx));
+    let skip = [Some(wall_idx), None];
+    let amp = wall.reflection
+        * transmission(walls, target, bounce, skip)
+        * transmission(walls, bounce, ap.position, skip);
     finish_path(
         ap,
         PathKind::Reflected {
@@ -246,18 +298,17 @@ fn first_order_path(
 }
 
 fn second_order_path(
-    plan: &Floorplan,
+    walls: &[TraceWall],
     target: Point,
     ap: &AntennaArray,
     first_wall: usize,
     second_wall: usize,
     cfg: &RaytraceConfig,
 ) -> Option<Path> {
-    let w1 = plan.walls()[first_wall];
-    let w2 = plan.walls()[second_wall];
+    let (w1, w2) = (&walls[first_wall], &walls[second_wall]);
     // Image of the target across wall 1, then that image across wall 2.
-    let image1 = w1.segment.mirror(target);
-    let image2 = w2.segment.mirror(image1);
+    let image1 = w1.target_image;
+    let image2 = w2.mirror(image1);
     // Trace backwards: AP ← bounce2 (on wall 2) ← bounce1 (on wall 1) ← target.
     let ray2 = Segment::new(image2, ap.position);
     let (_, u2) = ray2.intersect_params(w2.segment)?;
@@ -274,11 +325,16 @@ fn second_order_path(
     if bounce1.distance(target) < 1e-9 || bounce2.distance(bounce1) < 1e-9 {
         return None;
     }
-    let amp = w1.material.amplitude_reflection()
-        * w2.material.amplitude_reflection()
-        * plan.transmission_factor(target, bounce1, Some(first_wall))
-        * transmission_skip2(plan, bounce1, bounce2, first_wall, second_wall)
-        * plan.transmission_factor(bounce2, ap.position, Some(second_wall));
+    let amp = w1.reflection
+        * w2.reflection
+        * transmission(walls, target, bounce1, [Some(first_wall), None])
+        * transmission(
+            walls,
+            bounce1,
+            bounce2,
+            [Some(first_wall), Some(second_wall)],
+        )
+        * transmission(walls, bounce2, ap.position, [Some(second_wall), None]);
     finish_path(
         ap,
         PathKind::Reflected {
@@ -289,15 +345,6 @@ fn second_order_path(
         2.0 * REFLECTION_PHASE,
         cfg,
     )
-}
-
-/// Transmission factor for a leg that must ignore two walls (the ones it
-/// bounces between).
-fn transmission_skip2(plan: &Floorplan, from: Point, to: Point, skip1: usize, skip2: usize) -> f64 {
-    plan.walls_crossed(from, to, Some(skip1))
-        .filter(|(i, _)| *i != skip2)
-        .map(|(_, w)| w.material.amplitude_transmission())
-        .product()
 }
 
 #[cfg(test)]

@@ -48,18 +48,31 @@ impl RssiModel {
     /// simply their sum of squares (incoherent sum — RSSI is averaged over
     /// the packet, washing out inter-path phase).
     pub fn rssi_dbm(&self, paths: &[Path], rng: &mut Rng) -> Option<f64> {
+        let mean = self.mean_dbm(paths)?;
+        Some(self.packet_dbm(mean, rng))
+    }
+
+    /// The RSSI before shadowing and quantization: constant while the
+    /// paths are, so a link computes it once per trace. `None` when the
+    /// paths carry no power (nothing heard).
+    pub(crate) fn mean_dbm(&self, paths: &[Path]) -> Option<f64> {
         let power: f64 = paths.iter().map(|p| p.amplitude * p.amplitude).sum();
         if power <= 0.0 {
-            return None; // Nothing heard.
+            return None;
         }
-        let mut rssi = self.tx_power_dbm + 10.0 * power.log10();
+        Some(self.tx_power_dbm + 10.0 * power.log10())
+    }
+
+    /// One packet's RSSI around `mean_dbm`: shadowed, then quantized.
+    pub(crate) fn packet_dbm(&self, mean_dbm: f64, rng: &mut Rng) -> f64 {
+        let mut rssi = mean_dbm;
         if self.shadowing_std_db > 0.0 {
             rssi = normal(rng, rssi, self.shadowing_std_db);
         }
         if self.quantize {
             rssi = rssi.round();
         }
-        Some(rssi)
+        rssi
     }
 }
 

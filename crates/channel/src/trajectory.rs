@@ -11,10 +11,11 @@
 //! never re-traced, so both share one per-packet impairment chain.
 
 use crate::array::AntennaArray;
-use crate::csi::synthesize_csi;
+use crate::csi::{synthesize_csi, synthesize_into};
 use crate::floorplan::Floorplan;
 use crate::geometry::Point;
-use crate::impairments::JitterProcess;
+use crate::impairments::{JitterProcess, LinkImpairments};
+use crate::ofdm::OfdmConfig;
 use crate::raytrace::{trace_paths, Path};
 use crate::rng::Rng;
 use crate::trace::{CsiPacket, PacketTrace, TraceConfig};
@@ -139,8 +140,7 @@ pub fn generate_moving(
     }
     let ground_truth_paths: Vec<Path> = paths.clone();
 
-    let mut all_paths = with_diffuse(&paths, tcfg, rng);
-    let mut channel = LinkChannel::new(&all_paths, ap, tcfg);
+    let mut channel = LinkChannel::new(with_diffuse(&paths, tcfg, rng), ap, tcfg);
 
     let mut packets = Vec::with_capacity(num_packets);
     for p in 0..num_packets {
@@ -150,16 +150,14 @@ pub fn generate_moving(
             let fresh = trace_paths(plan, pos, ap, &tcfg.raytrace);
             if !fresh.is_empty() {
                 paths = fresh;
-                all_paths = with_diffuse(&paths, tcfg, rng);
-                channel = LinkChannel::new(&all_paths, ap, tcfg);
+                channel = LinkChannel::new(with_diffuse(&paths, tcfg, rng), ap, tcfg);
             }
             // A dead zone keeps the previous geometry: the link fades but
             // the trace keeps its packet cadence.
             traced_at = pos;
         }
-        let mut csi = channel.packet_csi(ap, tcfg, rng);
-        let sto = tcfg.impairments.apply(&mut csi, &tcfg.ofdm, p, rng);
-        let rssi = tcfg.rssi.rssi_dbm(&all_paths, rng)?;
+        let (csi, sto) = channel.packet(ap, &tcfg.ofdm, p, rng);
+        let rssi = tcfg.rssi.packet_dbm(channel.rssi_mean_dbm?, rng);
         packets.push(CsiPacket {
             csi,
             rssi_dbm: rssi,
@@ -181,27 +179,63 @@ fn with_diffuse(paths: &[Path], tcfg: &TraceConfig, rng: &mut Rng) -> Vec<Path> 
     all
 }
 
-/// Where a link's per-packet ideal CSI comes from between re-traces: a
-/// drifting jitter process, or — without path jitter — one matrix
+/// One traced link's packets between re-traces: where each packet's paths
+/// come from, the impairments with their per-link constants, and the
+/// RSSI before shadowing, all set once per (re-)trace.
+struct LinkChannel {
+    source: PathSource,
+    impairments: LinkImpairments,
+    /// `None` when the paths carry no power: the AP hears nothing.
+    rssi_mean_dbm: Option<f64>,
+}
+
+/// A drifting jitter process, or — without path jitter — one matrix
 /// synthesized once. Only the jittered channel draws randomness.
-enum LinkChannel {
+enum PathSource {
     Jittered(JitterProcess),
     Static(CMat),
 }
 
 impl LinkChannel {
-    fn new(all_paths: &[Path], ap: &AntennaArray, tcfg: &TraceConfig) -> Self {
-        match tcfg.impairments.path_jitter {
-            Some(jitter) => LinkChannel::Jittered(JitterProcess::new(all_paths.to_vec(), jitter)),
-            None => LinkChannel::Static(synthesize_csi(all_paths, ap, &tcfg.ofdm)),
+    fn new(all_paths: Vec<Path>, ap: &AntennaArray, tcfg: &TraceConfig) -> Self {
+        let rssi_mean_dbm = tcfg.rssi.mean_dbm(&all_paths);
+        let source = match tcfg.impairments.path_jitter {
+            Some(jitter) => PathSource::Jittered(JitterProcess::new(all_paths, jitter)),
+            None => PathSource::Static(synthesize_csi(&all_paths, ap, &tcfg.ofdm)),
+        };
+        LinkChannel {
+            source,
+            impairments: LinkImpairments::new(tcfg.impairments, &tcfg.ofdm),
+            rssi_mean_dbm,
         }
     }
 
-    fn packet_csi(&mut self, ap: &AntennaArray, tcfg: &TraceConfig, rng: &mut Rng) -> CMat {
-        match self {
-            LinkChannel::Jittered(process) => synthesize_csi(process.advance(rng), ap, &tcfg.ofdm),
-            LinkChannel::Static(csi) => csi.clone(),
-        }
+    /// Packet `packet_idx`'s impaired CSI and injected STO. Draws, in
+    /// order: the path jitter, the STO, the carrier phase, the noise.
+    fn packet(
+        &mut self,
+        ap: &AntennaArray,
+        ofdm: &OfdmConfig,
+        packet_idx: usize,
+        rng: &mut Rng,
+    ) -> (CMat, f64) {
+        let (sto, mut csi) = match &mut self.source {
+            PathSource::Jittered(process) => {
+                let paths = process.advance(rng);
+                let (sto, rotation) = self.impairments.draw_rotation(packet_idx, rng);
+                let mut csi = CMat::zeros(ap.num_antennas, ofdm.num_subcarriers);
+                synthesize_into(paths, ap, ofdm, &rotation, &mut csi);
+                (sto, csi)
+            }
+            PathSource::Static(clean) => {
+                let (sto, rotation) = self.impairments.draw_rotation(packet_idx, rng);
+                let mut csi = clean.clone();
+                rotation.rotate(&mut csi);
+                (sto, csi)
+            }
+        };
+        self.impairments.finish(&mut csi, rng);
+        (csi, sto)
     }
 }
 
@@ -295,6 +329,277 @@ mod tests {
         .unwrap();
         let sdrift = (&s.packets[0].csi - &s.packets[39].csi).max_abs();
         assert!(sdrift < 1e-15, "static target drifted ({})", sdrift);
+    }
+
+    /// The per-packet chain the fused kernel replaced, copied from before
+    /// the fusion: a fresh synthesis adding one path at a time into heap
+    /// rows, then `Impairments::apply`'s separate STO, carrier-phase, AWGN
+    /// and quantization passes. The reference the kernel must reproduce to
+    /// the bit.
+    mod composed {
+        use crate::array::AntennaArray;
+        use crate::constants::SPEED_OF_LIGHT;
+        use crate::impairments::{quantize_intel5300, Impairments};
+        use crate::ofdm::OfdmConfig;
+        use crate::raytrace::Path;
+        use crate::rng::{fill_standard_normal, uniform_phase, Rng};
+        use spotfi_math::{c64, CMat};
+
+        const PATH_LANES: usize = 4;
+
+        pub fn synthesize(paths: &[Path], array: &AntennaArray, ofdm: &OfdmConfig) -> CMat {
+            let m_ant = array.num_antennas;
+            let n_sub = ofdm.num_subcarriers;
+            let mut re = vec![0.0; m_ant * n_sub];
+            let mut im = vec![0.0; m_ant * n_sub];
+            let mut g_re = vec![0.0; PATH_LANES * n_sub];
+            let mut g_im = vec![0.0; PATH_LANES * n_sub];
+            for group in paths.chunks(PATH_LANES) {
+                let mut gamma = [c64::ZERO; PATH_LANES];
+                let mut omega = [c64::ZERO; PATH_LANES];
+                for ((g, w), path) in gamma.iter_mut().zip(&mut omega).zip(group) {
+                    let tof_phase_0 =
+                        -2.0 * std::f64::consts::PI * ofdm.subcarrier_freq(0) * path.tof_s;
+                    *g = c64::from_polar(path.amplitude, path.phase + tof_phase_0);
+                    *w = c64::cis(
+                        -2.0 * std::f64::consts::PI * ofdm.subcarrier_spacing_hz * path.tof_s,
+                    );
+                }
+                for n in 0..n_sub {
+                    for (lane, (g, w)) in gamma.iter_mut().zip(&omega).enumerate() {
+                        g_re[lane * n_sub + n] = g.re;
+                        g_im[lane * n_sub + n] = g.im;
+                        *g *= *w;
+                    }
+                }
+                for (lane, path) in group.iter().enumerate() {
+                    let spatial_step = -2.0
+                        * std::f64::consts::PI
+                        * array.spacing
+                        * path.sin_aoa
+                        * ofdm.carrier_hz
+                        / SPEED_OF_LIGHT;
+                    let phi = c64::cis(spatial_step);
+                    let lane = lane * n_sub..(lane + 1) * n_sub;
+                    let (lane_re, lane_im) = (&g_re[lane.clone()], &g_im[lane]);
+                    let mut phasor = c64::ONE;
+                    for m in 0..m_ant {
+                        let row = m * n_sub..(m + 1) * n_sub;
+                        let h_row = re[row.clone()].iter_mut().zip(&mut im[row]);
+                        for ((r, i), (a, b)) in h_row.zip(lane_re.iter().zip(lane_im)) {
+                            *r += a * phasor.re - b * phasor.im;
+                            *i += a * phasor.im + b * phasor.re;
+                        }
+                        phasor *= phi;
+                    }
+                }
+            }
+            CMat::from_fn(m_ant, n_sub, |m, n| {
+                c64::new(re[m * n_sub + n], im[m * n_sub + n])
+            })
+        }
+
+        pub fn apply(
+            imp: &Impairments,
+            csi: &mut CMat,
+            ofdm: &OfdmConfig,
+            packet_idx: usize,
+            rng: &mut Rng,
+        ) -> f64 {
+            let mut sto = 0.0;
+            if let Some(clock) = &imp.clock {
+                sto = clock.sto_for_packet(packet_idx, rng);
+                let step = c64::cis(-2.0 * std::f64::consts::PI * ofdm.subcarrier_spacing_hz * sto);
+                let mut ramp = c64::ONE;
+                for n in 0..csi.cols() {
+                    for m in 0..csi.rows() {
+                        csi[(m, n)] *= ramp;
+                    }
+                    ramp *= step;
+                }
+            }
+            if imp.random_carrier_phase {
+                let phi = c64::cis(uniform_phase(rng));
+                for n in 0..csi.cols() {
+                    for m in 0..csi.rows() {
+                        csi[(m, n)] *= phi;
+                    }
+                }
+            }
+            if let Some(snr_db) = imp.snr_db {
+                awgn(csi, snr_db, rng);
+            }
+            if imp.quantize {
+                quantize_intel5300(csi);
+            }
+            sto
+        }
+
+        fn awgn(csi: &mut CMat, snr_db: f64, rng: &mut Rng) {
+            let n_elem = (csi.rows() * csi.cols()) as f64;
+            let signal_power = csi.as_slice().iter().map(|z| z.norm_sqr()).sum::<f64>() / n_elem;
+            if signal_power <= 0.0 {
+                return;
+            }
+            let noise_power = signal_power / 10f64.powf(snr_db / 10.0);
+            let sigma = (noise_power / 2.0).sqrt();
+            let mut z = vec![0.0; 2 * csi.rows() * csi.cols()];
+            fill_standard_normal(rng, &mut z);
+            let mut pairs = z.chunks_exact(2);
+            for n in 0..csi.cols() {
+                for (h, pair) in csi.col_mut(n).iter_mut().zip(&mut pairs) {
+                    *h += c64::new(sigma * pair[0], sigma * pair[1]);
+                }
+            }
+        }
+
+        pub fn rssi_dbm(
+            model: &crate::rssi::RssiModel,
+            paths: &[Path],
+            rng: &mut Rng,
+        ) -> Option<f64> {
+            let power: f64 = paths.iter().map(|p| p.amplitude * p.amplitude).sum();
+            if power <= 0.0 {
+                return None;
+            }
+            let mut rssi = model.tx_power_dbm + 10.0 * power.log10();
+            if model.shadowing_std_db > 0.0 {
+                rssi = crate::rng::normal(rng, rssi, model.shadowing_std_db);
+            }
+            if model.quantize {
+                rssi = rssi.round();
+            }
+            Some(rssi)
+        }
+    }
+
+    fn random_paths(count: usize, amplitude: std::ops::Range<f64>, rng: &mut Rng) -> Vec<Path> {
+        use crate::raytrace::PathKind;
+        (0..count)
+            .map(|k| {
+                let aoa: f64 = rng.gen_range(-1.5..1.5);
+                let tof_s = rng.gen_range(0.0..400e-9);
+                Path {
+                    kind: match k % 3 {
+                        0 => PathKind::Direct,
+                        1 => PathKind::Reflected { walls: vec![k] },
+                        _ => PathKind::Diffuse,
+                    },
+                    length_m: tof_s * crate::constants::SPEED_OF_LIGHT,
+                    tof_s,
+                    sin_aoa: aoa.sin(),
+                    aoa_rad: aoa,
+                    amplitude: rng.gen_range(amplitude.clone()),
+                    phase: crate::rng::uniform_phase(rng),
+                    vertices: vec![],
+                }
+            })
+            .collect()
+    }
+
+    fn bits(csi: &CMat) -> Vec<u64> {
+        csi.as_slice()
+            .iter()
+            .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+            .collect()
+    }
+
+    #[test]
+    fn kernel_matches_the_composed_chain_bit_for_bit() {
+        use crate::impairments::{ClockModel, Impairments, PathJitter};
+        let ofdm = OfdmConfig::intel5300_40mhz();
+        // A grid wider than one 32-subcarrier block and an array taller
+        // than one 4-antenna tile exercise the tiling.
+        let wide = OfdmConfig {
+            num_subcarriers: 40,
+            ..ofdm
+        };
+        let shapes = [(1, ofdm), (3, ofdm), (4, ofdm), (6, wide)];
+        let mut gen = Rng::seed_from_u64(0xF05E);
+        let mut path_sets: Vec<Vec<Path>> = [0, 1, 3, 4, 5, 32, 33]
+            .iter()
+            .map(|&count| random_paths(count, 0.01..1.0, &mut gen))
+            .collect();
+        // Two in-phase paths near f64::MAX overflow some entries to ±∞,
+        // where a multiply by 1 in place of a skipped rotation turns the
+        // other component into NaN.
+        let mut hot = random_paths(1, 1e308..1.01e308, &mut gen);
+        hot.push(hot[0].clone());
+        path_sets.push(hot);
+
+        for flags in 0..16 {
+            let impairments = Impairments {
+                clock: (flags & 1 != 0).then(ClockModel::typical),
+                random_carrier_phase: flags & 2 != 0,
+                snr_db: (flags & 4 != 0).then_some(25.0),
+                quantize: flags & 8 != 0,
+                path_jitter: None,
+            };
+            for jitter in [Some(PathJitter::typical()), None] {
+                for &(m_ant, ofdm) in &shapes {
+                    let ap = AntennaArray {
+                        num_antennas: m_ant,
+                        ..ap()
+                    };
+                    for (set, paths) in path_sets.iter().enumerate() {
+                        let tcfg = TraceConfig {
+                            ofdm,
+                            impairments: Impairments {
+                                path_jitter: jitter,
+                                ..impairments
+                            },
+                            ..TraceConfig::commodity()
+                        };
+                        let mut link = LinkChannel::new(paths.clone(), &ap, &tcfg);
+                        let mut process = jitter.map(|j| JitterProcess::new(paths.clone(), j));
+                        let clean = composed::synthesize(paths, &ap, &ofdm);
+                        let seed = 1000 * flags as u64 + set as u64;
+                        let mut rng = Rng::seed_from_u64(seed);
+                        let mut reference_rng = Rng::seed_from_u64(seed);
+                        for p in 0..3 {
+                            let case = format!(
+                                "flags {flags:04b}, jitter {}, {m_ant}×{} grid, set {set}, packet {p}",
+                                jitter.is_some(),
+                                ofdm.num_subcarriers,
+                            );
+                            let (csi, sto) = link.packet(&ap, &ofdm, p, &mut rng);
+                            let rssi = link
+                                .rssi_mean_dbm
+                                .map(|m| tcfg.rssi.packet_dbm(m, &mut rng));
+                            let mut expected = match &mut process {
+                                Some(process) => composed::synthesize(
+                                    process.advance(&mut reference_rng),
+                                    &ap,
+                                    &ofdm,
+                                ),
+                                None => clean.clone(),
+                            };
+                            let expected_sto = composed::apply(
+                                &tcfg.impairments,
+                                &mut expected,
+                                &ofdm,
+                                p,
+                                &mut reference_rng,
+                            );
+                            let expected_rssi =
+                                composed::rssi_dbm(&tcfg.rssi, paths, &mut reference_rng);
+                            assert_eq!(bits(&csi), bits(&expected), "CSI, {case}");
+                            assert_eq!(sto.to_bits(), expected_sto.to_bits(), "STO, {case}");
+                            assert_eq!(
+                                rssi.map(f64::to_bits),
+                                expected_rssi.map(f64::to_bits),
+                                "RSSI, {case}"
+                            );
+                        }
+                        assert_eq!(
+                            format!("{rng:?}"),
+                            format!("{reference_rng:?}"),
+                            "RNG state, flags {flags:04b}, set {set}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

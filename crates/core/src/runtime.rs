@@ -5,7 +5,10 @@
 //! every unit of work at each level is independent and pure. This module
 //! provides the one primitive all three share: [`parallel_map_with`], an
 //! order-preserving indexed map over `std::thread::scope` workers with
-//! per-worker scratch state.
+//! per-worker scratch state. The calling thread is one of the workers: a
+//! section of `w` workers spawns `w − 1` scoped threads and the caller
+//! takes items alongside them instead of idling in the join: each spawn
+//! and join costs tens of microseconds, and a set-up opens many sections.
 //!
 //! **Determinism:** workers pull indices from a shared atomic counter, so
 //! *which* worker computes item `i` is racy — but item `i`'s result depends
@@ -15,18 +18,19 @@
 //! to a plain loop with no thread machinery at all.
 //!
 //! **Nesting:** one budget is never spent twice over. A call made on one of
-//! a section's worker threads runs as the plain serial loop, whatever its
-//! `threads` argument says, so a parallel map over targets whose items
-//! reach another parallel map (over a target's links, say) keeps one level
-//! of workers. Results are still returned in index order, so running inline
-//! changes no output bit.
+//! a section's workers (the caller included, while it runs items) runs as
+//! the plain serial loop, whatever its `threads` argument says, so a
+//! parallel map over targets whose items reach another parallel map (over
+//! a target's links, say) keeps one level of workers. Results are still
+//! returned in index order, so running inline changes no output bit.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 thread_local! {
-    /// Set on every worker thread [`parallel_map_with`] spawns.
+    /// Set on every worker thread [`parallel_map_with`] spawns, and on its
+    /// calling thread while that runs items.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -89,11 +93,12 @@ impl RuntimeConfig {
     }
 }
 
-/// Maps `f` over `0..n` with up to `threads` scoped workers, each carrying
-/// scratch state built once per worker by `init`. Results come back in
-/// index order. With `threads <= 1` (or `n <= 1`), or when called on a
-/// worker of an enclosing section, this degenerates to a plain serial loop —
-/// no threads, no atomics.
+/// Maps `f` over `0..n` with up to `threads` workers, each carrying
+/// scratch state built once per worker by `init`: the calling thread and
+/// `threads − 1` scoped threads. Results come back in index order. With
+/// `threads <= 1` (or `n <= 1`), or when called on a worker of an
+/// enclosing section, this degenerates to a plain serial loop — no
+/// threads, no atomics.
 pub fn parallel_map_with<T, S, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<T>
 where
     T: Send,
@@ -111,45 +116,58 @@ where
     let workers = threads.min(n);
     if spotfi_obs::enabled() {
         spotfi_obs::counter("runtime.parallel_sections", 1);
-        spotfi_obs::counter("runtime.workers_spawned", workers as u64);
+        spotfi_obs::counter("runtime.workers_spawned", (workers - 1) as u64);
         spotfi_obs::value("runtime.section_items", n as f64);
     }
     let next = AtomicUsize::new(0);
+    // One worker's share: items pulled from the shared counter until it
+    // runs dry, each tagged with its index.
+    let work = || {
+        let mut scratch = init();
+        let mut out: Vec<(usize, T)> = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            if out.is_empty() && spotfi_obs::enabled() {
+                // Queue depth seen by this worker as it starts.
+                spotfi_obs::value("runtime.queue_depth_at_start", (n - i) as f64);
+            }
+            out.push((i, f(&mut scratch, i)));
+        }
+        if spotfi_obs::enabled() {
+            // Per-worker utilization: items each worker processed.
+            spotfi_obs::value("runtime.worker_items", out.len() as f64);
+        }
+        out
+    };
     let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
 
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let next = &next;
-            let f = &f;
-            let init = &init;
-            handles.push(scope.spawn(move || {
-                IN_WORKER.set(true);
-                let mut scratch = init();
-                let mut out: Vec<(usize, T)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    if out.is_empty() && spotfi_obs::enabled() {
-                        // Queue depth seen by this worker as it starts.
-                        spotfi_obs::value("runtime.queue_depth_at_start", (n - i) as f64);
-                    }
-                    out.push((i, f(&mut scratch, i)));
-                }
-                if spotfi_obs::enabled() {
-                    // Per-worker utilization: items each worker processed.
-                    spotfi_obs::value("runtime.worker_items", out.len() as f64);
-                }
-                // Merge this worker's observability shard before the closure
-                // returns: the explicit join below does wait for thread-local
-                // destructors, but flushing here keeps the metrics contract
-                // independent of how the section is joined.
-                spotfi_obs::flush_thread();
-                out
-            }));
+        let work = &work;
+        let handles: Vec<_> = (1..workers)
+            .map(|_| {
+                scope.spawn(move || {
+                    IN_WORKER.set(true);
+                    let out = work();
+                    // Merge this worker's observability shard before the
+                    // closure returns: the explicit join below does wait for
+                    // thread-local destructors, but flushing here keeps the
+                    // metrics contract independent of how the section is
+                    // joined.
+                    spotfi_obs::flush_thread();
+                    out
+                })
+            })
+            .collect();
+        // The calling thread is a worker too, for the section's length.
+        let caller = CallerAsWorker::enter();
+        let own = work();
+        drop(caller);
+        for (i, v) in own {
+            slots[i] = Some(v);
         }
         for h in handles {
             for (i, v) in h.join().expect("runtime worker panicked") {
@@ -161,6 +179,23 @@ where
         .into_iter()
         .map(|s| s.expect("every index computed exactly once"))
         .collect()
+}
+
+/// Marks the calling thread as a section worker until dropped (also on
+/// unwind), so that sections its items open run inline.
+struct CallerAsWorker;
+
+impl CallerAsWorker {
+    fn enter() -> Self {
+        IN_WORKER.set(true);
+        CallerAsWorker
+    }
+}
+
+impl Drop for CallerAsWorker {
+    fn drop(&mut self) {
+        IN_WORKER.set(false);
+    }
 }
 
 #[cfg(test)]

@@ -106,6 +106,12 @@ impl CMat {
         &self.data
     }
 
+    /// Mutable raw column-major storage.
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [c64] {
+        &mut self.data
+    }
+
     /// A column as a slice (contiguous thanks to column-major layout).
     #[inline]
     pub fn col(&self, c: usize) -> &[c64] {
