@@ -57,17 +57,6 @@ pub struct MusicAoaSpectrum {
 }
 
 impl MusicAoaSpectrum {
-    /// AoA of the global spectrum maximum, degrees.
-    pub fn argmax_deg(&self) -> f64 {
-        let mut best = (0usize, f64::MIN);
-        for (i, &v) in self.values.iter().enumerate() {
-            if v > best.1 {
-                best = (i, v);
-            }
-        }
-        self.aoa_grid_deg.value(best.0)
-    }
-
     /// Local maxima as `(aoa_deg, value)` pairs, strongest first, up to
     /// `max_peaks`.
     pub fn peaks(&self, max_peaks: usize) -> Vec<(f64, f64)> {
@@ -312,11 +301,8 @@ mod tests {
     fn single_path_peak_at_truth() {
         let csi = csi_for_paths(&[(25.0, 40.0, c64::ONE)]);
         let spec = music_aoa_spectrum(&csi, &cfg()).unwrap();
-        assert!(
-            (spec.argmax_deg() - 25.0).abs() <= 2.0,
-            "{}",
-            spec.argmax_deg()
-        );
+        let peak = spec.peaks(1)[0].0;
+        assert!((peak - 25.0).abs() <= 2.0, "{}", peak);
     }
 
     #[test]
@@ -389,7 +375,7 @@ mod tests {
         let csi = csi_for_paths(&[(-30.0, 80.0, c64::ONE), (40.0, 80.0, c64::ONE)]);
         let spec = music_aoa_spectrum(&csi, &cfg()).unwrap();
         assert!(spec.values.iter().all(|v| v.is_finite() && *v > 0.0));
-        let peak = spec.argmax_deg();
+        let peak = spec.peaks(1)[0].0;
         assert!((-90.0..=90.0).contains(&peak), "peak {} out of range", peak);
         // This limitation is exactly why the paper needs joint AoA/ToF
         // estimation: document that the coherent case is NOT resolved.

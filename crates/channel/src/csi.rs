@@ -10,16 +10,15 @@
 //! where `f_n` is the absolute subcarrier frequency. Expanding
 //! `f_n = f_0 + n·f_δ` shows this is exactly the paper's model: a per-path
 //! complex gain `γ_k = g_k·e^{jφ_k}·e^{−j2π f_0 τ_k}` times
-//! `Ω(τ_k)^n · Φ(θ_k)^m` (Eqs. 1, 6, 7). [`synthesize_csi`] evaluates it in
+//! `Ω(τ_k)^n · Φ(θ_k)^m` (Eqs. 1, 6, 7). [`synthesize_into`] evaluates it in
 //! that form: `γ_k` (one `cis` of `φ_k − 2π f_0 τ_k`), `Ω(τ_k)` and
 //! `Φ(θ_k)` once per path, then one multiply by `Ω(τ_k)` per subcarrier and
 //! by `Φ(θ_k)` per antenna.
 //!
-//! One allocation-free kernel does this for [`synthesize_csi`] and for
-//! every packet the simulator generates. It fills tiles of up to 4 antennas
-//! × 32 subcarriers held in fixed-size stack arrays; the Intel 5300's 3 × 30
-//! grid is one tile, its rows padded to 32 so that the row loops have no
-//! vector remainder. Four paths' `Ω` recurrences run interleaved into a
+//! This one allocation-free kernel synthesizes every packet the simulator
+//! generates. It fills tiles of up to 4 antennas × 32 subcarriers held in
+//! fixed-size stack arrays; the Intel 5300's 3 × 30 grid is one tile, its
+//! rows padded to 32 so that the row loops have no vector remainder. Four paths' `Ω` recurrences run interleaved into a
 //! block of rows, then each antenna's accumulator row takes all four paths'
 //! terms, in path order, in one pass. A packet's STO ramp and carrier phase
 //! ([`crate::impairments`]) are applied as the tile is written into the
@@ -52,14 +51,6 @@ const TILE_ANTENNAS: usize = 4;
 /// previous product's latency), and whose terms one pass over an
 /// accumulator row adds.
 const PATH_LANES: usize = 4;
-
-/// Synthesizes the ideal (impairment-free) CSI matrix
-/// (`num_antennas × num_subcarriers`) for the given paths.
-pub fn synthesize_csi(paths: &[Path], array: &AntennaArray, ofdm: &OfdmConfig) -> CMat {
-    let mut h = CMat::zeros(array.num_antennas, ofdm.num_subcarriers);
-    synthesize_into(paths, array, ofdm, &Rotation::default(), &mut h);
-    h
-}
 
 /// The synthesis kernel: writes the CSI of `paths`, each entry rotated by
 /// `rotation`, into `out` (`num_antennas × num_subcarriers`).
@@ -222,6 +213,14 @@ mod tests {
         )
     }
 
+    /// The ideal (impairment-free) CSI of `paths`: the kernel with no
+    /// rotation.
+    fn ideal_csi(paths: &[Path], array: &AntennaArray, ofdm: &OfdmConfig) -> CMat {
+        let mut h = CMat::zeros(array.num_antennas, ofdm.num_subcarriers);
+        synthesize_into(paths, array, ofdm, &Rotation::default(), &mut h);
+        h
+    }
+
     fn make_path(tof_ns: f64, aoa_deg: f64, amplitude: f64) -> Path {
         let aoa = aoa_deg.to_radians();
         Path {
@@ -290,7 +289,7 @@ mod tests {
 
     /// Worst `|recurrence − naive| / bound` over the matrix.
     fn worst_bound_ratio(paths: &[Path], array: &AntennaArray, ofdm: &OfdmConfig) -> f64 {
-        let fast = synthesize_csi(paths, array, ofdm);
+        let fast = ideal_csi(paths, array, ofdm);
         let slow = naive_synthesis(paths, array, ofdm);
         assert_eq!(fast.shape(), slow.shape());
         let bound = synthesis_bound(paths, ofdm);
@@ -343,7 +342,7 @@ mod tests {
 
     #[test]
     fn dimensions_match_config() {
-        let h = synthesize_csi(
+        let h = ideal_csi(
             &[make_path(20.0, 10.0, 1.0)],
             &test_array(),
             &OfdmConfig::intel5300_40mhz(),
@@ -353,7 +352,7 @@ mod tests {
 
     #[test]
     fn single_path_has_unit_modulus_structure() {
-        let h = synthesize_csi(
+        let h = ideal_csi(
             &[make_path(35.0, -20.0, 0.7)],
             &test_array(),
             &OfdmConfig::intel5300_40mhz(),
@@ -370,7 +369,7 @@ mod tests {
     fn subcarrier_phase_ramp_encodes_tof() {
         let ofdm = OfdmConfig::intel5300_40mhz();
         let tof_ns = 50.0;
-        let h = synthesize_csi(&[make_path(tof_ns, 0.0, 1.0)], &test_array(), &ofdm);
+        let h = ideal_csi(&[make_path(tof_ns, 0.0, 1.0)], &test_array(), &ofdm);
         // Phase difference between adjacent subcarriers = −2π·f_δ·τ (Eq. 6).
         let expected = -2.0 * std::f64::consts::PI * ofdm.subcarrier_spacing_hz * tof_ns * 1e-9;
         for n in 1..30 {
@@ -385,7 +384,7 @@ mod tests {
         let ofdm = OfdmConfig::intel5300_40mhz();
         let arr = test_array();
         let aoa_deg = 30.0;
-        let h = synthesize_csi(&[make_path(20.0, aoa_deg, 1.0)], &arr, &ofdm);
+        let h = ideal_csi(&[make_path(20.0, aoa_deg, 1.0)], &arr, &ofdm);
         let expected = -2.0
             * std::f64::consts::PI
             * arr.spacing
@@ -407,7 +406,7 @@ mod tests {
         // differential phase across subcarriers; in our synthesis the
         // antenna step is evaluated at the carrier, so it is exactly
         // constant.
-        let h = synthesize_csi(
+        let h = ideal_csi(
             &[make_path(0.0, 42.0, 1.0)],
             &test_array(),
             &OfdmConfig::intel5300_40mhz(),
@@ -425,9 +424,9 @@ mod tests {
         let arr = test_array();
         let p1 = make_path(20.0, 10.0, 1.0);
         let p2 = make_path(45.0, -35.0, 0.5);
-        let h1 = synthesize_csi(std::slice::from_ref(&p1), &arr, &ofdm);
-        let h2 = synthesize_csi(std::slice::from_ref(&p2), &arr, &ofdm);
-        let h12 = synthesize_csi(&[p1, p2], &arr, &ofdm);
+        let h1 = ideal_csi(std::slice::from_ref(&p1), &arr, &ofdm);
+        let h2 = ideal_csi(std::slice::from_ref(&p2), &arr, &ofdm);
+        let h12 = ideal_csi(&[p1, p2], &arr, &ofdm);
         let sum = &h1 + &h2;
         assert!((&h12 - &sum).max_abs() < 1e-12);
     }
@@ -437,9 +436,9 @@ mod tests {
         let ofdm = OfdmConfig::intel5300_40mhz();
         let arr = test_array();
         let mut p = make_path(20.0, 10.0, 1.0);
-        let h0 = synthesize_csi(&[p.clone()], &arr, &ofdm);
+        let h0 = ideal_csi(&[p.clone()], &arr, &ofdm);
         p.phase = std::f64::consts::FRAC_PI_2;
-        let h90 = synthesize_csi(&[p], &arr, &ofdm);
+        let h90 = ideal_csi(&[p], &arr, &ofdm);
         // Rotating the path phase rotates every CSI entry by the same angle.
         let rot = (h90[(0, 0)] / h0[(0, 0)]).arg();
         assert!((rot - std::f64::consts::FRAC_PI_2).abs() < 1e-12);

@@ -113,14 +113,6 @@ impl Floorplan {
             .filter(move |(i, w)| Some(*i) != skip && ray.crosses_interior(w.segment))
     }
 
-    /// Combined one-way amplitude transmission factor for all walls crossed
-    /// by `from → to` (1.0 in free space, → 0 through many/thick walls).
-    pub fn transmission_factor(&self, from: Point, to: Point, skip: Option<usize>) -> f64 {
-        self.walls_crossed(from, to, skip)
-            .map(|(_, w)| w.material.amplitude_transmission())
-            .product()
-    }
-
     /// `true` if `from → to` crosses no wall interior — i.e. the two points
     /// are in line of sight.
     pub fn line_of_sight(&self, from: Point, to: Point) -> bool {
@@ -158,10 +150,6 @@ mod tests {
         let f = Floorplan::empty();
         assert!(f.is_empty());
         assert!(f.line_of_sight(Point::new(0.0, 0.0), Point::new(100.0, 50.0)));
-        assert_eq!(
-            f.transmission_factor(Point::new(0.0, 0.0), Point::new(1.0, 0.0), None),
-            1.0
-        );
     }
 
     #[test]
@@ -176,26 +164,6 @@ mod tests {
         assert!(f.line_of_sight(Point::new(0.0, 0.0), Point::new(0.5, 0.0)));
         // Passing over the wall's end does not cross it.
         assert!(f.line_of_sight(Point::new(0.0, 2.0), Point::new(2.0, 2.0)));
-    }
-
-    #[test]
-    fn transmission_multiplies_across_walls() {
-        let mut f = Floorplan::empty();
-        f.add_wall(
-            Point::new(1.0, -1.0),
-            Point::new(1.0, 1.0),
-            Material::DRYWALL,
-        );
-        f.add_wall(
-            Point::new(2.0, -1.0),
-            Point::new(2.0, 1.0),
-            Material::DRYWALL,
-        );
-        let t1 = f.transmission_factor(Point::new(0.0, 0.0), Point::new(1.5, 0.0), None);
-        let t2 = f.transmission_factor(Point::new(0.0, 0.0), Point::new(3.0, 0.0), None);
-        let single = Material::DRYWALL.amplitude_transmission();
-        assert!((t1 - single).abs() < 1e-12);
-        assert!((t2 - single * single).abs() < 1e-12);
     }
 
     #[test]

@@ -58,11 +58,6 @@ impl Vec2 {
         self.x.hypot(self.y)
     }
 
-    /// Squared length.
-    pub fn length_sq(self) -> f64 {
-        self.x * self.x + self.y * self.y
-    }
-
     /// Dot product.
     pub fn dot(self, other: Vec2) -> f64 {
         self.x * other.x + self.y * other.y
@@ -188,12 +183,6 @@ impl Segment {
         }
     }
 
-    /// Intersection point of two segments, if any.
-    pub fn intersect(self, other: Segment) -> Option<Point> {
-        self.intersect_params(other)
-            .map(|(t, _)| self.a + (self.b - self.a) * t)
-    }
-
     /// `true` if the open interior of `self` crosses `other` — endpoints
     /// touching don't count. Used for wall-crossing tests so a ray that ends
     /// exactly on a wall (a reflection point) is not double-counted.
@@ -239,7 +228,6 @@ mod tests {
     fn vector_basics() {
         let v = Vec2::new(3.0, 4.0);
         assert_eq!(v.length(), 5.0);
-        assert_eq!(v.length_sq(), 25.0);
         assert_eq!(v.dot(Vec2::new(1.0, 0.0)), 3.0);
         assert_eq!(v.cross(Vec2::new(1.0, 0.0)), -4.0);
         let n = v.normalized().unwrap();
@@ -267,7 +255,9 @@ mod tests {
     fn segments_cross() {
         let s1 = Segment::new(Point::new(0.0, 0.0), Point::new(2.0, 2.0));
         let s2 = Segment::new(Point::new(0.0, 2.0), Point::new(2.0, 0.0));
-        let p = s1.intersect(s2).unwrap();
+        let (t, u) = s1.intersect_params(s2).unwrap();
+        assert!((t - 0.5).abs() < 1e-12 && (u - 0.5).abs() < 1e-12);
+        let p = s1.a + (s1.b - s1.a) * t;
         assert!((p.x - 1.0).abs() < 1e-12 && (p.y - 1.0).abs() < 1e-12);
     }
 
@@ -275,9 +265,9 @@ mod tests {
     fn segments_miss() {
         let s1 = Segment::new(Point::new(0.0, 0.0), Point::new(1.0, 0.0));
         let s2 = Segment::new(Point::new(0.0, 1.0), Point::new(1.0, 1.0));
-        assert!(s1.intersect(s2).is_none(), "parallel");
+        assert!(s1.intersect_params(s2).is_none(), "parallel");
         let s3 = Segment::new(Point::new(3.0, -1.0), Point::new(3.0, 1.0));
-        assert!(s1.intersect(s3).is_none(), "out of range");
+        assert!(s1.intersect_params(s3).is_none(), "out of range");
     }
 
     #[test]

@@ -52,15 +52,6 @@ impl ClockModel {
         }
     }
 
-    /// Perfectly synchronized clocks (for ablations).
-    pub fn synchronized() -> Self {
-        ClockModel {
-            base_sto_s: 0.0,
-            sfo_drift_s_per_packet: 0.0,
-            detection_jitter_s: 0.0,
-        }
-    }
-
     /// The sampling time offset applied to packet `packet_idx`.
     pub fn sto_for_packet(&self, packet_idx: usize, rng: &mut Rng) -> f64 {
         self.base_sto_s
@@ -144,15 +135,18 @@ impl PathJitter {
 /// deviations are exactly the [`PathJitter`] σ's, so long windows (the
 /// 170-packet Fig. 5c trace) see the full spread while short windows see a
 /// slowly drifting — i.e. *biased*, not averaging-out — channel.
-pub struct JitterProcess {
-    paths: Vec<Path>,
+///
+/// The nominal paths stay with the link that owns the process, which
+/// passes them to every [`JitterProcess::advance`].
+pub(crate) struct JitterProcess {
     jitter: PathJitter,
     /// Per-path stationary sigmas, in `state`'s layout.
     sigmas: Vec<[f64; 4]>,
     /// Per-path deviations `[tof_s, aoa_rad, phase_rad, amp_frac]`.
     state: Vec<[f64; 4]>,
-    /// The latest packet's perturbed paths: `paths` with the deviations
-    /// applied, rewritten in place by every [`JitterProcess::advance`].
+    /// The latest packet's perturbed paths: the nominal paths with the
+    /// deviations applied, rewritten in place by every
+    /// [`JitterProcess::advance`].
     perturbed: Vec<Path>,
     /// One packet's standard normal draws, four per path in `state`'s
     /// layout.
@@ -162,12 +156,11 @@ pub struct JitterProcess {
 
 impl JitterProcess {
     /// Creates the process around the nominal `paths`.
-    pub fn new(paths: Vec<Path>, jitter: PathJitter) -> Self {
+    pub(crate) fn new(paths: &[Path], jitter: PathJitter) -> Self {
         let sigmas = paths.iter().map(|p| jitter.sigmas(p)).collect();
         let n = paths.len();
         JitterProcess {
-            perturbed: paths.clone(),
-            paths,
+            perturbed: paths.to_vec(),
             jitter,
             sigmas,
             state: vec![[0.0; 4]; n],
@@ -176,8 +169,10 @@ impl JitterProcess {
         }
     }
 
-    /// Advances one packet and returns that packet's perturbed paths.
-    pub fn advance(&mut self, rng: &mut Rng) -> &[Path] {
+    /// Advances one packet and returns that packet's perturbed `paths`,
+    /// the nominal paths the process was created around.
+    pub(crate) fn advance(&mut self, paths: &[Path], rng: &mut Rng) -> &[Path] {
+        assert_eq!(paths.len(), self.state.len(), "nominal path count");
         let rho = self.jitter.correlation.clamp(0.0, 0.999_999);
         let innov = (1.0 - rho * rho).sqrt();
         fill_standard_normal(rng, &mut self.draws);
@@ -197,7 +192,7 @@ impl JitterProcess {
         }
         self.started = true;
 
-        for ((q, p), st) in self.perturbed.iter_mut().zip(&self.paths).zip(&self.state) {
+        for ((q, p), st) in self.perturbed.iter_mut().zip(paths).zip(&self.state) {
             q.tof_s = (p.tof_s + st[0]).max(0.0);
             q.aoa_rad = (p.aoa_rad + st[1])
                 .clamp(-std::f64::consts::FRAC_PI_2, std::f64::consts::FRAC_PI_2);
@@ -247,22 +242,6 @@ impl Impairments {
             quantize: false,
             path_jitter: None,
         }
-    }
-
-    /// Applies all enabled impairments to an ideal CSI matrix, in place,
-    /// returning the STO that was injected (for tests / oracles).
-    pub fn apply(
-        &self,
-        csi: &mut CMat,
-        ofdm: &OfdmConfig,
-        packet_idx: usize,
-        rng: &mut Rng,
-    ) -> f64 {
-        let link = LinkImpairments::new(*self, ofdm);
-        let (sto, rotation) = link.draw_rotation(packet_idx, rng);
-        rotation.rotate(csi);
-        link.finish(csi, rng);
-        sto
     }
 }
 
@@ -361,7 +340,7 @@ impl Rotation {
 }
 
 /// The STO ramp, walked one block of subcarriers at a time by one phasor
-/// step per subcarrier, like `Ω(τ)^n` in [`crate::synthesize_csi`].
+/// step per subcarrier, like `Ω(τ)^n` in the CSI synthesis.
 pub(crate) struct Ramp {
     step: Option<c64>,
     next: c64,
@@ -394,8 +373,8 @@ fn linear_snr(snr_db: f64) -> f64 {
 
 /// Adds the STO phase ramp `e^{−j·2π·f_δ·(n−1)·τ_s}` — identical across
 /// antennas, linear across subcarriers (paper Sec. 3.2.2). The ramp is
-/// built by one phasor step per subcarrier, like `Ω(τ)^n` in
-/// [`crate::synthesize_csi`].
+/// built by one phasor step per subcarrier, like `Ω(τ)^n` in the CSI
+/// synthesis.
 pub fn apply_sto(csi: &mut CMat, ofdm: &OfdmConfig, sto_s: f64) {
     let rotation = Rotation {
         sto_step: Some(c64::cis(sto_phase_per_s(ofdm) * sto_s)),
@@ -404,13 +383,9 @@ pub fn apply_sto(csi: &mut CMat, ofdm: &OfdmConfig, sto_s: f64) {
     rotation.rotate(csi);
 }
 
-/// Adds complex AWGN such that mean signal power / noise power = SNR.
-pub fn apply_awgn(csi: &mut CMat, snr_db: f64, rng: &mut Rng) {
-    add_awgn(csi, linear_snr(snr_db), rng);
-}
-
-/// [`apply_awgn`] at the linear SNR `snr`. One (re, im) pair of draws per
-/// entry, in column-major order, drawn into a stack buffer.
+/// Adds complex AWGN such that mean signal power / noise power = `snr`
+/// (linear). One (re, im) pair of draws per entry, in column-major order,
+/// drawn into a stack buffer.
 fn add_awgn(csi: &mut CMat, snr: f64, rng: &mut Rng) {
     /// Entries per buffer of draws: a 4-antenna tile.
     const ENTRIES: usize = 4 * ROW;
@@ -467,13 +442,29 @@ mod tests {
         })
     }
 
+    /// Every enabled impairment applied to an ideal matrix in place, in a
+    /// packet's order; returns the injected STO.
+    fn impair(
+        imp: Impairments,
+        csi: &mut CMat,
+        ofdm: &OfdmConfig,
+        packet_idx: usize,
+        rng: &mut Rng,
+    ) -> f64 {
+        let link = LinkImpairments::new(imp, ofdm);
+        let (sto, rotation) = link.draw_rotation(packet_idx, rng);
+        rotation.rotate(csi);
+        link.finish(csi, rng);
+        sto
+    }
+
     #[test]
     fn none_is_identity() {
         let mut csi = test_csi();
         let orig = csi.clone();
         let ofdm = OfdmConfig::intel5300_40mhz();
         let mut rng = Rng::seed_from_u64(1);
-        let sto = Impairments::none().apply(&mut csi, &ofdm, 0, &mut rng);
+        let sto = impair(Impairments::none(), &mut csi, &ofdm, 0, &mut rng);
         assert_eq!(sto, 0.0);
         assert!((&csi - &orig).max_abs() < 1e-15);
     }
@@ -635,11 +626,11 @@ mod tests {
             ..PathJitter::typical()
         };
         for jitter in [PathJitter::typical(), wild] {
-            let mut process = JitterProcess::new(paths.clone(), jitter);
+            let mut process = JitterProcess::new(&paths, jitter);
             let mut rng = Rng::seed_from_u64(0xADCE);
             let reference = cloning_advance(&paths, jitter, 64, &mut Rng::seed_from_u64(0xADCE));
             for (packet, expected) in reference.iter().enumerate() {
-                let got = process.advance(&mut rng);
+                let got = process.advance(&paths, &mut rng);
                 assert_eq!(got.len(), expected.len());
                 for (k, (g, e)) in got.iter().zip(expected).enumerate() {
                     assert_eq!(path_bits(g), path_bits(e), "packet {packet}, path {k}");
@@ -660,7 +651,7 @@ mod tests {
         for _ in 0..200 {
             let clean = test_csi();
             let mut noisy = clean.clone();
-            apply_awgn(&mut noisy, snr_db, &mut rng);
+            add_awgn(&mut noisy, linear_snr(snr_db), &mut rng);
             let diff = &noisy - &clean;
             noise_power_sum += diff.as_slice().iter().map(|z| z.norm_sqr()).sum::<f64>();
             signal_power_sum += clean.as_slice().iter().map(|z| z.norm_sqr()).sum::<f64>();
@@ -716,7 +707,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(3);
         let mut csi = test_csi();
         let orig = csi.clone();
-        imp.apply(&mut csi, &ofdm, 0, &mut rng);
+        impair(imp, &mut csi, &ofdm, 0, &mut rng);
         // All entries rotated by the same phase.
         let rot = csi[(0, 0)] / orig[(0, 0)];
         assert!((rot.abs() - 1.0).abs() < 1e-12);

@@ -17,7 +17,7 @@
 //!    attenuation) and first/second-order specular reflections via the image
 //!    method; each path gets a length, a ToF, an AoA at the AP array, and a
 //!    complex gain ([`propagation`]).
-//! 3. **CSI synthesis** ([`csi`]) — the superposition
+//! 3. **CSI synthesis** — the superposition
 //!    `h[m][n] = Σ_k γ_k · Ω(τ_k)^(n−1) · Φ(θ_k)^(m−1)` over the OFDM grid
 //!    ([`ofdm`]) and antenna array ([`mod@array`]).
 //! 4. **Impairments** ([`impairments`]) — per-packet sampling time offset
@@ -33,7 +33,7 @@
 
 pub mod array;
 pub mod constants;
-pub mod csi;
+mod csi;
 pub mod diffuse;
 pub mod floorplan;
 pub mod geometry;
@@ -48,7 +48,6 @@ pub mod trace;
 pub mod trajectory;
 
 pub use array::AntennaArray;
-pub use csi::synthesize_csi;
 pub use floorplan::Floorplan;
 pub use geometry::{Point, Segment, Vec2};
 pub use impairments::{ClockModel, Impairments};
@@ -56,4 +55,4 @@ pub use ofdm::OfdmConfig;
 pub use raytrace::{trace_paths, Path, PathKind};
 pub use rng::Rng;
 pub use trace::{CsiPacket, PacketTrace, TraceConfig};
-pub use trajectory::{generate_moving, MovingTraceConfig, Waypath};
+pub use trajectory::{generate_moving, Waypath};

@@ -33,20 +33,9 @@ impl OfdmConfig {
         self.carrier_hz + (n as f64 - center) * self.subcarrier_spacing_hz
     }
 
-    /// Total span of the reported grid, Hz.
-    pub fn span_hz(&self) -> f64 {
-        (self.num_subcarriers as f64 - 1.0) * self.subcarrier_spacing_hz
-    }
-
     /// Wavelength at the carrier, meters.
     pub fn wavelength(&self) -> f64 {
         constants::wavelength(self.carrier_hz)
-    }
-
-    /// The unambiguous ToF range of this grid: ToFs are only resolvable
-    /// modulo `1 / f_δ` (800 ns for the Intel 5300 grid).
-    pub fn tof_ambiguity_s(&self) -> f64 {
-        1.0 / self.subcarrier_spacing_hz
     }
 }
 
@@ -58,8 +47,7 @@ mod tests {
     fn intel5300_grid() {
         let c = OfdmConfig::intel5300_40mhz();
         assert_eq!(c.num_subcarriers, 30);
-        assert!((c.span_hz() - 36.25e6).abs() < 1.0);
-        assert!((c.tof_ambiguity_s() - 800e-9).abs() < 1e-12);
+        assert_eq!(c.subcarrier_spacing_hz, 1.25e6);
     }
 
     #[test]

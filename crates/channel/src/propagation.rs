@@ -1,8 +1,7 @@
 //! Per-path propagation gain.
 //!
 //! Converts a traced path's length and interaction history into a linear
-//! amplitude under free-space (Friis) spreading plus material losses, and
-//! dB/power helpers shared with the RSSI model.
+//! amplitude under free-space (Friis) spreading plus material losses.
 
 /// Linear amplitude of free-space spreading over `length_m` at `wavelength`:
 /// the Friis factor `λ / (4π·d)` (amplitude, not power).
@@ -11,26 +10,6 @@
 pub fn friis_amplitude(length_m: f64, wavelength_m: f64) -> f64 {
     let d = length_m.max(0.1);
     wavelength_m / (4.0 * std::f64::consts::PI * d)
-}
-
-/// Converts a linear amplitude to power dB (`20·log10`).
-pub fn amplitude_to_db(amplitude: f64) -> f64 {
-    20.0 * amplitude.max(1e-30).log10()
-}
-
-/// Converts power dB to linear amplitude.
-pub fn db_to_amplitude(db: f64) -> f64 {
-    10f64.powf(db / 20.0)
-}
-
-/// Converts linear power to dB (`10·log10`).
-pub fn power_to_db(power: f64) -> f64 {
-    10.0 * power.max(1e-300).log10()
-}
-
-/// Converts dB to linear power.
-pub fn db_to_power(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
 }
 
 #[cfg(test)]
@@ -47,7 +26,7 @@ mod tests {
             (a1 / a2 - 2.0).abs() < 1e-12,
             "amplitude halves per doubling"
         );
-        assert!((amplitude_to_db(a1) - amplitude_to_db(a10) - 20.0).abs() < 1e-9);
+        assert!((a1 / a10 - 10.0).abs() < 1e-12, "20 dB per decade");
     }
 
     #[test]
@@ -55,16 +34,5 @@ mod tests {
         let l = 0.0563;
         assert_eq!(friis_amplitude(0.0, l), friis_amplitude(0.1, l));
         assert!(friis_amplitude(0.0, l).is_finite());
-    }
-
-    #[test]
-    fn db_roundtrips() {
-        for db in [-80.0, -30.0, 0.0, 10.0] {
-            assert!((amplitude_to_db(db_to_amplitude(db)) - db).abs() < 1e-9);
-            assert!((power_to_db(db_to_power(db)) - db).abs() < 1e-9);
-        }
-        // Power dB of amplitude² equals amplitude dB.
-        let a = 0.034;
-        assert!((power_to_db(a * a) - amplitude_to_db(a)).abs() < 1e-9);
     }
 }

@@ -200,8 +200,8 @@ impl TraceWall {
 }
 
 /// Combined one-way amplitude transmission factor of the walls the open
-/// segment `from → to` crosses, skipping the walls it bounces between:
-/// [`Floorplan::transmission_factor`] over the per-trace factors.
+/// segment `from → to` crosses, skipping the walls it bounces between (1 in
+/// free space, the product of the crossed walls' factors otherwise).
 fn transmission(walls: &[TraceWall], from: Point, to: Point, skip: [Option<usize>; 2]) -> f64 {
     let ray = Segment::new(from, to);
     walls
@@ -417,21 +417,29 @@ mod tests {
 
     #[test]
     fn wall_between_attenuates_direct() {
-        let mut plan = Floorplan::empty();
-        plan.add_wall(
-            Point::new(1.0, -10.0),
-            Point::new(1.0, 10.0),
-            Material::CONCRETE,
-        );
+        // Each wall the direct path crosses multiplies its amplitude by
+        // that wall's transmission factor.
+        let walls = [(1.0, Material::CONCRETE), (1.5, Material::DRYWALL)];
         let ap = test_ap(0.0, 0.0);
         let target = Point::new(2.0, 0.0);
-        let paths = trace_paths(&plan, target, &ap, &cfg());
-        let direct = paths.iter().find(|p| p.kind == PathKind::Direct).unwrap();
-
         let free = trace_paths(&Floorplan::empty(), target, &ap, &cfg());
-        let ratio = direct.amplitude / free[0].amplitude;
-        let expected = Material::CONCRETE.amplitude_transmission();
-        assert!((ratio - expected).abs() < 1e-9, "ratio {}", ratio);
+        for crossed in 1..=walls.len() {
+            let mut plan = Floorplan::empty();
+            for &(x, material) in &walls[..crossed] {
+                plan.add_wall(Point::new(x, -10.0), Point::new(x, 10.0), material);
+            }
+            let paths = trace_paths(&plan, target, &ap, &cfg());
+            let direct = paths.iter().find(|p| p.kind == PathKind::Direct).unwrap();
+            let ratio = direct.amplitude / free[0].amplitude;
+            let expected: f64 = walls[..crossed]
+                .iter()
+                .map(|(_, m)| m.amplitude_transmission())
+                .product();
+            assert!(
+                (ratio - expected).abs() < 1e-9,
+                "{crossed} walls: ratio {ratio}, expected {expected}"
+            );
+        }
     }
 
     #[test]

@@ -43,18 +43,13 @@ impl RssiModel {
         }
     }
 
-    /// RSSI (dBm) for a set of traced paths. Path amplitudes already include
-    /// Friis spreading and material losses, so the received linear power is
-    /// simply their sum of squares (incoherent sum — RSSI is averaged over
-    /// the packet, washing out inter-path phase).
-    pub fn rssi_dbm(&self, paths: &[Path], rng: &mut Rng) -> Option<f64> {
-        let mean = self.mean_dbm(paths)?;
-        Some(self.packet_dbm(mean, rng))
-    }
-
-    /// The RSSI before shadowing and quantization: constant while the
-    /// paths are, so a link computes it once per trace. `None` when the
-    /// paths carry no power (nothing heard).
+    /// The RSSI (dBm) of a set of traced paths before shadowing and
+    /// quantization: constant while the paths are, so a link computes it
+    /// once per trace. Path amplitudes already include Friis spreading and
+    /// material losses, so the received linear power is simply their sum of
+    /// squares (incoherent sum — RSSI is averaged over the packet, washing
+    /// out inter-path phase). `None` when the paths carry no power (nothing
+    /// heard).
     pub(crate) fn mean_dbm(&self, paths: &[Path]) -> Option<f64> {
         let power: f64 = paths.iter().map(|p| p.amplitude * p.amplitude).sum();
         if power <= 0.0 {
@@ -98,13 +93,8 @@ mod tests {
     #[test]
     fn stronger_paths_give_higher_rssi() {
         let model = RssiModel::ideal();
-        let mut rng = Rng::seed_from_u64(0);
-        let weak = model
-            .rssi_dbm(&[path_with_amplitude(1e-4)], &mut rng)
-            .unwrap();
-        let strong = model
-            .rssi_dbm(&[path_with_amplitude(1e-3)], &mut rng)
-            .unwrap();
+        let weak = model.mean_dbm(&[path_with_amplitude(1e-4)]).unwrap();
+        let strong = model.mean_dbm(&[path_with_amplitude(1e-3)]).unwrap();
         assert!(
             (strong - weak - 20.0).abs() < 1e-9,
             "10× amplitude = +20 dB"
@@ -114,24 +104,16 @@ mod tests {
     #[test]
     fn power_sums_incoherently() {
         let model = RssiModel::ideal();
-        let mut rng = Rng::seed_from_u64(0);
-        let one = model
-            .rssi_dbm(&[path_with_amplitude(1e-3)], &mut rng)
-            .unwrap();
+        let one = model.mean_dbm(&[path_with_amplitude(1e-3)]).unwrap();
         let two = model
-            .rssi_dbm(
-                &[path_with_amplitude(1e-3), path_with_amplitude(1e-3)],
-                &mut rng,
-            )
+            .mean_dbm(&[path_with_amplitude(1e-3), path_with_amplitude(1e-3)])
             .unwrap();
         assert!((two - one - 10.0 * 2.0f64.log10()).abs() < 1e-9);
     }
 
     #[test]
     fn no_paths_no_rssi() {
-        let model = RssiModel::typical();
-        let mut rng = Rng::seed_from_u64(0);
-        assert!(model.rssi_dbm(&[], &mut rng).is_none());
+        assert!(RssiModel::typical().mean_dbm(&[]).is_none());
     }
 
     #[test]
@@ -142,9 +124,8 @@ mod tests {
             quantize: true,
         };
         let mut rng = Rng::seed_from_u64(0);
-        let r = model
-            .rssi_dbm(&[path_with_amplitude(3.3e-4)], &mut rng)
-            .unwrap();
+        let mean = model.mean_dbm(&[path_with_amplitude(3.3e-4)]).unwrap();
+        let r = model.packet_dbm(mean, &mut rng);
         assert_eq!(r, r.round());
     }
 
@@ -156,12 +137,9 @@ mod tests {
             quantize: false,
         };
         let mut rng = Rng::seed_from_u64(11);
+        let mean_dbm = model.mean_dbm(&[path_with_amplitude(1e-3)]).unwrap();
         let samples: Vec<f64> = (0..2000)
-            .map(|_| {
-                model
-                    .rssi_dbm(&[path_with_amplitude(1e-3)], &mut rng)
-                    .unwrap()
-            })
+            .map(|_| model.packet_dbm(mean_dbm, &mut rng))
             .collect();
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         let std = (samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>()

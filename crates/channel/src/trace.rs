@@ -15,7 +15,7 @@ use crate::impairments::Impairments;
 use crate::ofdm::OfdmConfig;
 use crate::raytrace::{Path, RaytraceConfig};
 use crate::rssi::RssiModel;
-use crate::trajectory::{generate_moving, MovingTraceConfig, Waypath};
+use crate::trajectory::{generate_moving, Waypath};
 use spotfi_math::CMat;
 
 /// One received packet's measurements, exactly what commodity firmware
@@ -122,15 +122,12 @@ impl PacketTrace {
         rng: &mut Rng,
     ) -> Option<PacketTrace> {
         // A target that never moves and is never re-traced.
-        let frozen = MovingTraceConfig {
-            trace: cfg.clone(),
-            regen_distance_m: f64::INFINITY,
-        };
         generate_moving(
             plan,
             &Waypath::stationary(target),
             ap,
-            &frozen,
+            cfg,
+            f64::INFINITY,
             num_packets,
             rng,
         )

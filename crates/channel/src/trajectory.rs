@@ -4,14 +4,14 @@
 //! [`PacketTrace::generate`] freezes the target for a whole trace; fleet-
 //! scale scenarios need the channel to *evolve* as each target moves. A
 //! [`Waypath`] describes the motion (constant speed along a polyline) and
-//! [`generate_moving`] re-runs the ray tracer every
-//! [`MovingTraceConfig::regen_distance_m`] meters of travel, so the
-//! multipath geometry (AoAs, ToFs, gains) shifts with the target. The
-//! static generator is this one on a [`Waypath::stationary`] target that is
-//! never re-traced, so both share one per-packet impairment chain.
+//! [`generate_moving`] re-runs the ray tracer every `regen_distance_m`
+//! meters of travel, so the multipath geometry (AoAs, ToFs, gains) shifts
+//! with the target. The static generator is this one on a
+//! [`Waypath::stationary`] target that is never re-traced, so both share one
+//! per-packet impairment chain.
 
 use crate::array::AntennaArray;
-use crate::csi::{synthesize_csi, synthesize_into};
+use crate::csi::synthesize_into;
 use crate::floorplan::Floorplan;
 use crate::geometry::Point;
 use crate::impairments::{JitterProcess, LinkImpairments};
@@ -55,15 +55,6 @@ impl Waypath {
         self.waypoints.windows(2).map(|w| w[0].distance(w[1])).sum()
     }
 
-    /// Time to walk the whole path, seconds (0 for a static target).
-    pub fn duration_s(&self) -> f64 {
-        if self.speed_mps <= 0.0 {
-            0.0
-        } else {
-            self.length_m() / self.speed_mps
-        }
-    }
-
     /// Position after walking for `t` seconds (clamped to the endpoints).
     pub fn position_at(&self, t: f64) -> Point {
         let mut remaining = self.speed_mps * t.max(0.0);
@@ -85,37 +76,15 @@ impl Waypath {
     }
 }
 
-/// Configuration of a moving-target trace.
-#[derive(Clone, Debug)]
-pub struct MovingTraceConfig {
-    /// The per-packet channel/impairment model (identical to the static
-    /// generator's).
-    pub trace: TraceConfig,
-    /// Re-run the ray tracer once the target has moved this far from the
-    /// last traced position, meters. Smaller = smoother channel evolution,
-    /// more tracing work.
-    pub regen_distance_m: f64,
-}
-
-impl MovingTraceConfig {
-    /// Commodity channel, re-traced every `regen_distance_m` meters.
-    pub fn commodity(regen_distance_m: f64) -> Self {
-        MovingTraceConfig {
-            trace: TraceConfig::commodity(),
-            regen_distance_m,
-        }
-    }
-}
-
 /// Simulates `num_packets` packets from a target walking `path`, heard by
 /// `ap`.
 ///
 /// The multipath geometry is re-traced each time the target moves
-/// [`MovingTraceConfig::regen_distance_m`] from the last traced position;
-/// between re-traces the specular geometry is frozen (path jitter still
-/// drifts it packet-to-packet as in the static generator). Packet
-/// timestamps advance by `trace.packet_interval_s` exactly like
-/// [`PacketTrace::generate`].
+/// `regen_distance_m` meters from the last traced position (smaller is a
+/// smoother channel evolution and more tracing work); between re-traces the
+/// specular geometry is frozen (path jitter still drifts it packet-to-packet
+/// as in the static generator). Packet timestamps advance by
+/// `cfg.packet_interval_s` exactly like [`PacketTrace::generate`].
 ///
 /// Returns `None` when no path reaches the AP from the *starting*
 /// position (the AP never acquires the target). If the target later walks
@@ -127,37 +96,37 @@ pub fn generate_moving(
     plan: &Floorplan,
     path: &Waypath,
     ap: &AntennaArray,
-    cfg: &MovingTraceConfig,
+    cfg: &TraceConfig,
+    regen_distance_m: f64,
     num_packets: usize,
     rng: &mut Rng,
 ) -> Option<PacketTrace> {
-    let tcfg = &cfg.trace;
     let start = path.position_at(0.0);
     let mut traced_at = start;
-    let mut paths = trace_paths(plan, start, ap, &tcfg.raytrace);
+    let mut paths = trace_paths(plan, start, ap, &cfg.raytrace);
     if paths.is_empty() {
         return None;
     }
     let ground_truth_paths: Vec<Path> = paths.clone();
 
-    let mut channel = LinkChannel::new(with_diffuse(&paths, tcfg, rng), ap, tcfg);
+    let mut channel = LinkChannel::new(with_diffuse(&paths, cfg, rng), cfg);
 
     let mut packets = Vec::with_capacity(num_packets);
     for p in 0..num_packets {
-        let t = p as f64 * tcfg.packet_interval_s;
+        let t = p as f64 * cfg.packet_interval_s;
         let pos = path.position_at(t);
-        if pos.distance(traced_at) >= cfg.regen_distance_m && p > 0 {
-            let fresh = trace_paths(plan, pos, ap, &tcfg.raytrace);
+        if pos.distance(traced_at) >= regen_distance_m && p > 0 {
+            let fresh = trace_paths(plan, pos, ap, &cfg.raytrace);
             if !fresh.is_empty() {
                 paths = fresh;
-                channel = LinkChannel::new(with_diffuse(&paths, tcfg, rng), ap, tcfg);
+                channel = LinkChannel::new(with_diffuse(&paths, cfg, rng), cfg);
             }
             // A dead zone keeps the previous geometry: the link fades but
             // the trace keeps its packet cadence.
             traced_at = pos;
         }
-        let (csi, sto) = channel.packet(ap, &tcfg.ofdm, p, rng);
-        let rssi = tcfg.rssi.packet_dbm(channel.rssi_mean_dbm?, rng);
+        let (csi, sto) = channel.packet(ap, &cfg.ofdm, p, rng);
+        let rssi = cfg.rssi.packet_dbm(channel.rssi_mean_dbm?, rng);
         packets.push(CsiPacket {
             csi,
             rssi_dbm: rssi,
@@ -179,34 +148,28 @@ fn with_diffuse(paths: &[Path], tcfg: &TraceConfig, rng: &mut Rng) -> Vec<Path> 
     all
 }
 
-/// One traced link's packets between re-traces: where each packet's paths
-/// come from, the impairments with their per-link constants, and the
-/// RSSI before shadowing, all set once per (re-)trace.
+/// One traced link's packets between re-traces: its nominal paths and
+/// the jitter that drifts them, the impairments with their per-link
+/// constants, and the RSSI before shadowing, all set once per (re-)trace.
 struct LinkChannel {
-    source: PathSource,
+    paths: Vec<Path>,
+    /// `None` for a static channel, whose every packet sees `paths`.
+    jitter: Option<JitterProcess>,
     impairments: LinkImpairments,
     /// `None` when the paths carry no power: the AP hears nothing.
     rssi_mean_dbm: Option<f64>,
 }
 
-/// A drifting jitter process, or — without path jitter — one matrix
-/// synthesized once. Only the jittered channel draws randomness.
-enum PathSource {
-    Jittered(JitterProcess),
-    Static(CMat),
-}
-
 impl LinkChannel {
-    fn new(all_paths: Vec<Path>, ap: &AntennaArray, tcfg: &TraceConfig) -> Self {
-        let rssi_mean_dbm = tcfg.rssi.mean_dbm(&all_paths);
-        let source = match tcfg.impairments.path_jitter {
-            Some(jitter) => PathSource::Jittered(JitterProcess::new(all_paths, jitter)),
-            None => PathSource::Static(synthesize_csi(&all_paths, ap, &tcfg.ofdm)),
-        };
+    fn new(paths: Vec<Path>, tcfg: &TraceConfig) -> Self {
         LinkChannel {
-            source,
+            rssi_mean_dbm: tcfg.rssi.mean_dbm(&paths),
+            jitter: tcfg
+                .impairments
+                .path_jitter
+                .map(|jitter| JitterProcess::new(&paths, jitter)),
+            paths,
             impairments: LinkImpairments::new(tcfg.impairments, &tcfg.ofdm),
-            rssi_mean_dbm,
         }
     }
 
@@ -219,21 +182,13 @@ impl LinkChannel {
         packet_idx: usize,
         rng: &mut Rng,
     ) -> (CMat, f64) {
-        let (sto, mut csi) = match &mut self.source {
-            PathSource::Jittered(process) => {
-                let paths = process.advance(rng);
-                let (sto, rotation) = self.impairments.draw_rotation(packet_idx, rng);
-                let mut csi = CMat::zeros(ap.num_antennas, ofdm.num_subcarriers);
-                synthesize_into(paths, ap, ofdm, &rotation, &mut csi);
-                (sto, csi)
-            }
-            PathSource::Static(clean) => {
-                let (sto, rotation) = self.impairments.draw_rotation(packet_idx, rng);
-                let mut csi = clean.clone();
-                rotation.rotate(&mut csi);
-                (sto, csi)
-            }
+        let paths = match &mut self.jitter {
+            Some(process) => process.advance(&self.paths, rng),
+            None => &self.paths,
         };
+        let (sto, rotation) = self.impairments.draw_rotation(packet_idx, rng);
+        let mut csi = CMat::zeros(ap.num_antennas, ofdm.num_subcarriers);
+        synthesize_into(paths, ap, ofdm, &rotation, &mut csi);
         self.impairments.finish(&mut csi, rng);
         (csi, sto)
     }
@@ -262,7 +217,6 @@ mod tests {
             1.0,
         );
         assert!((p.length_m() - 7.0).abs() < 1e-12);
-        assert!((p.duration_s() - 7.0).abs() < 1e-12);
         let at = |t: f64| p.position_at(t);
         assert_eq!((at(0.0).x, at(0.0).y), (0.0, 0.0));
         assert!((at(2.0).x - 2.0).abs() < 1e-12);
@@ -273,17 +227,17 @@ mod tests {
         // Static target never moves.
         let s = Waypath::stationary(Point::new(2.0, 2.0));
         assert_eq!((s.position_at(9.0).x, s.position_at(9.0).y), (2.0, 2.0));
-        assert_eq!(s.duration_s(), 0.0);
+        assert_eq!(s.length_m(), 0.0);
     }
 
     #[test]
     fn moving_trace_has_cadence_and_determinism() {
         let plan = Floorplan::empty();
         let path = Waypath::new(vec![Point::new(2.0, 5.0), Point::new(6.0, 5.0)], 1.0);
-        let cfg = MovingTraceConfig::commodity(0.5);
+        let cfg = TraceConfig::commodity();
         let gen = |seed| {
             let mut rng = Rng::seed_from_u64(seed);
-            generate_moving(&plan, &path, &ap(), &cfg, 20, &mut rng).unwrap()
+            generate_moving(&plan, &path, &ap(), &cfg, 0.5, 20, &mut rng).unwrap()
         };
         let a = gen(5);
         assert_eq!(a.packets.len(), 20);
@@ -304,12 +258,9 @@ mod tests {
         // the trace must come from the re-traced geometry.
         let plan = Floorplan::empty();
         let path = Waypath::new(vec![Point::new(2.0, 5.0), Point::new(8.0, 5.0)], 1.0);
-        let cfg = MovingTraceConfig {
-            trace: TraceConfig::ideal(),
-            regen_distance_m: 0.5,
-        };
+        let cfg = TraceConfig::ideal();
         let mut rng = Rng::seed_from_u64(9);
-        let t = generate_moving(&plan, &path, &ap(), &cfg, 40, &mut rng).unwrap();
+        let t = generate_moving(&plan, &path, &ap(), &cfg, 0.5, 40, &mut rng).unwrap();
         let drift = (&t.packets[0].csi - &t.packets[39].csi).max_abs();
         assert!(
             drift > 1e-3,
@@ -323,6 +274,7 @@ mod tests {
             &Waypath::stationary(Point::new(2.0, 5.0)),
             &ap(),
             &cfg,
+            0.5,
             40,
             &mut rng2,
         )
@@ -550,8 +502,8 @@ mod tests {
                             },
                             ..TraceConfig::commodity()
                         };
-                        let mut link = LinkChannel::new(paths.clone(), &ap, &tcfg);
-                        let mut process = jitter.map(|j| JitterProcess::new(paths.clone(), j));
+                        let mut link = LinkChannel::new(paths.clone(), &tcfg);
+                        let mut process = jitter.map(|j| JitterProcess::new(paths, j));
                         let clean = composed::synthesize(paths, &ap, &ofdm);
                         let seed = 1000 * flags as u64 + set as u64;
                         let mut rng = Rng::seed_from_u64(seed);
@@ -568,7 +520,7 @@ mod tests {
                                 .map(|m| tcfg.rssi.packet_dbm(m, &mut rng));
                             let mut expected = match &mut process {
                                 Some(process) => composed::synthesize(
-                                    process.advance(&mut reference_rng),
+                                    process.advance(paths, &mut reference_rng),
                                     &ap,
                                     &ofdm,
                                 ),
@@ -618,7 +570,8 @@ mod tests {
             &plan,
             &path,
             &ap(),
-            &MovingTraceConfig::commodity(1.0),
+            &TraceConfig::commodity(),
+            1.0,
             3,
             &mut rng,
         );

@@ -9,7 +9,7 @@ use spotfi_channel::constants::{DEFAULT_CARRIER_HZ, SPEED_OF_LIGHT};
 use spotfi_channel::floorplan::Floorplan;
 use spotfi_channel::materials::Material;
 use spotfi_channel::raytrace::{trace_paths, PathKind, RaytraceConfig};
-use spotfi_channel::{synthesize_csi, AntennaArray, OfdmConfig, Point, Rng};
+use spotfi_channel::{AntennaArray, PacketTrace, Point, Rng, TraceConfig};
 
 const CASES: usize = 48;
 
@@ -147,31 +147,36 @@ fn obstacles_only_attenuate() {
     }
 }
 
-/// CSI synthesis obeys the triangle inequality: no entry exceeds the
-/// sum of path amplitudes, and with one path every entry equals it.
+/// CSI synthesis obeys the triangle inequality: no entry of an ideal
+/// packet exceeds the sum of its path amplitudes, and with one path (the
+/// same target in free space) every entry equals it.
 #[test]
 fn csi_amplitude_bounds() {
     let mut rng = Rng::seed_from_u64(0x6004);
+    let ideal = TraceConfig {
+        raytrace: cfg(),
+        ..TraceConfig::ideal()
+    };
     for case in 0..CASES {
         let (plan, target) = room_and_target(&mut rng);
         if target.distance(Point::new(0.0, 0.0)) <= 0.3 {
             continue;
         }
         let a = ap();
-        let ofdm = OfdmConfig::intel5300_40mhz();
-        let paths = trace_paths(&plan, target, &a, &cfg());
-        if paths.is_empty() {
+        let Some(trace) = PacketTrace::generate(&plan, target, &a, &ideal, 1, &mut rng) else {
             continue;
-        }
-        let h = synthesize_csi(&paths, &a, &ofdm);
-        let total: f64 = paths.iter().map(|p| p.amplitude).sum();
-        for z in h.as_slice() {
+        };
+        let total: f64 = trace.ground_truth_paths.iter().map(|p| p.amplitude).sum();
+        for z in trace.packets[0].csi.as_slice() {
             assert!(z.abs() <= total * (1.0 + 1e-9), "case {}", case);
         }
-        let single = synthesize_csi(&paths[..1], &a, &ofdm);
-        for z in single.as_slice() {
+        let single =
+            PacketTrace::generate(&Floorplan::empty(), target, &a, &ideal, 1, &mut rng).unwrap();
+        let amplitude = single.ground_truth_paths[0].amplitude;
+        assert_eq!(single.ground_truth_paths.len(), 1, "case {}", case);
+        for z in single.packets[0].csi.as_slice() {
             assert!(
-                (z.abs() - paths[0].amplitude).abs() < 1e-9 * paths[0].amplitude,
+                (z.abs() - amplitude).abs() < 1e-9 * amplitude,
                 "case {}",
                 case
             );

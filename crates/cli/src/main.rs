@@ -684,6 +684,13 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
             .accept()
             .map_err(|e| ArgError(format!("accepting on {}: {}", sock, e)))?;
         let mut buf = [0u8; 65536];
+        // Frames the decoder salvages at the end of the stream take the
+        // same route as the ones it decodes along the way.
+        let mut sink = |e| {
+            if let Some(fp) = frame_packet(&registry, e) {
+                engine.ingest(fp);
+            }
+        };
         loop {
             let n = conn
                 .read(&mut buf)
@@ -691,16 +698,12 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
             if n == 0 {
                 break;
             }
-            dec.feed(&buf[..n], &mut |e| {
-                if let Some(fp) = frame_packet(&registry, e) {
-                    engine.ingest(fp);
-                }
-            });
+            dec.feed(&buf[..n], &mut sink);
             // Only the counters are reported: drain the updates so the
             // channel stays bounded, but keep none of them.
             drop(engine.try_updates());
         }
-        dec.finish(&mut |_| {});
+        dec.finish(&mut sink);
         (engine.shutdown(), dec.stats())
     };
     diagnostics_end(diagnostics, "serve", workers + 1)?;

@@ -162,6 +162,101 @@ fn wire_loopback_round_trip() {
     assert!(text.contains("packets processed"), "{}", text);
 }
 
+/// The `packets processed` count on a `fleet:` line.
+fn packets_processed(text: &str) -> u64 {
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("fleet: "))
+        .unwrap_or_else(|| panic!("no fleet line in:\n{}", text));
+    line["fleet: ".len()..]
+        .split_whitespace()
+        .next()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no packet count in {:?}", line))
+}
+
+/// A late frame whose length field points past the end of the capture
+/// leaves the frames behind it buffered until the stream ends, where the
+/// decoder salvages them. `serve` must hand those frames to its engine
+/// exactly as file-mode `ingest` does: both process the same packets.
+#[cfg(unix)]
+#[test]
+fn serve_processes_frames_salvaged_at_end_of_stream() {
+    use std::process::Stdio;
+    let dir = std::env::temp_dir();
+    let frames = dir.join("spotfi_cli_salvage.bin");
+    let sock = dir.join("spotfi_cli_salvage.sock");
+    let frames_str = frames.to_str().unwrap();
+    let sock_str = sock.to_str().unwrap();
+    std::fs::remove_file(&sock).ok();
+
+    let exp = spotfi(&[
+        "fleet",
+        "--targets",
+        "2",
+        "--packets",
+        "6",
+        "--aps",
+        "4",
+        "--export-wire",
+        frames_str,
+    ]);
+    assert!(exp.status.success(), "export failed: {}", stderr(&exp));
+    // Walk the frames (28-byte header, payload, 4-byte CRC) and give the
+    // fourth-to-last an in-range payload length far past the end of file.
+    let mut bytes = std::fs::read(&frames).unwrap();
+    let mut starts = Vec::new();
+    let mut pos = 0;
+    while pos < bytes.len() {
+        starts.push(pos);
+        let len = u32::from_le_bytes(bytes[pos + 24..pos + 28].try_into().unwrap());
+        pos += 28 + len as usize + 4;
+    }
+    assert!(starts.len() > 4, "{} frames", starts.len());
+    let late = starts[starts.len() - 4];
+    bytes[late + 24..late + 28].copy_from_slice(&0xF_0000u32.to_le_bytes());
+    assert!(bytes.len() < 0xF_0000);
+    std::fs::write(&frames, &bytes).unwrap();
+
+    let file = spotfi(&["ingest", frames_str]);
+    let serve = Command::new(env!("CARGO_BIN_EXE_spotfi"))
+        .args([
+            "serve",
+            "--listen",
+            sock_str,
+            "--aps",
+            "4",
+            "--workers",
+            "1",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let ing = spotfi(&["ingest", frames_str, "--connect", sock_str]);
+    let out = serve.wait_with_output().expect("serve exit");
+    std::fs::remove_file(&frames).ok();
+    std::fs::remove_file(&sock).ok();
+
+    assert!(file.status.success(), "ingest failed: {}", stderr(&file));
+    assert!(ing.status.success(), "connect failed: {}", stderr(&ing));
+    assert!(
+        out.status.success(),
+        "serve failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let (file_text, served) = (stdout(&file), String::from_utf8_lossy(&out.stdout));
+    assert!(file_text.contains("incomplete 1"), "{}", file_text);
+    assert!(served.contains("incomplete 1"), "{}", served);
+    assert_eq!(
+        packets_processed(&served),
+        packets_processed(&file_text),
+        "serve:\n{}\ningest:\n{}",
+        served,
+        file_text
+    );
+}
+
 #[test]
 fn figures_rejects_unknown_figure() {
     let out = spotfi(&["figures", "fig99", "--fast"]);

@@ -57,14 +57,8 @@ pub fn steering_vector(
 }
 
 /// Powers `Ω(τ)^0 .. Ω(τ)^{n−1}` — one antenna's row of the steering
-/// structure, used by the factored MUSIC spectrum evaluation.
-pub fn omega_powers(tof_s: f64, n_sub: usize, subcarrier_spacing_hz: f64) -> Vec<c64> {
-    let mut out = vec![c64::ZERO; n_sub];
-    omega_powers_into(tof_s, subcarrier_spacing_hz, &mut out);
-    out
-}
-
-/// [`omega_powers`] into a caller-owned buffer: one `cis` for the step,
+/// structure, used by the factored MUSIC spectrum evaluation — into a
+/// caller-owned buffer of `n`: one `cis` for the step,
 /// then the repeated-multiplication recurrence — no per-subcarrier
 /// transcendental. This is what makes off-grid point evaluation of the
 /// MUSIC pseudospectrum cheap enough for the coarse-to-fine sweep's polish
@@ -252,12 +246,16 @@ mod tests {
     }
 
     #[test]
-    fn power_buffers_match_allocating_forms() {
+    fn power_buffers_are_the_recurrence() {
         let tau = 37.5e-9;
         let mut wbuf = [c64::ZERO; 15];
         omega_powers_into(tau, INTEL5300_SUBCARRIER_SPACING_HZ, &mut wbuf);
-        let expect = omega_powers(tau, 15, INTEL5300_SUBCARRIER_SPACING_HZ);
-        assert_eq!(&wbuf[..], &expect[..]);
+        let step = omega(tau, INTEL5300_SUBCARRIER_SPACING_HZ);
+        let mut cur = c64::ONE;
+        for (n, got) in wbuf.iter().enumerate() {
+            assert_eq!(*got, cur, "omega power {}", n);
+            cur *= step;
+        }
 
         let mut pbuf = [c64::ZERO; 3];
         phi_powers_into(0.37, SPACING, DEFAULT_CARRIER_HZ, &mut pbuf);
@@ -272,7 +270,8 @@ mod tests {
     #[test]
     fn omega_powers_match_steering_vector() {
         let tau = 60e-9;
-        let pw = omega_powers(tau, 15, INTEL5300_SUBCARRIER_SPACING_HZ);
+        let mut pw = [c64::ZERO; 15];
+        omega_powers_into(tau, INTEL5300_SUBCARRIER_SPACING_HZ, &mut pw);
         let v = steering_vector(
             0.0,
             tau,
@@ -293,15 +292,12 @@ mod tests {
         let cache = SteeringCache::new(&cfg);
         assert!(cache.matches(&cfg));
         let spacing = half_wavelength_spacing(cfg.ofdm.carrier_hz);
-        // Every Ω row must equal omega_powers() and the sequential
+        // Every Ω row must equal omega_powers_into() and the sequential
         // recurrence exactly (same code path).
+        let mut expect = vec![c64::ZERO; cfg.smoothing.sub_subcarriers];
         for it in [0usize, 1, cache.n_tof() / 2, cache.n_tof() - 1] {
             let tau = cfg.music.tof_grid_ns.value(it) * 1e-9;
-            let expect = omega_powers(
-                tau,
-                cfg.smoothing.sub_subcarriers,
-                cfg.ofdm.subcarrier_spacing_hz,
-            );
+            omega_powers_into(tau, cfg.ofdm.subcarrier_spacing_hz, &mut expect);
             assert_eq!(cache.omega_row(it), &expect[..], "tof row {}", it);
             let step = omega(tau, cfg.ofdm.subcarrier_spacing_hz);
             let mut cur = c64::ONE;

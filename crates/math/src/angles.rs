@@ -1,22 +1,7 @@
-//! Angle helpers: degree/radian conversion and angular differences.
+//! Angle wrapping.
 //!
-//! AoAs in SpotFi live in `[-90°, 90°]` relative to the AP array normal; the
-//! evaluation reports errors in degrees while the steering math works in
-//! radians.
-
-use std::f64::consts::PI;
-
-/// Degrees → radians.
-#[inline]
-pub fn deg_to_rad(d: f64) -> f64 {
-    d * PI / 180.0
-}
-
-/// Radians → degrees.
-#[inline]
-pub fn rad_to_deg(r: f64) -> f64 {
-    r * 180.0 / PI
-}
+//! AoAs in SpotFi live in `[-90°, 90°]` relative to the AP array normal;
+//! phases and angle differences are compared after wrapping into `(-π, π]`.
 
 /// Wraps an angle (radians) into `(-π, π]`.
 #[inline]
@@ -24,48 +9,28 @@ pub fn wrap_pi(theta: f64) -> f64 {
     crate::unwrap::wrap_phase(theta)
 }
 
-/// Smallest absolute difference between two angles in radians, accounting
-/// for the 2π wrap; result in `[0, π]`.
-#[inline]
-pub fn angular_distance(a: f64, b: f64) -> f64 {
-    wrap_pi(a - b).abs()
-}
-
-/// Smallest absolute difference between two angles in degrees; result in
-/// `[0, 180]`.
-#[inline]
-pub fn angular_distance_deg(a: f64, b: f64) -> f64 {
-    rad_to_deg(angular_distance(deg_to_rad(a), deg_to_rad(b)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::f64::consts::PI;
 
     #[test]
-    fn conversions_roundtrip() {
-        for d in [-180.0, -90.0, 0.0, 45.0, 90.0, 179.0] {
-            assert!((rad_to_deg(deg_to_rad(d)) - d).abs() < 1e-12);
-        }
-        assert!((deg_to_rad(180.0) - PI).abs() < 1e-15);
+    fn wrapped_differences_take_the_short_way_round() {
+        assert!((wrap_pi(3.1 - -3.1).abs() - (2.0 * PI - 6.2)).abs() < 1e-12);
+        let deg = |a: f64, b: f64| wrap_pi(a.to_radians() - b.to_radians()).abs().to_degrees();
+        assert!((deg(179.0, -179.0) - 2.0).abs() < 1e-9);
+        assert!((deg(10.0, 350.0) - 20.0).abs() < 1e-9);
     }
 
     #[test]
-    fn angular_distance_wraps() {
-        assert!((angular_distance(3.1, -3.1) - (2.0 * PI - 6.2)).abs() < 1e-12);
-        assert!((angular_distance_deg(179.0, -179.0) - 2.0).abs() < 1e-9);
-        assert!((angular_distance_deg(10.0, 350.0) - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn distance_is_symmetric_and_bounded() {
+    fn wrapped_differences_are_symmetric_and_bounded() {
         for i in 0..36 {
             for j in 0..36 {
-                let a = i as f64 * 10.0;
-                let b = j as f64 * 10.0;
-                let d = angular_distance_deg(a, b);
-                assert!((d - angular_distance_deg(b, a)).abs() < 1e-9);
-                assert!((0.0..=180.0 + 1e-9).contains(&d));
+                let a = (i as f64 * 10.0).to_radians();
+                let b = (j as f64 * 10.0).to_radians();
+                let d = wrap_pi(a - b).abs();
+                assert!((d - wrap_pi(b - a).abs()).abs() < 1e-9);
+                assert!((0.0..=PI + 1e-9).contains(&d));
             }
         }
     }

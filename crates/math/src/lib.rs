@@ -26,7 +26,7 @@
 //! * [`unwrap`] — 1-D phase unwrapping.
 //! * [`optimize`] — Nelder–Mead simplex minimization.
 //! * [`stats`] — means, variances, percentiles, empirical CDFs, linear fit.
-//! * [`angles`] — degree/radian conversions and angular wrapping.
+//! * [`angles`] — angle wrapping into `(-π, π]`.
 //!
 //! Everything is deterministic and allocation-light; matrices the size SpotFi
 //! uses (≤ 90×90) decompose in microseconds.
@@ -44,7 +44,7 @@ pub mod stats;
 pub mod subspace;
 pub mod unwrap;
 
-pub use angles::{deg_to_rad, rad_to_deg, wrap_pi};
+pub use angles::wrap_pi;
 pub use complex::c64;
 pub use eigen_tridiag::{
     hermitian_eigen_partial, hermitian_eigen_partial_batch_into, hermitian_eigen_partial_into,

@@ -22,7 +22,8 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 /// assert_eq!(h[(1, 0)], c64::new(0.0, -1.0));
 ///
 /// // X·Xᴴ is always Hermitian — the matrix MUSIC eigendecomposes.
-/// assert!(x.mul_hermitian_self().is_hermitian(1e-12));
+/// let r = x.mul_hermitian_self();
+/// assert_eq!(r, r.hermitian());
 /// ```
 #[derive(Clone, PartialEq)]
 pub struct CMat {
@@ -71,15 +72,6 @@ impl CMat {
         let nc = if nr == 0 { 0 } else { rows[0].len() };
         assert!(rows.iter().all(|r| r.len() == nc), "ragged rows");
         CMat::from_fn(nr, nc, |r, c| rows[r][c])
-    }
-
-    /// Builds a single-column matrix from a vector.
-    pub fn col_vector(v: &[c64]) -> Self {
-        CMat {
-            rows: v.len(),
-            cols: 1,
-            data: v.to_vec(),
-        }
     }
 
     /// Number of rows.
@@ -163,16 +155,6 @@ impl CMat {
     #[cfg(test)]
     pub(crate) fn capacity(&self) -> usize {
         self.data.capacity()
-    }
-
-    /// Copies a row out (rows are strided).
-    pub fn row(&self, r: usize) -> Vec<c64> {
-        (0..self.cols).map(|c| self[(r, c)]).collect()
-    }
-
-    /// Plain transpose (no conjugation).
-    pub fn transpose(&self) -> CMat {
-        CMat::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
     }
 
     /// Hermitian (conjugate) transpose `Aᴴ`.
@@ -310,29 +292,6 @@ impl CMat {
     pub fn max_abs(&self) -> f64 {
         self.data.iter().map(|z| z.abs()).fold(0.0, f64::max)
     }
-
-    /// `true` if `‖A − Aᴴ‖∞ ≤ tol` element-wise.
-    pub fn is_hermitian(&self, tol: f64) -> bool {
-        if self.rows != self.cols {
-            return false;
-        }
-        for c in 0..self.cols {
-            for r in 0..=c {
-                if (self[(r, c)] - self[(c, r)].conj()).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Extracts the sub-matrix with the given row/column index lists. Used by
-    /// the smoothed-CSI construction to pull shifted sensor subarrays.
-    pub fn select(&self, row_idx: &[usize], col_idx: &[usize]) -> CMat {
-        CMat::from_fn(row_idx.len(), col_idx.len(), |r, c| {
-            self[(row_idx[r], col_idx[c])]
-        })
-    }
 }
 
 impl Default for CMat {
@@ -445,7 +404,7 @@ impl fmt::Debug for CMat {
 /// let mut dense = CMat::default();
 /// r.unpack_into(&mut dense);
 /// assert_eq!(dense.shape(), (3, 3));
-/// assert!(dense.is_hermitian(0.0));
+/// assert_eq!(dense, dense.hermitian());
 /// ```
 #[derive(Clone, Debug)]
 pub struct PackedHermitian {
@@ -590,7 +549,7 @@ mod tests {
         assert_eq!(fast.shape(), (4, 4));
         let d = (&fast - &slow).max_abs();
         assert!(d < 1e-12, "difference {}", d);
-        assert!(fast.is_hermitian(1e-14));
+        assert_eq!(fast, fast.hermitian());
     }
 
     #[test]
@@ -598,7 +557,7 @@ mod tests {
         let a = CMat::from_fn(3, 3, |r, c| c64::new(r as f64 + 1.0, c as f64 - 1.0));
         let v = vec![c64::new(1.0, 0.0), c64::new(0.0, 1.0), c64::new(-1.0, 2.0)];
         let mv = a.mul_vec(&v);
-        let mm = a.mul(&CMat::col_vector(&v));
+        let mm = a.mul(&CMat::from_fn(3, 1, |r, _| v[r]));
         for r in 0..3 {
             assert!((mv[r] - mm[(r, 0)]).abs() < 1e-14);
         }
@@ -615,17 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn select_submatrix() {
-        let a = CMat::from_fn(4, 4, |r, c| c64::real((r * 10 + c) as f64));
-        let s = a.select(&[1, 3], &[0, 2]);
-        assert_eq!(s.shape(), (2, 2));
-        assert_eq!(s[(0, 0)].re, 10.0);
-        assert_eq!(s[(0, 1)].re, 12.0);
-        assert_eq!(s[(1, 0)].re, 30.0);
-        assert_eq!(s[(1, 1)].re, 32.0);
-    }
-
-    #[test]
     fn frobenius_norm_known() {
         let a = m2(3.0, 0.0, 0.0, 4.0);
         assert!((a.frobenius_norm() - 5.0).abs() < 1e-14);
@@ -636,7 +584,6 @@ mod tests {
         let a = CMat::from_fn(3, 2, |r, c| c64::real((c * 3 + r) as f64));
         assert_eq!(a.col(1)[0].re, 3.0);
         assert_eq!(a.col(1)[2].re, 5.0);
-        assert_eq!(a.row(1), vec![c64::real(1.0), c64::real(4.0)]);
     }
 
     #[test]
@@ -712,8 +659,9 @@ mod tests {
             };
             assert_eq!(packed_bits(&packed), packed_bits(&repacked));
         }
-        assert!(
-            out.is_hermitian(0.0),
+        assert_eq!(
+            out,
+            out.hermitian(),
             "unpacked covariance must be Hermitian"
         );
     }

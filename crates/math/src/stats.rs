@@ -147,19 +147,6 @@ pub fn linear_fit(x: &[f64], y: &[f64]) -> Option<(f64, f64)> {
     Some((slope, intercept))
 }
 
-/// Histogram with fixed-width bins over `[lo, hi)`; out-of-range samples are
-/// clamped into the edge bins.
-pub fn histogram(xs: &[f64], lo: f64, hi: f64, bins: usize) -> Vec<usize> {
-    assert!(bins > 0 && hi > lo);
-    let mut counts = vec![0usize; bins];
-    let w = (hi - lo) / bins as f64;
-    for &x in xs {
-        let b = (((x - lo) / w) as isize).clamp(0, bins as isize - 1) as usize;
-        counts[b] += 1;
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,14 +221,6 @@ mod tests {
     fn linear_fit_degenerate() {
         assert!(linear_fit(&[1.0], &[2.0]).is_none());
         assert!(linear_fit(&[2.0, 2.0, 2.0], &[1.0, 2.0, 3.0]).is_none());
-    }
-
-    #[test]
-    fn histogram_counts() {
-        let xs = [0.1, 0.2, 0.5, 0.9, -5.0, 5.0];
-        let h = histogram(&xs, 0.0, 1.0, 2);
-        // -5 clamps into bin 0, 5 and 0.9 into bin 1; 0.5 lands in bin 1.
-        assert_eq!(h, vec![3, 3]);
     }
 
     #[test]

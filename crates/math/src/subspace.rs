@@ -280,11 +280,9 @@ mod tests {
     /// n×k leading eigenvector block of a Hermitian matrix via the Jacobi
     /// oracle.
     fn exact_seed(r: &CMat, k: usize) -> CMat {
-        let eig = hermitian_eigen(r);
-        let n = r.rows();
-        let rows: Vec<usize> = (0..n).collect();
-        let cols: Vec<usize> = (0..k).collect();
-        eig.vectors.select(&rows, &cols)
+        let mut seed = CMat::default();
+        seed.assign_leading_cols(&hermitian_eigen(r).vectors, k);
+        seed
     }
 
     fn seeded(r: &CMat, k: usize) -> SubspaceTracker {
@@ -452,8 +450,7 @@ mod tests {
         let mut t = seeded(&r, 3);
         let mut ws = RitzWorkspace::default();
         let before = bits(&t.basis);
-        let v: Vec<c64> = (0..12).map(|i| c64::cis(i as f64 * 0.8)).collect();
-        let rank1 = CMat::col_vector(&v).mul_hermitian_self();
+        let rank1 = CMat::from_fn(12, 1, |i, _| c64::cis(i as f64 * 0.8)).mul_hermitian_self();
         assert_eq!(t.refine(&rank1, &mut ws), f64::INFINITY);
         assert_eq!(ws.values().len(), 3, "the breakdown must come after step 5");
         assert_eq!(bits(&t.basis), before, "breakdown moved the basis");

@@ -7,12 +7,11 @@
 //! walls separate them from the AP cluster, so the through-wall experiment
 //! can sweep obstruction depth.
 
-use spotfi_channel::constants::DEFAULT_CARRIER_HZ;
 use spotfi_channel::floorplan::Floorplan;
 use spotfi_channel::materials::Material;
-use spotfi_channel::{AntennaArray, Point};
+use spotfi_channel::Point;
 
-use crate::deployment::{NamedAp, Target};
+use crate::deployment::{ap, NamedAp, Target};
 
 /// The apartment testbed.
 #[derive(Clone, Debug)]
@@ -24,14 +23,6 @@ pub struct Apartment {
     /// Targets grouped by room (0 = living room with most APs, 2 =
     /// farthest bedroom).
     pub rooms: [Vec<Target>; 3],
-}
-
-fn ap(name: &str, x: f64, y: f64, look: Point) -> NamedAp {
-    let angle = (look - Point::new(x, y)).angle();
-    NamedAp {
-        name: name.to_string(),
-        array: AntennaArray::intel5300(Point::new(x, y), angle, DEFAULT_CARRIER_HZ),
-    }
 }
 
 impl Apartment {

@@ -66,7 +66,7 @@ pub struct Deployment {
 
 /// AP helper: an Intel-5300 array at `(x, y)` with its normal pointed at
 /// `look`.
-fn ap(name: &str, x: f64, y: f64, look: Point) -> NamedAp {
+pub(crate) fn ap(name: &str, x: f64, y: f64, look: Point) -> NamedAp {
     let angle = (look - Point::new(x, y)).angle();
     NamedAp {
         name: name.to_string(),

@@ -11,7 +11,7 @@
 //! schedule interleaves realistically instead of arriving in target-major
 //! bursts.
 
-use spotfi_channel::trajectory::{generate_moving, MovingTraceConfig, Waypath};
+use spotfi_channel::trajectory::{generate_moving, Waypath};
 use spotfi_channel::{Floorplan, Point, Rng, TraceConfig};
 use spotfi_core::fleet::FleetPacket;
 use spotfi_core::{parallel_map_with, RuntimeConfig};
@@ -134,7 +134,6 @@ fn trace_target(
     plan: &Floorplan,
     aps: &[NamedAp],
     drifts: &[f64],
-    mcfg: &MovingTraceConfig,
 ) -> Option<(FleetTarget, Vec<FleetPacket>)> {
     let interval = cfg.trace.packet_interval_s;
     let mut trng = Rng::seed_from_u64(mix(cfg.seed, t as u64, 0));
@@ -158,7 +157,8 @@ fn trace_target(
             plan,
             &path,
             &ap.array,
-            mcfg,
+            &cfg.trace,
+            cfg.regen_distance_m,
             cfg.packets_per_link,
             &mut lrng,
         ) {
@@ -230,16 +230,12 @@ impl FleetScenario {
             })
             .collect();
         let interval = cfg.trace.packet_interval_s;
-        let mcfg = MovingTraceConfig {
-            trace: cfg.trace.clone(),
-            regen_distance_m: cfg.regen_distance_m,
-        };
 
         let traced = parallel_map_with(
             cfg.targets,
             threads,
             || (),
-            |_, t| trace_target(cfg, t, &plan, &aps, &drifts, &mcfg),
+            |_, t| trace_target(cfg, t, &plan, &aps, &drifts),
         );
         let mut targets = Vec::with_capacity(traced.len());
         let mut schedule: Vec<FleetPacket> = Vec::new();

@@ -97,23 +97,6 @@ pub fn render_figure(title: &str, unit: &str, series: &[FigureSeries], points: u
     out
 }
 
-/// Renders a compact one-line summary: `label: median=…, p80=…`.
-pub fn summary_line(s: &FigureSeries, unit: &str) -> String {
-    if s.is_empty() {
-        return format!("{}: (no samples)", s.label);
-    }
-    let e = s.ecdf();
-    format!(
-        "{}: median={:.2}{}, p80={:.2}{} (n={})",
-        s.label,
-        e.median(),
-        unit,
-        e.quantile(0.8),
-        unit,
-        e.len()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,7 +131,6 @@ mod tests {
         let s = FigureSeries::new("empty", Vec::<f64>::new());
         let r = render_figure("t", "m", std::slice::from_ref(&s), 5);
         assert!(r.contains("(empty)"));
-        assert!(summary_line(&s, "m").contains("no samples"));
     }
 
     #[test]

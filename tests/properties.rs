@@ -7,7 +7,7 @@
 //! which is all a regression needs to reproduce (fixed seed ⇒ same cases).
 
 use spotfi::channel::impairments::apply_sto;
-use spotfi::channel::{synthesize_csi, OfdmConfig, Rng};
+use spotfi::channel::{OfdmConfig, Rng};
 use spotfi::core::sanitize::sanitize_csi;
 use spotfi::core::steering::steering_vector;
 use spotfi::core::{find_peaks, music_spectrum, smoothed_csi, SpotFiConfig};
@@ -154,44 +154,42 @@ fn traced_direct_path_matches_geometry() {
     assert!(checked >= 20, "too many cases skipped: {}", 24 - checked);
 }
 
-/// CSI synthesis and the steering model agree for arbitrary paths: the
-/// estimator's model is exactly the simulator's physics.
+/// CSI synthesis and the steering model agree for arbitrary free-space
+/// paths: the estimator's model is exactly the simulator's physics.
 #[test]
 fn synthesis_matches_steering_model() {
     let mut rng = Rng::seed_from_u64(0x5004);
-    let ofdm = OfdmConfig::intel5300_40mhz();
+    let cfg = TraceConfig::ideal();
+    let ofdm = cfg.ofdm;
     let array = test_array();
     for case in 0..24 {
-        let aoa = rng.gen_range(-1.0..1.0);
-        let tof = rng.gen_range(1.0..300.0);
-        let path = spotfi::channel::Path {
-            kind: spotfi::channel::PathKind::Direct,
-            length_m: tof * 0.3,
-            tof_s: tof * 1e-9,
-            sin_aoa: aoa,
-            aoa_rad: aoa.asin(),
-            amplitude: 1.0,
-            phase: 0.0,
-            vertices: vec![],
-        };
-        let h = synthesize_csi(&[path], &array, &ofdm);
+        // A free-space target: one direct path, at AoAs across the array's
+        // field of view and ToFs out to ~190 ns.
+        let target = Point::new(rng.gen_range(-40.0..40.0), rng.gen_range(0.5..40.0));
+        let trace =
+            PacketTrace::generate(&Floorplan::empty(), target, &array, &cfg, 1, &mut rng).unwrap();
+        assert_eq!(trace.ground_truth_paths.len(), 1, "case {}", case);
+        let path = &trace.ground_truth_paths[0];
+        let h = &trace.packets[0].csi;
         let v = steering_vector(
-            aoa,
-            tof * 1e-9,
+            path.sin_aoa,
+            path.tof_s,
             3,
             30,
             array.spacing,
             ofdm.carrier_hz,
             ofdm.subcarrier_spacing_hz,
         );
-        // Up to one global phase (the carrier-frequency ToF phase folded
-        // into γ), the synthesized CSI must equal the steering vector.
+        // Up to one complex gain (the path amplitude, and the
+        // carrier-frequency ToF phase folded into γ), the synthesized CSI
+        // must equal the steering vector.
         let g = h[(0, 0)] / v[0];
+        let tol = 1e-9 * path.amplitude;
         for m in 0..3 {
             for n in 0..30 {
                 let expect = v[m * 30 + n] * g;
                 assert!(
-                    (h[(m, n)] - expect).abs() < 1e-9,
+                    (h[(m, n)] - expect).abs() < tol,
                     "case {}: mismatch at ({}, {})",
                     case,
                     m,
@@ -199,7 +197,7 @@ fn synthesis_matches_steering_model() {
                 );
             }
         }
-        assert!((g.abs() - 1.0).abs() < 1e-9, "case {}", case);
+        assert!((g.abs() - path.amplitude).abs() < tol, "case {}", case);
     }
 }
 
