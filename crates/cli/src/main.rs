@@ -544,8 +544,8 @@ fn export_wire(path: &str, scenario: &spotfi_testbed::FleetScenario) -> Result<(
 
 /// Maps one decoded wire event to a fleet packet: frames from registered
 /// receivers pass through their calibration, everything else (corrupt or
-/// incomplete frames, unknown receivers, non-finite timestamps) yields
-/// `None`.
+/// incomplete frames, unknown receivers, wrong-shaped CSI, non-finite
+/// timestamps) yields `None`.
 fn frame_packet(
     registry: &spotfi_core::ReceiverRegistry,
     event: spotfi_io::WireEvent,

@@ -108,7 +108,11 @@ impl ReceiverRegistry {
     /// Turns one decoded capture into a fleet packet: looks up the
     /// receiver, applies its calibration, and stamps the AP identity.
     /// Returns `None` for unregistered receivers (counting
-    /// `ingest.unknown_receiver`) and for a non-finite calibrated
+    /// `ingest.unknown_receiver`); for CSI whose row count differs from the
+    /// registered array's `num_antennas` or that has no subcarrier columns
+    /// (counting `ingest.rejected.shape_mismatch`), which the AoA model of
+    /// that array cannot explain and which would otherwise reach a shard
+    /// worker only to fail there; and for a non-finite calibrated
     /// timestamp (counting `ingest.rejected.non_finite_timestamp`): the
     /// fleet's stale-AP ageing and reorder window compare timestamps, and a
     /// NaN or infinite stamp would pin or evict a target's fusion window.
@@ -122,6 +126,10 @@ impl ReceiverRegistry {
             spotfi_obs::counter("ingest.unknown_receiver", 1);
             return None;
         };
+        if packet.csi.rows() != entry.array.num_antennas || packet.csi.cols() == 0 {
+            spotfi_obs::counter("ingest.rejected.shape_mismatch", 1);
+            return None;
+        }
         entry.calibration.apply(&mut packet);
         if !packet.timestamp_s.is_finite() {
             spotfi_obs::counter("ingest.rejected.non_finite_timestamp", 1);
@@ -241,6 +249,28 @@ mod tests {
         let mut p = packet();
         p.timestamp_s = f64::MAX;
         assert!(reg.fleet_packet(8, 1, p).is_none());
+        assert!(reg.fleet_packet(7, 1, packet()).is_some());
+    }
+
+    #[test]
+    fn registry_rejects_wrong_shaped_csi() {
+        let mut reg = ReceiverRegistry::new();
+        reg.register(7, array(), ReceiverCalibration::default());
+        spotfi_obs::set_enabled(true);
+        let before = spotfi_obs::snapshot().counter_total("ingest.rejected.shape_mismatch");
+        for (rows, cols) in [(2, 30), (4, 30), (3, 0), (0, 0)] {
+            let mut p = packet();
+            p.csi = CMat::from_fn(rows, cols, |m, n| c64::new(1.0 + m as f64, n as f64));
+            assert!(reg.fleet_packet(7, 1, p).is_none(), "{rows}×{cols} CSI");
+        }
+        let after = spotfi_obs::snapshot().counter_total("ingest.rejected.shape_mismatch");
+        spotfi_obs::set_enabled(false);
+        assert!(after >= before + 4, "{after} after {before}");
+        // The subcarrier count is the engine's to check: any nonzero count
+        // of the registered array's rows passes.
+        let mut p = packet();
+        p.csi = CMat::from_fn(3, 1, |m, _| c64::new(1.0 + m as f64, 0.0));
+        assert!(reg.fleet_packet(7, 1, p).is_some());
         assert!(reg.fleet_packet(7, 1, packet()).is_some());
     }
 

@@ -186,16 +186,19 @@ pub(crate) struct SweepScratch {
     /// Off-grid Ω powers, 3 stencil rows (length `3·ns`).
     omega_buf: Vec<c64>,
     /// Off-grid block quadratic forms, 3 stencil rows (length `3·npairs`).
+    /// The detection level borrows the first row for each τ column's
+    /// detector forms before any stencil runs.
     forms_buf: Vec<c64>,
     /// Signal-eigenvector ω-projections `u_{k,m}` for one τ column of the
     /// coarse detection level (length `max_paths · ms`).
     u_buf: Vec<c64>,
-    /// Coarse detection level values (decimated AoA × full fine τ), sized
-    /// lazily by [`music_paths_coarse_to_fine`].
-    det_vals: Vec<f64>,
-    /// Detector block forms for every fine τ (`npairs` entries per column),
-    /// staged so the detection level can run row-major over `det_vals`.
-    det_forms: Vec<c64>,
+    /// The coarse detection level's last three τ columns, one value per
+    /// decimated AoA row, column `j` in slot `j mod 3` (`3 · n_rows`
+    /// values, sized lazily by [`music_paths_coarse_to_fine`]). A column's
+    /// local-maximum test reads only its two τ neighbours, so the
+    /// `n_rows × n_tof` level is streamed through this window, never
+    /// stored.
+    det_ring: Vec<f64>,
 }
 
 impl MusicScratch {
@@ -620,7 +623,9 @@ pub struct CoarseFinePaths {
 ///    forms from the `signal_dimension` signal eigenvectors
 ///    (`O(K·M_s·N_s)` per column instead of the exact `O(M_s²·N_s²)`
 ///    kernels). 8-neighborhood local maxima of the detection grid seed
-///    candidate basins, strongest first, capped at `max_paths + 4`.
+///    candidate basins, strongest first, capped at `max_paths + 4`. The
+///    level is streamed by τ column through a three-column window, never
+///    stored whole.
 /// 2. **Zoom.** Each basin walks through `ZOOM_LEVELS` patches of
 ///    `(2·BASIN_RADIUS + 1)²` points whose AoA steps shrink geometrically
 ///    to one fine cell (τ offsets stay at one fine cell — the detector
@@ -673,193 +678,8 @@ pub(crate) fn coarse_to_fine_prepared(
         "SteeringCache built for a different SpotFiConfig"
     );
     let _span = spotfi_obs::span("stage.sweep");
-    let ms = cfg.smoothing.sub_antennas;
-    let ns = cfg.smoothing.sub_subcarriers;
-    let npairs = ms * (ms + 1) / 2;
-    let aoa_grid = cfg.music.aoa_grid_deg;
-    let tof_grid = cfg.music.tof_grid_ns;
-    let na = aoa_grid.len();
-    let nt = tof_grid.len();
-
-    // --- Coarse detection level: AoA decimated by `COARSE_FACTOR`
-    // (boundary row always sampled), τ at FULL fine resolution. The axes
-    // are deliberately asymmetric: MUSIC τ peaks are super-resolved — on a
-    // clean channel a basin can be a single fine τ column wide, so *any*
-    // τ decimation can straddle it — while the AoA profile of each τ
-    // column is a handful of broad lobes for the small smoothed subarrays
-    // (for `M_s = 2` it is provably a single cosine lobe in `sin θ`), so
-    // the AoA axis decimates safely. Full-τ detection is affordable
-    // because the detector evaluates the τ block forms from the
-    // `signal_dimension` signal eigenvectors instead of the packed
-    // projector: with `G = I − E_S·E_Sᴴ`,
-    //
-    // ```text
-    // b_p(τ) = δ_{ma,mb}·N_s − Σ_k u_{k,ma}·ū_{k,mb},
-    // u_{k,m} = Σ_i ω̄_i·e_k[m·N_s + i]
-    // ```
-    //
-    // which is `O(K·M_s·N_s)` per column against the exact kernels'
-    // `O(M_s²·N_s²)`. Detector values differ from the exact ones only by
-    // floating-point rounding, and they only *seed* basins — every value
-    // that ranks, dedups, or gets reported downstream comes from the exact
-    // memoized dense-sweep kernels.
-    let mut ca: Vec<usize> = (0..na).step_by(COARSE_FACTOR).collect();
-    if *ca.last().unwrap() != na - 1 {
-        ca.push(na - 1);
-    }
-    let nca = ca.len();
     let MusicScratch { eig, sweep, .. } = &mut *scratch;
-    sweep.det_vals.resize(nca * nt, 0.0);
-    {
-        let vecs = eig.vectors();
-        let u = &mut sweep.u_buf[..signal_dimension * ms];
-        let det = &mut sweep.det_vals;
-        let dforms = &mut sweep.det_forms;
-        dforms.resize(nt * npairs, c64::ZERO);
-        // Hoist the eigenvector segment slices out of the τ loop; each dot
-        // keeps the original sequential i-ascending register accumulation,
-        // so every `u` value is bit-identical to the fused version's.
-        let mut segs: Vec<&[c64]> = Vec::with_capacity(signal_dimension * ms);
-        for k in 0..signal_dimension {
-            let e = vecs.col(k);
-            for m in 0..ms {
-                segs.push(&e[m * ns..(m + 1) * ns]);
-            }
-        }
-        for it in 0..nt {
-            let w = cache.omega_row(it);
-            for (um, seg) in u.iter_mut().zip(segs.iter()) {
-                let mut acc = c64::ZERO;
-                for (wi, ei) in w.iter().zip(seg.iter()) {
-                    acc += wi.conj() * *ei;
-                }
-                *um = acc;
-            }
-            let bf = &mut dforms[it * npairs..(it + 1) * npairs];
-            let mut p = 0;
-            for ma in 0..ms {
-                for mb in 0..=ma {
-                    let mut acc = if ma == mb {
-                        c64::new(ns as f64, 0.0)
-                    } else {
-                        c64::ZERO
-                    };
-                    for k in 0..signal_dimension {
-                        acc -= u[k * ms + ma] * u[k * ms + mb].conj();
-                    }
-                    bf[p] = acc;
-                    p += 1;
-                }
-            }
-        }
-        // Fill `det_vals` row-major: φ stays in registers for a whole row,
-        // the staged forms stream sequentially, and every store is
-        // unit-stride. The `ms == 2` arm replays `denom_from_forms`'s exact
-        // operation sequence for that shape (diagonal term, cross term,
-        // diagonal term) so both arms produce bit-identical rows; with the
-        // loop body free of calls and strides it vectorizes across τ.
-        for (r, &ia) in ca.iter().enumerate() {
-            let ph = cache.phi_row(ia);
-            let row = &mut det[r * nt..(r + 1) * nt];
-            if ms == 2 {
-                let (ph0, ph1) = (ph[0], ph[1]);
-                let (n0, n1) = (ph0.norm_sqr(), ph1.norm_sqr());
-                let ph1c = ph1.conj();
-                for (rv, bf) in row.iter_mut().zip(dforms.chunks_exact(npairs)) {
-                    let mut denom = 0.0f64;
-                    denom += n0 * bf[0].re;
-                    let z = ph1c * bf[1] * ph0;
-                    denom += 2.0 * z.re;
-                    denom += n1 * bf[2].re;
-                    *rv = denom.max(1e-12);
-                }
-            } else {
-                for (rv, bf) in row.iter_mut().zip(dforms.chunks_exact(npairs)) {
-                    *rv = denom_from_forms(ph, bf, ms).max(1e-12);
-                }
-            }
-        }
-        // Batched reciprocal: the same `1.0 / x` on the same clamped values
-        // a fused form would divide, hoisted so the divisions pipeline
-        // 4-wide instead of serializing one per grid cell.
-        for v in det.iter_mut() {
-            *v = 1.0 / *v;
-        }
-    }
-
-    // Local maxima of the detection level seed candidate basins. Unlike
-    // the dense peak scan, *boundary* cells may qualify (missing neighbors
-    // are simply absent): an interior fine peak can sit inside a boundary
-    // cell's basin. The fine-boundary exclusion is applied after the zoom
-    // instead.
-    // Peak predicate (scan-order tie-break): reject on `nv > v` for any
-    // neighbor, or `nv == v` for a neighbor earlier in scan order
-    // (`(di, dj) < (0, 0)`). Checking the two same-row neighbors first
-    // rejects almost every cell from one or two adjacent loads before any
-    // strided row-above/row-below access; the accept/reject outcome per
-    // cell is identical to the full 8-neighbor loop in any order.
-    let det = &sweep.det_vals;
-    let mut cands: Vec<(f64, usize, usize)> = Vec::new();
-    for (i, &cai) in ca.iter().enumerate() {
-        let base = i * nt;
-        'cell: for j in 0..nt {
-            let v = det[base + j];
-            let mut any_below = false;
-            if j > 0 {
-                // (0, −1): earlier in scan order, equal values reject.
-                let nv = det[base + j - 1];
-                if nv >= v {
-                    continue 'cell;
-                }
-                any_below = true;
-            }
-            if j + 1 < nt {
-                let nv = det[base + j + 1];
-                if nv > v {
-                    continue 'cell;
-                }
-                any_below |= nv < v;
-            }
-            if i > 0 {
-                // Row above: all three are earlier in scan order.
-                let nb = (i - 1) * nt + j;
-                for dj in -1i64..=1 {
-                    let jj = j as i64 + dj;
-                    if jj < 0 || jj >= nt as i64 {
-                        continue;
-                    }
-                    let nv = det[(nb as i64 + dj) as usize];
-                    if nv >= v {
-                        continue 'cell;
-                    }
-                    any_below = true;
-                }
-            }
-            if i + 1 < nca {
-                let nb = (i + 1) * nt + j;
-                for dj in -1i64..=1 {
-                    let jj = j as i64 + dj;
-                    if jj < 0 || jj >= nt as i64 {
-                        continue;
-                    }
-                    let nv = det[(nb as i64 + dj) as usize];
-                    if nv > v {
-                        continue 'cell;
-                    }
-                    any_below |= nv < v;
-                }
-            }
-            if any_below {
-                cands.push((v, cai, j));
-            }
-        }
-    }
-    cands.sort_by(|x, y| {
-        y.0.partial_cmp(&x.0)
-            .unwrap()
-            .then((x.1, x.2).cmp(&(y.1, y.2)))
-    });
-    cands.truncate(cfg.music.max_paths + 4);
+    let cands = detection_candidates(cfg, cache, eig.vectors(), signal_dimension, sweep);
 
     // Zoom steps shrink geometrically from the coarse AoA stride to one
     // fine cell: coarse = 4, levels = 2 → strides of 2 then 1 fine cells.
@@ -881,6 +701,216 @@ pub(crate) fn coarse_to_fine_prepared(
         .collect();
 
     search_candidates_prepared(cfg, cache, scratch, signal_dimension, &cands, &steps, false)
+}
+
+/// The detection level of [`coarse_to_fine_prepared`]: its local maxima
+/// as basin seeds `(value, i_aoa, i_tof)`, sorted by value descending then
+/// `(i_aoa, i_tof)` ascending, and capped at `max_paths + 4`. `vectors`
+/// holds the signal basis in its leading `signal_dimension` columns.
+///
+/// AoA rows are decimated by `COARSE_FACTOR` (boundary row always
+/// sampled), τ stays at FULL fine resolution. The axes are deliberately
+/// asymmetric: MUSIC τ peaks are super-resolved — on a clean channel a
+/// basin can be a single fine τ column wide, so *any* τ decimation can
+/// straddle it — while the AoA profile of each τ column is a handful of
+/// broad lobes for the small smoothed subarrays (for `M_s = 2` it is
+/// provably a single cosine lobe in `sin θ`), so the AoA axis decimates
+/// safely. Full-τ detection is affordable because the detector evaluates
+/// the τ block forms from the `signal_dimension` signal eigenvectors
+/// instead of the packed projector: with `G = I − E_S·E_Sᴴ`,
+///
+/// ```text
+/// b_p(τ) = δ_{ma,mb}·N_s − Σ_k u_{k,ma}·ū_{k,mb},
+/// u_{k,m} = Σ_i ω̄_i·e_k[m·N_s + i]
+/// ```
+///
+/// which is `O(K·M_s·N_s)` per column against the exact kernels'
+/// `O(M_s²·N_s²)`. Detector values differ from the exact ones only by
+/// floating-point rounding, and they only *seed* basins — every value
+/// that ranks, dedups, or gets reported downstream comes from the exact
+/// memoized dense-sweep kernels.
+///
+/// The level streams by τ column: column `j + 1` is built before column
+/// `j`'s peak test runs, and only the last three columns are kept, so the
+/// working set is `3 × n_rows` values (1.1 KB at the default grid); the
+/// `n_rows × n_tof` level (92 KB there) is never stored.
+fn detection_candidates(
+    cfg: &SpotFiConfig,
+    cache: &SteeringCache,
+    vectors: &CMat,
+    signal_dimension: usize,
+    sweep: &mut SweepScratch,
+) -> Vec<(f64, usize, usize)> {
+    let ms = cfg.smoothing.sub_antennas;
+    let ns = cfg.smoothing.sub_subcarriers;
+    let npairs = ms * (ms + 1) / 2;
+    let na = cfg.music.aoa_grid_deg.len();
+    let nt = cfg.music.tof_grid_ns.len();
+    let mut ca: Vec<usize> = (0..na).step_by(COARSE_FACTOR).collect();
+    if *ca.last().unwrap() != na - 1 {
+        ca.push(na - 1);
+    }
+    let nca = ca.len();
+    // Per-row constants of the `ms == 2` arm, hoisted out of the τ loop so
+    // each column's fill is one call-free pass over the rows.
+    let rows2: Vec<(f64, f64, c64, c64)> = if ms == 2 {
+        ca.iter()
+            .map(|&ia| {
+                let ph = cache.phi_row(ia);
+                (ph[0].norm_sqr(), ph[1].norm_sqr(), ph[0], ph[1].conj())
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+    // Hoist the eigenvector segment slices out of the τ loop; each dot
+    // keeps the sequential i-ascending register accumulation.
+    let mut segs: Vec<&[c64]> = Vec::with_capacity(signal_dimension * ms);
+    for k in 0..signal_dimension {
+        let e = vectors.col(k);
+        for m in 0..ms {
+            segs.push(&e[m * ns..(m + 1) * ns]);
+        }
+    }
+    let SweepScratch {
+        u_buf,
+        forms_buf,
+        det_ring,
+        ..
+    } = sweep;
+    let u = &mut u_buf[..signal_dimension * ms];
+    let bf = &mut forms_buf[..npairs];
+    det_ring.resize(3 * nca, 0.0);
+    let mut cands: Vec<(f64, usize, usize)> = Vec::new();
+    for it in 0..nt {
+        let w = cache.omega_row(it);
+        for (um, seg) in u.iter_mut().zip(segs.iter()) {
+            let mut acc = c64::ZERO;
+            for (wi, ei) in w.iter().zip(seg.iter()) {
+                acc += wi.conj() * *ei;
+            }
+            *um = acc;
+        }
+        let mut p = 0;
+        for ma in 0..ms {
+            for mb in 0..=ma {
+                let mut acc = if ma == mb {
+                    c64::new(ns as f64, 0.0)
+                } else {
+                    c64::ZERO
+                };
+                for k in 0..signal_dimension {
+                    acc -= u[k * ms + ma] * u[k * ms + mb].conj();
+                }
+                bf[p] = acc;
+                p += 1;
+            }
+        }
+        // Column `it` into ring slot `it mod 3`, one value per coarse row.
+        // The `ms == 2` arm replays `denom_from_forms`'s exact operation
+        // sequence for that shape (diagonal term, cross term, diagonal
+        // term), so both arms produce bit-identical values; with the forms
+        // broadcast and the loop body free of calls it vectorizes across
+        // rows.
+        let slot = &mut det_ring[(it % 3) * nca..(it % 3 + 1) * nca];
+        if ms == 2 {
+            let (b0, b1, b2) = (bf[0].re, bf[1], bf[2].re);
+            for (rv, &(n0, n1, ph0, ph1c)) in slot.iter_mut().zip(&rows2) {
+                let mut denom = 0.0f64;
+                denom += n0 * b0;
+                let z = ph1c * b1 * ph0;
+                denom += 2.0 * z.re;
+                denom += n1 * b2;
+                *rv = 1.0 / denom.max(1e-12);
+            }
+        } else {
+            for (rv, &ia) in slot.iter_mut().zip(&ca) {
+                *rv = 1.0 / denom_from_forms(cache.phi_row(ia), bf, ms).max(1e-12);
+            }
+        }
+        // Column `it − 1` now has both τ neighbours in the ring.
+        if it > 0 {
+            let col = |j: usize| &det_ring[(j % 3) * nca..(j % 3 + 1) * nca];
+            let prev = (it > 1).then(|| col(it - 2));
+            column_peaks(col(it - 1), prev, Some(col(it)), &ca, it - 1, &mut cands);
+        }
+    }
+    let col = |j: usize| &det_ring[(j % 3) * nca..(j % 3 + 1) * nca];
+    let prev = (nt > 1).then(|| col(nt - 2));
+    column_peaks(col(nt - 1), prev, None, &ca, nt - 1, &mut cands);
+
+    // The sort key is total over distinct cells, so the column-major push
+    // order leaves no trace in the ranking.
+    cands.sort_by(|x, y| {
+        y.0.partial_cmp(&x.0)
+            .unwrap()
+            .then((x.1, x.2).cmp(&(y.1, y.2)))
+    });
+    cands.truncate(cfg.music.max_paths + 4);
+    cands
+}
+
+/// Appends the detection-level local maxima of τ column `j` to `cands`.
+/// `cur` holds the column's values by coarse row, `prev` and `next` its τ
+/// neighbours (absent at the grid's edges), and `ca` maps coarse rows to
+/// AoA indices.
+///
+/// Unlike the dense peak scan, *boundary* cells may qualify (missing
+/// neighbours are simply absent): an interior fine peak can sit inside a
+/// boundary cell's basin. The fine-boundary exclusion is applied after
+/// the zoom instead. Ties break by the row-major (`(row, τ)`) scan order:
+/// a neighbour earlier in that order — the left one in the same row, or
+/// any of the three in the row above — rejects on `nv >= v`, every other
+/// neighbour on `nv > v`, and a peak needs one strictly lower neighbour.
+/// The same-row neighbours are checked first, since they reject almost
+/// every cell before the rows above and below are read; the outcome per
+/// cell is that of the full 8-neighbour loop in any order.
+fn column_peaks(
+    cur: &[f64],
+    prev: Option<&[f64]>,
+    next: Option<&[f64]>,
+    ca: &[usize],
+    j: usize,
+    cands: &mut Vec<(f64, usize, usize)>,
+) {
+    let cols = [prev, Some(cur), next];
+    'row: for (r, &v) in cur.iter().enumerate() {
+        let mut any_below = false;
+        if let Some(p) = prev {
+            // (0, −1): earlier in scan order, equal values reject.
+            if p[r] >= v {
+                continue;
+            }
+            any_below = true;
+        }
+        if let Some(n) = next {
+            if n[r] > v {
+                continue;
+            }
+            any_below |= n[r] < v;
+        }
+        if r > 0 {
+            // Row above: all three are earlier in scan order.
+            for c in cols.iter().flatten() {
+                if c[r - 1] >= v {
+                    continue 'row;
+                }
+                any_below = true;
+            }
+        }
+        if r + 1 < cur.len() {
+            for c in cols.iter().flatten() {
+                let nv = c[r + 1];
+                if nv > v {
+                    continue 'row;
+                }
+                any_below |= nv < v;
+            }
+        }
+        if any_below {
+            cands.push((v, ca[r], j));
+        }
+    }
 }
 
 /// Extracts MUSIC path peaks by a warm-started search (the streaming path):
@@ -1476,6 +1506,258 @@ mod tests {
             let (aoa, tof) = (spec.aoa_grid.value(ia), spec.tof_grid.value(it));
             let v = ctx.off_grid_stencil(aoa, tof, ha, ht)[1][1];
             assert_eq!(v.to_bits(), spec.at(ia, it).to_bits(), "cell ({ia}, {it})");
+        }
+    }
+
+    /// The detection level as it ran before it was streamed: the whole
+    /// `n_rows × n_tof` grid filled row-major from every column's staged
+    /// forms, a batched reciprocal, then a row-major local-maximum scan.
+    fn full_grid_candidates(
+        cfg: &SpotFiConfig,
+        cache: &SteeringCache,
+        vectors: &CMat,
+        signal_dimension: usize,
+    ) -> Vec<(f64, usize, usize)> {
+        let ms = cfg.smoothing.sub_antennas;
+        let ns = cfg.smoothing.sub_subcarriers;
+        let npairs = ms * (ms + 1) / 2;
+        let na = cfg.music.aoa_grid_deg.len();
+        let nt = cfg.music.tof_grid_ns.len();
+        let mut ca: Vec<usize> = (0..na).step_by(COARSE_FACTOR).collect();
+        if *ca.last().unwrap() != na - 1 {
+            ca.push(na - 1);
+        }
+        let nca = ca.len();
+        let mut u = vec![c64::ZERO; signal_dimension * ms];
+        let mut dforms = vec![c64::ZERO; nt * npairs];
+        let mut det = vec![0.0f64; nca * nt];
+        for it in 0..nt {
+            let w = cache.omega_row(it);
+            for k in 0..signal_dimension {
+                let e = vectors.col(k);
+                for m in 0..ms {
+                    let mut acc = c64::ZERO;
+                    for (wi, ei) in w.iter().zip(&e[m * ns..(m + 1) * ns]) {
+                        acc += wi.conj() * *ei;
+                    }
+                    u[k * ms + m] = acc;
+                }
+            }
+            let bf = &mut dforms[it * npairs..(it + 1) * npairs];
+            let mut p = 0;
+            for ma in 0..ms {
+                for mb in 0..=ma {
+                    let mut acc = if ma == mb {
+                        c64::new(ns as f64, 0.0)
+                    } else {
+                        c64::ZERO
+                    };
+                    for k in 0..signal_dimension {
+                        acc -= u[k * ms + ma] * u[k * ms + mb].conj();
+                    }
+                    bf[p] = acc;
+                    p += 1;
+                }
+            }
+        }
+        for (r, &ia) in ca.iter().enumerate() {
+            let ph = cache.phi_row(ia);
+            let row = &mut det[r * nt..(r + 1) * nt];
+            if ms == 2 {
+                let (ph0, ph1) = (ph[0], ph[1]);
+                let (n0, n1) = (ph0.norm_sqr(), ph1.norm_sqr());
+                let ph1c = ph1.conj();
+                for (rv, bf) in row.iter_mut().zip(dforms.chunks_exact(npairs)) {
+                    let mut denom = 0.0f64;
+                    denom += n0 * bf[0].re;
+                    let z = ph1c * bf[1] * ph0;
+                    denom += 2.0 * z.re;
+                    denom += n1 * bf[2].re;
+                    *rv = denom.max(1e-12);
+                }
+            } else {
+                for (rv, bf) in row.iter_mut().zip(dforms.chunks_exact(npairs)) {
+                    *rv = denom_from_forms(ph, bf, ms).max(1e-12);
+                }
+            }
+        }
+        for v in det.iter_mut() {
+            *v = 1.0 / *v;
+        }
+        let mut cands = Vec::new();
+        for (i, &cai) in ca.iter().enumerate() {
+            'cell: for j in 0..nt {
+                let v = det[i * nt + j];
+                let mut any_below = false;
+                for di in -1i64..=1 {
+                    for dj in -1i64..=1 {
+                        let (ii, jj) = (i as i64 + di, j as i64 + dj);
+                        if (di, dj) == (0, 0)
+                            || ii < 0
+                            || ii >= nca as i64
+                            || jj < 0
+                            || jj >= nt as i64
+                        {
+                            continue;
+                        }
+                        let nv = det[ii as usize * nt + jj as usize];
+                        // Neighbours earlier in row-major scan order reject
+                        // on equality too.
+                        if nv > v || (nv == v && (di, dj) < (0, 0)) {
+                            continue 'cell;
+                        }
+                        any_below |= nv < v;
+                    }
+                }
+                if any_below {
+                    cands.push((v, cai, j));
+                }
+            }
+        }
+        cands.sort_by(|x, y| {
+            y.0.partial_cmp(&x.0)
+                .unwrap()
+                .then((x.1, x.2).cmp(&(y.1, y.2)))
+        });
+        cands.truncate(cfg.music.max_paths + 4);
+        cands
+    }
+
+    /// Runs the streamed detection level and the full-grid oracle on one
+    /// basis and requires bit-identical candidate lists; returns how many
+    /// candidates there were.
+    fn assert_streamed_detection_matches(
+        c: &SpotFiConfig,
+        vectors: &CMat,
+        signal_dimension: usize,
+        what: &str,
+    ) -> usize {
+        let cache = SteeringCache::new(c);
+        let mut scratch = MusicScratch::new(c);
+        let bits = |v: Vec<(f64, usize, usize)>| -> Vec<(u64, usize, usize)> {
+            v.into_iter().map(|(x, a, t)| (x.to_bits(), a, t)).collect()
+        };
+        let streamed = bits(detection_candidates(
+            c,
+            &cache,
+            vectors,
+            signal_dimension,
+            &mut scratch.sweep,
+        ));
+        let full = bits(full_grid_candidates(c, &cache, vectors, signal_dimension));
+        assert_eq!(streamed, full, "{what}");
+        streamed.len()
+    }
+
+    /// A seeded basis of `d` columns with arbitrary (non-orthonormal)
+    /// entries: the detector's arithmetic does not assume orthonormality.
+    fn random_basis(c: &SpotFiConfig, d: usize, rng: &mut spotfi_channel::Rng) -> CMat {
+        let n = c.smoothed_rows();
+        CMat::from_fn(n, d, |_, _| {
+            c64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)) * 0.3
+        })
+    }
+
+    #[test]
+    fn streamed_detection_matches_full_grid_on_seeded_packets() {
+        let mut rng = spotfi_channel::Rng::seed_from_u64(0xDE7EC7);
+        for c in [SpotFiConfig::default(), SpotFiConfig::fast_test()] {
+            for packet in 0..6 {
+                let paths: Vec<(f64, f64, c64)> = (0..1 + packet % 4)
+                    .map(|_| {
+                        (
+                            rng.gen_range(-80.0..80.0),
+                            rng.gen_range(-50.0..350.0),
+                            c64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)),
+                        )
+                    })
+                    .collect();
+                let mut csi = csi_for_paths(&paths);
+                for z in csi.as_mut_slice() {
+                    *z += c64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)) * 0.03;
+                }
+                let x = smoothed_csi(&csi, &c).unwrap();
+                let mut s = MusicScratch::new(&c);
+                let d = s.prepare_exact(&x, &c).unwrap();
+                let found = assert_streamed_detection_matches(
+                    &c,
+                    s.eig.vectors(),
+                    d,
+                    &format!("packet {packet}, {} τ points", c.music.tof_grid_ns.len()),
+                );
+                assert!(found > 0, "packet {packet} seeded no basin");
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_detection_matches_full_grid_on_tiny_grids() {
+        // τ grids of 1–3 points put every column at an edge; AoA grids of
+        // up to `COARSE_FACTOR + 1` points keep one or two coarse rows, the
+        // second of them the appended boundary row whenever `na − 1` is
+        // not a multiple of the factor. The generic arm runs for
+        // `M_s ≠ 2`.
+        let mut rng = spotfi_channel::Rng::seed_from_u64(0x7119);
+        for (ms, ns) in [(2, 15), (1, 10), (3, 10)] {
+            for nt in 1..=3 {
+                for na in 1..=COARSE_FACTOR + 1 {
+                    let mut c = SpotFiConfig::fast_test();
+                    c.smoothing.sub_antennas = ms;
+                    c.smoothing.sub_subcarriers = ns;
+                    c.music.aoa_grid_deg = GridSpec {
+                        min: -20.0,
+                        max: -20.0 + 7.0 * (na - 1) as f64,
+                        step: 7.0,
+                    };
+                    c.music.tof_grid_ns = GridSpec {
+                        min: 30.0,
+                        max: 30.0 + 3.0 * (nt - 1) as f64,
+                        step: 3.0,
+                    };
+                    for d in [1, c.music.max_paths] {
+                        let basis = random_basis(&c, d, &mut rng);
+                        assert_streamed_detection_matches(
+                            &c,
+                            &basis,
+                            d,
+                            &format!("ms {ms}, {na} × {nt} grid, d {d}"),
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_detection_keeps_the_scan_order_tie_break() {
+        // Signal vectors supported on each subarray's first subcarrier,
+        // where every Ω power is exactly 1, give τ-constant forms: each AoA
+        // row is a plateau and only the scan-order rule picks its cell.
+        // Supported on the first antenna only, the rows tie too wherever
+        // |Φ|² rounds alike.
+        let mut rng = spotfi_channel::Rng::seed_from_u64(0x71E5);
+        for c in [SpotFiConfig::fast_test(), SpotFiConfig::default()] {
+            let ns = c.smoothing.sub_subcarriers;
+            for antennas in [c.smoothing.sub_antennas, 1] {
+                for d in 1..=3 {
+                    let mut basis = CMat::zeros(c.smoothed_rows(), d);
+                    for k in 0..d {
+                        for m in 0..antennas {
+                            basis[(m * ns, k)] =
+                                c64::new(rng.gen_range(0.1..0.5), rng.gen_range(0.1..0.5));
+                        }
+                    }
+                    let found = assert_streamed_detection_matches(
+                        &c,
+                        &basis,
+                        d,
+                        &format!("plateau basis on {antennas} antennas, d {d}"),
+                    );
+                    if antennas > 1 {
+                        assert!(found > 0, "plateau basis, d {d}: no candidate");
+                    }
+                }
+            }
         }
     }
 
