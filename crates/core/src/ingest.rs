@@ -112,10 +112,15 @@ impl ReceiverRegistry {
     /// registered array's `num_antennas` or that has no subcarrier columns
     /// (counting `ingest.rejected.shape_mismatch`), which the AoA model of
     /// that array cannot explain and which would otherwise reach a shard
-    /// worker only to fail there; and for a non-finite calibrated
+    /// worker only to fail there; for a non-finite calibrated
     /// timestamp (counting `ingest.rejected.non_finite_timestamp`): the
     /// fleet's stale-AP ageing and reorder window compare timestamps, and a
-    /// NaN or infinite stamp would pin or evict a target's fusion window.
+    /// NaN or infinite stamp would pin or evict a target's fusion window;
+    /// and for any NaN/±Inf calibrated CSI entry (counting
+    /// `ingest.rejected.non_finite_csi`) or a non-finite calibrated RSSI
+    /// (`ingest.rejected.non_finite_rssi`), which no covariance or Eq. 9
+    /// RSSI weight can use and which would otherwise end as a stream error
+    /// on a shard worker.
     pub fn fleet_packet(
         &self,
         receiver_id: u32,
@@ -133,6 +138,14 @@ impl ReceiverRegistry {
         entry.calibration.apply(&mut packet);
         if !packet.timestamp_s.is_finite() {
             spotfi_obs::counter("ingest.rejected.non_finite_timestamp", 1);
+            return None;
+        }
+        if !packet.csi.as_slice().iter().all(|z| z.is_finite()) {
+            spotfi_obs::counter("ingest.rejected.non_finite_csi", 1);
+            return None;
+        }
+        if !packet.rssi_dbm.is_finite() {
+            spotfi_obs::counter("ingest.rejected.non_finite_rssi", 1);
             return None;
         }
         Some(FleetPacket {
@@ -252,8 +265,17 @@ mod tests {
         assert!(reg.fleet_packet(7, 1, packet()).is_some());
     }
 
+    /// The recorder's on/off flag is process-wide: tests that switch it
+    /// and read counters hold this turn so they do not switch it under
+    /// each other.
+    fn recorder_turn() -> std::sync::MutexGuard<'static, ()> {
+        static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        TURN.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn registry_rejects_wrong_shaped_csi() {
+        let _turn = recorder_turn();
         let mut reg = ReceiverRegistry::new();
         reg.register(7, array(), ReceiverCalibration::default());
         spotfi_obs::set_enabled(true);
@@ -271,6 +293,56 @@ mod tests {
         let mut p = packet();
         p.csi = CMat::from_fn(3, 1, |m, _| c64::new(1.0 + m as f64, 0.0));
         assert!(reg.fleet_packet(7, 1, p).is_some());
+        assert!(reg.fleet_packet(7, 1, packet()).is_some());
+    }
+
+    #[test]
+    fn registry_rejects_non_finite_csi_and_rssi() {
+        let _turn = recorder_turn();
+        let mut reg = ReceiverRegistry::new();
+        reg.register(7, array(), ReceiverCalibration::default());
+        spotfi_obs::set_enabled(true);
+        let total = |name: &str| spotfi_obs::snapshot().counter_total(name);
+        let (csi_before, rssi_before) = (
+            total("ingest.rejected.non_finite_csi"),
+            total("ingest.rejected.non_finite_rssi"),
+        );
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for entry in [c64::new(bad, 0.0), c64::new(0.5, bad)] {
+                let mut p = packet();
+                p.csi[(2, 17)] = entry;
+                assert!(reg.fleet_packet(7, 1, p).is_none(), "CSI entry {entry:?}");
+            }
+            let mut p = packet();
+            p.rssi_dbm = bad;
+            assert!(reg.fleet_packet(7, 1, p).is_none(), "RSSI {bad}");
+        }
+        let (csi_after, rssi_after) = (
+            total("ingest.rejected.non_finite_csi"),
+            total("ingest.rejected.non_finite_rssi"),
+        );
+        spotfi_obs::set_enabled(false);
+        assert!(
+            csi_after >= csi_before + 6,
+            "{csi_after} after {csi_before}"
+        );
+        assert!(
+            rssi_after >= rssi_before + 3,
+            "{rssi_after} after {rssi_before}"
+        );
+        // A finite RSSI that the calibration offset overflows is rejected
+        // too: the checks run on the calibrated packet.
+        reg.register(
+            8,
+            array(),
+            ReceiverCalibration {
+                rssi_offset_db: f64::MAX,
+                ..Default::default()
+            },
+        );
+        let mut p = packet();
+        p.rssi_dbm = f64::MAX;
+        assert!(reg.fleet_packet(8, 1, p).is_none());
         assert!(reg.fleet_packet(7, 1, packet()).is_some());
     }
 

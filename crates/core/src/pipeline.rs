@@ -17,7 +17,7 @@
 //! ### Execution model
 //!
 //! Every packet, batch or streamed, runs one engine: *stage* (sanitize →
-//! smooth → covariance, plus the anchor decision), then the *exact tail*
+//! smoothed covariance, plus the anchor decision), then the *exact tail*
 //! (exact eigendecomposition → coarse-to-fine sweep) or, for streams, the
 //! *warm tail* (tracked subspace → warm-started sweep). Both tails hand
 //! their signal basis to one preparer, `music::prepare_from_basis`.
@@ -32,9 +32,12 @@
 //! [`crate::runtime::hardware_parallelism`]. Every per-packet computation
 //! is pure and results come back in input order, so they are bit-identical
 //! for every thread count; `threads = 1` runs the plain serial path. Each
-//! worker owns one [`PacketScratch`], so per-packet buffers (smoothed
-//! matrix, covariance, eigensolver workspace, packed projector blocks) are
-//! allocated once per worker, not once per packet.
+//! worker owns one [`PacketScratch`], so per-packet buffers (eigensolver
+//! workspace, packed projector blocks) are allocated once per worker, not
+//! once per packet. The smoothed matrix `X` is never stored: its columns
+//! are gathered from the sanitized CSI one at a time and accumulated into
+//! `X·Xᴴ` directly in the eigensolver's matrix, which the solve then
+//! decomposes in place.
 //!
 //! ### Streaming model
 //!
@@ -69,7 +72,7 @@ use crate::music::{
 use crate::peaks::PathEstimate;
 use crate::runtime::parallel_map_with;
 use crate::sanitize::sanitize_csi;
-use crate::smoothing::smoothed_csi_into;
+use crate::smoothing::SmoothedColumns;
 use crate::steering::SteeringCache;
 
 /// What one AP heard: its array geometry plus the packets it captured.
@@ -110,17 +113,16 @@ impl ApAnalysis {
     }
 }
 
-/// Reusable per-worker buffers for one packet's analysis chain: the
-/// smoothed measurement matrix, the MUSIC covariance/projector scratch
-/// (whose covariance buffer also holds a stream's unpacked covariance
-/// while its packet runs), and the subspace tracker's per-step
+/// Reusable per-worker buffers for one packet's analysis chain: the MUSIC
+/// eigensolver/projector scratch, whose eigensolver matrix is the one
+/// `n × n` buffer a packet's covariance is built (or a stream's rolling
+/// covariance unpacked) into, and the subspace tracker's per-step
 /// [`RitzWorkspace`]. Fully overwritten on every packet, so one scratch
 /// serves a worker — and every stream on it — for the lifetime of a run.
 /// The Ritz workspace is sized by the first warm packet, so a scratch that
 /// only ever runs batch packets never allocates it.
 #[derive(Clone, Debug)]
 pub struct PacketScratch {
-    smoothed: CMat,
     music: MusicScratch,
     ritz: RitzWorkspace,
 }
@@ -129,7 +131,6 @@ impl PacketScratch {
     /// Allocates buffers sized for `cfg`.
     pub fn new(cfg: &SpotFiConfig) -> Self {
         PacketScratch {
-            smoothed: CMat::zeros(cfg.smoothed_rows(), cfg.smoothed_cols()),
             music: MusicScratch::new(cfg),
             ritz: RitzWorkspace::default(),
         }
@@ -151,8 +152,8 @@ impl PacketScratch {
 /// [`PackedHermitian`] lower triangle (`n(n+1)/2` entries, 7.4 KB at the
 /// default n = 30) and the tracked `n×k` basis (≤ 3.8 KB at
 /// `max_paths` = 8), plus the previous peak cells. Each packet unpacks the
-/// covariance into the worker's scratch; the tracker's per-step products
-/// live in the scratch's [`RitzWorkspace`].
+/// covariance into the worker's eigensolver matrix; the tracker's per-step
+/// products live in the scratch's [`RitzWorkspace`].
 ///
 /// One `StreamState` belongs to one packet stream; feeding it packets from
 /// different APs (or different targets) mixes unrelated covariances.
@@ -196,14 +197,14 @@ impl StreamState {
 }
 
 /// Where a staged packet's covariance lands: a fresh product in the
-/// scratch's covariance buffer, decomposed right away, or a stream's
-/// rolling covariance plus the dense buffer the stream's packet reads it
-/// from.
+/// scratch's eigensolver matrix, decomposed right away, or a stream's
+/// rolling covariance plus the eigensolver matrix the stream's packet
+/// reads it from.
 enum Covariance<'a> {
     Fresh(&'a mut MusicScratch),
     Stream {
         state: &'a mut StreamState,
-        unpacked: &'a mut CMat,
+        solver: &'a mut CMat,
     },
 }
 
@@ -261,29 +262,28 @@ impl SpotFi {
         packet: &CsiPacket,
         scratch: &mut PacketScratch,
     ) -> Result<Vec<PathEstimate>> {
-        let PacketScratch {
-            smoothed, music, ..
-        } = scratch;
-        self.stage(packet, smoothed, Covariance::Fresh(music))?;
+        let music = &mut scratch.music;
+        self.stage(packet, Covariance::Fresh(music))?;
         self.exact_tail(music).map(|swept| swept.paths)
     }
 
-    /// Stage: sanitize → smooth → covariance, returning whether the packet
-    /// anchors on the exact solver. A fresh covariance always anchors, so
-    /// it is eigendecomposed here, under one `stage.eigen` span with its
-    /// product; a stream's is a rolling sum, kept packed and left unpacked
-    /// in `unpacked` for the packet's tail.
-    fn stage(&self, packet: &CsiPacket, smoothed: &mut CMat, into: Covariance) -> Result<bool> {
+    /// Stage: sanitize → smoothed covariance, returning whether the packet
+    /// anchors on the exact solver. The smoothed matrix's columns feed the
+    /// covariance one at a time. A fresh covariance always anchors, so it
+    /// is eigendecomposed here, in place, under one `stage.eigen` span with
+    /// its product; a stream's is a rolling sum, kept packed and left
+    /// unpacked in `solver` for the packet's tail.
+    fn stage(&self, packet: &CsiPacket, into: Covariance) -> Result<bool> {
         let sanitized = sanitize_csi(&packet.csi, self.config.ofdm.subcarrier_spacing_hz)?;
-        smoothed_csi_into(&sanitized.csi, &self.config, smoothed)?;
-        let (state, unpacked) = match into {
+        let x = SmoothedColumns::new(&sanitized.csi, &self.config)?;
+        let (state, solver) = match into {
             Covariance::Fresh(music) => {
                 let _span = spotfi_obs::span("stage.eigen");
-                covariance_into(smoothed, &mut music.cov)?;
-                music.eigen_of_cov(self.config.music.max_paths);
+                covariance_into(&x, music.eig.matrix_mut())?;
+                music.eigen_in_place(self.config.music.max_paths);
                 return Ok(true);
             }
-            Covariance::Stream { state, unpacked } => (state, unpacked),
+            Covariance::Stream { state, solver } => (state, solver),
         };
         let stream_cfg = self.config.stream;
         let first = !state.initialized;
@@ -293,17 +293,19 @@ impl SpotFi {
                 // Fresh product: with λ = 0 this keeps the streaming
                 // covariance bitwise-equal to the batch path's, which the
                 // exactness contract (DESIGN.md §9) relies on.
-                covariance_into(smoothed, unpacked)?;
-                state.cov.assign_lower(unpacked);
+                covariance_into(&x, solver)?;
+                state.cov.assign_lower(solver);
             } else {
-                state.cov.decay_accumulate(stream_cfg.forgetting, smoothed);
+                state
+                    .cov
+                    .decay_accumulate_columns(stream_cfg.forgetting, |add| x.feed(add));
                 if !state.cov.is_finite() {
                     // Poisoned accumulator: drop everything so the next
                     // packet rebuilds from scratch.
                     state.reset();
                     return Err(SpotFiError::DegenerateCsi);
                 }
-                state.cov.unpack_into(unpacked);
+                state.cov.unpack_into(solver);
             }
             state.initialized = true;
         }
@@ -328,7 +330,7 @@ impl SpotFi {
     }
 
     /// Warm tail: one [`SubspaceTracker::refine`] step against the rolling
-    /// covariance (unpacked in `music`'s covariance buffer), then the
+    /// covariance (unpacked in `music`'s eigensolver matrix), then the
     /// warm-started sweep from the previous packet's peak basins. Returns
     /// `None` — the caller falls back to the exact path — when the
     /// tracker's drift exceeds
@@ -341,7 +343,7 @@ impl SpotFi {
     ) -> Option<Result<CoarseFinePaths>> {
         let prepared = {
             let _track = spotfi_obs::span("stage.track");
-            let drift = state.tracker.refine(&music.cov, ritz);
+            let drift = state.tracker.refine(music.eig.matrix(), ritz);
             spotfi_obs::value("stream.drift", drift);
             // NaN checked explicitly so a poisoned drift metric also falls
             // back to the exact path.
@@ -433,16 +435,12 @@ impl SpotFi {
         scratch: &mut PacketScratch,
     ) -> Result<Vec<PathEstimate>> {
         let _packet_span = spotfi_obs::span("stream.packet");
-        let PacketScratch {
-            smoothed,
-            music,
-            ritz,
-        } = scratch;
+        let PacketScratch { music, ritz } = scratch;
         let into = Covariance::Stream {
             state: &mut *state,
-            unpacked: &mut music.cov,
+            solver: music.eig.matrix_mut(),
         };
-        let anchor = self.stage(packet, smoothed, into)?;
+        let anchor = self.stage(packet, into)?;
         let warm = if anchor {
             None
         } else {
@@ -462,7 +460,7 @@ impl SpotFi {
             );
             {
                 let _span = spotfi_obs::span("stage.eigen");
-                music.eigen_of_cov(self.config.music.max_paths);
+                music.eigen_in_place(self.config.music.max_paths);
             }
             self.seed_tracker(&mut state.tracker, music);
             self.exact_tail(music)

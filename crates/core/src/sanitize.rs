@@ -17,7 +17,7 @@
 //! since it never uses absolute ToF for ranging.
 
 use spotfi_math::stats::linear_fit;
-use spotfi_math::unwrap::unwrapped;
+use spotfi_math::unwrap::unwrap_in_place;
 use spotfi_math::{c64, CMat};
 
 use crate::error::{Result, SpotFiError};
@@ -77,12 +77,10 @@ fn sanitize_csi_impl(csi: &CMat, subcarrier_spacing_hz: f64) -> Result<Sanitized
     let mut xs = Vec::with_capacity(m_ant * n_sub);
     let mut ys = Vec::with_capacity(m_ant * n_sub);
     for m in 0..m_ant {
-        let phases: Vec<f64> = (0..n_sub).map(|n| csi[(m, n)].arg()).collect();
-        let unwrapped_phases = unwrapped(&phases);
-        for (n, psi) in unwrapped_phases.iter().enumerate() {
-            xs.push(n as f64);
-            ys.push(*psi);
-        }
+        let start = ys.len();
+        ys.extend((0..n_sub).map(|n| csi[(m, n)].arg()));
+        unwrap_in_place(&mut ys[start..]);
+        xs.extend((0..n_sub).map(|n| n as f64));
     }
     let (slope, _intercept) = linear_fit(&xs, &ys).ok_or(SpotFiError::DegenerateCsi)?;
 

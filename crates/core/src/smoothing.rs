@@ -10,7 +10,7 @@
 //! Stacking every shift as a column produces a measurement matrix whose
 //! column space has full path rank, which is what MUSIC requires.
 
-use spotfi_math::CMat;
+use spotfi_math::{c64, CMat};
 
 use crate::config::SpotFiConfig;
 use crate::error::{Result, SpotFiError};
@@ -31,36 +31,98 @@ pub fn smoothed_csi(csi: &CMat, cfg: &SpotFiConfig) -> Result<CMat> {
 /// so the per-packet pipeline can reuse one allocation across packets.
 pub fn smoothed_csi_into(csi: &CMat, cfg: &SpotFiConfig, out: &mut CMat) -> Result<()> {
     let _span = spotfi_obs::span("stage.smooth");
-    let (m_ant, n_sub) = csi.shape();
-    let expect = cfg.csi_shape();
-    if (m_ant, n_sub) != expect {
-        return Err(SpotFiError::CsiShapeMismatch {
-            expected: expect,
-            got: (m_ant, n_sub),
-        });
-    }
-    let ms = cfg.smoothing.sub_antennas;
-    let ns = cfg.smoothing.sub_subcarriers;
-    if ms == 0 || ns == 0 || ms > m_ant || ns > n_sub {
-        return Err(SpotFiError::DegenerateCsi);
-    }
-
-    let ant_shifts = m_ant - ms + 1;
-    let sub_shifts = n_sub - ns + 1;
-    out.reset_zeros(ms * ns, ant_shifts * sub_shifts);
-
-    let mut col = 0;
-    for dm in 0..ant_shifts {
-        for dn in 0..sub_shifts {
-            for m_s in 0..ms {
-                for n_s in 0..ns {
-                    out[(m_s * ns + n_s, col)] = csi[(m_s + dm, n_s + dn)];
-                }
-            }
-            col += 1;
-        }
+    let x = SmoothedColumns::new(csi, cfg)?;
+    out.reset_zeros(x.rows(), x.cols());
+    for c in 0..x.cols() {
+        x.gather(c, out.col_mut(c));
     }
     Ok(())
+}
+
+/// Longest smoothed column [`SmoothedColumns::feed`] gathers on the stack
+/// (the default 2 × 15 subarray has 30 rows); longer ones use one heap
+/// buffer per call.
+const STACK_ROWS: usize = 64;
+
+/// A CSI matrix read as its smoothed matrix `X` (Fig. 4), one column at a
+/// time, after the shape checks [`smoothed_csi`] makes. Column
+/// `Δm·(N − N_s + 1) + Δn` is the subarray shifted by `Δm` antennas and
+/// `Δn` subcarriers, antenna-major. [`smoothed_csi_into`] stores `X`
+/// through it; the pipeline instead feeds each column straight into the
+/// covariance `X·Xᴴ`, so `X` is never stored.
+pub(crate) struct SmoothedColumns<'a> {
+    csi: &'a CMat,
+    sub_antennas: usize,
+    sub_subcarriers: usize,
+}
+
+impl<'a> SmoothedColumns<'a> {
+    /// Checks `csi` against `cfg`'s CSI shape and subarray.
+    pub(crate) fn new(csi: &'a CMat, cfg: &SpotFiConfig) -> Result<Self> {
+        let (m_ant, n_sub) = csi.shape();
+        let expect = cfg.csi_shape();
+        if (m_ant, n_sub) != expect {
+            return Err(SpotFiError::CsiShapeMismatch {
+                expected: expect,
+                got: (m_ant, n_sub),
+            });
+        }
+        let ms = cfg.smoothing.sub_antennas;
+        let ns = cfg.smoothing.sub_subcarriers;
+        if ms == 0 || ns == 0 || ms > m_ant || ns > n_sub {
+            return Err(SpotFiError::DegenerateCsi);
+        }
+        Ok(SmoothedColumns {
+            csi,
+            sub_antennas: ms,
+            sub_subcarriers: ns,
+        })
+    }
+
+    /// Rows of `X`: the subarray's element count `M_s·N_s`.
+    pub(crate) fn rows(&self) -> usize {
+        self.sub_antennas * self.sub_subcarriers
+    }
+
+    /// Columns of `X`: one per subarray shift.
+    pub(crate) fn cols(&self) -> usize {
+        (self.csi.rows() - self.sub_antennas + 1) * self.sub_shifts()
+    }
+
+    /// Subcarrier shift count, the stride of `Δm` in the column index.
+    fn sub_shifts(&self) -> usize {
+        self.csi.cols() - self.sub_subcarriers + 1
+    }
+
+    /// Writes column `col` of `X` into `out` (length
+    /// [`rows`](Self::rows)) — the one place the smoothing index map lives.
+    fn gather(&self, col: usize, out: &mut [c64]) {
+        let (dm, dn) = (col / self.sub_shifts(), col % self.sub_shifts());
+        let ns = self.sub_subcarriers;
+        for m_s in 0..self.sub_antennas {
+            for n_s in 0..ns {
+                out[m_s * ns + n_s] = self.csi[(m_s + dm, n_s + dn)];
+            }
+        }
+    }
+
+    /// Hands every column of `X` to `sink`, in column order, each gathered
+    /// into one reused buffer.
+    pub(crate) fn feed(&self, sink: &mut dyn FnMut(&[c64])) {
+        let n = self.rows();
+        let mut stack = [c64::ZERO; STACK_ROWS];
+        let mut heap = Vec::new();
+        let buf = if n <= STACK_ROWS {
+            &mut stack[..n]
+        } else {
+            heap.resize(n, c64::ZERO);
+            &mut heap[..]
+        };
+        for c in 0..self.cols() {
+            self.gather(c, buf);
+            sink(buf);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -21,10 +21,13 @@
 //!    clusters, then back-transformation through `D` and the Householder
 //!    reflectors — O(k·n²) instead of O(n³·sweeps) accumulation.
 //!
-//! The per-packet 30×30 MUSIC solves and the subspace tracker's k×k
-//! Rayleigh–Ritz step call [`hermitian_eigen_partial_into`] with a
-//! reusable [`TridiagWorkspace`], so a warm call performs no allocations;
-//! MUSIC-AoA's 3×3 solve uses the one-shot [`hermitian_eigen_partial`].
+//! The per-packet 30×30 MUSIC solves build each covariance in a reusable
+//! [`TridiagWorkspace`]'s own matrix and decompose it there with
+//! [`hermitian_eigen_partial_in_place`]; the subspace tracker's k×k
+//! Rayleigh–Ritz step calls [`hermitian_eigen_partial_into`], which copies
+//! its matrix in and runs the same solve. A warm call performs no
+//! allocations; MUSIC-AoA's 3×3 solve uses the one-shot
+//! [`hermitian_eigen_partial`].
 //! [`hermitian_eigen_partial_batch_into`] is a loop of per-matrix calls
 //! kept for the benchmarks, so one Householder reduction serves every
 //! caller. A cyclic-Jacobi solver is compiled under `cfg(test)` only, as
@@ -84,6 +87,20 @@ pub struct TridiagWorkspace {
 }
 
 impl TridiagWorkspace {
+    /// The matrix the next [`hermitian_eigen_partial_in_place`] decomposes.
+    pub fn matrix(&self) -> &CMat {
+        &self.h
+    }
+
+    /// Mutable access to the matrix the next
+    /// [`hermitian_eigen_partial_in_place`] decomposes: a caller that
+    /// builds its matrix here skips the copy
+    /// [`hermitian_eigen_partial_into`] makes. The solve overwrites it with
+    /// Householder reflectors.
+    pub fn matrix_mut(&mut self) -> &mut CMat {
+        &mut self.h
+    }
+
     /// All eigenvalues from the most recent
     /// [`hermitian_eigen_partial_into`], sorted descending.
     pub fn values(&self) -> &[f64] {
@@ -132,19 +149,33 @@ pub fn hermitian_eigen_partial(a: &CMat, k: usize) -> PartialHermitianEigen {
 /// Fully allocation-free form of [`hermitian_eigen_partial`]: results land
 /// in the workspace, readable through [`TridiagWorkspace::values`] and
 /// [`TridiagWorkspace::vectors`] until the next decomposition. This is what
-/// the per-packet MUSIC path and the subspace tracker's Ritz step call.
+/// the subspace tracker's Ritz step calls: it copies `a` into the
+/// workspace's matrix, then runs [`hermitian_eigen_partial_in_place`].
 ///
 /// # Panics
 /// Panics if the matrix is not square or contains non-finite values.
 pub fn hermitian_eigen_partial_into(a: &CMat, k: usize, ws: &mut TridiagWorkspace) {
-    let n = a.rows();
+    ws.h.reset_zeros(a.rows(), a.cols());
+    ws.h.as_mut_slice().copy_from_slice(a.as_slice());
+    hermitian_eigen_partial_in_place(k, ws);
+}
+
+/// [`hermitian_eigen_partial_into`] on the matrix already in the workspace
+/// ([`TridiagWorkspace::matrix_mut`]), with no copy. The per-packet MUSIC
+/// path builds each covariance there and calls this. The matrix is
+/// destroyed: it holds the Householder reflectors afterwards.
+///
+/// # Panics
+/// Panics if the matrix is not square or contains non-finite values.
+pub fn hermitian_eigen_partial_in_place(k: usize, ws: &mut TridiagWorkspace) {
+    let n = ws.h.rows();
     assert_eq!(
         n,
-        a.cols(),
+        ws.h.cols(),
         "hermitian_eigen_partial requires a square matrix"
     );
     assert!(
-        a.as_slice().iter().all(|z| z.is_finite()),
+        ws.h.as_slice().iter().all(|z| z.is_finite()),
         "hermitian_eigen_partial requires finite entries"
     );
     let k = k.min(n);
@@ -154,7 +185,7 @@ pub fn hermitian_eigen_partial_into(a: &CMat, k: usize, ws: &mut TridiagWorkspac
         return;
     }
 
-    tridiagonalize(a, ws);
+    tridiagonalize(ws);
     // Eigenvalues of T by implicit-shift QL (no vector accumulation).
     ws.d_work.clear();
     ws.d_work.extend_from_slice(&ws.diag);
@@ -187,22 +218,17 @@ pub fn hermitian_eigen_partial_into(a: &CMat, k: usize, ws: &mut TridiagWorkspac
     ws.out_vectors = vectors;
 }
 
-/// Reduces the Hermitian completion of `a`'s lower triangle to real
-/// symmetric tridiagonal form, leaving in `ws`: `diag`/`sub` (the
+/// Reduces the Hermitian completion of `ws.h`'s lower triangle to real
+/// symmetric tridiagonal form in place, leaving in `ws`: `diag`/`sub` (the
 /// tridiagonal `T`), the Householder reflectors (in `h`'s columns below the
 /// subdiagonal, with scale factors `beta`), and the diagonal phase unitary
 /// `phase` (so `A = Q·diag(phase)·T·diag(phase)ᴴ·Qᴴ` with `Q` the reflector
 /// product).
-fn tridiagonalize(a: &CMat, ws: &mut TridiagWorkspace) {
-    let n = a.rows();
-    // Working copy, forced exactly Hermitian from the lower triangle (same
-    // normalization as the Jacobi oracle, so both see the same matrix).
-    ws.h.reset_zeros(n, n);
-    for c in 0..n {
-        for r in 0..n {
-            ws.h[(r, c)] = if r >= c { a[(r, c)] } else { a[(c, r)].conj() };
-        }
-    }
+fn tridiagonalize(ws: &mut TridiagWorkspace) {
+    let n = ws.h.rows();
+    // Forced exactly Hermitian from the lower triangle (same normalization
+    // as the Jacobi oracle, so both see the same matrix): the reduction
+    // reads only the lower triangle, so the upper one needs no mirror.
     for i in 0..n {
         ws.h[(i, i)] = c64::real(ws.h[(i, i)].re);
     }
@@ -854,6 +880,34 @@ mod tests {
         let fresh = hermitian_eigen_partial(&c, 2);
         assert_eq!(fresh.values, ws.values());
         assert_eq!(&fresh.vectors, ws.vectors());
+    }
+
+    #[test]
+    fn in_place_solve_reads_only_the_lower_triangle() {
+        let a = random_hermitian(12, 5);
+        let mut copying = TridiagWorkspace::default();
+        hermitian_eigen_partial_into(&a, 4, &mut copying);
+        // Garbage above the diagonal and imaginary diagonal parts: the
+        // solve sees the Hermitian completion of the lower triangle only.
+        let mut ws = TridiagWorkspace::default();
+        let m = ws.matrix_mut();
+        *m = a.clone();
+        for c in 0..12 {
+            m[(c, c)].im = 3.0;
+            for r in 0..c {
+                m[(r, c)] = c64::new(5.0 + r as f64, -7.0);
+            }
+        }
+        hermitian_eigen_partial_in_place(4, &mut ws);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(ws.values()), bits(copying.values()));
+        let vbits = |m: &CMat| {
+            m.as_slice()
+                .iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(vbits(ws.vectors()), vbits(copying.vectors()));
     }
 
     #[test]

@@ -47,8 +47,9 @@ pub mod unwrap;
 pub use angles::wrap_pi;
 pub use complex::c64;
 pub use eigen_tridiag::{
-    hermitian_eigen_partial, hermitian_eigen_partial_batch_into, hermitian_eigen_partial_into,
-    BatchTridiagWorkspace, PartialHermitianEigen, TridiagWorkspace, BATCH_LANES,
+    hermitian_eigen_partial, hermitian_eigen_partial_batch_into, hermitian_eigen_partial_in_place,
+    hermitian_eigen_partial_into, BatchTridiagWorkspace, PartialHermitianEigen, TridiagWorkspace,
+    BATCH_LANES,
 };
 pub use matrix::{CMat, PackedHermitian};
 pub use subspace::{RitzWorkspace, SubspaceTracker};

@@ -216,23 +216,35 @@ impl CMat {
     /// [`mul_hermitian_self`](Self::mul_hermitian_self) writing into a
     /// caller-owned buffer (resized as needed).
     pub fn mul_hermitian_self_into(&self, out: &mut CMat) {
-        let n = self.rows;
-        out.reset_zeros(n, n);
-        for c in 0..self.cols {
-            let col = self.col(c);
-            for j in 0..n {
-                let cj = col[j].conj();
-                // Fill the lower triangle (i >= j) then mirror. Slice-based
-                // so the inner loop is bounds-check free; the accumulation
-                // order is identical to the element-indexed form.
-                let dst = &mut out.data[j * n + j..(j + 1) * n];
-                for (d, &s) in dst.iter_mut().zip(&col[j..]) {
-                    *d += s * cj;
-                }
+        out.assign_hermitian_product(self.rows, |add| {
+            for c in 0..self.cols {
+                add(self.col(c));
             }
-        }
+        });
+    }
+
+    /// Overwrites `self` with the `n×n` product `X·Xᴴ = Σ_c x_c·x_cᴴ` of a
+    /// matrix `X` that is never stored: `columns` hands each column `x_c`
+    /// of `X`, in column order, to the sink it is given, so a caller can
+    /// gather one column at a time into a small buffer. The lower triangle
+    /// accumulates column by column, then is mirrored, so the result is
+    /// bitwise [`mul_hermitian_self_into`](Self::mul_hermitian_self_into)
+    /// on the stored `X`.
+    ///
+    /// # Panics
+    /// Panics if a fed column's length is not `n`.
+    pub fn assign_hermitian_product(
+        &mut self,
+        n: usize,
+        columns: impl FnOnce(&mut dyn FnMut(&[c64])),
+    ) {
+        self.reset_zeros(n, n);
+        columns(&mut |x| {
+            assert_eq!(x.len(), n, "Hermitian product column-length mismatch");
+            accumulate_outer_lower(&mut self.data, x, false);
+        });
         // Exact Hermitian symmetry: mirror the lower triangle.
-        out.mirror_lower_triangle();
+        self.mirror_lower_triangle();
     }
 
     /// Matrix product `self · rhs`.
@@ -380,6 +392,26 @@ impl fmt::Debug for CMat {
     }
 }
 
+/// `L ← L + x·xᴴ` over the lower triangle of an `n×n` matrix
+/// (`n = x.len()`) whose column `j` keeps rows `j..n` contiguous in
+/// `lower`: the next column starts `n + 1` entries later in a dense
+/// column-major matrix, or `n − j` later when `packed` (the
+/// [`PackedHermitian`] layout). Column `j` adds `x[i]·conj(x[j])` for
+/// `i ≥ j` ascending. Every Hermitian product in this module runs this
+/// one loop, so the dense and packed forms agree bit for bit.
+fn accumulate_outer_lower(lower: &mut [c64], x: &[c64], packed: bool) {
+    let n = x.len();
+    let mut off = 0;
+    for j in 0..n {
+        let cj = x[j].conj();
+        // Slice-based so the inner loop is bounds-check free.
+        for (d, &s) in lower[off..off + n - j].iter_mut().zip(&x[j..]) {
+            *d += s * cj;
+        }
+        off += if packed { n - j } else { n + 1 };
+    }
+}
+
 /// An `n×n` Hermitian matrix stored as its lower triangle: column-major,
 /// column `j` holding rows `j..n`, so `n(n+1)/2` entries instead of `n²`.
 /// The diagonal is kept exactly real.
@@ -449,23 +481,34 @@ impl PackedHermitian {
     /// # Panics
     /// Panics if `x.rows()` ≠ `n`.
     pub fn decay_accumulate(&mut self, lambda: f64, x: &CMat) {
+        assert_eq!(x.rows(), self.n, "covariance update row-count mismatch");
+        self.decay_accumulate_columns(lambda, |add| {
+            for c in 0..x.cols() {
+                add(x.col(c));
+            }
+        });
+    }
+
+    /// [`decay_accumulate`](Self::decay_accumulate) with `X` never stored:
+    /// `columns` hands each column of `X`, in column order, to the sink it
+    /// is given (see [`CMat::assign_hermitian_product`]). Bitwise the
+    /// stored-`X` update.
+    ///
+    /// # Panics
+    /// Panics if a fed column's length is not `n`.
+    pub fn decay_accumulate_columns(
+        &mut self,
+        lambda: f64,
+        columns: impl FnOnce(&mut dyn FnMut(&[c64])),
+    ) {
         let n = self.n;
-        assert_eq!(x.rows(), n, "covariance update row-count mismatch");
         for z in &mut self.data {
             *z *= lambda;
         }
-        for c in 0..x.cols() {
-            let col = x.col(c);
-            let mut off = 0;
-            for j in 0..n {
-                let cj = col[j].conj();
-                let dst = &mut self.data[off..off + n - j];
-                for (d, &s) in dst.iter_mut().zip(&col[j..]) {
-                    *d += s * cj;
-                }
-                off += n - j;
-            }
-        }
+        columns(&mut |x| {
+            assert_eq!(x.len(), n, "covariance update row-count mismatch");
+            accumulate_outer_lower(&mut self.data, x, true);
+        });
         let mut off = 0;
         for j in 0..n {
             self.data[off] = c64::real(self.data[off].re);

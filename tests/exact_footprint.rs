@@ -1,18 +1,20 @@
 //! Working-set guard for the exact per-packet path.
 //!
-//! A batch request analyzes every packet exactly: sanitize, smooth,
+//! A batch request analyzes every packet exactly: sanitize, smoothed
 //! covariance, partial eigensolve, then the coarse-to-fine MUSIC search.
-//! Its heap is what one packet's scratch holds — a few `n × n` complex
-//! matrices, the smoothed matrix, the packed projector blocks and the
-//! per-τ forms memo — plus buffers one grid edge long. The coarse
-//! detection level covers `n_rows × n_tof` cells but streams through a
-//! window of three τ columns; storing the whole level would cost more
-//! than this bound leaves room for, and a central server pays that once
-//! per concurrent request.
+//! Its heap is what one packet's scratch holds — one `n × n` complex
+//! matrix (the eigensolver's, which the covariance is built and solved
+//! in), the packed projector blocks and the per-τ forms memo — plus
+//! buffers one grid edge long. The smoothed matrix is never stored, and
+//! the coarse detection level covers `n_rows × n_tof` cells but streams
+//! through a window of three τ columns; storing either, or a second
+//! `n × n` matrix, would cost more than this bound leaves room for, and a
+//! central server pays that once per concurrent request.
 //!
 //! This binary installs a counting global allocator and bounds the peak
-//! heap growth of one serial `analyze_ap` over 10 apartment packets. It
-//! holds a single test so no other test's allocations land in the count.
+//! heap growth of one serial `analyze_ap` over 10 apartment packets, and
+//! its count of allocation calls. It holds a single test so no other
+//! test's allocations land in the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -26,6 +28,8 @@ use spotfi_channel::Rng;
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 /// Highest `LIVE_BYTES` since the last reset.
 static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
+/// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`) in the process.
+static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
 
 fn grow(bytes: usize) {
     let now = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
@@ -38,6 +42,7 @@ struct Counting;
 // `System`'s guarantees hold; the counters only record sizes.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
         let p = System.alloc(layout);
         if !p.is_null() {
             grow(layout.size());
@@ -46,6 +51,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
         let p = System.alloc_zeroed(layout);
         if !p.is_null() {
             grow(layout.size());
@@ -59,6 +65,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
             if new_size >= layout.size() {
@@ -75,6 +82,12 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 const PACKETS: usize = 10;
+
+/// Allocation calls one serial `analyze_ap` over [`PACKETS`] packets makes
+/// today: the scratch's buffers once, and per packet the sanitized CSI
+/// with its phase-fit vectors plus the MUSIC search's candidate and path
+/// vectors. Lower it when a change removes some; it may not rise.
+const MAX_ALLOC_CALLS: usize = 221;
 
 #[test]
 fn exact_packet_working_set_excludes_a_stored_detection_grid() {
@@ -104,17 +117,22 @@ fn exact_packet_working_set_excludes_a_stored_detection_grid() {
 
     let before = LIVE_BYTES.load(Ordering::Relaxed);
     PEAK_BYTES.store(before, Ordering::Relaxed);
+    let calls_before = ALLOC_CALLS.load(Ordering::Relaxed);
     let analysis = spotfi.analyze_ap(&packets).expect("analysis");
+    let calls = ALLOC_CALLS.load(Ordering::Relaxed) - calls_before;
     let peak = PEAK_BYTES.load(Ordering::Relaxed) - before;
+    println!("allocation calls of one exact analyze_ap: {calls}");
     assert_eq!(analysis.dropped_packets, 0);
 
-    // One packet's scratch: the smoothed matrix, the covariance and the
-    // solver's working copy of it, the top `max_paths` eigenvectors, the
+    // One packet's scratch: the eigensolver's matrix (the covariance is
+    // built and decomposed in it), the top `max_paths` eigenvectors, the
     // packed projector blocks and one τ-forms row per fine τ (complex);
     // the solver's real buffers; two reals per AoA and τ grid point for
     // buffers one grid edge long; and 12 KB for the estimates, the
     // clustering and small vectors. A stored detection level
-    // (`n_rows × n_tof` reals, 92 KB at the default grid) does not fit.
+    // (`n_rows × n_tof` reals, 92 KB at the default grid), a stored
+    // smoothed matrix (`n × cols`, 15 KB) or a second `n × n` matrix
+    // (14 KB) does not fit.
     let c64_bytes = std::mem::size_of::<spotfi_math::c64>();
     let f64_bytes = std::mem::size_of::<f64>();
     let n = cfg.smoothed_rows();
@@ -124,12 +142,16 @@ fn exact_packet_working_set_excludes_a_stored_detection_grid() {
     let npairs = ms * (ms + 1) / 2;
     let n_aoa = cfg.music.aoa_grid_deg.len();
     let n_tof = cfg.music.tof_grid_ns.len();
-    let complex = 2 * n * n + n * cfg.smoothed_cols() + n * k + npairs * (ns * ns + n_tof);
+    let complex = n * n + n * k + npairs * (ns * ns + n_tof);
     let real = n * k + 16 * n + 2 * (n_aoa + n_tof);
     let bound = c64_bytes * complex + f64_bytes * real + 12 * 1024;
     println!("peak heap of one exact analyze_ap: {peak} B (bound {bound} B)");
     assert!(
         peak <= bound,
         "one serial analyze_ap peaked at {peak} B of heap, over the {bound} B budget"
+    );
+    assert!(
+        calls <= MAX_ALLOC_CALLS,
+        "one serial analyze_ap made {calls} allocation calls, over the {MAX_ALLOC_CALLS} recorded"
     );
 }
