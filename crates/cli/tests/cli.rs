@@ -162,6 +162,55 @@ fn wire_loopback_round_trip() {
     assert!(text.contains("packets processed"), "{}", text);
 }
 
+/// `ingest` registers fewer receivers than the capture was exported from:
+/// frames from receivers 2 and 3 decode but are unknown. The exported
+/// document must still balance every decoded frame against the fleet's
+/// intake, and `check-diagnostics` must accept it.
+#[test]
+fn ingest_routing_identity_holds_with_unknown_receivers() {
+    let dir = std::env::temp_dir();
+    let frames = dir.join("spotfi_cli_routing.bin");
+    let diag = dir.join("spotfi_cli_routing_diag.json");
+    let (frames_str, diag_str) = (frames.to_str().unwrap(), diag.to_str().unwrap());
+
+    let exp = spotfi(&[
+        "fleet",
+        "--targets",
+        "2",
+        "--packets",
+        "6",
+        "--aps",
+        "4",
+        "--export-wire",
+        frames_str,
+    ]);
+    assert!(exp.status.success(), "export failed: {}", stderr(&exp));
+    let ing = spotfi(&[
+        "ingest",
+        frames_str,
+        "--aps",
+        "2",
+        "--diagnostics",
+        diag_str,
+    ]);
+    let check = spotfi(&["check-diagnostics", diag_str]);
+    let json = std::fs::read_to_string(&diag).unwrap_or_default();
+    std::fs::remove_file(&frames).ok();
+    std::fs::remove_file(&diag).ok();
+
+    assert!(ing.status.success(), "ingest failed: {}", stderr(&ing));
+    assert!(
+        check.status.success(),
+        "check-diagnostics rejected the export: {}",
+        stderr(&check)
+    );
+    // The counter exists only once a frame was counted against it.
+    assert!(
+        json.contains("\"name\": \"ingest.unknown_receiver\""),
+        "{json}"
+    );
+}
+
 /// The `packets processed` count on a `fleet:` line.
 fn packets_processed(text: &str) -> u64 {
     let line = text

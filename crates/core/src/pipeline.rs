@@ -489,27 +489,15 @@ impl SpotFi {
     /// capture order* (the rolling covariance is order-dependent), then
     /// clustered and scored exactly like [`analyze_ap`](Self::analyze_ap).
     pub fn analyze_ap_streaming(&self, ap: &ApPackets) -> Result<ApAnalysis> {
-        self.analyze_ap_streaming_with(ap, &mut StreamState::new(&self.config))
-    }
-
-    /// [`analyze_ap_streaming`](Self::analyze_ap_streaming) against
-    /// caller-owned stream state, for callers that keep a stream warm
-    /// across calls (live capture loops, steady-state benchmarks). The
-    /// stream is NOT reset: a warmed stream keeps amortizing across the
-    /// call boundary.
-    pub fn analyze_ap_streaming_with(
-        &self,
-        ap: &ApPackets,
-        stream: &mut StreamState,
-    ) -> Result<ApAnalysis> {
         if ap.packets.is_empty() {
             return Err(SpotFiError::NoPackets);
         }
+        let mut stream = StreamState::new(&self.config);
         let mut scratch = PacketScratch::new(&self.config);
         let per_packet: Vec<Result<Vec<PathEstimate>>> = ap
             .packets
             .iter()
-            .map(|p| self.analyze_packet_streaming_with(p, stream, &mut scratch))
+            .map(|p| self.analyze_packet_streaming_with(p, &mut stream, &mut scratch))
             .collect();
         self.assemble_ap(ap, per_packet)
     }
@@ -895,13 +883,6 @@ mod tests {
             bd.aoa_deg
         );
         assert_eq!(streamed.dropped_packets, 0);
-        // A warmed stream keeps amortizing across call boundaries.
-        let mut stream = StreamState::new(s.config());
-        let first = s.analyze_ap_streaming_with(&ap, &mut stream).unwrap();
-        let second = s.analyze_ap_streaming_with(&ap, &mut stream).unwrap();
-        assert_eq!(first.direct.unwrap().aoa_deg, sd.aoa_deg);
-        assert!(second.direct.is_some());
-        assert_eq!(second.dropped_packets, 0);
     }
 
     #[test]

@@ -148,9 +148,11 @@ pub fn hermitian_eigen_partial(a: &CMat, k: usize) -> PartialHermitianEigen {
 
 /// Fully allocation-free form of [`hermitian_eigen_partial`]: results land
 /// in the workspace, readable through [`TridiagWorkspace::values`] and
-/// [`TridiagWorkspace::vectors`] until the next decomposition. This is what
-/// the subspace tracker's Ritz step calls: it copies `a` into the
-/// workspace's matrix, then runs [`hermitian_eigen_partial_in_place`].
+/// [`TridiagWorkspace::vectors`] until the next decomposition. It copies
+/// `a` into the workspace's matrix, then runs
+/// [`hermitian_eigen_partial_in_place`]; callers that can build their
+/// matrix in [`TridiagWorkspace::matrix_mut`] (the per-packet MUSIC path,
+/// the subspace tracker's Ritz step) call that directly instead.
 ///
 /// # Panics
 /// Panics if the matrix is not square or contains non-finite values.

@@ -21,8 +21,8 @@
 //!    as `√(‖Y‖² − ‖B‖²)/‖Y‖` with no extra product. A converged subspace
 //!    gives ≈ 0; a target that moved gives a large value, and the caller
 //!    falls back to the exact solver.
-//! 4. `B = W·Λ·Wᴴ` — tiny k×k eigensolve on the workspace's own
-//!    [`TridiagWorkspace`], `Λ` descending.
+//! 4. `B = W·Λ·Wᴴ` — tiny k×k eigensolve in the workspace's own
+//!    [`TridiagWorkspace`], where step 2 built `B`; `Λ` descending.
 //! 5. Ritz pairs `(Λ, V = E·W)` become this step's eigen-estimate — `V`
 //!    is exactly orthonormal because `E` is and `W` is unitary.
 //! 6. `E ← orth(Y·W)` — the power step (re-orthonormalized by modified
@@ -37,7 +37,7 @@
 //! whenever drift trips a threshold or on a periodic re-anchor schedule.
 
 use crate::complex::c64;
-use crate::eigen_tridiag::{hermitian_eigen_partial_into, TridiagWorkspace};
+use crate::eigen_tridiag::{hermitian_eigen_partial_in_place, TridiagWorkspace};
 use crate::matrix::CMat;
 
 /// Relative column-norm floor below which Gram–Schmidt declares breakdown.
@@ -85,13 +85,12 @@ pub struct SubspaceTracker {
 pub struct RitzWorkspace {
     /// This step's Ritz vectors (n×k, orthonormal, by descending value).
     ritz_vectors: CMat,
-    /// The k×k eigensolve's buffers; its values are this step's Ritz
+    /// The k×k eigensolve's buffers: the Rayleigh quotient is built in
+    /// its matrix and solved there; its values are this step's Ritz
     /// values and its vectors the rotation `W`.
     eig: TridiagWorkspace,
     /// `Y = R·E` (n×k).
     y: CMat,
-    /// The k×k Rayleigh quotient.
-    quotient: CMat,
     /// Staging for `E·W` / `Y·W` products.
     stage: CMat,
 }
@@ -166,8 +165,9 @@ impl SubspaceTracker {
         // 1. Y = R·E.
         mul_into(r, &self.basis, &mut ws.y);
 
-        // 2. B = Eᴴ·Y (k×k).
-        ws.quotient.reset_zeros(k, k);
+        // 2. B = Eᴴ·Y (k×k), built in the eigensolver's own matrix.
+        let quotient = ws.eig.matrix_mut();
+        quotient.reset_zeros(k, k);
         for j in 0..k {
             let ycol = ws.y.col(j);
             for i in 0..k {
@@ -176,21 +176,21 @@ impl SubspaceTracker {
                 for row in 0..n {
                     acc += ecol[row].conj() * ycol[row];
                 }
-                ws.quotient[(i, j)] = acc;
+                quotient[(i, j)] = acc;
             }
         }
 
         // 3. Relative drift from the norm identity ‖Y − E·B‖² = ‖Y‖² − ‖B‖²
         //    (exact because Eᴴ(Y − E·B) = 0 for orthonormal E).
         let y_sq: f64 = ws.y.as_slice().iter().map(|z| z.norm_sqr()).sum();
-        let b_sq: f64 = ws.quotient.as_slice().iter().map(|z| z.norm_sqr()).sum();
+        let b_sq: f64 = quotient.as_slice().iter().map(|z| z.norm_sqr()).sum();
         if !y_sq.is_finite() || y_sq <= 0.0 {
             return f64::INFINITY;
         }
         let drift = ((y_sq - b_sq).max(0.0) / y_sq).sqrt();
 
-        // 4. Tiny k×k eigensolve of the Rayleigh quotient.
-        hermitian_eigen_partial_into(&ws.quotient, k, &mut ws.eig);
+        // 4. Tiny k×k eigensolve of the Rayleigh quotient, in place.
+        hermitian_eigen_partial_in_place(k, &mut ws.eig);
 
         // 5. Ritz vectors V = E·W become this step's estimate.
         mul_into(&self.basis, ws.eig.vectors(), &mut ws.stage);
@@ -347,17 +347,20 @@ mod tests {
         // quotient is far from diagonal, so the k×k solve does real work.
         let mut t = seeded(&covariance(0.0), 4);
         let mut ws = RitzWorkspace::default();
-        t.refine(&covariance(0.3), &mut ws);
+        let r = covariance(0.3);
+        // Eᴴ·R·E from the basis the refine starts from.
+        let quotient = t.basis.hermitian().mul(&r).mul(&t.basis);
+        t.refine(&r, &mut ws);
         let off_diagonal = (0..4)
             .flat_map(|i| (0..i).map(move |j| (i, j)))
-            .map(|(i, j)| ws.quotient[(i, j)].abs())
+            .map(|(i, j)| quotient[(i, j)].abs())
             .fold(0.0f64, f64::max);
         assert!(
-            off_diagonal > 1e-3 * ws.quotient[(0, 0)].abs(),
+            off_diagonal > 1e-3 * quotient[(0, 0)].abs(),
             "quotient is nearly diagonal: {}",
             off_diagonal
         );
-        let oracle = hermitian_eigen(&ws.quotient);
+        let oracle = hermitian_eigen(&quotient);
         assert_eq!(ws.values().len(), oracle.values.len());
         for (got, want) in ws.values().iter().zip(&oracle.values) {
             assert!(
@@ -366,6 +369,76 @@ mod tests {
                 got,
                 want
             );
+        }
+    }
+
+    /// The Ritz step as it was before the quotient moved into the
+    /// eigensolver's matrix: `B` in a buffer of its own, then the copying
+    /// solve. Kept as the oracle for `refine`'s bits.
+    fn refine_two_buffer(
+        t: &mut SubspaceTracker,
+        r: &CMat,
+        ws: &mut RitzWorkspace,
+        quotient: &mut CMat,
+    ) -> f64 {
+        use crate::eigen_tridiag::hermitian_eigen_partial_into;
+        let (n, k) = t.basis.shape();
+        mul_into(r, &t.basis, &mut ws.y);
+        quotient.reset_zeros(k, k);
+        for j in 0..k {
+            let ycol = ws.y.col(j);
+            for i in 0..k {
+                let ecol = t.basis.col(i);
+                let mut acc = c64::ZERO;
+                for row in 0..n {
+                    acc += ecol[row].conj() * ycol[row];
+                }
+                quotient[(i, j)] = acc;
+            }
+        }
+        let y_sq: f64 = ws.y.as_slice().iter().map(|z| z.norm_sqr()).sum();
+        let b_sq: f64 = quotient.as_slice().iter().map(|z| z.norm_sqr()).sum();
+        if !y_sq.is_finite() || y_sq <= 0.0 {
+            return f64::INFINITY;
+        }
+        let drift = ((y_sq - b_sq).max(0.0) / y_sq).sqrt();
+        hermitian_eigen_partial_into(quotient, k, &mut ws.eig);
+        mul_into(&t.basis, ws.eig.vectors(), &mut ws.stage);
+        std::mem::swap(&mut ws.ritz_vectors, &mut ws.stage);
+        mul_into(&ws.y, ws.eig.vectors(), &mut ws.stage);
+        if !orthonormalize_columns(&mut ws.stage) {
+            return f64::INFINITY;
+        }
+        t.basis.assign_leading_cols(&ws.stage, k);
+        drift
+    }
+
+    #[test]
+    fn in_place_quotient_is_bitwise_the_two_buffer_step() {
+        // 40 steps of a target that drifts by seeded amounts, with a
+        // seeded jump every tenth step so some steps report large drift.
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as f64 / u64::MAX as f64
+        };
+        let mut t = seeded(&covariance(0.0), 4);
+        let mut old = t.clone();
+        let (mut ws, mut old_ws) = (RitzWorkspace::default(), RitzWorkspace::default());
+        let mut quotient = CMat::default();
+        let mut phase = 0.0;
+        for step in 0..40 {
+            phase += if step % 10 == 9 { 0.5 } else { 0.01 } * next();
+            let r = covariance(phase);
+            let drift = t.refine(&r, &mut ws);
+            let want = refine_two_buffer(&mut old, &r, &mut old_ws, &mut quotient);
+            assert_eq!(drift.to_bits(), want.to_bits(), "drift at step {step}");
+            let vbits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(vbits(ws.values()), vbits(old_ws.values()), "step {step}");
+            assert_eq!(bits(ws.vectors()), bits(old_ws.vectors()), "step {step}");
+            assert_eq!(bits(&t.basis), bits(&old.basis), "step {step}");
         }
     }
 

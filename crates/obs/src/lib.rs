@@ -455,7 +455,7 @@ impl Snapshot {
     /// Render the snapshot as the `spotfi-diagnostics-v1` JSON document.
     ///
     /// `meta` entries are `(key, already-rendered JSON value)` pairs
-    /// spliced into the top level (same convention as `spotfi-bench`).
+    /// spliced into the top level, after the schema marker.
     /// Spans, counters, and values are emitted one per line so the
     /// document stays friendly to line-oriented tooling; span and value
     /// lines carry p50/p90/p99 from [`Metric::quantile`].
@@ -539,7 +539,7 @@ pub struct DiagnosticsSummary {
 }
 
 /// Sanity-check a `spotfi-diagnostics-v1` document (used by the CLI
-/// `check-diagnostics` subcommand and the CI bench job).
+/// `check-diagnostics` subcommand).
 ///
 /// Checks performed:
 /// - the schema marker and the `spans` / `counters` / `values` keys exist;
@@ -564,7 +564,10 @@ pub struct DiagnosticsSummary {
 ///   present), every frame's fate is accounted:
 ///   `ingest.received = ingest.decoded + ingest.corrupt +
 ///   ingest.incomplete`, and the per-receiver `ingest.rx<id>.decoded`
-///   breakdown sums to `ingest.decoded`.
+///   breakdown sums to `ingest.decoded`;
+/// - when a document has both `ingest.decoded` and `fleet.ingested`, every
+///   decoded frame was routed: `ingest.decoded = fleet.ingested +
+///   ingest.unknown_receiver + Σ ingest.rejected.*`.
 ///
 /// The parser is line-oriented and matches the layout that
 /// [`Snapshot::to_diagnostics_json`] emits — it is a schema sanity check,
@@ -600,11 +603,13 @@ pub fn validate_diagnostics(json: &str) -> Result<DiagnosticsSummary, String> {
     let mut fleet_no_fix: i128 = 0;
     let mut fleet_degraded: i128 = 0;
     let mut ingest_received: Option<i128> = None;
-    let mut ingest_decoded: i128 = 0;
+    let mut ingest_decoded: Option<i128> = None;
     let mut ingest_corrupt: i128 = 0;
     let mut ingest_incomplete: i128 = 0;
     let mut ingest_rx_decoded_sum: i128 = 0;
     let mut ingest_rx_counters = 0usize;
+    let mut ingest_unknown: i128 = 0;
+    let mut ingest_rejected: i128 = 0;
     for line in json.lines() {
         let line = line.trim();
         if let Some(name) = field_str(line, "name") {
@@ -633,11 +638,14 @@ pub fn validate_diagnostics(json: &str) -> Result<DiagnosticsSummary, String> {
                     "fleet.fusion_no_fix" => fleet_no_fix = n,
                     "fleet.fusion_degraded" => fleet_degraded = n,
                     "ingest.received" => ingest_received = Some(n),
-                    "ingest.decoded" => ingest_decoded = n,
+                    "ingest.decoded" => ingest_decoded = Some(n),
                     "ingest.corrupt" => ingest_corrupt = n,
                     "ingest.incomplete" => ingest_incomplete = n,
+                    "ingest.unknown_receiver" => ingest_unknown = n,
                     _ => {
-                        if name.starts_with("ingest.rx") && name.ends_with(".decoded") {
+                        if name.starts_with("ingest.rejected.") {
+                            ingest_rejected += n;
+                        } else if name.starts_with("ingest.rx") && name.ends_with(".decoded") {
                             ingest_rx_decoded_sum += n;
                             ingest_rx_counters += 1;
                         }
@@ -708,6 +716,7 @@ pub fn validate_diagnostics(json: &str) -> Result<DiagnosticsSummary, String> {
         }
     }
     if let Some(received) = ingest_received {
+        let ingest_decoded = ingest_decoded.unwrap_or(0);
         if received != ingest_decoded + ingest_corrupt + ingest_incomplete {
             return Err(format!(
                 "ingest counter mismatch: ingest.received = {received} but \
@@ -720,6 +729,17 @@ pub fn validate_diagnostics(json: &str) -> Result<DiagnosticsSummary, String> {
             return Err(format!(
                 "ingest counter mismatch: per-receiver ingest.rx*.decoded sums \
                  to {ingest_rx_decoded_sum} but ingest.decoded = {ingest_decoded}"
+            ));
+        }
+    }
+    if let (Some(decoded), Some(ingested)) = (ingest_decoded, fleet_ingested) {
+        let routed = ingested + ingest_unknown + ingest_rejected;
+        if decoded != routed {
+            return Err(format!(
+                "ingest routing mismatch: ingest.decoded = {decoded} but \
+                 fleet.ingested + ingest.unknown_receiver + ingest.rejected.* \
+                 = {ingested} + {ingest_unknown} + {ingest_rejected} = {routed} \
+                 (a decoded frame was neither fleet-ingested nor rejected)"
             ));
         }
     }
@@ -1085,6 +1105,46 @@ mod tests {
         // Per-receiver breakdown disagrees with the fleet-wide total.
         let err = validate_diagnostics(&ingest_doc(20, 15, 3, 2, 20)).unwrap_err();
         assert!(err.contains("ingest.rx"), "{err}");
+    }
+
+    /// Wire ingest into the fleet: 20 frames decoded, 3 from an unknown
+    /// receiver, the given `ingest.rejected.*` counts, and 15
+    /// fleet-ingested and processed.
+    fn routed_doc(rejected: &[(&'static str, u64)]) -> String {
+        let _g = lock();
+        reset();
+        set_enabled(true);
+        time_ns("total", 1_000_000);
+        time_ns("stage.fuse", 100_000);
+        counter("ingest.received", 20);
+        counter("ingest.decoded", 20);
+        counter("ingest.unknown_receiver", 3);
+        for &(name, n) in rejected {
+            counter(name, n);
+        }
+        for name in ["fleet.ingested", "fleet.accepted", "fleet.processed"] {
+            counter(name, 15);
+        }
+        counter("fleet.fusions", 4);
+        counter("fleet.updates", 4);
+        set_enabled(false);
+        snapshot().to_diagnostics_json(&[("threads", "2".to_string())])
+    }
+
+    #[test]
+    fn validator_checks_that_every_decoded_frame_was_routed() {
+        let both = [
+            ("ingest.rejected.shape_mismatch", 1),
+            ("ingest.rejected.non_finite_csi", 1),
+        ];
+        assert!(validate_diagnostics(&routed_doc(&both)).is_ok());
+        // One rejection was never counted: a decoded frame vanished
+        // between the decoder and the fleet.
+        let err = validate_diagnostics(&routed_doc(&both[..1])).unwrap_err();
+        assert!(
+            err.contains("ingest.decoded = 20") && err.contains("fleet.ingested"),
+            "{err}"
+        );
     }
 
     #[test]

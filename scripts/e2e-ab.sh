@@ -1,0 +1,102 @@
+#!/usr/bin/env bash
+# Same-host A/B of the end-to-end benchmark against a base commit.
+#
+#   scripts/e2e-ab.sh <base-ref>
+#
+# Checks <base-ref> out into a temporary git worktree and builds `spotfi-e2e`
+# there and in this checkout, each in its own target directory. Then, for
+# every workload in BENCHMARK.json, it runs five pairs of short runs
+# (`--seed 1 --seconds 2`), alternating which binary goes first, each from
+# its own tree's root. Every run must report `"correct": true`. The script
+# fails if any `end_to_end` metric's median is worse than the base's median
+# by more than the metric's relative `bound`. Workloads, metrics, directions
+# and bounds all come from this checkout's BENCHMARK.json.
+#
+# Every run's JSON line, tagged with its side, workload, pair and wall time,
+# is written to e2e-ab.jsonl at the repository root. Needs bash, git, jq and
+# cargo; builds with --offline --locked.
+set -euo pipefail
+
+if [[ $# -ne 1 ]]; then
+    echo "usage: scripts/e2e-ab.sh <base-ref>" >&2
+    exit 2
+fi
+root=$(git rev-parse --show-toplevel)
+cd "$root"
+base=$(git rev-parse --verify --quiet "$1^{commit}") || {
+    echo "e2e-ab: $1 is not a commit" >&2
+    exit 2
+}
+pairs=5
+log="$root/e2e-ab.jsonl"
+
+work=$(mktemp -d)
+cleanup() {
+    git -C "$root" worktree remove --force "$work/base" 2>/dev/null || true
+    rm -rf "$work"
+}
+trap cleanup EXIT
+
+echo "e2e-ab: base $base, head $(git rev-parse HEAD) plus any uncommitted changes"
+echo "e2e-ab: nproc $(nproc)"
+git worktree add --detach --quiet "$work/base" "$base"
+declare -A tree=([base]="$work/base" [head]="$root")
+for side in base head; do
+    echo "e2e-ab: building spotfi-e2e ($side)"
+    (cd "${tree[$side]}" && CARGO_TARGET_DIR="$work/target-$side" cargo build \
+        --release --offline --locked --quiet --manifest-path e2ebench/Cargo.toml \
+        --bin spotfi-e2e)
+done
+
+# One short run; appends its JSON line, tagged, to the log.
+run() {
+    local side=$1 workload=$2 pair=$3 start line wall
+    start=$EPOCHREALTIME
+    line=$(cd "${tree[$side]}" && "$work/target-$side/release/spotfi-e2e" \
+        --workload "$workload" --seed 1 --seconds 2 | tail -n 1) || {
+        echo "e2e-ab: FAIL $workload: $side run $pair exited non-zero" >&2
+        exit 1
+    }
+    wall=$(awk -v a="$start" -v b="$EPOCHREALTIME" 'BEGIN { printf "%.2f", b - a }')
+    jq -nce --arg side "$side" --arg workload "$workload" --argjson pair "$pair" \
+        --argjson wall "$wall" 'input | select(.correct == true)
+        | {side: $side, workload: $workload, pair: $pair, wall_s: $wall} + .' \
+        <<<"$line" >>"$log" 2>/dev/null || {
+        echo "e2e-ab: FAIL $workload: $side run $pair is not correct: $line" >&2
+        exit 1
+    }
+    echo "e2e-ab: $workload pair $pair $side ${wall}s"
+}
+
+: >"$log"
+for workload in $(jq -r '.workloads[].name' BENCHMARK.json); do
+    for pair in $(seq 1 "$pairs"); do
+        if ((pair % 2)); then order="base head"; else order="head base"; fi
+        for side in $order; do
+            run "$side" "$workload" "$pair"
+        done
+    done
+done
+
+# Medians per (workload, side, metric), compared metric by metric. A
+# positive `worse` is the relative change in the metric's bad direction.
+jq -rn --slurpfile bench BENCHMARK.json --slurpfile runs "$log" '
+    def median: sort | if length % 2 == 1 then .[length / 2 | floor]
+                       else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+    def med($w; $side; $m): [$runs[] | select(.workload == $w and .side == $side)
+                             | .metrics[$m].value] | median;
+    def pct: 100 * . * 1000 | round / 1000;
+    $bench[0] as $b
+    | $b.workloads[].name as $w
+    | $b.end_to_end[]
+    | med($w; "base"; .name) as $base
+    | med($w; "head"; .name) as $head
+    | (if .better == "lower" then $head - $base else $base - $head end) as $d
+    | (if $base != 0 then $d / ($base | fabs) elif $d > 0 then infinite else 0 end) as $worse
+    | "e2e-ab: \(if $worse > .bound then "FAIL" else "ok  " end) \($w) \(.name): base \($base) head \($head) \(.unit) (worse by \($worse | pct)%, bound \(.bound | pct)%)"
+    ' | tee "$work/verdicts"
+if grep -q '^e2e-ab: FAIL' "$work/verdicts"; then
+    echo "e2e-ab: a median is worse than the base's by more than its bound" >&2
+    exit 1
+fi
+echo "e2e-ab: every median is within its bound"
