@@ -41,13 +41,13 @@ USAGE:
   spotfi simulate --out <capture.dat> [--target x,y] [--packets N] [--seed S]
       Simulate a capture and write it in Linux 802.11n CSI Tool format.
 
-  spotfi analyze <capture.dat> [--ap x,y] [--normal <deg>] [--threads N]
-                 [--stream] [--diagnostics out.json]
+  spotfi analyze <capture.dat> [--ap x,y] [--normal <deg>] [--stream]
+                 [--diagnostics out.json]
       Parse a CSI Tool trace and run SpotFi's per-AP analysis
-      (AP position/orientation default to the origin facing +y).
-      --stream replays the packets serially through the amortized
-      streaming hot path (rolling covariance, tracked subspace,
-      warm-started sweeps) instead of the batch path.
+      (AP position/orientation default to the origin facing +y). The
+      packets run serially, in capture order: every packet exact by
+      default, or with --stream through the amortized streaming hot
+      path (rolling covariance, tracked subspace, warm-started sweeps).
 
   spotfi scenario [office|nlos|corridor] [--targets N] [--packets N] [--threads N]
                   [--diagnostics out.json]
@@ -88,10 +88,10 @@ USAGE:
       durations consistent with the total span, and — when present —
       streaming and fleet counter identities (CI uses this).
 
-  --threads N selects the worker-thread budget (default: all cores;
-  1 = serial reference path; results are identical at any setting).
-  For scenario it is one budget spread across targets and their links,
-  each target analyzed serially.
+  --threads N selects scenario's worker-thread budget (default: all
+  cores; 1 = serial reference path; results are identical at any
+  setting): one budget spread across targets and their links, each
+  target analyzed serially.
   --diagnostics PATH enables the observability recorder for the run and
   writes per-stage span timings and pipeline counters as JSON; estimates
   are bit-identical with the recorder on or off.
@@ -270,13 +270,8 @@ fn cmd_analyze(args: &Args) -> Result<(), ArgError> {
     }
     let array = default_array(args)?;
     let packets = to_csi_packets(&records);
-    let mut cfg = SpotFiConfig::default();
-    if let Some(t) = args.parsed::<usize>("threads")? {
-        cfg.runtime = spotfi_core::RuntimeConfig::with_threads(t);
-    }
     let diagnostics = diagnostics_begin(args);
-    let threads = cfg.runtime.effective_threads();
-    let spotfi = SpotFi::new(cfg);
+    let spotfi = SpotFi::new(SpotFiConfig::default());
     let streaming = args.flag("stream");
     let ap = ApPackets { array, packets };
     let analysis = {
@@ -288,7 +283,7 @@ fn cmd_analyze(args: &Args) -> Result<(), ArgError> {
         }
     }
     .map_err(|e| ArgError(format!("analysis failed: {}", e)))?;
-    diagnostics_end(diagnostics, "analyze", threads)?;
+    diagnostics_end(diagnostics, "analyze", 1)?;
 
     println!(
         "\n{:>8} {:>9} {:>6} {:>7} {:>7}",

@@ -355,7 +355,7 @@ pub struct SpotFiConfig {
     pub likelihood: LikelihoodWeights,
     /// Eq. 9 solver parameters.
     pub localize: LocalizeConfig,
-    /// Amortized streaming-path parameters (`analyze_ap_streaming`).
+    /// Stream policy of `analyze_ap_streaming` and the fleet; batch runs the exact policy.
     pub stream: StreamConfig,
     /// Execution resources (thread budget). `threads = 1` is the serial
     /// reference path; any budget produces bit-identical results.

@@ -16,50 +16,48 @@
 //!
 //! ### Execution model
 //!
-//! Every packet, batch or streamed, runs one engine: *stage* (sanitize →
-//! smoothed covariance, plus the anchor decision), then the *exact tail*
-//! (exact eigendecomposition → coarse-to-fine sweep) or, for streams, the
-//! *warm tail* (tracked subspace → warm-started sweep). Both tails hand
-//! their signal basis to one preparer, `music::prepare_from_basis`.
+//! Every packet, batch or streamed, runs one engine,
+//! [`SpotFi::analyze_packet_streaming_with`], against a [`StreamState`]:
+//! *stage* (sanitize → smoothed covariance, plus the anchor decision),
+//! then the *exact tail* (exact eigendecomposition → coarse-to-fine sweep)
+//! or the *warm tail* (tracked subspace → warm-started sweep). Both tails
+//! hand their signal basis to one preparer, `music::prepare_from_basis`.
+//!
+//! A stream amortizes across the heavily correlated packets of one
+//! (target, AP) pair: a rolling exponentially-forgotten covariance, an
+//! online-tracked signal subspace (block power step + Rayleigh–Ritz)
+//! replacing the exact eigensolve, and a warm-started sweep seeded from
+//! the previous packet's peak basins. The exact solver and full detection
+//! sweep run only on *anchor* packets — the first, every
+//! [`crate::config::StreamConfig::reanchor_period`]-th, and whenever
+//! subspace drift trips [`crate::config::StreamConfig::drift_threshold`].
+//! The batch entry points ([`SpotFi::analyze_packet`],
+//! [`SpotFi::analyze_ap`], [`SpotFi::analyze_all`] and the localizers) run
+//! each AP's packets in capture order as a stream under the *exact
+//! policy* — no forgetting and an anchor on every packet — so each packet
+//! is staged on its own covariance, eigendecomposed and swept exactly.
+//! See DESIGN.md §9 for the amortization policy and exactness contract.
 //!
 //! Construction precomputes a [`SteeringCache`] (the MUSIC grid's steering
-//! factors) once per configuration. Analysis fans out on the scoped-thread
-//! engine in [`crate::runtime`]: the whole (AP, packet) cross product is
-//! flattened into one work list of packets that feeds the outermost
-//! parallel map, and each packet runs stage → exact eigendecomposition →
-//! exact tail, the sequence a stream's anchor packet runs. The budget
-//! itself is capped at the host's
-//! [`crate::runtime::hardware_parallelism`]. Every per-packet computation
-//! is pure and results come back in input order, so they are bit-identical
-//! for every thread count; `threads = 1` runs the plain serial path. Each
-//! worker owns one [`PacketScratch`], so per-packet buffers (eigensolver
-//! workspace, packed projector blocks) are allocated once per worker, not
-//! once per packet. The smoothed matrix `X` is never stored: its columns
-//! are gathered from the sanitized CSI one at a time and accumulated into
-//! `X·Xᴴ` directly in the eigensolver's matrix, which the solve then
-//! decomposes in place.
-//!
-//! ### Streaming model
-//!
-//! The batch path re-derives everything per packet. When packets arrive as
-//! a live stream from one (target, AP) pair, consecutive channels are
-//! heavily correlated, and [`SpotFi::analyze_packet_streaming_with`]
-//! amortizes across them with persistent [`StreamState`]: a rolling
-//! exponentially-forgotten covariance, an online-tracked signal subspace
-//! (block power step + Rayleigh–Ritz) replacing the exact eigensolve, and
-//! a warm-started sweep seeded from the previous packet's peak basins. The
-//! exact solver and full detection sweep run only on *anchor* packets —
-//! the first, every [`crate::config::StreamConfig::reanchor_period`]-th,
-//! and whenever subspace drift trips
-//! [`crate::config::StreamConfig::drift_threshold`]. See DESIGN.md §9 for
-//! the amortization policy and exactness contract.
+//! factors) once per configuration. [`SpotFi::analyze_all`] fans its APs
+//! out on the scoped-thread engine in [`crate::runtime`], one AP's stream
+//! per work item, with the budget capped at the host's
+//! [`crate::runtime::hardware_parallelism`]. Every AP's computation is
+//! pure and results come back in AP order, so they are bit-identical for
+//! every thread count; `threads = 1` runs the plain serial path. Each
+//! worker owns one [`StreamState`] and one [`PacketScratch`], so
+//! per-packet buffers (eigensolver workspace, packed projector blocks) are
+//! allocated once per worker, not once per packet. The smoothed matrix `X`
+//! is never stored: its columns are gathered from the sanitized CSI one at
+//! a time and accumulated into `X·Xᴴ` directly in the eigensolver's
+//! matrix, which the solve then decomposes in place.
 
 use spotfi_channel::{AntennaArray, CsiPacket};
 use spotfi_math::stats::mean;
 use spotfi_math::{CMat, PackedHermitian, RitzWorkspace, SubspaceTracker};
 
 use crate::cluster::{cluster_estimates, Clustering};
-use crate::config::SpotFiConfig;
+use crate::config::{SpotFiConfig, StreamConfig};
 use crate::error::{Result, SpotFiError};
 use crate::likelihood::{select_direct_path, DirectPath};
 use crate::localize::{
@@ -120,7 +118,7 @@ impl ApAnalysis {
 /// [`RitzWorkspace`]. Fully overwritten on every packet, so one scratch
 /// serves a worker — and every stream on it — for the lifetime of a run.
 /// The Ritz workspace is sized by the first warm packet, so a scratch that
-/// only ever runs batch packets never allocates it.
+/// only ever runs exact packets never allocates it.
 #[derive(Clone, Debug)]
 pub struct PacketScratch {
     music: MusicScratch,
@@ -153,7 +151,11 @@ impl PacketScratch {
 /// default n = 30) and the tracked `n×k` basis (≤ 3.8 KB at
 /// `max_paths` = 8), plus the previous peak cells. Each packet unpacks the
 /// covariance into the worker's eigensolver matrix; the tracker's per-step
-/// products live in the scratch's [`RitzWorkspace`].
+/// products live in the scratch's [`RitzWorkspace`]. The covariance is
+/// stored only when a later packet decays it (`forgetting > 0`) and the
+/// tracker seeded only when a later packet can refine it
+/// (`reanchor_period > 1`), so the exact streams the batch entry points
+/// run store neither.
 ///
 /// One `StreamState` belongs to one packet stream; feeding it packets from
 /// different APs (or different targets) mixes unrelated covariances.
@@ -168,12 +170,23 @@ pub struct StreamState {
     packets_since_anchor: usize,
     initialized: bool,
     force_anchor: bool,
+    /// Runs the exact policy (see `SpotFi::policy`) instead of the
+    /// configured [`StreamConfig`].
+    exact: bool,
 }
 
 impl StreamState {
     /// Allocates stream state sized for `cfg`.
     pub fn new(cfg: &SpotFiConfig) -> Self {
-        let n = cfg.smoothed_rows();
+        Self::with_policy(cfg.smoothed_rows(), false)
+    }
+
+    /// A stream under the exact policy, which never stores a covariance.
+    fn exact() -> Self {
+        Self::with_policy(0, true)
+    }
+
+    fn with_policy(n: usize, exact: bool) -> Self {
         StreamState {
             cov: PackedHermitian::zeros(n),
             tracker: SubspaceTracker::new(),
@@ -181,6 +194,7 @@ impl StreamState {
             packets_since_anchor: 0,
             initialized: false,
             force_anchor: false,
+            exact,
         }
     }
 
@@ -194,18 +208,6 @@ impl StreamState {
         self.initialized = false;
         self.force_anchor = false;
     }
-}
-
-/// Where a staged packet's covariance lands: a fresh product in the
-/// scratch's eigensolver matrix, decomposed right away, or a stream's
-/// rolling covariance plus the eigensolver matrix the stream's packet
-/// reads it from.
-enum Covariance<'a> {
-    Fresh(&'a mut MusicScratch),
-    Stream {
-        state: &'a mut StreamState,
-        solver: &'a mut CMat,
-    },
 }
 
 /// Drops a packet whose sweep found no peaks, and counts the outcome.
@@ -252,53 +254,56 @@ impl SpotFi {
     /// Estimates the multipath parameters of a single packet: sanitize →
     /// smooth → MUSIC (Algorithm 2 steps 3–7).
     pub fn analyze_packet(&self, packet: &CsiPacket) -> Result<Vec<PathEstimate>> {
-        self.analyze_packet_exact(packet, &mut PacketScratch::new(&self.config))
+        let mut scratch = PacketScratch::new(&self.config);
+        self.analyze_packet_streaming_with(packet, &mut StreamState::exact(), &mut scratch)
     }
 
-    /// The batch path's per-packet engine: stage and eigendecompose a
-    /// fresh covariance, then run the exact tail.
-    fn analyze_packet_exact(
+    /// The stream policy `state` runs: the configured [`StreamConfig`], or
+    /// for the batch entry points' exact streams no forgetting and an
+    /// anchor on every packet (a policy that never reads the drift
+    /// threshold or the tracker rank margin).
+    fn policy(&self, state: &StreamState) -> StreamConfig {
+        if state.exact {
+            StreamConfig {
+                forgetting: 0.0,
+                reanchor_period: 1,
+                ..self.config.stream
+            }
+        } else {
+            self.config.stream
+        }
+    }
+
+    /// Stage: sanitize → smoothed covariance into `solver`, returning
+    /// whether the packet anchors on the exact solver. The smoothed
+    /// matrix's columns feed the covariance one at a time: a fresh product,
+    /// or the stream's rolling sum, kept packed and unpacked into `solver`
+    /// for the packet's tail.
+    fn stage(
         &self,
         packet: &CsiPacket,
-        scratch: &mut PacketScratch,
-    ) -> Result<Vec<PathEstimate>> {
-        let music = &mut scratch.music;
-        self.stage(packet, Covariance::Fresh(music))?;
-        self.exact_tail(music).map(|swept| swept.paths)
-    }
-
-    /// Stage: sanitize → smoothed covariance, returning whether the packet
-    /// anchors on the exact solver. The smoothed matrix's columns feed the
-    /// covariance one at a time. A fresh covariance always anchors, so it
-    /// is eigendecomposed here, in place, under one `stage.eigen` span with
-    /// its product; a stream's is a rolling sum, kept packed and left
-    /// unpacked in `solver` for the packet's tail.
-    fn stage(&self, packet: &CsiPacket, into: Covariance) -> Result<bool> {
+        state: &mut StreamState,
+        solver: &mut CMat,
+    ) -> Result<bool> {
         let sanitized = sanitize_csi(&packet.csi, self.config.ofdm.subcarrier_spacing_hz)?;
         let x = SmoothedColumns::new(&sanitized.csi, &self.config)?;
-        let (state, solver) = match into {
-            Covariance::Fresh(music) => {
-                let _span = spotfi_obs::span("stage.eigen");
-                covariance_into(&x, music.eig.matrix_mut())?;
-                music.eigen_in_place(self.config.music.max_paths);
-                return Ok(true);
-            }
-            Covariance::Stream { state, solver } => (state, solver),
-        };
-        let stream_cfg = self.config.stream;
+        let policy = self.policy(state);
         let first = !state.initialized;
         {
             let _track = spotfi_obs::span("stage.track");
-            if first || stream_cfg.forgetting == 0.0 {
-                // Fresh product: with λ = 0 this keeps the streaming
-                // covariance bitwise-equal to the batch path's, which the
-                // exactness contract (DESIGN.md §9) relies on.
+            if first || policy.forgetting == 0.0 {
+                // Fresh product: with λ = 0 this is bitwise the covariance
+                // of the packet alone, which the exactness contract
+                // (DESIGN.md §9) relies on. Only a later decay step reads
+                // the packed copy.
                 covariance_into(&x, solver)?;
-                state.cov.assign_lower(solver);
+                if policy.forgetting != 0.0 {
+                    state.cov.assign_lower(solver);
+                }
             } else {
                 state
                     .cov
-                    .decay_accumulate_columns(stream_cfg.forgetting, |add| x.feed(add));
+                    .decay_accumulate_columns(policy.forgetting, |add| x.feed(add));
                 if !state.cov.is_finite() {
                     // Poisoned accumulator: drop everything so the next
                     // packet rebuilds from scratch.
@@ -309,7 +314,7 @@ impl SpotFi {
             }
             state.initialized = true;
         }
-        let period = stream_cfg.reanchor_period.max(1);
+        let period = policy.reanchor_period.max(1);
         Ok(first
             || state.force_anchor
             || state.packets_since_anchor + 1 >= period
@@ -394,13 +399,13 @@ impl SpotFi {
     }
 
     /// Amortized streaming analysis of one packet against persistent
-    /// per-stream state — the steady-state hot path for live captures.
-    /// `scratch` carries no information across packets (it is fully
-    /// overwritten), so one per-worker [`PacketScratch`] can serve every
-    /// [`StreamState`] on a shard.
+    /// per-stream state — the steady-state hot path for live captures, and
+    /// the one per-packet engine every entry point runs. `scratch` carries
+    /// no information across packets (it is fully overwritten), so one
+    /// per-worker [`PacketScratch`] can serve every [`StreamState`] on a
+    /// shard.
     ///
-    /// Instead of re-deriving everything per packet like
-    /// [`analyze_packet`](Self::analyze_packet), this path:
+    /// Instead of re-deriving everything per packet, this path:
     ///
     /// 1. updates a rolling covariance `R ← λ·R + X·Xᴴ` in place, stored
     ///    packed ([`crate::config::StreamConfig::forgetting`]),
@@ -417,9 +422,10 @@ impl SpotFi {
     /// packet where the tracker's residual drift exceeds
     /// [`crate::config::StreamConfig::drift_threshold`], and the packet
     /// after any failure. With `forgetting = 0` and `reanchor_period = 1`
-    /// every packet anchors on a fresh covariance and the results are
-    /// bit-identical to [`analyze_packet`](Self::analyze_packet); the
-    /// default [`crate::config::StreamConfig`] instead trades that for a
+    /// every packet anchors on a fresh covariance: the exact policy the
+    /// batch entry points run, bit-identical to
+    /// [`analyze_packet`](Self::analyze_packet). The default
+    /// [`crate::config::StreamConfig`] instead trades that for a
     /// multiple-× steady-state speedup with tolerance-level accuracy
     /// (pinned by the golden streaming trace).
     ///
@@ -436,11 +442,7 @@ impl SpotFi {
     ) -> Result<Vec<PathEstimate>> {
         let _packet_span = spotfi_obs::span("stream.packet");
         let PacketScratch { music, ritz } = scratch;
-        let into = Covariance::Stream {
-            state: &mut *state,
-            solver: music.eig.matrix_mut(),
-        };
-        let anchor = self.stage(packet, into)?;
+        let anchor = self.stage(packet, state, music.eig.matrix_mut())?;
         let warm = if anchor {
             None
         } else {
@@ -462,7 +464,9 @@ impl SpotFi {
                 let _span = spotfi_obs::span("stage.eigen");
                 music.eigen_in_place(self.config.music.max_paths);
             }
-            self.seed_tracker(&mut state.tracker, music);
+            if self.policy(state).reanchor_period > 1 {
+                self.seed_tracker(&mut state.tracker, music);
+            }
             self.exact_tail(music)
         });
         match swept {
@@ -489,41 +493,33 @@ impl SpotFi {
     /// capture order* (the rolling covariance is order-dependent), then
     /// clustered and scored exactly like [`analyze_ap`](Self::analyze_ap).
     pub fn analyze_ap_streaming(&self, ap: &ApPackets) -> Result<ApAnalysis> {
-        if ap.packets.is_empty() {
-            return Err(SpotFiError::NoPackets);
-        }
-        let mut stream = StreamState::new(&self.config);
         let mut scratch = PacketScratch::new(&self.config);
-        let per_packet: Vec<Result<Vec<PathEstimate>>> = ap
-            .packets
-            .iter()
-            .map(|p| self.analyze_packet_streaming_with(p, &mut stream, &mut scratch))
-            .collect();
+        let per_packet = self.replay(ap, &mut StreamState::new(&self.config), &mut scratch);
         self.assemble_ap(ap, per_packet)
     }
 
-    /// Runs a flattened packet work-list, one packet per work item,
-    /// returning per-unit results in input order (so results are
-    /// bit-identical at every budget).
-    fn analyze_units(&self, units: &[&CsiPacket]) -> Vec<Result<Vec<PathEstimate>>> {
-        parallel_map_with(
-            units.len(),
-            self.config.runtime.effective_threads(),
-            || PacketScratch::new(&self.config),
-            |scratch, i| self.analyze_packet_exact(units[i], scratch),
-        )
-    }
-
-    /// Full per-AP analysis (Algorithm 2 steps 2–10): per-packet estimation,
-    /// clustering across packets, direct-path selection. Packets are
-    /// analyzed in parallel within the configured thread budget.
+    /// Full per-AP analysis (Algorithm 2 steps 2–10): per-packet estimation
+    /// on an exact stream, clustering across packets, direct-path
+    /// selection. One AP's packets run serially, in capture order.
     pub fn analyze_ap(&self, ap: &ApPackets) -> Result<ApAnalysis> {
-        if ap.packets.is_empty() {
-            return Err(SpotFiError::NoPackets);
-        }
-        let units: Vec<&CsiPacket> = ap.packets.iter().collect();
-        let per_packet = self.analyze_units(&units);
+        let mut scratch = PacketScratch::new(&self.config);
+        let per_packet = self.replay(ap, &mut StreamState::exact(), &mut scratch);
         self.assemble_ap(ap, per_packet)
+    }
+
+    /// One AP's packets through `state`, reset first, in capture order;
+    /// per-packet results in that order.
+    fn replay(
+        &self,
+        ap: &ApPackets,
+        state: &mut StreamState,
+        scratch: &mut PacketScratch,
+    ) -> Vec<Result<Vec<PathEstimate>>> {
+        state.reset();
+        ap.packets
+            .iter()
+            .map(|p| self.analyze_packet_streaming_with(p, state, scratch))
+            .collect()
     }
 
     /// The serial tail of per-AP analysis: collect per-packet estimates
@@ -617,21 +613,22 @@ impl SpotFi {
 
     /// Runs per-AP analysis on every AP, keeping successes.
     ///
-    /// The (AP, packet) fan-out is flattened into one work list: per-packet
-    /// analysis dominates the cost, so the widest pool of independent units
-    /// feeds the *outermost* parallel map instead of nesting AP-level
-    /// workers over packet-level workers. Results regroup by AP in packet
-    /// order afterwards, so the output is identical at every thread count.
+    /// APs fan out over the thread budget, each worker replaying one AP's
+    /// exact stream at a time on its own [`StreamState`] and
+    /// [`PacketScratch`]. The per-packet results come back in AP order and
+    /// are clustered afterwards, once the workers' scratch is freed, so
+    /// the output is identical at every thread count.
     pub fn analyze_all(&self, aps: &[ApPackets]) -> Result<Vec<ApAnalysis>> {
-        let units: Vec<&CsiPacket> = aps.iter().flat_map(|ap| ap.packets.iter()).collect();
-        let per_packet = self.analyze_units(&units);
-        let mut results = per_packet.into_iter();
+        let per_ap = parallel_map_with(
+            aps.len(),
+            self.config.runtime.effective_threads(),
+            || (StreamState::exact(), PacketScratch::new(&self.config)),
+            |(state, scratch), i| self.replay(&aps[i], state, scratch),
+        );
         let analyses: Vec<ApAnalysis> = aps
             .iter()
-            .filter_map(|ap| {
-                let chunk: Vec<_> = results.by_ref().take(ap.packets.len()).collect();
-                self.assemble_ap(ap, chunk).ok()
-            })
+            .zip(per_ap)
+            .filter_map(|(ap, per_packet)| self.assemble_ap(ap, per_packet).ok())
             .collect();
         if analyses.is_empty() {
             return Err(SpotFiError::InsufficientAps { usable: 0 });
@@ -772,12 +769,13 @@ mod tests {
 
     #[test]
     fn failed_packets_do_not_perturb_neighbours() {
-        // Packets run over the flattened (AP, packet) list on per-worker
+        // Each worker replays AP after AP on one exact stream and one
         // scratch, so a packet that fails staging must leave nothing behind
         // for the next one. Put a NaN packet at each of units 0–3 and an
-        // all-zero packet four units later (units 4–7, straddling the
-        // AP0/AP1 boundary): every survivor must still match its own
-        // one-packet analysis bit for bit, and the drop counts must be exact.
+        // all-zero packet four units later (units 4–7 of the APs' packets
+        // in order, straddling the AP0/AP1 boundary): every survivor must
+        // still match its own one-packet analysis bit for bit, and the drop
+        // counts must be exact.
         let plan = Floorplan::empty();
         let center = Point::new(5.0, 5.0);
         let target = Point::new(4.0, 6.0);
@@ -828,6 +826,52 @@ mod tests {
                 }
                 let dropped: usize = analyses.iter().map(|a| a.dropped_packets).sum();
                 assert_eq!(dropped, 2, "unit {pos}, threads {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn rejected_packets_never_reach_a_streams_covariance() {
+        // A stream's rolling covariance carries each packet into the next,
+        // so a packet that fails sanitization must be rejected before it is
+        // accumulated. Insert a NaN packet and an all-zero packet before
+        // each packet of a 12-packet stream in turn: every other packet's
+        // estimates must match the clean stream's bit for bit, and exactly
+        // the two inserted packets drop.
+        let plan = Floorplan::empty();
+        let array = ap_array(0.0, 0.0, Point::new(5.0, 5.0));
+        let target = Point::new(4.0, 6.0);
+        let clean = gen_packets(&plan, target, array, &TraceConfig::commodity(), 12, 63);
+        let s = spotfi();
+        assert!(s.config().stream.forgetting > 0.0);
+        let reference = s.analyze_ap_streaming(&clean).unwrap();
+        let bad = |value: f64| CsiPacket {
+            csi: CMat::from_fn(3, 30, |_, _| c64::new(value, 0.0)),
+            ..clean.packets[0].clone()
+        };
+        for pos in 0..clean.packets.len() {
+            let mut ap = clean.clone();
+            ap.packets.splice(pos..pos, [bad(f64::NAN), bad(0.0)]);
+            let analysis = s.analyze_ap_streaming(&ap).unwrap();
+            let ctx = format!("inserted before packet {pos}");
+            assert_eq!(
+                analysis.dropped_packets,
+                reference.dropped_packets + 2,
+                "{ctx}"
+            );
+            assert_eq!(
+                analysis.path_estimates.len(),
+                reference.path_estimates.len(),
+                "{ctx}"
+            );
+            for (a, b) in analysis
+                .path_estimates
+                .iter()
+                .zip(&reference.path_estimates)
+            {
+                assert_eq!(a.aoa_deg.to_bits(), b.aoa_deg.to_bits(), "{ctx}");
+                assert_eq!(a.tof_ns.to_bits(), b.tof_ns.to_bits(), "{ctx}");
+                assert_eq!(a.power.to_bits(), b.power.to_bits(), "{ctx}");
             }
         }
     }

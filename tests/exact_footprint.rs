@@ -13,27 +13,49 @@
 //!
 //! This binary installs a counting global allocator and bounds the peak
 //! heap growth of one serial `analyze_ap` over 10 apartment packets, and
-//! its count of allocation calls. It holds a single test so no other
-//! test's allocations land in the count.
+//! its count of allocation calls. The allocator counts only the thread
+//! that runs the measured call, and only while it runs it, so the test
+//! harness's own threads cannot land in the count; the binary still holds
+//! a single test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
 use spotfi::core::{ApPackets, RuntimeConfig, SpotFi, SpotFiConfig};
 use spotfi::testbed::apartment::Apartment;
 use spotfi::{PacketTrace, TraceConfig};
 use spotfi_channel::Rng;
 
-/// Live heap bytes, tracked across every allocation in the process.
-static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
-/// Highest `LIVE_BYTES` since the last reset.
-static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
-/// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`) in the process.
+/// Net heap bytes allocated by the measured call so far (negative if it
+/// frees more than it allocates).
+static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+/// Highest `LIVE_BYTES` since the measured call started.
+static PEAK_BYTES: AtomicIsize = AtomicIsize::new(0);
+/// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`) of the measured
+/// call.
 static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
 
-fn grow(bytes: usize) {
-    let now = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK_BYTES.fetch_max(now, Ordering::Relaxed);
+thread_local! {
+    /// Set on the measuring thread for the duration of the measured call.
+    static MEASURED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn measured() -> bool {
+    MEASURED.try_with(Cell::get).unwrap_or(false)
+}
+
+fn add_live(bytes: isize) {
+    if measured() {
+        let now = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        PEAK_BYTES.fetch_max(now, Ordering::Relaxed);
+    }
+}
+
+fn count_call() {
+    if measured() {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 struct Counting;
@@ -42,37 +64,33 @@ struct Counting;
 // `System`'s guarantees hold; the counters only record sizes.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         let p = System.alloc(layout);
         if !p.is_null() {
-            grow(layout.size());
+            add_live(layout.size() as isize);
         }
         p
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         let p = System.alloc_zeroed(layout);
         if !p.is_null() {
-            grow(layout.size());
+            add_live(layout.size() as isize);
         }
         p
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
-        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        add_live(-(layout.size() as isize));
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
-            if new_size >= layout.size() {
-                grow(new_size - layout.size());
-            } else {
-                LIVE_BYTES.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-            }
+            add_live(new_size as isize - layout.size() as isize);
         }
         p
     }
@@ -87,7 +105,7 @@ const PACKETS: usize = 10;
 /// today: the scratch's buffers once, and per packet the sanitized CSI
 /// with its phase-fit vectors plus the MUSIC search's candidate and path
 /// vectors. Lower it when a change removes some; it may not rise.
-const MAX_ALLOC_CALLS: usize = 221;
+const MAX_ALLOC_CALLS: usize = 220;
 
 #[test]
 fn exact_packet_working_set_excludes_a_stored_detection_grid() {
@@ -115,12 +133,12 @@ fn exact_packet_working_set_excludes_a_stored_detection_grid() {
     // One warm-up call, so one-time lazy statics are not billed below.
     spotfi.analyze_ap(&packets).expect("warm-up analysis");
 
-    let before = LIVE_BYTES.load(Ordering::Relaxed);
-    PEAK_BYTES.store(before, Ordering::Relaxed);
-    let calls_before = ALLOC_CALLS.load(Ordering::Relaxed);
-    let analysis = spotfi.analyze_ap(&packets).expect("analysis");
-    let calls = ALLOC_CALLS.load(Ordering::Relaxed) - calls_before;
-    let peak = PEAK_BYTES.load(Ordering::Relaxed) - before;
+    MEASURED.with(|m| m.set(true));
+    let analysis = spotfi.analyze_ap(&packets);
+    MEASURED.with(|m| m.set(false));
+    let analysis = analysis.expect("analysis");
+    let calls = ALLOC_CALLS.load(Ordering::Relaxed);
+    let peak = PEAK_BYTES.load(Ordering::Relaxed) as usize;
     println!("allocation calls of one exact analyze_ap: {calls}");
     assert_eq!(analysis.dropped_packets, 0);
 

@@ -493,11 +493,11 @@ fn batch_path_digest(threads: usize) -> u64 {
 
 #[test]
 fn batch_path_is_bit_pinned() {
-    // The exact per-packet path that every batch entry point runs, pinned
-    // to the bit over the flattened (AP, packet) work list: AP sizes that
-    // are not multiples of four, a NaN packet and an all-zero packet (both
-    // dropped). Scheduling, packet grouping and the thread budget must not
-    // move a bit. Re-derive with `-- --nocapture` only after an intentional
+    // The exact per-packet path that every batch entry point runs (one
+    // stream per AP under the exact policy), pinned to the bit over AP
+    // sizes that are not multiples of four, a NaN packet and an all-zero
+    // packet (both dropped). Scheduling, packet grouping and the thread
+    // budget must not move a bit. Re-derive with `-- --nocapture` only after an intentional
     // change to the exact path's arithmetic.
     const PIN_BATCH: u64 = 0x6972_c72d_f99f_46e3;
 

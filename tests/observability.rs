@@ -173,7 +173,9 @@ fn testbed_runner_workers_flush_into_snapshot() {
 fn per_packet_counters_scale_with_input() {
     // Sanity-check the counter semantics end to end: analyzing one AP's 8
     // packets must count exactly 8 sanitize successes and 8 analyzed
-    // packets, independent of scheduling.
+    // packets, independent of scheduling. Batch runs the stream engine
+    // under its exact policy, so every packet is also counted as a stream
+    // anchor, and none is warm or a tracker fallback.
     let _guard = lock();
     let aps = capture();
     for threads in [1, 4] {
@@ -187,6 +189,10 @@ fn per_packet_counters_scale_with_input() {
         assert_eq!(snap.counter_total("pipeline.packets_analyzed"), 8);
         assert_eq!(snap.counter_total("pipeline.aps_assembled"), 1);
         assert_eq!(snap.counter_total("music.c2f_searches"), 8);
+        assert_eq!(snap.counter_total("stream.packets"), 8);
+        assert_eq!(snap.counter_total("stream.anchor"), 8);
+        assert_eq!(snap.counter_total("stream.warmstart_hit"), 0);
+        assert_eq!(snap.counter_total("stream.tracker_fallback"), 0);
     }
 }
 
