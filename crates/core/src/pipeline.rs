@@ -147,11 +147,13 @@ impl PacketScratch {
 /// this state per stream, while one per-worker [`PacketScratch`] serves
 /// every stream, since the scratch is fully overwritten on each packet.
 /// A stream holds only what its next packet reads: the covariance as a
-/// [`PackedHermitian`] lower triangle (`n(n+1)/2` entries, 7.4 KB at the
-/// default n = 30) and the tracked `n×k` basis (≤ 3.8 KB at
-/// `max_paths` = 8), plus the previous peak cells. Each packet unpacks the
-/// covariance into the worker's eigensolver matrix; the tracker's per-step
-/// products live in the scratch's [`RitzWorkspace`]. The covariance is
+/// [`PackedHermitian`] lower triangle of `f32` pairs (`n(n+1)/2` entries,
+/// 3.7 KB at the default n = 30) and the tracked `n×k` basis (≤ 3.8 KB at
+/// `max_paths` = 8, kept in `f64`), plus the previous peak cells. Each
+/// packet widens the covariance into the worker's eigensolver matrix,
+/// updates it there in `f64` and rounds it back, so the packet itself reads
+/// it unrounded; the tracker's per-step products live in the scratch's
+/// [`RitzWorkspace`]. The covariance is
 /// stored only when a later packet decays it (`forgetting > 0`) and the
 /// tracker seeded only when a later packet can refine it
 /// (`reanchor_period > 1`), so the exact streams the batch entry points
@@ -160,8 +162,10 @@ impl PacketScratch {
 /// One `StreamState` belongs to one packet stream; feeding it packets from
 /// different APs (or different targets) mixes unrelated covariances.
 /// State survives per-packet errors: a sanitize/smooth failure leaves the
-/// covariance and tracker untouched, while an empty sweep or a non-finite
-/// covariance forces an exact re-anchor on the next packet.
+/// covariance and tracker untouched, an empty sweep forces an exact
+/// re-anchor on the next packet, and a covariance that cannot be stored (a
+/// NaN or an infinity, or an entry beyond `f32`'s range) drops the stream's
+/// state so the next packet starts afresh.
 #[derive(Clone, Debug)]
 pub struct StreamState {
     cov: PackedHermitian,
@@ -277,8 +281,9 @@ impl SpotFi {
     /// Stage: sanitize → smoothed covariance into `solver`, returning
     /// whether the packet anchors on the exact solver. The smoothed
     /// matrix's columns feed the covariance one at a time: a fresh product,
-    /// or the stream's rolling sum, kept packed and unpacked into `solver`
-    /// for the packet's tail.
+    /// or the stream's rolling sum, decayed and accumulated in `f64` in
+    /// `solver` from the stored history, then rounded back into the stream
+    /// for the next packet. The packet's tail reads `solver` unrounded.
     fn stage(
         &self,
         packet: &CsiPacket,
@@ -294,23 +299,18 @@ impl SpotFi {
             if first || policy.forgetting == 0.0 {
                 // Fresh product: with λ = 0 this is bitwise the covariance
                 // of the packet alone, which the exactness contract
-                // (DESIGN.md §9) relies on. Only a later decay step reads
-                // the packed copy.
+                // (DESIGN.md §9) relies on.
                 covariance_into(&x, solver)?;
-                if policy.forgetting != 0.0 {
-                    state.cov.assign_lower(solver);
-                }
             } else {
-                state
-                    .cov
-                    .decay_accumulate_columns(policy.forgetting, |add| x.feed(add));
-                if !state.cov.is_finite() {
-                    // Poisoned accumulator: drop everything so the next
-                    // packet rebuilds from scratch.
-                    state.reset();
-                    return Err(SpotFiError::DegenerateCsi);
-                }
                 state.cov.unpack_into(solver);
+                solver.decay_accumulate_hermitian(policy.forgetting, |add| x.feed(add));
+            }
+            // Only a later decay step reads the stored copy. A NaN, an
+            // infinity or an entry past f32's range poisons it: drop
+            // everything so the next packet rebuilds from scratch.
+            if policy.forgetting != 0.0 && !state.cov.store_rounded(solver) {
+                state.reset();
+                return Err(SpotFiError::DegenerateCsi);
             }
             state.initialized = true;
         }
@@ -335,11 +335,12 @@ impl SpotFi {
     }
 
     /// Warm tail: one [`SubspaceTracker::refine`] step against the rolling
-    /// covariance (unpacked in `music`'s eigensolver matrix), then the
-    /// warm-started sweep from the previous packet's peak basins. Returns
-    /// `None` — the caller falls back to the exact path — when the
+    /// covariance (in `music`'s eigensolver matrix, which it only reads),
+    /// then the warm-started sweep from the previous packet's peak basins.
+    /// Returns `None` — the caller falls back to the exact path — when the
     /// tracker's drift exceeds
-    /// [`crate::config::StreamConfig::drift_threshold`] (or is NaN).
+    /// [`crate::config::StreamConfig::drift_threshold`] (or is NaN). The
+    /// caller retries a sweep that fails on the exact path too.
     fn warm_tail(
         &self,
         state: &mut StreamState,
@@ -355,7 +356,6 @@ impl SpotFi {
             if drift.is_nan() || drift > self.config.stream.drift_threshold {
                 return None;
             }
-            spotfi_obs::counter("stream.warmstart_hit", 1);
             prepare_from_basis(
                 &self.config,
                 &mut music.sweep,
@@ -407,8 +407,8 @@ impl SpotFi {
     ///
     /// Instead of re-deriving everything per packet, this path:
     ///
-    /// 1. updates a rolling covariance `R ← λ·R + X·Xᴴ` in place, stored
-    ///    packed ([`crate::config::StreamConfig::forgetting`]),
+    /// 1. updates a rolling covariance `R ← λ·R + X·Xᴴ` in `f64`, stored
+    ///    packed in `f32` ([`crate::config::StreamConfig::forgetting`]),
     /// 2. *tracks* the signal subspace — one block power step plus a
     ///    `k×k` Rayleigh–Ritz solve refining the previous eigenbasis
     ///    ([`spotfi_math::SubspaceTracker`]) — instead of running the
@@ -421,7 +421,9 @@ impl SpotFi {
     /// [`crate::config::StreamConfig::reanchor_period`]-th packet, any
     /// packet where the tracker's residual drift exceeds
     /// [`crate::config::StreamConfig::drift_threshold`], and the packet
-    /// after any failure. With `forgetting = 0` and `reanchor_period = 1`
+    /// after any failure. A warm packet whose sweep fails (finds no path) is
+    /// retried on the exact path, so the warm tail never loses a packet the
+    /// exact path would keep. With `forgetting = 0` and `reanchor_period = 1`
     /// every packet anchors on a fresh covariance: the exact policy the
     /// batch entry points run, bit-identical to
     /// [`analyze_packet`](Self::analyze_packet). The default
@@ -432,8 +434,11 @@ impl SpotFi {
     /// Emits `stream.*` diagnostics:
     /// `stream.packets = stream.warmstart_hit + stream.warmstart_miss`
     /// and `stream.warmstart_miss = stream.anchor +
-    /// stream.tracker_fallback` (identities checked by
-    /// `spotfi_obs::validate_diagnostics`).
+    /// stream.tracker_fallback`, with `stream.warm_retry ≤
+    /// stream.tracker_fallback` (checked by
+    /// `spotfi_obs::validate_diagnostics`). A hit is a warm packet whose
+    /// sweep succeeded; a retried packet is a tracker fallback that also
+    /// counts as a retry.
     pub fn analyze_packet_streaming_with(
         &self,
         packet: &CsiPacket,
@@ -441,34 +446,56 @@ impl SpotFi {
         scratch: &mut PacketScratch,
     ) -> Result<Vec<PathEstimate>> {
         let _packet_span = spotfi_obs::span("stream.packet");
+        let anchor = self.stage(packet, state, scratch.music.eig.matrix_mut())?;
         let PacketScratch { music, ritz } = scratch;
-        let anchor = self.stage(packet, state, music.eig.matrix_mut())?;
         let warm = if anchor {
             None
         } else {
             self.warm_tail(state, music, ritz)
         };
+        self.finish(anchor, warm, state, music)
+    }
+
+    /// Closes a staged packet given its warm tail's outcome (`None` for an
+    /// anchor or a drifted tracker): a successful warm sweep is kept;
+    /// otherwise the exact tail runs on the same covariance, still intact
+    /// in the eigensolver matrix since the warm tail only reads it. Then
+    /// the stream's bookkeeping.
+    fn finish(
+        &self,
+        anchor: bool,
+        warm: Option<Result<CoarseFinePaths>>,
+        state: &mut StreamState,
+        music: &mut MusicScratch,
+    ) -> Result<Vec<PathEstimate>> {
         spotfi_obs::counter("stream.packets", 1);
-        let exact = warm.is_none();
-        let swept = warm.unwrap_or_else(|| {
-            spotfi_obs::counter("stream.warmstart_miss", 1);
-            spotfi_obs::counter(
+        let (swept, exact) = match warm {
+            Some(Ok(swept)) => {
+                spotfi_obs::counter("stream.warmstart_hit", 1);
+                (Ok(swept), false)
+            }
+            warm => {
+                spotfi_obs::counter("stream.warmstart_miss", 1);
                 if anchor {
-                    "stream.anchor"
+                    spotfi_obs::counter("stream.anchor", 1);
                 } else {
-                    "stream.tracker_fallback"
-                },
-                1,
-            );
-            {
-                let _span = spotfi_obs::span("stage.eigen");
-                music.eigen_in_place(self.config.music.max_paths);
+                    // Left the warm path after a refine: a drifted tracker,
+                    // or (also counted as a retry) a failed warm sweep.
+                    spotfi_obs::counter("stream.tracker_fallback", 1);
+                    if warm.is_some() {
+                        spotfi_obs::counter("stream.warm_retry", 1);
+                    }
+                }
+                {
+                    let _span = spotfi_obs::span("stage.eigen");
+                    music.eigen_in_place(self.config.music.max_paths);
+                }
+                if self.policy(state).reanchor_period > 1 {
+                    self.seed_tracker(&mut state.tracker, music);
+                }
+                (self.exact_tail(music), true)
             }
-            if self.policy(state).reanchor_period > 1 {
-                self.seed_tracker(&mut state.tracker, music);
-            }
-            self.exact_tail(music)
-        });
+        };
         match swept {
             Ok(swept) => {
                 state.packets_since_anchor = if exact {
@@ -641,6 +668,7 @@ impl SpotFi {
 mod tests {
     use super::*;
     use crate::runtime::RuntimeConfig;
+    use crate::sanitize::sanitize_csi;
     use spotfi_channel::constants::DEFAULT_CARRIER_HZ;
     use spotfi_channel::Rng;
     use spotfi_channel::{Floorplan, OfdmConfig, PacketTrace, Point, TraceConfig};
@@ -980,5 +1008,177 @@ mod tests {
             }
             assert_eq!(ap.dropped_packets, reference_ap.dropped_packets);
         }
+    }
+
+    fn path_bits(paths: &[PathEstimate]) -> Vec<[u64; 3]> {
+        paths
+            .iter()
+            .map(|p| [p.aoa_deg.to_bits(), p.tof_ns.to_bits(), p.power.to_bits()])
+            .collect()
+    }
+
+    #[test]
+    fn forced_warm_failure_returns_the_exact_tail_bit_for_bit() {
+        // A warm packet whose sweep fails is retried on the exact tail of
+        // the same covariance. Force the failure at every warm packet in
+        // turn, after the real warm tail has run (refining the tracker and
+        // filling the sweep scratch): the packet's paths must be an anchor's
+        // on that covariance bit for bit, and so must every later packet of
+        // the stream it leaves behind.
+        let plan = Floorplan::empty();
+        let array = ap_array(0.0, 0.0, Point::new(5.0, 5.0));
+        let target = Point::new(4.0, 6.0);
+        let ap = gen_packets(&plan, target, array, &TraceConfig::commodity(), 8, 64);
+        let s = spotfi();
+        let mut state = StreamState::new(s.config());
+        let mut scratch = PacketScratch::new(s.config());
+        let mut forced = 0;
+        for (i, packet) in ap.packets.iter().enumerate() {
+            let anchor = s
+                .stage(packet, &mut state, scratch.music.eig.matrix_mut())
+                .unwrap();
+            if !anchor {
+                let mut retried = (state.clone(), scratch.clone());
+                let mut exact = (state.clone(), scratch.clone());
+                let PacketScratch { music, ritz } = &mut retried.1;
+                let warm = s.warm_tail(&mut retried.0, music, ritz);
+                assert!(matches!(warm, Some(Ok(_))), "packet {i} failed unforced");
+                let forced_paths = s
+                    .finish(
+                        false,
+                        Some(Err(SpotFiError::NoPaths)),
+                        &mut retried.0,
+                        music,
+                    )
+                    .unwrap();
+                let exact_paths = s
+                    .finish(true, None, &mut exact.0, &mut exact.1.music)
+                    .unwrap();
+                assert_eq!(
+                    path_bits(&forced_paths),
+                    path_bits(&exact_paths),
+                    "packet {i}"
+                );
+                for (j, later) in ap.packets.iter().enumerate().skip(i + 1) {
+                    let (rs, rc) = &mut retried;
+                    let (es, ec) = &mut exact;
+                    assert_eq!(
+                        path_bits(&s.analyze_packet_streaming_with(later, rs, rc).unwrap()),
+                        path_bits(&s.analyze_packet_streaming_with(later, es, ec).unwrap()),
+                        "packet {j} after a forced failure at {i}"
+                    );
+                }
+                forced += 1;
+            }
+            let PacketScratch { music, ritz } = &mut scratch;
+            let warm = (!anchor)
+                .then(|| s.warm_tail(&mut state, music, ritz))
+                .flatten();
+            s.finish(anchor, warm, &mut state, music).unwrap();
+        }
+        assert!(forced >= 4, "only {forced} warm packets");
+    }
+
+    /// One packet of a test-only reference stream that keeps its rolling
+    /// covariance in `f64` (in `wide`) instead of rounding it to `f32`
+    /// storage: the stream's own stage decides the anchor and keeps its
+    /// bookkeeping, then `wide` is decayed with the same kernel and order
+    /// and replaces the staged covariance before the tails run.
+    fn f64_reference_packet(
+        s: &SpotFi,
+        packet: &CsiPacket,
+        state: &mut StreamState,
+        wide: &mut CMat,
+        scratch: &mut PacketScratch,
+    ) -> Result<Vec<PathEstimate>> {
+        let first = !state.initialized;
+        let anchor = s.stage(packet, state, scratch.music.eig.matrix_mut())?;
+        let sanitized = sanitize_csi(&packet.csi, s.config.ofdm.subcarrier_spacing_hz)?;
+        let x = SmoothedColumns::new(&sanitized.csi, &s.config)?;
+        if first {
+            covariance_into(&x, wide)?;
+        } else {
+            wide.decay_accumulate_hermitian(s.config.stream.forgetting, |add| x.feed(add));
+        }
+        let PacketScratch { music, ritz } = scratch;
+        music
+            .eig
+            .matrix_mut()
+            .as_mut_slice()
+            .copy_from_slice(wide.as_slice());
+        let warm = (!anchor).then(|| s.warm_tail(state, music, ritz)).flatten();
+        s.finish(anchor, warm, state, music)
+    }
+
+    #[test]
+    fn f32_stored_covariance_tracks_an_f64_stored_reference() {
+        // The per-stream footprint test's traces (living-room targets ×
+        // home APs of the standard apartment, 8 packets each) through the
+        // compact stream and through the f64-stored reference. Rounding the
+        // carried-over history to f32 (2⁻²⁴ relative) must not change what
+        // a packet finds, and must move its paths far less than a grid
+        // cell. Measured over the 114 paths of 8 links × 8 packets: max
+        // |ΔAoA| 1.2e-5°, max |ΔToF| 6.5e-6 ns. Storing bf16 instead (f32
+        // cut to 8 mantissa bits) moves them by 2.0° and 0.18 ns.
+        const AOA_BOUND_DEG: f64 = 1e-4;
+        const TOF_BOUND_NS: f64 = 1e-4;
+        let home = spotfi_testbed::Apartment::standard();
+        let trace_cfg = TraceConfig::commodity();
+        let mut rng = Rng::seed_from_u64(7);
+        let mut traces = Vec::new();
+        for target in home.rooms[0].iter().take(2) {
+            for ap in &home.aps {
+                if let Some(t) = PacketTrace::generate(
+                    &home.floorplan,
+                    target.position,
+                    &ap.array,
+                    &trace_cfg,
+                    8,
+                    &mut rng,
+                ) {
+                    traces.push(t.packets);
+                }
+            }
+        }
+        assert!(traces.len() >= 4, "too few audible links: {}", traces.len());
+        let s = spotfi();
+        let mut scratch = PacketScratch::new(s.config());
+        let (mut paths, mut aoa, mut tof) = (0usize, 0.0f64, 0.0f64);
+        for (link, trace) in traces.iter().enumerate() {
+            let mut compact = StreamState::new(s.config());
+            let mut reference = StreamState::new(s.config());
+            let mut wide = CMat::default();
+            for (i, packet) in trace.iter().enumerate() {
+                let got = s.analyze_packet_streaming_with(packet, &mut compact, &mut scratch);
+                let want =
+                    f64_reference_packet(&s, packet, &mut reference, &mut wide, &mut scratch);
+                let ctx = format!("link {link} packet {i}");
+                let (got, want) = match (got, want) {
+                    (Ok(got), Ok(want)) => (got, want),
+                    (got, want) => {
+                        assert_eq!(got.err(), want.err(), "{ctx}");
+                        continue;
+                    }
+                };
+                assert_eq!(got.len(), want.len(), "{ctx}: path count");
+                for (g, w) in got.iter().zip(&want) {
+                    aoa = aoa.max((g.aoa_deg - w.aoa_deg).abs());
+                    tof = tof.max((g.tof_ns - w.tof_ns).abs());
+                }
+                paths += got.len();
+            }
+        }
+        println!(
+            "f32 vs f64 storage over {paths} paths: max |ΔAoA| {aoa:.2e}°, max |ΔToF| {tof:.2e} ns"
+        );
+        assert!(paths > 0);
+        assert!(
+            aoa <= AOA_BOUND_DEG,
+            "max |ΔAoA| {aoa:e}° over {AOA_BOUND_DEG:e}°"
+        );
+        assert!(
+            tof <= TOF_BOUND_NS,
+            "max |ΔToF| {tof:e} ns over {TOF_BOUND_NS:e} ns"
+        );
     }
 }

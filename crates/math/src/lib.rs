@@ -14,7 +14,7 @@
 //! * [`c64`] — a complex double with full arithmetic ([`complex`]).
 //! * [`CMat`] — dense column-major complex matrices, and
 //!   [`PackedHermitian`], a Hermitian matrix stored as its lower triangle
-//!   ([`matrix`]).
+//!   in `f32` pairs ([`matrix`]).
 //! * [`eigen_tridiag`] — the one Hermitian eigensolver: Householder
 //!   tridiagonalization + implicit-shift QL with partial eigenvector
 //!   extraction (MUSIC, the Rayleigh–Ritz step and MUSIC-AoA), one

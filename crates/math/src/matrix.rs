@@ -241,9 +241,40 @@ impl CMat {
         self.reset_zeros(n, n);
         columns(&mut |x| {
             assert_eq!(x.len(), n, "Hermitian product column-length mismatch");
-            accumulate_outer_lower(&mut self.data, x, false);
+            accumulate_outer_lower(&mut self.data, x);
         });
         // Exact Hermitian symmetry: mirror the lower triangle.
+        self.mirror_lower_triangle();
+    }
+
+    /// `R ← λ·R + X·Xᴴ` on the Hermitian `n×n` matrix `self` — one step of
+    /// an exponentially forgotten covariance, with `X` never stored:
+    /// `columns` hands each column of `X`, in column order, to the sink it
+    /// is given (see [`assign_hermitian_product`](Self::assign_hermitian_product)).
+    /// Decays every lower-triangle entry, accumulates column by column of
+    /// `X` down each lower-triangle column, then mirrors the lower triangle
+    /// and forces the diagonal real. Only the lower triangle of `self` is
+    /// read. With `λ = 0` and a finite `self` this equals the fresh
+    /// product.
+    ///
+    /// # Panics
+    /// Panics if `self` is not square or a fed column's length is not `n`.
+    pub fn decay_accumulate_hermitian(
+        &mut self,
+        lambda: f64,
+        columns: impl FnOnce(&mut dyn FnMut(&[c64])),
+    ) {
+        let n = self.rows;
+        assert_eq!(self.cols, n, "covariance update on a non-square matrix");
+        for j in 0..n {
+            for z in &mut self.data[j * n + j..(j + 1) * n] {
+                *z *= lambda;
+            }
+        }
+        columns(&mut |x| {
+            assert_eq!(x.len(), n, "covariance update row-count mismatch");
+            accumulate_outer_lower(&mut self.data, x);
+        });
         self.mirror_lower_triangle();
     }
 
@@ -392,37 +423,35 @@ impl fmt::Debug for CMat {
     }
 }
 
-/// `L ← L + x·xᴴ` over the lower triangle of an `n×n` matrix
-/// (`n = x.len()`) whose column `j` keeps rows `j..n` contiguous in
-/// `lower`: the next column starts `n + 1` entries later in a dense
-/// column-major matrix, or `n − j` later when `packed` (the
-/// [`PackedHermitian`] layout). Column `j` adds `x[i]·conj(x[j])` for
-/// `i ≥ j` ascending. Every Hermitian product in this module runs this
-/// one loop, so the dense and packed forms agree bit for bit.
-fn accumulate_outer_lower(lower: &mut [c64], x: &[c64], packed: bool) {
+/// `L ← L + x·xᴴ` over the lower triangle of the dense column-major
+/// `n×n` matrix `a` (`n = x.len()`): column `j` adds `x[i]·conj(x[j])` for
+/// `i ≥ j` ascending. Every Hermitian product in this module runs this one
+/// loop, so the fresh and the decayed covariance agree bit for bit.
+fn accumulate_outer_lower(a: &mut [c64], x: &[c64]) {
     let n = x.len();
-    let mut off = 0;
     for j in 0..n {
         let cj = x[j].conj();
         // Slice-based so the inner loop is bounds-check free.
-        for (d, &s) in lower[off..off + n - j].iter_mut().zip(&x[j..]) {
+        for (d, &s) in a[j * n + j..(j + 1) * n].iter_mut().zip(&x[j..]) {
             *d += s * cj;
         }
-        off += if packed { n - j } else { n + 1 };
     }
 }
 
-/// An `n×n` Hermitian matrix stored as its lower triangle: column-major,
-/// column `j` holding rows `j..n`, so `n(n+1)/2` entries instead of `n²`.
-/// The diagonal is kept exactly real.
+/// An `n×n` Hermitian matrix stored compactly: its lower triangle,
+/// column-major, column `j` holding rows `j..n` (`n(n+1)/2` entries
+/// instead of `n²`), each entry rounded to a pair of `f32` (8 B instead of
+/// a [`c64`]'s 16). The diagonal is kept exactly real.
 ///
 /// This is the at-rest form of a streaming covariance: a server holding
-/// thousands of them keeps only the half it cannot re-derive, and
-/// [`unpack_into`](Self::unpack_into) restores the dense matrix into a
-/// per-worker buffer once per packet. The arithmetic matches the dense
-/// kernels entry for entry, so the unpacked matrix is bitwise the one
-/// [`CMat::mul_hermitian_self_into`] (plus λ-decayed accumulation) would
-/// have produced.
+/// thousands of them keeps only the half it cannot re-derive, at single
+/// precision. Only the storage is single precision. Every update runs in
+/// `f64` on a dense matrix: [`unpack_into`](Self::unpack_into) widens the
+/// stored triangle exactly into a per-worker buffer,
+/// [`CMat::decay_accumulate_hermitian`] applies `R ← λ·R + X·Xᴴ` there, and
+/// [`store_rounded`](Self::store_rounded) rounds the result back. A packet
+/// therefore reads its covariance unrounded; only the history carried to
+/// the next packet is rounded, by at most 2⁻²⁴ relative per component.
 ///
 /// ```
 /// use spotfi_math::{c64, CMat, PackedHermitian};
@@ -430,20 +459,25 @@ fn accumulate_outer_lower(lower: &mut [c64], x: &[c64], packed: bool) {
 /// let x0 = CMat::from_fn(3, 4, |r, c| c64::cis(r as f64 * 0.4 + c as f64));
 /// let x1 = CMat::from_fn(3, 4, |r, c| c64::cis(r as f64 * 1.3 - c as f64));
 /// let mut r = PackedHermitian::zeros(3);
-/// r.assign_lower(&x0.mul_hermitian_self());
-/// r.decay_accumulate(0.5, &x1); // R ← 0.5·R + X₁·X₁ᴴ
+/// assert!(r.store_rounded(&x0.mul_hermitian_self()));
 ///
+/// // R ← 0.5·R + X₁·X₁ᴴ, in f64, then rounded back into storage.
 /// let mut dense = CMat::default();
 /// r.unpack_into(&mut dense);
-/// assert_eq!(dense.shape(), (3, 3));
+/// dense.decay_accumulate_hermitian(0.5, |add| {
+///     for c in 0..x1.cols() {
+///         add(x1.col(c));
+///     }
+/// });
 /// assert_eq!(dense, dense.hermitian());
+/// assert!(r.store_rounded(&dense));
 /// ```
 #[derive(Clone, Debug)]
 pub struct PackedHermitian {
     n: usize,
-    /// Lower triangle, column by column: `(i, j)` with `i ≥ j` lives at
-    /// `j·n − j(j−1)/2 + (i − j)`.
-    data: Vec<c64>,
+    /// Lower triangle, column by column, as `[re, im]` pairs: `(i, j)` with
+    /// `i ≥ j` lives at `j·n − j(j−1)/2 + (i − j)`.
+    data: Vec<[f32; 2]>,
 }
 
 impl PackedHermitian {
@@ -451,79 +485,40 @@ impl PackedHermitian {
     pub fn zeros(n: usize) -> Self {
         PackedHermitian {
             n,
-            data: vec![c64::ZERO; n * (n + 1) / 2],
+            data: vec![[0.0; 2]; n * (n + 1) / 2],
         }
     }
 
-    /// Overwrites `self` with the lower triangle of the Hermitian `a` (a
-    /// fresh [`CMat::mul_hermitian_self`] product), its diagonal forced
-    /// real. The upper triangle of `a` is not read.
+    /// Overwrites `self` with the lower triangle of the Hermitian `a`, each
+    /// component rounded to the nearest `f32` and the diagonal forced real.
+    /// The upper triangle of `a` is not read. Returns `false` if a stored
+    /// entry is not finite: `a` held a NaN or an infinity, or a finite
+    /// entry beyond `f32`'s range (≈ 3.4·10³⁸) rounded to infinity. The
+    /// stored matrix is then poisoned and must not be read.
     ///
     /// # Panics
     /// Panics if `a` is not `n×n`.
-    pub fn assign_lower(&mut self, a: &CMat) {
+    #[must_use = "a `false` return means the stored matrix is poisoned"]
+    pub fn store_rounded(&mut self, a: &CMat) -> bool {
         let n = self.n;
-        assert_eq!(a.shape(), (n, n), "packed assign shape mismatch");
+        assert_eq!(a.shape(), (n, n), "packed store shape mismatch");
+        let mut finite = true;
         let mut off = 0;
         for j in 0..n {
             let len = n - j;
-            self.data[off..off + len].copy_from_slice(&a.col(j)[j..]);
-            self.data[off] = c64::real(self.data[off].re);
+            for (d, z) in self.data[off..off + len].iter_mut().zip(&a.col(j)[j..]) {
+                *d = [z.re as f32, z.im as f32];
+                finite &= d[0].is_finite() && d[1].is_finite();
+            }
+            self.data[off][1] = 0.0;
             off += len;
         }
-    }
-
-    /// `R ← λ·R + X·Xᴴ` — one step of an exponentially forgotten
-    /// covariance. Decays every entry, accumulates column by column of
-    /// `X` down each lower-triangle column (the order of
-    /// [`CMat::mul_hermitian_self_into`]), then forces the diagonal real.
-    ///
-    /// # Panics
-    /// Panics if `x.rows()` ≠ `n`.
-    pub fn decay_accumulate(&mut self, lambda: f64, x: &CMat) {
-        assert_eq!(x.rows(), self.n, "covariance update row-count mismatch");
-        self.decay_accumulate_columns(lambda, |add| {
-            for c in 0..x.cols() {
-                add(x.col(c));
-            }
-        });
-    }
-
-    /// [`decay_accumulate`](Self::decay_accumulate) with `X` never stored:
-    /// `columns` hands each column of `X`, in column order, to the sink it
-    /// is given (see [`CMat::assign_hermitian_product`]). Bitwise the
-    /// stored-`X` update.
-    ///
-    /// # Panics
-    /// Panics if a fed column's length is not `n`.
-    pub fn decay_accumulate_columns(
-        &mut self,
-        lambda: f64,
-        columns: impl FnOnce(&mut dyn FnMut(&[c64])),
-    ) {
-        let n = self.n;
-        for z in &mut self.data {
-            *z *= lambda;
-        }
-        columns(&mut |x| {
-            assert_eq!(x.len(), n, "covariance update row-count mismatch");
-            accumulate_outer_lower(&mut self.data, x, true);
-        });
-        let mut off = 0;
-        for j in 0..n {
-            self.data[off] = c64::real(self.data[off].re);
-            off += n - j;
-        }
-    }
-
-    /// `true` if every entry is finite.
-    pub fn is_finite(&self) -> bool {
-        self.data.iter().all(|z| z.is_finite())
+        finite
     }
 
     /// Writes the dense Hermitian matrix into `out` (resized to `n×n`,
-    /// reusing its allocation): the lower triangle as stored, the upper
-    /// triangle as its conjugate.
+    /// reusing its allocation), widened exactly to `f64`: the lower
+    /// triangle as stored, the upper triangle as its conjugate.
     pub fn unpack_into(&self, out: &mut CMat) {
         let n = self.n;
         if out.shape() != (n, n) {
@@ -531,10 +526,12 @@ impl PackedHermitian {
         }
         let mut off = 0;
         for j in 0..n {
-            let lower = &self.data[off..off + n - j];
-            out.data[j * n + j..(j + 1) * n].copy_from_slice(lower);
-            for (k, z) in lower.iter().enumerate().skip(1) {
-                out.data[(j + k) * n + j] = z.conj();
+            for (k, &[re, im]) in self.data[off..off + n - j].iter().enumerate() {
+                let z = c64::new(f64::from(re), f64::from(im));
+                out.data[j * n + j + k] = z;
+                if k > 0 {
+                    out.data[(j + k) * n + j] = z.conj();
+                }
             }
             off += n - j;
         }
@@ -647,9 +644,9 @@ mod tests {
         assert_eq!(out, x.mul_hermitian_self());
     }
 
-    /// The dense kernel [`PackedHermitian::decay_accumulate`] replaced:
-    /// decay every entry, accumulate the lower triangle column by column,
-    /// then mirror it and force the diagonal real.
+    /// The index-loop form of [`CMat::decay_accumulate_hermitian`]: decay
+    /// every entry, accumulate the lower triangle column by column, then
+    /// mirror it and force the diagonal real.
     fn dense_decay_accumulate(a: &mut CMat, lambda: f64, x: &CMat) {
         let n = a.rows();
         for z in &mut a.data {
@@ -674,39 +671,79 @@ mod tests {
             .collect()
     }
 
+    /// The stored entry `(i, j)`, `i ≥ j`, read through the documented
+    /// packed index rather than [`PackedHermitian::unpack_into`].
+    fn stored(p: &PackedHermitian, i: usize, j: usize) -> [f32; 2] {
+        p.data[j * (2 * p.n + 1 - j) / 2 + (i - j)]
+    }
+
+    /// `a` as the stream stores it: each lower-triangle component rounded
+    /// to `f32`, the diagonal real.
+    fn rounded_lower_bits(a: &CMat) -> Vec<[u32; 2]> {
+        let n = a.rows();
+        let mut out = Vec::new();
+        for j in 0..n {
+            for i in j..n {
+                let im = if i == j { 0.0 } else { a[(i, j)].im as f32 };
+                out.push([(a[(i, j)].re as f32).to_bits(), im.to_bits()]);
+            }
+        }
+        out
+    }
+
+    fn stored_bits(p: &PackedHermitian) -> Vec<[u32; 2]> {
+        p.data.iter().map(|z| z.map(f32::to_bits)).collect()
+    }
+
+    /// [`CMat::decay_accumulate_hermitian`] fed the columns of a stored `x`.
+    fn decay_stored(a: &mut CMat, lambda: f64, x: &CMat) {
+        a.decay_accumulate_hermitian(lambda, |add| {
+            for c in 0..x.cols() {
+                add(x.col(c));
+            }
+        });
+    }
+
     #[test]
     fn packed_decay_accumulate_is_bitwise_the_dense_kernel() {
+        // One stream step is unpack → decay in f64 → store rounded. The
+        // f64 update must be bitwise the index-loop kernel applied to the
+        // stored triangle widened through the packed index, and the stored
+        // triangle bitwise the f32 rounding of that update.
         let snapshot = |r: f64| {
             CMat::from_fn(5, 9, move |row, c| {
                 c64::new((row * c) as f64 * 0.13 - r, row as f64 - c as f64 * r)
                     + c64::cis(row as f64 * r + c as f64 * 1.1)
             })
         };
-        let mut dense = snapshot(0.3).mul_hermitian_self();
         let mut packed = PackedHermitian::zeros(5);
-        packed.assign_lower(&dense);
+        let first = snapshot(0.3).mul_hermitian_self();
+        assert!(packed.store_rounded(&first));
+        assert_eq!(stored_bits(&packed), rounded_lower_bits(&first));
         let mut out = CMat::default();
         for (lambda, r) in [(0.85, 1.7), (0.7, -0.4), (0.0, 2.2), (0.5, 0.9)] {
             let x = snapshot(r);
+            let mut dense = CMat::from_fn(5, 5, |i, j| {
+                let [re, im] = stored(&packed, i.max(j), i.min(j));
+                let z = c64::new(f64::from(re), f64::from(im));
+                if i >= j {
+                    z
+                } else {
+                    z.conj()
+                }
+            });
             dense_decay_accumulate(&mut dense, lambda, &x);
-            packed.decay_accumulate(lambda, &x);
             packed.unpack_into(&mut out);
-            assert_eq!(bits(&out), bits(&dense), "unpacked update at λ = {lambda}");
-            let mut repacked = PackedHermitian::zeros(5);
-            repacked.assign_lower(&dense);
-            let packed_bits = |p: &PackedHermitian| {
-                p.data
-                    .iter()
-                    .map(|z| (z.re.to_bits(), z.im.to_bits()))
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(packed_bits(&packed), packed_bits(&repacked));
+            decay_stored(&mut out, lambda, &x);
+            assert_eq!(bits(&out), bits(&dense), "f64 update at λ = {lambda}");
+            assert!(packed.store_rounded(&out));
+            assert_eq!(
+                stored_bits(&packed),
+                rounded_lower_bits(&dense),
+                "stored update at λ = {lambda}"
+            );
         }
-        assert_eq!(
-            out,
-            out.hermitian(),
-            "unpacked covariance must be Hermitian"
-        );
+        assert_eq!(out, out.hermitian(), "decayed covariance must be Hermitian");
     }
 
     #[test]
@@ -714,12 +751,9 @@ mod tests {
         let x = CMat::from_fn(5, 9, |r, c| {
             c64::new((r * c) as f64 * 0.13 - 1.0, r as f64 - c as f64)
         });
-        let mut packed = PackedHermitian::zeros(5);
         // Dirty starting state: λ = 0 must wipe it.
-        packed.assign_lower(&CMat::from_fn(5, 5, |_, _| c64::new(7.0, -3.0)));
-        packed.decay_accumulate(0.0, &x);
-        let mut out = CMat::default();
-        packed.unpack_into(&mut out);
+        let mut out = CMat::from_fn(5, 5, |_, _| c64::new(7.0, -3.0));
+        decay_stored(&mut out, 0.0, &x);
         assert_eq!(out, x.mul_hermitian_self());
     }
 
@@ -728,17 +762,35 @@ mod tests {
         let x = CMat::from_fn(4, 7, |r, c| c64::cis(r as f64 * 0.3 + c as f64 * 1.1));
         let fresh = x.mul_hermitian_self();
         let mut packed = PackedHermitian::zeros(4);
-        packed.assign_lower(&fresh);
+        assert!(packed.store_rounded(&fresh));
         assert_eq!(packed.data.len(), 10);
-        assert!(packed.is_finite());
+        assert_eq!(std::mem::size_of_val(&packed.data[..]), 10 * 8);
         let mut out = CMat::from_fn(7, 2, |_, _| c64::new(9.0, -9.0));
         packed.unpack_into(&mut out);
-        assert_eq!(bits(&out), bits(&fresh));
+        let widened = CMat::from_fn(4, 4, |i, j| {
+            let z = fresh[(i, j)];
+            c64::new(f64::from(z.re as f32), f64::from(z.im as f32))
+        });
+        assert_eq!(bits(&out), bits(&widened));
+        assert_eq!(out, out.hermitian());
+    }
 
-        let mut poisoned = x.clone();
-        poisoned[(2, 3)] = c64::new(f64::NAN, 0.0);
-        packed.decay_accumulate(0.9, &poisoned);
-        assert!(!packed.is_finite());
+    #[test]
+    fn packed_store_reports_non_finite_and_f32_overflow() {
+        let fresh = CMat::from_fn(4, 7, |r, c| c64::cis(r as f64 * 0.3 + c as f64 * 1.1))
+            .mul_hermitian_self();
+        let mut packed = PackedHermitian::zeros(4);
+        for poison in [f64::NAN, f64::INFINITY, 1e39] {
+            let mut bad = fresh.clone();
+            bad[(2, 1)] = c64::new(0.5, poison);
+            assert!(!packed.store_rounded(&bad), "{poison} stored as finite");
+            assert!(packed.store_rounded(&fresh));
+        }
+        // The largest finite f32 still fits; the upper triangle is not read.
+        let mut edge = fresh.clone();
+        edge[(3, 0)] = c64::real(f64::from(f32::MAX));
+        edge[(0, 3)] = c64::real(f64::INFINITY);
+        assert!(packed.store_rounded(&edge));
     }
 
     #[test]

@@ -551,7 +551,9 @@ pub struct DiagnosticsSummary {
 /// - when the streaming hot path ran (a `stream.packets` counter is
 ///   present), its counters satisfy the pipeline's accounting identities:
 ///   `stream.packets = stream.warmstart_hit + stream.warmstart_miss` and
-///   `stream.warmstart_miss = stream.anchor + stream.tracker_fallback`;
+///   `stream.warmstart_miss = stream.anchor + stream.tracker_fallback`,
+///   and the retried warm packets are a subset of the fallbacks:
+///   `stream.warm_retry ≤ stream.tracker_fallback`;
 /// - when the fleet engine ran (a `fleet.ingested` counter is present),
 ///   its backpressure and fusion accounting balances:
 ///   `fleet.ingested = fleet.accepted + fleet.dropped` (no packet is
@@ -594,6 +596,7 @@ pub fn validate_diagnostics(json: &str) -> Result<DiagnosticsSummary, String> {
     let mut stream_miss: i128 = 0;
     let mut stream_anchor: i128 = 0;
     let mut stream_fallback: i128 = 0;
+    let mut stream_retry: i128 = 0;
     let mut fleet_ingested: Option<i128> = None;
     let mut fleet_accepted: i128 = 0;
     let mut fleet_dropped: i128 = 0;
@@ -629,6 +632,7 @@ pub fn validate_diagnostics(json: &str) -> Result<DiagnosticsSummary, String> {
                     "stream.warmstart_miss" => stream_miss = n,
                     "stream.anchor" => stream_anchor = n,
                     "stream.tracker_fallback" => stream_fallback = n,
+                    "stream.warm_retry" => stream_retry = n,
                     "fleet.ingested" => fleet_ingested = Some(n),
                     "fleet.accepted" => fleet_accepted = n,
                     "fleet.dropped" => fleet_dropped = n,
@@ -683,6 +687,12 @@ pub fn validate_diagnostics(json: &str) -> Result<DiagnosticsSummary, String> {
                 "stream counter mismatch: stream.warmstart_miss = {stream_miss} but \
                  anchor + tracker_fallback = {}",
                 stream_anchor + stream_fallback
+            ));
+        }
+        if stream_retry > stream_fallback {
+            return Err(format!(
+                "stream counter mismatch: stream.warm_retry = {stream_retry} exceeds \
+                 stream.tracker_fallback = {stream_fallback}"
             ));
         }
     }
@@ -970,7 +980,14 @@ mod tests {
 
     /// Shared fixture for the stream-identity tests: a serial document with
     /// balanced stage spans and the given stream counter totals.
-    fn stream_doc(packets: u64, hit: u64, miss: u64, anchor: u64, fallback: u64) -> String {
+    fn stream_doc(
+        packets: u64,
+        hit: u64,
+        miss: u64,
+        anchor: u64,
+        fallback: u64,
+        retry: u64,
+    ) -> String {
         let _g = lock();
         reset();
         set_enabled(true);
@@ -981,26 +998,33 @@ mod tests {
         counter("stream.warmstart_miss", miss);
         counter("stream.anchor", anchor);
         counter("stream.tracker_fallback", fallback);
+        counter("stream.warm_retry", retry);
         set_enabled(false);
         snapshot().to_diagnostics_json(&[("threads", "1".to_string())])
     }
 
     #[test]
     fn validator_accepts_consistent_stream_counters() {
-        let json = stream_doc(10, 7, 3, 2, 1);
+        let json = stream_doc(10, 7, 3, 2, 1, 0);
+        assert!(validate_diagnostics(&json).is_ok());
+        let json = stream_doc(10, 6, 4, 2, 2, 1);
         assert!(validate_diagnostics(&json).is_ok());
     }
 
     #[test]
     fn validator_rejects_inconsistent_stream_counters() {
         // packets ≠ hit + miss.
-        let json = stream_doc(10, 7, 2, 1, 1);
+        let json = stream_doc(10, 7, 2, 1, 1, 0);
         let err = validate_diagnostics(&json).unwrap_err();
         assert!(err.contains("stream.packets"), "{err}");
         // miss ≠ anchor + fallback.
-        let json = stream_doc(10, 7, 3, 3, 1);
+        let json = stream_doc(10, 7, 3, 3, 1, 0);
         let err = validate_diagnostics(&json).unwrap_err();
         assert!(err.contains("stream.warmstart_miss"), "{err}");
+        // A retry not counted as a fallback.
+        let json = stream_doc(10, 7, 3, 2, 1, 2);
+        let err = validate_diagnostics(&json).unwrap_err();
+        assert!(err.contains("stream.warm_retry"), "{err}");
     }
 
     /// Fleet-identity fixture: a parallel document (ratio check skipped)

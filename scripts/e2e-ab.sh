@@ -7,10 +7,12 @@
 # there and in this checkout, each in its own target directory. Then, for
 # every workload in BENCHMARK.json, it runs five pairs of short runs
 # (`--seed 1 --seconds 2`), alternating which binary goes first, each from
-# its own tree's root. Every run must report `"correct": true`. The script
-# fails if any `end_to_end` metric's median is worse than the base's median
-# by more than the metric's relative `bound`. Workloads, metrics, directions
-# and bounds all come from this checkout's BENCHMARK.json.
+# its own tree's root. Every run must report `"correct": true`. For each
+# `end_to_end` metric, each pair gives the ratio head/base; the script fails
+# if the median of those per-pair ratios is worse than 1 by more than the
+# metric's relative `bound`. Pairing cancels load that hits both runs of a
+# pair; the median drops a pair where it hit one run. Workloads, metrics,
+# directions and bounds all come from this checkout's BENCHMARK.json.
 #
 # Every run's JSON line, tagged with its side, workload, pair and wall time,
 # is written to e2e-ab.jsonl at the repository root. Needs bash, git, jq and
@@ -78,25 +80,31 @@ for workload in $(jq -r '.workloads[].name' BENCHMARK.json); do
     done
 done
 
-# Medians per (workload, side, metric), compared metric by metric. A
-# positive `worse` is the relative change in the metric's bad direction.
+# Per (workload, metric): the median over pairs of head/base, compared with
+# the bound. A positive `worse` is that median's relative change in the
+# metric's bad direction. The per-side medians are printed for context only.
 jq -rn --slurpfile bench BENCHMARK.json --slurpfile runs "$log" '
     def median: sort | if length % 2 == 1 then .[length / 2 | floor]
                        else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+    def value($w; $side; $pair; $m): [$runs[] | select(.workload == $w
+        and .side == $side and .pair == $pair) | .metrics[$m].value][0];
     def med($w; $side; $m): [$runs[] | select(.workload == $w and .side == $side)
                              | .metrics[$m].value] | median;
+    def ratio($base; $head): if $base != 0 then $head / $base
+                             elif $head == 0 then 1 else infinite end;
     def pct: 100 * . * 1000 | round / 1000;
     $bench[0] as $b
     | $b.workloads[].name as $w
+    | ([$runs[] | select(.workload == $w) | .pair] | unique) as $pairs
     | $b.end_to_end[]
-    | med($w; "base"; .name) as $base
-    | med($w; "head"; .name) as $head
-    | (if .better == "lower" then $head - $base else $base - $head end) as $d
-    | (if $base != 0 then $d / ($base | fabs) elif $d > 0 then infinite else 0 end) as $worse
-    | "e2e-ab: \(if $worse > .bound then "FAIL" else "ok  " end) \($w) \(.name): base \($base) head \($head) \(.unit) (worse by \($worse | pct)%, bound \(.bound | pct)%)"
+    | .name as $m
+    | ([$pairs[] as $p | ratio(value($w; "base"; $p; $m); value($w; "head"; $p; $m))]
+       | median) as $r
+    | (if .better == "lower" then $r - 1 else 1 - $r end) as $worse
+    | "e2e-ab: \(if $worse > .bound then "FAIL" else "ok  " end) \($w) \($m): median pair ratio \($r) (worse by \($worse | pct)%, bound \(.bound | pct)%; medians base \(med($w; "base"; $m)) head \(med($w; "head"; $m)) \(.unit))"
     ' | tee "$work/verdicts"
 if grep -q '^e2e-ab: FAIL' "$work/verdicts"; then
-    echo "e2e-ab: a median is worse than the base's by more than its bound" >&2
+    echo "e2e-ab: a median pair ratio is worse than its bound" >&2
     exit 1
 fi
-echo "e2e-ab: every median is within its bound"
+echo "e2e-ab: every median pair ratio is within its bound"

@@ -17,6 +17,9 @@
 //! 5. **One ledger** — the `fleet.*` counters a run publishes equal its
 //!    `FleetStats`, and the engine's latency histogram holds one sample
 //!    per processed packet.
+//! 6. **Hostile CSI** — a packet whose covariance is finite in `f64` but
+//!    overflows a stream's `f32` storage fails alone: the error is
+//!    counted, its stream starts afresh, and no other stream notices.
 
 use std::collections::BTreeMap;
 
@@ -24,7 +27,11 @@ use spotfi::channel::{AntennaArray, Floorplan, PacketTrace, Point, Rng, TraceCon
 use spotfi::core::fleet::{
     run_fleet_serial, FleetEngine, FleetPacket, FleetStats, FleetUpdate, PushResult,
 };
-use spotfi::core::{ApPackets, FleetConfig, OverflowPolicy, SpotFi, SpotFiConfig};
+use spotfi::core::{
+    ApPackets, FleetConfig, OverflowPolicy, PacketScratch, SpotFi, SpotFiConfig, SpotFiError,
+    StreamState,
+};
+use spotfi::math::c64;
 use spotfi::testbed::fleet::{FleetScenario, FleetScenarioConfig};
 
 fn fast_spotfi() -> SpotFi {
@@ -507,4 +514,65 @@ fn published_fleet_counters_equal_the_ledger() {
         snap.counter_total("fleet.processed"),
         snap.counter_total("fleet.accepted")
     );
+}
+
+#[test]
+fn csi_beyond_f32_range_poisons_only_its_own_stream() {
+    // CSI scaled to a peak magnitude of 1e20 is finite, and so is its f64
+    // covariance (~1e41), but that overflows the f32 a stream stores its
+    // rolling covariance in. The packet must fail and be counted, its stream must start
+    // afresh on the next packet, and every other stream must not notice.
+    let scenario = FleetScenario::generate(&FleetScenarioConfig {
+        targets: 4,
+        packets_per_link: 10,
+        ..FleetScenarioConfig::apartment(4)
+    });
+    let spotfi = fast_spotfi();
+    let cfg = test_fleet_cfg();
+    let (clean_updates, clean_stats) = run_fleet_serial(&spotfi, &cfg, &scenario.schedule);
+
+    // The fourth packet of the first scheduled (target, AP) link.
+    let (target, ap) = (scenario.schedule[0].target_id, scenario.schedule[0].ap_id);
+    let link: Vec<usize> = (0..scenario.schedule.len())
+        .filter(|&i| (scenario.schedule[i].target_id, scenario.schedule[i].ap_id) == (target, ap))
+        .collect();
+    let bad = 3;
+    let mut hostile = scenario.schedule.clone();
+    let packet = &mut hostile[link[bad]].packet;
+    packet.csi = packet.csi.scale(c64::real(1e20 / packet.csi.max_abs()));
+
+    let (updates, stats) = run_fleet_serial(&spotfi, &cfg, &hostile);
+    assert_eq!(stats.processed, clean_stats.processed);
+    assert_eq!(stats.stream_errors, clean_stats.stream_errors + 1);
+    let (mut reference, mut got) = (by_target(&clean_updates), by_target(&updates));
+    reference.remove(&target);
+    got.remove(&target);
+    assert!(!reference.is_empty(), "no other target emitted updates");
+    assert_bit_identical("other targets", &reference, &got);
+
+    // The link alone: the hostile packet fails, and every later packet
+    // matches a fresh stream fed the packets after it, bit for bit.
+    let mut scratch = PacketScratch::new(spotfi.config());
+    let mut stream = StreamState::new(spotfi.config());
+    let mut fresh = StreamState::new(spotfi.config());
+    let bits = |r: Result<Vec<spotfi::core::PathEstimate>, SpotFiError>| {
+        r.map(|paths| {
+            paths
+                .iter()
+                .map(|p| [p.aoa_deg.to_bits(), p.tof_ns.to_bits(), p.power.to_bits()])
+                .collect::<Vec<_>>()
+        })
+    };
+    for (i, &k) in link.iter().enumerate() {
+        let p = &hostile[k].packet;
+        let got = spotfi.analyze_packet_streaming_with(p, &mut stream, &mut scratch);
+        match i.cmp(&bad) {
+            std::cmp::Ordering::Less => assert!(got.is_ok(), "packet {i}"),
+            std::cmp::Ordering::Equal => assert_eq!(got.unwrap_err(), SpotFiError::DegenerateCsi),
+            std::cmp::Ordering::Greater => {
+                let want = spotfi.analyze_packet_streaming_with(p, &mut fresh, &mut scratch);
+                assert_eq!(bits(got), bits(want), "packet {i}");
+            }
+        }
+    }
 }

@@ -339,10 +339,12 @@ fn golden_warm_streaming_path_is_bit_pinned() {
     // The default streaming config runs most packets on the warm path
     // (tracked subspace + warm-started sweep), which the tolerance test
     // above only bounds. Pin its output to the bit: a reordered covariance
-    // update or a changed Ritz step moves these digests. Re-derive with
+    // update, a change to the precision the rolling covariance is stored
+    // in, a change to when a warm packet is retried on the exact path, or a
+    // changed Ritz step moves these digests. Re-derive with
     // `-- --nocapture` after an intentional algorithm change.
-    const PIN_STREAMING: u64 = 0x8c1d_33b7_1b47_1d21;
-    const PIN_FLEET: u64 = 0x169e_8dbc_4163_36af;
+    const PIN_STREAMING: u64 = 0x8871_69b7_c73f_0f32;
+    const PIN_FLEET: u64 = 0xe437_1f81_3a90_ee1f;
 
     let streaming = streaming_digest(SpotFiConfig::default());
     let fleet = fleet_digest();
