@@ -90,8 +90,8 @@ USAGE:
 
   --threads N selects scenario's worker-thread budget (default: all
   cores; 1 = serial reference path; results are identical at any
-  setting): one budget spread across targets and their links, each
-  target analyzed serially.
+  setting): one budget spread across targets; a target's APs and links
+  run inline on its worker.
   --diagnostics PATH enables the observability recorder for the run and
   writes per-stage span timings and pipeline counters as JSON; estimates
   are bit-identical with the recorder on or off.

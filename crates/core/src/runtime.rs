@@ -1,9 +1,9 @@
 //! Scoped-thread parallel execution engine (zero dependencies).
 //!
-//! The SpotFi pipeline fans out naturally at three levels — APs within a
-//! fix, packets within an AP, and ToF columns within one MUSIC sweep — and
-//! every unit of work at each level is independent and pure. This module
-//! provides the one primitive all three share: [`parallel_map_with`], an
+//! The SpotFi pipeline fans out over the APs of a fix (each AP's packets
+//! run as one serial stream), and a testbed run over its targets and
+//! links; every unit of work at each level is independent and pure. This
+//! module provides the one primitive they share: [`parallel_map_with`], an
 //! order-preserving indexed map over `std::thread::scope` workers with
 //! per-worker scratch state. The calling thread is one of the workers: a
 //! section of `w` workers spawns `w − 1` scoped threads and the caller

@@ -29,26 +29,21 @@ pub fn to_csi_packets(records: &[BfeeRecord]) -> Vec<CsiPacket> {
             }
             prev = r.timestamp_low;
             let micros = (r.timestamp_low as u64 + (wraps << 32)).wrapping_sub(t0 as u64) as f64;
-            CsiPacket {
-                csi: scaled_csi(r),
-                rssi_dbm: r.total_rssi_dbm(),
-                timestamp_s: micros / 1e6,
-                injected_sto_s: 0.0, // Unknown for real captures.
-            }
+            packet_from_record(r, micros / 1e6)
         })
         .collect()
 }
 
 /// Converts one record into a [`CsiPacket`] at an externally supplied
-/// timestamp — the wire-ingest path, where the frame header carries the
-/// receiver's capture clock and the NIC's 32-bit counter is not trusted
-/// across receivers.
+/// timestamp. [`to_csi_packets`] supplies the unwrapped NIC counter; the
+/// wire-ingest path supplies the frame header's capture clock, because the
+/// NIC's 32-bit counter is not trusted across receivers.
 pub fn packet_from_record(record: &BfeeRecord, timestamp_s: f64) -> CsiPacket {
     CsiPacket {
         csi: scaled_csi(record),
         rssi_dbm: record.total_rssi_dbm(),
         timestamp_s,
-        injected_sto_s: 0.0, // Unknown for wire captures.
+        injected_sto_s: 0.0, // Unknown for real captures.
     }
 }
 

@@ -11,12 +11,13 @@
 //! Only code `0xBB` (beamforming report) is meaningful to SpotFi; other
 //! codes are skipped, and a trailing partial record (a capture cut off
 //! mid-write, which real logs routinely contain) ends the stream quietly.
+//! A zero length field, which no well-formed record has, slides the scan
+//! forward one byte until plausible framing reappears.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 use crate::bfee::{BfeeRecord, BFEE_CODE};
-use crate::stream::{DatEvent, DatStreamDecoder};
 
 /// Reads all beamforming records from a `.dat` byte stream. Malformed
 /// `0xBB` records are skipped (counted in the second tuple element), other
@@ -45,41 +46,36 @@ use crate::stream::{DatEvent, DatStreamDecoder};
 /// assert_eq!(back[0].timestamp_low, 123);
 /// ```
 pub fn read_dat(bytes: &[u8]) -> (Vec<BfeeRecord>, usize) {
-    let mut decoder = DatStreamDecoder::new();
     let mut records = Vec::new();
-    let mut sink = |e: DatEvent| {
-        if let DatEvent::Record(r) = e {
-            records.push(*r);
+    let mut malformed = 0;
+    let mut pos = 0;
+    while bytes.len() - pos >= 2 {
+        let len = u16::from_be_bytes([bytes[pos], bytes[pos + 1]]) as usize;
+        if len == 0 {
+            // Corrupt framing: no valid record has a zero length. Slide one
+            // byte and look again, so garbage can never stall the scan.
+            pos += 1;
+            continue;
         }
-    };
-    decoder.feed(bytes, &mut sink);
-    decoder.finish(&mut sink);
-    (records, decoder.stats().malformed as usize)
+        let end = pos + 2 + len;
+        if end > bytes.len() {
+            break; // A capture cut off mid-record.
+        }
+        if bytes[pos + 2] == BFEE_CODE {
+            match BfeeRecord::parse(&bytes[pos + 3..end]) {
+                Ok(r) => records.push(r),
+                Err(_) => malformed += 1,
+            }
+        }
+        pos = end;
+    }
+    (records, malformed)
 }
 
-/// Reads a `.dat` file from disk. The file is streamed through
-/// [`DatStreamDecoder`] in fixed-size chunks, so records spanning a read
-/// boundary are handled like any other chunk split — the whole file is
-/// never required to fit one read.
+/// Reads a `.dat` file from disk: the whole file in one read, then
+/// [`read_dat`]. Malformed records are dropped uncounted.
 pub fn read_dat_file(path: impl AsRef<Path>) -> io::Result<Vec<BfeeRecord>> {
-    let mut file = std::fs::File::open(path)?;
-    let mut decoder = DatStreamDecoder::new();
-    let mut records = Vec::new();
-    let mut sink = |e: DatEvent| {
-        if let DatEvent::Record(r) = e {
-            records.push(*r);
-        }
-    };
-    let mut buf = vec![0u8; 64 * 1024];
-    loop {
-        let n = file.read(&mut buf)?;
-        if n == 0 {
-            break;
-        }
-        decoder.feed(&buf[..n], &mut sink);
-    }
-    decoder.finish(&mut sink);
-    Ok(records)
+    Ok(read_dat(&std::fs::read(path)?).0)
 }
 
 /// Serializes beamforming records into `.dat` framing.
@@ -184,6 +180,16 @@ mod tests {
         let (recs, skipped) = read_dat(&good);
         assert!(recs.is_empty());
         assert_eq!(skipped, 1);
+    }
+
+    #[test]
+    fn zero_length_framing_resyncs_without_spinning() {
+        let mut bytes = vec![0u8; 7]; // zero length fields: pure desync
+        bytes.extend_from_slice(&write_dat(&[record(9)]));
+        let (recs, malformed) = read_dat(&bytes);
+        assert_eq!(recs.len(), 1);
+        assert_eq!(recs[0].bfee_count, 9);
+        assert_eq!(malformed, 0);
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub mod chaos;
 pub mod convert;
 pub mod dat;
 pub mod scale;
-pub mod stream;
 pub mod wire;
 
 pub use bfee::{BfeeRecord, ParseError};
@@ -42,5 +41,4 @@ pub use chaos::{fragment, mangle_frames, ChaosConfig, ChaosReport};
 pub use convert::{from_csi_packet, packet_from_record, to_csi_packets};
 pub use dat::{read_dat, read_dat_file, write_dat, write_dat_file};
 pub use scale::scaled_csi;
-pub use stream::{DatEvent, DatStreamDecoder, StreamStats};
 pub use wire::{encode_frame, WireDecoder, WireEvent, WireFrame, WireStats};

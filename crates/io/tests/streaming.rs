@@ -1,107 +1,35 @@
-//! Property/fuzz suites for the streaming `.dat` decoder and the
-//! `spotfi-wire-v1` framing, with the golden Intel 5300 capture as the
-//! oracle: however a byte stream is cut into chunks, the streaming result
-//! must be byte-identical to one-shot parsing, and garbage / truncation /
+//! Property/fuzz suites for the `spotfi-wire-v1` framing, plus a garbage
+//! fuzz of the one-pass `.dat` reader, with the golden Intel 5300 capture
+//! as the oracle. However a wire byte stream is cut into chunks, the
+//! decoded frames must match one-shot decoding, and garbage / truncation /
 //! CRC corruption must error loudly, resynchronize on the next valid
-//! frame, and never panic or spin.
+//! frame, and never panic or spin. `.dat` captures are read whole, so
+//! chunk splits apply to wire frames only.
 
 use spotfi_channel::Rng;
 use spotfi_io::{
-    encode_frame, fragment, mangle_frames, read_dat, ChaosConfig, DatEvent, DatStreamDecoder,
-    WireDecoder, WireEvent, WireFrame,
+    encode_frame, fragment, mangle_frames, read_dat, ChaosConfig, WireDecoder, WireEvent, WireFrame,
 };
 
 const GOLDEN: &[u8] = include_bytes!("fixtures/golden_intel5300.dat");
 
-fn stream_records(chunks: &[&[u8]]) -> (Vec<spotfi_io::BfeeRecord>, spotfi_io::StreamStats) {
-    let mut dec = DatStreamDecoder::new();
-    let mut records = Vec::new();
-    let mut sink = |e: DatEvent| {
-        if let DatEvent::Record(r) = e {
-            records.push(*r);
-        }
-    };
-    for chunk in chunks {
-        dec.feed(chunk, &mut sink);
-    }
-    dec.finish(&mut sink);
-    (records, dec.stats())
-}
-
-/// The regression the streaming decoder exists for: a record split at
-/// *every possible byte offset* must parse identically to one-shot.
-#[test]
-fn golden_split_at_every_offset_matches_oneshot() {
-    let (oneshot, skipped) = read_dat(GOLDEN);
-    assert_eq!(skipped, 0);
-    assert_eq!(oneshot.len(), 4);
-    for cut in 0..=GOLDEN.len() {
-        let (streamed, stats) = stream_records(&[&GOLDEN[..cut], &GOLDEN[cut..]]);
-        assert_eq!(streamed, oneshot, "split at byte {cut} diverged");
-        assert_eq!(stats.records, 4);
-        assert_eq!(stats.incomplete, 0, "split at byte {cut}");
-    }
-}
-
-#[test]
-fn golden_random_fragmentation_matches_oneshot() {
-    let (oneshot, _) = read_dat(GOLDEN);
-    for seed in 0..32u64 {
-        let chunks = fragment(GOLDEN, seed, 1, 97);
-        let views: Vec<&[u8]> = chunks.iter().map(|c| c.as_slice()).collect();
-        let (streamed, stats) = stream_records(&views);
-        assert_eq!(streamed, oneshot, "fragmentation seed {seed} diverged");
-        assert_eq!(stats.bytes, GOLDEN.len() as u64);
-    }
-}
-
 #[test]
 fn dat_garbage_fuzz_never_panics_or_stalls() {
     let mut rng = Rng::seed_from_u64(0xDA7);
-    for round in 0..64 {
+    for _ in 0..64 {
         let n = 1 + (rng.next_u64() % 2048) as usize;
         let garbage: Vec<u8> = (0..n).map(|_| (rng.next_u64() >> 32) as u8).collect();
-        // Interleave garbage and valid capture; the valid records must
-        // still come out, in order, regardless of chunking.
-        let mut bytes = garbage.clone();
+        // Garbage followed by a valid capture, parsed whole.
+        let mut bytes = garbage;
         bytes.extend_from_slice(GOLDEN);
-        let chunks = fragment(&bytes, round, 1, 61);
-        let views: Vec<&[u8]> = chunks.iter().map(|c| c.as_slice()).collect();
-        let (streamed, _) = stream_records(&views);
+        let (records, _) = read_dat(&bytes);
         // Garbage may alias plausible framing that swallows the capture's
-        // first record(s), but the decoder must terminate and everything it
+        // first record(s), but the reader must terminate and everything it
         // does emit must be structurally valid.
-        for r in &streamed {
+        for r in &records {
             assert!((1..=3).contains(&r.nrx) && (1..=3).contains(&r.ntx));
         }
     }
-}
-
-#[test]
-fn dat_truncation_mid_record_is_loud_and_recoverable() {
-    // End the stream mid-record: finish() must report Incomplete, and the
-    // same decoder instance must cleanly decode a fresh stream afterwards.
-    let mut dec = DatStreamDecoder::new();
-    let cut = GOLDEN.len() - 50;
-    let mut records = 0usize;
-    dec.feed(&GOLDEN[..cut], &mut |e| {
-        if matches!(e, DatEvent::Record(_)) {
-            records += 1;
-        }
-    });
-    let mut incomplete = false;
-    dec.finish(&mut |e| incomplete |= matches!(e, DatEvent::Incomplete { .. }));
-    assert_eq!(records, 3);
-    assert!(incomplete, "truncation must be reported, not swallowed");
-    assert_eq!(dec.stats().incomplete, 1);
-
-    dec.feed(GOLDEN, &mut |e| {
-        if matches!(e, DatEvent::Record(_)) {
-            records += 1;
-        }
-    });
-    dec.finish(&mut |_| {});
-    assert_eq!(records, 7, "decoder must be reusable after truncation");
 }
 
 /// Wire frames built from the golden capture's records.

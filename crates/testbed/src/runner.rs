@@ -12,10 +12,10 @@
 //!   MUSIC-AoA, LTEye, CUPID, and Oracle → [`LinkRecord`] (Fig. 8).
 //!
 //! A run builds one [`SpotFi`] and maps targets through the pipeline's
-//! [`parallel_map_with`] under the one thread budget
-//! `spotfi.runtime`; the pipeline inside each target runs serially, and a
-//! target's link tracing ([`audible_traces`]) runs inline on the target's
-//! worker, so the budget is never spent twice over.
+//! [`parallel_map_with`] under the one thread budget `spotfi.runtime`. A
+//! section opened on one of those workers (a target's per-AP analysis, or
+//! its link tracing in [`audible_traces`]) runs inline there, so the budget
+//! is never spent twice over.
 
 use spotfi_channel::Rng;
 
@@ -23,7 +23,7 @@ use spotfi_baselines::arraytrack::{arraytrack_localize_in_bounds, ArrayTrackConf
 use spotfi_baselines::music_aoa::averaged_peaks;
 use spotfi_baselines::selection::{select_cupid, select_lteye, select_oracle};
 use spotfi_channel::{AntennaArray, CsiPacket, PacketTrace, Point};
-use spotfi_core::{parallel_map_with, ApPackets, RuntimeConfig, SpotFi, SpotFiConfig};
+use spotfi_core::{parallel_map_with, ApPackets, SpotFi, SpotFiConfig};
 
 use crate::deployment::NamedAp;
 use crate::scenario::Scenario;
@@ -176,24 +176,15 @@ impl Runner {
     /// Runs localization for every target (SpotFi + ArrayTrack on identical
     /// packets). Records are returned in target order.
     pub fn run_localization(&self) -> Vec<LocalizationRecord> {
-        let spotfi = self.serial_spotfi();
+        let spotfi = SpotFi::new(self.config.spotfi.clone());
         self.map_targets(|t_idx| self.localize_target(&spotfi, t_idx))
     }
 
     /// Runs the per-link AoA experiments for every (audible) link.
     pub fn run_links(&self) -> Vec<LinkRecord> {
-        let spotfi = self.serial_spotfi();
+        let spotfi = SpotFi::new(self.config.spotfi.clone());
         let nested = self.map_targets(|t_idx| self.link_records(&spotfi, t_idx));
         nested.into_iter().flatten().collect()
-    }
-
-    /// The run's one estimator: the configured pipeline, serial inside,
-    /// because the thread budget goes to [`map_targets`](Self::map_targets).
-    fn serial_spotfi(&self) -> SpotFi {
-        SpotFi::new(SpotFiConfig {
-            runtime: RuntimeConfig::serial(),
-            ..self.config.spotfi.clone()
-        })
     }
 
     /// Maps `f` over target indices under the configured thread budget,
@@ -348,6 +339,7 @@ impl Runner {
 mod tests {
     use super::*;
     use crate::deployment::Deployment;
+    use spotfi_core::RuntimeConfig;
 
     /// A trimmed office scenario for fast tests.
     fn mini_scenario() -> Scenario {

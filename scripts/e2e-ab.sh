@@ -5,14 +5,16 @@
 #
 # Checks <base-ref> out into a temporary git worktree and builds `spotfi-e2e`
 # there and in this checkout, each in its own target directory. Then, for
-# every workload in BENCHMARK.json, it runs five pairs of short runs
-# (`--seed 1 --seconds 2`), alternating which binary goes first, each from
-# its own tree's root. Every run must report `"correct": true`. For each
-# `end_to_end` metric, each pair gives the ratio head/base; the script fails
-# if the median of those per-pair ratios is worse than 1 by more than the
-# metric's relative `bound`. Pairing cancels load that hits both runs of a
+# every workload in BENCHMARK.json, it runs five pairs of runs at the
+# benchmark's declared length (`--seed 1 --seconds <run_seconds>`),
+# alternating which binary goes first, each from its own tree's root. Every
+# run must report `"correct": true`. For each `end_to_end` metric, each
+# pair gives the ratio head/base; the script fails if the median of those
+# per-pair ratios is worse than 1 by more than the metric's relative
+# `bound`. Pairing cancels load that hits both runs of a
 # pair; the median drops a pair where it hit one run. Workloads, metrics,
-# directions and bounds all come from this checkout's BENCHMARK.json.
+# directions, bounds and the run length all come from this checkout's
+# BENCHMARK.json.
 #
 # Every run's JSON line, tagged with its side, workload, pair and wall time,
 # is written to e2e-ab.jsonl at the repository root. Needs bash, git, jq and
@@ -30,6 +32,7 @@ base=$(git rev-parse --verify --quiet "$1^{commit}") || {
     exit 2
 }
 pairs=5
+seconds=$(jq -r .run_seconds BENCHMARK.json)
 log="$root/e2e-ab.jsonl"
 
 work=$(mktemp -d)
@@ -40,7 +43,7 @@ cleanup() {
 trap cleanup EXIT
 
 echo "e2e-ab: base $base, head $(git rev-parse HEAD) plus any uncommitted changes"
-echo "e2e-ab: nproc $(nproc)"
+echo "e2e-ab: nproc $(nproc), $pairs pairs of ${seconds}-s runs per workload"
 git worktree add --detach --quiet "$work/base" "$base"
 declare -A tree=([base]="$work/base" [head]="$root")
 for side in base head; do
@@ -55,7 +58,7 @@ run() {
     local side=$1 workload=$2 pair=$3 start line wall
     start=$EPOCHREALTIME
     line=$(cd "${tree[$side]}" && "$work/target-$side/release/spotfi-e2e" \
-        --workload "$workload" --seed 1 --seconds 2 | tail -n 1) || {
+        --workload "$workload" --seed 1 --seconds "$seconds" | tail -n 1) || {
         echo "e2e-ab: FAIL $workload: $side run $pair exited non-zero" >&2
         exit 1
     }
