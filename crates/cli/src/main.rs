@@ -64,7 +64,8 @@ USAGE:
       Prints aggregate throughput, backpressure counters, per-update
       latency percentiles, and tracking error against ground truth.
       --workers 0 (default) uses all cores; --queue bounds each shard
-      queue; --shed switches overflow from blocking to drop-newest.
+      queue (default 256 packets); --shed switches overflow from
+      blocking to drop-newest.
       --aps beyond 4 deploys a perimeter ring (up to 32). --loss drops
       each scheduled packet with probability P; --drift skews each AP's
       capture clock by a seeded ±PPM factor. --export-wire writes the

@@ -279,7 +279,12 @@ pub enum OverflowPolicy {
 pub struct FleetConfig {
     /// Worker threads. `0` means one per hardware thread.
     pub workers: usize,
-    /// Bounded depth of each worker's ingest queue, packets.
+    /// Bounded depth of each worker's ingest queue, packets. The default,
+    /// 256, is eight of the 32-packet batches a worker drains per wake-up:
+    /// open-loop serving at 30% load peaks at a depth of 16–58, and at
+    /// saturation a deeper queue adds only wait (and holds a decoded packet
+    /// per slot). Under [`OverflowPolicy::Block`] the capacity changes no
+    /// per-target output, only when the producer stalls.
     pub queue_capacity: usize,
     /// What ingest does when a queue is full.
     pub overflow: OverflowPolicy,
@@ -324,7 +329,7 @@ impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
             workers: 0,
-            queue_capacity: 1024,
+            queue_capacity: 256,
             overflow: OverflowPolicy::default(),
             fusion_interval: 32,
             window_packets: 8,

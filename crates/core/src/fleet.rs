@@ -10,7 +10,7 @@
 //!
 //! Per-(target, AP) [`StreamState`] is owned by exactly one worker, chosen
 //! by a splitmix64 hash of the target id (`shard_of`). All of a target's
-//! state — every AP's rolling covariance and subspace tracker, the fusion
+//! state — every AP's rolling covariance and tracked basis, the fusion
 //! window, the track filter — lives on that one shard, so nothing is ever
 //! locked or migrated, and the warm streaming path runs exactly as it does
 //! single-threaded. One worker-owned [`PacketScratch`] serves every stream

@@ -54,7 +54,7 @@
 
 use spotfi_channel::{AntennaArray, CsiPacket};
 use spotfi_math::stats::mean;
-use spotfi_math::{CMat, PackedHermitian, RitzWorkspace, SubspaceTracker};
+use spotfi_math::{CMat, PackedHermitian, RitzWorkspace, StoredBasis, SubspaceTracker};
 
 use crate::cluster::{cluster_estimates, Clustering};
 use crate::config::{SpotFiConfig, StreamConfig};
@@ -114,14 +114,17 @@ impl ApAnalysis {
 /// Reusable per-worker buffers for one packet's analysis chain: the MUSIC
 /// eigensolver/projector scratch, whose eigensolver matrix is the one
 /// `n × n` buffer a packet's covariance is built (or a stream's rolling
-/// covariance unpacked) into, and the subspace tracker's per-step
-/// [`RitzWorkspace`]. Fully overwritten on every packet, so one scratch
-/// serves a worker — and every stream on it — for the lifetime of a run.
-/// The Ritz workspace is sized by the first warm packet, so a scratch that
-/// only ever runs exact packets never allocates it.
+/// covariance unpacked) into, the `f64` [`SubspaceTracker`] a packet's
+/// stream basis is widened into, refined and seeded in, and the tracker's
+/// per-step [`RitzWorkspace`]. Fully overwritten on every packet, so one
+/// scratch serves a worker — and every stream on it — for the lifetime of
+/// a run. The tracker and Ritz workspace are sized by the first packet
+/// that tracks, so a scratch that only ever runs the exact policy never
+/// allocates them.
 #[derive(Clone, Debug)]
 pub struct PacketScratch {
     music: MusicScratch,
+    tracker: SubspaceTracker,
     ritz: RitzWorkspace,
 }
 
@@ -130,6 +133,7 @@ impl PacketScratch {
     pub fn new(cfg: &SpotFiConfig) -> Self {
         PacketScratch {
             music: MusicScratch::new(cfg),
+            tracker: SubspaceTracker::new(),
             ritz: RitzWorkspace::default(),
         }
     }
@@ -148,16 +152,19 @@ impl PacketScratch {
 /// every stream, since the scratch is fully overwritten on each packet.
 /// A stream holds only what its next packet reads: the covariance as a
 /// [`PackedHermitian`] lower triangle of `f32` pairs (`n(n+1)/2` entries,
-/// 3.7 KB at the default n = 30) and the tracked `n×k` basis (≤ 3.8 KB at
-/// `max_paths` = 8, kept in `f64`), plus the previous peak cells. Each
-/// packet widens the covariance into the worker's eigensolver matrix,
-/// updates it there in `f64` and rounds it back, so the packet itself reads
-/// it unrounded; the tracker's per-step products live in the scratch's
-/// [`RitzWorkspace`]. The covariance is
-/// stored only when a later packet decays it (`forgetting > 0`) and the
-/// tracker seeded only when a later packet can refine it
-/// (`reanchor_period > 1`), so the exact streams the batch entry points
-/// run store neither.
+/// 3.7 KB at the default n = 30) and the tracked `n×k` basis as a
+/// [`StoredBasis`] of `f32` pairs (≤ 1.9 KB at `max_paths` = 8), plus the
+/// previous peak cells. Only the storage is single precision. Each packet
+/// widens the covariance into the worker's eigensolver matrix, updates it
+/// there in `f64` and rounds it back, so the packet itself reads it
+/// unrounded. A warm packet widens the basis into the worker's `f64`
+/// tracker, re-orthonormalizes it there (a basis that breaks down anchors
+/// the packet), refines it and stores the result rounded; an anchor stores
+/// its seed rounded. The tracker's per-step products live in the scratch's
+/// [`RitzWorkspace`]. The covariance is stored only when a later packet
+/// decays it (`forgetting > 0`) and the basis only when a later packet can
+/// refine it (`reanchor_period > 1`), so the exact streams the batch entry
+/// points run store neither.
 ///
 /// One `StreamState` belongs to one packet stream; feeding it packets from
 /// different APs (or different targets) mixes unrelated covariances.
@@ -169,7 +176,7 @@ impl PacketScratch {
 #[derive(Clone, Debug)]
 pub struct StreamState {
     cov: PackedHermitian,
-    tracker: SubspaceTracker,
+    basis: StoredBasis,
     last_peaks: Vec<(usize, usize)>,
     packets_since_anchor: usize,
     initialized: bool,
@@ -193,7 +200,7 @@ impl StreamState {
     fn with_policy(n: usize, exact: bool) -> Self {
         StreamState {
             cov: PackedHermitian::zeros(n),
-            tracker: SubspaceTracker::new(),
+            basis: StoredBasis::default(),
             last_peaks: Vec::new(),
             packets_since_anchor: 0,
             initialized: false,
@@ -206,7 +213,7 @@ impl StreamState {
     /// covariance from scratch and anchors on the exact solver, exactly
     /// like the first packet of a fresh stream.
     pub fn reset(&mut self) {
-        self.tracker.reset();
+        self.basis.clear();
         self.last_peaks.clear();
         self.packets_since_anchor = 0;
         self.initialized = false;
@@ -279,7 +286,9 @@ impl SpotFi {
     }
 
     /// Stage: sanitize → smoothed covariance into `solver`, returning
-    /// whether the packet anchors on the exact solver. The smoothed
+    /// whether the stream's bookkeeping anchors the packet on the exact
+    /// solver (a packet it lets through still anchors if its stored basis
+    /// cannot be loaded). The smoothed
     /// matrix's columns feed the covariance one at a time: a fresh product,
     /// or the stream's rolling sum, decayed and accumulated in `f64` in
     /// `solver` from the stored history, then rounded back into the stream
@@ -318,8 +327,7 @@ impl SpotFi {
         Ok(first
             || state.force_anchor
             || state.packets_since_anchor + 1 >= period
-            || state.last_peaks.is_empty()
-            || !state.tracker.is_seeded())
+            || state.last_peaks.is_empty())
     }
 
     /// Exact tail: prepare the sweep from the eigendecomposition sitting in
@@ -334,22 +342,23 @@ impl SpotFi {
         Ok(swept)
     }
 
-    /// Warm tail: one [`SubspaceTracker::refine`] step against the rolling
-    /// covariance (in `music`'s eigensolver matrix, which it only reads),
-    /// then the warm-started sweep from the previous packet's peak basins.
-    /// Returns `None` — the caller falls back to the exact path — when the
-    /// tracker's drift exceeds
-    /// [`crate::config::StreamConfig::drift_threshold`] (or is NaN). The
-    /// caller retries a sweep that fails on the exact path too.
+    /// Warm tail: one [`SubspaceTracker::refine`] step of `tracker` (the
+    /// stream's basis, loaded) against the rolling covariance (in `music`'s
+    /// eigensolver matrix, which it only reads), then the warm-started
+    /// sweep from the previous packet's peak basins. Returns `None` — the
+    /// caller falls back to the exact path — when the tracker's drift
+    /// exceeds [`crate::config::StreamConfig::drift_threshold`] (or is
+    /// NaN). The caller retries a sweep that fails on the exact path too.
     fn warm_tail(
         &self,
-        state: &mut StreamState,
+        state: &StreamState,
+        tracker: &mut SubspaceTracker,
         music: &mut MusicScratch,
         ritz: &mut RitzWorkspace,
     ) -> Option<Result<CoarseFinePaths>> {
         let prepared = {
             let _track = spotfi_obs::span("stage.track");
-            let drift = state.tracker.refine(music.eig.matrix(), ritz);
+            let drift = tracker.refine(music.eig.matrix(), ritz);
             spotfi_obs::value("stream.drift", drift);
             // NaN checked explicitly so a poisoned drift metric also falls
             // back to the exact path.
@@ -446,28 +455,40 @@ impl SpotFi {
         scratch: &mut PacketScratch,
     ) -> Result<Vec<PathEstimate>> {
         let _packet_span = spotfi_obs::span("stream.packet");
-        let anchor = self.stage(packet, state, scratch.music.eig.matrix_mut())?;
-        let PacketScratch { music, ritz } = scratch;
+        let PacketScratch {
+            music,
+            tracker,
+            ritz,
+        } = scratch;
+        // A warm packet refines the stream's basis in the worker's f64
+        // tracker; one that cannot be loaded leaves the stream unseeded.
+        let anchor = self.stage(packet, state, music.eig.matrix_mut())? || {
+            let _track = spotfi_obs::span("stage.track");
+            !tracker.load_rounded(&state.basis)
+        };
         let warm = if anchor {
             None
         } else {
-            self.warm_tail(state, music, ritz)
+            self.warm_tail(state, tracker, music, ritz)
         };
-        self.finish(anchor, warm, state, music)
+        self.finish(anchor, warm, state, tracker, music)
     }
 
     /// Closes a staged packet given its warm tail's outcome (`None` for an
     /// anchor or a drifted tracker): a successful warm sweep is kept;
     /// otherwise the exact tail runs on the same covariance, still intact
     /// in the eigensolver matrix since the warm tail only reads it. Then
-    /// the stream's bookkeeping.
+    /// the stream's bookkeeping: a tracking stream stores `tracker`'s
+    /// basis rounded, the refined one after a warm sweep, else the seed.
     fn finish(
         &self,
         anchor: bool,
         warm: Option<Result<CoarseFinePaths>>,
         state: &mut StreamState,
+        tracker: &mut SubspaceTracker,
         music: &mut MusicScratch,
     ) -> Result<Vec<PathEstimate>> {
+        let tracking = self.policy(state).reanchor_period > 1;
         spotfi_obs::counter("stream.packets", 1);
         let (swept, exact) = match warm {
             Some(Ok(swept)) => {
@@ -490,12 +511,15 @@ impl SpotFi {
                     let _span = spotfi_obs::span("stage.eigen");
                     music.eigen_in_place(self.config.music.max_paths);
                 }
-                if self.policy(state).reanchor_period > 1 {
-                    self.seed_tracker(&mut state.tracker, music);
+                if tracking {
+                    self.seed_tracker(tracker, music);
                 }
                 (self.exact_tail(music), true)
             }
         };
+        if tracking {
+            tracker.store_rounded(&mut state.basis);
+        }
         match swept {
             Ok(swept) => {
                 state.packets_since_anchor = if exact {
@@ -1036,24 +1060,29 @@ mod tests {
         for (i, packet) in ap.packets.iter().enumerate() {
             let anchor = s
                 .stage(packet, &mut state, scratch.music.eig.matrix_mut())
-                .unwrap();
+                .unwrap()
+                || !scratch.tracker.load_rounded(&state.basis);
             if !anchor {
                 let mut retried = (state.clone(), scratch.clone());
                 let mut exact = (state.clone(), scratch.clone());
-                let PacketScratch { music, ritz } = &mut retried.1;
-                let warm = s.warm_tail(&mut retried.0, music, ritz);
+                let PacketScratch {
+                    music,
+                    tracker,
+                    ritz,
+                } = &mut retried.1;
+                let warm = s.warm_tail(&retried.0, tracker, music, ritz);
                 assert!(matches!(warm, Some(Ok(_))), "packet {i} failed unforced");
                 let forced_paths = s
                     .finish(
                         false,
                         Some(Err(SpotFiError::NoPaths)),
                         &mut retried.0,
+                        tracker,
                         music,
                     )
                     .unwrap();
-                let exact_paths = s
-                    .finish(true, None, &mut exact.0, &mut exact.1.music)
-                    .unwrap();
+                let PacketScratch { music, tracker, .. } = &mut exact.1;
+                let exact_paths = s.finish(true, None, &mut exact.0, tracker, music).unwrap();
                 assert_eq!(
                     path_bits(&forced_paths),
                     path_bits(&exact_paths),
@@ -1070,20 +1099,22 @@ mod tests {
                 }
                 forced += 1;
             }
-            let PacketScratch { music, ritz } = &mut scratch;
+            let PacketScratch {
+                music,
+                tracker,
+                ritz,
+            } = &mut scratch;
             let warm = (!anchor)
-                .then(|| s.warm_tail(&mut state, music, ritz))
+                .then(|| s.warm_tail(&state, tracker, music, ritz))
                 .flatten();
-            s.finish(anchor, warm, &mut state, music).unwrap();
+            s.finish(anchor, warm, &mut state, tracker, music).unwrap();
         }
         assert!(forced >= 4, "only {forced} warm packets");
     }
 
     /// One packet of a test-only reference stream that keeps its rolling
     /// covariance in `f64` (in `wide`) instead of rounding it to `f32`
-    /// storage: the stream's own stage decides the anchor and keeps its
-    /// bookkeeping, then `wide` is decayed with the same kernel and order
-    /// and replaces the staged covariance before the tails run.
+    /// storage; its tracker basis is stored rounded, as in production.
     fn f64_reference_packet(
         s: &SpotFi,
         packet: &CsiPacket,
@@ -1091,8 +1122,26 @@ mod tests {
         wide: &mut CMat,
         scratch: &mut PacketScratch,
     ) -> Result<Vec<PathEstimate>> {
+        reference_packet(s, packet, state, wide, None, scratch)
+    }
+
+    /// One packet of a test-only reference stream that keeps its rolling
+    /// covariance in `f64` (in `wide`) and, given `wide_basis`, its tracker
+    /// too: the basis stays in that `f64` tracker from packet to packet,
+    /// never rounded or re-orthonormalized. The stream's own stage decides
+    /// the anchor and keeps its bookkeeping, then `wide` is decayed with
+    /// the same kernel and order and replaces the staged covariance before
+    /// the tails run.
+    fn reference_packet(
+        s: &SpotFi,
+        packet: &CsiPacket,
+        state: &mut StreamState,
+        wide: &mut CMat,
+        wide_basis: Option<&mut SubspaceTracker>,
+        scratch: &mut PacketScratch,
+    ) -> Result<Vec<PathEstimate>> {
         let first = !state.initialized;
-        let anchor = s.stage(packet, state, scratch.music.eig.matrix_mut())?;
+        let staged = s.stage(packet, state, scratch.music.eig.matrix_mut())?;
         let sanitized = sanitize_csi(&packet.csi, s.config.ofdm.subcarrier_spacing_hz)?;
         let x = SmoothedColumns::new(&sanitized.csi, &s.config)?;
         if first {
@@ -1100,14 +1149,24 @@ mod tests {
         } else {
             wide.decay_accumulate_hermitian(s.config.stream.forgetting, |add| x.feed(add));
         }
-        let PacketScratch { music, ritz } = scratch;
+        let PacketScratch {
+            music,
+            tracker,
+            ritz,
+        } = scratch;
         music
             .eig
             .matrix_mut()
             .as_mut_slice()
             .copy_from_slice(wide.as_slice());
-        let warm = (!anchor).then(|| s.warm_tail(state, music, ritz)).flatten();
-        s.finish(anchor, warm, state, music)
+        let (anchor, tracker) = match wide_basis {
+            Some(wide_basis) => (staged || !wide_basis.is_seeded(), wide_basis),
+            None => (staged || !tracker.load_rounded(&state.basis), tracker),
+        };
+        let warm = (!anchor)
+            .then(|| s.warm_tail(state, tracker, music, ritz))
+            .flatten();
+        s.finish(anchor, warm, state, tracker, music)
     }
 
     #[test]
@@ -1180,5 +1239,130 @@ mod tests {
             tof <= TOF_BOUND_NS,
             "max |ΔToF| {tof:e} ns over {TOF_BOUND_NS:e} ns"
         );
+    }
+
+    /// The precision tests' traces: living-room targets × home APs of the
+    /// standard apartment, 8 packets per audible link.
+    fn living_room_traces() -> Vec<Vec<CsiPacket>> {
+        let home = spotfi_testbed::Apartment::standard();
+        let trace_cfg = TraceConfig::commodity();
+        let mut rng = Rng::seed_from_u64(7);
+        let mut traces = Vec::new();
+        for target in home.rooms[0].iter().take(2) {
+            for ap in &home.aps {
+                if let Some(t) = PacketTrace::generate(
+                    &home.floorplan,
+                    target.position,
+                    &ap.array,
+                    &trace_cfg,
+                    8,
+                    &mut rng,
+                ) {
+                    traces.push(t.packets);
+                }
+            }
+        }
+        assert!(traces.len() >= 4, "too few audible links: {}", traces.len());
+        traces
+    }
+
+    #[test]
+    fn f32_stored_basis_tracks_an_f64_stored_reference() {
+        // The production stream (covariance and tracker basis stored as f32
+        // pairs, the basis re-orthonormalized in f64 on load) against a
+        // reference that keeps both in f64 from packet to packet, over the
+        // covariance precision test's traces and bounds. Measured over the
+        // 114 paths of 8 links × 8 packets: max |ΔAoA| 1.5e-5°, max |ΔToF|
+        // 5.7e-6 ns. Loading the rounded basis without re-orthonormalizing
+        // it moves them by up to 1.3e-4°, past the bound.
+        const AOA_BOUND_DEG: f64 = 1e-4;
+        const TOF_BOUND_NS: f64 = 1e-4;
+        let traces = living_room_traces();
+        let s = spotfi();
+        let mut scratch = PacketScratch::new(s.config());
+        let (mut paths, mut warm, mut aoa, mut tof) = (0usize, 0usize, 0.0f64, 0.0f64);
+        for (link, trace) in traces.iter().enumerate() {
+            let mut compact = StreamState::new(s.config());
+            let mut reference = StreamState::new(s.config());
+            let mut wide = CMat::default();
+            let mut wide_basis = SubspaceTracker::new();
+            for (i, packet) in trace.iter().enumerate() {
+                let got = s.analyze_packet_streaming_with(packet, &mut compact, &mut scratch);
+                warm += usize::from(compact.packets_since_anchor > 0);
+                let want = reference_packet(
+                    &s,
+                    packet,
+                    &mut reference,
+                    &mut wide,
+                    Some(&mut wide_basis),
+                    &mut scratch,
+                );
+                let ctx = format!("link {link} packet {i}");
+                let (got, want) = match (got, want) {
+                    (Ok(got), Ok(want)) => (got, want),
+                    (got, want) => {
+                        assert_eq!(got.err(), want.err(), "{ctx}");
+                        continue;
+                    }
+                };
+                assert_eq!(got.len(), want.len(), "{ctx}: path count");
+                for (g, w) in got.iter().zip(&want) {
+                    aoa = aoa.max((g.aoa_deg - w.aoa_deg).abs());
+                    tof = tof.max((g.tof_ns - w.tof_ns).abs());
+                }
+                paths += got.len();
+            }
+        }
+        println!(
+            "f32 vs f64 covariance and basis storage over {paths} paths ({warm} warm packets): \
+             max |ΔAoA| {aoa:.2e}°, max |ΔToF| {tof:.2e} ns"
+        );
+        assert!(paths > 0);
+        assert!(warm * 2 >= traces.len() * 8, "only {warm} warm packets");
+        assert!(
+            aoa <= AOA_BOUND_DEG,
+            "max |ΔAoA| {aoa:e}° over {AOA_BOUND_DEG:e}°"
+        );
+        assert!(
+            tof <= TOF_BOUND_NS,
+            "max |ΔToF| {tof:e} ns over {TOF_BOUND_NS:e} ns"
+        );
+    }
+
+    #[test]
+    fn one_scratch_interleaved_over_two_streams_matches_fresh_scratches() {
+        // A worker's scratch holds the f64 tracker every stream on it
+        // widens its basis into, so nothing a packet leaves there may reach
+        // another stream's packet. Interleave two links' streams packet by
+        // packet through one scratch: every result must equal, to the bit,
+        // that stream run alone on a fresh scratch of its own.
+        let traces = living_room_traces();
+        let s = spotfi();
+        let (a, b) = (&traces[0], &traces[traces.len() - 1]);
+        let alone = |trace: &[CsiPacket]| {
+            let mut state = StreamState::new(s.config());
+            let mut scratch = PacketScratch::new(s.config());
+            trace
+                .iter()
+                .map(|p| s.analyze_packet_streaming_with(p, &mut state, &mut scratch))
+                .map(|r| r.map(|paths| path_bits(&paths)))
+                .collect::<Vec<_>>()
+        };
+        let (want_a, want_b) = (alone(a), alone(b));
+        let mut shared = PacketScratch::new(s.config());
+        let mut streams = [StreamState::new(s.config()), StreamState::new(s.config())];
+        let mut warm = 0;
+        for i in 0..a.len().max(b.len()) {
+            for (which, (trace, want)) in [(a, &want_a), (b, &want_b)].into_iter().enumerate() {
+                let Some(packet) = trace.get(i) else { continue };
+                let state = &mut streams[which];
+                let got = s
+                    .analyze_packet_streaming_with(packet, state, &mut shared)
+                    .map(|paths| path_bits(&paths));
+                assert_eq!(got, want[i], "stream {which} packet {i}");
+                warm += usize::from(state.packets_since_anchor > 0);
+            }
+        }
+        assert!(warm >= 4, "only {warm} warm packets");
     }
 }

@@ -22,7 +22,8 @@
 //!   oracle it is cross-validated against.
 //! * [`subspace`] — online dominant-subspace tracking (block power step +
 //!   Rayleigh–Ritz) for streaming covariances, with a drift metric that
-//!   tells callers when to re-anchor on the exact solver.
+//!   tells callers when to re-anchor on the exact solver, and
+//!   [`StoredBasis`], a tracked basis at rest in `f32` pairs.
 //! * [`unwrap`] — 1-D phase unwrapping.
 //! * [`optimize`] — Nelder–Mead simplex minimization.
 //! * [`stats`] — means, variances, percentiles, empirical CDFs, linear fit.
@@ -52,4 +53,4 @@ pub use eigen_tridiag::{
     BATCH_LANES,
 };
 pub use matrix::{CMat, PackedHermitian};
-pub use subspace::{RitzWorkspace, SubspaceTracker};
+pub use subspace::{RitzWorkspace, StoredBasis, SubspaceTracker};

@@ -30,7 +30,11 @@
 //!
 //! Only `E` persists between steps ([`SubspaceTracker`]); `Y`, `B` and the
 //! Ritz pairs are per-step products held in a caller-owned
-//! [`RitzWorkspace`].
+//! [`RitzWorkspace`]. A caller that keeps many bases at rest stores each as
+//! a [`StoredBasis`] of `f32` pairs and runs one `f64` tracker per worker:
+//! [`load_rounded`](SubspaceTracker::load_rounded) widens a stored basis
+//! and re-orthonormalizes it before a step,
+//! [`store_rounded`](SubspaceTracker::store_rounded) rounds it back after.
 //!
 //! The tracker is an *estimator with a safety net*, not a replacement for
 //! the exact solver: callers re-seed from the batch eigendecomposition
@@ -95,6 +99,56 @@ pub struct RitzWorkspace {
     stage: CMat,
 }
 
+/// A tracker basis at rest: the n×k columns of a [`SubspaceTracker`]'s
+/// basis, column-major, each entry rounded to a pair of `f32` (8 B instead
+/// of a [`c64`]'s 16). Empty when the tracker it came from was unseeded.
+///
+/// Only the storage is single precision.
+/// [`SubspaceTracker::load_rounded`] widens it exactly into an `f64`
+/// tracker and re-orthonormalizes it there with the same modified
+/// Gram–Schmidt a refine ends with, so the refine that follows starts from
+/// a basis orthonormal to `f64` precision (its drift identity assumes
+/// one); [`SubspaceTracker::store_rounded`] rounds the refined or re-seeded
+/// basis back, by at most 2⁻²⁴ relative per component.
+///
+/// ```
+/// use spotfi_math::{c64, hermitian_eigen_partial, CMat, RitzWorkspace, StoredBasis, SubspaceTracker};
+///
+/// let x = CMat::from_fn(6, 10, |r, c| {
+///     c64::cis(r as f64 * 0.7 + c as f64 * 0.3) + c64::cis(r as f64 * 1.9 + c as f64 * 1.2) * 0.5
+/// });
+/// let r = x.mul_hermitian_self();
+/// let mut t = SubspaceTracker::new();
+/// t.seed(&hermitian_eigen_partial(&r, 2).vectors, 2);
+///
+/// // At rest between steps: rounded to f32, then widened and
+/// // re-orthonormalized in f64 before the next step.
+/// let mut stored = StoredBasis::default();
+/// t.store_rounded(&mut stored);
+/// let mut worker = SubspaceTracker::new();
+/// assert!(worker.load_rounded(&stored));
+/// assert!(worker.refine(&r, &mut RitzWorkspace::default()) < 1e-6);
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct StoredBasis {
+    rows: usize,
+    cols: usize,
+    /// Column-major `[re, im]` pairs, `rows × cols` of them.
+    data: Vec<[f32; 2]>,
+}
+
+impl StoredBasis {
+    /// `true` when no basis is stored.
+    fn is_empty(&self) -> bool {
+        self.cols == 0
+    }
+
+    /// Drops the stored basis and its allocation.
+    pub fn clear(&mut self) {
+        *self = StoredBasis::default();
+    }
+}
+
 impl RitzWorkspace {
     /// The last successful refine's Ritz values (descending).
     pub fn values(&self) -> &[f64] {
@@ -137,6 +191,42 @@ impl SubspaceTracker {
     /// infinite drift.
     pub fn reset(&mut self) {
         self.basis = CMat::default();
+    }
+
+    /// Rounds the basis into `out`, each component to the nearest `f32`.
+    /// `out` is sized to exactly the basis, reusing its allocation, so
+    /// storing a basis of an unchanged shape allocates nothing. An unseeded
+    /// tracker stores an empty basis.
+    pub fn store_rounded(&self, out: &mut StoredBasis) {
+        let len = self.basis.as_slice().len();
+        out.rows = self.basis.rows();
+        out.cols = self.basis.cols();
+        out.data.clear();
+        out.data.reserve_exact(len);
+        out.data.shrink_to(len);
+        out.data.extend(
+            self.basis
+                .as_slice()
+                .iter()
+                .map(|z| [z.re as f32, z.im as f32]),
+        );
+    }
+
+    /// Replaces the basis with `stored`, widened exactly to `f64` and
+    /// re-orthonormalized by the modified Gram–Schmidt that ends every
+    /// [`refine`](Self::refine). Returns `false`, leaving the tracker
+    /// unseeded, when `stored` is empty or Gram–Schmidt breaks down (a
+    /// non-finite or rank-deficient basis): the caller must re-anchor.
+    pub fn load_rounded(&mut self, stored: &StoredBasis) -> bool {
+        self.basis.reset_zeros(stored.rows, stored.cols);
+        for (z, &[re, im]) in self.basis.as_mut_slice().iter_mut().zip(&stored.data) {
+            *z = c64::new(f64::from(re), f64::from(im));
+        }
+        if stored.is_empty() || !orthonormalize_columns(&mut self.basis) {
+            self.reset();
+            return false;
+        }
+        true
     }
 
     /// One tracking step against the Hermitian matrix `r`. Writes this
@@ -609,5 +699,53 @@ mod tests {
             tracked,
             stale
         );
+    }
+
+    #[test]
+    fn stored_basis_reloads_orthonormal_within_f32_rounding() {
+        // Round trip through f32 storage: each entry within f32 rounding
+        // of the original, and re-orthonormalized to f64 precision.
+        let mut t = seeded(&covariance(0.0), 4);
+        t.refine(&covariance(0.01), &mut RitzWorkspace::default());
+        let mut stored = StoredBasis::default();
+        t.store_rounded(&mut stored);
+        assert_eq!(
+            (stored.rows, stored.cols, stored.data.capacity()),
+            (12, 4, 48)
+        );
+        let mut loaded = SubspaceTracker::new();
+        assert!(loaded.load_rounded(&stored));
+        for (a, b) in loaded.basis.as_slice().iter().zip(t.basis.as_slice()) {
+            assert!((*a - *b).abs() < 1e-6, "{a:?} vs {b:?}");
+        }
+        let gram = loaded.basis.hermitian().mul(&loaded.basis);
+        let off = (&gram - &CMat::identity(4)).max_abs();
+        assert!(off < 1e-14, "reloaded basis is off orthonormal by {off:e}");
+        // Storing a basis of an unchanged shape keeps the allocation.
+        let before = stored.data.as_ptr();
+        loaded.store_rounded(&mut stored);
+        assert_eq!(stored.data.as_ptr(), before);
+    }
+
+    #[test]
+    fn unloadable_stored_bases_leave_the_tracker_unseeded() {
+        let mut t = seeded(&covariance(0.0), 3);
+        assert!(!t.load_rounded(&StoredBasis::default()));
+        assert!(!t.is_seeded());
+        let mut stored = StoredBasis::default();
+        seeded(&covariance(0.0), 3).store_rounded(&mut stored);
+        stored.data[5][0] = f32::NAN;
+        assert!(!t.load_rounded(&stored));
+        assert!(!t.is_seeded());
+        // A repeated column is rank deficient: Gram–Schmidt breaks down.
+        stored.data.copy_within(0..12, 12);
+        stored.data[5][0] = 0.5;
+        assert!(!t.load_rounded(&stored));
+        assert_eq!(
+            t.refine(&covariance(0.0), &mut RitzWorkspace::default()),
+            f64::INFINITY
+        );
+        stored.clear();
+        assert!(stored.is_empty());
     }
 }

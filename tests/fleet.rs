@@ -20,6 +20,10 @@
 //! 6. **Hostile CSI** — a packet whose covariance is finite in `f64` but
 //!    overflows a stream's `f32` storage fails alone: the error is
 //!    counted, its stream starts afresh, and no other stream notices.
+//! 7. **Queue capacity** — under `OverflowPolicy::Block` the shard queue's
+//!    depth only decides when the producer stalls: per-target estimates
+//!    equal the serial reference's at a one-packet queue and at the
+//!    default capacity alike.
 
 use std::collections::BTreeMap;
 
@@ -150,6 +154,45 @@ fn per_target_estimates_are_bit_identical_across_worker_counts() {
         &reference,
         &by_target(&reordered_updates),
     );
+}
+
+#[test]
+fn blocking_queue_capacity_changes_no_per_target_estimate() {
+    let scenario = FleetScenario::generate(&FleetScenarioConfig {
+        targets: 6,
+        packets_per_link: 10,
+        ..FleetScenarioConfig::apartment(6)
+    });
+    let cfg = test_fleet_cfg();
+    let (serial_updates, _) = run_fleet_serial(&fast_spotfi(), &cfg, &scenario.schedule);
+    assert!(
+        !serial_updates.is_empty(),
+        "serial reference emitted no updates"
+    );
+    let reference = by_target(&serial_updates);
+
+    for queue_capacity in [1, FleetConfig::default().queue_capacity] {
+        let engine = FleetEngine::new(
+            fast_spotfi(),
+            FleetConfig {
+                workers: 2,
+                queue_capacity,
+                overflow: OverflowPolicy::Block,
+                ..cfg
+            },
+        );
+        for pkt in &scenario.schedule {
+            assert_ne!(engine.ingest(pkt.clone()), PushResult::Dropped);
+        }
+        let report = engine.shutdown();
+        assert_eq!(report.stats.dropped, 0);
+        assert_eq!(report.stats.processed, scenario.schedule.len() as u64);
+        assert_bit_identical(
+            &format!("queue_capacity={queue_capacity}"),
+            &reference,
+            &by_target(&report.updates),
+        );
+    }
 }
 
 /// Free-space fixture for accuracy-sensitive fleet tests: four corner APs

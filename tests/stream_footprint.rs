@@ -3,10 +3,11 @@
 //! A fleet server keeps one [`StreamState`] per (target, AP) link it
 //! hears, so the state's heap footprint multiplies by thousands. A stream
 //! must hold only what the next packet reads: the packed Hermitian
-//! covariance (`n(n+1)/2` complex entries, each a pair of `f32`) and the
-//! tracked basis (at most `n × max_paths` complex `f64`), plus small
-//! bookkeeping. Per-packet scratch belongs to
-//! the worker's [`PacketScratch`], not to the stream.
+//! covariance (`n(n+1)/2` complex entries) and the tracked basis (at most
+//! `n × max_paths` complex entries), each entry a pair of `f32`, plus
+//! small bookkeeping. Per-packet scratch, including the `f64` tracker a
+//! warm packet widens the basis into, belongs to the worker's
+//! [`PacketScratch`], not to the stream.
 //!
 //! This binary installs a counting global allocator, warms 64 streams on
 //! apartment traces and bounds the live heap they hold. It holds a single
@@ -142,8 +143,7 @@ fn warmed_stream_holds_only_packed_covariance_and_basis() {
 
     let n = cfg.smoothed_rows();
     let stored_bytes = 2 * std::mem::size_of::<f32>();
-    let complex_bytes = std::mem::size_of::<spotfi_math::c64>();
-    let bound = stored_bytes * n * (n + 1) / 2 + complex_bytes * n * cfg.music.max_paths + 1024;
+    let bound = stored_bytes * (n * (n + 1) / 2 + n * cfg.music.max_paths) + 1024;
     let per_stream = (after - before) as f64 / STREAMS as f64;
     println!("live heap per warmed stream: {per_stream:.0} B (bound {bound} B)");
     assert!(
