@@ -545,8 +545,7 @@ impl SpotFi {
     /// clustered and scored exactly like [`analyze_ap`](Self::analyze_ap).
     pub fn analyze_ap_streaming(&self, ap: &ApPackets) -> Result<ApAnalysis> {
         let mut scratch = PacketScratch::new(&self.config);
-        let per_packet = self.replay(ap, &mut StreamState::new(&self.config), &mut scratch);
-        self.assemble_ap(ap, per_packet)
+        self.analyze_stream(ap, &mut StreamState::new(&self.config), &mut scratch)
     }
 
     /// Full per-AP analysis (Algorithm 2 steps 2–10): per-packet estimation
@@ -554,39 +553,27 @@ impl SpotFi {
     /// selection. One AP's packets run serially, in capture order.
     pub fn analyze_ap(&self, ap: &ApPackets) -> Result<ApAnalysis> {
         let mut scratch = PacketScratch::new(&self.config);
-        let per_packet = self.replay(ap, &mut StreamState::exact(), &mut scratch);
-        self.assemble_ap(ap, per_packet)
+        self.analyze_stream(ap, &mut StreamState::exact(), &mut scratch)
     }
 
-    /// One AP's packets through `state`, reset first, in capture order;
-    /// per-packet results in that order.
-    fn replay(
+    /// The one per-AP path: replays the AP's packets through `state`, reset
+    /// first, serially in capture order, pooling each packet's estimates as
+    /// it finishes, then clusters them, selects the direct path and
+    /// averages RSSI.
+    fn analyze_stream(
         &self,
         ap: &ApPackets,
         state: &mut StreamState,
         scratch: &mut PacketScratch,
-    ) -> Vec<Result<Vec<PathEstimate>>> {
-        state.reset();
-        ap.packets
-            .iter()
-            .map(|p| self.analyze_packet_streaming_with(p, state, scratch))
-            .collect()
-    }
-
-    /// The serial tail of per-AP analysis: collect per-packet estimates
-    /// (in packet order), cluster, select the direct path, average RSSI.
-    fn assemble_ap(
-        &self,
-        ap: &ApPackets,
-        per_packet: Vec<Result<Vec<PathEstimate>>>,
     ) -> Result<ApAnalysis> {
         if ap.packets.is_empty() {
             return Err(SpotFiError::NoPackets);
         }
+        state.reset();
         let mut estimates = Vec::new();
         let mut dropped = 0usize;
-        for result in per_packet {
-            match result {
+        for packet in &ap.packets {
+            match self.analyze_packet_streaming_with(packet, state, scratch) {
                 Ok(mut peaks) => estimates.append(&mut peaks),
                 Err(_) => dropped += 1,
             }
@@ -654,37 +641,50 @@ impl SpotFi {
     }
 
     /// Every AP's fusion input: the direct paths of the APs that have one.
+    /// Each worker reduces its AP to that measurement as soon as the AP is
+    /// analyzed, so a request holds one AP's estimates per worker, never
+    /// every AP's at once. Fails like [`analyze_all`](Self::analyze_all)
+    /// when no AP's analysis succeeds.
     fn measure_all(&self, aps: &[ApPackets]) -> Result<Vec<ApMeasurement>> {
-        let analyses = self.analyze_all(aps)?;
-        Ok(analyses
-            .iter()
-            .filter_map(ApAnalysis::to_measurement)
-            .collect())
+        let per_ap = self.map_aps(aps, |analysis| analysis.ok().map(|a| a.to_measurement()));
+        if per_ap.iter().all(Option::is_none) {
+            return Err(SpotFiError::InsufficientAps { usable: 0 });
+        }
+        Ok(per_ap.into_iter().flatten().flatten().collect())
     }
 
     /// Runs per-AP analysis on every AP, keeping successes.
     ///
-    /// APs fan out over the thread budget, each worker replaying one AP's
+    /// APs fan out over the thread budget, each worker analyzing one AP's
     /// exact stream at a time on its own [`StreamState`] and
-    /// [`PacketScratch`]. The per-packet results come back in AP order and
-    /// are clustered afterwards, once the workers' scratch is freed, so
-    /// the output is identical at every thread count.
+    /// [`PacketScratch`]. The analyses come back in AP order, so the output
+    /// is identical at every thread count.
     pub fn analyze_all(&self, aps: &[ApPackets]) -> Result<Vec<ApAnalysis>> {
-        let per_ap = parallel_map_with(
-            aps.len(),
-            self.config.runtime.effective_threads(),
-            || (StreamState::exact(), PacketScratch::new(&self.config)),
-            |(state, scratch), i| self.replay(&aps[i], state, scratch),
-        );
-        let analyses: Vec<ApAnalysis> = aps
-            .iter()
-            .zip(per_ap)
-            .filter_map(|(ap, per_packet)| self.assemble_ap(ap, per_packet).ok())
+        let analyses: Vec<ApAnalysis> = self
+            .map_aps(aps, Result::ok)
+            .into_iter()
+            .flatten()
             .collect();
         if analyses.is_empty() {
             return Err(SpotFiError::InsufficientAps { usable: 0 });
         }
         Ok(analyses)
+    }
+
+    /// Analyzes every AP on an exact stream, fanned out over the thread
+    /// budget, and reduces each analysis with `reduce` on the worker that
+    /// made it; results in AP order.
+    fn map_aps<T: Send>(
+        &self,
+        aps: &[ApPackets],
+        reduce: impl Fn(Result<ApAnalysis>) -> T + Sync,
+    ) -> Vec<T> {
+        parallel_map_with(
+            aps.len(),
+            self.config.runtime.effective_threads(),
+            || (StreamState::exact(), PacketScratch::new(&self.config)),
+            |(state, scratch), i| reduce(self.analyze_stream(&aps[i], state, scratch)),
+        )
     }
 }
 
@@ -1177,7 +1177,7 @@ mod tests {
         // carried-over history to f32 (2⁻²⁴ relative) must not change what
         // a packet finds, and must move its paths far less than a grid
         // cell. Measured over the 114 paths of 8 links × 8 packets: max
-        // |ΔAoA| 1.2e-5°, max |ΔToF| 6.5e-6 ns. Storing bf16 instead (f32
+        // |ΔAoA| 1.86e-5°, max |ΔToF| 5.48e-6 ns. Storing bf16 instead (f32
         // cut to 8 mantissa bits) moves them by 2.0° and 0.18 ns.
         const AOA_BOUND_DEG: f64 = 1e-4;
         const TOF_BOUND_NS: f64 = 1e-4;
