@@ -116,8 +116,9 @@ impl ReceiverRegistry {
     /// timestamp (counting `ingest.rejected.non_finite_timestamp`): the
     /// fleet's stale-AP ageing and reorder window compare timestamps, and a
     /// NaN or infinite stamp would pin or evict a target's fusion window;
-    /// and for any NaN/±Inf calibrated CSI entry (counting
-    /// `ingest.rejected.non_finite_csi`) or a non-finite calibrated RSSI
+    /// for any NaN/±Inf calibrated CSI entry (counting
+    /// `ingest.rejected.non_finite_csi`), all-zero CSI (counting
+    /// `ingest.rejected.zero_csi`) or a non-finite calibrated RSSI
     /// (`ingest.rejected.non_finite_rssi`), which no covariance or Eq. 9
     /// RSSI weight can use and which would otherwise end as a stream error
     /// on a shard worker.
@@ -140,8 +141,19 @@ impl ReceiverRegistry {
             spotfi_obs::counter("ingest.rejected.non_finite_timestamp", 1);
             return None;
         }
-        if !packet.csi.as_slice().iter().all(|z| z.is_finite()) {
+        let (finite, zero) = packet
+            .csi
+            .as_slice()
+            .iter()
+            .fold((true, true), |(finite, zero), z| {
+                (finite && z.is_finite(), zero && *z == c64::ZERO)
+            });
+        if !finite {
             spotfi_obs::counter("ingest.rejected.non_finite_csi", 1);
+            return None;
+        }
+        if zero {
+            spotfi_obs::counter("ingest.rejected.zero_csi", 1);
             return None;
         }
         if !packet.rssi_dbm.is_finite() {
@@ -265,17 +277,9 @@ mod tests {
         assert!(reg.fleet_packet(7, 1, packet()).is_some());
     }
 
-    /// The recorder's on/off flag is process-wide: tests that switch it
-    /// and read counters hold this turn so they do not switch it under
-    /// each other.
-    fn recorder_turn() -> std::sync::MutexGuard<'static, ()> {
-        static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        TURN.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn registry_rejects_wrong_shaped_csi() {
-        let _turn = recorder_turn();
+        let _turn = crate::recorder_turn();
         let mut reg = ReceiverRegistry::new();
         reg.register(7, array(), ReceiverCalibration::default());
         spotfi_obs::set_enabled(true);
@@ -298,7 +302,7 @@ mod tests {
 
     #[test]
     fn registry_rejects_non_finite_csi_and_rssi() {
-        let _turn = recorder_turn();
+        let _turn = crate::recorder_turn();
         let mut reg = ReceiverRegistry::new();
         reg.register(7, array(), ReceiverCalibration::default());
         spotfi_obs::set_enabled(true);
@@ -344,6 +348,44 @@ mod tests {
         p.rssi_dbm = f64::MAX;
         assert!(reg.fleet_packet(8, 1, p).is_none());
         assert!(reg.fleet_packet(7, 1, packet()).is_some());
+    }
+
+    #[test]
+    fn registry_rejects_all_zero_csi() {
+        let _turn = crate::recorder_turn();
+        let mut reg = ReceiverRegistry::new();
+        reg.register(7, array(), ReceiverCalibration::default());
+        spotfi_obs::set_enabled(true);
+        let total = |name: &str| spotfi_obs::snapshot().counter_total(name);
+        let (zero_before, nan_before) = (
+            total("ingest.rejected.zero_csi"),
+            total("ingest.rejected.non_finite_csi"),
+        );
+        for zero in [c64::ZERO, c64::new(-0.0, 0.0), c64::new(0.0, -0.0)] {
+            let mut p = packet();
+            p.csi = CMat::from_fn(3, 30, |_, _| zero);
+            assert!(reg.fleet_packet(7, 1, p).is_none(), "CSI of {zero:?}");
+        }
+        // A NaN among zeros is counted once, as non-finite.
+        let mut p = packet();
+        p.csi = CMat::zeros(3, 30);
+        p.csi[(1, 4)] = c64::new(f64::NAN, 0.0);
+        assert!(reg.fleet_packet(7, 1, p).is_none());
+        let (zero_after, nan_after) = (
+            total("ingest.rejected.zero_csi"),
+            total("ingest.rejected.non_finite_csi"),
+        );
+        spotfi_obs::set_enabled(false);
+        assert!(
+            zero_after >= zero_before + 3,
+            "{zero_after} after {zero_before}"
+        );
+        assert!(nan_after > nan_before, "{nan_after} after {nan_before}");
+        // One nonzero entry is enough to pass.
+        let mut p = packet();
+        p.csi = CMat::zeros(3, 30);
+        p.csi[(2, 29)] = c64::new(0.0, 1e-300);
+        assert!(reg.fleet_packet(7, 1, p).is_some());
     }
 
     #[test]

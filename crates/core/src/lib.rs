@@ -89,3 +89,11 @@ pub use sanitize::{sanitize_csi, SanitizedCsi};
 pub use smoothing::{smoothed_csi, smoothed_csi_into};
 pub use steering::SteeringCache;
 pub use tracking::{Tracker, TrackerConfig, UpdateOutcome};
+
+/// The recorder's on/off flag is process-wide: tests that switch it and
+/// read counters hold this turn so they do not switch it under each other.
+#[cfg(test)]
+pub(crate) fn recorder_turn() -> std::sync::MutexGuard<'static, ()> {
+    static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    TURN.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -54,7 +54,7 @@
 
 use spotfi_channel::{AntennaArray, CsiPacket};
 use spotfi_math::stats::mean;
-use spotfi_math::{CMat, PackedHermitian, RitzWorkspace, StoredBasis, SubspaceTracker};
+use spotfi_math::{CMat, PackedHermitian, StoredBasis, SubspaceTracker};
 
 use crate::cluster::{cluster_estimates, Clustering};
 use crate::config::{SpotFiConfig, StreamConfig};
@@ -114,18 +114,17 @@ impl ApAnalysis {
 /// Reusable per-worker buffers for one packet's analysis chain: the MUSIC
 /// eigensolver/projector scratch, whose eigensolver matrix is the one
 /// `n × n` buffer a packet's covariance is built (or a stream's rolling
-/// covariance unpacked) into, the `f64` [`SubspaceTracker`] a packet's
-/// stream basis is widened into, refined and seeded in, and the tracker's
-/// per-step [`RitzWorkspace`]. Fully overwritten on every packet, so one
-/// scratch serves a worker — and every stream on it — for the lifetime of
-/// a run. The tracker and Ritz workspace are sized by the first packet
-/// that tracks, so a scratch that only ever runs the exact policy never
-/// allocates them.
+/// covariance unpacked) into, and the worker's one `f64`
+/// [`SubspaceTracker`], which a packet's stream basis is widened into,
+/// refined and seeded in, along with every per-step buffer of the refine.
+/// Fully overwritten on every packet, so one scratch serves a worker — and
+/// every stream on it — for the lifetime of a run. The tracker is sized by
+/// the first packet that tracks, so a scratch that only ever runs the
+/// exact policy never allocates it.
 #[derive(Clone, Debug)]
 pub struct PacketScratch {
     music: MusicScratch,
     tracker: SubspaceTracker,
-    ritz: RitzWorkspace,
 }
 
 impl PacketScratch {
@@ -134,7 +133,6 @@ impl PacketScratch {
         PacketScratch {
             music: MusicScratch::new(cfg),
             tracker: SubspaceTracker::new(),
-            ritz: RitzWorkspace::default(),
         }
     }
 }
@@ -157,30 +155,31 @@ impl PacketScratch {
 /// previous peak cells. Only the storage is single precision. Each packet
 /// widens the covariance into the worker's eigensolver matrix, updates it
 /// there in `f64` and rounds it back, so the packet itself reads it
-/// unrounded. A warm packet widens the basis into the worker's `f64`
-/// tracker, re-orthonormalizes it there (a basis that breaks down anchors
-/// the packet), refines it and stores the result rounded; an anchor stores
-/// its seed rounded. The tracker's per-step products live in the scratch's
-/// [`RitzWorkspace`]. The covariance is stored only when a later packet
-/// decays it (`forgetting > 0`) and the basis only when a later packet can
-/// refine it (`reanchor_period > 1`), so the exact streams the batch entry
-/// points run store neither.
+/// unrounded. A warm packet widens the basis into the worker's one `f64`
+/// tracker (in its [`PacketScratch`]), re-orthonormalizes it there (a
+/// basis that breaks down anchors the packet), refines it and stores the
+/// result rounded; an anchor stores its seed rounded. The covariance is
+/// stored only when a later packet decays it (`forgetting > 0`) and the
+/// basis only when a later packet can refine it (`reanchor_period > 1`),
+/// so the exact streams the batch entry points run store neither.
 ///
 /// One `StreamState` belongs to one packet stream; feeding it packets from
 /// different APs (or different targets) mixes unrelated covariances.
 /// State survives per-packet errors: a sanitize/smooth failure leaves the
-/// covariance and tracker untouched, an empty sweep forces an exact
-/// re-anchor on the next packet, and a covariance that cannot be stored (a
-/// NaN or an infinity, or an entry beyond `f32`'s range) drops the stream's
-/// state so the next packet starts afresh.
+/// covariance and basis untouched, a packet that fails after staging (an
+/// empty sweep, a signal-free covariance) clears the previous peak cells
+/// so the next packet anchors on the exact solver, and a covariance that
+/// cannot be stored (a NaN or an infinity, or an entry beyond `f32`'s
+/// range) drops the stream's state so the next packet starts afresh.
 #[derive(Clone, Debug)]
 pub struct StreamState {
     cov: PackedHermitian,
     basis: StoredBasis,
+    /// The last successful packet's fine-grid peak cells; empty before the
+    /// first one and after a failed packet, which anchors the next packet.
     last_peaks: Vec<(usize, usize)>,
     packets_since_anchor: usize,
     initialized: bool,
-    force_anchor: bool,
     /// Runs the exact policy (see `SpotFi::policy`) instead of the
     /// configured [`StreamConfig`].
     exact: bool,
@@ -204,7 +203,6 @@ impl StreamState {
             last_peaks: Vec::new(),
             packets_since_anchor: 0,
             initialized: false,
-            force_anchor: false,
             exact,
         }
     }
@@ -217,7 +215,6 @@ impl StreamState {
         self.last_peaks.clear();
         self.packets_since_anchor = 0;
         self.initialized = false;
-        self.force_anchor = false;
     }
 }
 
@@ -324,10 +321,7 @@ impl SpotFi {
             state.initialized = true;
         }
         let period = policy.reanchor_period.max(1);
-        Ok(first
-            || state.force_anchor
-            || state.packets_since_anchor + 1 >= period
-            || state.last_peaks.is_empty())
+        Ok(first || state.packets_since_anchor + 1 >= period || state.last_peaks.is_empty())
     }
 
     /// Exact tail: prepare the sweep from the eigendecomposition sitting in
@@ -354,11 +348,10 @@ impl SpotFi {
         state: &StreamState,
         tracker: &mut SubspaceTracker,
         music: &mut MusicScratch,
-        ritz: &mut RitzWorkspace,
     ) -> Option<Result<CoarseFinePaths>> {
         let prepared = {
             let _track = spotfi_obs::span("stage.track");
-            let drift = tracker.refine(music.eig.matrix(), ritz);
+            let drift = tracker.refine(music.eig.matrix());
             spotfi_obs::value("stream.drift", drift);
             // NaN checked explicitly so a poisoned drift metric also falls
             // back to the exact path.
@@ -368,8 +361,8 @@ impl SpotFi {
             prepare_from_basis(
                 &self.config,
                 &mut music.sweep,
-                ritz.values(),
-                ritz.vectors(),
+                tracker.values(),
+                tracker.vectors(),
             )
         };
         Some(prepared.and_then(|signal_dimension| {
@@ -430,11 +423,12 @@ impl SpotFi {
     /// [`crate::config::StreamConfig::reanchor_period`]-th packet, any
     /// packet where the tracker's residual drift exceeds
     /// [`crate::config::StreamConfig::drift_threshold`], and the packet
-    /// after any failure. A warm packet whose sweep fails (finds no path) is
-    /// retried on the exact path, so the warm tail never loses a packet the
-    /// exact path would keep. With `forgetting = 0` and `reanchor_period = 1`
-    /// every packet anchors on a fresh covariance: the exact policy the
-    /// batch entry points run, bit-identical to
+    /// after any packet that failed past staging (a failure clears the peak
+    /// cells a warm sweep starts from). A warm packet whose sweep fails
+    /// (finds no path) is retried on the exact path, so the warm tail never
+    /// loses a packet the exact path would keep. With `forgetting = 0` and
+    /// `reanchor_period = 1` every packet anchors on a fresh covariance:
+    /// the exact policy the batch entry points run, bit-identical to
     /// [`analyze_packet`](Self::analyze_packet). The default
     /// [`crate::config::StreamConfig`] instead trades that for a
     /// multiple-× steady-state speedup with tolerance-level accuracy
@@ -455,11 +449,7 @@ impl SpotFi {
         scratch: &mut PacketScratch,
     ) -> Result<Vec<PathEstimate>> {
         let _packet_span = spotfi_obs::span("stream.packet");
-        let PacketScratch {
-            music,
-            tracker,
-            ritz,
-        } = scratch;
+        let PacketScratch { music, tracker } = scratch;
         // A warm packet refines the stream's basis in the worker's f64
         // tracker; one that cannot be loaded leaves the stream unseeded.
         let anchor = self.stage(packet, state, music.eig.matrix_mut())? || {
@@ -469,7 +459,7 @@ impl SpotFi {
         let warm = if anchor {
             None
         } else {
-            self.warm_tail(state, tracker, music, ritz)
+            self.warm_tail(state, tracker, music)
         };
         self.finish(anchor, warm, state, tracker, music)
     }
@@ -479,7 +469,8 @@ impl SpotFi {
     /// otherwise the exact tail runs on the same covariance, still intact
     /// in the eigensolver matrix since the warm tail only reads it. Then
     /// the stream's bookkeeping: a tracking stream stores `tracker`'s
-    /// basis rounded, the refined one after a warm sweep, else the seed.
+    /// basis rounded, the refined one after a warm sweep, else the seed,
+    /// and a failed packet clears the peak cells so the next one anchors.
     fn finish(
         &self,
         anchor: bool,
@@ -527,12 +518,11 @@ impl SpotFi {
                 } else {
                     state.packets_since_anchor + 1
                 };
-                state.force_anchor = false;
                 state.last_peaks = swept.grid_peaks;
                 Ok(swept.paths)
             }
             Err(e) => {
-                state.force_anchor = true;
+                state.last_peaks.clear();
                 Err(e)
             }
         }
@@ -1065,12 +1055,8 @@ mod tests {
             if !anchor {
                 let mut retried = (state.clone(), scratch.clone());
                 let mut exact = (state.clone(), scratch.clone());
-                let PacketScratch {
-                    music,
-                    tracker,
-                    ritz,
-                } = &mut retried.1;
-                let warm = s.warm_tail(&retried.0, tracker, music, ritz);
+                let PacketScratch { music, tracker } = &mut retried.1;
+                let warm = s.warm_tail(&retried.0, tracker, music);
                 assert!(matches!(warm, Some(Ok(_))), "packet {i} failed unforced");
                 let forced_paths = s
                     .finish(
@@ -1081,7 +1067,7 @@ mod tests {
                         music,
                     )
                     .unwrap();
-                let PacketScratch { music, tracker, .. } = &mut exact.1;
+                let PacketScratch { music, tracker } = &mut exact.1;
                 let exact_paths = s.finish(true, None, &mut exact.0, tracker, music).unwrap();
                 assert_eq!(
                     path_bits(&forced_paths),
@@ -1099,13 +1085,9 @@ mod tests {
                 }
                 forced += 1;
             }
-            let PacketScratch {
-                music,
-                tracker,
-                ritz,
-            } = &mut scratch;
+            let PacketScratch { music, tracker } = &mut scratch;
             let warm = (!anchor)
-                .then(|| s.warm_tail(&state, tracker, music, ritz))
+                .then(|| s.warm_tail(&state, tracker, music))
                 .flatten();
             s.finish(anchor, warm, &mut state, tracker, music).unwrap();
         }
@@ -1149,11 +1131,7 @@ mod tests {
         } else {
             wide.decay_accumulate_hermitian(s.config.stream.forgetting, |add| x.feed(add));
         }
-        let PacketScratch {
-            music,
-            tracker,
-            ritz,
-        } = scratch;
+        let PacketScratch { music, tracker } = scratch;
         music
             .eig
             .matrix_mut()
@@ -1164,7 +1142,7 @@ mod tests {
             None => (staged || !tracker.load_rounded(&state.basis), tracker),
         };
         let warm = (!anchor)
-            .then(|| s.warm_tail(state, tracker, music, ritz))
+            .then(|| s.warm_tail(state, tracker, music))
             .flatten();
         s.finish(anchor, warm, state, tracker, music)
     }
@@ -1364,5 +1342,57 @@ mod tests {
             }
         }
         assert!(warm >= 4, "only {warm} warm packets");
+    }
+
+    #[test]
+    fn a_failed_packet_makes_the_next_packet_anchor() {
+        // Fail a warm stream's staged packet in its exact tail (a zeroed
+        // covariance has no signal): the stream must keep the covariance
+        // the packet staged, and its next packet must anchor on the exact
+        // solver instead of refining from the failed packet's seed.
+        let plan = Floorplan::empty();
+        let array = ap_array(0.0, 0.0, Point::new(5.0, 5.0));
+        let target = Point::new(4.0, 6.0);
+        let ap = gen_packets(&plan, target, array, &TraceConfig::commodity(), 5, 64);
+        let s = spotfi();
+        let mut state = StreamState::new(s.config());
+        let mut scratch = PacketScratch::new(s.config());
+        for packet in &ap.packets[..3] {
+            s.analyze_packet_streaming_with(packet, &mut state, &mut scratch)
+                .unwrap();
+        }
+        assert!(state.packets_since_anchor > 0, "the stream is not warm");
+        let anchor = s
+            .stage(&ap.packets[3], &mut state, scratch.music.eig.matrix_mut())
+            .unwrap();
+        assert!(!anchor, "the staged packet is not warm");
+        let unpacked = |state: &StreamState| {
+            let mut dense = CMat::default();
+            state.cov.unpack_into(&mut dense);
+            dense
+        };
+        let staged = unpacked(&state);
+        scratch
+            .music
+            .eig
+            .matrix_mut()
+            .as_mut_slice()
+            .fill(c64::ZERO);
+        let PacketScratch { music, tracker } = &mut scratch;
+        let failed = s.finish(true, None, &mut state, tracker, music);
+        assert_eq!(failed.unwrap_err(), SpotFiError::DegenerateCsi);
+        assert_eq!(unpacked(&state), staged, "the failure moved the covariance");
+        assert!(state.packets_since_anchor + 1 < s.config().stream.reanchor_period);
+
+        let _turn = crate::recorder_turn();
+        spotfi_obs::set_enabled(true);
+        let total = |name: &str| spotfi_obs::snapshot().counter_total(name);
+        let before = total("stream.anchor");
+        s.analyze_packet_streaming_with(&ap.packets[4], &mut state, &mut scratch)
+            .unwrap();
+        let after = total("stream.anchor");
+        spotfi_obs::set_enabled(false);
+        assert!(after > before, "the next packet did not count as an anchor");
+        assert_eq!(state.packets_since_anchor, 0);
     }
 }

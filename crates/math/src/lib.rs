@@ -53,4 +53,4 @@ pub use eigen_tridiag::{
     BATCH_LANES,
 };
 pub use matrix::{CMat, PackedHermitian};
-pub use subspace::{RitzWorkspace, StoredBasis, SubspaceTracker};
+pub use subspace::{StoredBasis, SubspaceTracker};

@@ -21,17 +21,17 @@
 //!    as `√(‖Y‖² − ‖B‖²)/‖Y‖` with no extra product. A converged subspace
 //!    gives ≈ 0; a target that moved gives a large value, and the caller
 //!    falls back to the exact solver.
-//! 4. `B = W·Λ·Wᴴ` — tiny k×k eigensolve in the workspace's own
+//! 4. `B = W·Λ·Wᴴ` — tiny k×k eigensolve in the tracker's own
 //!    [`TridiagWorkspace`], where step 2 built `B`; `Λ` descending.
 //! 5. Ritz pairs `(Λ, V = E·W)` become this step's eigen-estimate — `V`
 //!    is exactly orthonormal because `E` is and `W` is unitary.
 //! 6. `E ← orth(Y·W)` — the power step (re-orthonormalized by modified
 //!    Gram–Schmidt) primes the basis for the next packet.
 //!
-//! Only `E` persists between steps ([`SubspaceTracker`]); `Y`, `B` and the
-//! Ritz pairs are per-step products held in a caller-owned
-//! [`RitzWorkspace`]. A caller that keeps many bases at rest stores each as
-//! a [`StoredBasis`] of `f32` pairs and runs one `f64` tracker per worker:
+//! Only `E` carries from one step to the next; `Y`, `B` and the Ritz pairs
+//! are per-step products in the tracker's own buffers. A caller that keeps
+//! many bases at rest stores each as a [`StoredBasis`] of `f32` pairs and
+//! runs one `f64` tracker per worker:
 //! [`load_rounded`](SubspaceTracker::load_rounded) widens a stored basis
 //! and re-orthonormalizes it before a step,
 //! [`store_rounded`](SubspaceTracker::store_rounded) rounds it back after.
@@ -49,15 +49,16 @@ const ORTH_BREAKDOWN_REL: f64 = 1e-12;
 
 /// Tracks the dominant eigenspace of a slowly varying Hermitian matrix.
 ///
-/// The tracker holds only the persistent state one step hands the next:
-/// the orthonormal n×k basis. Everything a step computes along the way —
-/// `R·E`, the Rayleigh quotient, the Ritz pairs — lives in a
-/// [`RitzWorkspace`] the caller passes to [`refine`](Self::refine), so a
-/// server tracking thousands of streams keeps one workspace per worker,
-/// not one per stream.
+/// The tracker holds the orthonormal n×k basis one step hands the next,
+/// and every buffer a step computes along the way: `R·E`, the Rayleigh
+/// quotient, this step's Ritz pairs ([`values`](Self::values),
+/// [`vectors`](Self::vectors)). A server tracking thousands of streams
+/// keeps one tracker per worker and each stream's basis at rest as a
+/// [`StoredBasis`]. Every buffer is sized by its first use, so a tracker
+/// that never tracks holds no heap.
 ///
 /// ```
-/// use spotfi_math::{c64, hermitian_eigen_partial, CMat, RitzWorkspace, SubspaceTracker};
+/// use spotfi_math::{c64, hermitian_eigen_partial, CMat, SubspaceTracker};
 ///
 /// // A fixed covariance: tracking it is power iteration from the exact
 /// // answer, so drift is ~0 and the Ritz values match the spectrum. Two
@@ -69,24 +70,15 @@ const ORTH_BREAKDOWN_REL: f64 = 1e-12;
 /// let eig = hermitian_eigen_partial(&r, 2);
 ///
 /// let mut t = SubspaceTracker::new();
-/// let mut ws = RitzWorkspace::default();
 /// t.seed(&eig.vectors, 2);
-/// let drift = t.refine(&r, &mut ws);
+/// let drift = t.refine(&r);
 /// assert!(drift < 1e-8);
-/// assert!((ws.values()[0] - eig.values[0]).abs() < 1e-8 * eig.values[0]);
+/// assert!((t.values()[0] - eig.values[0]).abs() < 1e-8 * eig.values[0]);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SubspaceTracker {
     /// Orthonormal n×k basis primed for the *next* refine (post power step).
     basis: CMat,
-}
-
-/// Per-step buffers and outputs of [`SubspaceTracker::refine`]: this
-/// step's Ritz pairs plus the products that produce them. Carries nothing
-/// from one step to the next, so one workspace serves any number of
-/// trackers. Sized lazily by the first refine; empty until then.
-#[derive(Clone, Debug, Default)]
-pub struct RitzWorkspace {
     /// This step's Ritz vectors (n×k, orthonormal, by descending value).
     ritz_vectors: CMat,
     /// The k×k eigensolve's buffers: the Rayleigh quotient is built in
@@ -112,7 +104,7 @@ pub struct RitzWorkspace {
 /// basis back, by at most 2⁻²⁴ relative per component.
 ///
 /// ```
-/// use spotfi_math::{c64, hermitian_eigen_partial, CMat, RitzWorkspace, StoredBasis, SubspaceTracker};
+/// use spotfi_math::{c64, hermitian_eigen_partial, CMat, StoredBasis, SubspaceTracker};
 ///
 /// let x = CMat::from_fn(6, 10, |r, c| {
 ///     c64::cis(r as f64 * 0.7 + c as f64 * 0.3) + c64::cis(r as f64 * 1.9 + c as f64 * 1.2) * 0.5
@@ -127,7 +119,7 @@ pub struct RitzWorkspace {
 /// t.store_rounded(&mut stored);
 /// let mut worker = SubspaceTracker::new();
 /// assert!(worker.load_rounded(&stored));
-/// assert!(worker.refine(&r, &mut RitzWorkspace::default()) < 1e-6);
+/// assert!(worker.refine(&r) < 1e-6);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct StoredBasis {
@@ -146,19 +138,6 @@ impl StoredBasis {
     /// Drops the stored basis and its allocation.
     pub fn clear(&mut self) {
         *self = StoredBasis::default();
-    }
-}
-
-impl RitzWorkspace {
-    /// The last successful refine's Ritz values (descending).
-    pub fn values(&self) -> &[f64] {
-        self.eig.values()
-    }
-
-    /// The last successful refine's Ritz vectors (n×k, orthonormal
-    /// columns, ordered by descending value).
-    pub fn vectors(&self) -> &CMat {
-        &self.ritz_vectors
     }
 }
 
@@ -229,22 +208,32 @@ impl SubspaceTracker {
         true
     }
 
+    /// The last successful refine's Ritz values (descending).
+    pub fn values(&self) -> &[f64] {
+        self.eig.values()
+    }
+
+    /// The last successful refine's Ritz vectors (n×k, orthonormal
+    /// columns, ordered by descending value).
+    pub fn vectors(&self) -> &CMat {
+        &self.ritz_vectors
+    }
+
     /// One tracking step against the Hermitian matrix `r`. Writes this
-    /// step's Ritz pairs to `ws` ([`RitzWorkspace::values`] /
-    /// [`RitzWorkspace::vectors`]), primes the basis for the next step,
+    /// step's Ritz pairs ([`values`](Self::values) /
+    /// [`vectors`](Self::vectors)), primes the basis for the next step,
     /// and returns the relative subspace drift (see module docs).
     ///
     /// Returns `f64::INFINITY` when the tracker is unseeded, the input is
     /// degenerate, or orthonormalization breaks down (a rank-deficient
-    /// update). On every infinite return the persistent basis is left
-    /// exactly as it was, so a later refine starts from the last good
-    /// basis; the workspace's contents are unspecified. Callers must
-    /// treat a drift above their threshold as "re-anchor with the exact
-    /// solver" and not read `ws`.
+    /// update). On every infinite return the basis is left exactly as it
+    /// was, so a later refine starts from the last good basis; the Ritz
+    /// pairs are unspecified. Callers must treat a drift above their
+    /// threshold as "re-anchor with the exact solver" and not read them.
     ///
     /// # Panics
     /// Panics if `r` is not square or its size disagrees with the seed.
-    pub fn refine(&mut self, r: &CMat, ws: &mut RitzWorkspace) -> f64 {
+    pub fn refine(&mut self, r: &CMat) -> f64 {
         if !self.is_seeded() {
             return f64::INFINITY;
         }
@@ -253,13 +242,13 @@ impl SubspaceTracker {
         assert_eq!(r.shape(), (n, n), "covariance shape disagrees with seed");
 
         // 1. Y = R·E.
-        mul_into(r, &self.basis, &mut ws.y);
+        mul_into(r, &self.basis, &mut self.y);
 
         // 2. B = Eᴴ·Y (k×k), built in the eigensolver's own matrix.
-        let quotient = ws.eig.matrix_mut();
+        let quotient = self.eig.matrix_mut();
         quotient.reset_zeros(k, k);
         for j in 0..k {
-            let ycol = ws.y.col(j);
+            let ycol = self.y.col(j);
             for i in 0..k {
                 let ecol = self.basis.col(i);
                 let mut acc = c64::ZERO;
@@ -272,7 +261,7 @@ impl SubspaceTracker {
 
         // 3. Relative drift from the norm identity ‖Y − E·B‖² = ‖Y‖² − ‖B‖²
         //    (exact because Eᴴ(Y − E·B) = 0 for orthonormal E).
-        let y_sq: f64 = ws.y.as_slice().iter().map(|z| z.norm_sqr()).sum();
+        let y_sq: f64 = self.y.as_slice().iter().map(|z| z.norm_sqr()).sum();
         let b_sq: f64 = quotient.as_slice().iter().map(|z| z.norm_sqr()).sum();
         if !y_sq.is_finite() || y_sq <= 0.0 {
             return f64::INFINITY;
@@ -280,24 +269,22 @@ impl SubspaceTracker {
         let drift = ((y_sq - b_sq).max(0.0) / y_sq).sqrt();
 
         // 4. Tiny k×k eigensolve of the Rayleigh quotient, in place.
-        hermitian_eigen_partial_in_place(k, &mut ws.eig);
+        hermitian_eigen_partial_in_place(k, &mut self.eig);
 
         // 5. Ritz vectors V = E·W become this step's estimate.
-        mul_into(&self.basis, ws.eig.vectors(), &mut ws.stage);
-        std::mem::swap(&mut ws.ritz_vectors, &mut ws.stage);
+        mul_into(&self.basis, self.eig.vectors(), &mut self.stage);
+        std::mem::swap(&mut self.ritz_vectors, &mut self.stage);
 
         // 6. Power step: E ← orth(Y·W). Reuses the Ritz rotation so the
         //    columns arrive roughly sorted by eigenvalue, which keeps
         //    Gram–Schmidt well conditioned.
-        mul_into(&ws.y, ws.eig.vectors(), &mut ws.stage);
-        if !orthonormalize_columns(&mut ws.stage) {
+        mul_into(&self.y, self.eig.vectors(), &mut self.stage);
+        if !orthonormalize_columns(&mut self.stage) {
             // Breakdown (rank-deficient update): keep the previous basis and
             // force the caller to re-anchor.
             return f64::INFINITY;
         }
-        // Copy rather than swap, so the basis keeps its own exactly sized
-        // allocation instead of adopting the workspace's.
-        self.basis.assign_leading_cols(&ws.stage, k);
+        std::mem::swap(&mut self.basis, &mut self.stage);
 
         drift
     }
@@ -388,6 +375,10 @@ mod tests {
             .collect()
     }
 
+    fn vbits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     /// A multipath-style covariance: six rank-1 "paths" with distinct
     /// spatial rates and graded amplitudes, so the top-4 subspace is well
     /// defined with real eigenvalue gaps. `phase` rotates the paths'
@@ -415,13 +406,12 @@ mod tests {
     fn static_matrix_tracks_exact_spectrum() {
         let r = covariance(0.0);
         let mut t = seeded(&r, 4);
-        let mut ws = RitzWorkspace::default();
         for _ in 0..5 {
-            let drift = t.refine(&r, &mut ws);
+            let drift = t.refine(&r);
             assert!(drift < 1e-9, "static matrix must not drift: {}", drift);
         }
         let eig = hermitian_eigen(&r);
-        for (got, want) in ws.values().iter().zip(top_k(&eig.values, 4)) {
+        for (got, want) in t.values().iter().zip(top_k(&eig.values, 4)) {
             assert!(
                 (got - want).abs() < 1e-8 * want.abs().max(1.0),
                 "Ritz value {} vs exact {}",
@@ -436,11 +426,10 @@ mod tests {
         // Seeded from another covariance's eigenbasis, the Rayleigh
         // quotient is far from diagonal, so the k×k solve does real work.
         let mut t = seeded(&covariance(0.0), 4);
-        let mut ws = RitzWorkspace::default();
         let r = covariance(0.3);
         // Eᴴ·R·E from the basis the refine starts from.
         let quotient = t.basis.hermitian().mul(&r).mul(&t.basis);
-        t.refine(&r, &mut ws);
+        t.refine(&r);
         let off_diagonal = (0..4)
             .flat_map(|i| (0..i).map(move |j| (i, j)))
             .map(|(i, j)| quotient[(i, j)].abs())
@@ -451,8 +440,8 @@ mod tests {
             off_diagonal
         );
         let oracle = hermitian_eigen(&quotient);
-        assert_eq!(ws.values().len(), oracle.values.len());
-        for (got, want) in ws.values().iter().zip(&oracle.values) {
+        assert_eq!(t.values().len(), oracle.values.len());
+        for (got, want) in t.values().iter().zip(&oracle.values) {
             assert!(
                 (got - want).abs() <= 1e-12 * want.abs(),
                 "Ritz value {} vs oracle {}",
@@ -464,19 +453,15 @@ mod tests {
 
     /// The Ritz step as it was before the quotient moved into the
     /// eigensolver's matrix: `B` in a buffer of its own, then the copying
-    /// solve. Kept as the oracle for `refine`'s bits.
-    fn refine_two_buffer(
-        t: &mut SubspaceTracker,
-        r: &CMat,
-        ws: &mut RitzWorkspace,
-        quotient: &mut CMat,
-    ) -> f64 {
+    /// solve, and the power step copied into the basis rather than
+    /// swapped. Kept as the oracle for `refine`'s bits.
+    fn refine_two_buffer(t: &mut SubspaceTracker, r: &CMat, quotient: &mut CMat) -> f64 {
         use crate::eigen_tridiag::hermitian_eigen_partial_into;
         let (n, k) = t.basis.shape();
-        mul_into(r, &t.basis, &mut ws.y);
+        mul_into(r, &t.basis, &mut t.y);
         quotient.reset_zeros(k, k);
         for j in 0..k {
-            let ycol = ws.y.col(j);
+            let ycol = t.y.col(j);
             for i in 0..k {
                 let ecol = t.basis.col(i);
                 let mut acc = c64::ZERO;
@@ -486,20 +471,20 @@ mod tests {
                 quotient[(i, j)] = acc;
             }
         }
-        let y_sq: f64 = ws.y.as_slice().iter().map(|z| z.norm_sqr()).sum();
+        let y_sq: f64 = t.y.as_slice().iter().map(|z| z.norm_sqr()).sum();
         let b_sq: f64 = quotient.as_slice().iter().map(|z| z.norm_sqr()).sum();
         if !y_sq.is_finite() || y_sq <= 0.0 {
             return f64::INFINITY;
         }
         let drift = ((y_sq - b_sq).max(0.0) / y_sq).sqrt();
-        hermitian_eigen_partial_into(quotient, k, &mut ws.eig);
-        mul_into(&t.basis, ws.eig.vectors(), &mut ws.stage);
-        std::mem::swap(&mut ws.ritz_vectors, &mut ws.stage);
-        mul_into(&ws.y, ws.eig.vectors(), &mut ws.stage);
-        if !orthonormalize_columns(&mut ws.stage) {
+        hermitian_eigen_partial_into(quotient, k, &mut t.eig);
+        mul_into(&t.basis, t.eig.vectors(), &mut t.stage);
+        std::mem::swap(&mut t.ritz_vectors, &mut t.stage);
+        mul_into(&t.y, t.eig.vectors(), &mut t.stage);
+        if !orthonormalize_columns(&mut t.stage) {
             return f64::INFINITY;
         }
-        t.basis.assign_leading_cols(&ws.stage, k);
+        t.basis.assign_leading_cols(&t.stage, k);
         drift
     }
 
@@ -516,18 +501,16 @@ mod tests {
         };
         let mut t = seeded(&covariance(0.0), 4);
         let mut old = t.clone();
-        let (mut ws, mut old_ws) = (RitzWorkspace::default(), RitzWorkspace::default());
         let mut quotient = CMat::default();
         let mut phase = 0.0;
         for step in 0..40 {
             phase += if step % 10 == 9 { 0.5 } else { 0.01 } * next();
             let r = covariance(phase);
-            let drift = t.refine(&r, &mut ws);
-            let want = refine_two_buffer(&mut old, &r, &mut old_ws, &mut quotient);
+            let drift = t.refine(&r);
+            let want = refine_two_buffer(&mut old, &r, &mut quotient);
             assert_eq!(drift.to_bits(), want.to_bits(), "drift at step {step}");
-            let vbits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(vbits(ws.values()), vbits(old_ws.values()), "step {step}");
-            assert_eq!(bits(ws.vectors()), bits(old_ws.vectors()), "step {step}");
+            assert_eq!(vbits(t.values()), vbits(old.values()), "step {step}");
+            assert_eq!(bits(t.vectors()), bits(old.vectors()), "step {step}");
             assert_eq!(bits(&t.basis), bits(&old.basis), "step {step}");
         }
     }
@@ -535,10 +518,9 @@ mod tests {
     #[test]
     fn ritz_vectors_stay_orthonormal() {
         let mut t = seeded(&covariance(0.3), 5);
-        let mut ws = RitzWorkspace::default();
         for step in 0..4 {
-            t.refine(&covariance(0.3 + 0.01 * step as f64), &mut ws);
-            let v = ws.vectors();
+            t.refine(&covariance(0.3 + 0.01 * step as f64));
+            let v = t.vectors();
             for i in 0..5 {
                 for j in 0..5 {
                     let mut dot = c64::ZERO;
@@ -561,13 +543,12 @@ mod tests {
     #[test]
     fn slow_drift_stays_below_threshold_and_tracks_values() {
         let mut t = seeded(&covariance(0.0), 4);
-        let mut ws = RitzWorkspace::default();
         for step in 1..=8 {
             let r = covariance(0.002 * step as f64);
-            let drift = t.refine(&r, &mut ws);
+            let drift = t.refine(&r);
             assert!(drift < 0.1, "slow drift tripped the threshold: {}", drift);
             let oracle = hermitian_eigen(&r);
-            let rel = (ws.values()[0] - oracle.values[0]).abs() / oracle.values[0];
+            let rel = (t.values()[0] - oracle.values[0]).abs() / oracle.values[0];
             assert!(rel < 1e-2, "top Ritz value off by {:.2e}", rel);
         }
     }
@@ -575,10 +556,9 @@ mod tests {
     #[test]
     fn large_jump_reports_large_drift() {
         let mut t = seeded(&covariance(0.0), 4);
-        let mut ws = RitzWorkspace::default();
         // A completely different channel: most of R·E leaves the old span.
         let jumped = covariance(1.4);
-        let drift = t.refine(&jumped, &mut ws);
+        let drift = t.refine(&jumped);
         assert!(
             drift > 0.1,
             "jump must trip the fallback threshold: {}",
@@ -588,16 +568,15 @@ mod tests {
 
     #[test]
     fn unseeded_and_degenerate_inputs_force_fallback() {
-        let mut ws = RitzWorkspace::default();
         let mut t = SubspaceTracker::new();
         assert!(!t.is_seeded());
-        assert_eq!(t.refine(&covariance(0.0), &mut ws), f64::INFINITY);
+        assert_eq!(t.refine(&covariance(0.0)), f64::INFINITY);
 
         let mut t = seeded(&covariance(0.0), 3);
         assert!(t.is_seeded());
         let before = bits(&t.basis);
         let zero = CMat::zeros(12, 12);
-        assert_eq!(t.refine(&zero, &mut ws), f64::INFINITY);
+        assert_eq!(t.refine(&zero), f64::INFINITY);
         assert_eq!(bits(&t.basis), before, "degenerate input moved the basis");
 
         t.reset();
@@ -608,52 +587,69 @@ mod tests {
     fn breakdown_leaves_the_basis_bit_unchanged_and_recovers() {
         // A rank-1 covariance against a 3-column basis: Y = R·E has rank 1,
         // so Gram–Schmidt of Y·W breaks down on its second column — after
-        // the workspace's Ritz pairs were already overwritten.
+        // the tracker's Ritz pairs were already overwritten.
         let r = covariance(0.0);
         let mut t = seeded(&r, 3);
-        let mut ws = RitzWorkspace::default();
         let before = bits(&t.basis);
         let rank1 = CMat::from_fn(12, 1, |i, _| c64::cis(i as f64 * 0.8)).mul_hermitian_self();
-        assert_eq!(t.refine(&rank1, &mut ws), f64::INFINITY);
-        assert_eq!(ws.values().len(), 3, "the breakdown must come after step 5");
+        assert_eq!(t.refine(&rank1), f64::INFINITY);
+        assert_eq!(t.values().len(), 3, "the breakdown must come after step 5");
         assert_eq!(bits(&t.basis), before, "breakdown moved the basis");
 
         // The next refine starts from the untouched basis and behaves
         // exactly like a tracker that never saw the rank-deficient input.
         let mut fresh = seeded(&r, 3);
-        let mut fresh_ws = RitzWorkspace::default();
-        let drift = t.refine(&r, &mut ws);
+        let drift = t.refine(&r);
         assert!(drift < 1e-9, "post-breakdown refine drifted: {}", drift);
-        assert_eq!(drift.to_bits(), fresh.refine(&r, &mut fresh_ws).to_bits());
-        assert_eq!(bits(ws.vectors()), bits(fresh_ws.vectors()));
+        assert_eq!(drift.to_bits(), fresh.refine(&r).to_bits());
+        assert_eq!(bits(t.vectors()), bits(fresh.vectors()));
         assert_eq!(bits(&t.basis), bits(&fresh.basis));
     }
 
     #[test]
-    fn one_workspace_serves_many_trackers() {
-        // Interleaving two trackers through one workspace gives each the
-        // bits it gets with a private workspace: nothing carries over.
-        let mut shared = RitzWorkspace::default();
-        let mut a = seeded(&covariance(0.0), 4);
-        let mut b = seeded(&covariance(0.7), 2);
-        let (mut a_ref, mut b_ref) = (a.clone(), b.clone());
-        let (mut a_ws, mut b_ws) = (RitzWorkspace::default(), RitzWorkspace::default());
+    fn one_tracker_interleaved_over_stored_bases_matches_fresh_trackers() {
+        // One tracker loading, refining and storing two bases of different
+        // ranks in turn gives each the bits a fresh tracker gets from the
+        // same stored basis: nothing carries over from one basis to the next.
+        let mut stored = [StoredBasis::default(), StoredBasis::default()];
+        seeded(&covariance(0.0), 4).store_rounded(&mut stored[0]);
+        seeded(&covariance(0.7), 2).store_rounded(&mut stored[1]);
+        let mut want = stored.clone();
+        let mut shared = SubspaceTracker::new();
+        let stored_bits = |s: &StoredBasis| {
+            s.data
+                .iter()
+                .map(|&[re, im]| (re.to_bits(), im.to_bits()))
+                .collect::<Vec<_>>()
+        };
         for step in 1..=4 {
-            let ra = covariance(0.003 * step as f64);
-            let rb = covariance(0.7 - 0.003 * step as f64);
-            let da = a.refine(&ra, &mut shared);
-            assert_eq!(da.to_bits(), a_ref.refine(&ra, &mut a_ws).to_bits());
-            assert_eq!(bits(shared.vectors()), bits(a_ws.vectors()));
-            let db = b.refine(&rb, &mut shared);
-            assert_eq!(db.to_bits(), b_ref.refine(&rb, &mut b_ws).to_bits());
-            assert_eq!(shared.values(), b_ws.values());
+            let phase = 0.003 * step as f64;
+            for (which, r) in [covariance(phase), covariance(0.7 - phase)]
+                .iter()
+                .enumerate()
+            {
+                let mut fresh = SubspaceTracker::new();
+                assert!(fresh.load_rounded(&want[which]));
+                let drift = fresh.refine(r);
+                fresh.store_rounded(&mut want[which]);
+
+                assert!(shared.load_rounded(&stored[which]));
+                let ctx = format!("basis {which} step {step}");
+                assert_eq!(shared.refine(r).to_bits(), drift.to_bits(), "{ctx}");
+                assert_eq!(vbits(shared.values()), vbits(fresh.values()), "{ctx}");
+                assert_eq!(bits(shared.vectors()), bits(fresh.vectors()), "{ctx}");
+                shared.store_rounded(&mut stored[which]);
+                assert_eq!(
+                    stored_bits(&stored[which]),
+                    stored_bits(&want[which]),
+                    "{ctx}"
+                );
+            }
         }
-        assert_eq!(bits(&a.basis), bits(&a_ref.basis));
-        assert_eq!(bits(&b.basis), bits(&b_ref.basis));
     }
 
     #[test]
-    fn reseeding_and_refining_keep_the_basis_allocation() {
+    fn reseeding_and_refining_reuse_the_buffers() {
         let r = covariance(0.0);
         let eig = hermitian_eigen(&r);
         let mut t = SubspaceTracker::new();
@@ -667,9 +663,21 @@ mod tests {
         t.seed(&vecs, 3);
         assert_eq!(buffer(&t), before, "re-seed reallocated the basis");
         assert_eq!(t.basis, vecs);
-        let mut ws = RitzWorkspace::default();
-        t.refine(&covariance(0.2), &mut ws);
-        assert_eq!(buffer(&t), before, "refine swapped in another buffer");
+        // The first refine sizes the per-step buffers; later refines at the
+        // same shape only trade the n×k buffers among basis, Ritz vectors
+        // and staging, allocating none.
+        t.refine(&covariance(0.2));
+        let buffers = |t: &SubspaceTracker| {
+            let mut all = [&t.basis, &t.ritz_vectors, &t.stage, &t.y]
+                .map(|m| (m.as_slice().as_ptr(), m.capacity()));
+            all.sort();
+            all
+        };
+        let sized = buffers(&t);
+        for step in 1..=3 {
+            t.refine(&covariance(0.2 + 0.001 * step as f64));
+            assert_eq!(buffers(&t), sized, "refine {step} reallocated a buffer");
+        }
     }
 
     #[test]
@@ -681,9 +689,8 @@ mod tests {
         let r1 = covariance(0.05);
         let vecs = exact_seed(&r0, 4);
         let mut t = SubspaceTracker::new();
-        let mut ws = RitzWorkspace::default();
         t.seed(&vecs, 4);
-        t.refine(&r1, &mut ws);
+        t.refine(&r1);
         let captured = |basis: &CMat| -> f64 {
             let mut total = 0.0;
             for j in 0..basis.cols() {
@@ -691,7 +698,7 @@ mod tests {
             }
             total
         };
-        let tracked = captured(ws.vectors());
+        let tracked = captured(t.vectors());
         let stale = captured(&vecs);
         assert!(
             tracked >= stale - 1e-9,
@@ -706,7 +713,7 @@ mod tests {
         // Round trip through f32 storage: each entry within f32 rounding
         // of the original, and re-orthonormalized to f64 precision.
         let mut t = seeded(&covariance(0.0), 4);
-        t.refine(&covariance(0.01), &mut RitzWorkspace::default());
+        t.refine(&covariance(0.01));
         let mut stored = StoredBasis::default();
         t.store_rounded(&mut stored);
         assert_eq!(
@@ -741,10 +748,7 @@ mod tests {
         stored.data.copy_within(0..12, 12);
         stored.data[5][0] = 0.5;
         assert!(!t.load_rounded(&stored));
-        assert_eq!(
-            t.refine(&covariance(0.0), &mut RitzWorkspace::default()),
-            f64::INFINITY
-        );
+        assert_eq!(t.refine(&covariance(0.0)), f64::INFINITY);
         stored.clear();
         assert!(stored.is_empty());
     }
