@@ -21,7 +21,8 @@
 //! *stage* (sanitize → smoothed covariance, plus the anchor decision),
 //! then the *exact tail* (exact eigendecomposition → coarse-to-fine sweep)
 //! or the *warm tail* (tracked subspace → warm-started sweep). Both tails
-//! hand their signal basis to one preparer, `music::prepare_from_basis`.
+//! hand their signal basis's eigenvalues to one preparer,
+//! `music::prepare_from_basis`, and its vectors to the sweep.
 //!
 //! A stream amortizes across the heavily correlated packets of one
 //! (target, AP) pair: a rolling exponentially-forgotten covariance, an
@@ -46,8 +47,8 @@
 //! pure and results come back in AP order, so they are bit-identical for
 //! every thread count; `threads = 1` runs the plain serial path. Each
 //! worker owns one [`StreamState`] and one [`PacketScratch`], so
-//! per-packet buffers (eigensolver workspace, packed projector blocks) are
-//! allocated once per worker, not once per packet. The smoothed matrix `X`
+//! per-packet buffers (eigensolver workspace, τ-forms memo) are allocated
+//! once per worker, not once per packet. The smoothed matrix `X`
 //! is never stored: its columns are gathered from the sanitized CSI one at
 //! a time and accumulated into `X·Xᴴ` directly in the eigensolver's
 //! matrix, which the solve then decomposes in place.
@@ -112,7 +113,7 @@ impl ApAnalysis {
 }
 
 /// Reusable per-worker buffers for one packet's analysis chain: the MUSIC
-/// eigensolver/projector scratch, whose eigensolver matrix is the one
+/// eigensolver and sweep scratch, whose eigensolver matrix is the one
 /// `n × n` buffer a packet's covariance is built (or a stream's rolling
 /// covariance unpacked) into, and the worker's one `f64`
 /// [`SubspaceTracker`], which a packet's stream basis is widened into,
@@ -328,10 +329,15 @@ impl SpotFi {
     /// `music`'s eigensolver workspace → coarse-to-fine sweep → empty-peaks
     /// check.
     fn exact_tail(&self, music: &mut MusicScratch) -> Result<CoarseFinePaths> {
-        let eig = &music.eig;
-        let signal_dimension =
-            prepare_from_basis(&self.config, &mut music.sweep, eig.values(), eig.vectors())?;
-        let swept = coarse_to_fine_prepared(&self.config, &self.cache, music, signal_dimension)?;
+        let MusicScratch { eig, sweep } = music;
+        let signal_dimension = prepare_from_basis(&self.config, sweep, eig.values())?;
+        let swept = coarse_to_fine_prepared(
+            &self.config,
+            &self.cache,
+            sweep,
+            eig.vectors(),
+            signal_dimension,
+        )?;
         check_paths(&swept.paths)?;
         Ok(swept)
     }
@@ -358,18 +364,14 @@ impl SpotFi {
             if drift.is_nan() || drift > self.config.stream.drift_threshold {
                 return None;
             }
-            prepare_from_basis(
-                &self.config,
-                &mut music.sweep,
-                tracker.values(),
-                tracker.vectors(),
-            )
+            prepare_from_basis(&self.config, &mut music.sweep, tracker.values())
         };
         Some(prepared.and_then(|signal_dimension| {
             let swept = music_paths_warm_prepared(
                 &self.config,
                 &self.cache,
-                music,
+                &mut music.sweep,
+                tracker.vectors(),
                 signal_dimension,
                 &state.last_peaks,
             )?;

@@ -4,12 +4,14 @@
 //! covariance, partial eigensolve, then the coarse-to-fine MUSIC search.
 //! Its heap is what one packet's scratch holds — one `n × n` complex
 //! matrix (the eigensolver's, which the covariance is built and solved
-//! in), the packed projector blocks and the τ-forms memo, which holds rows
-//! only for the τ columns a search touches — plus buffers one grid edge
-//! long. The smoothed matrix is never stored, and
+//! in) and the τ-forms memo, which holds rows only for the τ columns a
+//! search touches — plus buffers one grid edge long. The MUSIC forms are
+//! built from the signal eigenvectors, so no block of the noise projector
+//! is stored. The smoothed matrix is never stored, and
 //! the coarse detection level covers `n_rows × n_tof` cells but streams
-//! through a window of three τ columns; storing either, or a second
-//! `n × n` matrix, would cost more than this bound leaves room for, and a
+//! through a window of three τ columns; storing either, a second `n × n`
+//! matrix or the projector's packed antenna blocks (`npairs·N_s²`
+//! complex, 10.8 KB) would cost more than this bound leaves room for, and a
 //! central server pays that once per concurrent request.
 //!
 //! This binary installs a counting global allocator and bounds the peak
@@ -106,7 +108,7 @@ const PACKETS: usize = 10;
 /// today: the scratch's buffers once, and per packet the sanitized CSI
 /// with its phase-fit vectors plus the MUSIC search's candidate and path
 /// vectors. Lower it when a change removes some; it may not rise.
-const MAX_ALLOC_CALLS: usize = 219;
+const MAX_ALLOC_CALLS: usize = 207;
 
 #[test]
 fn exact_packet_working_set_excludes_a_stored_detection_grid() {
@@ -144,26 +146,26 @@ fn exact_packet_working_set_excludes_a_stored_detection_grid() {
     assert_eq!(analysis.dropped_packets, 0);
 
     // One packet's scratch: the eigensolver's matrix (the covariance is
-    // built and decomposed in it), the top `max_paths` eigenvectors, the
-    // packed projector blocks and the τ-forms rows the memo reserves, one
-    // five-column patch per detection basin (complex); the solver's real
-    // buffers; two reals per AoA and τ grid point for buffers one grid
-    // edge long; and 4 KB for the estimates, the clustering and small
-    // vectors. A stored detection level (`n_rows × n_tof` reals, 92 KB at
-    // the default grid), a stored smoothed matrix (`n × cols`, 15 KB), a
-    // second `n × n` matrix (14 KB) or a τ-forms row for every fine τ
-    // (9 KB more than the reserved rows) does not fit.
+    // built and decomposed in it), the top `max_paths` eigenvectors and
+    // the τ-forms rows the memo reserves, one five-column patch per
+    // detection basin (complex); the solver's real buffers; two reals per
+    // AoA and τ grid point for buffers one grid edge long; and 4 KB for
+    // the estimates, the clustering and small vectors. A stored detection
+    // level (`n_rows × n_tof` reals, 92 KB at the default grid), a stored
+    // smoothed matrix (`n × cols`, 15 KB), a second `n × n` matrix
+    // (14 KB), the projector's packed antenna blocks (10.8 KB) or a
+    // τ-forms row for every fine τ (9 KB more than the reserved rows) does
+    // not fit.
     let c64_bytes = std::mem::size_of::<spotfi_math::c64>();
     let f64_bytes = std::mem::size_of::<f64>();
     let n = cfg.smoothed_rows();
     let k = cfg.music.max_paths;
     let ms = cfg.smoothing.sub_antennas;
-    let ns = cfg.smoothing.sub_subcarriers;
     let npairs = ms * (ms + 1) / 2;
     let n_aoa = cfg.music.aoa_grid_deg.len();
     let n_tof = cfg.music.tof_grid_ns.len();
     let memo_rows = ((k + 4) * 5).min(n_tof);
-    let complex = n * n + n * k + npairs * (ns * ns + memo_rows);
+    let complex = n * n + n * k + npairs * memo_rows;
     let real = n * k + 16 * n + 2 * (n_aoa + n_tof);
     let bound = c64_bytes * complex + f64_bytes * real + 4 * 1024;
     println!("peak heap of one exact analyze_ap: {peak} B (bound {bound} B)");

@@ -344,8 +344,8 @@ fn golden_warm_streaming_path_is_bit_pinned() {
     // re-orthonormalized), a change to when a warm packet is retried on the
     // exact path, or a changed Ritz step moves these digests. Re-derive with
     // `-- --nocapture` after an intentional algorithm change.
-    const PIN_STREAMING: u64 = 0x4b3c_7111_cbe8_c068;
-    const PIN_FLEET: u64 = 0x5b3c_e467_acad_f993;
+    const PIN_STREAMING: u64 = 0x322e_ef67_2462_8e7f;
+    const PIN_FLEET: u64 = 0x556a_b721_25a4_9d56;
 
     let streaming = streaming_digest(SpotFiConfig::default());
     let fleet = fleet_digest();
@@ -502,7 +502,7 @@ fn batch_path_is_bit_pinned() {
     // packet (both dropped). Scheduling, packet grouping and the thread
     // budget must not move a bit. Re-derive with `-- --nocapture` only after an intentional
     // change to the exact path's arithmetic.
-    const PIN_BATCH: u64 = 0x6972_c72d_f99f_46e3;
+    const PIN_BATCH: u64 = 0xa917_576d_cb1b_d634;
 
     let serial = batch_path_digest(1);
     let pooled = batch_path_digest(2);

@@ -128,9 +128,8 @@ fn batch_request_holds_one_aps_working_set() {
     let peak = PEAK_BYTES.load(Ordering::Relaxed) as usize;
 
     // One AP's exact budget, as `exact_footprint.rs` derives it: the
-    // eigensolver's matrix, the top `max_paths` eigenvectors, the packed
-    // projector blocks and the τ-forms rows an exact search reserves
-    // (complex); the solver's real buffers; two reals per AoA and τ grid
+    // eigensolver's matrix, the top `max_paths` eigenvectors and the
+    // τ-forms rows an exact search reserves (complex); the solver's real buffers; two reals per AoA and τ grid
     // point; 4 KB for one AP's estimates, its clustering and small
     // vectors. On top, 256 B per AP for its fusion input and Eq. 9's
     // per-AP vectors. Every AP's per-packet estimates held at once
@@ -140,12 +139,11 @@ fn batch_request_holds_one_aps_working_set() {
     let n = cfg.smoothed_rows();
     let k = cfg.music.max_paths;
     let ms = cfg.smoothing.sub_antennas;
-    let ns = cfg.smoothing.sub_subcarriers;
     let npairs = ms * (ms + 1) / 2;
     let n_aoa = cfg.music.aoa_grid_deg.len();
     let n_tof = cfg.music.tof_grid_ns.len();
     let memo_rows = ((k + 4) * 5).min(n_tof);
-    let complex = n * n + n * k + npairs * (ns * ns + memo_rows);
+    let complex = n * n + n * k + npairs * memo_rows;
     let real = n * k + 16 * n + 2 * (n_aoa + n_tof);
     let one_ap = c64_bytes * complex + f64_bytes * real + 4 * 1024;
     let bound = one_ap + 256 * aps.len();
