@@ -23,10 +23,6 @@ pub const INTEL5300_SUBCARRIER_SPACING_HZ: f64 = 4.0 * SUBCARRIER_SPACING_HZ;
 /// Number of receive antennas on the Intel 5300 NIC.
 pub const INTEL5300_NUM_ANTENNAS: usize = 3;
 
-/// CSI components are quantized to signed 8-bit integers by the Intel 5300
-/// firmware.
-pub const INTEL5300_CSI_BITS: u32 = 8;
-
 /// Wavelength at a carrier frequency, meters.
 #[inline]
 pub fn wavelength(carrier_hz: f64) -> f64 {

@@ -374,7 +374,7 @@ mod tests {
         let expected = -2.0 * std::f64::consts::PI * ofdm.subcarrier_spacing_hz * tof_ns * 1e-9;
         for n in 1..30 {
             let d = (h[(0, n)] * h[(0, n - 1)].conj()).arg();
-            let diff = spotfi_math::wrap_pi(d - expected);
+            let diff = spotfi_math::unwrap::wrap_phase(d - expected);
             assert!(diff.abs() < 1e-9, "subcarrier {}: {}", n, diff);
         }
     }
@@ -394,7 +394,7 @@ mod tests {
         for n in 0..30 {
             for m in 1..3 {
                 let d = (h[(m, n)] * h[(m - 1, n)].conj()).arg();
-                let diff = spotfi_math::wrap_pi(d - expected);
+                let diff = spotfi_math::unwrap::wrap_phase(d - expected);
                 assert!(diff.abs() < 1e-9, "({}, {}): {}", m, n, diff);
             }
         }

@@ -482,7 +482,7 @@ mod tests {
             for m in 0..3 {
                 let d = (csi[(m, n)] / orig[(m, n)]).arg();
                 assert!(
-                    spotfi_math::wrap_pi(d - expected).abs() < 1e-9,
+                    spotfi_math::unwrap::wrap_phase(d - expected).abs() < 1e-9,
                     "({},{}) phase {}",
                     m,
                     n,

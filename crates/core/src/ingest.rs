@@ -47,11 +47,6 @@ impl ReceiverCalibration {
         packet.rssi_dbm += self.rssi_offset_db;
         packet.timestamp_s += self.time_offset_s;
     }
-
-    /// `true` if this calibration changes nothing.
-    pub fn is_identity(&self) -> bool {
-        *self == ReceiverCalibration::default()
-    }
 }
 
 /// One registered receiver: where its antennas are and how to correct its
@@ -194,8 +189,12 @@ mod tests {
 
     #[test]
     fn identity_calibration_changes_nothing() {
-        let cal = ReceiverCalibration::default();
-        assert!(cal.is_identity());
+        let cal = ReceiverCalibration {
+            phase_offset_rad: [0.0; 3],
+            rssi_offset_db: 0.0,
+            time_offset_s: 0.0,
+        };
+        assert_eq!(cal, ReceiverCalibration::default());
         let mut p = packet();
         let before = p.clone();
         cal.apply(&mut p);
@@ -221,7 +220,7 @@ mod tests {
                 let got = (p.csi[(m, n)] * before.csi[(m, n)].conj()).arg();
                 let want = -cal.phase_offset_rad[m];
                 assert!(
-                    spotfi_math::wrap_pi(got - want).abs() < 1e-12,
+                    spotfi_math::unwrap::wrap_phase(got - want).abs() < 1e-12,
                     "row {m}: rotated by {got}, wanted {want}"
                 );
             }

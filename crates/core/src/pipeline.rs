@@ -21,8 +21,9 @@
 //! *stage* (sanitize → smoothed covariance, plus the anchor decision),
 //! then the *exact tail* (exact eigendecomposition → coarse-to-fine sweep)
 //! or the *warm tail* (tracked subspace → warm-started sweep). Both tails
-//! hand their signal basis's eigenvalues to one preparer,
-//! `music::prepare_from_basis`, and its vectors to the sweep.
+//! hand their signal basis, eigenvalues and vectors, to one sweep entry,
+//! `music::sweep_basis`, which owns the noise-threshold rule and the
+//! τ-forms memo.
 //!
 //! A stream amortizes across the heavily correlated packets of one
 //! (target, AP) pair: a rolling exponentially-forgotten covariance, an
@@ -64,10 +65,7 @@ use crate::likelihood::{select_direct_path, DirectPath};
 use crate::localize::{
     localize, localize_in_bounds, ApMeasurement, LocationEstimate, SearchBounds,
 };
-use crate::music::{
-    coarse_to_fine_prepared, covariance_into, music_paths_warm_prepared, prepare_from_basis,
-    signal_dimension, CoarseFinePaths, MusicScratch,
-};
+use crate::music::{covariance_into, sweep_basis, CoarseFinePaths, MusicScratch};
 use crate::peaks::PathEstimate;
 use crate::runtime::parallel_map_with;
 use crate::sanitize::sanitize_csi;
@@ -220,13 +218,13 @@ impl StreamState {
 }
 
 /// Drops a packet whose sweep found no peaks, and counts the outcome.
-fn check_paths(paths: &[PathEstimate]) -> Result<()> {
-    if paths.is_empty() {
+fn check_paths(swept: CoarseFinePaths) -> Result<CoarseFinePaths> {
+    if swept.paths.is_empty() {
         spotfi_obs::counter("pipeline.packets_no_paths", 1);
         return Err(SpotFiError::NoPaths);
     }
     spotfi_obs::counter("pipeline.packets_analyzed", 1);
-    Ok(())
+    Ok(swept)
 }
 
 /// The SpotFi estimator.
@@ -325,23 +323,6 @@ impl SpotFi {
         Ok(first || state.packets_since_anchor + 1 >= period || state.last_peaks.is_empty())
     }
 
-    /// Exact tail: prepare the sweep from the eigendecomposition sitting in
-    /// `music`'s eigensolver workspace → coarse-to-fine sweep → empty-peaks
-    /// check.
-    fn exact_tail(&self, music: &mut MusicScratch) -> Result<CoarseFinePaths> {
-        let MusicScratch { eig, sweep } = music;
-        let signal_dimension = prepare_from_basis(&self.config, sweep, eig.values())?;
-        let swept = coarse_to_fine_prepared(
-            &self.config,
-            &self.cache,
-            sweep,
-            eig.vectors(),
-            signal_dimension,
-        )?;
-        check_paths(&swept.paths)?;
-        Ok(swept)
-    }
-
     /// Warm tail: one [`SubspaceTracker::refine`] step of `tracker` (the
     /// stream's basis, loaded) against the rolling covariance (in `music`'s
     /// eigensolver matrix, which it only reads), then the warm-started
@@ -355,7 +336,7 @@ impl SpotFi {
         tracker: &mut SubspaceTracker,
         music: &mut MusicScratch,
     ) -> Option<Result<CoarseFinePaths>> {
-        let prepared = {
+        {
             let _track = spotfi_obs::span("stage.track");
             let drift = tracker.refine(music.eig.matrix());
             spotfi_obs::value("stream.drift", drift);
@@ -364,42 +345,42 @@ impl SpotFi {
             if drift.is_nan() || drift > self.config.stream.drift_threshold {
                 return None;
             }
-            prepare_from_basis(&self.config, &mut music.sweep, tracker.values())
-        };
-        Some(prepared.and_then(|signal_dimension| {
-            let swept = music_paths_warm_prepared(
-                &self.config,
-                &self.cache,
-                &mut music.sweep,
-                tracker.vectors(),
-                signal_dimension,
-                &state.last_peaks,
-            )?;
-            check_paths(&swept.paths)?;
-            Ok(swept)
-        }))
+        }
+        let swept = sweep_basis(
+            &self.config,
+            &self.cache,
+            &mut music.sweep,
+            tracker.values(),
+            tracker.vectors(),
+            Some(&state.last_peaks),
+        );
+        Some(swept.and_then(check_paths))
     }
 
     /// Re-primes the tracker from the exact decomposition in `music` so the
     /// following packets refine a fresh basis. With `tracker_rank_margin`
-    /// set, the tracked rank is capped at the anchor packet's signal
-    /// dimension (Algorithm 2's noise-threshold rule) plus the guard band —
-    /// the warm path's projector only ever consumes the signal vectors, and
-    /// refine's cost grows as k³ in the Ritz eigensolve, so serving profiles
-    /// avoid carrying all `max_paths` vectors through every packet.
-    /// Subspace growth past the guard band shows up as drift and falls back
-    /// to the exact path. A signal-free covariance seeds all `k` vectors;
-    /// its exact tail fails right after, which forces the next anchor.
-    fn seed_tracker(&self, tracker: &mut SubspaceTracker, music: &MusicScratch) {
-        let ws = &music.eig;
-        let k = ws.vectors().cols();
-        let rank = match self.config.stream.tracker_rank_margin {
-            Some(margin) => {
-                signal_dimension(&self.config.music, ws.values()).map_or(k, |d| (d + margin).min(k))
-            }
-            None => k,
+    /// set, the tracked rank is capped at the anchor packet's
+    /// `signal_dimension` (Algorithm 2's noise-threshold rule, as its exact
+    /// sweep applied it) plus the guard band — the warm path's projector
+    /// only ever consumes the signal vectors, and refine's cost grows as k³
+    /// in the Ritz eigensolve, so serving profiles avoid carrying all
+    /// `max_paths` vectors through every packet. Subspace growth past the
+    /// guard band shows up as drift and falls back to the exact path. A
+    /// signal-free covariance, whose sweep fails and so has no dimension,
+    /// seeds all `k` vectors; the failure forces the next anchor.
+    fn seed_tracker(
+        &self,
+        tracker: &mut SubspaceTracker,
+        music: &MusicScratch,
+        signal_dimension: Option<usize>,
+    ) {
+        let vectors = music.eig.vectors();
+        let k = vectors.cols();
+        let rank = match (self.config.stream.tracker_rank_margin, signal_dimension) {
+            (Some(margin), Some(d)) => (d + margin).min(k),
+            _ => k,
         };
-        tracker.seed(ws.vectors(), rank);
+        tracker.seed(vectors, rank);
     }
 
     /// Amortized streaming analysis of one packet against persistent
@@ -504,10 +485,13 @@ impl SpotFi {
                     let _span = spotfi_obs::span("stage.eigen");
                     music.eigen_in_place(self.config.music.max_paths);
                 }
+                // The sweep only reads the eigenvectors the tracker seeds from.
+                let swept = music.sweep_exact(&self.config, &self.cache);
                 if tracking {
-                    self.seed_tracker(tracker, music);
+                    let d = swept.as_ref().ok().map(|s| s.signal_dimension);
+                    self.seed_tracker(tracker, music, d);
                 }
-                (self.exact_tail(music), true)
+                (swept.and_then(check_paths), true)
             }
         };
         if tracking {
@@ -1307,6 +1291,51 @@ mod tests {
             tof <= TOF_BOUND_NS,
             "max |ΔToF| {tof:e} ns over {TOF_BOUND_NS:e} ns"
         );
+    }
+
+    #[test]
+    fn one_shot_sweep_is_the_engines_exact_tail() {
+        // The public one-shot chain (sanitize → stored smoothed matrix →
+        // `music_paths_coarse_to_fine`, one scratch reused as a benchmark
+        // probe reuses it) must return, to the bit, the paths the engine's
+        // exact tail gives `analyze_packet`, and fail on the same packets:
+        // the apartment traces plus a NaN and an all-zero packet. A sweep
+        // that finds no path counts as the engine's `NoPaths`.
+        let s = SpotFi::default();
+        let cfg = s.config();
+        let mut packets: Vec<CsiPacket> = living_room_traces().concat();
+        for value in [f64::NAN, 0.0] {
+            packets.push(CsiPacket {
+                csi: CMat::from_fn(3, 30, |_, _| c64::new(value, 0.0)),
+                ..packets[0].clone()
+            });
+        }
+        let mut music = MusicScratch::new(cfg);
+        let mut failed = 0;
+        for (i, p) in packets.iter().enumerate() {
+            let one_shot = sanitize_csi(&p.csi, cfg.ofdm.subcarrier_spacing_hz)
+                .and_then(|z| crate::smoothing::smoothed_csi(&z.csi, cfg))
+                .and_then(|x| {
+                    crate::music::music_paths_coarse_to_fine(
+                        &x,
+                        cfg,
+                        s.steering_cache(),
+                        &mut music,
+                    )
+                })
+                .and_then(|swept| {
+                    if swept.paths.is_empty() {
+                        Err(SpotFiError::NoPaths)
+                    } else {
+                        Ok(path_bits(&swept.paths))
+                    }
+                });
+            let engine = s.analyze_packet(p).map(|paths| path_bits(&paths));
+            assert_eq!(one_shot, engine, "packet {i}");
+            failed += usize::from(engine.is_err());
+        }
+        assert!(failed >= 2, "only {failed} failed packets");
+        assert!(failed < packets.len() / 2, "{failed} failed packets");
     }
 
     #[test]

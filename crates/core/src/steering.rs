@@ -198,7 +198,7 @@ mod tests {
         let tau = 25e-9;
         let w = omega(tau, INTEL5300_SUBCARRIER_SPACING_HZ);
         let expected = -2.0 * std::f64::consts::PI * INTEL5300_SUBCARRIER_SPACING_HZ * tau;
-        assert!((w.arg() - spotfi_math::wrap_pi(expected)).abs() < 1e-12);
+        assert!((w.arg() - spotfi_math::unwrap::wrap_phase(expected)).abs() < 1e-12);
     }
 
     #[test]

@@ -106,12 +106,6 @@ impl Tracker {
         self.state.map(|s| (s[2], s[3]))
     }
 
-    /// Predicted position `dt` seconds ahead of the last update.
-    pub fn predict_position(&self, dt: f64) -> Option<Point> {
-        self.state
-            .map(|s| Point::new(s[0] + s[2] * dt, s[1] + s[3] * dt))
-    }
-
     /// Feeds a fix taken at `time_s`. `measurement_std_m` overrides the
     /// configured default when the caller has a per-fix quality signal
     /// (e.g. derived from `LocationEstimate::cost`).
@@ -313,13 +307,8 @@ mod tests {
         for i in 0..20 {
             t.update(i as f64, Point::new(i as f64 * 2.0, 0.0), None);
         }
-        let now = t.position().unwrap();
-        let ahead = t.predict_position(1.0).unwrap();
-        assert!(
-            (ahead.x - now.x - 2.0).abs() < 0.5,
-            "1 s prediction moved {} m in x",
-            ahead.x - now.x
-        );
+        let (vx, _) = t.velocity().unwrap();
+        assert!((vx - 2.0).abs() < 0.5, "velocity {vx} m/s in x");
     }
 
     #[test]

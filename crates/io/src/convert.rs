@@ -131,7 +131,7 @@ mod tests {
                 let od = (orig.csi[(1, n)] * orig.csi[(0, n)].conj()).arg();
                 let rd = (rest.csi[(1, n)] * rest.csi[(0, n)].conj()).arg();
                 assert!(
-                    spotfi_math::wrap_pi(od - rd).abs() < 0.1,
+                    spotfi_math::unwrap::wrap_phase(od - rd).abs() < 0.1,
                     "phase diff at sc {}: {} vs {}",
                     n,
                     od,

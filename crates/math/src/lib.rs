@@ -24,15 +24,13 @@
 //!   Rayleigh–Ritz) for streaming covariances, with a drift metric that
 //!   tells callers when to re-anchor on the exact solver, and
 //!   [`StoredBasis`], a tracked basis at rest in `f32` pairs.
-//! * [`unwrap`] — 1-D phase unwrapping.
+//! * [`unwrap`] — 1-D phase unwrapping and angle wrapping into `(-π, π]`.
 //! * [`optimize`] — Nelder–Mead simplex minimization.
 //! * [`stats`] — means, variances, percentiles, empirical CDFs, linear fit.
-//! * [`angles`] — angle wrapping into `(-π, π]`.
 //!
 //! Everything is deterministic and allocation-light; matrices the size SpotFi
 //! uses (≤ 90×90) decompose in microseconds.
 
-pub mod angles;
 pub mod complex;
 #[cfg(test)]
 mod eigen;
@@ -45,7 +43,6 @@ pub mod stats;
 pub mod subspace;
 pub mod unwrap;
 
-pub use angles::wrap_pi;
 pub use complex::c64;
 pub use eigen_tridiag::{
     hermitian_eigen_partial, hermitian_eigen_partial_batch_into, hermitian_eigen_partial_in_place,

@@ -63,7 +63,7 @@ pub fn median(xs: &[f64]) -> f64 {
 /// let errors = [0.3, 0.5, 0.4, 1.8, 0.9];
 /// let cdf = Ecdf::new(&errors);
 /// assert_eq!(cdf.median(), 0.5);
-/// assert_eq!(cdf.fraction_below(1.0), 0.8);
+/// assert_eq!(cdf.len(), 5);
 /// ```
 #[derive(Clone, Debug)]
 pub struct Ecdf {
@@ -91,12 +91,6 @@ impl Ecdf {
     /// `true` if no samples (unreachable via `new`, kept for API symmetry).
     pub fn is_empty(&self) -> bool {
         self.sorted.is_empty()
-    }
-
-    /// `P(X ≤ x)`.
-    pub fn fraction_below(&self, x: f64) -> f64 {
-        let idx = self.sorted.partition_point(|&v| v <= x);
-        idx as f64 / self.sorted.len() as f64
     }
 
     /// Inverse CDF at fraction `q ∈ [0, 1]`.
@@ -179,14 +173,6 @@ mod tests {
     fn percentile_unsorted_input() {
         let xs = [9.0, 1.0, 5.0];
         assert!((median(&xs) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ecdf_fraction_below() {
-        let e = Ecdf::new(&[1.0, 2.0, 3.0, 4.0]);
-        assert!((e.fraction_below(0.5) - 0.0).abs() < 1e-12);
-        assert!((e.fraction_below(2.0) - 0.5).abs() < 1e-12);
-        assert!((e.fraction_below(10.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]
