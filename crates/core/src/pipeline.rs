@@ -56,7 +56,7 @@
 
 use spotfi_channel::{AntennaArray, CsiPacket};
 use spotfi_math::stats::mean;
-use spotfi_math::{CMat, PackedHermitian, StoredBasis, SubspaceTracker};
+use spotfi_math::{PackedHermitian, PackedHermitianF64, StoredBasis, SubspaceTracker};
 
 use crate::cluster::{cluster_estimates, Clustering};
 use crate::config::{SpotFiConfig, StreamConfig};
@@ -111,9 +111,10 @@ impl ApAnalysis {
 }
 
 /// Reusable per-worker buffers for one packet's analysis chain: the MUSIC
-/// eigensolver and sweep scratch, whose eigensolver matrix is the one
-/// `n × n` buffer a packet's covariance is built (or a stream's rolling
-/// covariance unpacked) into, and the worker's one `f64`
+/// eigensolver and sweep scratch, whose eigensolver matrix (a packed lower
+/// triangle, `n(n+1)/2` complex entries) is the one buffer a packet's
+/// covariance is built (or a stream's rolling covariance widened) into,
+/// and the worker's one `f64`
 /// [`SubspaceTracker`], which a packet's stream basis is widened into,
 /// refined and seeded in, along with every per-step buffer of the refine.
 /// Fully overwritten on every packet, so one scratch serves a worker — and
@@ -152,12 +153,13 @@ impl PacketScratch {
 /// 3.7 KB at the default n = 30) and the tracked `n×k` basis as a
 /// [`StoredBasis`] of `f32` pairs (≤ 1.9 KB at `max_paths` = 8), plus the
 /// previous peak cells. Only the storage is single precision. Each packet
-/// widens the covariance into the worker's eigensolver matrix, updates it
-/// there in `f64` and rounds it back, so the packet itself reads it
-/// unrounded. A warm packet widens the basis into the worker's one `f64`
-/// tracker (in its [`PacketScratch`]), re-orthonormalizes it there (a
-/// basis that breaks down anchors the packet), refines it and stores the
-/// result rounded; an anchor stores its seed rounded. The covariance is
+/// widens the covariance entry by entry into the worker's eigensolver
+/// matrix, the same packed triangle in `f64`, updates it there and rounds
+/// it back, so the packet itself reads it unrounded. A warm packet widens
+/// the basis into the worker's one `f64` tracker (in its
+/// [`PacketScratch`]), re-orthonormalizes it there (a basis that breaks
+/// down anchors the packet), refines it and stores the result rounded; an
+/// anchor stores its seed rounded. The covariance is
 /// stored only when a later packet decays it (`forgetting > 0`) and the
 /// basis only when a later packet can refine it (`reanchor_period > 1`),
 /// so the exact streams the batch entry points run store neither.
@@ -293,7 +295,7 @@ impl SpotFi {
         &self,
         packet: &CsiPacket,
         state: &mut StreamState,
-        solver: &mut CMat,
+        solver: &mut PackedHermitianF64,
     ) -> Result<bool> {
         let sanitized = sanitize_csi(&packet.csi, self.config.ofdm.subcarrier_spacing_hz)?;
         let x = SmoothedColumns::new(&sanitized.csi, &self.config)?;
@@ -307,8 +309,8 @@ impl SpotFi {
                 // (DESIGN.md §9) relies on.
                 covariance_into(&x, solver)?;
             } else {
-                state.cov.unpack_into(solver);
-                solver.decay_accumulate_hermitian(policy.forgetting, |add| x.feed(add));
+                state.cov.widen_into(solver);
+                solver.decay_accumulate(policy.forgetting, |add| x.feed(add));
             }
             // Only a later decay step reads the stored copy. A NaN, an
             // infinity or an entry past f32's range poisons it: drop
@@ -672,7 +674,7 @@ mod tests {
     use spotfi_channel::constants::DEFAULT_CARRIER_HZ;
     use spotfi_channel::Rng;
     use spotfi_channel::{Floorplan, OfdmConfig, PacketTrace, Point, TraceConfig};
-    use spotfi_math::c64;
+    use spotfi_math::{c64, CMat};
 
     fn ap_array(x: f64, y: f64, toward: Point) -> AntennaArray {
         let angle = (toward - Point::new(x, y)).angle();
@@ -1087,7 +1089,7 @@ mod tests {
         s: &SpotFi,
         packet: &CsiPacket,
         state: &mut StreamState,
-        wide: &mut CMat,
+        wide: &mut PackedHermitianF64,
         scratch: &mut PacketScratch,
     ) -> Result<Vec<PathEstimate>> {
         reference_packet(s, packet, state, wide, None, scratch)
@@ -1104,7 +1106,7 @@ mod tests {
         s: &SpotFi,
         packet: &CsiPacket,
         state: &mut StreamState,
-        wide: &mut CMat,
+        wide: &mut PackedHermitianF64,
         wide_basis: Option<&mut SubspaceTracker>,
         scratch: &mut PacketScratch,
     ) -> Result<Vec<PathEstimate>> {
@@ -1115,7 +1117,7 @@ mod tests {
         if first {
             covariance_into(&x, wide)?;
         } else {
-            wide.decay_accumulate_hermitian(s.config.stream.forgetting, |add| x.feed(add));
+            wide.decay_accumulate(s.config.stream.forgetting, |add| x.feed(add));
         }
         let PacketScratch { music, tracker } = scratch;
         music
@@ -1170,7 +1172,7 @@ mod tests {
         for (link, trace) in traces.iter().enumerate() {
             let mut compact = StreamState::new(s.config());
             let mut reference = StreamState::new(s.config());
-            let mut wide = CMat::default();
+            let mut wide = PackedHermitianF64::default();
             for (i, packet) in trace.iter().enumerate() {
                 let got = s.analyze_packet_streaming_with(packet, &mut compact, &mut scratch);
                 let want =
@@ -1248,7 +1250,7 @@ mod tests {
         for (link, trace) in traces.iter().enumerate() {
             let mut compact = StreamState::new(s.config());
             let mut reference = StreamState::new(s.config());
-            let mut wide = CMat::default();
+            let mut wide = PackedHermitianF64::default();
             let mut wide_basis = SubspaceTracker::new();
             for (i, packet) in trace.iter().enumerate() {
                 let got = s.analyze_packet_streaming_with(packet, &mut compact, &mut scratch);
@@ -1397,12 +1399,12 @@ mod tests {
             .stage(&ap.packets[3], &mut state, scratch.music.eig.matrix_mut())
             .unwrap();
         assert!(!anchor, "the staged packet is not warm");
-        let unpacked = |state: &StreamState| {
-            let mut dense = CMat::default();
-            state.cov.unpack_into(&mut dense);
-            dense
+        let widened = |state: &StreamState| {
+            let mut wide = PackedHermitianF64::default();
+            state.cov.widen_into(&mut wide);
+            wide
         };
-        let staged = unpacked(&state);
+        let staged = widened(&state);
         scratch
             .music
             .eig
@@ -1412,7 +1414,7 @@ mod tests {
         let PacketScratch { music, tracker } = &mut scratch;
         let failed = s.finish(true, None, &mut state, tracker, music);
         assert_eq!(failed.unwrap_err(), SpotFiError::DegenerateCsi);
-        assert_eq!(unpacked(&state), staged, "the failure moved the covariance");
+        assert_eq!(widened(&state), staged, "the failure moved the covariance");
         assert!(state.packets_since_anchor + 1 < s.config().stream.reanchor_period);
 
         let _turn = crate::recorder_turn();

@@ -21,20 +21,21 @@
 //!    clusters, then back-transformation through `D` and the Householder
 //!    reflectors — O(k·n²) instead of O(n³·sweeps) accumulation.
 //!
-//! The per-packet 30×30 MUSIC solves build each covariance in a reusable
-//! [`TridiagWorkspace`]'s own matrix and decompose it there with
-//! [`hermitian_eigen_partial_in_place`]; the subspace tracker's k×k
-//! Rayleigh–Ritz step calls [`hermitian_eigen_partial_into`], which copies
-//! its matrix in and runs the same solve. A warm call performs no
-//! allocations; MUSIC-AoA's 3×3 solve uses the one-shot
-//! [`hermitian_eigen_partial`].
+//! A [`TridiagWorkspace`]'s matrix is a [`PackedHermitianF64`]: the lower
+//! triangle only, which is all the reduction reads. The per-packet 30×30
+//! MUSIC solves build each covariance there and the subspace tracker's k×k
+//! Rayleigh–Ritz step its quotient, and both decompose it in place with
+//! [`hermitian_eigen_partial_in_place`]; [`hermitian_eigen_partial_into`]
+//! copies a dense matrix's lower triangle in and runs the same solve. A
+//! warm call performs no allocations; MUSIC-AoA's 3×3 solve uses the
+//! one-shot [`hermitian_eigen_partial`].
 //! [`hermitian_eigen_partial_batch_into`] is a loop of per-matrix calls
 //! kept for the benchmarks, so one Householder reduction serves every
 //! caller. A cyclic-Jacobi solver is compiled under `cfg(test)` only, as
 //! the oracle these results are cross-validated against.
 
 use crate::complex::c64;
-use crate::matrix::CMat;
+use crate::matrix::{packed_col_start, CMat, PackedHermitianF64};
 
 /// Result of [`hermitian_eigen_partial`]: all eigenvalues, top-`k`
 /// eigenvectors.
@@ -51,16 +52,18 @@ pub struct PartialHermitianEigen {
 /// on demand and never shrinks.
 #[derive(Clone, Debug, Default)]
 pub struct TridiagWorkspace {
-    /// Working copy of the matrix; reflector vectors accumulate in the
-    /// columns below the subdiagonal.
-    h: CMat,
+    /// The matrix to decompose, as its packed lower triangle. The
+    /// reduction overwrites it: reflector `v_j`'s components past the first
+    /// accumulate in column `j` below the subdiagonal, and the subdiagonal
+    /// entry holds `T`'s.
+    h: PackedHermitianF64,
+    /// Per Householder reflector, its scale factor and first component.
+    reflectors: Vec<Reflector>,
     /// Real diagonal of `T`.
     diag: Vec<f64>,
     /// Real subdiagonal of `T` (`sub[i] = T[i+1, i]`, length `n`, last
     /// entry unused).
     sub: Vec<f64>,
-    /// Householder scale factors `β_j = 2/‖v_j‖²` (0 ⇒ identity reflector).
-    beta: Vec<f64>,
     /// Diagonal phase unitary `D` turning the complex subdiagonal real.
     phase: Vec<c64>,
     /// QL working copies of the tridiagonal (destroyed by the iteration).
@@ -86,9 +89,21 @@ pub struct TridiagWorkspace {
     out_vectors: CMat,
 }
 
+/// Householder reflector `j` of the reduction, `I − β_j·v_j·v_jᴴ`, apart
+/// from the components of `v_j` past the first, which stay in column `j`
+/// of the reduced matrix below the subdiagonal.
+#[derive(Clone, Copy, Debug, Default)]
+struct Reflector {
+    /// `β_j = 2/‖v_j‖²` (0 ⇒ identity reflector).
+    beta: f64,
+    /// `v_j`'s first component, whose slot in the matrix (the subdiagonal
+    /// `(j+1, j)`) carries `T`'s entry.
+    v_first: c64,
+}
+
 impl TridiagWorkspace {
     /// The matrix the next [`hermitian_eigen_partial_in_place`] decomposes.
-    pub fn matrix(&self) -> &CMat {
+    pub fn matrix(&self) -> &PackedHermitianF64 {
         &self.h
     }
 
@@ -97,7 +112,7 @@ impl TridiagWorkspace {
     /// builds its matrix here skips the copy
     /// [`hermitian_eigen_partial_into`] makes. The solve overwrites it with
     /// Householder reflectors.
-    pub fn matrix_mut(&mut self) -> &mut CMat {
+    pub fn matrix_mut(&mut self) -> &mut PackedHermitianF64 {
         &mut self.h
     }
 
@@ -149,16 +164,16 @@ pub fn hermitian_eigen_partial(a: &CMat, k: usize) -> PartialHermitianEigen {
 /// Fully allocation-free form of [`hermitian_eigen_partial`]: results land
 /// in the workspace, readable through [`TridiagWorkspace::values`] and
 /// [`TridiagWorkspace::vectors`] until the next decomposition. It copies
-/// `a` into the workspace's matrix, then runs
+/// `a`'s lower triangle into the workspace's packed matrix, then runs
 /// [`hermitian_eigen_partial_in_place`]; callers that can build their
 /// matrix in [`TridiagWorkspace::matrix_mut`] (the per-packet MUSIC path,
 /// the subspace tracker's Ritz step) call that directly instead.
 ///
 /// # Panics
-/// Panics if the matrix is not square or contains non-finite values.
+/// Panics if the matrix is not square or its lower triangle contains
+/// non-finite values.
 pub fn hermitian_eigen_partial_into(a: &CMat, k: usize, ws: &mut TridiagWorkspace) {
-    ws.h.reset_zeros(a.rows(), a.cols());
-    ws.h.as_mut_slice().copy_from_slice(a.as_slice());
+    ws.h.assign_lower(a);
     hermitian_eigen_partial_in_place(k, ws);
 }
 
@@ -168,14 +183,9 @@ pub fn hermitian_eigen_partial_into(a: &CMat, k: usize, ws: &mut TridiagWorkspac
 /// destroyed: it holds the Householder reflectors afterwards.
 ///
 /// # Panics
-/// Panics if the matrix is not square or contains non-finite values.
+/// Panics if the matrix contains non-finite values.
 pub fn hermitian_eigen_partial_in_place(k: usize, ws: &mut TridiagWorkspace) {
-    let n = ws.h.rows();
-    assert_eq!(
-        n,
-        ws.h.cols(),
-        "hermitian_eigen_partial requires a square matrix"
-    );
+    let n = ws.h.n();
     assert!(
         ws.h.as_slice().iter().all(|z| z.is_finite()),
         "hermitian_eigen_partial requires finite entries"
@@ -220,43 +230,52 @@ pub fn hermitian_eigen_partial_in_place(k: usize, ws: &mut TridiagWorkspace) {
     ws.out_vectors = vectors;
 }
 
-/// Reduces the Hermitian completion of `ws.h`'s lower triangle to real
-/// symmetric tridiagonal form in place, leaving in `ws`: `diag`/`sub` (the
-/// tridiagonal `T`), the Householder reflectors (in `h`'s columns below the
-/// subdiagonal, with scale factors `beta`), and the diagonal phase unitary
-/// `phase` (so `A = Q·diag(phase)·T·diag(phase)ᴴ·Qᴴ` with `Q` the reflector
-/// product).
+/// Reduces the Hermitian matrix whose packed lower triangle is `ws.h` to
+/// real symmetric tridiagonal form in place, leaving in `ws`: `diag`/`sub`
+/// (the tridiagonal `T`), the Householder reflectors (scale factors and
+/// first components in `reflectors`, the rest in `h`'s columns below the
+/// subdiagonal), and the diagonal phase unitary `phase` (so
+/// `A = Q·diag(phase)·T·diag(phase)ᴴ·Qᴴ` with `Q` the reflector product).
 fn tridiagonalize(ws: &mut TridiagWorkspace) {
-    let n = ws.h.rows();
-    // Forced exactly Hermitian from the lower triangle (same normalization
-    // as the Jacobi oracle, so both see the same matrix): the reduction
-    // reads only the lower triangle, so the upper one needs no mirror.
+    let n = ws.h.n();
+    let start = |j: usize| packed_col_start(n, j);
+    let TridiagWorkspace {
+        h,
+        reflectors,
+        z,
+        y,
+        ..
+    } = ws;
+    let h = h.as_mut_slice();
+    // Forced exactly Hermitian (same normalization as the Jacobi oracle,
+    // so both see the same matrix): the upper triangle is only implied.
     for i in 0..n {
-        ws.h[(i, i)] = c64::real(ws.h[(i, i)].re);
+        h[start(i)] = c64::real(h[start(i)].re);
     }
-    let h = &mut ws.h;
 
-    ws.beta.clear();
-    ws.beta.resize(n, 0.0);
+    reflectors.clear();
+    reflectors.resize(n, Reflector::default());
     // p/w scratch for the rank-2 update lives in `z` (complex, length n).
-    ws.z.clear();
-    ws.z.resize(n, c64::ZERO);
-    ws.y.clear();
-    ws.y.resize(n, 0.0);
+    z.clear();
+    z.resize(n, c64::ZERO);
+    y.clear();
+    y.resize(n, 0.0);
 
-    for j in 0..n.saturating_sub(2) {
-        // x = h[j+1.., j]; build the reflector that maps x to a multiple of
-        // e1.
+    for (j, reflector) in reflectors.iter_mut().enumerate().take(n.saturating_sub(2)) {
+        // x = column j below the diagonal, rows j+1..n; build the reflector
+        // that maps x to a multiple of e1.
+        let m0 = j + 1;
+        let xj = start(j) + 1..start(m0);
         let mut sigma2 = 0.0;
-        for r in (j + 1)..n {
-            sigma2 += h[(r, j)].norm_sqr();
+        for x in &h[xj.clone()] {
+            sigma2 += x.norm_sqr();
         }
         let sigma = sigma2.sqrt();
         if sigma == 0.0 {
-            ws.beta[j] = 0.0;
+            reflector.beta = 0.0;
             continue;
         }
-        let x0 = h[(j + 1, j)];
+        let x0 = h[xj.start];
         // Phase choice v = x + e^{iφ}·σ·e1 with e^{iφ} = x0/|x0| maximizes
         // ‖v‖ (no cancellation).
         let phase = if x0 == c64::ZERO {
@@ -264,74 +283,72 @@ fn tridiagonalize(ws: &mut TridiagWorkspace) {
         } else {
             x0 * (1.0 / x0.abs())
         };
-        // alpha becomes the new subdiagonal entry h[j+1, j]; v overwrites
-        // h[j+1.., j] (the zeroed part of the column).
+        // alpha becomes the new subdiagonal entry (j+1, j); v overwrites
+        // x (the zeroed part of the column).
         let alpha = phase.scale(-sigma);
-        h[(j + 1, j)] = x0 - alpha;
+        h[xj.start] = x0 - alpha;
         let mut vnorm2 = 0.0;
-        for r in (j + 1)..n {
-            vnorm2 += h[(r, j)].norm_sqr();
+        for v in &h[xj.clone()] {
+            vnorm2 += v.norm_sqr();
         }
         if vnorm2 == 0.0 {
-            ws.beta[j] = 0.0;
-            h[(j + 1, j)] = alpha;
+            reflector.beta = 0.0;
+            h[xj.start] = alpha;
             continue;
         }
-        let beta = 2.0 / vnorm2;
-        ws.beta[j] = beta;
+        let b = 2.0 / vnorm2;
+        reflector.beta = b;
 
         // Rank-2 update of the trailing block: p = β·H·v, w = p − (β/2)(vᴴp)v,
-        // H ← H − v·wᴴ − w·vᴴ. Only the trailing (n−j−1)² block changes.
-        let m0 = j + 1;
-        for item in ws.z[m0..n].iter_mut() {
-            *item = c64::ZERO;
-        }
+        // H ← H − v·wᴴ − w·vᴴ. Only the trailing (n−j−1)² block changes: the
+        // columns from m0 on, which follow column j in the packed layout.
+        let (head, trailing) = h.split_at_mut(start(m0));
+        let v = &head[xj.clone()];
+        let col = |c: usize| start(c) - start(m0)..start(c + 1) - start(m0);
+        let zt = &mut z[m0..n];
+        zt.fill(c64::ZERO);
         // p = β · H[m0.., m0..] · v — walk columns (contiguous) using
         // Hermitian symmetry of the stored lower triangle.
         for c in m0..n {
-            let vc = h[(c, j)];
+            let hc = &trailing[col(c)];
+            let vc = v[c - m0];
+            let (zc, zr) = zt[c - m0..].split_first_mut().expect("c < n");
             // Diagonal term.
-            ws.z[c] += h[(c, c)] * vc;
-            for r in (c + 1)..n {
-                let hrc = h[(r, c)];
-                let vr = h[(r, j)];
-                ws.z[r] += hrc * vc;
-                ws.z[c] += hrc.conj() * vr;
+            *zc += hc[0] * vc;
+            for ((&hrc, &vr), zr) in hc[1..].iter().zip(&v[c + 1 - m0..]).zip(zr) {
+                *zr += hrc * vc;
+                *zc += hrc.conj() * vr;
             }
         }
-        for item in ws.z[m0..n].iter_mut() {
-            *item = item.scale(beta);
+        for item in zt.iter_mut() {
+            *item = item.scale(b);
         }
         // K = (β/2)·(vᴴ·p)
         let mut vhp = c64::ZERO;
-        for r in m0..n {
-            vhp += h[(r, j)].conj() * ws.z[r];
+        for (vr, pr) in v.iter().zip(zt.iter()) {
+            vhp += vr.conj() * *pr;
         }
-        let kfac = vhp.scale(beta * 0.5);
+        let kfac = vhp.scale(b * 0.5);
         // w = p − K·v (stored back into z)
-        for r in m0..n {
-            let vr = h[(r, j)];
-            ws.z[r] -= kfac * vr;
+        for (wr, &vr) in zt.iter_mut().zip(v) {
+            *wr -= kfac * vr;
         }
         // H ← H − v·wᴴ − w·vᴴ on the lower triangle of the trailing block.
         for c in m0..n {
-            let vc = h[(c, j)];
-            let wc = ws.z[c];
-            for r in c..n {
-                let vr = h[(r, j)];
-                let wr = ws.z[r];
+            let vc = v[c - m0];
+            let wc = zt[c - m0];
+            let hc = &mut trailing[col(c)];
+            for ((hrc, &vr), &wr) in hc.iter_mut().zip(&v[c - m0..]).zip(&zt[c - m0..]) {
                 let delta = vr * wc.conj() + wr * vc.conj();
-                h[(r, c)] -= delta;
+                *hrc -= delta;
             }
-            h[(c, c)] = c64::real(h[(c, c)].re);
+            hc[0] = c64::real(hc[0].re);
         }
-        // Record the annihilated column's new subdiagonal entry. The
-        // reflector vector v stays in h[(j+2).., j]; the subdiagonal slot
-        // h[j+1, j] must carry α, so stash v's first component in the
-        // (otherwise dead) strict upper triangle at h[j, j+1].
-        let v_first = h[(j + 1, j)];
-        h[(j, j + 1)] = v_first;
-        h[(j + 1, j)] = alpha;
+        // Record the annihilated column's new subdiagonal entry α. The
+        // reflector vector v stays in column j from row j+2 on; its first
+        // component leaves the subdiagonal slot for `reflectors`.
+        reflector.v_first = head[xj.start];
+        head[xj.start] = alpha;
     }
 
     extract_tridiag(ws);
@@ -342,7 +359,8 @@ fn tridiagonalize(ws: &mut TridiagWorkspace) {
 /// `u_{i+1} = u_i·f_i/|f_i|` the matrix `Dᴴ·H·D` (`D = diag(u)`) has
 /// subdiagonal `|f_i|`. Fills `ws.diag`, `ws.sub`, `ws.phase`.
 fn extract_tridiag(ws: &mut TridiagWorkspace) {
-    let n = ws.h.rows();
+    let n = ws.h.n();
+    let h = ws.h.as_slice();
     ws.diag.clear();
     ws.sub.clear();
     ws.phase.clear();
@@ -350,10 +368,10 @@ fn extract_tridiag(ws: &mut TridiagWorkspace) {
     ws.sub.resize(n, 0.0);
     ws.phase.resize(n, c64::ONE);
     for i in 0..n {
-        ws.diag[i] = ws.h[(i, i)].re;
+        ws.diag[i] = h[packed_col_start(n, i)].re;
     }
     for i in 0..n.saturating_sub(1) {
-        let f = ws.h[(i + 1, i)];
+        let f = h[packed_col_start(n, i) + 1];
         let fabs = f.abs();
         ws.sub[i] = fabs;
         ws.phase[i + 1] = if fabs == 0.0 {
@@ -646,27 +664,29 @@ fn normalize(v: &mut [f64]) -> f64 {
 /// the Householder reflectors in reverse order. Result lands in `ws.z`.
 fn back_transform(j: usize, ws: &mut TridiagWorkspace) {
     let n = ws.diag.len();
-    ws.z.clear();
+    let h = ws.h.as_slice();
+    let z = &mut ws.z;
+    z.clear();
     let col = &ws.tvecs[j * n..(j + 1) * n];
-    ws.z.extend(ws.phase.iter().zip(col).map(|(p, &c)| p.scale(c)));
-    // Reflectors were built for columns 0..n−2; v_j lives in h[(j+2).., j]
-    // with its first component stashed at h[j, j+1].
+    z.extend(ws.phase.iter().zip(col).map(|(p, &c)| p.scale(c)));
+    // Reflectors were built for columns 0..n−2; v_j's first component is
+    // in `reflectors[j]`, the rest in column j from row j+2 on.
     for jr in (0..n.saturating_sub(2)).rev() {
-        let beta = ws.beta[jr];
+        let Reflector { beta, v_first: v0 } = ws.reflectors[jr];
         if beta == 0.0 {
             continue;
         }
         let m0 = jr + 1;
+        let rest = &h[packed_col_start(n, jr) + 2..packed_col_start(n, m0)];
         // vᴴ·z
-        let mut dot = ws.h[(jr, jr + 1)].conj() * ws.z[m0];
-        for r in (m0 + 1)..n {
-            dot += ws.h[(r, jr)].conj() * ws.z[r];
+        let mut dot = v0.conj() * z[m0];
+        for (vr, zr) in rest.iter().zip(&z[m0 + 1..]) {
+            dot += vr.conj() * *zr;
         }
         let f = dot.scale(beta);
-        ws.z[m0] -= f * ws.h[(jr, jr + 1)];
-        for r in (m0 + 1)..n {
-            let vr = ws.h[(r, jr)];
-            ws.z[r] -= f * vr;
+        z[m0] -= f * v0;
+        for (zr, &vr) in z[m0 + 1..].iter_mut().zip(rest) {
+            *zr -= f * vr;
         }
     }
 }
@@ -890,26 +910,33 @@ mod tests {
         let mut copying = TridiagWorkspace::default();
         hermitian_eigen_partial_into(&a, 4, &mut copying);
         // Garbage above the diagonal and imaginary diagonal parts: the
-        // solve sees the Hermitian completion of the lower triangle only.
-        let mut ws = TridiagWorkspace::default();
-        let m = ws.matrix_mut();
-        *m = a.clone();
+        // copying solve keeps a dense input's lower triangle only, and the
+        // solve sees its Hermitian completion with a real diagonal.
+        let mut dirty = a.clone();
         for c in 0..12 {
-            m[(c, c)].im = 3.0;
+            dirty[(c, c)].im = 3.0;
             for r in 0..c {
-                m[(r, c)] = c64::new(5.0 + r as f64, -7.0);
+                dirty[(r, c)] = c64::new(5.0 + r as f64, -7.0);
             }
         }
+        let mut from_dirty = TridiagWorkspace::default();
+        hermitian_eigen_partial_into(&dirty, 4, &mut from_dirty);
+        // The same triangle built in the workspace and solved in place.
+        let mut ws = TridiagWorkspace::default();
+        ws.matrix_mut().assign_lower(&dirty);
+        assert_eq!(ws.matrix().as_slice().len(), 12 * 13 / 2);
         hermitian_eigen_partial_in_place(4, &mut ws);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(ws.values()), bits(copying.values()));
         let vbits = |m: &CMat| {
             m.as_slice()
                 .iter()
                 .map(|z| (z.re.to_bits(), z.im.to_bits()))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(vbits(ws.vectors()), vbits(copying.vectors()));
+        for solved in [&from_dirty, &ws] {
+            assert_eq!(bits(solved.values()), bits(copying.values()));
+            assert_eq!(vbits(solved.vectors()), vbits(copying.vectors()));
+        }
     }
 
     #[test]

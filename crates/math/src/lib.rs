@@ -12,9 +12,11 @@
 //! external linear-algebra dependencies:
 //!
 //! * [`c64`] — a complex double with full arithmetic ([`complex`]).
-//! * [`CMat`] — dense column-major complex matrices, and
-//!   [`PackedHermitian`], a Hermitian matrix stored as its lower triangle
-//!   in `f32` pairs ([`matrix`]).
+//! * [`CMat`] — dense column-major complex matrices, and two Hermitian
+//!   matrices stored as their packed lower triangle in one layout:
+//!   [`PackedHermitianF64`], the working form the eigensolver decomposes
+//!   in place, and [`PackedHermitian`], its at-rest form in `f32` pairs
+//!   ([`matrix`]).
 //! * [`eigen_tridiag`] — the one Hermitian eigensolver: Householder
 //!   tridiagonalization + implicit-shift QL with partial eigenvector
 //!   extraction (MUSIC, the Rayleigh–Ritz step and MUSIC-AoA), one
@@ -49,5 +51,5 @@ pub use eigen_tridiag::{
     hermitian_eigen_partial_into, BatchTridiagWorkspace, PartialHermitianEigen, TridiagWorkspace,
     BATCH_LANES,
 };
-pub use matrix::{CMat, PackedHermitian};
+pub use matrix::{CMat, PackedHermitian, PackedHermitianF64};
 pub use subspace::{StoredBasis, SubspaceTracker};

@@ -214,68 +214,18 @@ impl CMat {
     }
 
     /// [`mul_hermitian_self`](Self::mul_hermitian_self) writing into a
-    /// caller-owned buffer (resized as needed).
+    /// caller-owned buffer (resized as needed). The lower triangle
+    /// accumulates column by column of `self` with the kernel
+    /// [`PackedHermitianF64::assign_hermitian_product`] runs, then is
+    /// mirrored, so the lower triangles of the two agree bit for bit.
     pub fn mul_hermitian_self_into(&self, out: &mut CMat) {
-        out.assign_hermitian_product(self.rows, |add| {
-            for c in 0..self.cols {
-                add(self.col(c));
-            }
-        });
-    }
-
-    /// Overwrites `self` with the `n×n` product `X·Xᴴ = Σ_c x_c·x_cᴴ` of a
-    /// matrix `X` that is never stored: `columns` hands each column `x_c`
-    /// of `X`, in column order, to the sink it is given, so a caller can
-    /// gather one column at a time into a small buffer. The lower triangle
-    /// accumulates column by column, then is mirrored, so the result is
-    /// bitwise [`mul_hermitian_self_into`](Self::mul_hermitian_self_into)
-    /// on the stored `X`.
-    ///
-    /// # Panics
-    /// Panics if a fed column's length is not `n`.
-    pub fn assign_hermitian_product(
-        &mut self,
-        n: usize,
-        columns: impl FnOnce(&mut dyn FnMut(&[c64])),
-    ) {
-        self.reset_zeros(n, n);
-        columns(&mut |x| {
-            assert_eq!(x.len(), n, "Hermitian product column-length mismatch");
-            accumulate_outer_lower(&mut self.data, x);
-        });
-        // Exact Hermitian symmetry: mirror the lower triangle.
-        self.mirror_lower_triangle();
-    }
-
-    /// `R ← λ·R + X·Xᴴ` on the Hermitian `n×n` matrix `self` — one step of
-    /// an exponentially forgotten covariance, with `X` never stored:
-    /// `columns` hands each column of `X`, in column order, to the sink it
-    /// is given (see [`assign_hermitian_product`](Self::assign_hermitian_product)).
-    /// Decays every lower-triangle entry, accumulates column by column of
-    /// `X` down each lower-triangle column, then mirrors the lower triangle
-    /// and forces the diagonal real. Only the lower triangle of `self` is
-    /// read. With `λ = 0` and a finite `self` this equals the fresh
-    /// product.
-    ///
-    /// # Panics
-    /// Panics if `self` is not square or a fed column's length is not `n`.
-    pub fn decay_accumulate_hermitian(
-        &mut self,
-        lambda: f64,
-        columns: impl FnOnce(&mut dyn FnMut(&[c64])),
-    ) {
         let n = self.rows;
-        assert_eq!(self.cols, n, "covariance update on a non-square matrix");
-        for j in 0..n {
-            for z in &mut self.data[j * n + j..(j + 1) * n] {
-                *z *= lambda;
-            }
+        out.reset_zeros(n, n);
+        for c in 0..self.cols {
+            accumulate_outer_lower(&mut out.data, self.col(c), |j| j * n + j);
         }
-        columns(&mut |x| {
-            assert_eq!(x.len(), n, "covariance update row-count mismatch");
-            accumulate_outer_lower(&mut self.data, x);
-        });
-        self.mirror_lower_triangle();
+        // Exact Hermitian symmetry: mirror the lower triangle.
+        out.mirror_lower_triangle();
     }
 
     /// Matrix product `self · rhs`.
@@ -423,54 +373,228 @@ impl fmt::Debug for CMat {
     }
 }
 
-/// `L ← L + x·xᴴ` over the lower triangle of the dense column-major
-/// `n×n` matrix `a` (`n = x.len()`): column `j` adds `x[i]·conj(x[j])` for
-/// `i ≥ j` ascending. Every Hermitian product in this module runs this one
-/// loop, so the fresh and the decayed covariance agree bit for bit.
-fn accumulate_outer_lower(a: &mut [c64], x: &[c64]) {
+/// `L ← L + x·xᴴ` over a lower triangle stored column by column in `a`,
+/// column `j`'s entries `(j..n, j)` from `a[col_start(j)]` on
+/// (`n = x.len()`): column `j` adds `x[i]·conj(x[j])` for `i ≥ j`
+/// ascending. Every Hermitian product in this module, dense or packed,
+/// runs this one loop, so the fresh and the decayed covariance agree bit
+/// for bit.
+fn accumulate_outer_lower(a: &mut [c64], x: &[c64], col_start: impl Fn(usize) -> usize) {
     let n = x.len();
     for j in 0..n {
         let cj = x[j].conj();
+        let start = col_start(j);
         // Slice-based so the inner loop is bounds-check free.
-        for (d, &s) in a[j * n + j..(j + 1) * n].iter_mut().zip(&x[j..]) {
+        for (d, &s) in a[start..start + n - j].iter_mut().zip(&x[j..]) {
             *d += s * cj;
         }
     }
 }
 
-/// An `n×n` Hermitian matrix stored compactly: its lower triangle,
-/// column-major, column `j` holding rows `j..n` (`n(n+1)/2` entries
-/// instead of `n²`), each entry rounded to a pair of `f32` (8 B instead of
-/// a [`c64`]'s 16). The diagonal is kept exactly real.
+/// Offset of `(j, j)`, the first stored entry of column `j`, in an `n×n`
+/// packed lower triangle: `j·n − j(j−1)/2`; entry `(i, j)`, `i ≥ j`,
+/// follows at `+ (i − j)`, and `j = n` gives the triangle's length
+/// `n(n+1)/2`. [`PackedHermitian`] and [`PackedHermitianF64`] share this
+/// one layout.
+#[inline]
+pub(crate) fn packed_col_start(n: usize, j: usize) -> usize {
+    j * (2 * n + 1 - j) / 2
+}
+
+/// An `n×n` Hermitian matrix held as its lower triangle in `f64`, packed
+/// column-major: column `j` holds rows `j..n`, so `(i, j)` with `i ≥ j`
+/// lives at `j·n − j(j−1)/2 + (i − j)` (`n(n+1)/2` [`c64`] entries instead
+/// of `n²`). The upper triangle is the conjugate of the lower one and is
+/// never stored. [`PackedHermitian`] rounds the same layout to `f32`.
+///
+/// This is the working form of every matrix the eigensolver decomposes in
+/// place: a packet's covariance is built, or a stream's decayed,
+/// in a [`TridiagWorkspace`](crate::TridiagWorkspace)'s matrix, where the
+/// subspace tracker's `R·E` and the Householder reduction read it.
+///
+/// ```
+/// use spotfi_math::{c64, CMat, PackedHermitianF64};
+///
+/// let x = CMat::from_fn(3, 4, |r, c| c64::cis(r as f64 * 0.4 + c as f64));
+/// let mut r = PackedHermitianF64::default();
+/// r.assign_hermitian_product(3, |add| {
+///     for c in 0..x.cols() {
+///         add(x.col(c));
+///     }
+/// });
+/// // Six stored entries: the lower triangle of X·Xᴴ, column by column.
+/// let dense = x.mul_hermitian_self();
+/// assert_eq!(r.as_slice().len(), 6);
+/// assert_eq!(r[(2, 1)], dense[(2, 1)]);
+/// assert_eq!(r.col(1), &dense.col(1)[1..]);
+/// ```
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct PackedHermitianF64 {
+    n: usize,
+    /// Lower triangle, column by column: `(i, j)` with `i ≥ j` at
+    /// `packed_col_start(n, j) + (i − j)`.
+    data: Vec<c64>,
+}
+
+impl PackedHermitianF64 {
+    /// The matrix order `n`.
+    #[inline]
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// The packed lower triangle, column by column.
+    #[inline]
+    pub fn as_slice(&self) -> &[c64] {
+        &self.data
+    }
+
+    /// Mutable packed lower triangle, column by column.
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [c64] {
+        &mut self.data
+    }
+
+    /// The stored part of column `j`: rows `j..n`.
+    #[inline]
+    pub fn col(&self, j: usize) -> &[c64] {
+        &self.data[packed_col_start(self.n, j)..packed_col_start(self.n, j + 1)]
+    }
+
+    /// Reshapes in place to the `n×n` zero matrix, reusing the existing
+    /// allocation when it is large enough.
+    pub fn reset_zeros(&mut self, n: usize) {
+        self.n = n;
+        self.data.clear();
+        self.data.resize(packed_col_start(n, n), c64::ZERO);
+    }
+
+    /// Overwrites `self` with the lower triangle of the square `a`, the
+    /// diagonal included as is. The upper triangle of `a` is not read.
+    ///
+    /// # Panics
+    /// Panics if `a` is not square.
+    pub fn assign_lower(&mut self, a: &CMat) {
+        let n = a.rows();
+        assert_eq!(a.cols(), n, "packed copy of a non-square matrix");
+        self.n = n;
+        self.data.clear();
+        self.data.reserve_exact(packed_col_start(n, n));
+        for j in 0..n {
+            self.data.extend_from_slice(&a.col(j)[j..]);
+        }
+    }
+
+    /// Overwrites `self` with the `n×n` product `X·Xᴴ = Σ_c x_c·x_cᴴ` of a
+    /// matrix `X` that is never stored: `columns` hands each column `x_c`
+    /// of `X`, in column order, to the sink it is given, so a caller can
+    /// gather one column at a time into a small buffer. The lower triangle
+    /// accumulates column by column, then the diagonal is forced real, so
+    /// the result is bitwise the lower triangle of
+    /// [`CMat::mul_hermitian_self_into`] on the stored `X`.
+    ///
+    /// # Panics
+    /// Panics if a fed column's length is not `n`.
+    pub fn assign_hermitian_product(
+        &mut self,
+        n: usize,
+        columns: impl FnOnce(&mut dyn FnMut(&[c64])),
+    ) {
+        self.reset_zeros(n);
+        columns(&mut |x| {
+            assert_eq!(x.len(), n, "Hermitian product column-length mismatch");
+            accumulate_outer_lower(&mut self.data, x, |j| packed_col_start(n, j));
+        });
+        self.force_real_diagonal();
+    }
+
+    /// `R ← λ·R + X·Xᴴ` on `self` — one step of an exponentially
+    /// forgotten covariance, with `X` never stored: `columns` hands each
+    /// column of `X`, in column order, to the sink it is given (see
+    /// [`assign_hermitian_product`](Self::assign_hermitian_product)).
+    /// Decays every stored entry, accumulates column by column of `X` down
+    /// each column of the triangle, then forces the diagonal real. With
+    /// `λ = 0` and a finite `self` this equals the fresh product.
+    ///
+    /// # Panics
+    /// Panics if a fed column's length is not `n`.
+    pub fn decay_accumulate(&mut self, lambda: f64, columns: impl FnOnce(&mut dyn FnMut(&[c64]))) {
+        let n = self.n;
+        for z in &mut self.data {
+            *z *= lambda;
+        }
+        columns(&mut |x| {
+            assert_eq!(x.len(), n, "covariance update row-count mismatch");
+            accumulate_outer_lower(&mut self.data, x, |j| packed_col_start(n, j));
+        });
+        self.force_real_diagonal();
+    }
+
+    fn force_real_diagonal(&mut self) {
+        for j in 0..self.n {
+            let d = &mut self.data[packed_col_start(self.n, j)];
+            *d = c64::real(d.re);
+        }
+    }
+}
+
+impl Index<(usize, usize)> for PackedHermitianF64 {
+    type Output = c64;
+    /// The stored entry `(i, j)`; only the lower triangle (`i ≥ j`) is
+    /// stored.
+    #[inline]
+    fn index(&self, (i, j): (usize, usize)) -> &c64 {
+        debug_assert!(j <= i && i < self.n);
+        &self.data[packed_col_start(self.n, j) + (i - j)]
+    }
+}
+
+impl IndexMut<(usize, usize)> for PackedHermitianF64 {
+    #[inline]
+    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut c64 {
+        debug_assert!(j <= i && i < self.n);
+        &mut self.data[packed_col_start(self.n, j) + (i - j)]
+    }
+}
+
+/// An `n×n` Hermitian matrix stored compactly: its lower triangle in
+/// [`PackedHermitianF64`]'s layout (`n(n+1)/2` entries instead of `n²`),
+/// each entry rounded to a pair of `f32` (8 B instead of a [`c64`]'s 16).
+/// The diagonal is kept exactly real.
 ///
 /// This is the at-rest form of a streaming covariance: a server holding
 /// thousands of them keeps only the half it cannot re-derive, at single
 /// precision. Only the storage is single precision. Every update runs in
-/// `f64` on a dense matrix: [`unpack_into`](Self::unpack_into) widens the
-/// stored triangle exactly into a per-worker buffer,
-/// [`CMat::decay_accumulate_hermitian`] applies `R ← λ·R + X·Xᴴ` there, and
-/// [`store_rounded`](Self::store_rounded) rounds the result back. A packet
-/// therefore reads its covariance unrounded; only the history carried to
-/// the next packet is rounded, by at most 2⁻²⁴ relative per component.
+/// `f64` on the same triangle: [`widen_into`](Self::widen_into) widens the
+/// stored entries exactly into a per-worker [`PackedHermitianF64`],
+/// [`PackedHermitianF64::decay_accumulate`] applies `R ← λ·R + X·Xᴴ`
+/// there, and [`store_rounded`](Self::store_rounded) rounds the result
+/// back, entry by entry. A packet therefore reads its covariance
+/// unrounded; only the history carried to the next packet is rounded, by
+/// at most 2⁻²⁴ relative per component.
 ///
 /// ```
-/// use spotfi_math::{c64, CMat, PackedHermitian};
+/// use spotfi_math::{c64, CMat, PackedHermitian, PackedHermitianF64};
 ///
 /// let x0 = CMat::from_fn(3, 4, |r, c| c64::cis(r as f64 * 0.4 + c as f64));
 /// let x1 = CMat::from_fn(3, 4, |r, c| c64::cis(r as f64 * 1.3 - c as f64));
+/// let mut work = PackedHermitianF64::default();
+/// work.assign_hermitian_product(3, |add| {
+///     for c in 0..x0.cols() {
+///         add(x0.col(c));
+///     }
+/// });
 /// let mut r = PackedHermitian::zeros(3);
-/// assert!(r.store_rounded(&x0.mul_hermitian_self()));
+/// assert!(r.store_rounded(&work));
 ///
 /// // R ← 0.5·R + X₁·X₁ᴴ, in f64, then rounded back into storage.
-/// let mut dense = CMat::default();
-/// r.unpack_into(&mut dense);
-/// dense.decay_accumulate_hermitian(0.5, |add| {
+/// r.widen_into(&mut work);
+/// work.decay_accumulate(0.5, |add| {
 ///     for c in 0..x1.cols() {
 ///         add(x1.col(c));
 ///     }
 /// });
-/// assert_eq!(dense, dense.hermitian());
-/// assert!(r.store_rounded(&dense));
+/// assert!(r.store_rounded(&work));
 /// ```
 #[derive(Clone, Debug)]
 pub struct PackedHermitian {
@@ -485,13 +609,12 @@ impl PackedHermitian {
     pub fn zeros(n: usize) -> Self {
         PackedHermitian {
             n,
-            data: vec![[0.0; 2]; n * (n + 1) / 2],
+            data: vec![[0.0; 2]; packed_col_start(n, n)],
         }
     }
 
-    /// Overwrites `self` with the lower triangle of the Hermitian `a`, each
-    /// component rounded to the nearest `f32` and the diagonal forced real.
-    /// The upper triangle of `a` is not read. Returns `false` if a stored
+    /// Overwrites `self` with `a`, each component rounded to the nearest
+    /// `f32` and the diagonal forced real. Returns `false` if a stored
     /// entry is not finite: `a` held a NaN or an infinity, or a finite
     /// entry beyond `f32`'s range (≈ 3.4·10³⁸) rounded to infinity. The
     /// stored matrix is then poisoned and must not be read.
@@ -499,42 +622,30 @@ impl PackedHermitian {
     /// # Panics
     /// Panics if `a` is not `n×n`.
     #[must_use = "a `false` return means the stored matrix is poisoned"]
-    pub fn store_rounded(&mut self, a: &CMat) -> bool {
+    pub fn store_rounded(&mut self, a: &PackedHermitianF64) -> bool {
         let n = self.n;
-        assert_eq!(a.shape(), (n, n), "packed store shape mismatch");
+        assert_eq!(a.n(), n, "packed store shape mismatch");
         let mut finite = true;
-        let mut off = 0;
+        for (d, z) in self.data.iter_mut().zip(a.as_slice()) {
+            *d = [z.re as f32, z.im as f32];
+            finite &= d[0].is_finite() && d[1].is_finite();
+        }
         for j in 0..n {
-            let len = n - j;
-            for (d, z) in self.data[off..off + len].iter_mut().zip(&a.col(j)[j..]) {
-                *d = [z.re as f32, z.im as f32];
-                finite &= d[0].is_finite() && d[1].is_finite();
-            }
-            self.data[off][1] = 0.0;
-            off += len;
+            self.data[packed_col_start(n, j)][1] = 0.0;
         }
         finite
     }
 
-    /// Writes the dense Hermitian matrix into `out` (resized to `n×n`,
-    /// reusing its allocation), widened exactly to `f64`: the lower
-    /// triangle as stored, the upper triangle as its conjugate.
-    pub fn unpack_into(&self, out: &mut CMat) {
-        let n = self.n;
-        if out.shape() != (n, n) {
-            out.reset_zeros(n, n);
-        }
-        let mut off = 0;
-        for j in 0..n {
-            for (k, &[re, im]) in self.data[off..off + n - j].iter().enumerate() {
-                let z = c64::new(f64::from(re), f64::from(im));
-                out.data[j * n + j + k] = z;
-                if k > 0 {
-                    out.data[(j + k) * n + j] = z.conj();
-                }
-            }
-            off += n - j;
-        }
+    /// Overwrites `out` with the stored triangle, widened exactly to
+    /// `f64` entry by entry (reusing `out`'s allocation).
+    pub fn widen_into(&self, out: &mut PackedHermitianF64) {
+        out.n = self.n;
+        out.data.clear();
+        out.data.extend(
+            self.data
+                .iter()
+                .map(|&[re, im]| c64::new(f64::from(re), f64::from(im))),
+        );
     }
 }
 
@@ -644,8 +755,9 @@ mod tests {
         assert_eq!(out, x.mul_hermitian_self());
     }
 
-    /// The index-loop form of [`CMat::decay_accumulate_hermitian`]: decay
-    /// every entry, accumulate the lower triangle column by column, then
+    /// The index-loop form of the dense decay step a stream ran before its
+    /// working covariance was packed: decay every entry of the dense
+    /// Hermitian `a`, accumulate the lower triangle column by column, then
     /// mirror it and force the diagonal real.
     fn dense_decay_accumulate(a: &mut CMat, lambda: f64, x: &CMat) {
         let n = a.rows();
@@ -664,17 +776,24 @@ mod tests {
         a.mirror_lower_triangle();
     }
 
-    fn bits(m: &CMat) -> Vec<(u64, u64)> {
-        m.as_slice()
-            .iter()
-            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+    fn bits(m: &[c64]) -> Vec<(u64, u64)> {
+        m.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    /// The lower triangle of the dense `a`, column by column, read through
+    /// `(i, j)` indices rather than the packed layout.
+    fn lower(a: &CMat) -> Vec<c64> {
+        let n = a.rows();
+        (0..n)
+            .flat_map(|j| (j..n).map(move |i| (i, j)))
+            .map(|(i, j)| a[(i, j)])
             .collect()
     }
 
     /// The stored entry `(i, j)`, `i ≥ j`, read through the documented
-    /// packed index rather than [`PackedHermitian::unpack_into`].
+    /// packed index `j·n − j(j−1)/2 + (i − j)`.
     fn stored(p: &PackedHermitian, i: usize, j: usize) -> [f32; 2] {
-        p.data[j * (2 * p.n + 1 - j) / 2 + (i - j)]
+        p.data[j * p.n - j * j.saturating_sub(1) / 2 + (i - j)]
     }
 
     /// `a` as the stream stores it: each lower-triangle component rounded
@@ -695,21 +814,34 @@ mod tests {
         p.data.iter().map(|z| z.map(f32::to_bits)).collect()
     }
 
-    /// [`CMat::decay_accumulate_hermitian`] fed the columns of a stored `x`.
-    fn decay_stored(a: &mut CMat, lambda: f64, x: &CMat) {
-        a.decay_accumulate_hermitian(lambda, |add| {
+    /// [`PackedHermitianF64::decay_accumulate`] fed the columns of a stored
+    /// `x`.
+    fn decay_stored(a: &mut PackedHermitianF64, lambda: f64, x: &CMat) {
+        a.decay_accumulate(lambda, |add| {
             for c in 0..x.cols() {
                 add(x.col(c));
             }
         });
     }
 
+    /// `x·xᴴ` built packed from the columns of a stored `x`.
+    fn packed_product(x: &CMat) -> PackedHermitianF64 {
+        let mut p = PackedHermitianF64::default();
+        p.assign_hermitian_product(x.rows(), |add| {
+            for c in 0..x.cols() {
+                add(x.col(c));
+            }
+        });
+        p
+    }
+
     #[test]
     fn packed_decay_accumulate_is_bitwise_the_dense_kernel() {
-        // One stream step is unpack → decay in f64 → store rounded. The
-        // f64 update must be bitwise the index-loop kernel applied to the
-        // stored triangle widened through the packed index, and the stored
-        // triangle bitwise the f32 rounding of that update.
+        // One stream step is widen → decay in f64 → store rounded, all on
+        // the packed triangle. The f64 update must be bitwise the lower
+        // triangle of the dense index-loop kernel applied to the stored
+        // triangle widened through the packed index and mirrored, and the
+        // stored triangle bitwise the f32 rounding of that update.
         let snapshot = |r: f64| {
             CMat::from_fn(5, 9, move |row, c| {
                 c64::new((row * c) as f64 * 0.13 - r, row as f64 - c as f64 * r)
@@ -718,9 +850,10 @@ mod tests {
         };
         let mut packed = PackedHermitian::zeros(5);
         let first = snapshot(0.3).mul_hermitian_self();
-        assert!(packed.store_rounded(&first));
+        let mut work = packed_product(&snapshot(0.3));
+        assert_eq!(bits(work.as_slice()), bits(&lower(&first)));
+        assert!(packed.store_rounded(&work));
         assert_eq!(stored_bits(&packed), rounded_lower_bits(&first));
-        let mut out = CMat::default();
         for (lambda, r) in [(0.85, 1.7), (0.7, -0.4), (0.0, 2.2), (0.5, 0.9)] {
             let x = snapshot(r);
             let mut dense = CMat::from_fn(5, 5, |i, j| {
@@ -733,17 +866,20 @@ mod tests {
                 }
             });
             dense_decay_accumulate(&mut dense, lambda, &x);
-            packed.unpack_into(&mut out);
-            decay_stored(&mut out, lambda, &x);
-            assert_eq!(bits(&out), bits(&dense), "f64 update at λ = {lambda}");
-            assert!(packed.store_rounded(&out));
+            packed.widen_into(&mut work);
+            decay_stored(&mut work, lambda, &x);
+            assert_eq!(
+                bits(work.as_slice()),
+                bits(&lower(&dense)),
+                "f64 update at λ = {lambda}"
+            );
+            assert!(packed.store_rounded(&work));
             assert_eq!(
                 stored_bits(&packed),
                 rounded_lower_bits(&dense),
                 "stored update at λ = {lambda}"
             );
         }
-        assert_eq!(out, out.hermitian(), "decayed covariance must be Hermitian");
     }
 
     #[test]
@@ -752,33 +888,37 @@ mod tests {
             c64::new((r * c) as f64 * 0.13 - 1.0, r as f64 - c as f64)
         });
         // Dirty starting state: λ = 0 must wipe it.
-        let mut out = CMat::from_fn(5, 5, |_, _| c64::new(7.0, -3.0));
+        let mut out = PackedHermitianF64::default();
+        out.assign_lower(&CMat::from_fn(5, 5, |_, _| c64::new(7.0, -3.0)));
         decay_stored(&mut out, 0.0, &x);
-        assert_eq!(out, x.mul_hermitian_self());
+        assert_eq!(out, packed_product(&x));
     }
 
     #[test]
-    fn packed_unpack_roundtrips_into_a_dirty_buffer() {
+    fn packed_widen_roundtrips_into_a_dirty_buffer() {
         let x = CMat::from_fn(4, 7, |r, c| c64::cis(r as f64 * 0.3 + c as f64 * 1.1));
-        let fresh = x.mul_hermitian_self();
+        let fresh = packed_product(&x);
         let mut packed = PackedHermitian::zeros(4);
         assert!(packed.store_rounded(&fresh));
         assert_eq!(packed.data.len(), 10);
         assert_eq!(std::mem::size_of_val(&packed.data[..]), 10 * 8);
-        let mut out = CMat::from_fn(7, 2, |_, _| c64::new(9.0, -9.0));
-        packed.unpack_into(&mut out);
-        let widened = CMat::from_fn(4, 4, |i, j| {
-            let z = fresh[(i, j)];
-            c64::new(f64::from(z.re as f32), f64::from(z.im as f32))
-        });
-        assert_eq!(bits(&out), bits(&widened));
-        assert_eq!(out, out.hermitian());
+        let mut out = PackedHermitianF64::default();
+        out.reset_zeros(7);
+        out.as_mut_slice().fill(c64::new(9.0, -9.0));
+        packed.widen_into(&mut out);
+        let widened: Vec<c64> = fresh
+            .as_slice()
+            .iter()
+            .map(|z| c64::new(f64::from(z.re as f32), f64::from(z.im as f32)))
+            .collect();
+        assert_eq!(out.n(), 4);
+        assert_eq!(bits(out.as_slice()), bits(&widened));
     }
 
     #[test]
     fn packed_store_reports_non_finite_and_f32_overflow() {
-        let fresh = CMat::from_fn(4, 7, |r, c| c64::cis(r as f64 * 0.3 + c as f64 * 1.1))
-            .mul_hermitian_self();
+        let x = CMat::from_fn(4, 7, |r, c| c64::cis(r as f64 * 0.3 + c as f64 * 1.1));
+        let fresh = packed_product(&x);
         let mut packed = PackedHermitian::zeros(4);
         for poison in [f64::NAN, f64::INFINITY, 1e39] {
             let mut bad = fresh.clone();
@@ -786,11 +926,14 @@ mod tests {
             assert!(!packed.store_rounded(&bad), "{poison} stored as finite");
             assert!(packed.store_rounded(&fresh));
         }
-        // The largest finite f32 still fits; the upper triangle is not read.
-        let mut edge = fresh.clone();
+        // The largest finite f32 still fits. A dense matrix's upper
+        // triangle never reaches the packed copy.
+        let mut edge = x.mul_hermitian_self();
         edge[(3, 0)] = c64::real(f64::from(f32::MAX));
         edge[(0, 3)] = c64::real(f64::INFINITY);
-        assert!(packed.store_rounded(&edge));
+        let mut work = PackedHermitianF64::default();
+        work.assign_lower(&edge);
+        assert!(packed.store_rounded(&work));
     }
 
     #[test]

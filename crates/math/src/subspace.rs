@@ -14,8 +14,9 @@
 //! orthonormal):
 //!
 //! 1. `Y = R·E` — one product against the current basis `E` (n×k).
-//! 2. `B = Eᴴ·Y` — the k×k Rayleigh quotient (exactly Hermitian when `E`
-//!    is orthonormal).
+//! 2. `B = Eᴴ·Y` — the k×k Rayleigh quotient (Hermitian when `E` is
+//!    orthonormal, up to rounding: all k² entries are formed, the lower
+//!    triangle is kept for the solve).
 //! 3. **drift** `= ‖Y − E·B‖_F / ‖Y‖_F` — the fraction of `R·E`'s energy
 //!    outside `span(E)`; since `Eᴴ(Y − E·B) = 0`, it is computed for free
 //!    as `√(‖Y‖² − ‖B‖²)/‖Y‖` with no extra product. A converged subspace
@@ -42,7 +43,7 @@
 
 use crate::complex::c64;
 use crate::eigen_tridiag::{hermitian_eigen_partial_in_place, TridiagWorkspace};
-use crate::matrix::CMat;
+use crate::matrix::{CMat, PackedHermitianF64};
 
 /// Relative column-norm floor below which Gram–Schmidt declares breakdown.
 const ORTH_BREAKDOWN_REL: f64 = 1e-12;
@@ -58,7 +59,7 @@ const ORTH_BREAKDOWN_REL: f64 = 1e-12;
 /// that never tracks holds no heap.
 ///
 /// ```
-/// use spotfi_math::{c64, hermitian_eigen_partial, CMat, SubspaceTracker};
+/// use spotfi_math::{c64, hermitian_eigen_partial, CMat, PackedHermitianF64, SubspaceTracker};
 ///
 /// // A fixed covariance: tracking it is power iteration from the exact
 /// // answer, so drift is ~0 and the Ritz values match the spectrum. Two
@@ -71,7 +72,9 @@ const ORTH_BREAKDOWN_REL: f64 = 1e-12;
 ///
 /// let mut t = SubspaceTracker::new();
 /// t.seed(&eig.vectors, 2);
-/// let drift = t.refine(&r);
+/// let mut packed = PackedHermitianF64::default();
+/// packed.assign_lower(&r);
+/// let drift = t.refine(&packed);
 /// assert!(drift < 1e-8);
 /// assert!((t.values()[0] - eig.values[0]).abs() < 1e-8 * eig.values[0]);
 /// ```
@@ -104,14 +107,18 @@ pub struct SubspaceTracker {
 /// basis back, by at most 2⁻²⁴ relative per component.
 ///
 /// ```
-/// use spotfi_math::{c64, hermitian_eigen_partial, CMat, StoredBasis, SubspaceTracker};
+/// use spotfi_math::{
+///     c64, hermitian_eigen_partial, CMat, PackedHermitianF64, StoredBasis, SubspaceTracker,
+/// };
 ///
 /// let x = CMat::from_fn(6, 10, |r, c| {
 ///     c64::cis(r as f64 * 0.7 + c as f64 * 0.3) + c64::cis(r as f64 * 1.9 + c as f64 * 1.2) * 0.5
 /// });
-/// let r = x.mul_hermitian_self();
+/// let dense = x.mul_hermitian_self();
+/// let mut r = PackedHermitianF64::default();
+/// r.assign_lower(&dense);
 /// let mut t = SubspaceTracker::new();
-/// t.seed(&hermitian_eigen_partial(&r, 2).vectors, 2);
+/// t.seed(&hermitian_eigen_partial(&dense, 2).vectors, 2);
 ///
 /// // At rest between steps: rounded to f32, then widened and
 /// // re-orthonormalized in f64 before the next step.
@@ -219,10 +226,11 @@ impl SubspaceTracker {
         &self.ritz_vectors
     }
 
-    /// One tracking step against the Hermitian matrix `r`. Writes this
-    /// step's Ritz pairs ([`values`](Self::values) /
-    /// [`vectors`](Self::vectors)), primes the basis for the next step,
-    /// and returns the relative subspace drift (see module docs).
+    /// One tracking step against the Hermitian matrix `r`, given as its
+    /// packed lower triangle. Writes this step's Ritz pairs
+    /// ([`values`](Self::values) / [`vectors`](Self::vectors)), primes the
+    /// basis for the next step, and returns the relative subspace drift
+    /// (see module docs).
     ///
     /// Returns `f64::INFINITY` when the tracker is unseeded, the input is
     /// degenerate, or orthonormalization breaks down (a rank-deficient
@@ -232,21 +240,25 @@ impl SubspaceTracker {
     /// threshold as "re-anchor with the exact solver" and not read them.
     ///
     /// # Panics
-    /// Panics if `r` is not square or its size disagrees with the seed.
-    pub fn refine(&mut self, r: &CMat) -> f64 {
+    /// Panics if `r`'s size disagrees with the seed.
+    pub fn refine(&mut self, r: &PackedHermitianF64) -> f64 {
         if !self.is_seeded() {
             return f64::INFINITY;
         }
         let n = self.basis.rows();
         let k = self.basis.cols();
-        assert_eq!(r.shape(), (n, n), "covariance shape disagrees with seed");
+        assert_eq!(r.n(), n, "covariance shape disagrees with seed");
 
         // 1. Y = R·E.
-        mul_into(r, &self.basis, &mut self.y);
+        hermitian_mul_into(r, &self.basis, &mut self.y);
 
-        // 2. B = Eᴴ·Y (k×k), built in the eigensolver's own matrix.
+        // 2. B = Eᴴ·Y (k×k), built in the eigensolver's own matrix. In
+        //    floating point B is not exactly Hermitian, so ‖B‖² sums all k²
+        //    entries, column-major, as they are formed; the solve reads
+        //    only the lower triangle, which is all that is kept.
         let quotient = self.eig.matrix_mut();
-        quotient.reset_zeros(k, k);
+        quotient.reset_zeros(k);
+        let mut b_sq = 0.0;
         for j in 0..k {
             let ycol = self.y.col(j);
             for i in 0..k {
@@ -255,14 +267,16 @@ impl SubspaceTracker {
                 for row in 0..n {
                     acc += ecol[row].conj() * ycol[row];
                 }
-                quotient[(i, j)] = acc;
+                b_sq += acc.norm_sqr();
+                if i >= j {
+                    quotient[(i, j)] = acc;
+                }
             }
         }
 
         // 3. Relative drift from the norm identity ‖Y − E·B‖² = ‖Y‖² − ‖B‖²
         //    (exact because Eᴴ(Y − E·B) = 0 for orthonormal E).
         let y_sq: f64 = self.y.as_slice().iter().map(|z| z.norm_sqr()).sum();
-        let b_sq: f64 = quotient.as_slice().iter().map(|z| z.norm_sqr()).sum();
         if !y_sq.is_finite() || y_sq <= 0.0 {
             return f64::INFINITY;
         }
@@ -287,6 +301,39 @@ impl SubspaceTracker {
         std::mem::swap(&mut self.basis, &mut self.stage);
 
         drift
+    }
+}
+
+/// `out = R · b` for the Hermitian `R` whose packed lower triangle is `r`,
+/// reusing `out`'s allocation. Column `inner` of `R` is read as the
+/// conjugates of row `inner` of the stored triangle above the diagonal and
+/// as stored from the diagonal down; every output entry accumulates in
+/// [`mul_into`]'s order, so the result is bitwise [`mul_into`] on the
+/// mirrored dense `R`.
+fn hermitian_mul_into(r: &PackedHermitianF64, b: &CMat, out: &mut CMat) {
+    let n = r.n();
+    assert_eq!(n, b.rows(), "hermitian_mul_into dimension mismatch");
+    let lower = r.as_slice();
+    out.reset_zeros(n, b.cols());
+    for c in 0..b.cols() {
+        let ocol = out.col_mut(c);
+        for inner in 0..n {
+            let f = b[(inner, c)];
+            if f == c64::ZERO {
+                continue;
+            }
+            // Rows above the diagonal: R[(row, inner)] = conj(R[(inner, row)]),
+            // stored in column `row`, whose successor starts n − row − 1
+            // entries further on in row `inner`.
+            let mut at = inner;
+            for (row, dst) in ocol[..inner].iter_mut().enumerate() {
+                *dst += lower[at].conj() * f;
+                at += n - 1 - row;
+            }
+            for (dst, &s) in ocol[inner..].iter_mut().zip(r.col(inner)) {
+                *dst += s * f;
+            }
+        }
     }
 }
 
@@ -368,6 +415,13 @@ mod tests {
         t
     }
 
+    /// The packed lower triangle of the dense Hermitian `r`.
+    fn packed(r: &CMat) -> PackedHermitianF64 {
+        let mut p = PackedHermitianF64::default();
+        p.assign_lower(r);
+        p
+    }
+
     fn bits(m: &CMat) -> Vec<(u64, u64)> {
         m.as_slice()
             .iter()
@@ -407,7 +461,7 @@ mod tests {
         let r = covariance(0.0);
         let mut t = seeded(&r, 4);
         for _ in 0..5 {
-            let drift = t.refine(&r);
+            let drift = t.refine(&packed(&r));
             assert!(drift < 1e-9, "static matrix must not drift: {}", drift);
         }
         let eig = hermitian_eigen(&r);
@@ -429,7 +483,7 @@ mod tests {
         let r = covariance(0.3);
         // Eᴴ·R·E from the basis the refine starts from.
         let quotient = t.basis.hermitian().mul(&r).mul(&t.basis);
-        t.refine(&r);
+        t.refine(&packed(&r));
         let off_diagonal = (0..4)
             .flat_map(|i| (0..i).map(move |j| (i, j)))
             .map(|(i, j)| quotient[(i, j)].abs())
@@ -451,14 +505,25 @@ mod tests {
         }
     }
 
-    /// The Ritz step as it was before the quotient moved into the
-    /// eigensolver's matrix: `B` in a buffer of its own, then the copying
-    /// solve, and the power step copied into the basis rather than
-    /// swapped. Kept as the oracle for `refine`'s bits.
-    fn refine_two_buffer(t: &mut SubspaceTracker, r: &CMat, quotient: &mut CMat) -> f64 {
+    /// The Ritz step on dense buffers, as it ran before the quotient moved
+    /// into the eigensolver's matrix and that matrix was packed: `B` in a
+    /// dense k×k buffer of its own, `‖B‖²` summed over its storage, then
+    /// the copying solve, and the power step copied into the basis rather
+    /// than swapped. `R·E` is the production product on the packed `r`,
+    /// or, given `dense_r` (the mirrored dense `r`), [`mul_into`] on that.
+    /// Kept as the oracle for `refine`'s bits.
+    fn refine_dense_reference(
+        t: &mut SubspaceTracker,
+        r: &PackedHermitianF64,
+        dense_r: Option<&CMat>,
+        quotient: &mut CMat,
+    ) -> f64 {
         use crate::eigen_tridiag::hermitian_eigen_partial_into;
         let (n, k) = t.basis.shape();
-        mul_into(r, &t.basis, &mut t.y);
+        match dense_r {
+            Some(dense) => mul_into(dense, &t.basis, &mut t.y),
+            None => hermitian_mul_into(r, &t.basis, &mut t.y),
+        }
         quotient.reset_zeros(k, k);
         for j in 0..k {
             let ycol = t.y.col(j);
@@ -488,10 +553,9 @@ mod tests {
         drift
     }
 
-    #[test]
-    fn in_place_quotient_is_bitwise_the_two_buffer_step() {
-        // 40 steps of a target that drifts by seeded amounts, with a
-        // seeded jump every tenth step so some steps report large drift.
+    /// 40 covariances of a target that drifts by seeded amounts, with a
+    /// seeded jump every tenth step so some steps report large drift.
+    fn drifting_covariances() -> Vec<CMat> {
         let mut state = 0x5EED_u64;
         let mut next = move || {
             state ^= state << 13;
@@ -499,15 +563,27 @@ mod tests {
             state ^= state << 17;
             state as f64 / u64::MAX as f64
         };
+        let mut phase = 0.0;
+        (0..40)
+            .map(|step| {
+                phase += if step % 10 == 9 { 0.5 } else { 0.01 } * next();
+                covariance(phase)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn in_place_quotient_is_bitwise_the_two_buffer_step() {
+        // The packed quotient, solved in place, against the dense k×k
+        // quotient in a buffer of its own and the copying solve, on the
+        // same packed covariance.
         let mut t = seeded(&covariance(0.0), 4);
         let mut old = t.clone();
         let mut quotient = CMat::default();
-        let mut phase = 0.0;
-        for step in 0..40 {
-            phase += if step % 10 == 9 { 0.5 } else { 0.01 } * next();
-            let r = covariance(phase);
+        for (step, r) in drifting_covariances().iter().enumerate() {
+            let r = packed(r);
             let drift = t.refine(&r);
-            let want = refine_two_buffer(&mut old, &r, &mut quotient);
+            let want = refine_dense_reference(&mut old, &r, None, &mut quotient);
             assert_eq!(drift.to_bits(), want.to_bits(), "drift at step {step}");
             assert_eq!(vbits(t.values()), vbits(old.values()), "step {step}");
             assert_eq!(bits(t.vectors()), bits(old.vectors()), "step {step}");
@@ -516,10 +592,38 @@ mod tests {
     }
 
     #[test]
+    fn packed_refine_is_bitwise_the_dense_mirrored_reference() {
+        // The whole step on packed storage (`R·E` reading the upper half as
+        // the conjugate of the stored lower half, ‖B‖² summed as B is
+        // formed, only B's lower triangle kept) against the dense step on
+        // the mirrored covariance and the full quotient. The quotients are
+        // not exactly Hermitian, so an ‖B‖² over the stored triangle, or
+        // over a mirrored one, would move the drift's bits.
+        let mut t = seeded(&covariance(0.0), 4);
+        let mut old = t.clone();
+        let mut quotient = CMat::default();
+        let mut non_hermitian = 0;
+        for (step, dense) in drifting_covariances().iter().enumerate() {
+            let r = packed(dense);
+            let drift = t.refine(&r);
+            let want = refine_dense_reference(&mut old, &r, Some(dense), &mut quotient);
+            non_hermitian += usize::from(quotient != quotient.hermitian());
+            assert_eq!(drift.to_bits(), want.to_bits(), "drift at step {step}");
+            assert_eq!(vbits(t.values()), vbits(old.values()), "step {step}");
+            assert_eq!(bits(t.vectors()), bits(old.vectors()), "step {step}");
+            assert_eq!(bits(&t.basis), bits(&old.basis), "step {step}");
+        }
+        assert!(
+            non_hermitian >= 20,
+            "only {non_hermitian} of 40 quotients are not exactly Hermitian"
+        );
+    }
+
+    #[test]
     fn ritz_vectors_stay_orthonormal() {
         let mut t = seeded(&covariance(0.3), 5);
         for step in 0..4 {
-            t.refine(&covariance(0.3 + 0.01 * step as f64));
+            t.refine(&packed(&covariance(0.3 + 0.01 * step as f64)));
             let v = t.vectors();
             for i in 0..5 {
                 for j in 0..5 {
@@ -545,7 +649,7 @@ mod tests {
         let mut t = seeded(&covariance(0.0), 4);
         for step in 1..=8 {
             let r = covariance(0.002 * step as f64);
-            let drift = t.refine(&r);
+            let drift = t.refine(&packed(&r));
             assert!(drift < 0.1, "slow drift tripped the threshold: {}", drift);
             let oracle = hermitian_eigen(&r);
             let rel = (t.values()[0] - oracle.values[0]).abs() / oracle.values[0];
@@ -558,7 +662,7 @@ mod tests {
         let mut t = seeded(&covariance(0.0), 4);
         // A completely different channel: most of R·E leaves the old span.
         let jumped = covariance(1.4);
-        let drift = t.refine(&jumped);
+        let drift = t.refine(&packed(&jumped));
         assert!(
             drift > 0.1,
             "jump must trip the fallback threshold: {}",
@@ -570,13 +674,13 @@ mod tests {
     fn unseeded_and_degenerate_inputs_force_fallback() {
         let mut t = SubspaceTracker::new();
         assert!(!t.is_seeded());
-        assert_eq!(t.refine(&covariance(0.0)), f64::INFINITY);
+        assert_eq!(t.refine(&packed(&covariance(0.0))), f64::INFINITY);
 
         let mut t = seeded(&covariance(0.0), 3);
         assert!(t.is_seeded());
         let before = bits(&t.basis);
         let zero = CMat::zeros(12, 12);
-        assert_eq!(t.refine(&zero), f64::INFINITY);
+        assert_eq!(t.refine(&packed(&zero)), f64::INFINITY);
         assert_eq!(bits(&t.basis), before, "degenerate input moved the basis");
 
         t.reset();
@@ -592,16 +696,16 @@ mod tests {
         let mut t = seeded(&r, 3);
         let before = bits(&t.basis);
         let rank1 = CMat::from_fn(12, 1, |i, _| c64::cis(i as f64 * 0.8)).mul_hermitian_self();
-        assert_eq!(t.refine(&rank1), f64::INFINITY);
+        assert_eq!(t.refine(&packed(&rank1)), f64::INFINITY);
         assert_eq!(t.values().len(), 3, "the breakdown must come after step 5");
         assert_eq!(bits(&t.basis), before, "breakdown moved the basis");
 
         // The next refine starts from the untouched basis and behaves
         // exactly like a tracker that never saw the rank-deficient input.
         let mut fresh = seeded(&r, 3);
-        let drift = t.refine(&r);
+        let drift = t.refine(&packed(&r));
         assert!(drift < 1e-9, "post-breakdown refine drifted: {}", drift);
-        assert_eq!(drift.to_bits(), fresh.refine(&r).to_bits());
+        assert_eq!(drift.to_bits(), fresh.refine(&packed(&r)).to_bits());
         assert_eq!(bits(t.vectors()), bits(fresh.vectors()));
         assert_eq!(bits(&t.basis), bits(&fresh.basis));
     }
@@ -630,12 +734,16 @@ mod tests {
             {
                 let mut fresh = SubspaceTracker::new();
                 assert!(fresh.load_rounded(&want[which]));
-                let drift = fresh.refine(r);
+                let drift = fresh.refine(&packed(r));
                 fresh.store_rounded(&mut want[which]);
 
                 assert!(shared.load_rounded(&stored[which]));
                 let ctx = format!("basis {which} step {step}");
-                assert_eq!(shared.refine(r).to_bits(), drift.to_bits(), "{ctx}");
+                assert_eq!(
+                    shared.refine(&packed(r)).to_bits(),
+                    drift.to_bits(),
+                    "{ctx}"
+                );
                 assert_eq!(vbits(shared.values()), vbits(fresh.values()), "{ctx}");
                 assert_eq!(bits(shared.vectors()), bits(fresh.vectors()), "{ctx}");
                 shared.store_rounded(&mut stored[which]);
@@ -666,7 +774,7 @@ mod tests {
         // The first refine sizes the per-step buffers; later refines at the
         // same shape only trade the n×k buffers among basis, Ritz vectors
         // and staging, allocating none.
-        t.refine(&covariance(0.2));
+        t.refine(&packed(&covariance(0.2)));
         let buffers = |t: &SubspaceTracker| {
             let mut all = [&t.basis, &t.ritz_vectors, &t.stage, &t.y]
                 .map(|m| (m.as_slice().as_ptr(), m.capacity()));
@@ -675,7 +783,7 @@ mod tests {
         };
         let sized = buffers(&t);
         for step in 1..=3 {
-            t.refine(&covariance(0.2 + 0.001 * step as f64));
+            t.refine(&packed(&covariance(0.2 + 0.001 * step as f64)));
             assert_eq!(buffers(&t), sized, "refine {step} reallocated a buffer");
         }
     }
@@ -690,7 +798,7 @@ mod tests {
         let vecs = exact_seed(&r0, 4);
         let mut t = SubspaceTracker::new();
         t.seed(&vecs, 4);
-        t.refine(&r1);
+        t.refine(&packed(&r1));
         let captured = |basis: &CMat| -> f64 {
             let mut total = 0.0;
             for j in 0..basis.cols() {
@@ -713,7 +821,7 @@ mod tests {
         // Round trip through f32 storage: each entry within f32 rounding
         // of the original, and re-orthonormalized to f64 precision.
         let mut t = seeded(&covariance(0.0), 4);
-        t.refine(&covariance(0.01));
+        t.refine(&packed(&covariance(0.01)));
         let mut stored = StoredBasis::default();
         t.store_rounded(&mut stored);
         assert_eq!(
@@ -748,7 +856,7 @@ mod tests {
         stored.data.copy_within(0..12, 12);
         stored.data[5][0] = 0.5;
         assert!(!t.load_rounded(&stored));
-        assert_eq!(t.refine(&covariance(0.0)), f64::INFINITY);
+        assert_eq!(t.refine(&packed(&covariance(0.0))), f64::INFINITY);
         stored.clear();
         assert!(stored.is_empty());
     }

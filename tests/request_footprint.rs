@@ -128,9 +128,10 @@ fn batch_request_holds_one_aps_working_set() {
     let peak = PEAK_BYTES.load(Ordering::Relaxed) as usize;
 
     // One AP's exact budget, as `exact_footprint.rs` derives it: the
-    // eigensolver's matrix, the top `max_paths` eigenvectors and the
-    // τ-forms rows an exact search reserves (complex); the solver's real buffers; two reals per AoA and τ grid
-    // point; 4 KB for one AP's estimates, its clustering and small
+    // eigensolver's packed matrix and its reflectors' first components,
+    // the top `max_paths` eigenvectors and the τ-forms rows an exact search
+    // reserves (complex); the solver's real buffers; two reals per AoA and
+    // τ grid point; 4 KB for one AP's estimates, its clustering and small
     // vectors. On top, 256 B per AP for its fusion input and Eq. 9's
     // per-AP vectors. Every AP's per-packet estimates held at once
     // (≈ 1.2 KB each) do not fit.
@@ -143,7 +144,7 @@ fn batch_request_holds_one_aps_working_set() {
     let n_aoa = cfg.music.aoa_grid_deg.len();
     let n_tof = cfg.music.tof_grid_ns.len();
     let memo_rows = ((k + 4) * 5).min(n_tof);
-    let complex = n * n + n * k + npairs * memo_rows;
+    let complex = n * (n + 1) / 2 + n + n * k + npairs * memo_rows;
     let real = n * k + 16 * n + 2 * (n_aoa + n_tof);
     let one_ap = c64_bytes * complex + f64_bytes * real + 4 * 1024;
     let bound = one_ap + 256 * aps.len();
