@@ -54,7 +54,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use spotfi_channel::{AntennaArray, CsiPacket, Point};
-use spotfi_math::stats::mean;
+use spotfi_math::stats::mean_of;
 
 use crate::config::{FleetConfig, OverflowPolicy};
 use crate::localize::{ApMeasurement, LocationEstimate};
@@ -547,13 +547,10 @@ impl TargetState {
         // exactly the Algorithm 2 tail the batch pipeline runs per AP.
         let mut measurements: Vec<ApMeasurement> = Vec::with_capacity(self.aps.len());
         let mut flat: Vec<PathEstimate> = Vec::new();
-        let mut rssi: Vec<f64> = Vec::new();
         for slot in &self.aps {
             flat.clear();
-            rssi.clear();
             for entry in &slot.window {
                 flat.extend_from_slice(&entry.estimates);
-                rssi.push(entry.rssi_dbm);
             }
             if flat.is_empty() {
                 continue;
@@ -563,7 +560,7 @@ impl TargetState {
                     array: slot.array,
                     direct_aoa_deg: direct.aoa_deg,
                     likelihood: direct.likelihood,
-                    rssi_dbm: mean(&rssi),
+                    rssi_dbm: mean_of(slot.window.iter().map(|entry| entry.rssi_dbm)),
                 });
             }
         }

@@ -19,11 +19,11 @@
 //! Every packet, batch or streamed, runs one engine,
 //! [`SpotFi::analyze_packet_streaming_with`], against a [`StreamState`]:
 //! *stage* (sanitize → smoothed covariance, plus the anchor decision),
-//! then the *exact tail* (exact eigendecomposition → coarse-to-fine sweep)
-//! or the *warm tail* (tracked subspace → warm-started sweep). Both tails
-//! hand their signal basis, eigenvalues and vectors, to one sweep entry,
-//! `music::sweep_basis`, which owns the noise-threshold rule and the
-//! τ-forms memo.
+//! then the *exact tail* (eigenvalues → noise-threshold signal dimension →
+//! only the eigenvectors the stream reads → coarse-to-fine sweep) or the
+//! *warm tail* (tracked subspace → warm-started sweep). `music.rs` owns
+//! the noise-threshold rule and the τ-forms memo, and both tails end in its
+//! one search.
 //!
 //! A stream amortizes across the heavily correlated packets of one
 //! (target, AP) pair: a rolling exponentially-forgotten covariance, an
@@ -55,7 +55,7 @@
 //! matrix, which the solve then decomposes in place.
 
 use spotfi_channel::{AntennaArray, CsiPacket};
-use spotfi_math::stats::mean;
+use spotfi_math::stats::mean_of;
 use spotfi_math::{PackedHermitian, PackedHermitianF64, StoredBasis, SubspaceTracker};
 
 use crate::cluster::{cluster_estimates, Clustering};
@@ -359,30 +359,26 @@ impl SpotFi {
         Some(swept.and_then(check_paths))
     }
 
-    /// Re-primes the tracker from the exact decomposition in `music` so the
-    /// following packets refine a fresh basis. With `tracker_rank_margin`
-    /// set, the tracked rank is capped at the anchor packet's
-    /// `signal_dimension` (Algorithm 2's noise-threshold rule, as its exact
-    /// sweep applied it) plus the guard band — the warm path's projector
-    /// only ever consumes the signal vectors, and refine's cost grows as k³
-    /// in the Ritz eigensolve, so serving profiles avoid carrying all
-    /// `max_paths` vectors through every packet. Subspace growth past the
-    /// guard band shows up as drift and falls back to the exact path. A
-    /// signal-free covariance, whose sweep fails and so has no dimension,
-    /// seeds all `k` vectors; the failure forces the next anchor.
-    fn seed_tracker(
-        &self,
-        tracker: &mut SubspaceTracker,
-        music: &MusicScratch,
-        signal_dimension: Option<usize>,
-    ) {
-        let vectors = music.eig.vectors();
-        let k = vectors.cols();
-        let rank = match (self.config.stream.tracker_rank_margin, signal_dimension) {
-            (Some(margin), Some(d)) => (d + margin).min(k),
-            _ => k,
-        };
-        tracker.seed(vectors, rank);
+    /// How many eigenvectors the exact tail solves, given the packet's
+    /// signal dimension `d` (Algorithm 2's noise-threshold rule; `None` for
+    /// a signal-free covariance, whose sweep fails). The sweep reads only
+    /// the leading `d`, so a stream that does not track solves just those.
+    /// A tracking stream seeds its tracker with every vector solved: with
+    /// `tracker_rank_margin` set, `d` plus the guard band, capped at
+    /// `max_paths` — the warm path's projector only ever consumes the
+    /// signal vectors, and refine's cost grows as k³ in the Ritz
+    /// eigensolve, so serving profiles avoid carrying all `max_paths`
+    /// vectors through every packet. Subspace growth past the guard band
+    /// shows up as drift and falls back to the exact path. Without a margin,
+    /// or without a `d` (the failure forces the next anchor), it seeds all
+    /// `max_paths`.
+    fn exact_columns(&self, tracking: bool, d: Option<usize>) -> usize {
+        let k = self.config.music.max_paths;
+        match (tracking, self.config.stream.tracker_rank_margin, d) {
+            (false, _, d) => d.unwrap_or(0),
+            (true, Some(margin), Some(d)) => (d + margin).min(k),
+            (true, ..) => k,
+        }
     }
 
     /// Amortized streaming analysis of one packet against persistent
@@ -483,15 +479,17 @@ impl SpotFi {
                         spotfi_obs::counter("stream.warm_retry", 1);
                     }
                 }
-                {
+                let d = {
                     let _span = spotfi_obs::span("stage.eigen");
-                    music.eigen_in_place(self.config.music.max_paths);
-                }
+                    music.eigen_signal_in_place(&self.config.music, |d| {
+                        self.exact_columns(tracking, d)
+                    })
+                };
                 // The sweep only reads the eigenvectors the tracker seeds from.
-                let swept = music.sweep_exact(&self.config, &self.cache);
+                let swept = d.map(|d| music.sweep_exact(&self.config, &self.cache, d));
                 if tracking {
-                    let d = swept.as_ref().ok().map(|s| s.signal_dimension);
-                    self.seed_tracker(tracker, music, d);
+                    let vectors = music.eig.vectors();
+                    tracker.seed(vectors, vectors.cols());
                 }
                 (swept.and_then(check_paths), true)
             }
@@ -552,7 +550,11 @@ impl SpotFi {
         let mut dropped = 0usize;
         for packet in &ap.packets {
             match self.analyze_packet_streaming_with(packet, state, scratch) {
-                Ok(mut peaks) => estimates.append(&mut peaks),
+                Ok(mut peaks) => {
+                    // Grown exactly: the pool lives through the clustering.
+                    estimates.reserve_exact(peaks.len());
+                    estimates.append(&mut peaks);
+                }
                 Err(_) => dropped += 1,
             }
         }
@@ -561,13 +563,12 @@ impl SpotFi {
             spotfi_obs::counter("pipeline.aps_assembled", 1);
             spotfi_obs::counter("pipeline.packets_dropped", dropped as u64);
         }
-        let rssi: Vec<f64> = ap.packets.iter().map(|p| p.rssi_dbm).collect();
         Ok(ApAnalysis {
             array: ap.array,
             path_estimates: estimates,
             clustering,
             direct,
-            mean_rssi_dbm: mean(&rssi),
+            mean_rssi_dbm: mean_of(ap.packets.iter().map(|p| p.rssi_dbm)),
             dropped_packets: dropped,
         })
     }

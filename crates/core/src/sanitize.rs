@@ -17,7 +17,7 @@
 //! since it never uses absolute ToF for ranging.
 
 use spotfi_math::stats::linear_fit;
-use spotfi_math::unwrap::unwrap_in_place;
+use spotfi_math::unwrap::unwrap_iter;
 use spotfi_math::{c64, CMat};
 
 use crate::error::{Result, SpotFiError};
@@ -73,16 +73,9 @@ fn sanitize_csi_impl(csi: &CMat, subcarrier_spacing_hz: f64) -> Result<Sanitized
     }
 
     // Unwrapped phase response per antenna, then one pooled linear fit
-    // ψ(m, n) ≈ slope·n + intercept across all antennas.
-    let mut xs = Vec::with_capacity(m_ant * n_sub);
-    let mut ys = Vec::with_capacity(m_ant * n_sub);
-    for m in 0..m_ant {
-        let start = ys.len();
-        ys.extend((0..n_sub).map(|n| csi[(m, n)].arg()));
-        unwrap_in_place(&mut ys[start..]);
-        xs.extend((0..n_sub).map(|n| n as f64));
-    }
-    let (slope, _intercept) = linear_fit(&xs, &ys).ok_or(SpotFiError::DegenerateCsi)?;
+    // ψ(m, n) ≈ slope·n + intercept across all antennas, fed antenna by
+    // antenna as each phase is unwrapped.
+    let (slope, _intercept) = linear_fit(pooled_phases(csi)).ok_or(SpotFiError::DegenerateCsi)?;
 
     // slope = −2π·f_δ·τ̂_s  ⇒  τ̂_s = −slope / (2π·f_δ).
     let estimated_sto_s = -slope / (2.0 * std::f64::consts::PI * subcarrier_spacing_hz);
@@ -98,6 +91,16 @@ fn sanitize_csi_impl(csi: &CMat, subcarrier_spacing_hz: f64) -> Result<Sanitized
     Ok(SanitizedCsi {
         csi: out,
         estimated_sto_s,
+    })
+}
+
+/// Every antenna's unwrapped phase response as `(n, ψ(m, n))` points, one
+/// antenna after another: the pooled data Algorithm 1 fits its line to.
+fn pooled_phases(csi: &CMat) -> impl Iterator<Item = (f64, f64)> + '_ {
+    let (m_ant, n_sub) = csi.shape();
+    (0..m_ant).flat_map(move |m| {
+        let phases = unwrap_iter((0..n_sub).map(move |n| csi[(m, n)].arg()));
+        (0..n_sub).map(|n| n as f64).zip(phases)
     })
 }
 
@@ -213,6 +216,140 @@ mod tests {
         let mut nan = CMat::zeros(3, 30);
         nan[(0, 0)] = c64::new(f64::NAN, 0.0);
         assert!(sanitize_csi(&nan, F_DELTA).is_err());
+    }
+
+    /// The least-squares line fit as it ran on collected slices.
+    fn slice_linear_fit(x: &[f64], y: &[f64]) -> Option<(f64, f64)> {
+        let n = x.len() as f64;
+        if x.len() < 2 {
+            return None;
+        }
+        let sx: f64 = x.iter().sum();
+        let sy: f64 = y.iter().sum();
+        let sxx: f64 = x.iter().map(|v| v * v).sum();
+        let sxy: f64 = x.iter().zip(y).map(|(a, b)| a * b).sum();
+        let denom = n * sxx - sx * sx;
+        if denom.abs() < 1e-12 * (n * sxx).abs().max(1.0) {
+            return None;
+        }
+        let slope = (n * sxy - sx * sy) / denom;
+        let intercept = (sy - slope * sx) / n;
+        Some((slope, intercept))
+    }
+
+    /// The in-place unwrap as it ran before it shared its step with the
+    /// streamed one.
+    fn slice_unwrap(phase: &mut [f64]) {
+        use std::f64::consts::PI;
+        let mut offset = 0.0;
+        for i in 1..phase.len() {
+            let raw = phase[i] + offset;
+            let prev = phase[i - 1];
+            let mut d = raw - prev;
+            while d > PI {
+                offset -= 2.0 * PI;
+                d -= 2.0 * PI;
+            }
+            while d < -PI {
+                offset += 2.0 * PI;
+                d += 2.0 * PI;
+            }
+            phase[i] = prev + d;
+        }
+    }
+
+    /// Algorithm 1 as it ran before its fit was streamed: every antenna's
+    /// phases collected into `ys` and unwrapped there, the subcarrier
+    /// indices into `xs`, then the slice fit. Returns the fit, the STO
+    /// estimate and the sanitized CSI.
+    fn collected_sanitize(csi: &CMat, f_delta: f64) -> Option<((f64, f64), f64, CMat)> {
+        let (m_ant, n_sub) = csi.shape();
+        let mut xs = Vec::with_capacity(m_ant * n_sub);
+        let mut ys = Vec::with_capacity(m_ant * n_sub);
+        for m in 0..m_ant {
+            let start = ys.len();
+            ys.extend((0..n_sub).map(|n| csi[(m, n)].arg()));
+            slice_unwrap(&mut ys[start..]);
+            xs.extend((0..n_sub).map(|n| n as f64));
+        }
+        let (slope, intercept) = slice_linear_fit(&xs, &ys)?;
+        let sto = -slope / (2.0 * std::f64::consts::PI * f_delta);
+        let mut out = csi.clone();
+        for n in 0..n_sub {
+            let corr = c64::cis(-slope * n as f64);
+            for m in 0..m_ant {
+                out[(m, n)] *= corr;
+            }
+        }
+        Some(((slope, intercept), sto, out))
+    }
+
+    #[test]
+    fn streamed_fit_is_bitwise_the_collected_fit() {
+        // Seeded multipath CSI whose phases wrap many times across the
+        // band (ToFs up to 600 ns, plus an STO of up to 400 ns, turn the
+        // phase by up to ~6 rad per subcarrier), at several array shapes:
+        // the fit streamed through the unwrap must give the collected
+        // fit's slope and intercept, STO estimate and sanitized CSI, bit
+        // for bit.
+        let bits = |m: &CMat| -> Vec<(u64, u64)> {
+            m.as_slice()
+                .iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect()
+        };
+        let mut rng = spotfi_channel::Rng::seed_from_u64(0x5A41);
+        for (m_ant, n_sub) in [(3, 30), (1, 2), (2, 57), (4, 30)] {
+            for packet in 0..12 {
+                let paths: Vec<(f64, f64, c64)> = (0..1 + packet % 5)
+                    .map(|_| {
+                        (
+                            rng.gen_range(-3.0..3.0),
+                            rng.gen_range(0.0..600e-9),
+                            c64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)),
+                        )
+                    })
+                    .collect();
+                let sto = rng.gen_range(-400e-9..400e-9);
+                let csi = CMat::from_fn(m_ant, n_sub, |m, n| {
+                    let mut h = c64::ZERO;
+                    for &(phi, tau, a) in &paths {
+                        let turn = -2.0 * std::f64::consts::PI * F_DELTA * (tau + sto) * n as f64;
+                        h += a * c64::cis(turn - phi * m as f64);
+                    }
+                    h
+                });
+                let what = format!("{m_ant} × {n_sub}, packet {packet}");
+                let (fit, want_sto, want_csi) =
+                    collected_sanitize(&csi, F_DELTA).expect("a fit over distinct subcarriers");
+                let streamed = linear_fit(pooled_phases(&csi)).expect("the same fit");
+                assert_eq!(streamed.0.to_bits(), fit.0.to_bits(), "slope, {what}");
+                assert_eq!(streamed.1.to_bits(), fit.1.to_bits(), "intercept, {what}");
+                let got = sanitize_csi(&csi, F_DELTA).unwrap();
+                assert_eq!(got.estimated_sto_s.to_bits(), want_sto.to_bits(), "{what}");
+                assert_eq!(bits(&got.csi), bits(&want_csi), "{what}");
+            }
+        }
+        // The degenerate-denominator rejection: too few points, one
+        // repeated x, x values too close for the denominator to clear its
+        // relative floor, and values just past it, each with the slice
+        // fit's outcome.
+        let cases: [&[(f64, f64)]; 6] = [
+            &[],
+            &[(1.0, 2.0)],
+            &[(2.0, 1.0), (2.0, 2.0), (2.0, 3.0)],
+            &[(1.0, 0.0), (1.0 + 1e-13, 1.0)],
+            &[(1.0, 0.0), (1.0 + 1e-5, 1.0)],
+            &[(0.0, -0.0), (1.0, -0.0), (2.0, -0.0)],
+        ];
+        for points in cases {
+            let (x, y): (Vec<f64>, Vec<f64>) = points.iter().copied().unzip();
+            let want = slice_linear_fit(&x, &y).map(|(a, b)| (a.to_bits(), b.to_bits()));
+            let got = linear_fit(points.iter().copied()).map(|(a, b)| (a.to_bits(), b.to_bits()));
+            assert_eq!(got, want, "{points:?}");
+        }
+        assert!(linear_fit([(1.0, 0.0), (1.0 + 1e-13, 1.0)]).is_none());
+        assert!(sanitize_csi(&CMat::from_fn(3, 1, |_, _| c64::ONE), F_DELTA).is_err());
     }
 
     #[test]

@@ -14,6 +14,7 @@ use spotfi_channel::constants::{half_wavelength_spacing, SPEED_OF_LIGHT};
 use spotfi_math::c64;
 
 use crate::config::SpotFiConfig;
+use crate::music::{coarse_aoa, coarse_rows};
 
 /// Per-antenna phase factor `Φ(θ)` (Eq. 1).
 ///
@@ -108,6 +109,10 @@ pub struct SteeringCache {
     phi_pows: Vec<c64>,
     /// Flattened `[n_tof × ns]`: row `it` is `Ω(τ_it)^0..Ω^{ns−1}`.
     omega_pows: Vec<c64>,
+    /// For a two-antenna subarray (empty otherwise), per row of MUSIC's
+    /// coarse detection level: `(|Φ⁰|², |Φ¹|², Φ⁰, conj(Φ¹))` of the
+    /// row's AoA, the constants its `M_s = 2` fill reads for every τ column.
+    detection_rows2: Vec<(f64, f64, c64, c64)>,
 }
 
 impl SteeringCache {
@@ -129,6 +134,17 @@ impl SteeringCache {
             let tau = tof.value(it) * 1e-9;
             omega_powers_into(tau, cfg.ofdm.subcarrier_spacing_hz, row);
         }
+        let detection_rows2 = if ms == 2 {
+            (0..coarse_rows(aoa.len()))
+                .map(|r| {
+                    let ia = coarse_aoa(r, aoa.len());
+                    let ph = &phi_pows[ia * ms..(ia + 1) * ms];
+                    (ph[0].norm_sqr(), ph[1].norm_sqr(), ph[0], ph[1].conj())
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         SteeringCache {
             n_aoa: aoa.len(),
             n_tof: tof.len(),
@@ -136,6 +152,7 @@ impl SteeringCache {
             ns,
             phi_pows,
             omega_pows,
+            detection_rows2,
         }
     }
 
@@ -161,6 +178,13 @@ impl SteeringCache {
     #[inline]
     pub fn omega_row(&self, it: usize) -> &[c64] {
         &self.omega_pows[it * self.ns..(it + 1) * self.ns]
+    }
+
+    /// The detection level's per-row constants for a two-antenna subarray,
+    /// one per coarse row; empty for any other subarray.
+    #[inline]
+    pub(crate) fn detection_rows2(&self) -> &[(f64, f64, c64, c64)] {
+        &self.detection_rows2
     }
 
     /// `true` if the table matches this config's grids and subarray shape.

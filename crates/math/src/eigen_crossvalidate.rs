@@ -20,7 +20,9 @@
 
 use crate::complex::c64;
 use crate::eigen::hermitian_eigen;
-use crate::eigen_tridiag::hermitian_eigen_partial;
+use crate::eigen_tridiag::{
+    hermitian_eigen_partial, hermitian_eigen_partial_in_place_by, TridiagWorkspace,
+};
 use crate::matrix::CMat;
 
 const EIGENVALUE_RTOL: f64 = 1e-10;
@@ -239,4 +241,74 @@ fn partial_matches_full_when_k_is_n() {
     // back-transform) and must still reproduce Jacobi's complete basis.
     let a = random_psd(10, 77);
     crosscheck(&a, &[10], "full-k");
+}
+
+#[test]
+fn fewer_columns_are_the_leading_columns_of_a_wider_solve() {
+    // A caller that picks its eigenvector count from the spectrum (MUSIC's
+    // signal dimension) must get, for every count, the same eigenvalues and
+    // the same leading columns as the widest solve, bit for bit: inverse
+    // iteration starts each vector from its own index and reorthogonalizes
+    // only against earlier ones, even when the count cuts a cluster.
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let col_bits = |m: &CMat, c: usize| {
+        m.col(c)
+            .iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    let mut cases: Vec<(CMat, String)> = Vec::new();
+    let clustered: &[&[(f64, usize)]] = &[
+        &[(40.0, 4), (10.0, 6), (0.5, 20)],
+        &[(100.0, 2), (99.0, 2), (1.0, 26)],
+        &[(7.0, 10), (3.0, 10), (1.0, 10)],
+    ];
+    for (i, clusters) in clustered.iter().enumerate() {
+        cases.push((
+            random_clustered(30, clusters, 21 + i as u64),
+            format!("clustered case {i}"),
+        ));
+    }
+    for &(n, rank, seed) in &[
+        (30usize, 4usize, 11u64),
+        (30, 8, 12),
+        (12, 3, 13),
+        (30, 1, 14),
+    ] {
+        cases.push((
+            random_rank_deficient(n, rank, seed),
+            format!("rank-deficient n={n} r={rank}"),
+        ));
+    }
+    cases.push((random_psd(30, 5), "psd n=30".to_string()));
+    for (a, label) in &cases {
+        let n = a.rows();
+        let widest = hermitian_eigen_partial(a, n);
+        let mut ws = TridiagWorkspace::default();
+        for k in 0..n {
+            let narrow = hermitian_eigen_partial(a, k);
+            assert_eq!(
+                bits(&narrow.values),
+                bits(&widest.values),
+                "{label}, k = {k}"
+            );
+            assert_eq!(narrow.vectors.shape(), (n, k), "{label}, k = {k}");
+            // The count picked from the spectrum, in a reused workspace.
+            ws.matrix_mut().assign_lower(a);
+            hermitian_eigen_partial_in_place_by(&mut ws, |values| {
+                assert_eq!(bits(values), bits(&widest.values), "{label}, k = {k}");
+                k
+            });
+            assert_eq!(ws.vectors().shape(), (n, k), "{label}, k = {k}");
+            for c in 0..k {
+                let want = col_bits(&widest.vectors, c);
+                assert_eq!(
+                    col_bits(&narrow.vectors, c),
+                    want,
+                    "{label}, k = {k}, col {c}"
+                );
+                assert_eq!(col_bits(ws.vectors(), c), want, "{label}, k = {k}, col {c}");
+            }
+        }
+    }
 }

@@ -19,7 +19,9 @@
 //! 4. **Inverse iteration** on `T` for the `k` requested (largest)
 //!    eigenvalues, with Gram–Schmidt reorthogonalization inside eigenvalue
 //!    clusters, then back-transformation through `D` and the Householder
-//!    reflectors — O(k·n²) instead of O(n³·sweeps) accumulation.
+//!    reflectors — O(k·n²) instead of O(n³·sweeps) accumulation. `k` may
+//!    be chosen from the eigenvalues
+//!    ([`hermitian_eigen_partial_in_place_by`]).
 //!
 //! A [`TridiagWorkspace`]'s matrix is a [`PackedHermitianF64`]: the lower
 //! triangle only, which is all the reduction reads. The per-packet 30×30
@@ -49,7 +51,11 @@ pub struct PartialHermitianEigen {
 
 /// Reusable buffers for [`hermitian_eigen_partial_into`]. One workspace
 /// serves any number of decompositions of matrices up to its size; it grows
-/// on demand and never shrinks.
+/// on demand and never shrinks. Besides the matrix and the output, it holds
+/// only `n`-long vectors: inverse iteration writes each tridiagonal
+/// eigenvector straight into its output column and the back-transform runs
+/// there in place, so no `n × k` copy of the vectors is kept. The output
+/// vectors grow to exactly the largest `n × k` asked for.
 #[derive(Clone, Debug, Default)]
 pub struct TridiagWorkspace {
     /// The matrix to decompose, as its packed lower triangle. The
@@ -76,10 +82,7 @@ pub struct TridiagWorkspace {
     solve_dl: Vec<f64>,
     solve_piv: Vec<bool>,
     y: Vec<f64>,
-    /// Real tridiagonal eigenvectors for the selected eigenvalues,
-    /// column-major `n × k`.
-    tvecs: Vec<f64>,
-    /// Complex back-transform buffer.
+    /// The reduction's `p`/`w` vector for its rank-2 updates.
     z: Vec<c64>,
     /// Output of [`hermitian_eigen_partial_into`]: all eigenvalues,
     /// descending.
@@ -185,15 +188,32 @@ pub fn hermitian_eigen_partial_into(a: &CMat, k: usize, ws: &mut TridiagWorkspac
 /// # Panics
 /// Panics if the matrix contains non-finite values.
 pub fn hermitian_eigen_partial_in_place(k: usize, ws: &mut TridiagWorkspace) {
+    hermitian_eigen_partial_in_place_by(ws, |_| k);
+}
+
+/// [`hermitian_eigen_partial_in_place`] with the eigenvector count chosen
+/// from the spectrum: `columns` is handed all eigenvalues, descending, once
+/// they are known, and the solve then computes the eigenvectors of the
+/// largest `columns(values)` of them (clamped to `n`). The first `k′`
+/// eigenvectors of any solve are the same bits whatever count is asked
+/// for, so a caller that needs only as many vectors as the spectrum's
+/// signal dimension skips the rest.
+///
+/// # Panics
+/// Panics if the matrix contains non-finite values.
+pub fn hermitian_eigen_partial_in_place_by(
+    ws: &mut TridiagWorkspace,
+    columns: impl FnOnce(&[f64]) -> usize,
+) {
     let n = ws.h.n();
     assert!(
         ws.h.as_slice().iter().all(|z| z.is_finite()),
         "hermitian_eigen_partial requires finite entries"
     );
-    let k = k.min(n);
     if n == 0 {
         ws.out_values.clear();
         ws.out_vectors.reset_zeros(0, 0);
+        columns(&ws.out_values);
         return;
     }
 
@@ -209,14 +229,15 @@ pub fn hermitian_eigen_partial_in_place(k: usize, ws: &mut TridiagWorkspace) {
     values.clear();
     values.extend_from_slice(&ws.d_work);
     values.sort_by(|x, y| y.partial_cmp(x).unwrap());
+    let k = columns(&values).min(n);
 
-    // Top-k eigenvectors of T by inverse iteration, then back-transform.
+    // Top-k eigenvectors of T by inverse iteration, each straight into its
+    // output column, then back-transformed there.
     let mut vectors = std::mem::take(&mut ws.out_vectors);
     vectors.reset_zeros(n, k);
-    let (reorth_events, inverse_steps) = inverse_iteration(&values[..k], ws);
+    let (reorth_events, inverse_steps) = inverse_iteration(&values[..k], ws, &mut vectors);
     for j in 0..k {
-        back_transform(j, ws);
-        vectors.col_mut(j).copy_from_slice(&ws.z);
+        back_transform(vectors.col_mut(j), ws);
     }
 
     if spotfi_obs::enabled() {
@@ -559,18 +580,18 @@ fn solve_shifted_tridiag(lambda: f64, ws: &mut TridiagWorkspace, b: &mut [f64]) 
 
 /// Inverse iteration on the tridiagonal `(ws.diag, ws.sub)` for each
 /// eigenvalue in `lambdas` (descending), with reorthogonalization against
-/// previous vectors of the same eigenvalue cluster. Results land in
-/// `ws.tvecs` (column-major `n × k`, unit norm). Returns the number of
+/// previous vectors of the same eigenvalue cluster. Vector `j` lands, unit
+/// norm, in the real parts of column `j` of `out` (`n × k`), whose leading
+/// columns the reorthogonalization reads back. Returns the number of
 /// Gram–Schmidt reorthogonalization projections performed inside
 /// eigenvalue clusters (0 when every eigenvalue is well separated) and the
 /// number of shifted solves (passes) over all `k` eigenvalues.
-fn inverse_iteration(lambdas: &[f64], ws: &mut TridiagWorkspace) -> (u64, u64) {
+fn inverse_iteration(lambdas: &[f64], ws: &mut TridiagWorkspace, out: &mut CMat) -> (u64, u64) {
     let n = ws.diag.len();
     let k = lambdas.len();
+    debug_assert_eq!(out.shape(), (n, k));
     let mut reorth_events = 0u64;
     let mut steps = 0u64;
-    ws.tvecs.clear();
-    ws.tvecs.resize(n * k, 0.0);
     if k == 0 {
         return (reorth_events, steps);
     }
@@ -618,10 +639,10 @@ fn inverse_iteration(lambdas: &[f64], ws: &mut TridiagWorkspace) -> (u64, u64) {
             for _ in 0..2 {
                 for p in cluster_start..j {
                     reorth_events += 1;
-                    let col = &ws.tvecs[p * n..(p + 1) * n];
-                    let dot: f64 = col.iter().zip(ws.y.iter()).map(|(a, b)| a * b).sum();
+                    let col = out.col(p);
+                    let dot: f64 = col.iter().zip(ws.y.iter()).map(|(a, b)| a.re * b).sum();
                     for (yi, ci) in ws.y.iter_mut().zip(col.iter()) {
-                        *yi -= dot * ci;
+                        *yi -= dot * ci.re;
                     }
                 }
                 if cluster_start == j {
@@ -637,7 +658,9 @@ fn inverse_iteration(lambdas: &[f64], ws: &mut TridiagWorkspace) -> (u64, u64) {
         }
         // Even without the growth certificate the iterate is the best
         // available direction; clusters are protected by orthogonalization.
-        ws.tvecs[j * n..(j + 1) * n].copy_from_slice(&ws.y);
+        for (o, &yi) in out.col_mut(j).iter_mut().zip(&ws.y) {
+            *o = c64::real(yi);
+        }
     }
     (reorth_events, steps)
 }
@@ -659,16 +682,15 @@ fn normalize(v: &mut [f64]) -> f64 {
     nrm
 }
 
-/// Back-transforms tridiagonal eigenvector `j` (column of `ws.tvecs`) into
-/// an eigenvector of the original matrix: apply the phase unitary `D`, then
-/// the Householder reflectors in reverse order. Result lands in `ws.z`.
-fn back_transform(j: usize, ws: &mut TridiagWorkspace) {
+/// Back-transforms, in place, the tridiagonal eigenvector held in the real
+/// parts of `z` into an eigenvector of the original matrix: apply the
+/// phase unitary `D`, then the Householder reflectors in reverse order.
+fn back_transform(z: &mut [c64], ws: &TridiagWorkspace) {
     let n = ws.diag.len();
     let h = ws.h.as_slice();
-    let z = &mut ws.z;
-    z.clear();
-    let col = &ws.tvecs[j * n..(j + 1) * n];
-    z.extend(ws.phase.iter().zip(col).map(|(p, &c)| p.scale(c)));
+    for (zi, p) in z.iter_mut().zip(&ws.phase) {
+        *zi = p.scale(zi.re);
+    }
     // Reflectors were built for columns 0..n−2; v_j's first component is
     // in `reflectors[j]`, the rest in column j from row j+2 on.
     for jr in (0..n.saturating_sub(2)).rev() {
@@ -936,6 +958,126 @@ mod tests {
         for solved in [&from_dirty, &ws] {
             assert_eq!(bits(solved.values()), bits(copying.values()));
             assert_eq!(vbits(solved.vectors()), vbits(copying.vectors()));
+        }
+    }
+
+    /// The solve as it ran before inverse iteration wrote into the output
+    /// columns: every real tridiagonal eigenvector in one `n × k` buffer
+    /// first, then each back-transformed through a separate complex
+    /// vector and copied out.
+    fn two_buffer_solve(a: &CMat, k: usize) -> (Vec<f64>, CMat) {
+        let mut ws = TridiagWorkspace::default();
+        ws.h.assign_lower(a);
+        let n = ws.h.n();
+        let k = k.min(n);
+        tridiagonalize(&mut ws);
+        let (mut d, mut e) = (ws.diag.clone(), ws.sub.clone());
+        ql_implicit_eigenvalues(&mut d, &mut e);
+        let mut values = d;
+        values.sort_by(|x, y| y.partial_cmp(x).unwrap());
+        let norm = ws
+            .diag
+            .iter()
+            .map(|x| x.abs())
+            .chain(ws.sub[..n.saturating_sub(1)].iter().map(|x| x.abs()))
+            .fold(0.0f64, f64::max)
+            .max(1.0);
+        let cluster_tol = 1e-7 * norm;
+        let mut tvecs = vec![0.0; n * k];
+        let mut cluster_start = 0usize;
+        for j in 0..k {
+            if j > 0 && (values[j - 1] - values[j]).abs() > cluster_tol {
+                cluster_start = j;
+            }
+            let lambda = values[j] + (j - cluster_start) as f64 * f64::EPSILON * norm * 8.0;
+            let mut y = Vec::with_capacity(n);
+            let mut state = 0x9E3779B97F4A7C15u64 ^ (j as u64).wrapping_mul(0xD1B54A32D192ED03);
+            for _ in 0..n {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                y.push((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5);
+            }
+            normalize(&mut y);
+            for _pass in 0..5 {
+                solve_shifted_tridiag(lambda, &mut ws, &mut y);
+                for _ in 0..2 {
+                    for p in cluster_start..j {
+                        let col = &tvecs[p * n..(p + 1) * n];
+                        let dot: f64 = col.iter().zip(y.iter()).map(|(a, b)| a * b).sum();
+                        for (yi, ci) in y.iter_mut().zip(col.iter()) {
+                            *yi -= dot * ci;
+                        }
+                    }
+                    if cluster_start == j {
+                        break;
+                    }
+                }
+                if normalize(&mut y) >= 1.0 / (f64::EPSILON * norm * 1e3) {
+                    break;
+                }
+            }
+            tvecs[j * n..(j + 1) * n].copy_from_slice(&y);
+        }
+        let h = ws.h.as_slice();
+        let mut vectors = CMat::zeros(n, k);
+        for j in 0..k {
+            let col = &tvecs[j * n..(j + 1) * n];
+            let mut z: Vec<c64> = ws.phase.iter().zip(col).map(|(p, &c)| p.scale(c)).collect();
+            for jr in (0..n.saturating_sub(2)).rev() {
+                let Reflector { beta, v_first: v0 } = ws.reflectors[jr];
+                if beta == 0.0 {
+                    continue;
+                }
+                let m0 = jr + 1;
+                let rest = &h[packed_col_start(n, jr) + 2..packed_col_start(n, m0)];
+                let mut dot = v0.conj() * z[m0];
+                for (vr, zr) in rest.iter().zip(&z[m0 + 1..]) {
+                    dot += vr.conj() * *zr;
+                }
+                let f = dot.scale(beta);
+                z[m0] -= f * v0;
+                for (zr, &vr) in z[m0 + 1..].iter_mut().zip(rest) {
+                    *zr -= f * vr;
+                }
+            }
+            vectors.col_mut(j).copy_from_slice(&z);
+        }
+        (values, vectors)
+    }
+
+    #[test]
+    fn in_place_back_transform_is_bitwise_the_two_buffer_solve() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let vbits = |m: &CMat| {
+            m.as_slice()
+                .iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        // Random spectra, a rank-deficient covariance (a cluster of zero
+        // eigenvalues, so in-cluster reorthogonalization runs), a diagonal
+        // matrix (identity reflectors) and the smallest sizes.
+        let mut cases: Vec<(CMat, usize)> = vec![
+            (random_hermitian(30, 1), 8),
+            (random_hermitian(30, 2), 30),
+            (random_hermitian(12, 3), 5),
+            (random_hermitian(2, 4), 2),
+            (random_hermitian(1, 5), 1),
+        ];
+        let x = CMat::from_fn(16, 3, |r, c| c64::cis(r as f64 * (c as f64 + 0.7)));
+        cases.push((x.mul_hermitian_self(), 8));
+        let mut diag = CMat::zeros(8, 8);
+        for i in 0..8 {
+            diag[(i, i)] = c64::real(i as f64 - 3.0);
+        }
+        cases.push((diag, 4));
+        let mut ws = TridiagWorkspace::default();
+        for (a, k) in &cases {
+            let (values, vectors) = two_buffer_solve(a, *k);
+            hermitian_eigen_partial_into(a, *k, &mut ws);
+            assert_eq!(bits(ws.values()), bits(&values));
+            assert_eq!(vbits(ws.vectors()), vbits(&vectors));
         }
     }
 

@@ -195,11 +195,15 @@ impl CMat {
 
     /// Reshapes in place to `rows × cols` of zeros, reusing the existing
     /// allocation when it is large enough. This is the hook the pipeline's
-    /// scratch buffers use to avoid per-packet heap churn.
+    /// scratch buffers use to avoid per-packet heap churn. A buffer that
+    /// must grow grows to exactly the new shape, not to a doubled
+    /// capacity, so a scratch whose shape varies by packet holds its
+    /// largest shape and no more.
     pub fn reset_zeros(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         self.data.clear();
+        self.data.reserve_exact(rows * cols);
         self.data.resize(rows * cols, c64::ZERO);
     }
 

@@ -8,20 +8,47 @@
 
 /// Arithmetic mean; 0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
+    mean_of(xs.iter().copied())
+}
+
+/// Arithmetic mean of the samples an iterator yields, summed in order
+/// (bit for bit [`mean`] of the collected slice); 0 for none.
+pub fn mean_of(xs: impl IntoIterator<Item = f64>) -> f64 {
+    let (sum, n) = sum_and_count(xs);
+    if n == 0 {
         return 0.0;
     }
-    xs.iter().sum::<f64>() / xs.len() as f64
+    sum / n as f64
+}
+
+/// The in-order sum of the samples and their count.
+fn sum_and_count(xs: impl IntoIterator<Item = f64>) -> (f64, usize) {
+    let mut n = 0usize;
+    let sum = xs.into_iter().inspect(|_| n += 1).sum();
+    (sum, n)
 }
 
 /// Population variance (divides by `n`, matching the paper's "population
 /// variances of the estimated AoA and ToF"); 0 for fewer than 2 samples.
 pub fn population_variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
+    population_variance_of(xs.iter().copied())
+}
+
+/// [`population_variance`] of the samples an iterator yields, bit for bit
+/// that of the collected slice. The iterator is walked twice, for the mean
+/// and then the squared deviations, so it must be cheap to clone.
+pub fn population_variance_of<I>(xs: I) -> f64
+where
+    I: IntoIterator<Item = f64>,
+    I::IntoIter: Clone,
+{
+    let xs = xs.into_iter();
+    let (sum, n) = sum_and_count(xs.clone());
+    if n < 2 {
         return 0.0;
     }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
+    let m = sum / n as f64;
+    xs.map(|x| (x - m) * (x - m)).sum::<f64>() / n as f64
 }
 
 /// Population standard deviation.
@@ -116,22 +143,30 @@ impl Ecdf {
     }
 }
 
-/// Fits `y ≈ slope·x + intercept`; returns `(slope, intercept)`.
+/// Fits `y ≈ slope·x + intercept` to `(x, y)` points; returns
+/// `(slope, intercept)`.
 ///
 /// This is the core of SpotFi's ToF sanitization (Algorithm 1): the common
-/// linear-in-subcarrier phase slope *is* the sampling-time offset.
+/// linear-in-subcarrier phase slope *is* the sampling-time offset. The
+/// points are streamed once, each of the four sums accumulating in point
+/// order, so a caller can feed them as it computes them.
 ///
 /// Returns `None` if fewer than 2 points or all `x` identical.
-pub fn linear_fit(x: &[f64], y: &[f64]) -> Option<(f64, f64)> {
-    assert_eq!(x.len(), y.len(), "linear_fit length mismatch");
-    let n = x.len() as f64;
-    if x.len() < 2 {
+pub fn linear_fit(points: impl IntoIterator<Item = (f64, f64)>) -> Option<(f64, f64)> {
+    // −0.0 is the identity of IEEE addition, where `Sum` starts.
+    let (mut sx, mut sy, mut sxx, mut sxy) = (-0.0f64, -0.0f64, -0.0f64, -0.0f64);
+    let mut count = 0usize;
+    for (x, y) in points {
+        count += 1;
+        sx += x;
+        sy += y;
+        sxx += x * x;
+        sxy += x * y;
+    }
+    if count < 2 {
         return None;
     }
-    let sx: f64 = x.iter().sum();
-    let sy: f64 = y.iter().sum();
-    let sxx: f64 = x.iter().map(|v| v * v).sum();
-    let sxy: f64 = x.iter().zip(y).map(|(a, b)| a * b).sum();
+    let n = count as f64;
     let denom = n * sxx - sx * sx;
     if denom.abs() < 1e-12 * (n * sxx).abs().max(1.0) {
         return None;
@@ -197,16 +232,15 @@ mod tests {
     #[test]
     fn linear_fit_exact() {
         let x = [1.0, 2.0, 3.0, 4.0];
-        let y: Vec<f64> = x.iter().map(|v| -3.0 * v + 0.5).collect();
-        let (m, b) = linear_fit(&x, &y).unwrap();
+        let (m, b) = linear_fit(x.iter().map(|&v| (v, -3.0 * v + 0.5))).unwrap();
         assert!((m + 3.0).abs() < 1e-12);
         assert!((b - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn linear_fit_degenerate() {
-        assert!(linear_fit(&[1.0], &[2.0]).is_none());
-        assert!(linear_fit(&[2.0, 2.0, 2.0], &[1.0, 2.0, 3.0]).is_none());
+        assert!(linear_fit([(1.0, 2.0)]).is_none());
+        assert!(linear_fit([(2.0, 1.0), (2.0, 2.0), (2.0, 3.0)]).is_none());
     }
 
     #[test]

@@ -13,19 +13,40 @@ use std::f64::consts::PI;
 pub fn unwrap_in_place(phase: &mut [f64]) {
     let mut offset = 0.0;
     for i in 1..phase.len() {
-        let raw = phase[i] + offset;
-        let prev = phase[i - 1];
-        let mut d = raw - prev;
-        while d > PI {
-            offset -= 2.0 * PI;
-            d -= 2.0 * PI;
-        }
-        while d < -PI {
-            offset += 2.0 * PI;
-            d += 2.0 * PI;
-        }
-        phase[i] = prev + d;
+        phase[i] = unwrap_step(phase[i - 1], phase[i], &mut offset);
     }
+}
+
+/// The unwrapped phases of a sequence, computed as it is read: the values
+/// [`unwrap_in_place`] leaves in the collected sequence, bit for bit, with
+/// no buffer.
+pub fn unwrap_iter(phase: impl IntoIterator<Item = f64>) -> impl Iterator<Item = f64> {
+    let mut offset = 0.0;
+    let mut prev: Option<f64> = None;
+    phase.into_iter().map(move |p| {
+        let u = match prev {
+            Some(prev) => unwrap_step(prev, p, &mut offset),
+            None => p,
+        };
+        prev = Some(u);
+        u
+    })
+}
+
+/// Unwraps `sample` against the previous unwrapped sample `prev`, with the
+/// multiple of 2π the sequence has accumulated so far in `offset`.
+fn unwrap_step(prev: f64, sample: f64, offset: &mut f64) -> f64 {
+    let raw = sample + *offset;
+    let mut d = raw - prev;
+    while d > PI {
+        *offset -= 2.0 * PI;
+        d -= 2.0 * PI;
+    }
+    while d < -PI {
+        *offset += 2.0 * PI;
+        d += 2.0 * PI;
+    }
+    prev + d
 }
 
 /// Returns an unwrapped copy of `phase`.

@@ -6,7 +6,9 @@
 //! soon as it is analyzed, so a serial request holds one AP's packet
 //! scratch and estimates at a time plus a measurement per AP; keeping
 //! every AP's per-packet estimates until the last AP finishes would cost
-//! about 1.2 KB per AP, more than this bound leaves room for. A central
+//! about 1.2 KB per AP, more than this bound leaves room for. The scratch
+//! is live through every phase of an AP (stage, sweep, clustering), so the
+//! request peaks at whichever phase's own buffers are largest. A central
 //! server pays this once per concurrent request.
 //!
 //! This binary installs a counting global allocator and bounds the peak
@@ -129,12 +131,12 @@ fn batch_request_holds_one_aps_working_set() {
 
     // One AP's exact budget, as `exact_footprint.rs` derives it: the
     // eigensolver's packed matrix and its reflectors' first components,
-    // the top `max_paths` eigenvectors and the τ-forms rows an exact search
-    // reserves (complex); the solver's real buffers; two reals per AoA and
-    // τ grid point; 4 KB for one AP's estimates, its clustering and small
-    // vectors. On top, 256 B per AP for its fusion input and Eq. 9's
-    // per-AP vectors. Every AP's per-packet estimates held at once
-    // (≈ 1.2 KB each) do not fit.
+    // at most `max_paths` eigenvectors and the τ-forms rows an exact search
+    // reserves (complex); the solver's real buffers, each one `n` long;
+    // two reals per AoA and τ grid point; 4 KB for one AP's estimates, its
+    // clustering and small vectors. On top, 256 B per AP for its fusion
+    // input and Eq. 9's per-AP vectors. Every AP's per-packet estimates
+    // held at once (≈ 1.2 KB each) do not fit.
     let c64_bytes = std::mem::size_of::<spotfi_math::c64>();
     let f64_bytes = std::mem::size_of::<f64>();
     let n = cfg.smoothed_rows();
@@ -145,7 +147,7 @@ fn batch_request_holds_one_aps_working_set() {
     let n_tof = cfg.music.tof_grid_ns.len();
     let memo_rows = ((k + 4) * 5).min(n_tof);
     let complex = n * (n + 1) / 2 + n + n * k + npairs * memo_rows;
-    let real = n * k + 16 * n + 2 * (n_aoa + n_tof);
+    let real = 16 * n + 2 * (n_aoa + n_tof);
     let one_ap = c64_bytes * complex + f64_bytes * real + 4 * 1024;
     let bound = one_ap + 256 * aps.len();
     println!(
