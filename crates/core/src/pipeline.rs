@@ -48,11 +48,13 @@
 //! pure and results come back in AP order, so they are bit-identical for
 //! every thread count; `threads = 1` runs the plain serial path. Each
 //! worker owns one [`StreamState`] and one [`PacketScratch`], so
-//! per-packet buffers (eigensolver workspace, τ-forms memo) are allocated
-//! once per worker, not once per packet. The smoothed matrix `X`
-//! is never stored: its columns are gathered from the sanitized CSI one at
-//! a time and accumulated into `X·Xᴴ` directly in the eigensolver's
-//! matrix, which the solve then decomposes in place.
+//! per-packet buffers (eigensolver workspace, τ-index) are allocated once
+//! per worker, not once per packet. Neither the sanitized CSI nor the
+//! smoothed matrix `X` is stored: Algorithm 1's ramp is fitted on the raw
+//! CSI, and `X`'s columns are gathered from it one at a time, each entry
+//! de-rotated as it is read, and accumulated into `X·Xᴴ` directly in the
+//! eigensolver's matrix, which the solve then decomposes in place. An
+//! exact sweep then runs in the storage that solve consumed.
 
 use spotfi_channel::{AntennaArray, CsiPacket};
 use spotfi_math::stats::mean_of;
@@ -68,7 +70,7 @@ use crate::localize::{
 use crate::music::{covariance_into, sweep_basis, CoarseFinePaths, MusicScratch};
 use crate::peaks::PathEstimate;
 use crate::runtime::parallel_map_with;
-use crate::sanitize::sanitize_csi;
+use crate::sanitize::ramp_slope;
 use crate::smoothing::SmoothedColumns;
 use crate::steering::SteeringCache;
 
@@ -297,8 +299,8 @@ impl SpotFi {
         state: &mut StreamState,
         solver: &mut PackedHermitianF64,
     ) -> Result<bool> {
-        let sanitized = sanitize_csi(&packet.csi, self.config.ofdm.subcarrier_spacing_hz)?;
-        let x = SmoothedColumns::new(&sanitized.csi, &self.config)?;
+        let slope = ramp_slope(&packet.csi, self.config.ofdm.subcarrier_spacing_hz)?;
+        let x = SmoothedColumns::derotated(&packet.csi, slope, &self.config)?;
         let policy = self.policy(state);
         let first = !state.initialized;
         {
@@ -354,7 +356,7 @@ impl SpotFi {
             &mut music.sweep,
             tracker.values(),
             tracker.vectors(),
-            Some(&state.last_peaks),
+            &state.last_peaks,
         );
         Some(swept.and_then(check_paths))
     }

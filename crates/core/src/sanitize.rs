@@ -46,13 +46,37 @@ pub struct SanitizedCsi {
 /// assert!((s.estimated_sto_s * 1e9 - 63.66).abs() < 0.1);
 /// ```
 pub fn sanitize_csi(csi: &CMat, subcarrier_spacing_hz: f64) -> Result<SanitizedCsi> {
+    let slope = ramp_slope(csi, subcarrier_spacing_hz)?;
+    let mut out = csi.clone();
+    for (n, &corr) in RampRemoval::new(slope, csi.cols())
+        .factors()
+        .iter()
+        .enumerate()
+    {
+        for m in 0..csi.rows() {
+            out[(m, n)] *= corr;
+        }
+    }
+    Ok(SanitizedCsi {
+        csi: out,
+        estimated_sto_s: sto_from_slope(slope, subcarrier_spacing_hz),
+    })
+}
+
+/// Algorithm 1's fit alone: the slope, in radians per subcarrier, of the
+/// common phase ramp that [`sanitize_csi`] removes, with the same checks,
+/// span and counters. The pipeline removes the ramp while it gathers the
+/// smoothed columns ([`crate::smoothing`]), entry by entry with the same
+/// [`RampRemoval`], so it never copies the CSI.
+pub(crate) fn ramp_slope(csi: &CMat, subcarrier_spacing_hz: f64) -> Result<f64> {
     let _span = spotfi_obs::span("stage.sanitize");
-    let result = sanitize_csi_impl(csi, subcarrier_spacing_hz);
+    let result = fit_slope(csi);
     if spotfi_obs::enabled() {
         match &result {
-            Ok(s) => {
+            Ok(slope) => {
                 spotfi_obs::counter("sanitize.packets_ok", 1);
-                spotfi_obs::value("sanitize.sto_ns", s.estimated_sto_s * 1e9);
+                let sto_s = sto_from_slope(*slope, subcarrier_spacing_hz);
+                spotfi_obs::value("sanitize.sto_ns", sto_s * 1e9);
             }
             Err(_) => spotfi_obs::counter("sanitize.packets_rejected", 1),
         }
@@ -60,7 +84,58 @@ pub fn sanitize_csi(csi: &CMat, subcarrier_spacing_hz: f64) -> Result<SanitizedC
     result
 }
 
-fn sanitize_csi_impl(csi: &CMat, subcarrier_spacing_hz: f64) -> Result<SanitizedCsi> {
+/// Most subcarriers whose factors a [`RampRemoval`] keeps on the stack
+/// (the Intel 5300 reports 30); more take one heap buffer.
+const STACK_SUBCARRIERS: usize = 64;
+
+/// Algorithm 1's ramp removal: the factor `e^{−j·slope·n}` that multiplies
+/// subcarrier `n`, for every subcarrier, computed once per packet.
+/// [`sanitize_csi`] applies it to its copy; the pipeline applies it to each
+/// entry it gathers into a smoothed column, so both hold the same bits.
+pub(crate) struct RampRemoval {
+    stack: [c64; STACK_SUBCARRIERS],
+    heap: Vec<c64>,
+    len: usize,
+}
+
+impl RampRemoval {
+    /// The factors of a ramp of `slope` radians per subcarrier over `n_sub`
+    /// subcarriers.
+    pub(crate) fn new(slope: f64, n_sub: usize) -> Self {
+        let mut ramp = RampRemoval {
+            stack: [c64::ZERO; STACK_SUBCARRIERS],
+            heap: Vec::new(),
+            len: n_sub,
+        };
+        let factors = if n_sub <= STACK_SUBCARRIERS {
+            &mut ramp.stack[..n_sub]
+        } else {
+            ramp.heap.resize(n_sub, c64::ZERO);
+            &mut ramp.heap[..]
+        };
+        for (n, f) in factors.iter_mut().enumerate() {
+            *f = c64::cis(-slope * n as f64);
+        }
+        ramp
+    }
+
+    /// The factor of each subcarrier, in order.
+    pub(crate) fn factors(&self) -> &[c64] {
+        if self.len <= STACK_SUBCARRIERS {
+            &self.stack[..self.len]
+        } else {
+            &self.heap
+        }
+    }
+}
+
+/// The STO estimate `τ̂_s` in seconds of a fitted slope:
+/// slope = −2π·f_δ·τ̂_s ⇒ τ̂_s = −slope / (2π·f_δ).
+fn sto_from_slope(slope: f64, subcarrier_spacing_hz: f64) -> f64 {
+    -slope / (2.0 * std::f64::consts::PI * subcarrier_spacing_hz)
+}
+
+fn fit_slope(csi: &CMat) -> Result<f64> {
     let (m_ant, n_sub) = csi.shape();
     if n_sub < 2 || m_ant == 0 {
         return Err(SpotFiError::DegenerateCsi);
@@ -76,22 +151,7 @@ fn sanitize_csi_impl(csi: &CMat, subcarrier_spacing_hz: f64) -> Result<Sanitized
     // ψ(m, n) ≈ slope·n + intercept across all antennas, fed antenna by
     // antenna as each phase is unwrapped.
     let (slope, _intercept) = linear_fit(pooled_phases(csi)).ok_or(SpotFiError::DegenerateCsi)?;
-
-    // slope = −2π·f_δ·τ̂_s  ⇒  τ̂_s = −slope / (2π·f_δ).
-    let estimated_sto_s = -slope / (2.0 * std::f64::consts::PI * subcarrier_spacing_hz);
-
-    // Subtract the fitted ramp: multiply subcarrier n by e^{−j·slope·n}.
-    let mut out = csi.clone();
-    for n in 0..n_sub {
-        let corr = c64::cis(-slope * n as f64);
-        for m in 0..m_ant {
-            out[(m, n)] *= corr;
-        }
-    }
-    Ok(SanitizedCsi {
-        csi: out,
-        estimated_sto_s,
-    })
+    Ok(slope)
 }
 
 /// Every antenna's unwrapped phase response as `(n, ψ(m, n))` points, one

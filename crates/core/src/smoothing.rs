@@ -14,6 +14,7 @@ use spotfi_math::{c64, CMat};
 
 use crate::config::SpotFiConfig;
 use crate::error::{Result, SpotFiError};
+use crate::sanitize::RampRemoval;
 
 /// Builds the smoothed CSI matrix from a (sanitized) CSI matrix.
 ///
@@ -49,9 +50,14 @@ const STACK_ROWS: usize = 64;
 /// `Δm·(N − N_s + 1) + Δn` is the subarray shifted by `Δm` antennas and
 /// `Δn` subcarriers, antenna-major. [`smoothed_csi_into`] stores `X`
 /// through it; the pipeline instead feeds each column straight into the
-/// covariance `X·Xᴴ`, so `X` is never stored.
+/// covariance `X·Xᴴ`, so `X` is never stored, and reads the raw CSI
+/// through [`derotated`](Self::derotated), which applies Algorithm 1's
+/// ramp removal to each entry as it is gathered, so the sanitized CSI is
+/// never stored either.
 pub(crate) struct SmoothedColumns<'a> {
     csi: &'a CMat,
+    /// The ramp removal applied while gathering, if any.
+    ramp: Option<RampRemoval>,
     sub_antennas: usize,
     sub_subcarriers: usize,
 }
@@ -74,9 +80,21 @@ impl<'a> SmoothedColumns<'a> {
         }
         Ok(SmoothedColumns {
             csi,
+            ramp: None,
             sub_antennas: ms,
             sub_subcarriers: ns,
         })
+    }
+
+    /// `csi` with its phase ramp of `slope` radians per subcarrier removed
+    /// ([`crate::sanitize::ramp_slope`]'s fit), read as its smoothed
+    /// matrix: each gathered entry is `csi[(m, n)] * cis(−slope·n)`, the
+    /// product [`crate::sanitize_csi`] stores, so the columns are bitwise
+    /// those of the sanitized copy.
+    pub(crate) fn derotated(csi: &'a CMat, slope: f64, cfg: &SpotFiConfig) -> Result<Self> {
+        let mut x = Self::new(csi, cfg)?;
+        x.ramp = Some(RampRemoval::new(slope, csi.cols()));
+        Ok(x)
     }
 
     /// Rows of `X`: the subarray's element count `M_s·N_s`.
@@ -100,8 +118,16 @@ impl<'a> SmoothedColumns<'a> {
         let (dm, dn) = (col / self.sub_shifts(), col % self.sub_shifts());
         let ns = self.sub_subcarriers;
         for m_s in 0..self.sub_antennas {
-            for n_s in 0..ns {
-                out[m_s * ns + n_s] = self.csi[(m_s + dm, n_s + dn)];
+            let row = &mut out[m_s * ns..(m_s + 1) * ns];
+            let csi = (dn..dn + ns).map(|n| self.csi[(m_s + dm, n)]);
+            match &self.ramp {
+                None => row.iter_mut().zip(csi).for_each(|(o, z)| *o = z),
+                Some(ramp) => {
+                    let factors = &ramp.factors()[dn..dn + ns];
+                    for ((o, z), &f) in row.iter_mut().zip(csi).zip(factors) {
+                        *o = z * f;
+                    }
+                }
             }
         }
     }

@@ -54,8 +54,14 @@ pub struct PartialHermitianEigen {
 /// on demand and never shrinks. Besides the matrix and the output, it holds
 /// only `n`-long vectors: inverse iteration writes each tridiagonal
 /// eigenvector straight into its output column and the back-transform runs
-/// there in place, so no `n × k` copy of the vectors is kept. The output
+/// there in place, so no `n × k` copy of the vectors is kept, and the
+/// solver's nine real `n`-long buffers share one work array. The output
 /// vectors grow to exactly the largest `n × k` asked for.
+///
+/// A finished solve reads neither its matrix storage nor its real work again:
+/// [`solved`](Self::solved) lends both, with the eigenvalues and
+/// eigenvectors, in one split borrow, so a caller can run its next step in
+/// that storage instead of keeping buffers of its own beside it.
 #[derive(Clone, Debug, Default)]
 pub struct TridiagWorkspace {
     /// The matrix to decompose, as its packed lower triangle. The
@@ -65,23 +71,15 @@ pub struct TridiagWorkspace {
     h: PackedHermitianF64,
     /// Per Householder reflector, its scale factor and first component.
     reflectors: Vec<Reflector>,
-    /// Real diagonal of `T`.
-    diag: Vec<f64>,
-    /// Real subdiagonal of `T` (`sub[i] = T[i+1, i]`, length `n`, last
-    /// entry unused).
-    sub: Vec<f64>,
     /// Diagonal phase unitary `D` turning the complex subdiagonal real.
     phase: Vec<c64>,
-    /// QL working copies of the tridiagonal (destroyed by the iteration).
-    d_work: Vec<f64>,
-    e_work: Vec<f64>,
-    /// Inverse-iteration solve buffers.
-    solve_d: Vec<f64>,
-    solve_du: Vec<f64>,
-    solve_du2: Vec<f64>,
-    solve_dl: Vec<f64>,
+    /// The solver's real buffers, `REAL_BUFFERS` of `n` each, in
+    /// [`RealWork`]'s order: `T`'s diagonal and subdiagonal, their QL
+    /// working copies, the tridiagonal solve's factors and the inverse
+    /// iterate.
+    real: Vec<f64>,
+    /// The tridiagonal solve's row interchanges.
     solve_piv: Vec<bool>,
-    y: Vec<f64>,
     /// The reduction's `p`/`w` vector for its rank-2 updates.
     z: Vec<c64>,
     /// Output of [`hermitian_eigen_partial_into`]: all eigenvalues,
@@ -90,6 +88,77 @@ pub struct TridiagWorkspace {
     /// Output of [`hermitian_eigen_partial_into`]: top-`k` eigenvectors,
     /// `n × k`.
     out_vectors: CMat,
+}
+
+/// What [`TridiagWorkspace::solved`] lends after a solve: its outputs, to
+/// read, and the storage the solve consumed, to write over.
+#[derive(Debug)]
+pub struct SolvedParts<'a> {
+    /// All eigenvalues, sorted descending.
+    pub values: &'a [f64],
+    /// The solved eigenvectors (`n × k`, column `j` pairs with
+    /// `values[j]`).
+    pub vectors: &'a CMat,
+    /// The matrix's storage, `n(n+1)/2` entries. The solve left Householder
+    /// reflectors there that nothing reads again: the next matrix is built
+    /// over them through [`TridiagWorkspace::matrix_mut`].
+    pub spent_matrix: &'a mut [c64],
+    /// The solver's real work array, `9n` entries, none of which a later
+    /// solve reads before writing.
+    pub real_work: &'a mut [f64],
+}
+
+/// Number of `n`-long real buffers in [`TridiagWorkspace`]'s work array.
+const REAL_BUFFERS: usize = 9;
+
+/// The solver's real buffers, each `n` long, split off one work array.
+struct RealWork<'a> {
+    /// Real diagonal of `T`.
+    diag: &'a mut [f64],
+    /// Real subdiagonal of `T` (`sub[i] = T[i+1, i]`, last entry unused).
+    sub: &'a mut [f64],
+    /// QL working copies of the tridiagonal (destroyed by the iteration).
+    d_work: &'a mut [f64],
+    e_work: &'a mut [f64],
+    /// The inverse-iteration solves' factors.
+    factors: Factors<'a>,
+    /// The inverse-iteration iterate.
+    y: &'a mut [f64],
+}
+
+impl<'a> RealWork<'a> {
+    /// Splits the leading `REAL_BUFFERS · n` entries of `work` into the
+    /// buffers (`n ≥ 1`).
+    fn split(work: &'a mut [f64], n: usize) -> Self {
+        let mut chunks = work[..REAL_BUFFERS * n].chunks_exact_mut(n);
+        let mut next = || chunks.next().expect("the work array holds every buffer");
+        RealWork {
+            diag: next(),
+            sub: next(),
+            d_work: next(),
+            e_work: next(),
+            factors: Factors {
+                d: next(),
+                dl: next(),
+                du: next(),
+                du2: next(),
+            },
+            y: next(),
+        }
+    }
+}
+
+/// The tridiagonal solve's LU factors, each `n` long (the solve uses the
+/// leading `n`, `n − 1`, `n − 1` and `n − 2` entries).
+struct Factors<'a> {
+    /// Shifted diagonal, then the pivots.
+    d: &'a mut [f64],
+    /// Subdiagonal, then the multipliers.
+    dl: &'a mut [f64],
+    /// Superdiagonal.
+    du: &'a mut [f64],
+    /// Second superdiagonal, filled by row interchanges.
+    du2: &'a mut [f64],
 }
 
 /// Householder reflector `j` of the reduction, `I − β_j·v_j·v_jᴴ`, apart
@@ -129,6 +198,20 @@ impl TridiagWorkspace {
     /// from the most recent [`hermitian_eigen_partial_into`].
     pub fn vectors(&self) -> &CMat {
         &self.out_vectors
+    }
+
+    /// The most recent solve's eigenvalues and eigenvectors, to read,
+    /// together with the storage it consumed, to write over: the matrix's
+    /// entries and the real work array. Neither holds anything a reader of
+    /// the outputs needs, so a caller's next step can run in them while it
+    /// reads the basis.
+    pub fn solved(&mut self) -> SolvedParts<'_> {
+        SolvedParts {
+            values: &self.out_values,
+            vectors: &self.out_vectors,
+            spent_matrix: self.h.as_mut_slice(),
+            real_work: &mut self.real,
+        }
     }
 }
 
@@ -217,27 +300,37 @@ pub fn hermitian_eigen_partial_in_place_by(
         return;
     }
 
-    tridiagonalize(ws);
+    let TridiagWorkspace {
+        h,
+        reflectors,
+        phase,
+        real,
+        solve_piv,
+        z,
+        out_values: values,
+        out_vectors: vectors,
+    } = ws;
+    real.clear();
+    real.resize(REAL_BUFFERS * n, 0.0);
+    let mut rw = RealWork::split(real, n);
+    tridiagonalize(h, reflectors, z);
+    extract_tridiag(h, rw.diag, rw.sub, phase);
     // Eigenvalues of T by implicit-shift QL (no vector accumulation).
-    ws.d_work.clear();
-    ws.d_work.extend_from_slice(&ws.diag);
-    ws.e_work.clear();
-    ws.e_work.extend_from_slice(&ws.sub);
-    let ql_sweeps = ql_implicit_eigenvalues(&mut ws.d_work, &mut ws.e_work);
-    // Move the outputs out of `ws` while the solver still needs `&mut ws`.
-    let mut values = std::mem::take(&mut ws.out_values);
+    rw.d_work.copy_from_slice(rw.diag);
+    rw.e_work.copy_from_slice(rw.sub);
+    let ql_sweeps = ql_implicit_eigenvalues(rw.d_work, rw.e_work);
     values.clear();
-    values.extend_from_slice(&ws.d_work);
+    values.extend_from_slice(rw.d_work);
     values.sort_by(|x, y| y.partial_cmp(x).unwrap());
-    let k = columns(&values).min(n);
+    let k = columns(values).min(n);
 
     // Top-k eigenvectors of T by inverse iteration, each straight into its
     // output column, then back-transformed there.
-    let mut vectors = std::mem::take(&mut ws.out_vectors);
     vectors.reset_zeros(n, k);
-    let (reorth_events, inverse_steps) = inverse_iteration(&values[..k], ws, &mut vectors);
+    let (reorth_events, inverse_steps) =
+        inverse_iteration(&values[..k], &mut rw, solve_piv, vectors);
     for j in 0..k {
-        back_transform(vectors.col_mut(j), ws);
+        back_transform(vectors.col_mut(j), h.as_slice(), reflectors, phase);
     }
 
     if spotfi_obs::enabled() {
@@ -246,27 +339,17 @@ pub fn hermitian_eigen_partial_in_place_by(
         spotfi_obs::counter("eigen.reorth_events", reorth_events);
         spotfi_obs::counter("eigen.inverse_iteration_steps", inverse_steps);
     }
-
-    ws.out_values = values;
-    ws.out_vectors = vectors;
 }
 
-/// Reduces the Hermitian matrix whose packed lower triangle is `ws.h` to
-/// real symmetric tridiagonal form in place, leaving in `ws`: `diag`/`sub`
-/// (the tridiagonal `T`), the Householder reflectors (scale factors and
-/// first components in `reflectors`, the rest in `h`'s columns below the
-/// subdiagonal), and the diagonal phase unitary `phase` (so
-/// `A = Q·diag(phase)·T·diag(phase)ᴴ·Qᴴ` with `Q` the reflector product).
-fn tridiagonalize(ws: &mut TridiagWorkspace) {
-    let n = ws.h.n();
+/// Reduces the Hermitian matrix whose packed lower triangle is `h` to
+/// tridiagonal form in place: the complex tridiagonal stays on `h`'s
+/// diagonal and subdiagonal, and the Householder reflectors' scale factors
+/// and first components land in `reflectors`, the rest in `h`'s columns
+/// below the subdiagonal (so `A = Q·H·Qᴴ` with `Q` the reflector product).
+/// `z` is the rank-2 updates' vector.
+fn tridiagonalize(h: &mut PackedHermitianF64, reflectors: &mut Vec<Reflector>, z: &mut Vec<c64>) {
+    let n = h.n();
     let start = |j: usize| packed_col_start(n, j);
-    let TridiagWorkspace {
-        h,
-        reflectors,
-        z,
-        y,
-        ..
-    } = ws;
     let h = h.as_mut_slice();
     // Forced exactly Hermitian (same normalization as the Jacobi oracle,
     // so both see the same matrix): the upper triangle is only implied.
@@ -279,8 +362,6 @@ fn tridiagonalize(ws: &mut TridiagWorkspace) {
     // p/w scratch for the rank-2 update lives in `z` (complex, length n).
     z.clear();
     z.resize(n, c64::ZERO);
-    y.clear();
-    y.resize(n, 0.0);
 
     for (j, reflector) in reflectors.iter_mut().enumerate().take(n.saturating_sub(2)) {
         // x = column j below the diagonal, rows j+1..n; build the reflector
@@ -371,34 +452,34 @@ fn tridiagonalize(ws: &mut TridiagWorkspace) {
         reflector.v_first = head[xj.start];
         head[xj.start] = alpha;
     }
-
-    extract_tridiag(ws);
 }
 
-/// Extracts the complex tridiagonal from `ws.h`, then phase-scales the
-/// subdiagonal real non-negative: with `u_0 = 1`,
+/// Extracts the complex tridiagonal from the reduced `h`, then
+/// phase-scales the subdiagonal real non-negative: with `u_0 = 1`,
 /// `u_{i+1} = u_i·f_i/|f_i|` the matrix `Dᴴ·H·D` (`D = diag(u)`) has
-/// subdiagonal `|f_i|`. Fills `ws.diag`, `ws.sub`, `ws.phase`.
-fn extract_tridiag(ws: &mut TridiagWorkspace) {
-    let n = ws.h.n();
-    let h = ws.h.as_slice();
-    ws.diag.clear();
-    ws.sub.clear();
-    ws.phase.clear();
-    ws.diag.resize(n, 0.0);
-    ws.sub.resize(n, 0.0);
-    ws.phase.resize(n, c64::ONE);
+/// subdiagonal `|f_i|`. Fills `diag`, `sub` (`n` long, the last entry
+/// left as it was) and `phase` (`D`'s diagonal).
+fn extract_tridiag(
+    h: &PackedHermitianF64,
+    diag: &mut [f64],
+    sub: &mut [f64],
+    phase: &mut Vec<c64>,
+) {
+    let n = h.n();
+    let h = h.as_slice();
+    phase.clear();
+    phase.resize(n, c64::ONE);
     for i in 0..n {
-        ws.diag[i] = h[packed_col_start(n, i)].re;
+        diag[i] = h[packed_col_start(n, i)].re;
     }
     for i in 0..n.saturating_sub(1) {
         let f = h[packed_col_start(n, i) + 1];
         let fabs = f.abs();
-        ws.sub[i] = fabs;
-        ws.phase[i + 1] = if fabs == 0.0 {
-            ws.phase[i]
+        sub[i] = fabs;
+        phase[i + 1] = if fabs == 0.0 {
+            phase[i]
         } else {
-            ws.phase[i] * f.scale(1.0 / fabs)
+            phase[i] * f.scale(1.0 / fabs)
         };
     }
 }
@@ -484,39 +565,48 @@ fn ql_implicit_eigenvalues(d: &mut [f64], e: &mut [f64]) -> u64 {
     sweeps
 }
 
+/// `max(|diag|, |sub|, 1)` of the tridiagonal `(diag, sub)`: the scale of
+/// the inverse-iteration tolerances.
+fn tridiag_norm(diag: &[f64], sub: &[f64]) -> f64 {
+    let n = diag.len();
+    diag.iter()
+        .map(|x| x.abs())
+        .chain(sub[..n.saturating_sub(1)].iter().map(|x| x.abs()))
+        .fold(0.0f64, f64::max)
+        .max(1.0)
+}
+
 /// Solves `(T − λI)·y = b` for the tridiagonal `(diag, sub)` by LU with
-/// partial pivoting (the LAPACK `dgttrf`/`dgtts2` scheme). Factorization
-/// buffers come from `ws`; `b` is overwritten with `y`. Exactly singular
+/// partial pivoting (the LAPACK `dgttrf`/`dgtts2` scheme), factoring into
+/// `f` and `piv`; `b` is overwritten with `y`. Exactly singular
 /// pivots (λ *is* an eigenvalue) are replaced by `±ε·‖T‖` — the classic
 /// inverse-iteration trick that turns the singular solve into a huge,
 /// eigenvector-aligned step.
-fn solve_shifted_tridiag(lambda: f64, ws: &mut TridiagWorkspace, b: &mut [f64]) {
-    let n = ws.diag.len();
+fn solve_shifted_tridiag(
+    lambda: f64,
+    diag: &[f64],
+    sub: &[f64],
+    f: &mut Factors<'_>,
+    piv: &mut Vec<bool>,
+    b: &mut [f64],
+) {
+    let n = diag.len();
     debug_assert_eq!(b.len(), n);
-    let norm = ws
-        .diag
-        .iter()
-        .map(|x| x.abs())
-        .chain(ws.sub[..n.saturating_sub(1)].iter().map(|x| x.abs()))
-        .fold(0.0f64, f64::max)
-        .max(1.0);
-    let tiny = f64::EPSILON * norm;
+    let tiny = f64::EPSILON * tridiag_norm(diag, sub);
+    let (m1, m2) = (n.saturating_sub(1), n.saturating_sub(2));
 
-    let dd = &mut ws.solve_d;
-    let dl = &mut ws.solve_dl;
-    let du = &mut ws.solve_du;
-    let du2 = &mut ws.solve_du2;
-    let piv = &mut ws.solve_piv;
-    dd.clear();
-    dd.extend(ws.diag.iter().map(|&x| x - lambda));
-    dl.clear();
-    dl.extend_from_slice(&ws.sub[..n.saturating_sub(1)]);
-    du.clear();
-    du.extend_from_slice(&ws.sub[..n.saturating_sub(1)]);
-    du2.clear();
-    du2.resize(n.saturating_sub(2), 0.0);
+    let dd = &mut f.d[..n];
+    let dl = &mut f.dl[..m1];
+    let du = &mut f.du[..m1];
+    let du2 = &mut f.du2[..m2];
+    for (d, &x) in dd.iter_mut().zip(diag) {
+        *d = x - lambda;
+    }
+    dl.copy_from_slice(&sub[..m1]);
+    du.copy_from_slice(&sub[..m1]);
+    du2.fill(0.0);
     piv.clear();
-    piv.resize(n.saturating_sub(1), false);
+    piv.resize(m1, false);
 
     for i in 0..n.saturating_sub(1) {
         if dd[i].abs() >= dl[i].abs() {
@@ -578,7 +668,7 @@ fn solve_shifted_tridiag(lambda: f64, ws: &mut TridiagWorkspace, b: &mut [f64]) 
     }
 }
 
-/// Inverse iteration on the tridiagonal `(ws.diag, ws.sub)` for each
+/// Inverse iteration on the tridiagonal `(rw.diag, rw.sub)` for each
 /// eigenvalue in `lambdas` (descending), with reorthogonalization against
 /// previous vectors of the same eigenvalue cluster. Vector `j` lands, unit
 /// norm, in the real parts of column `j` of `out` (`n × k`), whose leading
@@ -586,8 +676,13 @@ fn solve_shifted_tridiag(lambda: f64, ws: &mut TridiagWorkspace, b: &mut [f64]) 
 /// Gram–Schmidt reorthogonalization projections performed inside
 /// eigenvalue clusters (0 when every eigenvalue is well separated) and the
 /// number of shifted solves (passes) over all `k` eigenvalues.
-fn inverse_iteration(lambdas: &[f64], ws: &mut TridiagWorkspace, out: &mut CMat) -> (u64, u64) {
-    let n = ws.diag.len();
+fn inverse_iteration(
+    lambdas: &[f64],
+    rw: &mut RealWork<'_>,
+    piv: &mut Vec<bool>,
+    out: &mut CMat,
+) -> (u64, u64) {
+    let n = rw.diag.len();
     let k = lambdas.len();
     debug_assert_eq!(out.shape(), (n, k));
     let mut reorth_events = 0u64;
@@ -595,13 +690,7 @@ fn inverse_iteration(lambdas: &[f64], ws: &mut TridiagWorkspace, out: &mut CMat)
     if k == 0 {
         return (reorth_events, steps);
     }
-    let norm = ws
-        .diag
-        .iter()
-        .map(|x| x.abs())
-        .chain(ws.sub[..n.saturating_sub(1)].iter().map(|x| x.abs()))
-        .fold(0.0f64, f64::max)
-        .max(1.0);
+    let norm = tridiag_norm(rw.diag, rw.sub);
     // Two eigenvalues closer than this are treated as one cluster and their
     // vectors explicitly orthogonalized (individually they are ill-defined;
     // the spanned subspace is what matters).
@@ -620,28 +709,25 @@ fn inverse_iteration(lambdas: &[f64], ws: &mut TridiagWorkspace, out: &mut CMat)
         // variation so it is never orthogonal to the target eigenvector in
         // structured cases (an all-ones start is, e.g., for antisymmetric
         // eigenvectors of persymmetric T).
-        ws.y.clear();
         let mut state = 0x9E3779B97F4A7C15u64 ^ (j as u64).wrapping_mul(0xD1B54A32D192ED03);
-        for _ in 0..n {
+        for yi in rw.y.iter_mut() {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            ws.y.push((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5);
+            *yi = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
         }
-        normalize(&mut ws.y);
+        normalize(rw.y);
 
         for _pass in 0..5 {
             steps += 1;
-            let mut y = std::mem::take(&mut ws.y);
-            solve_shifted_tridiag(lambda, ws, &mut y);
-            ws.y = y;
+            solve_shifted_tridiag(lambda, rw.diag, rw.sub, &mut rw.factors, piv, rw.y);
             // Orthogonalize within the cluster (twice is enough).
             for _ in 0..2 {
                 for p in cluster_start..j {
                     reorth_events += 1;
                     let col = out.col(p);
-                    let dot: f64 = col.iter().zip(ws.y.iter()).map(|(a, b)| a.re * b).sum();
-                    for (yi, ci) in ws.y.iter_mut().zip(col.iter()) {
+                    let dot: f64 = col.iter().zip(rw.y.iter()).map(|(a, b)| a.re * b).sum();
+                    for (yi, ci) in rw.y.iter_mut().zip(col.iter()) {
                         *yi -= dot * ci.re;
                     }
                 }
@@ -649,7 +735,7 @@ fn inverse_iteration(lambdas: &[f64], ws: &mut TridiagWorkspace, out: &mut CMat)
                     break;
                 }
             }
-            let growth = normalize(&mut ws.y);
+            let growth = normalize(rw.y);
             // ‖(T−λ)⁻¹y‖ ≥ 1/(ε·‖T‖) signals convergence onto the
             // eigenvector (residual ≲ ε·‖T‖).
             if growth >= 1.0 / (f64::EPSILON * norm * 1e3) {
@@ -658,7 +744,7 @@ fn inverse_iteration(lambdas: &[f64], ws: &mut TridiagWorkspace, out: &mut CMat)
         }
         // Even without the growth certificate the iterate is the best
         // available direction; clusters are protected by orthogonalization.
-        for (o, &yi) in out.col_mut(j).iter_mut().zip(&ws.y) {
+        for (o, &yi) in out.col_mut(j).iter_mut().zip(rw.y.iter()) {
             *o = c64::real(yi);
         }
     }
@@ -684,17 +770,18 @@ fn normalize(v: &mut [f64]) -> f64 {
 
 /// Back-transforms, in place, the tridiagonal eigenvector held in the real
 /// parts of `z` into an eigenvector of the original matrix: apply the
-/// phase unitary `D`, then the Householder reflectors in reverse order.
-fn back_transform(z: &mut [c64], ws: &TridiagWorkspace) {
-    let n = ws.diag.len();
-    let h = ws.h.as_slice();
-    for (zi, p) in z.iter_mut().zip(&ws.phase) {
+/// phase unitary `D` (`phase`), then the Householder reflectors
+/// (`reflectors`, and the rest of each in the reduced matrix `h`) in
+/// reverse order.
+fn back_transform(z: &mut [c64], h: &[c64], reflectors: &[Reflector], phase: &[c64]) {
+    let n = phase.len();
+    for (zi, p) in z.iter_mut().zip(phase) {
         *zi = p.scale(zi.re);
     }
     // Reflectors were built for columns 0..n−2; v_j's first component is
     // in `reflectors[j]`, the rest in column j from row j+2 on.
     for jr in (0..n.saturating_sub(2)).rev() {
-        let Reflector { beta, v_first: v0 } = ws.reflectors[jr];
+        let Reflector { beta, v_first: v0 } = reflectors[jr];
         if beta == 0.0 {
             continue;
         }
@@ -970,18 +1057,22 @@ mod tests {
         ws.h.assign_lower(a);
         let n = ws.h.n();
         let k = k.min(n);
-        tridiagonalize(&mut ws);
-        let (mut d, mut e) = (ws.diag.clone(), ws.sub.clone());
+        let (mut diag, mut sub) = (vec![0.0; n], vec![0.0; n]);
+        tridiagonalize(&mut ws.h, &mut ws.reflectors, &mut ws.z);
+        extract_tridiag(&ws.h, &mut diag, &mut sub, &mut ws.phase);
+        let (mut d, mut e) = (diag.clone(), sub.clone());
         ql_implicit_eigenvalues(&mut d, &mut e);
         let mut values = d;
         values.sort_by(|x, y| y.partial_cmp(x).unwrap());
-        let norm = ws
-            .diag
+        let norm = diag
             .iter()
             .map(|x| x.abs())
-            .chain(ws.sub[..n.saturating_sub(1)].iter().map(|x| x.abs()))
+            .chain(sub[..n.saturating_sub(1)].iter().map(|x| x.abs()))
             .fold(0.0f64, f64::max)
             .max(1.0);
+        let mut work = vec![0.0; REAL_BUFFERS * n];
+        let mut factors = RealWork::split(&mut work, n).factors;
+        let mut piv = Vec::new();
         let cluster_tol = 1e-7 * norm;
         let mut tvecs = vec![0.0; n * k];
         let mut cluster_start = 0usize;
@@ -1000,7 +1091,7 @@ mod tests {
             }
             normalize(&mut y);
             for _pass in 0..5 {
-                solve_shifted_tridiag(lambda, &mut ws, &mut y);
+                solve_shifted_tridiag(lambda, &diag, &sub, &mut factors, &mut piv, &mut y);
                 for _ in 0..2 {
                     for p in cluster_start..j {
                         let col = &tvecs[p * n..(p + 1) * n];

@@ -5,17 +5,21 @@
 //! and then clusters the AP's pooled estimates. Its heap is what one
 //! packet's scratch holds — one packed lower triangle of `n(n+1)/2`
 //! complex entries (the eigensolver's matrix, which the covariance is
-//! built and solved in), at most `max_paths` eigenvectors and the τ-forms
-//! memo, which holds rows only for the τ columns a search touches — plus
-//! buffers one grid edge long, and on top whichever phase's own buffers
-//! peak highest: the sanitized CSI, the search's candidates or the
-//! clustering. The MUSIC forms are built from the signal eigenvectors, so
-//! no block of the noise projector is stored. The smoothed matrix is never stored, and the coarse detection
-//! level covers `n_rows × n_tof` cells but streams through a window of
-//! three τ columns; storing either, the covariance as a mirrored `n × n`
-//! matrix or a second copy of it, or the projector's packed antenna blocks
-//! (`npairs·N_s²` complex, 10.8 KB) would cost more than this bound leaves
-//! room for, and a central server pays that once per concurrent request.
+//! built and solved in), at most `max_paths` eigenvectors, the solver's
+//! `n`-long vectors and a τ index one grid edge long — and on top whichever
+//! phase's own buffers peak highest: the search's candidates or the
+//! clustering. The search's buffers (the τ-forms memo, the stencil rows,
+//! the detection ring) are carved from the matrix and real work the
+//! eigensolve just consumed, and the ramp removal of sanitization is
+//! applied as the smoothed columns are gathered, so neither the sanitized
+//! CSI nor the smoothed matrix is stored. The MUSIC forms are built from
+//! the signal eigenvectors, so no block of the noise projector is stored,
+//! and the coarse detection level covers `n_rows × n_tof` cells but
+//! streams through a window of three τ columns. Storing any of those, the
+//! covariance as a mirrored `n × n` matrix or a second copy of it, or the
+//! τ-forms memo beside the spent matrix would cost more than this bound
+//! leaves room for, and a central server pays that once per concurrent
+//! request.
 //!
 //! This binary installs a counting global allocator and bounds the peak
 //! heap growth of one serial `analyze_ap` over 10 apartment packets, and
@@ -108,11 +112,11 @@ static ALLOCATOR: Counting = Counting;
 const PACKETS: usize = 10;
 
 /// Allocation calls one serial `analyze_ap` over [`PACKETS`] packets makes
-/// today: the scratch's buffers once, and per packet the sanitized CSI,
-/// the MUSIC search's candidate and path vectors and the pooled
-/// estimates' exact growth, plus the clustering. Lower it when a change
-/// removes some; it may not rise.
-const MAX_ALLOC_CALLS: usize = 134;
+/// today: the scratch's buffers once, and per packet the MUSIC search's
+/// candidate, peak and path vectors and the pooled estimates' exact
+/// growth, plus the clustering. Lower it when a change removes some; it
+/// may not rise.
+const MAX_ALLOC_CALLS: usize = 80;
 
 #[test]
 fn exact_packet_working_set_excludes_a_stored_detection_grid() {
@@ -150,30 +154,26 @@ fn exact_packet_working_set_excludes_a_stored_detection_grid() {
     assert_eq!(analysis.dropped_packets, 0);
 
     // One packet's scratch: the eigensolver's packed matrix (the
-    // covariance is built and decomposed in it) and the first components
-    // of its `n` reflectors, at most `max_paths` eigenvectors and the
-    // τ-forms rows the memo reserves, one five-column patch per detection
-    // basin (complex); the solver's real buffers, each one `n` long; two
-    // reals per AoA and τ grid point for buffers one grid edge long; and
-    // 4 KB for the estimates, the clustering and small vectors. A stored
-    // detection level (`n_rows × n_tof` reals, 92 KB at the default grid),
-    // a stored smoothed matrix (`n × cols`, 15 KB), the projector's packed
-    // antenna blocks (10.8 KB), a τ-forms row for every fine τ (9 KB more
-    // than the reserved rows), a second packed matrix (7.4 KB) or the
-    // mirrored `n × n` matrix instead of the packed one (7 KB more) does
-    // not fit.
+    // covariance is built and decomposed in it, and the search runs in it
+    // after the solve) and the first components of its `n` reflectors and
+    // at most `max_paths` eigenvectors (complex); the solver's real buffers
+    // and vectors, each one `n` long (the detection ring runs in them);
+    // the τ index, one `u16` per τ grid point; and 2 KB for the estimates,
+    // the clustering and small vectors. A stored detection level
+    // (`n_rows × n_tof` reals, 92 KB at the default grid), a stored
+    // smoothed matrix (`n × cols`, 15 KB), the projector's packed antenna
+    // blocks (10.8 KB), a second packed matrix (7.4 KB), the mirrored
+    // `n × n` matrix instead of the packed one (7 KB more) or the τ-forms
+    // memo's reserved rows beside the spent matrix (2.9 KB) does not fit.
     let c64_bytes = std::mem::size_of::<spotfi_math::c64>();
     let f64_bytes = std::mem::size_of::<f64>();
+    let u16_bytes = std::mem::size_of::<u16>();
     let n = cfg.smoothed_rows();
     let k = cfg.music.max_paths;
-    let ms = cfg.smoothing.sub_antennas;
-    let npairs = ms * (ms + 1) / 2;
-    let n_aoa = cfg.music.aoa_grid_deg.len();
     let n_tof = cfg.music.tof_grid_ns.len();
-    let memo_rows = ((k + 4) * 5).min(n_tof);
-    let complex = n * (n + 1) / 2 + n + n * k + npairs * memo_rows;
-    let real = 16 * n + 2 * (n_aoa + n_tof);
-    let bound = c64_bytes * complex + f64_bytes * real + 4 * 1024;
+    let complex = n * (n + 1) / 2 + n + n * k;
+    let real = 16 * n;
+    let bound = c64_bytes * complex + f64_bytes * real + u16_bytes * n_tof + 2 * 1024;
     println!("peak heap of one exact analyze_ap: {peak} B (bound {bound} B)");
     assert!(
         peak <= bound,

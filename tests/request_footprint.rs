@@ -8,8 +8,9 @@
 //! every AP's per-packet estimates until the last AP finishes would cost
 //! about 1.2 KB per AP, more than this bound leaves room for. The scratch
 //! is live through every phase of an AP (stage, sweep, clustering), so the
-//! request peaks at whichever phase's own buffers are largest. A central
-//! server pays this once per concurrent request.
+//! request peaks at whichever phase's own buffers are largest; the sweep
+//! runs in the storage the eigensolve consumed, so it adds little of its
+//! own. A central server pays this once per concurrent request.
 //!
 //! This binary installs a counting global allocator and bounds the peak
 //! heap growth of one serial `localize_in_bounds` on the standard
@@ -130,25 +131,23 @@ fn batch_request_holds_one_aps_working_set() {
     let peak = PEAK_BYTES.load(Ordering::Relaxed) as usize;
 
     // One AP's exact budget, as `exact_footprint.rs` derives it: the
-    // eigensolver's packed matrix and its reflectors' first components,
-    // at most `max_paths` eigenvectors and the τ-forms rows an exact search
-    // reserves (complex); the solver's real buffers, each one `n` long;
-    // two reals per AoA and τ grid point; 4 KB for one AP's estimates, its
-    // clustering and small vectors. On top, 256 B per AP for its fusion
-    // input and Eq. 9's per-AP vectors. Every AP's per-packet estimates
-    // held at once (≈ 1.2 KB each) do not fit.
+    // eigensolver's packed matrix (the search runs in it after the solve)
+    // and its reflectors' first components and at most `max_paths`
+    // eigenvectors (complex); the solver's real buffers and vectors, each
+    // one `n` long; one `u16` per τ grid point; 2 KB for one AP's
+    // estimates, its clustering and small vectors. On top, 256 B per AP
+    // for its fusion input and Eq. 9's per-AP vectors. Every AP's
+    // per-packet estimates held at once (≈ 1.2 KB each), or the τ-forms
+    // memo and detection ring beside the spent matrix (4 KB), do not fit.
     let c64_bytes = std::mem::size_of::<spotfi_math::c64>();
     let f64_bytes = std::mem::size_of::<f64>();
+    let u16_bytes = std::mem::size_of::<u16>();
     let n = cfg.smoothed_rows();
     let k = cfg.music.max_paths;
-    let ms = cfg.smoothing.sub_antennas;
-    let npairs = ms * (ms + 1) / 2;
-    let n_aoa = cfg.music.aoa_grid_deg.len();
     let n_tof = cfg.music.tof_grid_ns.len();
-    let memo_rows = ((k + 4) * 5).min(n_tof);
-    let complex = n * (n + 1) / 2 + n + n * k + npairs * memo_rows;
-    let real = 16 * n + 2 * (n_aoa + n_tof);
-    let one_ap = c64_bytes * complex + f64_bytes * real + 4 * 1024;
+    let complex = n * (n + 1) / 2 + n + n * k;
+    let real = 16 * n;
+    let one_ap = c64_bytes * complex + f64_bytes * real + u16_bytes * n_tof + 2 * 1024;
     let bound = one_ap + 256 * aps.len();
     println!(
         "peak heap of one serial {}-AP request: {peak} B (bound {bound} B)",
